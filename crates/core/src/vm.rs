@@ -32,10 +32,10 @@ use rvm_hw::{
     VmSystem, Vpn, BLOCK_PAGES, GIANT_PAGES, VA_LIMIT,
 };
 use rvm_mem::{FrameRef, Pfn, BLOCK_ORDER, GIANT_ORDER};
-use rvm_radix::{LockMode, RadixConfig, RadixTree, RangeGuard, Removed, VPN_LIMIT};
+use rvm_radix::{LockMode, RadixConfig, RadixTree, RangeGuard, Removed, RemovedList, VPN_LIMIT};
 use rvm_refcache::Refcache;
 use rvm_sync::atomic::AtomicCoreSet;
-use rvm_sync::{failpoint, sim, CoreSet, RangeLockKind};
+use rvm_sync::{failpoint, sim, CoreSet, InlineVec, RangeLockKind};
 
 use crate::meta::{PageKind, PageMeta};
 
@@ -67,10 +67,15 @@ impl Default for RadixVmConfig {
     }
 }
 
+/// Contiguous VPN runs `(start, pages)` an operation must clear from the
+/// page tables. Inline for the usual one or two runs, so a single-page
+/// `munmap` stays off the heap.
+type Runs = InlineVec<(Vpn, u64), 4>;
+
 /// Appends `(start, pages)` to a list of contiguous VPN runs, merging
 /// with the previous run when adjacent (shootdown/page-table batching;
 /// entries may span whole blocks, so runs are page-count-aware).
-fn push_run(runs: &mut Vec<(Vpn, u64)>, start: Vpn, pages: u64) {
+fn push_run(runs: &mut Runs, start: Vpn, pages: u64) {
     match runs.last_mut() {
         Some((s, l)) if *s + *l == start => *l += pages,
         _ => runs.push((start, pages)),
@@ -233,47 +238,28 @@ impl RadixVm {
     /// still holds the guard), per the paper's ordering invariant: no
     /// thread may access the pages after munmap returns, and the physical
     /// pages are released only after every stale translation is gone.
-    fn finish_unmap(&self, core: usize, lo: Vpn, n: u64, removed: Vec<Removed<PageMeta>>) {
+    fn finish_unmap(&self, core: usize, lo: Vpn, n: u64, removed: &RemovedList<PageMeta>) {
         let mut tracked = CoreSet::EMPTY;
-        // Page and block-head references drop through the same frame-
-        // table cells; the slot's kind picks the release action, so one
-        // list covers both.
-        let mut refs: Vec<FrameRef> = Vec::new();
-        let mut runs: Vec<(Vpn, u64)> = Vec::new();
-        for r in &removed {
-            match r {
-                Removed::Page(vpn, m) => {
-                    if m.phys.is_some() || m.block.is_some() || !m.coreset.is_empty() {
-                        tracked = tracked.union(m.coreset);
-                        push_run(&mut runs, *vpn, 1);
-                    }
-                    if let Some(p) = m.phys {
-                        refs.push(p);
-                    }
-                    // A demoted page owns one reference on its backing
-                    // block; the block frees when the last page drops.
-                    if let Some(b) = m.block {
-                        refs.push(b);
-                    }
-                }
+        let mut runs = Runs::new();
+        for r in removed {
+            let (start, pages, m) = match r {
+                Removed::Page(vpn, m) => (*vpn, 1, m),
+                // Folded blocks carry fault state only once a superpage
+                // populated them: one block PTE per core in the coreset,
+                // one span TLB entry each, one frame block (invariant in
+                // `PageMeta`; `phys` never).
                 Removed::Block {
                     start,
                     pages,
-                    value: m,
+                    value,
                 } => {
-                    // Folded blocks carry fault state only once a
-                    // superpage populated them: one block PTE per core in
-                    // the coreset, one span TLB entry each, one frame
-                    // block (invariant in `PageMeta`; `phys` never).
-                    debug_assert!(m.phys.is_none());
-                    if m.block.is_some() || !m.coreset.is_empty() {
-                        tracked = tracked.union(m.coreset);
-                        push_run(&mut runs, *start, *pages);
-                    }
-                    if let Some(b) = m.block {
-                        refs.push(b);
-                    }
+                    debug_assert!(value.phys.is_none());
+                    (*start, *pages, value)
                 }
+            };
+            if m.phys.is_some() || m.block.is_some() || !m.coreset.is_empty() {
+                tracked = tracked.union(m.coreset);
+                push_run(&mut runs, start, pages);
             }
         }
         if !runs.is_empty() {
@@ -284,9 +270,16 @@ impl RadixVm {
             }
             self.machine.shootdown(core, self.asid, lo, n, targets);
         }
+        // Only now drop the frames. Page and block-head references drop
+        // through the same frame-table cells (the slot's kind picks the
+        // release action); a demoted page owns one reference on its
+        // backing block, which frees when the last page drops.
         let pool = self.machine.pool();
-        for r in refs {
-            pool.ref_dec(&self.cache, core, r);
+        for r in removed {
+            let (Removed::Page(_, m) | Removed::Block { value: m, .. }) = r;
+            for frame in m.phys.into_iter().chain(m.block) {
+                pool.ref_dec(&self.cache, core, frame);
+            }
         }
     }
 
@@ -366,7 +359,7 @@ impl RadixVm {
         sim::charge_op_base();
         let child = RadixVm::with_cache(self.machine.clone(), self.cache.clone(), self.cfg.clone());
         let mut entries: Vec<(Vpn, u64, PageMeta)> = Vec::new();
-        let mut revoke_runs: Vec<(Vpn, u64)> = Vec::new();
+        let mut revoke_runs = Runs::new();
         let mut revoke_set = CoreSet::EMPTY;
         {
             let mut g = self
@@ -484,7 +477,7 @@ impl VmSystem for RadixVm {
         self.demote_expanded(core, &mut guard);
         let displaced = guard.replace(&template);
         if !displaced.is_empty() {
-            self.finish_unmap(core, lo, n, displaced);
+            self.finish_unmap(core, lo, n, &displaced);
         }
         Ok(addr)
     }
@@ -501,7 +494,7 @@ impl VmSystem for RadixVm {
         // unmap keeps the fold and releases the block in finish_unmap.
         self.demote_expanded(core, &mut guard);
         let removed = guard.clear();
-        self.finish_unmap(core, lo, n, removed);
+        self.finish_unmap(core, lo, n, &removed);
         Ok(())
     }
 
@@ -708,7 +701,7 @@ impl VmSystem for RadixVm {
         // and the next fault re-installs it with the new protection).
         self.demote_expanded(core, &mut guard);
         let mut tracked = CoreSet::EMPTY;
-        let mut runs: Vec<(Vpn, u64)> = Vec::new();
+        let mut runs = Runs::new();
         let mut mapped_pages = 0u64;
         guard.for_each_entry_mut(|vpn, pages, m| {
             mapped_pages += pages;
@@ -1078,7 +1071,7 @@ impl Drop for RadixVm {
                 .lock_range(0, 0, VPN_LIMIT, LockMode::ExpandFolded);
             guard.clear()
         };
-        self.finish_unmap(0, 0, VPN_LIMIT, removed);
+        self.finish_unmap(0, 0, VPN_LIMIT, &removed);
         self.machine.flush_asid(self.asid);
         self.cache.quiesce();
     }

@@ -661,7 +661,10 @@ impl FramePool {
             }
         }
         sim::charge_page_work_homed(my_node);
-        if let Some(pfn) = self.free_lists[core].lock().pop() {
+        // Bind the pop before the `if`: a lock guard created in the
+        // `if let` scrutinee would live through the 4 KiB zeroing below.
+        let popped = self.free_lists[core].lock().pop();
+        if let Some(pfn) = popped {
             self.stats.add(core, F_ALLOC_PAGES, 1);
             self.stats.add(core, F_REUSED, 1);
             self.zero_frame(pfn);
@@ -713,7 +716,9 @@ impl FramePool {
         core: usize,
         target: usize,
     ) -> Result<(Pfn, AllocEvents), OutOfMemory> {
-        if let Some(pfn) = self.reservoirs[target].lock().pop() {
+        // The reservoir is node-shared: zero only after its lock drops.
+        let popped = self.reservoirs[target].lock().pop();
+        if let Some(pfn) = popped {
             self.stats.add(core, F_REUSED, 1);
             self.zero_frame(pfn);
             return Ok((pfn, AllocEvents::default()));
@@ -765,7 +770,8 @@ impl FramePool {
         let mut nodes: Vec<usize> = (0..self.nnodes).filter(|&n| n != my_node).collect();
         nodes.sort_by_key(|&n| self.topology.dist(my_node, n));
         for node in nodes {
-            if let Some(pfn) = self.reservoirs[node].lock().pop() {
+            let popped = self.reservoirs[node].lock().pop();
+            if let Some(pfn) = popped {
                 self.stats.add(core, F_REMOTE_STEALS, 1);
                 self.stats.add(core, F_REUSED, 1);
                 sim::charge_page_work_homed(node);

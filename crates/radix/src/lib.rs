@@ -28,7 +28,9 @@ pub mod node;
 pub mod tree;
 
 pub use node::{TreeStats, FANOUT, LEVELS};
-pub use tree::{LockMode, RadixConfig, RadixTree, RadixValue, RangeGuard, Removed, Vpn, VPN_LIMIT};
+pub use tree::{
+    LockMode, RadixConfig, RadixTree, RadixValue, RangeGuard, Removed, RemovedList, Vpn, VPN_LIMIT,
+};
 
 #[cfg(test)]
 mod tests {
@@ -61,7 +63,7 @@ mod tests {
         {
             let mut g = t.lock_range(0, 1000, 1001, LockMode::ExpandFolded);
             let removed = g.clear();
-            assert_eq!(removed, vec![Removed::Page(1000, 42)]);
+            assert_eq!(removed.as_slice(), [Removed::Page(1000, 42)]);
         }
         assert_eq!(t.get(0, 1000), None);
     }
@@ -309,7 +311,7 @@ mod tests {
         {
             let mut g = t.lock_range(0, start + 10, start + 11, LockMode::ExpandFolded);
             let removed = g.clear();
-            assert_eq!(removed, vec![Removed::Page(start + 10, 5)]);
+            assert_eq!(removed.as_slice(), [Removed::Page(start + 10, 5)]);
         }
         assert_eq!(t.get(0, start + 9), Some(5));
         assert_eq!(t.get(0, start + 10), None);
@@ -331,8 +333,8 @@ mod tests {
             let mut g = t.lock_range(0, start, start + 512, LockMode::ExpandFolded);
             let removed = g.clear();
             assert_eq!(
-                removed,
-                vec![Removed::Block {
+                removed.as_slice(),
+                [Removed::Block {
                     start,
                     pages: 512,
                     value: 3
@@ -599,6 +601,94 @@ mod tests {
             // Leave values mapped; Drop must reclaim regardless.
         }
         assert_eq!(cache.live_objects(), 0, "tree teardown leaked nodes");
+    }
+
+    /// A tree with pages `1000..1010` mapped and core 0's hint warm on
+    /// their leaf.
+    fn hinted_tree(ncores: usize) -> RadixTree<u64> {
+        let t = tree(ncores);
+        t.lock_range(0, 1000, 1010, LockMode::ExpandAll).replace(&1);
+        // The single-page descent installs the hint.
+        drop(t.lock_range(0, 1000, 1001, LockMode::ExpandFolded));
+        t
+    }
+
+    #[test]
+    fn hint_riding_guard_coexists_with_other_cores_and_multi_page_locks() {
+        let t = hinted_tree(2);
+        let hits = t.stats().hint_hits();
+        let mut riding = t.lock_range(0, 1001, 1002, LockMode::ExpandFolded);
+        assert_eq!(t.stats().hint_hits(), hits + 1, "served by the hint");
+        assert_eq!(riding.page_value_mut(), Some(&mut 1));
+        // Another core's single-page lock uses its own hint slot, and a
+        // multi-page lock on this core never touches the hints.
+        assert_eq!(t.get(1, 1002), Some(1));
+        drop(t.lock_range(1, 1003, 1004, LockMode::ExpandFolded));
+        t.lock_range(0, 5000, 5010, LockMode::ExpandAll).replace(&2);
+        // The guard itself may empty the leaf slot it holds: the hint's
+        // pin, not a used-slot reference, keeps the node alive.
+        assert_eq!(riding.clear().as_slice(), [Removed::Page(1001, 1)]);
+        drop(riding);
+        assert_eq!(t.get(0, 1001), None);
+        assert_eq!(t.get(0, 5005), Some(2));
+    }
+
+    // A thread that waits for a hint slot it already holds through a
+    // hint-riding guard would spin forever; debug builds report it.
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "hint-riding RangeGuard")]
+    fn second_single_page_lock_under_a_hint_riding_guard_is_caught() {
+        let t = hinted_tree(1);
+        let _riding = t.lock_range(0, 1001, 1002, LockMode::ExpandFolded);
+        let _second = t.lock_range(0, 1002, 1003, LockMode::ExpandFolded);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "hint-riding RangeGuard")]
+    fn lookup_under_a_hint_riding_guard_is_caught() {
+        let t = hinted_tree(1);
+        let _riding = t.lock_range(0, 1001, 1002, LockMode::ExpandFolded);
+        t.lookup_present(0, 1002);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "hint-riding RangeGuard")]
+    fn flush_under_a_hint_riding_guard_is_caught() {
+        let t = hinted_tree(1);
+        let _riding = t.lock_range(0, 1001, 1002, LockMode::ExpandFolded);
+        // The flush hook surrenders core 0's hint: it needs the slot.
+        t.cache().flush(0);
+    }
+
+    #[test]
+    fn warm_hinted_lock_unlock_line_events_are_pinned() {
+        // The hinted single-page lock/unlock touches seven instrumented
+        // lines, all core-local: the hint slot lock (1 write), the parent
+        // slot that must still publish the leaf (1 read), the hit counter
+        // (1 write), the leaf slot lock (1 read + 1 CAS), the linkage
+        // re-check under it (1 read) and the unlock (1 write). A Refcache
+        // pin/unpin pair would add four more (the core delta cache lock
+        // and the epoch, twice) — the round-trip the hint's pin replaces.
+        let guard = rvm_sync::sim::install(1, rvm_sync::CostModel::default());
+        rvm_sync::sim::switch(0);
+        let t = hinted_tree(1);
+        for vpn in 1000..1010 {
+            drop(t.lock_range(0, vpn, vpn + 1, LockMode::ExpandFolded));
+        }
+        let hits = t.stats().hint_hits();
+        let before = rvm_sync::sim::stats().cores[0];
+        drop(t.lock_range(0, 1004, 1005, LockMode::ExpandFolded));
+        let after = rvm_sync::sim::stats().cores[0];
+        assert_eq!(t.stats().hint_hits(), hits + 1);
+        assert_eq!(after.local_hits - before.local_hits, 7);
+        assert_eq!(after.cold_misses, before.cold_misses);
+        assert_eq!(after.remote_transfers, before.remote_transfers);
+        drop(t);
+        drop(guard);
     }
 
     #[test]

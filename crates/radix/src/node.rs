@@ -182,8 +182,9 @@ impl TreeStats {
         self.cells.sum(F_HINT_MISSES)
     }
 
-    /// Range guards whose unit/pin storage spilled from its inline
-    /// capacity to the heap (only large multi-block operations should).
+    /// Range guards whose unit/pin storage, and `clear`/`replace` calls
+    /// whose list of displaced values, spilled from inline capacity to
+    /// the heap (only multi-page operations should).
     pub fn guard_spills(&self) -> u64 {
         self.cells.sum(F_GUARD_SPILLS)
     }
@@ -465,9 +466,20 @@ pub fn lock_leaf_slot(status: &Atomic64, stats: &TreeStats) -> u64 {
 }
 
 /// Releases a leaf slot's lock bit.
+///
+/// A leaf status word has a single mutator while its lock bit is set:
+/// acquirers only CAS it from an unlocked value, and nothing else ever
+/// writes it (Refcache's `DYING` protocol works on *interior* words,
+/// which is why [`unlock_interior_slot`] must stay an RMW). So the
+/// holder releases — and flips `LEAF_PRESENT`, see the range guard —
+/// with plain stores. They are `Release` stores, pairing with the
+/// `Acquire` load and CAS of the next [`lock_leaf_slot`] (and with
+/// `lookup_present`'s lock-free `Acquire` load of the present bit), so
+/// the slot's value written under the lock is visible to whoever sees
+/// the word change.
 #[inline]
 pub fn unlock_leaf_slot(status: &Atomic64) {
-    status.fetch_and(!LOCK_BIT, Ordering::AcqRel);
+    status.and_exclusive(!LOCK_BIT, Ordering::Release);
 }
 
 /// Suppress the unused warning for `DYING_BIT` re-export convenience.

@@ -35,20 +35,26 @@
 //!   `tryget`-ed. During descent, a traversal pin on an interior node is
 //!   surrendered as soon as the pinned child guarantees the chain stays
 //!   live (a linked child holds a used-slot reference on its parent), so
-//!   a completed single-page guard holds exactly one pin: the leaf.
+//!   a single-page guard that descended holds exactly one pin: the leaf.
 //! * **Per-core leaf hints.** Each core caches the last leaf it reached
 //!   (with one pinned reference). A repeat fault in the same 512-page
-//!   block skips the descent entirely. Correctness never depends on the
-//!   hint: a stale or missing hint falls back to the full descent, and
-//!   the hint's pin is surrendered at every Refcache flush so collapse is
-//!   delayed by at most one epoch. See DESIGN.md §5 for the invariants.
+//!   block skips the descent entirely, and the guard it gets *rides the
+//!   hint's pin*: it keeps the core's hint-slot lock until it drops, and
+//!   the hint can only be replaced or surrendered under that lock, so no
+//!   Refcache traffic pins the leaf a second time. Correctness never
+//!   depends on the hint: a stale or missing hint falls back to the full
+//!   descent, and the hint's pin is surrendered at every Refcache flush
+//!   so collapse is delayed by at most one epoch. See DESIGN.md §5 for
+//!   the invariants and the lock order.
 
 use std::sync::Arc;
 
 use rvm_refcache::weak::LOCK_BIT;
 use rvm_refcache::{RcPtr, Refcache};
 use rvm_sync::atomic::Ordering;
-use rvm_sync::{CachePadded, InlineVec, RangeLock, RangeLockKind, RangeToken, SpinLock};
+use rvm_sync::{
+    CachePadded, InlineVec, RangeLock, RangeLockKind, RangeToken, SpinLock, SpinLockGuard,
+};
 
 use crate::node::{
     index_at_level, lock_interior_slot, lock_leaf_slot, pack_slot, slot_ptr, slot_tag,
@@ -71,6 +77,11 @@ const UNITS_INLINE: usize = LEVELS + 2;
 /// Inline capacity of a guard's pin list: one pin per expanded level plus
 /// the leaf.
 const PINS_INLINE: usize = LEVELS;
+
+/// Inline capacity of the list [`RangeGuard::clear`] and
+/// [`RangeGuard::replace`] return: a single-page `munmap` or in-place
+/// re-`mmap` displaces one value and must not touch the heap.
+const REMOVED_INLINE: usize = 4;
 
 /// Values storable in the tree.
 ///
@@ -149,6 +160,11 @@ pub enum Removed<V> {
     },
 }
 
+/// The values displaced by [`RangeGuard::clear`] / [`RangeGuard::replace`]:
+/// inline for small operations, spilling to the heap (charged and counted
+/// in [`TreeStats::guard_spills`]) for large ones.
+pub type RemovedList<V> = InlineVec<Removed<V>, REMOVED_INLINE>;
+
 /// One locked region recorded by a range lock.
 enum Unit<V: Send + Sync + 'static> {
     /// Leaf slots `[first, end)` of `node`, individually locked (`born`
@@ -177,7 +193,8 @@ enum Unit<V: Send + Sync + 'static> {
 /// through `tryget` and released at guard drop, (c) a used-slot
 /// reference in a parent that is itself pinned, (d) a pinned *descendant*
 /// (a linked child holds a used-slot reference on its parent, surrendered
-/// only in `on_release`), or (e) a per-core leaf hint's pinned reference.
+/// only in `on_release`), or (e) a per-core leaf hint's pinned reference,
+/// for as long as that core's hint slot stays locked ([`HintHold`]).
 /// See module docs and DESIGN.md §5.
 fn nref<'a, V: Send + Sync + 'static>(p: RcPtr<Node<V>>) -> &'a Node<V> {
     // SAFETY: see the contract above; all call sites hold one of the
@@ -195,28 +212,106 @@ struct LeafHint<V: Send + Sync + 'static> {
 }
 
 /// One core's hint slot: line-padded so neighbouring cores never share.
-type HintSlot<V> = CachePadded<SpinLock<Option<LeafHint<V>>>>;
+struct HintCell<V: Send + Sync + 'static> {
+    hint: SpinLock<Option<LeafHint<V>>>,
+    /// Debug builds: token of the thread holding `hint` (0 when free), so
+    /// re-entry on the holding thread — which would spin forever — is
+    /// reported instead.
+    #[cfg(debug_assertions)]
+    holder: std::sync::atomic::AtomicUsize,
+}
+
+impl<V: Send + Sync + 'static> HintCell<V> {
+    /// Wraps the just-acquired lock on this cell's hint.
+    fn held<'t>(&'t self, hint: SpinLockGuard<'t, Option<LeafHint<V>>>) -> HintHold<'t, V> {
+        #[cfg(debug_assertions)]
+        self.holder.store(thread_token(), Ordering::Relaxed);
+        HintHold {
+            hint,
+            #[cfg(debug_assertions)]
+            holder: &self.holder,
+        }
+    }
+}
+
+/// A locked hint slot. While it is held the slot's hint can be neither
+/// replaced nor surrendered, so the hinted leaf stays pinned: a
+/// single-page [`RangeGuard`] served by the hint keeps this for its whole
+/// lifetime instead of taking a pin of its own.
+///
+/// Lock order: hint slot → leaf slot → core delta cache → object. Code
+/// that already holds slot locks may only *try* for the hint slot
+/// ([`RadixTree::install_hint`]).
+struct HintHold<'t, V: Send + Sync + 'static> {
+    hint: SpinLockGuard<'t, Option<LeafHint<V>>>,
+    #[cfg(debug_assertions)]
+    holder: &'t std::sync::atomic::AtomicUsize,
+}
+
+#[cfg(debug_assertions)]
+impl<V: Send + Sync + 'static> Drop for HintHold<'_, V> {
+    fn drop(&mut self) {
+        self.holder.store(0, Ordering::Relaxed);
+    }
+}
+
+/// A per-thread non-zero token (the address of a thread-local).
+#[cfg(debug_assertions)]
+fn thread_token() -> usize {
+    thread_local!(static TOKEN: u8 = const { 0 });
+    TOKEN.with(|t| t as *const u8 as usize)
+}
 
 /// Per-core leaf hint slots, shared between the tree and its Refcache
 /// flush hook (which surrenders the pins every epoch flush).
 struct HintTable<V: Send + Sync + 'static> {
-    slots: Box<[HintSlot<V>]>,
+    slots: Box<[CachePadded<HintCell<V>>]>,
 }
 
 impl<V: Send + Sync + 'static> HintTable<V> {
     fn new(ncores: usize) -> Self {
         HintTable {
             slots: (0..ncores)
-                .map(|_| CachePadded::new(SpinLock::new(None)))
+                .map(|_| {
+                    CachePadded::new(HintCell {
+                        hint: SpinLock::new(None),
+                        #[cfg(debug_assertions)]
+                        holder: std::sync::atomic::AtomicUsize::new(0),
+                    })
+                })
                 .collect(),
         }
+    }
+
+    /// Locks `core`'s hint slot, waiting for it.
+    ///
+    /// A thread must not wait for a slot it already holds through a
+    /// hint-riding [`RangeGuard`]: no second single-page `lock_range`,
+    /// `get` or `lookup_present` on the same tree and core, and no
+    /// `Refcache::flush(core)`, while such a guard is alive (debug builds
+    /// assert this; release builds would spin).
+    fn hold(&self, core: usize) -> HintHold<'_, V> {
+        let cell = &self.slots[core];
+        #[cfg(debug_assertions)]
+        assert_ne!(
+            cell.holder.load(Ordering::Relaxed),
+            thread_token(),
+            "core {core}'s hint slot is held by a hint-riding RangeGuard on this thread"
+        );
+        cell.held(cell.hint.lock())
+    }
+
+    /// Locks `core`'s hint slot if nobody holds it.
+    fn try_hold(&self, core: usize) -> Option<HintHold<'_, V>> {
+        let cell = &self.slots[core];
+        Some(cell.held(cell.hint.try_lock()?))
     }
 
     /// Takes `core`'s hint (if any) and surrenders its pin. Runs at every
     /// Refcache flush so a hint delays node collapse by at most one epoch
     /// — the property that keeps the freeing-safety argument intact.
     fn release(&self, cache: &Refcache, core: usize) {
-        let taken = self.slots[core].lock().take();
+        let taken = self.hold(core).hint.take();
         if let Some(h) = taken {
             cache.dec(core, h.node);
         }
@@ -330,32 +425,34 @@ impl<V: RadixValue> RadixTree<V> {
     }
 
     /// Fault fast path: returns `core`'s hinted leaf for `vpn`'s block
-    /// with one pinned reference transferred to the caller, or `None` on
-    /// a miss. Hit/miss counts land in [`TreeStats`].
-    fn hint_lookup(&self, core: usize, vpn: Vpn) -> Option<RcPtr<Node<V>>> {
+    /// together with the held hint slot that keeps it pinned, or `None`
+    /// on a miss. Hit/miss counts land in [`TreeStats`].
+    fn hint_lookup(&self, core: usize, vpn: Vpn) -> Option<(RcPtr<Node<V>>, HintHold<'_, V>)> {
         if !self.cfg.leaf_hints {
             return None;
         }
         let block_base = vpn & !((FANOUT as u64) - 1);
-        let slot = self.hints.slots[core].lock();
-        if let Some(h) = slot.as_ref() {
-            if Self::hint_valid(h, block_base) {
+        let hold = self.hints.hold(core);
+        match hold.hint.as_ref() {
+            Some(h) if Self::hint_valid(h, block_base) => {
                 let node = h.node;
-                // Pin for the caller while the hint lock is held — the
-                // hint's own pin guarantees liveness until we are done.
-                self.cache.inc(core, node);
-                drop(slot);
                 self.stats.add(core, F_HINT_HITS, 1);
-                return Some(node);
+                Some((node, hold))
+            }
+            _ => {
+                drop(hold);
+                self.stats.add(core, F_HINT_MISSES, 1);
+                None
             }
         }
-        drop(slot);
-        self.stats.add(core, F_HINT_MISSES, 1);
-        None
     }
 
     /// Remembers `node` as `core`'s leaf hint, taking one pinned
     /// reference for the hint and surrendering the previous hint's pin.
+    /// Skipped when the hint slot is busy (the core's flush hook is
+    /// running on another thread): callers may hold slot locks, which
+    /// come after the hint slot in the lock order, so they never wait
+    /// for it — the hint is advisory.
     ///
     /// The caller must hold a live reference to `node` (a traversal pin
     /// or a guard pin) across the call.
@@ -364,11 +461,15 @@ impl<V: RadixValue> RadixTree<V> {
             return;
         }
         debug_assert!(nref(node).is_leaf());
+        let Some(mut hold) = self.hints.try_hold(core) else {
+            return;
+        };
         self.cache.inc(core, node);
-        let prev = self.hints.slots[core].lock().replace(LeafHint {
+        let prev = hold.hint.replace(LeafHint {
             block_base: nref(node).base_vpn,
             node,
         });
+        drop(hold);
         if let Some(h) = prev {
             self.cache.dec(core, h.node);
         }
@@ -387,32 +488,34 @@ impl<V: RadixValue> RadixTree<V> {
             units: InlineVec::new(),
             pins: InlineVec::new(),
             range_token: None,
+            hint: None,
         };
         // Fault fast path: a single-page lock served by the leaf hint
         // skips the descent entirely (both modes behave identically once
-        // a leaf exists). Single-page locks never enqueue in the range
-        // lock either — the leaf slot lock alone excludes them from
-        // everything, including list-fronted multi-page holders (which
-        // still take every slot lock in their range during descent).
+        // a leaf exists) and takes no pin: the guard keeps the hint slot
+        // locked, so the hint's own pin cannot go away under it. Single-
+        // page locks never enqueue in the range lock either — the leaf
+        // slot lock alone excludes them from everything, including
+        // list-fronted multi-page holders (which still take every slot
+        // lock in their range during descent).
         if hi == lo + 1 {
-            if let Some(leaf) = self.hint_lookup(core, lo) {
+            if let Some((leaf, hold)) = self.hint_lookup(core, lo) {
                 let n = nref(leaf);
                 let first = (lo - n.base_vpn) as usize;
                 lock_leaf_slot(&n.leaf()[first].status, &self.stats);
                 if Self::leaf_linked(leaf) {
-                    guard.pins.push(leaf);
                     guard.units.push(Unit::LeafRange {
                         node: leaf,
                         first,
                         end: first + 1,
                         born: false,
                     });
+                    guard.hint = Some(hold);
                     return guard;
                 }
                 // A refold severed this leaf between the hint check and
-                // the slot lock: surrender and take the full descent.
+                // the slot lock: let go and take the full descent.
                 unlock_leaf_slot(&n.leaf()[first].status);
-                self.cache.dec(core, leaf);
             }
         }
         // Multi-page acquisitions under the List substrate serialize on
@@ -651,9 +754,10 @@ impl<V: RadixValue> RadixTree<V> {
     ///
     /// Allocation-free; holds at most one pin at a time (hand-over-hand:
     /// the previous level's pin is surrendered as soon as the next level
-    /// is pinned), and none at all when the leaf hint hits.
+    /// is pinned), and none at all when the leaf hint hits (the hint slot
+    /// stays locked across the read instead).
     pub fn get(&self, core: usize, vpn: Vpn) -> Option<V> {
-        if let Some(leaf) = self.hint_lookup(core, vpn) {
+        if let Some((leaf, _hold)) = self.hint_lookup(core, vpn) {
             let n = nref(leaf);
             let slot = &n.leaf()[(vpn - n.base_vpn) as usize];
             lock_leaf_slot(&slot.status, &self.stats);
@@ -665,7 +769,6 @@ impl<V: RadixValue> RadixTree<V> {
             // SAFETY: the slot lock is held.
             let out = unsafe { (*slot.value.get()).clone() };
             unlock_leaf_slot(&slot.status);
-            self.cache.dec(core, leaf);
             if linked {
                 return out;
             }
@@ -750,8 +853,8 @@ impl<V: RadixValue> RadixTree<V> {
     pub fn lookup_present(&self, core: usize, vpn: Vpn) -> bool {
         if self.cfg.leaf_hints {
             let block_base = vpn & !((FANOUT as u64) - 1);
-            let slot = self.hints.slots[core].lock();
-            if let Some(h) = slot.as_ref() {
+            let hold = self.hints.hold(core);
+            if let Some(h) = hold.hint.as_ref() {
                 if Self::hint_valid(h, block_base) {
                     let st = nref(h.node).leaf()[(vpn - block_base) as usize]
                         .status
@@ -763,13 +866,13 @@ impl<V: RadixValue> RadixTree<V> {
                     // was severed after the validity check, the emptied
                     // slot says nothing — take the descent instead.
                     if st & LEAF_PRESENT != 0 || Self::hint_valid(h, block_base) {
-                        drop(slot);
+                        drop(hold);
                         self.stats.add(core, F_HINT_HITS, 1);
                         return st & LEAF_PRESENT != 0;
                     }
                 }
             }
-            drop(slot);
+            drop(hold);
             self.stats.add(core, F_HINT_MISSES, 1);
         }
         let mut node_ptr = self.root;
@@ -788,7 +891,7 @@ impl<V: RadixValue> RadixTree<V> {
                     continue;
                 }
                 self.install_hint(core, node_ptr);
-                break st & crate::node::LEAF_PRESENT != 0;
+                break st & LEAF_PRESENT != 0;
             }
             let idx = index_at_level(vpn, node.level as usize);
             let slot = &node.interior()[idx];
@@ -983,13 +1086,23 @@ pub struct RangeGuard<'t, V: RadixValue> {
     /// descriptor's hold window covers the whole slot-locked critical
     /// section.
     range_token: Option<RangeToken>,
+    /// The core's held hint slot, when the leaf hint served this guard:
+    /// the hint's pin stands in for the guard's own, so `pins` is empty.
+    /// Released last (a field, dropped after `Drop::drop` unlocked the
+    /// leaf slot).
+    hint: Option<HintHold<'t, V>>,
 }
 
 impl<V: RadixValue> RangeGuard<'_, V> {
     /// Removes every value in the locked range, returning the displaced
     /// pages and blocks.
-    pub fn clear(&mut self) -> Vec<Removed<V>> {
-        let mut out = Vec::new();
+    ///
+    /// This guard is the only mutator of the leaf status words it holds
+    /// locked, so `LEAF_PRESENT` flips with plain stores, and the used-
+    /// slot references and value counts settle once per leaf, not once
+    /// per page.
+    pub fn clear(&mut self) -> RemovedList<V> {
+        let mut out = RemovedList::new();
         let core = self.core;
         let cache = &self.tree.cache;
         let stats = &self.tree.stats;
@@ -999,6 +1112,7 @@ impl<V: RadixValue> RangeGuard<'_, V> {
                     node, first, end, ..
                 } => {
                     let n = nref(*node);
+                    let mut emptied = 0;
                     for idx in *first..*end {
                         let slot = &n.leaf()[idx];
                         let st = slot.status.load(Ordering::Acquire);
@@ -1006,13 +1120,16 @@ impl<V: RadixValue> RangeGuard<'_, V> {
                         if st & LEAF_PRESENT != 0 {
                             // SAFETY: we hold the slot lock.
                             let val = unsafe { (*slot.value.get()).take() };
-                            slot.status.fetch_and(!LEAF_PRESENT, Ordering::AcqRel);
-                            stats.sub(core, F_LEAF_VALUES, 1);
-                            cache.dec(core, *node);
+                            slot.status.store(LOCK_BIT, Ordering::Release);
+                            emptied += 1;
                             if let Some(v) = val {
                                 out.push(Removed::Page(n.base_vpn + idx as u64, v));
                             }
                         }
+                    }
+                    if emptied > 0 {
+                        stats.sub(core, F_LEAF_VALUES, emptied);
+                        cache.adjust(core, *node, -(emptied as i64));
                     }
                 }
                 Unit::Block { node, idx, .. } => {
@@ -1036,6 +1153,9 @@ impl<V: RadixValue> RangeGuard<'_, V> {
                 Unit::WholeNode { .. } => {}
             }
         }
+        if out.spilled() {
+            stats.add(core, F_GUARD_SPILLS, 1);
+        }
         out
     }
 
@@ -1045,9 +1165,10 @@ impl<V: RadixValue> RangeGuard<'_, V> {
     ///
     /// One walk per slot: a present slot swaps its value in place (no
     /// reference-count or status traffic, and folded blocks reuse their
-    /// box allocation); only previously empty slots pay the install cost.
-    pub fn replace(&mut self, value: &V) -> Vec<Removed<V>> {
-        let mut out = Vec::new();
+    /// box allocation); only previously empty slots pay the install cost,
+    /// settled once per leaf like [`RangeGuard::clear`]'s.
+    pub fn replace(&mut self, value: &V) -> RemovedList<V> {
+        let mut out = RemovedList::new();
         let core = self.core;
         let cache = &self.tree.cache;
         let stats = &self.tree.stats;
@@ -1057,6 +1178,7 @@ impl<V: RadixValue> RangeGuard<'_, V> {
                     node, first, end, ..
                 } => {
                     let n = nref(*node);
+                    let mut filled = 0;
                     for idx in *first..*end {
                         let slot = &n.leaf()[idx];
                         let st = slot.status.load(Ordering::Acquire);
@@ -1072,10 +1194,14 @@ impl<V: RadixValue> RangeGuard<'_, V> {
                         } else {
                             // SAFETY: we hold the slot lock.
                             unsafe { *slot.value.get() = Some(value.clone()) };
-                            slot.status.fetch_or(LEAF_PRESENT, Ordering::AcqRel);
-                            stats.add(core, F_LEAF_VALUES, 1);
-                            cache.inc(core, *node);
+                            slot.status
+                                .store(LOCK_BIT | LEAF_PRESENT, Ordering::Release);
+                            filled += 1;
                         }
+                    }
+                    if filled > 0 {
+                        stats.add(core, F_LEAF_VALUES, filled);
+                        cache.adjust(core, *node, filled as i64);
                     }
                 }
                 Unit::Block { node, idx, .. } => {
@@ -1108,6 +1234,9 @@ impl<V: RadixValue> RangeGuard<'_, V> {
                 }
                 Unit::WholeNode { .. } => {}
             }
+        }
+        if out.spilled() {
+            stats.add(core, F_GUARD_SPILLS, 1);
         }
         out
     }
@@ -1341,21 +1470,17 @@ impl<V: RadixValue> RangeGuard<'_, V> {
         for slot in n.leaf().iter() {
             // SAFETY: this guard holds every slot lock.
             let v = unsafe { (*slot.value.get()).take() }.expect("present slot lost its value");
-            slot.status.fetch_and(!LEAF_PRESENT, Ordering::AcqRel);
+            slot.status.store(LOCK_BIT, Ordering::Release);
             vals.push(v);
         }
         stats.sub(core, F_LEAF_VALUES, FANOUT as u64);
         // Surrender the used-slot references the values represented; the
         // node frees once the guard's pin (and any hint pins) drain.
-        for _ in 0..FANOUT {
-            cache.dec(core, node);
-        }
-        if !self.tree.cfg.collapse {
-            // No-collapse trees give nodes a permanent reference; a
-            // severed leaf is unreachable from the tree, so surrender it
-            // too or the node would never free.
-            cache.dec(core, node);
-        }
+        // No-collapse trees give nodes a permanent reference; a severed
+        // leaf is unreachable from the tree, so surrender it too or the
+        // node would never free.
+        let permanent = if self.tree.cfg.collapse { 0 } else { 1 };
+        cache.adjust(core, node, -(FANOUT as i64 + permanent));
         // The severed leaf's `on_release` will surrender one used-slot
         // reference on the parent; pre-compensate so CHILD → FOLDED
         // keeps the parent's count balanced at one per occupied slot.
@@ -1408,7 +1533,7 @@ impl<V: RadixValue> Drop for RangeGuard<'_, V> {
                         }
                         Slots::Leaf(slots) => {
                             for s in slots.iter() {
-                                s.status.fetch_and(!LOCK_BIT, Ordering::AcqRel);
+                                unlock_leaf_slot(&s.status);
                             }
                         }
                     }

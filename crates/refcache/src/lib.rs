@@ -96,6 +96,13 @@ const EMPTY_SLOT: Slot = Slot { obj: 0, delta: 0 };
 /// Per-core Refcache state: the delta cache and the review queue.
 struct CoreCache {
     slots: Box<[Slot]>,
+    /// Indices of the non-empty `slots`, in the order they were first
+    /// dirtied since the last flush, so a flush visits what was touched
+    /// instead of walking the whole cache. An index enters when its way
+    /// goes from empty to occupied (a conflict eviction re-uses the way,
+    /// and its index) and the list empties at every flush, so it never
+    /// outgrows the `cache_slots` capacity it is created with.
+    occupied: Vec<u32>,
     review: VecDeque<(usize, u64)>,
     local_epoch: u64,
 }
@@ -180,6 +187,7 @@ impl Refcache {
             .map(|_| {
                 CachePadded::new(Mutex::new(CoreCache {
                     slots: vec![EMPTY_SLOT; cfg.cache_slots].into_boxed_slice(),
+                    occupied: Vec::with_capacity(cfg.cache_slots),
                     review: VecDeque::new(),
                     local_epoch: 0,
                 }))
@@ -296,22 +304,32 @@ impl Refcache {
         (h >> 32) as usize & (self.cfg.cache_slots - 1)
     }
 
-    /// Applies `delta` to `core`'s cached entry for the count at `key`
-    /// (the paper's `inc`/`dec`). Conflicting entries are evicted to the
-    /// global count. Storage-blind: `key` is a header address from
-    /// either boxed or slot-backed storage.
-    fn adjust(&self, core: usize, key: usize, delta: i64) {
+    /// Applies `delta` to `core`'s cached count for `obj` (the paper's
+    /// `inc`/`dec`, generalised to ±k so a caller settling k references
+    /// at once — the radix tree's per-leaf slot bookkeeping — pays one
+    /// cache round-trip, not k). Conflicting entries are evicted to the
+    /// global count. Generic over where the count lives: boxed objects
+    /// ([`RcPtr`]) and table-embedded cells ([`SlotPtr`]) share the
+    /// delta cache, keyed by header address.
+    ///
+    /// A positive `delta` needs the caller to hold a logical reference
+    /// to `obj` already (or to have just obtained the pointer via
+    /// [`Refcache::tryget`]); a negative one surrenders that many.
+    pub fn adjust<P: Counted>(&self, core: usize, obj: P, delta: i64) {
+        let key = obj.count_addr();
         let mut cc = self.cores[core].lock();
-        let epoch = self.epoch();
         let idx = self.hash_obj(key);
         let slot = cc.slots[idx];
         if slot.obj == key {
             cc.slots[idx].delta += delta;
             return;
         }
-        if slot.obj != 0 {
+        if slot.obj == 0 {
+            cc.occupied.push(idx as u32);
+        } else {
             self.stats.add(core, F_CONFLICTS, 1);
             if slot.delta != 0 {
+                let epoch = self.epoch();
                 // SAFETY: a cached delta implies the object has not been
                 // freed (see the module-level freeing-safety argument).
                 unsafe { self.evict(&mut cc, slot.obj, slot.delta, epoch) };
@@ -320,15 +338,13 @@ impl Refcache {
         cc.slots[idx] = Slot { obj: key, delta };
     }
 
-    /// Increments the reference count of `obj` on `core`. Generic over
-    /// where the count lives: boxed objects ([`RcPtr`]) and
-    /// table-embedded cells ([`SlotPtr`]) share the delta cache.
+    /// Increments the reference count of `obj` on `core`.
     ///
     /// The caller must hold a logical reference to `obj` (or have just
     /// obtained the pointer via [`Refcache::tryget`]).
     #[inline]
     pub fn inc<P: Counted>(&self, core: usize, obj: P) {
-        self.adjust(core, obj.count_addr(), 1);
+        self.adjust(core, obj, 1);
     }
 
     /// Decrements the reference count of `obj` on `core`, surrendering one
@@ -337,7 +353,7 @@ impl Refcache {
     /// count reaches zero.
     #[inline]
     pub fn dec<P: Counted>(&self, core: usize, obj: P) {
-        self.adjust(core, obj.count_addr(), -1);
+        self.adjust(core, obj, -1);
     }
 
     /// Activates a dormant table-embedded cell with an initial reference
@@ -414,16 +430,19 @@ impl Refcache {
         let mut cc = self.cores[core].lock();
         let epoch = self.epoch();
         self.stats.add(core, F_FLUSHES, 1);
-        for i in 0..cc.slots.len() {
-            let slot = cc.slots[i];
-            if slot.obj != 0 {
-                cc.slots[i] = EMPTY_SLOT;
-                if slot.delta != 0 {
-                    // SAFETY: cached deltas imply liveness (module docs).
-                    unsafe { self.evict(&mut cc, slot.obj, slot.delta, epoch) };
-                }
+        // Only what was dirtied since the last flush; the list is taken
+        // out for the walk (`evict` borrows the whole core cache) and put
+        // back empty, keeping its allocation.
+        let mut occupied = std::mem::take(&mut cc.occupied);
+        for &i in &occupied {
+            let slot = std::mem::replace(&mut cc.slots[i as usize], EMPTY_SLOT);
+            if slot.delta != 0 {
+                // SAFETY: cached deltas imply liveness (module docs).
+                unsafe { self.evict(&mut cc, slot.obj, slot.delta, epoch) };
             }
         }
+        occupied.clear();
+        cc.occupied = occupied;
         // Epoch barrier: the last core to flush in an epoch advances it.
         if cc.local_epoch < epoch {
             cc.local_epoch = epoch;
@@ -895,6 +914,52 @@ mod tests {
         rc.dec(0, p);
         rc.quiesce();
         assert_eq!(drops.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn adjust_settles_many_references_at_once() {
+        let rc = Refcache::new(1);
+        let (p, drops, _) = tracked(&rc, 1);
+        rc.adjust(0, p, 511);
+        rc.flush(0);
+        assert_eq!(rc.global_count(p), 512);
+        rc.adjust(0, p, -500);
+        rc.adjust(0, p, -11);
+        rc.quiesce();
+        assert_eq!(drops.load(Ordering::SeqCst), 0);
+        assert_eq!(rc.global_count(p), 1);
+        rc.dec(0, p);
+        rc.quiesce();
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn flush_visits_exactly_the_dirtied_ways() {
+        // More live objects than a flush interval dirties, a conflict
+        // eviction in the middle, and several flushes: every delta must
+        // land, and ways dirtied after a flush must be found again.
+        let rc = Refcache::with_config(
+            1,
+            RefcacheConfig {
+                cache_slots: 8,
+                review_delay: 2,
+            },
+        );
+        let objs: Vec<_> = (0..64).map(|_| tracked(&rc, 1)).collect();
+        for round in 0..3 {
+            for (p, _, _) in objs.iter().skip(round).step_by(3) {
+                rc.inc(0, *p);
+            }
+            rc.flush(0);
+        }
+        assert!(rc.stats().conflicts > 0, "8 ways, 64 objects");
+        for (p, _, _) in &objs {
+            assert_eq!(rc.global_count(*p), 2);
+            rc.adjust(0, *p, -2);
+        }
+        rc.quiesce();
+        assert!(objs.iter().all(|(_, d, _)| d.load(Ordering::SeqCst) == 1));
+        assert_eq!(rc.live_objects(), 0);
     }
 
     #[test]

@@ -109,6 +109,18 @@ impl Atomic64 {
         self.inner.fetch_and(v, order)
     }
 
+    /// ANDs `mask` into a word that **only the caller mutates** right
+    /// now — a lock word's holder clearing bits, when everyone else only
+    /// ever CASes the word from its unlocked state — with a plain load
+    /// and store instead of a locked read-modify-write. One line event,
+    /// like the [`Atomic64::fetch_and`] it stands in for.
+    #[inline]
+    pub fn and_exclusive(&self, mask: u64, order: Ordering) {
+        sim::on_write(self.addr());
+        let v = self.inner.load(Ordering::Relaxed);
+        self.inner.store(v & mask, order)
+    }
+
     /// Non-atomic read through `&mut` (no synchronization needed).
     #[inline]
     pub fn get_mut(&mut self) -> &mut u64 {
@@ -286,6 +298,9 @@ mod tests {
         assert_eq!(a.fetch_or(0xF0, Ordering::AcqRel), 8);
         assert_eq!(a.fetch_and(0xF0, Ordering::AcqRel), 0xF8);
         assert_eq!(a.load(Ordering::Acquire), 0xF0);
+        a.and_exclusive(!0x10, Ordering::Release);
+        assert_eq!(a.load(Ordering::Acquire), 0xE0);
+        a.store(0xF0, Ordering::Release);
         assert!(a
             .compare_exchange(0xF0, 1, Ordering::AcqRel, Ordering::Acquire)
             .is_ok());

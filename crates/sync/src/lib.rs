@@ -11,8 +11,10 @@
 //! 3. the cost of inter-processor interrupts for TLB shootdown.
 //!
 //! This crate provides drop-in synchronization primitives ([`Atomic64`],
-//! [`AtomicPtr64`], [`Mutex`], [`RwLock`]) that behave exactly like their
-//! `std`/`parking_lot` counterparts when used from ordinary threads, but
+//! [`AtomicPtr64`], [`Mutex`], [`SpinLock`], [`RwLock`]) that behave like
+//! their `std`/`parking_lot` counterparts when used from ordinary threads
+//! (the two exclusive locks are a one-RMW spin-then-yield lock, see
+//! [`lock`]), but
 //! additionally report every access to a thread-local *simulator context*
 //! when one is installed (see [`sim`]). The simulator executes a workload
 //! for N virtual cores on a single OS thread, maintains a per-virtual-core
@@ -41,7 +43,9 @@ pub mod sim;
 pub use atomic::{Atomic64, AtomicPtr64};
 pub use backoff::Backoff;
 pub use inline_vec::InlineVec;
-pub use lock::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, SpinLock};
+pub use lock::{
+    Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, SpinLock, SpinLockGuard,
+};
 pub use model::{CostModel, Topology};
 pub use pad::CachePadded;
 pub use rangelock::{RangeLock, RangeLockKind, RangeToken};

@@ -1,28 +1,159 @@
-//! Instrumented mutex and reader-writer lock.
+//! Instrumented mutex, spin lock and reader-writer lock.
 //!
-//! Wrappers over `parking_lot` primitives that report acquisition and
-//! release to the simulator so lock hold times serialize virtual clocks.
-//! In sim mode (single OS thread) the real acquisition never blocks; in
-//! real-thread mode these are plain `parking_lot` locks.
+//! [`Mutex`] and [`SpinLock`] sit on [`HostLock`], a one-RMW host lock:
+//! an uncontended acquire is one CAS, a release is one store. Every op
+//! on the single-page VM path takes some twenty of these locks and almost
+//! never contends on one (DESIGN.md §5), so the uncontended round-trip
+//! *is* the cost; a futex mutex pays two RMWs and a waiter check for it.
+//! [`RwLock`] wraps the `parking_lot` primitive (only baselines and
+//! cold registries use it). All three report acquisition and release to
+//! the simulator so lock hold times serialize virtual clocks. In sim
+//! mode (single OS thread) the real acquisition never blocks; in
+//! real-thread mode the hooks are no-ops.
 
+use std::cell::UnsafeCell;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+use crate::backoff::Backoff;
 use crate::sim::{self, LockKind};
+
+/// The host lock under [`Mutex`] and [`SpinLock`]: a test-and-test-and-
+/// set lock with bounded exponential backoff.
+///
+/// * acquire: one `compare_exchange`; when that fails, waiters poll the
+///   flag with plain loads (the line stays shared between them), pausing
+///   per [`Backoff`] — a bounded spin, then `yield_now` on every further
+///   pause so a descheduled holder gets the CPU on oversubscribed hosts;
+/// * release: one store, `Release`, pairing with the next acquirer's
+///   `Acquire` CAS so the protected data is visible to it.
+///
+/// No poisoning: the guard unlocks on unwind like on any other drop, so
+/// a panic while the lock is held leaves it usable. Not fair, and not
+/// reentrant: a second `lock` on the holding thread spins forever.
+struct HostLock<T: ?Sized> {
+    locked: AtomicBool,
+    data: UnsafeCell<T>,
+}
+
+// SAFETY: the flag serializes all access to `data`, so sharing the lock
+// only ever moves `T` between threads.
+unsafe impl<T: ?Sized + Send> Send for HostLock<T> {}
+// SAFETY: as above.
+unsafe impl<T: ?Sized + Send> Sync for HostLock<T> {}
+
+/// RAII guard for [`HostLock`]. `!Send` (like the `std` guard), and
+/// `Sync` only when `T` is — it hands out `&T`.
+struct HostGuard<'a, T: ?Sized> {
+    lock: &'a HostLock<T>,
+    _not_send: PhantomData<*mut ()>,
+}
+
+// SAFETY: a shared guard only exposes `&T`.
+unsafe impl<T: ?Sized + Sync> Sync for HostGuard<'_, T> {}
+
+impl<T> HostLock<T> {
+    const fn new(value: T) -> Self {
+        HostLock {
+            locked: AtomicBool::new(false),
+            data: UnsafeCell::new(value),
+        }
+    }
+
+    fn into_inner(self) -> T {
+        self.data.into_inner()
+    }
+}
+
+impl<T: ?Sized> HostLock<T> {
+    #[inline]
+    fn try_acquire(&self) -> bool {
+        self.locked
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
+    }
+
+    #[inline]
+    fn guard(&self) -> HostGuard<'_, T> {
+        HostGuard {
+            lock: self,
+            _not_send: PhantomData,
+        }
+    }
+
+    #[inline]
+    fn lock(&self) -> HostGuard<'_, T> {
+        if !self.try_acquire() {
+            self.lock_contended();
+        }
+        self.guard()
+    }
+
+    #[cold]
+    fn lock_contended(&self) {
+        let mut backoff = Backoff::new();
+        loop {
+            while self.locked.load(Ordering::Relaxed) {
+                backoff.pause();
+            }
+            if self.try_acquire() {
+                return;
+            }
+        }
+    }
+
+    #[inline]
+    fn try_lock(&self) -> Option<HostGuard<'_, T>> {
+        self.try_acquire().then(|| self.guard())
+    }
+
+    #[inline]
+    fn get_mut(&mut self) -> &mut T {
+        self.data.get_mut()
+    }
+}
+
+impl<T: ?Sized> std::ops::Deref for HostGuard<'_, T> {
+    type Target = T;
+
+    #[inline]
+    fn deref(&self) -> &T {
+        // SAFETY: the guard holds the lock.
+        unsafe { &*self.lock.data.get() }
+    }
+}
+
+impl<T: ?Sized> std::ops::DerefMut for HostGuard<'_, T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut T {
+        // SAFETY: the guard holds the lock, exclusively.
+        unsafe { &mut *self.lock.data.get() }
+    }
+}
+
+impl<T: ?Sized> Drop for HostGuard<'_, T> {
+    #[inline]
+    fn drop(&mut self) {
+        self.lock.locked.store(false, Ordering::Release);
+    }
+}
 
 /// An instrumented mutual-exclusion lock.
 pub struct Mutex<T: ?Sized> {
-    inner: parking_lot::Mutex<T>,
+    inner: HostLock<T>,
 }
 
 /// RAII guard for [`Mutex`]; reports the release on drop.
 pub struct MutexGuard<'a, T: ?Sized> {
     addr: usize,
-    inner: parking_lot::MutexGuard<'a, T>,
+    inner: HostGuard<'a, T>,
 }
 
 impl<T> Mutex<T> {
     /// Creates a new mutex holding `value`.
     pub const fn new(value: T) -> Self {
         Mutex {
-            inner: parking_lot::Mutex::new(value),
+            inner: HostLock::new(value),
         }
     }
 
@@ -114,19 +245,19 @@ impl<T: std::fmt::Debug> std::fmt::Debug for Mutex<T> {
 /// sequentially in the simulator, so acquisition order is execution
 /// order, not virtual-time order).
 pub struct SpinLock<T: ?Sized> {
-    inner: parking_lot::Mutex<T>,
+    inner: HostLock<T>,
 }
 
 /// RAII guard for [`SpinLock`].
 pub struct SpinLockGuard<'a, T: ?Sized> {
-    inner: parking_lot::MutexGuard<'a, T>,
+    inner: HostGuard<'a, T>,
 }
 
 impl<T> SpinLock<T> {
     /// Creates a new spin lock holding `value`.
     pub const fn new(value: T) -> Self {
         SpinLock {
-            inner: parking_lot::Mutex::new(value),
+            inner: HostLock::new(value),
         }
     }
 }
@@ -140,6 +271,17 @@ impl<T: ?Sized> SpinLock<T> {
         SpinLockGuard {
             inner: self.inner.lock(),
         }
+    }
+
+    /// Attempts to acquire the lock without waiting — for holders of
+    /// another lock that must not add a wait edge (the radix tree's hint
+    /// install under held slot locks, DESIGN.md §5).
+    #[inline]
+    pub fn try_lock(&self) -> Option<SpinLockGuard<'_, T>> {
+        let inner = self.inner.try_lock()?;
+        // Only charge when the acquisition succeeded.
+        sim::on_write(self as *const _ as *const () as usize);
+        Some(SpinLockGuard { inner })
     }
 
     /// Returns a mutable reference to the data (no locking required).
@@ -355,9 +497,83 @@ mod tests {
         let m = Mutex::new(1);
         let g = m.try_lock();
         assert!(g.is_some());
-        // parking_lot mutexes are not reentrant: a second try fails.
+        // The host lock is not reentrant: a second try fails.
         assert!(m.try_lock().is_none());
         drop(g);
         assert!(m.try_lock().is_some());
+        let s = SpinLock::new(1);
+        let g = s.try_lock().expect("free");
+        assert!(s.try_lock().is_none());
+        drop(g);
+        *s.try_lock().expect("released") += 1;
+        assert_eq!(*s.lock(), 2);
+    }
+
+    /// Pins the calling thread to `cpus` (best effort; Linux only).
+    fn restrict_to_cpus(cpus: usize) {
+        #[cfg(target_os = "linux")]
+        {
+            extern "C" {
+                fn sched_setaffinity(pid: i32, len: usize, mask: *const u64) -> i32;
+            }
+            let mask = [(1u64 << cpus) - 1; 16];
+            // SAFETY: a valid 1024-bit mask for the calling thread; a
+            // refusal (restricted cpuset) only loses the oversubscription.
+            unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
+        }
+    }
+
+    #[test]
+    fn mutual_exclusion_oversubscribed() {
+        // 8 threads on (at most) 2 CPUs: most waiters find the holder
+        // descheduled, so the saturated-backoff yield path must run for
+        // the test to finish at all. A torn read-modify-write of the two
+        // halves would show as a mismatch or a lost increment.
+        let spin = std::sync::Arc::new(SpinLock::new((0u64, 0u64)));
+        let mutex = std::sync::Arc::new(Mutex::new((0u64, 0u64)));
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let (spin, mutex) = (spin.clone(), mutex.clone());
+                std::thread::spawn(move || {
+                    restrict_to_cpus(2);
+                    let bump = |pair: &mut (u64, u64), i: u64| {
+                        assert_eq!(pair.0, pair.1, "lock admitted two holders");
+                        pair.0 += 1;
+                        if i.is_multiple_of(1024) {
+                            // Hold across a reschedule now and then.
+                            std::thread::yield_now();
+                        }
+                        pair.1 += 1;
+                    };
+                    for i in 0..20_000u64 {
+                        bump(&mut spin.lock(), i);
+                        bump(&mut mutex.lock(), i);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(*spin.lock(), (160_000, 160_000));
+        assert_eq!(*mutex.lock(), (160_000, 160_000));
+    }
+
+    #[test]
+    fn panic_while_held_leaves_the_lock_usable() {
+        let spin = std::sync::Arc::new(SpinLock::new(0));
+        let mutex = std::sync::Arc::new(Mutex::new(0));
+        let (s2, m2) = (spin.clone(), mutex.clone());
+        let died = std::thread::spawn(move || {
+            let _s = s2.lock();
+            let _m = m2.lock();
+            panic!("unwind with both locks held");
+        })
+        .join();
+        assert!(died.is_err());
+        // No poisoning: the guards unlocked during the unwind.
+        *spin.try_lock().expect("spin lock released by unwind") += 1;
+        *mutex.try_lock().expect("mutex released by unwind") += 1;
+        assert_eq!((*spin.lock(), *mutex.lock()), (1, 1));
     }
 }

@@ -1,7 +1,8 @@
 //! Acceptance test for the fault fast path: after warm-up, single-page
 //! fault handling performs **zero heap allocations** — the guard's unit
 //! and pin storage is inline, the leaf hint skips the descent, and
-//! nothing on the PTE/TLB refill path allocates.
+//! nothing on the PTE/TLB refill path allocates. The same holds for a
+//! warm one-page `munmap` and an in-place re-`mmap`.
 //!
 //! Lives in its own integration-test binary because it installs a
 //! counting global allocator, and contains a single #[test] so no
@@ -139,6 +140,51 @@ fn warm_single_page_fault_path_is_allocation_free() {
                 .unwrap();
         }
     });
+
+    // Phase 2b: a warm one-page `munmap`, and an `mmap` over a faulted
+    // page (an in-place re-`mmap`, which unmaps what it displaces), are
+    // allocation-free too: the displaced values, the frame references
+    // to drop and the page-table runs to clear all sit in inline lists
+    // (`RemovedList`, DESIGN.md §5). Only those two calls are counted —
+    // the loop's periodic `maintain` frees frames through Refcache's
+    // review pass, which is not part of either operation.
+    const CHURN: u64 = 0x72_0000_0000;
+    let churn = |munmap: bool| -> u64 {
+        let mut counted = 0;
+        for i in 0..4_096u64 {
+            let va = CHURN + (i % 8) * PAGE_SIZE;
+            vm.mmap(0, va, PAGE_SIZE, Prot::RW, Backing::Anon).unwrap();
+            machine.touch_page(0, &*vm, va, 1).unwrap();
+            let before = ALLOCS.load(Ordering::Relaxed);
+            if munmap {
+                vm.munmap(0, va, PAGE_SIZE).unwrap();
+            } else {
+                vm.mmap(0, va, PAGE_SIZE, Prot::RW, Backing::Anon).unwrap();
+            }
+            counted += ALLOCS.load(Ordering::Relaxed) - before;
+            if i % 128 == 127 {
+                vm.maintain(0);
+            }
+        }
+        counted
+    };
+    churn(true); // warm-up: leaf, page-table nodes, pool lists exist
+    for (label, munmap) in [("one-page munmap", true), ("in-place re-mmap", false)] {
+        let mut last = u64::MAX;
+        for _ in 0..5 {
+            let fa0 = vm.op_stats().faults_alloc;
+            last = churn(munmap);
+            assert_eq!(
+                vm.op_stats().faults_alloc - fa0,
+                4_096,
+                "{label}: every counted call must displace a faulted frame"
+            );
+            if last == 0 {
+                break;
+            }
+        }
+        assert_eq!(last, 0, "{label}: every window allocated");
+    }
 
     // Phase 3: the COLD fault path — demand-zero populating a fresh page
     // (frame off the core-local free list, count cell armed in the frame

@@ -10,7 +10,9 @@ use std::sync::Arc;
 
 use radixvm::backend::{build, BackendKind};
 use radixvm::core_vm::RadixVm;
-use radixvm::hw::{Backing, Machine, MachineConfig, Prot, VmError, PAGE_SIZE};
+use radixvm::hw::{
+    Backing, Machine, MachineConfig, MapFlags, Prot, VmError, BLOCK_PAGES, PAGE_SIZE,
+};
 use radixvm::radix::{LockMode, RadixConfig, RadixTree};
 use radixvm::refcache::Refcache;
 use radixvm::sync::RangeLockKind;
@@ -296,6 +298,111 @@ fn leaf_hint_never_serves_freed_or_stale_nodes() {
     let tree = Arc::try_unwrap(tree).ok().expect("sole owner");
     tree.cache().quiesce();
     assert_eq!(tree.cache().live_objects(), 1, "only the root survives");
+}
+
+/// Hint-riding guards (DESIGN.md §5) against everything that wants the
+/// same hint slot or the same leaf: one thread takes hinted single-page
+/// faults in a block as core 1, holding core 1's hint slot for each
+/// guard's lifetime, while another demotes and re-promotes that block
+/// (a refold severs the very leaf the hint points at) and calls
+/// `quiesce`, whose flush hook must take core 1's hint slot from a
+/// foreign thread. Nothing may deadlock, every read must see the
+/// oracle's value, and no frame may leak.
+#[test]
+fn hint_riding_faults_survive_quiesce_and_refolds() {
+    const HINT_BASE: u64 = 0x62_0000_0000; // 2 MiB aligned
+    let oracle = |p: u64| 0xA000 + p;
+    let machine = Machine::new(2);
+    let vm = build(&machine, BackendKind::Radix);
+    vm.attach_core(0);
+    vm.attach_core(1);
+    vm.mmap_flags(
+        0,
+        HINT_BASE,
+        BLOCK_PAGES * PAGE_SIZE,
+        Prot::RW,
+        Backing::Anon,
+        MapFlags::HUGE,
+    )
+    .unwrap();
+    let sweep = |machine: &Machine| {
+        for p in 0..BLOCK_PAGES {
+            machine
+                .write_u64(0, &*vm, HINT_BASE + p * PAGE_SIZE, oracle(p))
+                .unwrap();
+        }
+    };
+    sweep(&machine);
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let faulter = {
+        let machine = machine.clone();
+        let vm = vm.clone();
+        let stop = stop.clone();
+        std::thread::spawn(move || {
+            let mut x = 1u64;
+            let mut faults = 0u64;
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(faults);
+                let p = (x >> 33) % BLOCK_PAGES;
+                // Drop the translation so the read is a (fill) fault.
+                machine.invalidate_local(1, vm.asid(), (HINT_BASE >> 12) + p, 1);
+                let got = machine
+                    .read_u64(1, &*vm, HINT_BASE + p * PAGE_SIZE)
+                    .unwrap_or_else(|e| panic!("page {p} lost: {e}"));
+                assert_eq!(got, oracle(p), "page {p} corrupted");
+                faults += 1;
+            }
+            faults
+        })
+    };
+    for round in 0..40u64 {
+        // Demote: a partial mprotect expands the fold to a leaf, which
+        // the faulter's hint then caches.
+        vm.mprotect(0, HINT_BASE, 8 * PAGE_SIZE, Prot::READ)
+            .unwrap();
+        vm.mprotect(0, HINT_BASE, 8 * PAGE_SIZE, Prot::RW).unwrap();
+        // Re-promote: the refold severs the hinted leaf. Every fourth
+        // round this thread's sweep fills the promotion counter; in the
+        // others the faulter's own hinted faults do, while this thread
+        // keeps draining every core's Refcache state under it.
+        let promoted = vm.op_stats().superpage_promotions;
+        if round % 4 == 0 {
+            sweep(&machine);
+        }
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while vm.op_stats().superpage_promotions == promoted {
+            vm.quiesce();
+            assert!(
+                std::time::Instant::now() < deadline,
+                "block never re-promoted"
+            );
+        }
+    }
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    let faults = faulter.join().unwrap();
+    assert!(faults > 0);
+    let radix = vm
+        .as_any()
+        .downcast_ref::<RadixVm>()
+        .expect("Radix backend is a RadixVm");
+    let ops = vm.op_stats();
+    assert!(ops.superpage_demotions >= 1, "block never demoted");
+    assert!(ops.superpage_promotions >= 1, "block never refolded");
+    // A demoted block takes 64 faults to re-promote, all but the first
+    // hinted. The sweeps account for 10 of the 40 rounds; the rest are
+    // the faulter's, each hit a guard that rode core 1's hint slot.
+    assert!(
+        radix.tree_stats().hint_hits() > 1000,
+        "too few faults rode a hint"
+    );
+    assert_eq!(machine.stats().stale_detected, 0, "stale translation");
+    for p in 0..BLOCK_PAGES {
+        let got = machine.read_u64(0, &*vm, HINT_BASE + p * PAGE_SIZE);
+        assert_eq!(got, Ok(oracle(p)), "page {p}");
+    }
+    vm.munmap(0, HINT_BASE, BLOCK_PAGES * PAGE_SIZE).unwrap();
+    vm.quiesce();
+    assert_eq!(machine.pool().outstanding_frames(), 0, "frames leaked");
 }
 
 /// The list-based range lock's precision claim, on real threads: while
