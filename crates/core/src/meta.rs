@@ -100,12 +100,14 @@ impl PageMeta {
         if let Some(r) = self.phys {
             return Some(r.pfn);
         }
-        if let Some(b) = self.block {
-            let off = (vpn & ((1u64 << b.order) - 1)) as Pfn;
-            return Some(b.pfn + off);
-        }
-        None
+        self.block.map(|b| block_member(b, vpn))
     }
+}
+
+/// The member frame backing `vpn` in the superpage block whose head
+/// `block` references (see [`PageMeta::frame_for`]).
+pub fn block_member(block: FrameRef, vpn: u64) -> Pfn {
+    block.pfn + (vpn & ((1u64 << block.order) - 1)) as Pfn
 }
 
 #[cfg(test)]

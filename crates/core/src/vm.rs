@@ -29,15 +29,15 @@ use std::sync::Mutex;
 use rvm_hw::{
     vpn_of, AccessKind, Asid, Backing, Machine, MapFlags, Mmu, MmuKind, PerCoreMmu, Prot, Pte,
     ShardedOpStats, SharedMmu, SpaceUsage, TlbEntry, Translation, Vaddr, VmError, VmResult,
-    VmSystem, Vpn, BLOCK_PAGES, GIANT_PAGES, VA_LIMIT,
+    VmSystem, Vpn, BLOCK_PAGES, SPAN_PAGES, VA_LIMIT,
 };
-use rvm_mem::{FrameRef, Pfn, BLOCK_ORDER, GIANT_ORDER};
+use rvm_mem::{FrameRef, Pfn};
 use rvm_radix::{LockMode, RadixConfig, RadixTree, RangeGuard, Removed, RemovedList, VPN_LIMIT};
 use rvm_refcache::Refcache;
 use rvm_sync::atomic::AtomicCoreSet;
 use rvm_sync::{failpoint, sim, CoreSet, InlineVec, RangeLockKind};
 
-use crate::meta::{PageKind, PageMeta};
+use crate::meta::{block_member, PageKind, PageMeta};
 
 /// Configuration of a [`RadixVm`] address space.
 #[derive(Clone, Debug)]
@@ -117,7 +117,7 @@ impl PromoteCounters {
     /// when the count crosses the promotion threshold (and resets it, so
     /// a failed attempt retries only after another full accumulation).
     fn tick(&mut self, base: Vpn) -> bool {
-        let way = ((base >> BLOCK_ORDER) as usize) % PROMOTE_WAYS;
+        let way = ((base / BLOCK_PAGES) as usize) % PROMOTE_WAYS;
         let slot = &mut self.slots[way];
         if slot.0 != base {
             // Direct-mapped replacement: the conflicting block restarts.
@@ -284,70 +284,51 @@ impl RadixVm {
     }
 
     /// Completes superpage demotion after a range lock expanded folded
-    /// block values (DESIGN.md §7). The fold owned **one** reference on
-    /// its block-head frame slot; expansion cloned the handle into every
-    /// page of the block, so each clone beyond the first adopts one
-    /// reference — 511 slot increments through the delta cache, no
-    /// allocation — legal exactly here because expansion leaves every
-    /// slot of the new leaf born-locked until this guard drops, so no
-    /// other core can observe (or release) an unadopted copy. The block
-    /// PTE is then shattered into 4 KiB PTEs in every tracked table and
-    /// the span TLB entries are shot down, all under the same guard.
+    /// superpage values (DESIGN.md §7). A fold owned **one** reference on
+    /// its block-head frame slot; each rung of expansion cloned the
+    /// handle into the 512 slots of a fresh node one granularity down
+    /// (page values in a leaf, smaller folds in an interior node), so
+    /// per expanded node 511 clones adopt one reference each — slot
+    /// increments through the delta cache, no allocation — legal exactly
+    /// here because expansion leaves every slot of the new node
+    /// born-locked until this guard drops, so no other core can observe
+    /// (or release) an unadopted copy. Clones the same descent expanded
+    /// further handed their reference to the node below, which adopts
+    /// its own 511, so the total is exactly one reference per extra
+    /// handle however deep the cascade went. The superpage PTE is then
+    /// shattered one rung in every tracked table and the span TLB
+    /// entries are shot down, all under the same guard.
     fn demote_expanded(&self, core: usize, guard: &mut RangeGuard<'_, PageMeta>) {
+        // One entry per expanded superpage `(base, pages)`, keyed by its
+        // *virtual* span, not by handle: every chunk of one demoted
+        // 1 GiB block carries the same head handle, and merging two
+        // chunks would adopt the wrong count and shatter the wrong PTE.
+        // A contiguous lock range always leaves at least one clone of
+        // each expanded node in place (at most the two edge slots expand
+        // further), so every expanded superpage is observed here.
+        let fanout = rvm_radix::FANOUT as u64;
+        let mut demoted: Vec<(Vpn, u64, FrameRef, CoreSet)> = Vec::new();
+        guard.for_each_expanded_mut(|vpn, clone_pages, m| {
+            if let Some(b) = m.block {
+                let pages = clone_pages * fanout;
+                let base = vpn & !(pages - 1);
+                if !demoted.iter().any(|e| (e.0, e.1) == (base, pages)) {
+                    demoted.push((base, pages, b, m.coreset));
+                }
+            }
+        });
+        // Largest span first: a table shatters one rung at a time, so a
+        // 1 GiB PTE must become 2 MiB PTEs before one of those can
+        // become 4 KiB PTEs.
+        demoted.sort_by_key(|e| std::cmp::Reverse(e.1));
         let pool = self.machine.pool();
-        // Stage 1 — the 1 GiB rung. A giant fold the lock expanded one
-        // rung left 512 block-spanning clones in a fresh interior node
-        // (born-locked until this guard drops). The fold owned one
-        // reference on the giant-head slot; the clones collectively
-        // adopt 511 more. Chunks the same descent re-expanded down to
-        // leaves are accounted by stage 2 — each leaf expansion adopts
-        // 511 per-page references from its chunk's clone — so the total
-        // is exactly one reference per extra handle however deep the
-        // cascade went. The giant PTE shatters in place into 512 block
-        // PTEs (translations preserved) and the giant span entries are
-        // shot down. A contiguous lock range always leaves at least one
-        // chunk clone folded (at most the two edge chunks expand
-        // further), so every expanded giant is observed here.
-        let mut giants: Vec<(Vpn, FrameRef, CoreSet)> = Vec::new();
-        guard.for_each_expanded_fold_mut(|vpn, _pages, m| {
-            if let Some(b) = m.block {
-                let gstart = vpn & !(GIANT_PAGES - 1);
-                if !giants.iter().any(|e| e.0 == gstart) {
-                    giants.push((gstart, b, m.coreset));
-                }
-            }
-        });
-        for (gstart, b, tracked) in giants {
-            let clones = GIANT_PAGES / BLOCK_PAGES;
-            for _ in 1..clones {
+        for (base, pages, b, tracked) in demoted {
+            for _ in 1..fanout {
                 pool.ref_inc(&self.cache, core, b);
             }
-            let targets = self.mmu.demote_giant(gstart, tracked, self.attached.load());
+            let targets = self.mmu.demote(base, pages, tracked, self.attached.load());
             self.machine
-                .shootdown(core, self.asid, gstart, GIANT_PAGES, targets);
-            self.stats.superpage_demote(core);
-        }
-        // Stage 2 — the 2 MiB rung (§7). Grouped by *virtual* block
-        // start, not by handle: every chunk of one demoted giant carries
-        // the same giant-head handle, and merging two chunks would adopt
-        // the wrong count and shatter the wrong PTE.
-        let mut blocks: Vec<(Vpn, FrameRef, CoreSet, u64)> = Vec::new();
-        guard.for_each_expanded_value_mut(|vpn, m| {
-            if let Some(b) = m.block {
-                let start = vpn & !(BLOCK_PAGES - 1);
-                match blocks.iter_mut().find(|e| e.0 == start) {
-                    Some(e) => e.3 += 1,
-                    None => blocks.push((start, b, m.coreset, 1)),
-                }
-            }
-        });
-        for (start, b, tracked, npages) in blocks {
-            for _ in 1..npages {
-                pool.ref_inc(&self.cache, core, b);
-            }
-            let targets = self.mmu.demote(start, tracked, self.attached.load());
-            self.machine
-                .shootdown(core, self.asid, start, BLOCK_PAGES, targets);
+                .shootdown(core, self.asid, base, pages, targets);
             self.stats.superpage_demote(core);
         }
     }
@@ -522,24 +503,13 @@ impl VmSystem for RadixVm {
             let pte = self.mmu.walk(core, vpn);
             if pte.present() && (kind == AccessKind::Read || pte.writable()) {
                 self.stats.fault_fill(core);
-                let pool = self.machine.pool();
-                let tr = Translation {
-                    pfn: pte.pfn(),
-                    gen: pool.generation(pte.pfn()),
-                    writable: pte.writable(),
-                };
-                if pte.block() {
-                    // Another core populated the superpage (either
-                    // rung): fill the whole span so this core stops
-                    // faulting on it.
-                    let span = pte.span();
-                    let base_vpn = vpn & !(span - 1);
-                    let base_pfn = pte.pfn() - (vpn - base_vpn) as Pfn;
-                    self.fill_span(core, base_vpn, base_pfn, span, pte.writable());
-                } else {
-                    self.fill(core, vpn, tr);
-                }
-                return Ok(tr);
+                // Fill whatever span the entry maps: when another core
+                // populated a superpage, the whole of it, so this core
+                // stops faulting on it.
+                let span = pte.span();
+                let start = vpn & !(span - 1);
+                let base = pte.pfn() - (vpn - start) as Pfn;
+                return Ok(self.fill(core, vpn, start, base, span, pte.writable()));
             }
         }
         match self.block_fault(core, vpn, kind, &mut guard) {
@@ -557,11 +527,7 @@ impl VmSystem for RadixVm {
             BlockPath::Leaf => {}
         }
         let meta = guard.page_value_mut().ok_or(VmError::NoMapping)?;
-        match kind {
-            AccessKind::Read if !meta.prot.readable() => return Err(VmError::ProtViolation),
-            AccessKind::Write if !meta.prot.writable() => return Err(VmError::ProtViolation),
-            _ => {}
-        }
+        check_access(meta.prot, kind)?;
         // Copy-on-write resolution for write faults. The shared source
         // may be a per-page frame or a member of a (demoted) superpage
         // block; either way the page gets a private 4 KiB copy and drops
@@ -663,16 +629,7 @@ impl VmSystem for RadixVm {
         let promote_candidate = meta.backing == Backing::Anon
             && meta.kind == PageKind::Plain
             && (meta.huge || meta.block.is_some());
-        let tr = Translation {
-            pfn,
-            gen: self.machine.pool().generation(pfn),
-            writable,
-        };
-        self.mmu.map(core, vpn, Pte::new(pfn, writable));
-        // Fill the TLB before the slot lock is released (guard drop):
-        // a munmap racing on this page cannot start its shootdown until
-        // we are done, so the entry cannot be stale.
-        self.fill(core, vpn, tr);
+        let tr = self.install(core, vpn, vpn, pfn, 1, writable);
         if promote_candidate {
             let base = vpn & !(BLOCK_PAGES - 1);
             if self.promote[core].lock().unwrap().tick(base) {
@@ -761,6 +718,27 @@ impl VmSystem for RadixVm {
     }
 }
 
+/// The frame pool's order for a block of `pages` frames — the one place
+/// a page span becomes an order.
+fn block_order(pages: u64) -> u8 {
+    debug_assert!(pages.is_power_of_two());
+    pages.trailing_zeros() as u8
+}
+
+/// Whether a mapping with protection `prot` permits an access of `kind`
+/// (checked the same way whatever granularity the fault resolves at).
+fn check_access(prot: Prot, kind: AccessKind) -> VmResult<()> {
+    let permitted = match kind {
+        AccessKind::Read => prot.readable(),
+        AccessKind::Write => prot.writable(),
+    };
+    if permitted {
+        Ok(())
+    } else {
+        Err(VmError::ProtViolation)
+    }
+}
+
 /// Outcome of the block-granularity stage of a page fault.
 enum BlockPath {
     /// The fault completed (or errored) at block granularity.
@@ -772,37 +750,62 @@ enum BlockPath {
 }
 
 impl RadixVm {
-    /// Installs a TLB entry for this address space.
-    fn fill(&self, core: usize, vpn: Vpn, tr: Translation) {
+    /// Installs a TLB entry for this address space translating the
+    /// `pages` pages (1, or one of [`SPAN_PAGES`]) from `start` to the
+    /// frames from `base`; returns the translation of `vpn`, one of them.
+    fn fill(
+        &self,
+        core: usize,
+        vpn: Vpn,
+        start: Vpn,
+        base: Pfn,
+        pages: u64,
+        writable: bool,
+    ) -> Translation {
+        let pool = self.machine.pool();
         self.machine.tlb_fill(
             core,
             TlbEntry {
                 asid: self.asid,
-                vpn,
-                pfn: tr.pfn,
-                gen: tr.gen,
-                span: 1,
-                writable: tr.writable,
-                valid: true,
-            },
-        );
-    }
-
-    /// Installs a span (superpage) TLB entry covering `span` pages —
-    /// [`BLOCK_PAGES`] or [`GIANT_PAGES`] — based at `base_vpn`.
-    fn fill_span(&self, core: usize, base_vpn: Vpn, base_pfn: Pfn, span: u64, writable: bool) {
-        self.machine.tlb_fill(
-            core,
-            TlbEntry {
-                asid: self.asid,
-                vpn: base_vpn,
-                pfn: base_pfn,
-                gen: self.machine.pool().generation(base_pfn),
-                span,
+                vpn: start,
+                pfn: base,
+                gen: pool.generation(base),
+                span: pages,
                 writable,
                 valid: true,
             },
         );
+        let pfn = base + (vpn - start) as Pfn;
+        Translation {
+            pfn,
+            gen: pool.generation(pfn),
+            writable,
+        }
+    }
+
+    /// The last step of a fault at any granularity: installs the
+    /// `pages`-page translation `start` → `base` in `core`'s page table
+    /// and TLB and returns the translation of the faulting `vpn`.
+    ///
+    /// Must run before the slot lock is released (guard drop): a munmap
+    /// racing on the range cannot start its shootdown until we are
+    /// done, so the TLB entry cannot be stale.
+    fn install(
+        &self,
+        core: usize,
+        vpn: Vpn,
+        start: Vpn,
+        base: Pfn,
+        pages: u64,
+        writable: bool,
+    ) -> Translation {
+        if pages == 1 {
+            self.mmu.map(core, start, Pte::new(base, writable));
+        } else {
+            let pte = Pte::new_span(base, writable, pages);
+            self.mmu.map_span(core, start, pte);
+        }
+        self.fill(core, vpn, start, base, pages, writable)
     }
 
     /// The fold-aware stage of [`RadixVm::pagefault`]: when `guard`
@@ -810,7 +813,8 @@ impl RadixVm {
     /// superpage PTE backed by **one** contiguous frame block and **one**
     /// Refcache object.
     ///
-    /// Eligibility: the fold spans exactly one hardware block, the
+    /// Eligibility: the fold spans exactly one hardware superpage (any
+    /// of [`SPAN_PAGES`]; the span is carried through as `pages`), the
     /// mapping is anonymous, carries the huge hint (or was already
     /// populated as a superpage), and the access is not a copy-on-write
     /// write. Ineligible folds demote ([`BlockPath::Demote`]).
@@ -824,16 +828,10 @@ impl RadixVm {
         let Some((start, pages, meta)) = guard.block_entry_mut() else {
             return BlockPath::Leaf;
         };
-        match kind {
-            AccessKind::Read if !meta.prot.readable() => {
-                return BlockPath::Resolved(Err(VmError::ProtViolation))
-            }
-            AccessKind::Write if !meta.prot.writable() => {
-                return BlockPath::Resolved(Err(VmError::ProtViolation))
-            }
-            _ => {}
+        if let Err(e) = check_access(meta.prot, kind) {
+            return BlockPath::Resolved(Err(e));
         }
-        let eligible = (pages == BLOCK_PAGES || pages == GIANT_PAGES)
+        let eligible = SPAN_PAGES.contains(&pages)
             && (meta.block.is_some()
                 || (meta.huge && meta.kind == PageKind::Plain && meta.backing == Backing::Anon));
         let cow_write = kind == AccessKind::Write && meta.kind == PageKind::Cow;
@@ -841,29 +839,25 @@ impl RadixVm {
             return BlockPath::Demote;
         }
         let pool = self.machine.pool();
-        let order = if pages == GIANT_PAGES {
-            GIANT_ORDER
-        } else {
-            BLOCK_ORDER
-        };
         let base = match meta.block {
             Some(b) => {
                 self.stats.fault_fill(core);
-                // The handle's pfn is its slot's block head; a 2 MiB
-                // chunk demoted out of a 1 GiB block keeps the giant-
-                // head handle, so resolve the chunk base by the virtual
+                // The handle's pfn is its slot's block head; a chunk
+                // demoted out of a larger block keeps that block's head
+                // handle, so resolve the chunk base by the virtual
                 // offset (spans are virtually aligned).
-                b.pfn + (start & ((1u64 << b.order) - 1)) as Pfn
+                block_member(b, start)
             }
             None => {
                 // Populate: one contiguous frame block, one block-head
-                // count cell for its whole lifetime (vs. 512 or 262144
-                // per-page references). When no contiguous block of this
-                // order exists, degrade gracefully: demote the fold and
-                // serve the fault (and the span's remaining pages, as
-                // they fault) at the next granularity down instead of
+                // count cell for its whole lifetime (vs. one per-page
+                // reference per member). When no contiguous block of
+                // this order exists, degrade gracefully: demote the fold
+                // and serve the fault (and the span's remaining pages,
+                // as they fault) at the next granularity down instead of
                 // failing the access — a failed 1 GiB populate retries
                 // at 2 MiB, a failed 2 MiB populate at 4 KiB.
+                let order = block_order(pages);
                 let base = match pool.try_alloc_block(core, order) {
                     Ok(base) => base,
                     Err(_) => {
@@ -884,22 +878,7 @@ impl RadixVm {
             meta.coreset.insert(core);
             self.stats.superpage_install(core);
         }
-        if pages == GIANT_PAGES {
-            self.mmu
-                .map_giant(core, start, Pte::new_giant(base, writable));
-        } else {
-            self.mmu
-                .map_block(core, start, Pte::new_block(base, writable));
-        }
-        let pfn = base + (vpn - start) as Pfn;
-        let tr = Translation {
-            pfn,
-            gen: pool.generation(pfn),
-            writable,
-        };
-        // Span fill before the slot lock releases, as in the 4 KiB path.
-        self.fill_span(core, start, base, pages, writable);
-        BlockPath::Resolved(Ok(tr))
+        BlockPath::Resolved(Ok(self.install(core, vpn, start, base, pages, writable)))
     }
 
     /// Opportunistic superpage promotion — §7's inverse (DESIGN.md §12).
@@ -977,14 +956,15 @@ impl RadixVm {
             Some(b) => {
                 // Demoted shape: the fold takes over one of the 512
                 // per-page references; the handle stays at whatever head
-                // (2 MiB or 1 GiB) backs these pages.
-                (b, b.pfn + (base & ((1u64 << b.order) - 1)) as Pfn)
+                // (of this span or a larger one) backs these pages.
+                (b, block_member(b, base))
             }
             None => {
                 // Scattered shape: migrate into a contiguous block.
                 // Allocation failure is the graceful-degradation path —
                 // stay at 4 KiB, retry after the next accumulation.
-                let newbase = pool.try_alloc_block(core, BLOCK_ORDER).ok()?;
+                let order = block_order(BLOCK_PAGES);
+                let newbase = pool.try_alloc_block(core, order).ok()?;
                 // Copy before any reference is surrendered, under the
                 // guard's slot locks: no fault can observe a half-
                 // migrated page, and an unwind leaks nothing.
@@ -1002,7 +982,7 @@ impl RadixVm {
                     sim::charge_page_work();
                 }
                 (
-                    pool.retain_block(&self.cache, core, newbase, BLOCK_ORDER, 1),
+                    pool.retain_block(&self.cache, core, newbase, order, 1),
                     newbase,
                 )
             }
@@ -1048,16 +1028,9 @@ impl RadixVm {
                 }
             }
         }
-        self.mmu
-            .map_block(core, base, Pte::new_block(pte_base, writable));
-        self.fill_span(core, base, pte_base, BLOCK_PAGES, writable);
+        let tr = self.install(core, vpn, base, pte_base, BLOCK_PAGES, writable);
         self.stats.superpage_promote(core);
-        let pfn = pte_base + (vpn - base) as Pfn;
-        Some(Translation {
-            pfn,
-            gen: pool.generation(pfn),
-            writable,
-        })
+        Some(tr)
     }
 }
 

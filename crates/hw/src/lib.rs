@@ -33,7 +33,7 @@ pub mod pagetable;
 pub mod tlb;
 
 pub use mmu::{Mmu, MmuKind, PerCoreMmu, SharedMmu};
-pub use pagetable::{PageTable, Pte, BLOCK_PAGES, GIANT_PAGES};
+pub use pagetable::{PageTable, Pte, BLOCK_PAGES, GIANT_PAGES, SPAN_PAGES};
 pub use rvm_mem::{OutOfMemory, PlacementPolicy};
 pub use tlb::{Tlb, TlbEntry};
 

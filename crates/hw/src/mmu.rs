@@ -30,14 +30,10 @@ pub trait Mmu: Send + Sync {
     /// Installs a translation visible to `core`.
     fn map(&self, core: usize, vpn: Vpn, pte: Pte);
 
-    /// Installs a block (superpage) translation visible to `core`,
-    /// covering the whole aligned block containing `base_vpn`.
-    fn map_block(&self, core: usize, base_vpn: Vpn, pte: Pte);
-
-    /// Installs a giant (1 GiB) translation visible to `core`, covering
-    /// the whole aligned giant region containing `base_vpn`. The `pte`
-    /// must carry [`Pte::GIANT`] (built with [`Pte::new_giant`]).
-    fn map_giant(&self, core: usize, base_vpn: Vpn, pte: Pte);
+    /// Installs a superpage translation visible to `core`, covering the
+    /// whole aligned [`Pte::span`] pages containing `base_vpn` (`pte` is
+    /// built with [`Pte::new_span`]; the span picks the table level).
+    fn map_span(&self, core: usize, base_vpn: Vpn, pte: Pte);
 
     /// Walks the table(s) as `core`'s MMU would.
     fn walk(&self, core: usize, vpn: Vpn) -> Pte;
@@ -45,22 +41,17 @@ pub trait Mmu: Send + Sync {
     /// Clears `[start, start+n)` from the tables and returns the set of
     /// cores whose TLBs must be shot down. `tracked` is the set of cores
     /// the metadata observed faulting pages of the range; `attached` is
-    /// every core using the address space. Block PTEs overlapping the
-    /// range are cleared whole (demote first to keep survivors).
+    /// every core using the address space. Superpage PTEs overlapping
+    /// the range are cleared whole (demote first to keep survivors).
     fn unmap_range(&self, start: Vpn, n: u64, tracked: CoreSet, attached: CoreSet) -> CoreSet;
 
-    /// Demotes the block translation covering `base_vpn`: every table
-    /// that holds a block PTE for it is shattered in place into 4 KiB
-    /// PTEs, preserving the translations. Returns the cores whose span
-    /// TLB entries must be shot down (`tracked` for per-core tables,
-    /// `attached` for a shared one).
-    fn demote(&self, base_vpn: Vpn, tracked: CoreSet, attached: CoreSet) -> CoreSet;
-
-    /// Demotes the giant (1 GiB) translation covering `base_vpn` one
-    /// rung: every table holding the giant PTE is shattered in place
-    /// into 512 block PTEs, preserving the translations. Returns the
-    /// cores whose span TLB entries must be shot down.
-    fn demote_giant(&self, base_vpn: Vpn, tracked: CoreSet, attached: CoreSet) -> CoreSet;
+    /// Demotes the `pages`-page superpage translation covering
+    /// `base_vpn` one rung: every table that holds the superpage PTE is
+    /// shattered in place into 512 entries of the next span down (4 KiB
+    /// PTEs below [`crate::BLOCK_PAGES`]), preserving the translations.
+    /// Returns the cores whose span TLB entries must be shot down
+    /// (`tracked` for per-core tables, `attached` for a shared one).
+    fn demote(&self, base_vpn: Vpn, pages: u64, tracked: CoreSet, attached: CoreSet) -> CoreSet;
 
     /// Total bytes of page-table memory currently allocated.
     fn table_bytes(&self) -> u64;
@@ -94,12 +85,8 @@ impl Mmu for PerCoreMmu {
         self.tables[core].set(vpn, pte);
     }
 
-    fn map_block(&self, core: usize, base_vpn: Vpn, pte: Pte) {
-        self.tables[core].set_block(base_vpn, pte);
-    }
-
-    fn map_giant(&self, core: usize, base_vpn: Vpn, pte: Pte) {
-        self.tables[core].set_giant(base_vpn, pte);
+    fn map_span(&self, core: usize, base_vpn: Vpn, pte: Pte) {
+        self.tables[core].set_span(base_vpn, pte);
     }
 
     fn walk(&self, core: usize, vpn: Vpn) -> Pte {
@@ -113,16 +100,9 @@ impl Mmu for PerCoreMmu {
         tracked
     }
 
-    fn demote(&self, base_vpn: Vpn, tracked: CoreSet, _attached: CoreSet) -> CoreSet {
+    fn demote(&self, base_vpn: Vpn, pages: u64, tracked: CoreSet, _attached: CoreSet) -> CoreSet {
         for core in tracked.iter() {
-            self.tables[core].shatter_block(base_vpn);
-        }
-        tracked
-    }
-
-    fn demote_giant(&self, base_vpn: Vpn, tracked: CoreSet, _attached: CoreSet) -> CoreSet {
-        for core in tracked.iter() {
-            self.tables[core].shatter_giant(base_vpn);
+            self.tables[core].shatter_span(base_vpn, pages);
         }
         tracked
     }
@@ -166,12 +146,8 @@ impl Mmu for SharedMmu {
         self.table.set(vpn, pte);
     }
 
-    fn map_block(&self, _core: usize, base_vpn: Vpn, pte: Pte) {
-        self.table.set_block(base_vpn, pte);
-    }
-
-    fn map_giant(&self, _core: usize, base_vpn: Vpn, pte: Pte) {
-        self.table.set_giant(base_vpn, pte);
+    fn map_span(&self, _core: usize, base_vpn: Vpn, pte: Pte) {
+        self.table.set_span(base_vpn, pte);
     }
 
     fn walk(&self, _core: usize, vpn: Vpn) -> Pte {
@@ -185,14 +161,9 @@ impl Mmu for SharedMmu {
         attached
     }
 
-    fn demote(&self, base_vpn: Vpn, _tracked: CoreSet, attached: CoreSet) -> CoreSet {
-        self.table.shatter_block(base_vpn);
+    fn demote(&self, base_vpn: Vpn, pages: u64, _tracked: CoreSet, attached: CoreSet) -> CoreSet {
+        self.table.shatter_span(base_vpn, pages);
         // Every attached core may hold the span entry.
-        attached
-    }
-
-    fn demote_giant(&self, base_vpn: Vpn, _tracked: CoreSet, attached: CoreSet) -> CoreSet {
-        self.table.shatter_giant(base_vpn);
         attached
     }
 
@@ -241,27 +212,29 @@ mod tests {
     }
 
     #[test]
-    fn block_map_and_demote_follow_tracking() {
-        use crate::pagetable::BLOCK_PAGES;
-        let mmu = PerCoreMmu::new(4);
-        let base = BLOCK_PAGES * 2;
-        mmu.map_block(1, base, Pte::new_block(100, true));
-        assert_eq!(mmu.walk(1, base + 17).pfn(), 117);
-        assert!(mmu.walk(1, base + 17).block());
-        assert!(!mmu.walk(0, base).present(), "other cores unaffected");
-        // Demote shatters only tracked cores' tables and returns them.
-        let targets = mmu.demote(base, CoreSet::single(1), CoreSet::first_n(4));
-        assert_eq!(targets, CoreSet::single(1));
-        let p = mmu.walk(1, base + 17);
-        assert!(p.present() && !p.block(), "translation preserved as 4 KiB");
-        assert_eq!(p.pfn(), 117);
-        // Shared tables demote in place and broadcast.
-        let sh = SharedMmu::new();
-        sh.map_block(0, base, Pte::new_block(500, false));
-        assert_eq!(sh.walk(3, base + 3).pfn(), 503);
-        let targets = sh.demote(base, CoreSet::single(0), CoreSet::first_n(8));
-        assert_eq!(targets.len(), 8);
-        assert!(!sh.walk(2, base + 3).block());
+    fn span_map_and_demote_follow_tracking() {
+        for span in crate::pagetable::SPAN_PAGES {
+            let below = span / crate::pagetable::NODE_SLOTS as u64;
+            let mmu = PerCoreMmu::new(4);
+            let base = span * 2;
+            mmu.map_span(1, base, Pte::new_span(100, true, span));
+            assert_eq!(mmu.walk(1, base + 17).pfn(), 117);
+            assert_eq!(mmu.walk(1, base + 17).span(), span);
+            assert!(!mmu.walk(0, base).present(), "other cores unaffected");
+            // Demote shatters only tracked cores' tables and returns them.
+            let targets = mmu.demote(base, span, CoreSet::single(1), CoreSet::first_n(4));
+            assert_eq!(targets, CoreSet::single(1));
+            let p = mmu.walk(1, base + 17);
+            assert!(p.present(), "translation preserved one rung down");
+            assert_eq!((p.pfn(), p.span()), (117, below));
+            // Shared tables demote in place and broadcast.
+            let sh = SharedMmu::new();
+            sh.map_span(0, base, Pte::new_span(500, false, span));
+            assert_eq!(sh.walk(3, base + 3).pfn(), 503);
+            let targets = sh.demote(base, span, CoreSet::single(0), CoreSet::first_n(8));
+            assert_eq!(targets.len(), 8);
+            assert_eq!(sh.walk(2, base + 3).span(), below);
+        }
     }
 
     #[test]
@@ -269,7 +242,7 @@ mod tests {
         use crate::pagetable::BLOCK_PAGES;
         let mmu = PerCoreMmu::new(2);
         let base = BLOCK_PAGES * 4;
-        mmu.map_block(0, base, Pte::new_block(0, true));
+        mmu.map_span(0, base, Pte::new_block(0, true));
         // Partial unmap clears the whole block entry (callers demote
         // first when survivors matter).
         mmu.unmap_range(base + 10, 5, CoreSet::single(0), CoreSet::first_n(2));

@@ -9,16 +9,19 @@
 //!
 //! # Variable granularity
 //!
-//! A slot at the last *interior* level may hold a **block PTE** instead of
-//! a child pointer — the x86 PS-bit superpage: one entry maps a whole
-//! 512-page (2 MiB) aligned block to a physically contiguous frame block.
-//! The walk stops at a block entry ([`PageTable::get`] synthesizes the
-//! member frame's translation), [`PageTable::set_block`] /
-//! [`PageTable::clear_block`] install and remove them, and
-//! [`PageTable::shatter_block`] demotes one in place into a leaf node of
-//! 512 ordinary PTEs (the paper-adjacent demotion path: partial munmap of
-//! a superpage must not lose the surviving 4 KiB translations).
-//! Encoding: a block PTE is distinguished from a child pointer by
+//! A slot at one of the lower *interior* levels may hold a **superpage
+//! PTE** instead of a child pointer — the x86 PS bit: one entry maps the
+//! whole aligned span its slot covers to a physically contiguous frame
+//! block. [`SPAN_PAGES`] is the granularity table: 512 pages (2 MiB) at
+//! the last interior level, 512² (1 GiB) one level higher. The span is a
+//! *parameter* of one code path, not a path per rung: the walk stops at a
+//! superpage entry ([`PageTable::get`] synthesizes the member frame's
+//! translation), [`PageTable::set_span`] installs one at the level its
+//! span selects, and [`PageTable::shatter_span`] demotes one in place, one
+//! rung at a time, into a node of 512 entries of the next span down (the
+//! paper-adjacent demotion path: partial munmap of a superpage must not
+//! lose the surviving smaller translations).
+//! Encoding: a superpage PTE is distinguished from a child pointer by
 //! [`Pte::BLOCK`] (bit 2), which is always clear in an aligned pointer
 //! tagged with [`CHILD_TAG`] (bit 0).
 
@@ -36,25 +39,47 @@ pub const NODE_SLOTS: usize = 1 << LEVEL_BITS;
 /// Number of levels (36-bit VPN / 9).
 pub const LEVELS: usize = VPN_BITS / LEVEL_BITS;
 
-/// Pages covered by one block PTE (an entry at the last interior level).
-pub const BLOCK_PAGES: u64 = NODE_SLOTS as u64;
+/// Pages covered by one slot at table `level` (level 0 = root).
+const fn level_span(level: usize) -> u64 {
+    1 << (LEVEL_BITS * (LEVELS - 1 - level))
+}
 
-/// Pages covered by one giant PTE (an entry one interior level higher:
-/// the x86 1 GiB PDPT superpage).
-pub const GIANT_PAGES: u64 = BLOCK_PAGES * NODE_SLOTS as u64;
+/// The granularity table: the page spans one superpage PTE may cover,
+/// ascending — an entry at the last interior level, then one level
+/// higher (x86's 2 MiB PD and 1 GiB PDPT superpages). Everything that
+/// handles superpages, from PTE encoding to the TLB probe, loops over or
+/// is parameterized by these spans.
+pub const SPAN_PAGES: [u64; 2] = [level_span(LEVELS - 2), level_span(LEVELS - 3)];
 
-// A block PTE's frame block must be exactly as large as the page span
-// its table slot covers; a drift between the pool's block order and the
+/// The smallest superpage span (2 MiB).
+pub const BLOCK_PAGES: u64 = SPAN_PAGES[0];
+
+/// The largest superpage span (1 GiB).
+pub const GIANT_PAGES: u64 = SPAN_PAGES[1];
+
+/// The highest table level whose slots may hold a superpage PTE; levels
+/// above it only ever hold child pointers and are never peeked.
+const FIRST_SPAN_LEVEL: usize = LEVELS - 1 - SPAN_PAGES.len();
+
+// A superpage PTE's frame block must be exactly as large as the page span
+// its table slot covers; a drift between the pool's block orders and the
 // table fanout would map unrelated frames.
-const _: () = assert!(1u64 << rvm_mem::BLOCK_ORDER == BLOCK_PAGES);
-const _: () = assert!(1u64 << rvm_mem::GIANT_ORDER == GIANT_PAGES);
+const _: () = assert!(1u64 << rvm_mem::BLOCK_ORDER == SPAN_PAGES[0]);
+const _: () = assert!(1u64 << rvm_mem::GIANT_ORDER == SPAN_PAGES[1]);
+
+/// The table level whose slots cover `pages` pages each.
+#[inline]
+fn span_level(pages: u64) -> usize {
+    debug_assert!(pages == 1 || SPAN_PAGES.contains(&pages), "span {pages}");
+    LEVELS - 1 - pages.trailing_zeros() as usize / LEVEL_BITS
+}
 
 /// A page table entry.
 ///
-/// Encoding: `[pfn:32 | reserved | B | W | P]`. `B` ([`Pte::BLOCK`], the
-/// x86 PS bit) marks an entry installed at the last interior level that
-/// maps a whole [`BLOCK_PAGES`]-page block; its `pfn` is the base of a
-/// physically contiguous frame block.
+/// Encoding: `[pfn:32 | reserved | R | B | W | P]`. `B` ([`Pte::BLOCK`],
+/// the x86 PS bit) marks a superpage entry installed at an interior
+/// level; `R` is its index in [`SPAN_PAGES`]; its `pfn` is the base of a
+/// physically contiguous frame block of that span.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Pte(pub u64);
 
@@ -63,32 +88,40 @@ impl Pte {
     pub const EMPTY: Pte = Pte(0);
     const PRESENT: u64 = 1 << 0;
     const WRITABLE: u64 = 1 << 1;
-    /// Block ("page size") bit: the entry is an interior-level leaf
-    /// covering [`BLOCK_PAGES`] pages. Doubles as the discriminant
-    /// between block PTEs and [`CHILD_TAG`]-tagged child pointers in
+    /// Superpage ("page size") bit: the entry is an interior-level leaf
+    /// covering [`Pte::span`] pages. Doubles as the discriminant between
+    /// superpage PTEs and [`CHILD_TAG`]-tagged child pointers in
     /// interior slots (aligned pointers never have bit 2 set).
     pub const BLOCK: u64 = 1 << 2;
-    /// Giant bit: together with [`Pte::BLOCK`], the entry sits one
-    /// interior level higher and covers [`GIANT_PAGES`] pages (x86's
-    /// PS bit at the PDPT level). Only interpreted on words already
-    /// known to be block PTEs, so it never ambiguates child pointers.
-    pub const GIANT: u64 = 1 << 3;
+    /// Position of the [`SPAN_PAGES`] index of a superpage entry. Only
+    /// interpreted on words already known to be superpage PTEs, so it
+    /// never ambiguates child pointers.
+    const RUNG_SHIFT: u32 = 3;
+    const RUNG_MASK: u64 = 0b11;
 
     /// Builds a present PTE.
     pub fn new(pfn: Pfn, writable: bool) -> Pte {
         Pte(((pfn as u64) << 32) | Self::PRESENT | if writable { Self::WRITABLE } else { 0 })
     }
 
-    /// Builds a present block PTE whose `pfn` is the base of a
-    /// contiguous [`BLOCK_PAGES`]-frame block.
-    pub fn new_block(pfn: Pfn, writable: bool) -> Pte {
-        Pte(Self::new(pfn, writable).0 | Self::BLOCK)
+    /// Builds a present PTE translating `pages` pages — 1, or a
+    /// [`SPAN_PAGES`] span whose `pfn` is then the base of a contiguous
+    /// frame block of that many frames.
+    pub fn new_span(pfn: Pfn, writable: bool, pages: u64) -> Pte {
+        let span_bits = match SPAN_PAGES.iter().position(|&s| s == pages) {
+            Some(rung) => Self::BLOCK | (rung as u64) << Self::RUNG_SHIFT,
+            None => {
+                debug_assert_eq!(pages, 1, "not a page-table span");
+                0
+            }
+        };
+        Pte(Self::new(pfn, writable).0 | span_bits)
     }
 
-    /// Builds a present giant PTE whose `pfn` is the base of a
-    /// contiguous [`GIANT_PAGES`]-frame block.
-    pub fn new_giant(pfn: Pfn, writable: bool) -> Pte {
-        Pte(Self::new(pfn, writable).0 | Self::BLOCK | Self::GIANT)
+    /// Builds a present [`BLOCK_PAGES`] superpage PTE (the 2 MiB spelling
+    /// of [`Pte::new_span`]).
+    pub fn new_block(pfn: Pfn, writable: bool) -> Pte {
+        Self::new_span(pfn, writable, BLOCK_PAGES)
     }
 
     /// Returns true if the entry is present.
@@ -103,40 +136,31 @@ impl Pte {
         self.0 & Self::WRITABLE != 0
     }
 
-    /// Returns true if the entry is a block (superpage) entry — giant
-    /// entries included.
+    /// Returns true if the entry is a superpage entry (of any span).
     #[inline]
     pub fn block(self) -> bool {
         self.0 & Self::BLOCK != 0
     }
 
-    /// Returns true if the entry is a giant (1 GiB) entry.
-    #[inline]
-    pub fn giant(self) -> bool {
-        self.0 & (Self::BLOCK | Self::GIANT) == (Self::BLOCK | Self::GIANT)
-    }
-
     /// Pages this entry translates.
     #[inline]
     pub fn span(self) -> u64 {
-        if self.giant() {
-            GIANT_PAGES
-        } else if self.block() {
-            BLOCK_PAGES
+        if self.block() {
+            SPAN_PAGES[((self.0 >> Self::RUNG_SHIFT) & Self::RUNG_MASK) as usize]
         } else {
             1
         }
     }
 
-    /// The mapped frame (a block entry's base frame).
+    /// The mapped frame (a superpage entry's base frame).
     #[inline]
     pub fn pfn(self) -> Pfn {
         (self.0 >> 32) as Pfn
     }
 }
 
-/// Returns true when an interior slot word holds a block PTE rather than
-/// a child pointer.
+/// Returns true when an interior slot word holds a superpage PTE rather
+/// than a child pointer.
 #[inline]
 fn is_block_word(v: u64) -> bool {
     v & Pte::BLOCK != 0
@@ -152,6 +176,20 @@ impl PtNode {
         Box::new(PtNode {
             slots: (0..NODE_SLOTS).map(|_| Atomic64::new(0)).collect(),
         })
+    }
+
+    /// The node a non-zero, non-superpage interior slot word points at.
+    ///
+    /// # Safety
+    ///
+    /// `v` must be such a word read from a live table: those always hold
+    /// a child pointer published by `child_or_create`/`shatter_word`, and
+    /// children are only freed in `Drop` (which requires `&mut self`) or
+    /// under the VA-range lock contract of `set_span`.
+    #[inline]
+    unsafe fn child<'a>(v: u64) -> &'a PtNode {
+        debug_assert!(v & CHILD_TAG != 0 && !is_block_word(v));
+        &*((v & !CHILD_TAG) as *const PtNode)
     }
 }
 
@@ -182,6 +220,26 @@ impl PageTable {
         ((vpn >> shift) as usize) & (NODE_SLOTS - 1)
     }
 
+    /// Publishes `node` in `slot` if the slot still holds `expect`,
+    /// counting it; frees it otherwise. Returns the slot's word after
+    /// the attempt (the new pointer word on success).
+    fn publish(&self, slot: &Atomic64, expect: u64, node: Box<PtNode>) -> Result<u64, u64> {
+        let ptr = Box::into_raw(node) as u64 | CHILD_TAG;
+        match slot.compare_exchange(expect, ptr, Ordering::AcqRel, Ordering::Acquire) {
+            Ok(_) => {
+                self.nodes.fetch_add(1, Ordering::Relaxed);
+                Ok(ptr)
+            }
+            Err(cur) => {
+                // Lost the race; free ours.
+                // SAFETY: the pointer came from Box::into_raw just above
+                // and was never published.
+                unsafe { drop(Box::from_raw((ptr & !CHILD_TAG) as *mut PtNode)) };
+                Err(cur)
+            }
+        }
+    }
+
     /// Allocates (or finds) the child published in `slot`, returning it.
     fn child_or_create<'a>(&'a self, slot: &'a Atomic64, create: bool) -> Option<&'a PtNode> {
         let mut v = slot.load(Ordering::Acquire);
@@ -189,164 +247,79 @@ impl PageTable {
             if !create {
                 return None;
             }
-            let fresh = PtNode::new();
-            let ptr = Box::into_raw(fresh) as u64 | CHILD_TAG;
-            match slot.compare_exchange(0, ptr, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => {
-                    self.nodes.fetch_add(1, Ordering::Relaxed);
-                    v = ptr;
-                }
-                Err(cur) => {
-                    // Lost the install race; free ours, use theirs.
-                    // SAFETY: the pointer came from Box::into_raw just
-                    // above and was never published.
-                    unsafe { drop(Box::from_raw((ptr & !CHILD_TAG) as *mut PtNode)) };
-                    v = cur;
-                }
-            }
+            // Losing the install race means using the winner's node.
+            v = self
+                .publish(slot, 0, PtNode::new())
+                .unwrap_or_else(|theirs| theirs);
         }
-        debug_assert_ne!(v & CHILD_TAG, 0);
-        debug_assert!(!is_block_word(v));
-        // SAFETY: non-zero non-block interior slots always hold a child
-        // pointer published by the CAS above; children are only freed in
-        // `Drop` (which requires `&mut self`) or under the VA-range lock
-        // contract of `set_block`.
-        Some(unsafe { &*((v & !CHILD_TAG) as *const PtNode) })
+        // SAFETY: a non-zero word in a slot the walk did not stop at.
+        Some(unsafe { PtNode::child(v) })
     }
 
-    /// Walks the interior levels above the giant level, returning the
-    /// node whose slots cover [`GIANT_PAGES`] pages each (the level giant
-    /// PTEs live at), optionally allocating missing interior nodes.
-    fn giant_level_node(&self, vpn: Vpn, create: bool) -> Option<&PtNode> {
+    /// Walks to the node whose slots sit at `level`, optionally
+    /// allocating missing interior nodes. Slot words are peeked for a
+    /// superpage PTE only at the levels that can hold one: a superpage
+    /// covering `vpn` above `level` is shattered one rung at a time when
+    /// `create` is set (the caller is about to install something
+    /// smaller), otherwise the walk reports `None` — use
+    /// [`PageTable::get`] for span-aware reads.
+    fn walk(&self, vpn: Vpn, level: usize, create: bool) -> Option<&PtNode> {
         let mut node: &PtNode = &self.root;
-        for level in 0..LEVELS - 3 {
-            let slot = &node.slots[Self::index(vpn, level)];
+        for l in 0..level {
+            let slot = &node.slots[Self::index(vpn, l)];
+            if l >= FIRST_SPAN_LEVEL {
+                loop {
+                    let v = slot.load(Ordering::Acquire);
+                    if !is_block_word(v) {
+                        break;
+                    }
+                    if !create {
+                        return None;
+                    }
+                    self.shatter_word(slot, v, l);
+                }
+            }
             node = self.child_or_create(slot, create)?;
         }
         Some(node)
     }
 
-    /// The slot at the giant level covering `vpn` (holds a child pointer,
-    /// a giant PTE, or zero).
-    fn giant_slot(&self, vpn: Vpn, create: bool) -> Option<&Atomic64> {
-        self.giant_level_node(vpn, create)
-            .map(|n| &n.slots[Self::index(vpn, LEVELS - 3)])
-    }
-
-    /// Walks the interior levels above the block level, returning the
-    /// node whose slots cover [`BLOCK_PAGES`] pages each (the level block
-    /// PTEs live at), optionally allocating missing interior nodes. A
-    /// giant PTE covering `vpn` is shattered into 512 block PTEs when
-    /// `create` is set, otherwise the walk reports `None`.
-    fn block_level_node(&self, vpn: Vpn, create: bool) -> Option<&PtNode> {
-        let slot = self.giant_slot(vpn, create)?;
-        loop {
-            let v = slot.load(Ordering::Acquire);
-            if is_block_word(v) {
-                if !create {
-                    return None;
-                }
-                self.shatter_giant_word(slot, v);
-                continue;
-            }
-            return self.child_or_create(slot, create);
-        }
-    }
-
-    /// The slot at the block level covering `vpn` (holds a child pointer,
-    /// a block PTE, or zero).
-    fn block_slot(&self, vpn: Vpn, create: bool) -> Option<&Atomic64> {
-        self.block_level_node(vpn, create)
-            .map(|n| &n.slots[Self::index(vpn, LEVELS - 2)])
-    }
-
-    /// Walks to the leaf node containing `vpn`, optionally allocating
-    /// missing interior nodes. A block PTE covering `vpn` is shattered
-    /// in place when `create` is set (the caller is about to install a
-    /// 4 KiB entry), otherwise the walk reports `None` — use
-    /// [`PageTable::get`] for block-aware reads.
-    fn walk(&self, vpn: Vpn, create: bool) -> Option<&PtNode> {
-        let slot = self.block_slot(vpn, create)?;
-        loop {
-            let v = slot.load(Ordering::Acquire);
-            if is_block_word(v) {
-                if !create {
-                    return None;
-                }
-                self.shatter_word(slot, v);
-                continue;
-            }
-            return self.child_or_create(slot, create);
-        }
-    }
-
-    /// Replaces the block PTE word `v` in `slot` with a leaf node holding
-    /// the 512 equivalent 4 KiB PTEs. Returns true if this call did the
-    /// shatter (false: someone else changed the slot first).
-    fn shatter_word(&self, slot: &Atomic64, v: u64) -> bool {
-        debug_assert!(is_block_word(v) && !Pte(v).giant());
+    /// Replaces the superpage PTE word `v` in `slot` (at `level`) with a
+    /// node holding the 512 equivalent entries one rung down: smaller
+    /// superpage PTEs, or 4 KiB PTEs below the last interior level.
+    /// Returns true if this call did the shatter (false: someone else
+    /// changed the slot first).
+    fn shatter_word(&self, slot: &Atomic64, v: u64, level: usize) -> bool {
+        debug_assert!(is_block_word(v) && Pte(v).span() == level_span(level));
         let pte = Pte(v);
-        let leaf = PtNode::new();
-        for (i, s) in leaf.slots.iter().enumerate() {
+        let member_span = level_span(level + 1);
+        let node = PtNode::new();
+        for (i, s) in node.slots.iter().enumerate() {
+            let pfn = pte.pfn() + (i as u64 * member_span) as Pfn;
             s.store(
-                Pte::new(pte.pfn() + i as Pfn, pte.writable()).0,
+                Pte::new_span(pfn, pte.writable(), member_span).0,
                 Ordering::Relaxed,
             );
         }
-        let ptr = Box::into_raw(leaf) as u64 | CHILD_TAG;
-        match slot.compare_exchange(v, ptr, Ordering::AcqRel, Ordering::Acquire) {
-            Ok(_) => {
-                self.nodes.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Err(_) => {
-                // SAFETY: never published.
-                unsafe { drop(Box::from_raw((ptr & !CHILD_TAG) as *mut PtNode)) };
-                false
-            }
-        }
+        self.publish(slot, v, node).is_ok()
     }
 
-    /// Replaces the giant PTE word `v` in `slot` with an interior node
-    /// holding the 512 equivalent block PTEs (the first rung of the
-    /// demotion cascade: 1 GiB → 2 MiB). Returns true if this call did
-    /// the shatter.
-    fn shatter_giant_word(&self, slot: &Atomic64, v: u64) -> bool {
-        debug_assert!(is_block_word(v) && Pte(v).giant());
-        let pte = Pte(v);
-        let mid = PtNode::new();
-        for (i, s) in mid.slots.iter().enumerate() {
-            s.store(
-                Pte::new_block(pte.pfn() + (i as u64 * BLOCK_PAGES) as Pfn, pte.writable()).0,
-                Ordering::Relaxed,
-            );
-        }
-        let ptr = Box::into_raw(mid) as u64 | CHILD_TAG;
-        match slot.compare_exchange(v, ptr, Ordering::AcqRel, Ordering::Acquire) {
-            Ok(_) => {
-                self.nodes.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Err(_) => {
-                // SAFETY: never published.
-                unsafe { drop(Box::from_raw((ptr & !CHILD_TAG) as *mut PtNode)) };
-                false
-            }
-        }
-    }
-
-    /// Installs `pte` for `vpn`, returning the previous entry. A block
-    /// PTE covering `vpn` is shattered first.
+    /// Installs `pte` for `vpn`, returning the previous entry. A
+    /// superpage PTE covering `vpn` is shattered first.
     pub fn set(&self, vpn: Vpn, pte: Pte) -> Pte {
-        debug_assert!(!pte.block(), "use set_block for block PTEs");
-        let leaf = self.walk(vpn, true).expect("walk(create) cannot fail");
+        debug_assert!(!pte.block(), "use set_span for superpage PTEs");
+        let leaf = self
+            .walk(vpn, LEVELS - 1, true)
+            .expect("walk(create) cannot fail");
         let idx = Self::index(vpn, LEVELS - 1);
         Pte(leaf.slots[idx].swap(pte.0, Ordering::AcqRel))
     }
 
     /// Installs `pte` only if the slot currently holds `expect`.
     pub fn set_if(&self, vpn: Vpn, expect: Pte, pte: Pte) -> Result<(), Pte> {
-        let leaf = self.walk(vpn, true).expect("walk(create) cannot fail");
+        let leaf = self
+            .walk(vpn, LEVELS - 1, true)
+            .expect("walk(create) cannot fail");
         let idx = Self::index(vpn, LEVELS - 1);
         leaf.slots[idx]
             .compare_exchange(expect.0, pte.0, Ordering::AcqRel, Ordering::Acquire)
@@ -354,48 +327,38 @@ impl PageTable {
             .map_err(Pte)
     }
 
-    /// Installs a block PTE covering the [`BLOCK_PAGES`]-aligned block
-    /// containing `vpn`. Any existing leaf node for the block (its 4 KiB
-    /// entries were cleared by the caller's unmap) is freed.
+    /// Installs the superpage PTE `pte` over the aligned [`Pte::span`]
+    /// pages containing `vpn`, at the level that span selects. Any
+    /// existing subtree for the region (its entries were cleared by the
+    /// caller's unmap) is freed.
     ///
-    /// Contract: the caller holds the VA-range lock for the whole block,
+    /// Contract: the caller holds the VA-range lock for the whole span,
     /// excluding concurrent walks of this range in shared-table
     /// configurations (the radix slot lock provides exactly this).
-    pub fn set_block(&self, vpn: Vpn, pte: Pte) {
-        debug_assert!(pte.block() && !pte.giant());
-        let slot = self
-            .block_slot(vpn, true)
-            .expect("block_slot(create) cannot fail");
-        let old = slot.swap(pte.0, Ordering::AcqRel);
+    pub fn set_span(&self, vpn: Vpn, pte: Pte) {
+        debug_assert!(pte.block(), "use set for 4 KiB PTEs");
+        let level = span_level(pte.span());
+        let node = self
+            .walk(vpn, level, true)
+            .expect("walk(create) cannot fail");
+        let old = node.slots[Self::index(vpn, level)].swap(pte.0, Ordering::AcqRel);
         if old != 0 && !is_block_word(old) {
-            // Displaced a (cleared) leaf node: reclaim it.
-            // SAFETY: the word held an exclusively owned leaf pointer;
+            // Displaced a (cleared) subtree: reclaim it.
+            // SAFETY: the word held an exclusively owned child pointer;
             // the caller's range lock excludes concurrent walkers.
-            unsafe { self.free_subtree((old & !CHILD_TAG) as *mut PtNode, LEVELS - 1) };
+            unsafe { self.free_subtree((old & !CHILD_TAG) as *mut PtNode, level + 1) };
         }
     }
 
-    /// Installs a giant PTE covering the [`GIANT_PAGES`]-aligned block
-    /// containing `vpn`. Any existing subtree for the region (its
-    /// entries were cleared by the caller's unmap) is freed. Same
-    /// VA-range lock contract as [`PageTable::set_block`], over the
-    /// whole giant span.
-    pub fn set_giant(&self, vpn: Vpn, pte: Pte) {
-        debug_assert!(pte.giant());
-        let slot = self
-            .giant_slot(vpn, true)
-            .expect("giant_slot(create) cannot fail");
-        let old = slot.swap(pte.0, Ordering::AcqRel);
-        if old != 0 && !is_block_word(old) {
-            // Displaced a (cleared) mid-level subtree: reclaim it.
-            // SAFETY: exclusively owned under the caller's range lock.
-            unsafe { self.free_subtree((old & !CHILD_TAG) as *mut PtNode, LEVELS - 2) };
-        }
+    /// [`PageTable::set_span`] for a [`BLOCK_PAGES`] PTE.
+    pub fn set_block(&self, vpn: Vpn, pte: Pte) {
+        debug_assert_eq!(pte.span(), BLOCK_PAGES);
+        self.set_span(vpn, pte);
     }
 
     /// Frees `node` and every descendant; `slots_level` is the level its
     /// slots index ([`LEVELS`]` - 1` slots hold PTE values, so a node
-    /// there has no children). Block/giant PTE words are values, never
+    /// there has no children). Superpage PTE words are values, never
     /// followed.
     ///
     /// # Safety
@@ -414,155 +377,116 @@ impl PageTable {
         self.nodes.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Demotes a block PTE covering `vpn` into a leaf node of 512
-    /// ordinary PTEs, in place. No-op if no block entry covers `vpn`.
-    /// Returns true when a block was shattered.
+    /// Demotes the `pages`-page superpage PTE covering `vpn` one rung, in
+    /// place, into a node of 512 entries of the next span down (4 KiB
+    /// PTEs below [`BLOCK_PAGES`]). No-op if no superpage entry sits at
+    /// that level for `vpn`. Returns true when one was shattered.
+    pub fn shatter_span(&self, vpn: Vpn, pages: u64) -> bool {
+        let level = span_level(pages);
+        let Some(node) = self.walk(vpn, level, false) else {
+            return false;
+        };
+        let slot = &node.slots[Self::index(vpn, level)];
+        let v = slot.load(Ordering::Acquire);
+        is_block_word(v) && self.shatter_word(slot, v, level)
+    }
+
+    /// [`PageTable::shatter_span`] for a [`BLOCK_PAGES`] PTE.
     pub fn shatter_block(&self, vpn: Vpn) -> bool {
-        let Some(slot) = self.block_slot(vpn, false) else {
-            return false;
-        };
-        let v = slot.load(Ordering::Acquire);
-        is_block_word(v) && self.shatter_word(slot, v)
+        self.shatter_span(vpn, BLOCK_PAGES)
     }
 
-    /// Demotes a giant PTE covering `vpn` into an interior node of 512
-    /// block PTEs, in place. No-op if no giant entry covers `vpn`.
-    /// Returns true when a giant was shattered.
-    pub fn shatter_giant(&self, vpn: Vpn) -> bool {
-        let Some(slot) = self.giant_slot(vpn, false) else {
-            return false;
-        };
-        let v = slot.load(Ordering::Acquire);
-        is_block_word(v) && self.shatter_giant_word(slot, v)
-    }
-
-    /// Reads the entry for `vpn` (non-allocating). Under a block PTE the
-    /// member frame's translation is synthesized, with [`Pte::BLOCK`]
+    /// Reads the entry for `vpn` (non-allocating). Under a superpage PTE
+    /// the member frame's translation is synthesized, with the span bits
     /// kept set so callers can recognize the granularity.
     pub fn get(&self, vpn: Vpn) -> Pte {
-        let Some(gslot) = self.giant_slot(vpn, false) else {
-            return Pte::EMPTY;
-        };
-        let gv = gslot.load(Ordering::Acquire);
-        if is_block_word(gv) {
-            let pte = Pte(gv);
-            let off = (vpn & (GIANT_PAGES - 1)) as Pfn;
-            return Pte(((pte.pfn() + off) as u64) << 32 | (gv & 0xFFFF_FFFF));
+        let mut node: &PtNode = &self.root;
+        for level in 0..LEVELS - 1 {
+            let v = node.slots[Self::index(vpn, level)].load(Ordering::Acquire);
+            if v == 0 {
+                return Pte::EMPTY;
+            }
+            if level >= FIRST_SPAN_LEVEL && is_block_word(v) {
+                let off = (vpn & (level_span(level) - 1)) as Pfn;
+                return Pte(((Pte(v).pfn() + off) as u64) << 32 | (v & 0xFFFF_FFFF));
+            }
+            // SAFETY: a non-zero, non-superpage interior word.
+            node = unsafe { PtNode::child(v) };
         }
-        if gv == 0 {
-            return Pte::EMPTY;
-        }
-        // SAFETY: non-block non-zero words are published child pointers.
-        let mid = unsafe { &*((gv & !CHILD_TAG) as *const PtNode) };
-        let slot = &mid.slots[Self::index(vpn, LEVELS - 2)];
-        let v = slot.load(Ordering::Acquire);
-        if is_block_word(v) {
-            let pte = Pte(v);
-            let off = (vpn & (BLOCK_PAGES - 1)) as Pfn;
-            return Pte(((pte.pfn() + off) as u64) << 32 | (pte.0 & 0xFFFF_FFFF));
-        }
-        if v == 0 {
-            return Pte::EMPTY;
-        }
-        // SAFETY: as above.
-        let leaf = unsafe { &*((v & !CHILD_TAG) as *const PtNode) };
-        Pte(leaf.slots[Self::index(vpn, LEVELS - 1)].load(Ordering::Acquire))
+        Pte(node.slots[Self::index(vpn, LEVELS - 1)].load(Ordering::Acquire))
     }
 
-    /// Clears the entry for `vpn`, returning the previous entry. A block
-    /// PTE covering `vpn` is shattered first so only the one page's
-    /// translation is removed.
+    /// Clears the entry for `vpn`, returning the previous entry. A
+    /// superpage PTE covering `vpn` is shattered first (a rung per
+    /// retry) so only the one page's translation is removed.
     pub fn clear(&self, vpn: Vpn) -> Pte {
-        match self.walk(vpn, false) {
-            None => {
-                // Either absent or covered by a block/giant PTE: shatter
-                // and retry so the single page can be cleared (a giant
-                // shatters to blocks first, then the block to a leaf).
-                if self.shatter_block(vpn) || self.shatter_giant(vpn) {
-                    self.clear(vpn)
-                } else {
-                    Pte::EMPTY
-                }
+        loop {
+            if let Some(leaf) = self.walk(vpn, LEVELS - 1, false) {
+                return Pte(leaf.slots[Self::index(vpn, LEVELS - 1)].swap(0, Ordering::AcqRel));
             }
-            Some(leaf) => Pte(leaf.slots[Self::index(vpn, LEVELS - 1)].swap(0, Ordering::AcqRel)),
+            // Either absent or covered by a superpage PTE.
+            if !SPAN_PAGES
+                .iter()
+                .any(|&pages| self.shatter_span(vpn, pages))
+            {
+                return Pte::EMPTY;
+            }
         }
     }
 
     /// Clears `[start, start + n)`, invoking `f(vpn, pages, pte)` for
     /// each present entry with the number of pages it spanned — 1 for
-    /// leaf PTEs, [`BLOCK_PAGES`] for block PTEs, so frame-release paths
-    /// can account whole blocks exactly once.
+    /// leaf PTEs, the [`SPAN_PAGES`] span for superpage PTEs, so
+    /// frame-release paths can account whole blocks exactly once.
     ///
-    /// A block (or giant) PTE overlapping the range is cleared *whole*
-    /// and reported with its full span and base VPN (even when the range
+    /// A superpage PTE overlapping the range is cleared *whole* and
+    /// reported with its full span and base VPN (even when the range
     /// covers only part of it); callers that need surviving smaller
-    /// translations must demote first via [`PageTable::shatter_block`] /
-    /// [`PageTable::shatter_giant`].
+    /// translations must demote first via [`PageTable::shatter_span`].
     pub fn clear_range(&self, start: Vpn, n: u64, mut f: impl FnMut(Vpn, u64, Pte)) {
-        let end = start + n;
-        let mut vpn = start;
-        while vpn < end {
-            let giant_base = vpn & !(GIANT_PAGES - 1);
-            let giant_end = giant_base + GIANT_PAGES;
-            let Some(gslot) = self.giant_slot(vpn, false) else {
-                vpn = giant_end.min(end);
-                continue;
-            };
-            let gv = gslot.load(Ordering::Acquire);
-            if is_block_word(gv) {
-                if gslot
-                    .compare_exchange(gv, 0, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    f(giant_base, GIANT_PAGES, Pte(gv));
+        self.clear_level(&self.root, 0, start, start + n, &mut f);
+    }
+
+    /// [`PageTable::clear_range`] over the part of `[lo, hi)` under
+    /// `node`, whose slots sit at `level`.
+    fn clear_level<F: FnMut(Vpn, u64, Pte)>(
+        &self,
+        node: &PtNode,
+        level: usize,
+        lo: Vpn,
+        hi: Vpn,
+        f: &mut F,
+    ) {
+        let span = level_span(level);
+        let mut vpn = lo;
+        while vpn < hi {
+            let base = vpn & !(span - 1);
+            let stop = (base + span).min(hi);
+            let slot = &node.slots[Self::index(vpn, level)];
+            if level == LEVELS - 1 {
+                let old = Pte(slot.swap(0, Ordering::AcqRel));
+                if old.present() {
+                    f(vpn, 1, old);
                 }
-                // Changed under us (or cleared): either way re-examine.
-                if gslot.load(Ordering::Acquire) == 0 {
-                    vpn = giant_end.min(end);
-                }
-                continue;
-            }
-            if gv == 0 {
-                vpn = giant_end.min(end);
-                continue;
-            }
-            // SAFETY: published child pointer (see `child_or_create`).
-            let mid = unsafe { &*((gv & !CHILD_TAG) as *const PtNode) };
-            let gstop = giant_end.min(end);
-            while vpn < gstop {
-                let block_base = vpn & !(BLOCK_PAGES - 1);
-                let block_end = block_base + BLOCK_PAGES;
-                let slot = &mid.slots[Self::index(vpn, LEVELS - 2)];
+            } else {
                 let v = slot.load(Ordering::Acquire);
-                if is_block_word(v) {
+                if level >= FIRST_SPAN_LEVEL && is_block_word(v) {
                     if slot
                         .compare_exchange(v, 0, Ordering::AcqRel, Ordering::Acquire)
                         .is_ok()
                     {
-                        f(block_base, BLOCK_PAGES, Pte(v));
+                        f(base, span, Pte(v));
                     }
-                    // Changed under us (or cleared): re-examine.
-                    if slot.load(Ordering::Acquire) == 0 {
-                        vpn = block_end.min(gstop);
+                    // Changed under us: re-examine the same slot.
+                    if slot.load(Ordering::Acquire) != 0 {
+                        continue;
                     }
-                    continue;
-                }
-                if v == 0 {
-                    vpn = block_end.min(gstop);
-                    continue;
-                }
-                // SAFETY: published child pointer.
-                let leaf = unsafe { &*((v & !CHILD_TAG) as *const PtNode) };
-                let stop = block_end.min(gstop);
-                while vpn < stop {
-                    let old =
-                        Pte(leaf.slots[Self::index(vpn, LEVELS - 1)].swap(0, Ordering::AcqRel));
-                    if old.present() {
-                        f(vpn, 1, old);
-                    }
-                    vpn += 1;
+                } else if v != 0 {
+                    // SAFETY: a non-zero, non-superpage interior word.
+                    self.clear_level(unsafe { PtNode::child(v) }, level + 1, vpn, stop, f);
                 }
             }
+            vpn = stop;
         }
     }
 
@@ -586,22 +510,14 @@ impl Default for PageTable {
 
 impl Drop for PageTable {
     fn drop(&mut self) {
-        fn free_node(node: &PtNode, level: usize) {
-            if level >= LEVELS - 1 {
-                return;
-            }
-            for slot in node.slots.iter() {
-                let v = slot.load(Ordering::Acquire);
-                // Block PTEs are values, not child pointers: skip them.
-                if v != 0 && !is_block_word(v) {
-                    // SAFETY: interior slots hold exclusively owned child
-                    // boxes; `&mut self` guarantees no concurrent walkers.
-                    let child = unsafe { Box::from_raw((v & !CHILD_TAG) as *mut PtNode) };
-                    free_node(&child, level + 1);
-                }
+        for slot in self.root.slots.iter() {
+            let v = slot.load(Ordering::Acquire);
+            if v != 0 {
+                // SAFETY: interior slots hold exclusively owned child
+                // boxes; `&mut self` guarantees no concurrent walkers.
+                unsafe { self.free_subtree((v & !CHILD_TAG) as *mut PtNode, 1) };
             }
         }
-        free_node(&self.root, 0);
     }
 }
 
@@ -613,6 +529,8 @@ unsafe impl Sync for PageTable {}
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     #[test]
@@ -624,6 +542,15 @@ mod tests {
         let r = Pte::new(7, false);
         assert!(!r.writable());
         assert!(!Pte::EMPTY.present());
+        // The span is part of the encoding, at every granularity.
+        assert_eq!((p.span(), p.block()), (1, false));
+        assert_eq!(Pte::new_span(42, true, 1), p);
+        for span in SPAN_PAGES {
+            let s = Pte::new_span(9, false, span);
+            assert!(s.present() && s.block() && !s.writable());
+            assert_eq!((s.pfn(), s.span()), (9, span));
+        }
+        assert_eq!(Pte::new_block(3, true), Pte::new_span(3, true, BLOCK_PAGES));
     }
 
     #[test]
@@ -665,164 +592,290 @@ mod tests {
         assert!(!pt.get(15).present());
     }
 
+    /// The span one rung below `span` (1 below [`BLOCK_PAGES`]).
+    fn rung_below(span: u64) -> u64 {
+        span / NODE_SLOTS as u64
+    }
+
     #[test]
-    fn block_pte_roundtrip() {
-        let pt = PageTable::new();
-        let base: Vpn = 512 * 3;
-        pt.set_block(base + 7, Pte::new_block(1000, true));
-        // Every member page translates to base + offset.
-        for off in [0u64, 1, 100, 511] {
-            let p = pt.get(base + off);
-            assert!(p.present() && p.block(), "offset {off}");
-            assert_eq!(p.pfn(), 1000 + off as Pfn);
-            assert!(p.writable());
+    fn span_pte_roundtrip() {
+        for span in SPAN_PAGES {
+            let pt = PageTable::new();
+            let base: Vpn = span * 3;
+            pt.set_span(base + 7, Pte::new_span(1000, true, span));
+            // Every member page translates to base + offset.
+            for off in [0u64, 1, 100, 511, span / 2 + 3, span - 1] {
+                let p = pt.get(base + off);
+                assert!(p.present() && p.block(), "span {span} offset {off}");
+                assert_eq!(p.pfn(), 1000 + off as Pfn);
+                assert_eq!(p.span(), span);
+                assert!(p.writable());
+            }
+            assert!(!pt.get(base - 1).present());
+            assert!(!pt.get(base + span).present());
+            let mut seen = Vec::new();
+            pt.clear_range(base, span, |vpn, pages, pte| seen.push((vpn, pages, pte)));
+            assert_eq!(seen, vec![(base, span, Pte::new_span(1000, true, span))]);
+            assert!(!pt.get(base).present());
         }
-        assert!(!pt.get(base - 1).present());
-        assert!(!pt.get(base + 512).present());
-        let mut seen = Vec::new();
-        pt.clear_range(base, BLOCK_PAGES, |vpn, pages, pte| {
-            seen.push((vpn, pages, pte));
-        });
-        let (vpn, pages, old) = seen[0];
-        assert_eq!(seen.len(), 1);
-        assert_eq!((vpn, pages), (base, BLOCK_PAGES));
-        assert!(old.block());
-        assert_eq!(old.pfn(), 1000);
-        assert_eq!(old.span(), BLOCK_PAGES);
-        assert!(!pt.get(base).present());
     }
 
     #[test]
-    fn block_install_allocates_no_leaf() {
-        let pt = PageTable::new();
-        pt.set_block(0, Pte::new_block(0, false));
-        let with_block = pt.node_count();
-        // A 4 KiB install of the same range would need one more node
-        // (the leaf); the block entry terminates the walk early.
-        let pt2 = PageTable::new();
-        pt2.set(0, Pte::new(0, false));
-        assert!(pt2.node_count() > with_block, "block entry must be cheaper");
-    }
-
-    #[test]
-    fn shatter_preserves_translations() {
-        let pt = PageTable::new();
-        let base: Vpn = 512 * 5;
-        pt.set_block(base, Pte::new_block(2000, true));
-        assert!(pt.shatter_block(base + 3));
-        assert!(!pt.shatter_block(base), "second shatter is a no-op");
-        for off in [0u64, 9, 511] {
-            let p = pt.get(base + off);
-            assert!(p.present() && !p.block(), "offset {off} lost");
-            assert_eq!(p.pfn(), 2000 + off as Pfn);
-            assert!(p.writable());
+    fn span_install_allocates_no_lower_nodes() {
+        // A 4 KiB install needs the full path down to a leaf; a span
+        // entry terminates the walk early, one node per rung sooner.
+        let pt4k = PageTable::new();
+        pt4k.set(0, Pte::new(0, false));
+        for (rung, span) in SPAN_PAGES.into_iter().enumerate() {
+            let pt = PageTable::new();
+            pt.set_span(0, Pte::new_span(0, false, span));
+            assert_eq!(pt.node_count(), pt4k.node_count() - 1 - rung as u64);
         }
-        // Clearing a single page after shatter leaves the others.
-        let old = pt.clear(base + 9);
-        assert_eq!(old.pfn(), 2009);
-        assert!(pt.get(base + 10).present());
-        assert!(!pt.get(base + 9).present());
     }
 
     #[test]
-    fn set_over_block_shatters_implicitly() {
-        let pt = PageTable::new();
-        let base: Vpn = 1024;
-        pt.set_block(base, Pte::new_block(3000, false));
-        // A 4 KiB install inside the block demotes it rather than
-        // corrupting the interior slot.
-        let old = pt.set(base + 2, Pte::new(77, true));
-        assert_eq!(old.pfn(), 3002, "displaced the synthesized member PTE");
-        assert_eq!(pt.get(base + 2).pfn(), 77);
-        assert_eq!(pt.get(base + 1).pfn(), 3001);
-    }
-
-    #[test]
-    fn clear_range_reports_block_span_once() {
-        let pt = PageTable::new();
-        let base: Vpn = 512 * 8;
-        pt.set_block(base, Pte::new_block(4000, true));
-        pt.set(base - 1, Pte::new(9, false));
-        let mut seen = Vec::new();
-        // Range partially overlaps the block: the whole block entry is
-        // cleared and reported exactly once with its full span.
-        pt.clear_range(base - 1, 10, |vpn, pages, pte| {
-            seen.push((vpn, pages, pte.pfn()));
-        });
-        assert_eq!(seen.len(), 2);
-        assert_eq!(seen[0], (base - 1, 1, 9));
-        assert_eq!(seen[1], (base, BLOCK_PAGES, 4000));
-        assert!(!pt.get(base + 100).present());
-    }
-
-    #[test]
-    fn giant_pte_roundtrip_and_cascade() {
-        let pt = PageTable::new();
-        let base: Vpn = GIANT_PAGES * 2;
-        pt.set_giant(base, Pte::new_giant(100_000, true));
-        // Members translate across the whole gigabyte.
-        for off in [0u64, 1, 511, 512, 100_000, GIANT_PAGES - 1] {
-            let p = pt.get(base + off);
-            assert!(p.present() && p.block(), "offset {off}");
-            assert_eq!(p.pfn(), 100_000 + off as Pfn);
+    fn shatter_preserves_translations_one_rung_at_a_time() {
+        for span in SPAN_PAGES {
+            let pt = PageTable::new();
+            let base: Vpn = span * 5;
+            pt.set_span(base, Pte::new_span(2000, true, span));
+            let with_span = pt.node_count();
+            assert!(pt.shatter_span(base + 3, span));
+            assert!(!pt.shatter_span(base, span), "second shatter is a no-op");
+            assert_eq!(pt.node_count(), with_span + 1, "one node per rung");
+            for off in [0u64, 9, 511, span / 2 + 1, span - 1] {
+                let p = pt.get(base + off);
+                assert!(p.present(), "span {span} offset {off} lost");
+                assert_eq!(p.span(), rung_below(span));
+                assert_eq!(p.pfn(), 2000 + off as Pfn);
+                assert!(p.writable());
+            }
+            // Clearing a single page cascades the remaining rungs and
+            // leaves every other translation.
+            let old = pt.clear(base + 9);
+            assert_eq!(old.pfn(), 2009);
+            assert_eq!(old.span(), 1);
+            assert!(!pt.get(base + 9).present());
+            assert_eq!(pt.get(base + 10).pfn(), 2010);
+            assert_eq!(pt.get(base + span - 1).pfn(), 2000 + (span - 1) as Pfn);
+            // ... also straight from an intact span entry.
+            pt.set_span(base + span, Pte::new_span(7_000_000, false, span));
+            assert_eq!(pt.clear(base + span + 3).pfn(), 7_000_003);
+            assert!(!pt.get(base + span + 3).present());
+            assert_eq!(pt.get(base + span + 4).pfn(), 7_000_004);
         }
-        assert!(!pt.get(base - 1).present());
-        assert!(!pt.get(base + GIANT_PAGES).present());
-        // One entry, no mid/leaf nodes for the region.
-        let with_giant = pt.node_count();
-        // Cascade: shatter to blocks, then one block to a leaf.
-        assert!(pt.shatter_giant(base + 777));
-        assert!(!pt.shatter_giant(base), "second shatter is a no-op");
-        assert_eq!(pt.node_count(), with_giant + 1);
-        let p = pt.get(base + 777);
-        assert!(p.present() && p.block() && !p.giant());
-        assert_eq!(p.pfn(), 100_777);
-        // A 4 KiB install inside shatters the covering block implicitly.
-        let old = pt.set(base + 777, Pte::new(5, true));
-        assert_eq!(old.pfn(), 100_777);
-        assert_eq!(pt.get(base + 777).pfn(), 5);
-        assert_eq!(pt.get(base + 778).pfn(), 100_778);
-        // clear_range over a giant entry reports it whole, once.
-        let base2: Vpn = GIANT_PAGES * 5;
-        pt.set_giant(base2, Pte::new_giant(7_000_000, false));
-        let mut seen = Vec::new();
-        pt.clear_range(base2 + 10, 20, |vpn, pages, pte| {
-            seen.push((vpn, pages, pte.pfn()));
-        });
-        assert_eq!(seen, vec![(base2, GIANT_PAGES, 7_000_000)]);
-        assert!(!pt.get(base2).present());
-        // A single-page clear under a fresh giant cascades too.
-        pt.set_giant(base2, Pte::new_giant(7_000_000, false));
-        let old = pt.clear(base2 + 3);
-        assert_eq!(old.pfn(), 7_000_003);
-        assert!(pt.get(base2 + 4).present());
-        assert!(!pt.get(base2 + 3).present());
     }
 
     #[test]
-    fn set_giant_reclaims_displaced_subtree() {
-        let pt = PageTable::new();
-        let base: Vpn = GIANT_PAGES * 3;
-        // Build a two-level subtree inside the giant region, clear the
-        // entries (callers unmap first), then install the giant.
-        pt.set(base + 5, Pte::new(1, true));
-        pt.set(base + 512 * 7 + 3, Pte::new(2, true));
-        pt.set_block(base + 512 * 9, Pte::new_block(3, true));
-        pt.clear_range(base, GIANT_PAGES, |_, _, _| {});
-        let before = pt.node_count();
-        pt.set_giant(base, Pte::new_giant(50_000, true));
-        // The mid node and both leaves were reclaimed.
-        assert_eq!(pt.node_count(), before - 3);
-        assert_eq!(pt.get(base + 5).pfn(), 50_005);
+    fn set_over_span_shatters_implicitly() {
+        for span in SPAN_PAGES {
+            let pt = PageTable::new();
+            let base: Vpn = span * 2;
+            pt.set_span(base, Pte::new_span(3000, false, span));
+            // A 4 KiB install inside the span demotes it (every rung down
+            // to a leaf) rather than corrupting the interior slot.
+            let old = pt.set(base + 77, Pte::new(7, true));
+            assert_eq!(old.pfn(), 3077, "displaced the synthesized member PTE");
+            assert_eq!(pt.get(base + 77).pfn(), 7);
+            assert_eq!(pt.get(base + 78).pfn(), 3078);
+            assert_eq!(pt.get(base + 78).span(), 1);
+            // Only the path to the page was demoted.
+            assert_eq!(pt.get(base + span - 1).span(), rung_below(span));
+        }
     }
 
     #[test]
-    fn blocks_freed_on_drop() {
-        // Drop must not confuse block PTEs with child pointers.
+    fn clear_range_reports_span_once() {
+        for span in SPAN_PAGES {
+            let pt = PageTable::new();
+            let base: Vpn = span * 8;
+            pt.set_span(base, Pte::new_span(4000, true, span));
+            pt.set(base - 1, Pte::new(9, false));
+            let mut seen = Vec::new();
+            // Range partially overlaps the span: the whole entry is
+            // cleared and reported exactly once with its full span.
+            pt.clear_range(base - 1, 10, |vpn, pages, pte| {
+                seen.push((vpn, pages, pte.pfn()));
+            });
+            assert_eq!(seen, vec![(base - 1, 1, 9), (base, span, 4000)]);
+            assert!(!pt.get(base + 100).present());
+            // ... also when the range starts strictly inside it.
+            pt.set_span(base, Pte::new_span(4000, true, span));
+            seen.clear();
+            pt.clear_range(base + 10, 20, |vpn, pages, pte| {
+                seen.push((vpn, pages, pte.pfn()));
+            });
+            assert_eq!(seen, vec![(base, span, 4000)]);
+            assert!(!pt.get(base).present());
+        }
+    }
+
+    #[test]
+    fn set_span_reclaims_displaced_subtree() {
+        for span in SPAN_PAGES {
+            let pt = PageTable::new();
+            let base: Vpn = span * 3;
+            pt.set_span(base, Pte::new_span(1, true, span));
+            pt.clear_range(base, span, |_, _, _| {});
+            let path_only = pt.node_count();
+            // Build a subtree inside the region out of every smaller
+            // granularity, clear the entries (callers unmap first), then
+            // install the span entry over it.
+            pt.set(base + 5, Pte::new(1, true));
+            pt.set(base + span - 3, Pte::new(2, true));
+            for lower in SPAN_PAGES.into_iter().filter(|&l| l < span) {
+                pt.set_span(base + lower * 9, Pte::new_span(3, true, lower));
+            }
+            assert!(pt.node_count() > path_only);
+            pt.clear_range(base, span, |_, _, _| {});
+            pt.set_span(base, Pte::new_span(50_000, true, span));
+            assert_eq!(pt.node_count(), path_only, "every displaced node reclaimed");
+            assert_eq!(pt.get(base + 5).pfn(), 50_005);
+        }
+    }
+
+    #[test]
+    fn spans_freed_on_drop() {
+        // Drop must not confuse superpage PTEs with child pointers, at
+        // any level, intact or shattered.
         let pt = PageTable::new();
-        pt.set_block(0, Pte::new_block(1, true));
+        for (i, span) in SPAN_PAGES.into_iter().enumerate() {
+            pt.set_span(span * (2 * i as u64 + 2), Pte::new_span(1, true, span));
+            pt.set_span(span * (2 * i as u64 + 3), Pte::new_span(1, true, span));
+            pt.shatter_span(span * (2 * i as u64 + 3), span);
+        }
         pt.set(512, Pte::new(2, true));
         drop(pt);
+    }
+
+    /// SplitMix64: the seeded generator of the model test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// Random `set` / `set_span` (either rung) / `shatter_span` / `clear`
+    /// / `clear_range` against a flat per-page model.
+    #[test]
+    fn random_ops_match_flat_model() {
+        type Model = BTreeMap<Vpn, (Pfn, bool)>;
+        // Two giant regions, so ops cross every kind of slot boundary.
+        const LO: Vpn = GIANT_PAGES * 6;
+        const HI: Vpn = LO + 2 * GIANT_PAGES;
+
+        fn check(pt: &PageTable, model: &Model, vpn: Vpn) {
+            let p = pt.get(vpn);
+            match model.get(&vpn) {
+                Some(&(pfn, w)) => {
+                    assert!(p.present(), "vpn {vpn:#x} lost");
+                    assert_eq!((p.pfn(), p.writable()), (pfn, w), "vpn {vpn:#x}");
+                }
+                None => assert!(!p.present(), "vpn {vpn:#x} resurrected"),
+            }
+        }
+        fn displace(model: &mut Model, vpn: Vpn, new: Option<(Pfn, bool)>, old: Pte) {
+            let was = match new {
+                Some(e) => model.insert(vpn, e),
+                None => model.remove(&vpn),
+            };
+            assert_eq!(
+                was,
+                old.present().then(|| (old.pfn(), old.writable())),
+                "displaced entry at {vpn:#x}"
+            );
+        }
+        /// `clear_range` against the model: every reported entry was
+        /// mapped (whole, even beyond the range) and nothing in the
+        /// range survives.
+        fn clear_range(pt: &PageTable, model: &mut Model, start: Vpn, n: u64) {
+            pt.clear_range(start, n, |vpn, pages, pte| {
+                assert_eq!(pages, pte.span());
+                assert_eq!(vpn % pages, 0, "span base misreported");
+                for off in 0..pages {
+                    let was = model.remove(&(vpn + off));
+                    assert_eq!(was, Some((pte.pfn() + off as Pfn, pte.writable())));
+                }
+            });
+            assert!(model.range(start..start + n).next().is_none());
+        }
+
+        for seed in 0..3u64 {
+            let mut rng = Rng(seed);
+            let pt = PageTable::new();
+            let mut model = Model::new();
+            // Only the path nodes exist under two covering entries.
+            pt.set_span(LO, Pte::new_span(0, true, GIANT_PAGES));
+            pt.set_span(LO + GIANT_PAGES, Pte::new_span(0, true, GIANT_PAGES));
+            let baseline = pt.node_count();
+            pt.clear_range(LO, HI - LO, |_, _, _| {});
+            for _ in 0..300 {
+                // Cluster half the ops so they collide with earlier ones.
+                let vpn = match rng.below(2) {
+                    0 => LO + rng.below(HI - LO),
+                    _ => LO + GIANT_PAGES - 2048 + rng.below(4096),
+                };
+                let (pfn, w) = (rng.below(1 << 20) as Pfn, rng.below(2) == 0);
+                let span = match rng.below(12) {
+                    0 => GIANT_PAGES,
+                    _ => BLOCK_PAGES,
+                };
+                let base = vpn & !(span - 1);
+                match rng.below(8) {
+                    0 | 1 => {
+                        let old = pt.set(vpn, Pte::new(pfn, w));
+                        displace(&mut model, vpn, Some((pfn, w)), old);
+                    }
+                    2 => {
+                        pt.set_span(vpn, Pte::new_span(pfn, w, span));
+                        for off in 0..span {
+                            model.insert(base + off, (pfn + off as Pfn, w));
+                        }
+                        check(&pt, &model, base);
+                        check(&pt, &model, base + span - 1);
+                    }
+                    3 => {
+                        // Demotion never changes a translation.
+                        let did = pt.shatter_span(vpn, span);
+                        assert!(!did || model.contains_key(&vpn));
+                        check(&pt, &model, base);
+                        check(&pt, &model, base + span - 1);
+                    }
+                    4 | 5 => {
+                        let old = pt.clear(vpn);
+                        displace(&mut model, vpn, None, old);
+                    }
+                    _ => {
+                        let n = 1 + rng.below(3 * BLOCK_PAGES);
+                        clear_range(&pt, &mut model, vpn, n.min(HI - vpn));
+                    }
+                }
+                check(&pt, &model, vpn);
+                for _ in 0..16 {
+                    check(&pt, &model, LO + rng.below(HI - LO));
+                }
+            }
+            // Every page agrees, then a full clear plus covering spans
+            // returns the table to its baseline shape.
+            for vpn in LO - 1..=HI {
+                check(&pt, &model, vpn);
+            }
+            clear_range(&pt, &mut model, LO, HI - LO);
+            assert!(model.is_empty());
+            pt.set_span(LO, Pte::new_span(0, true, GIANT_PAGES));
+            pt.set_span(LO + GIANT_PAGES, Pte::new_span(0, true, GIANT_PAGES));
+            assert_eq!(pt.node_count(), baseline, "seed {seed}");
+        }
     }
 
     #[test]

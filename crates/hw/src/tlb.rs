@@ -8,28 +8,27 @@
 
 use rvm_mem::Pfn;
 
-use crate::pagetable::{BLOCK_PAGES, GIANT_PAGES};
+use crate::pagetable::SPAN_PAGES;
 use crate::{Asid, Vpn};
 
 /// One TLB entry.
 ///
 /// `span` is the number of pages the entry translates: 1 for ordinary
-/// fills, [`BLOCK_PAGES`] or [`GIANT_PAGES`] for superpage fills (whose
-/// `vpn` is the block base and `pfn` the base of the contiguous frame
-/// block). A lookup inside the span resolves to `pfn + (vpn -
-/// entry.vpn)`.
+/// fills, one of [`SPAN_PAGES`] for superpage fills (whose `vpn` is the
+/// span base and `pfn` the base of the contiguous frame block). A lookup
+/// inside the span resolves to `pfn + (vpn - entry.vpn)`.
 #[derive(Clone, Copy, Debug)]
 pub struct TlbEntry {
     /// Address-space identifier.
     pub asid: Asid,
-    /// Virtual page number (full tag; block base for span entries).
+    /// Virtual page number (full tag; span base for span entries).
     pub vpn: Vpn,
     /// Cached translation target (block base for span entries).
     pub pfn: Pfn,
     /// Frame generation at fill time (the base frame's, for spans; block
     /// frames only ever free as a unit, so the base is a faithful proxy).
     pub gen: u64,
-    /// Pages translated (1 or [`BLOCK_PAGES`]).
+    /// Pages translated (1 or one of [`SPAN_PAGES`]).
     pub span: u64,
     /// Write permission.
     pub writable: bool,
@@ -38,13 +37,8 @@ pub struct TlbEntry {
 }
 
 impl TlbEntry {
-    /// True when this entry translates `(asid, vpn)`.
-    #[inline]
-    fn covers(&self, asid: Asid, vpn: Vpn) -> bool {
-        self.valid && self.asid == asid && vpn >= self.vpn && vpn < self.vpn + self.span
-    }
-
-    /// True when this entry overlaps `[start, start + n)` of `asid`.
+    /// True when this entry overlaps `[start, start + n)` of `asid` (with
+    /// `n` = 1: translates page `start`).
     #[inline]
     fn overlaps(&self, asid: Asid, start: Vpn, n: u64) -> bool {
         self.valid && self.asid == asid && self.vpn < start + n && self.vpn + self.span > start
@@ -60,6 +54,12 @@ const INVALID: TlbEntry = TlbEntry {
     writable: false,
     valid: false,
 };
+
+/// Every page count one entry may translate, in probe order.
+#[inline]
+fn entry_spans() -> impl Iterator<Item = u64> {
+    std::iter::once(1).chain(SPAN_PAGES)
+}
 
 /// A direct-mapped software TLB.
 pub struct Tlb {
@@ -77,44 +77,32 @@ impl Tlb {
         }
     }
 
+    /// The slot an entry of `span` pages covering `vpn` lives in.
     #[inline]
-    fn slot(&self, vpn: Vpn) -> usize {
-        (vpn as usize) & self.mask
+    fn slot(&self, vpn: Vpn, span: u64) -> usize {
+        ((vpn & !(span - 1)) as usize) & self.mask
     }
 
     /// Looks up a translation. Probes the page's own slot first (4 KiB
-    /// entries), then the covering block base's slot, then the covering
-    /// giant base's slot (span entries) — the software analogue of
-    /// hardware's split 4K/2M/1G TLB probe.
+    /// entries), then the covering base's slot at each superpage span —
+    /// the software analogue of hardware's split 4K/2M/1G TLB probe.
     #[inline]
     pub fn lookup(&self, asid: Asid, vpn: Vpn) -> Option<TlbEntry> {
-        let e = self.entries[self.slot(vpn)];
-        if e.covers(asid, vpn) {
-            return Some(e);
-        }
-        let base = vpn & !(BLOCK_PAGES - 1);
-        if base != vpn {
-            let e = self.entries[self.slot(base)];
-            if e.covers(asid, vpn) {
-                return Some(e);
-            }
-        }
-        let gbase = vpn & !(GIANT_PAGES - 1);
-        if gbase != vpn && gbase != base {
-            let e = self.entries[self.slot(gbase)];
-            if e.covers(asid, vpn) {
+        for span in entry_spans() {
+            let e = self.entries[self.slot(vpn, span)];
+            if e.overlaps(asid, vpn, 1) {
                 return Some(e);
             }
         }
         None
     }
 
-    /// Fills (or replaces) the entry for `vpn` (span entries index by
-    /// their block base).
+    /// Fills (or replaces) the entry for `vpn` (span entries are based
+    /// at their span-aligned first page).
     #[inline]
     pub fn insert(&mut self, entry: TlbEntry) {
         debug_assert!(entry.span == 1 || entry.vpn.is_multiple_of(entry.span));
-        let idx = self.slot(entry.vpn);
+        let idx = self.slot(entry.vpn, entry.span);
         self.entries[idx] = TlbEntry {
             valid: true,
             ..entry
@@ -124,29 +112,7 @@ impl Tlb {
     /// Invalidates any entry translating `(asid, vpn)` — a 4 KiB entry
     /// or a span entry covering the page.
     pub fn invalidate_page(&mut self, asid: Asid, vpn: Vpn) {
-        let idx = self.slot(vpn);
-        let e = &mut self.entries[idx];
-        if e.covers(asid, vpn) {
-            e.valid = false;
-            return;
-        }
-        let base = vpn & !(BLOCK_PAGES - 1);
-        if base != vpn {
-            let idx = self.slot(base);
-            let e = &mut self.entries[idx];
-            if e.covers(asid, vpn) {
-                e.valid = false;
-                return;
-            }
-        }
-        let gbase = vpn & !(GIANT_PAGES - 1);
-        if gbase != vpn && gbase != base {
-            let idx = self.slot(gbase);
-            let e = &mut self.entries[idx];
-            if e.covers(asid, vpn) {
-                e.valid = false;
-            }
-        }
+        self.invalidate_range(asid, vpn, 1);
     }
 
     /// Invalidates every entry overlapping `[start, start + n)` of an
@@ -161,28 +127,17 @@ impl Tlb {
             }
             return;
         }
-        // Span entries overlapping the range sit at their block (or
-        // giant) bases, which may precede `start`: probe each candidate.
-        let mut base = start & !(BLOCK_PAGES - 1);
-        while base < start + n {
-            let e = &mut self.entries[self.slot(base)];
-            if e.span > 1 && e.overlaps(asid, start, n) {
-                e.valid = false;
-            }
-            base += BLOCK_PAGES;
-        }
-        let mut gbase = start & !(GIANT_PAGES - 1);
-        while gbase < start + n {
-            let e = &mut self.entries[self.slot(gbase)];
-            if e.span > 1 && e.overlaps(asid, start, n) {
-                e.valid = false;
-            }
-            gbase += GIANT_PAGES;
-        }
-        for vpn in start..start + n {
-            let e = &mut self.entries[self.slot(vpn)];
-            if e.span == 1 && e.covers(asid, vpn) {
-                e.valid = false;
+        // Entries overlapping the range sit at the slot of their own
+        // span's base, which may precede `start`: probe each candidate
+        // base at each granularity.
+        for span in entry_spans() {
+            let mut base = start & !(span - 1);
+            while base < start + n {
+                let e = &mut self.entries[self.slot(base, span)];
+                if e.overlaps(asid, start, n) {
+                    e.valid = false;
+                }
+                base += span;
             }
         }
     }
@@ -222,6 +177,8 @@ mod tests {
             valid: true,
         }
     }
+
+    use crate::pagetable::BLOCK_PAGES;
 
     fn span_entry(asid: Asid, base: Vpn, pfn: Pfn) -> TlbEntry {
         TlbEntry {

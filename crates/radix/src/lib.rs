@@ -266,37 +266,48 @@ mod tests {
 
     #[test]
     fn expanded_values_visible_before_guard_drop() {
-        let t = tree(1);
-        let start = 512 * 21;
-        {
-            let mut g = t.lock_range(0, start, start + 512, LockMode::ExpandAll);
-            g.replace(&4);
+        // At either fold granularity: a one-page lock expands the fold
+        // down to a leaf, one rung per level, and every clone it made on
+        // the way — 512 pages in the leaf, 511 still-folded siblings in
+        // each interior node above it — is editable under the guard.
+        for span in [512u64, 512 * 512] {
+            let t = tree(1);
+            let start = span * 21;
+            {
+                let mut g = t.lock_range(0, start, start + span, LockMode::ExpandAll);
+                g.replace(&4);
+            }
+            {
+                let mut g = t.lock_range(0, start + 5, start + 6, LockMode::ExpandFolded);
+                let mut seen = std::collections::BTreeMap::new();
+                let (mut lo, mut hi) = (u64::MAX, 0);
+                g.for_each_expanded_mut(|vpn, pages, v| {
+                    assert_eq!(*v, 4);
+                    assert_eq!(vpn % pages, 0);
+                    *v += 1;
+                    *seen.entry(pages).or_insert(0u64) += 1;
+                    lo = lo.min(vpn);
+                    hi = hi.max(vpn + pages);
+                });
+                assert_eq!(seen.remove(&1), Some(512), "every page clone is visited");
+                let mut rung = 512;
+                while rung < span {
+                    assert_eq!(seen.remove(&rung), Some(511), "folded siblings at {rung}");
+                    rung *= 512;
+                }
+                assert!(seen.is_empty());
+                assert_eq!((lo, hi), (start, start + span), "in and out of range");
+                g.clear();
+            }
+            assert_eq!(t.get(0, start + 4), Some(5));
+            assert_eq!(t.get(0, start + 5), None);
+            assert_eq!(t.get(0, start + span - 1), Some(5));
+            // A lock that expanded nothing visits nothing.
+            let mut g = t.lock_range(0, start + 7, start + 8, LockMode::ExpandFolded);
+            let mut seen = 0;
+            g.for_each_expanded_mut(|_, _, _| seen += 1);
+            assert_eq!(seen, 0);
         }
-        // Partial clear expands the fold; the whole expanded leaf (all
-        // 512 clones, in and out of range) is editable under the guard.
-        {
-            let mut g = t.lock_range(0, start + 5, start + 6, LockMode::ExpandFolded);
-            let mut seen = 0u64;
-            let mut lo = u64::MAX;
-            let mut hi = 0;
-            g.for_each_expanded_value_mut(|vpn, v| {
-                assert_eq!(*v, 4);
-                *v += 1;
-                seen += 1;
-                lo = lo.min(vpn);
-                hi = hi.max(vpn);
-            });
-            assert_eq!(seen, 512, "every clone of the template is visited");
-            assert_eq!((lo, hi), (start, start + 511));
-            g.clear();
-        }
-        assert_eq!(t.get(0, start + 4), Some(5));
-        assert_eq!(t.get(0, start + 5), None);
-        // A lock that expanded nothing visits nothing.
-        let mut g = t.lock_range(0, start + 7, start + 8, LockMode::ExpandFolded);
-        let mut seen = 0;
-        g.for_each_expanded_value_mut(|_, _| seen += 1);
-        assert_eq!(seen, 0);
     }
 
     #[test]

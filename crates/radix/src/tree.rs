@@ -136,12 +136,19 @@ pub enum LockMode {
     /// Expand folded slots only; lock partially covered empty interior
     /// slots as blocks (munmap, mprotect, the 4 KiB pagefault).
     ExpandFolded,
-    /// Like [`LockMode::ExpandFolded`], but a folded slot at the *last
-    /// interior level* (spanning one [`FANOUT`]-page block) is locked as
-    /// a block instead of expanded — the superpage fault path: the fold
-    /// stays intact so one block value can govern one block PTE.
+    /// Like [`LockMode::ExpandFolded`], but a folded slot at one of the
+    /// lowest interior levels (spanning [`FANOUT`] pages, or
+    /// [`FANOUT`]² one level up) is locked as a block instead of
+    /// expanded — the superpage fault path: the fold stays
+    /// intact so one block value can govern one superpage PTE.
     ExpandToBlock,
 }
+
+/// Interior levels, counted up from the leaves, whose folds
+/// [`LockMode::ExpandToBlock`] keeps whole: one per hardware superpage
+/// span (`rvm_hw::SPAN_PAGES`; the fault path demotes a fold whose span
+/// the page table cannot map, so a drift only costs superpages).
+const SUPERPAGE_RUNGS: usize = 2;
 
 /// A value (or block value) displaced by [`RangeGuard::clear`] /
 /// [`RangeGuard::replace`].
@@ -644,16 +651,15 @@ impl<V: RadixValue> RadixTree<V> {
                 };
                 let tag = slot_tag(v);
                 debug_assert_ne!(tag, TAG_CHILD);
-                // Under ExpandToBlock a folded slot spanning one block
-                // (level `LEVELS - 2`) *or one giant region* (level
-                // `LEVELS - 3`) is locked whole instead of expanded: the
-                // fold stays intact so one block value governs one
-                // block/giant PTE (the superpage fault path, both rungs).
+                // Under ExpandToBlock a folded slot at one of the
+                // superpage levels is locked whole instead of expanded:
+                // the fold stays intact so one value governs one
+                // superpage PTE (the superpage fault path, every rung).
                 let expand = match tag {
                     TAG_FOLDED => {
                         !full
                             && (mode != LockMode::ExpandToBlock
-                                || (level != LEVELS - 2 && level != LEVELS - 3))
+                                || level + SUPERPAGE_RUNGS < LEVELS - 1)
                     }
                     TAG_EMPTY => !full && mode == LockMode::ExpandAll,
                     _ => unreachable!("invalid slot tag"),
@@ -1346,67 +1352,54 @@ impl<V: RadixValue> RangeGuard<'_, V> {
         None
     }
 
-    /// Applies `f(vpn, value)` to every present value of every *leaf*
-    /// node this lock operation created by expansion (whole-node units).
+    /// Applies `f(start_vpn, pages, value)` to every value this lock
+    /// operation cloned by expansion: each present page (`pages` = 1) of
+    /// every leaf it created, and each *folded* slot (`pages` = the slot
+    /// span) of every interior node it created.
     ///
-    /// Expanded leaves hold clones of the displaced folded template in
-    /// **all** their slots — including slots outside the requested range
-    /// — and every slot lock is born held until the guard drops, so the
-    /// caller has exclusive access to fix up clone-sensitive state (the
-    /// superpage demotion protocol adopts block references here before
-    /// any other core can observe the per-page copies).
-    pub fn for_each_expanded_value_mut(&mut self, mut f: impl FnMut(Vpn, &mut V)) {
+    /// Expanding a folded slot clones its template into **all** 512 slots
+    /// of the new node — including slots outside the requested range —
+    /// one granularity down, and every slot lock is born held until the
+    /// guard drops, so the caller has exclusive access to fix up
+    /// clone-sensitive state (the superpage demotion protocol adopts
+    /// block references here before any other core can observe the
+    /// copies).
+    pub fn for_each_expanded_mut(&mut self, mut f: impl FnMut(Vpn, u64, &mut V)) {
         for unit in self.units.iter() {
-            if let Unit::WholeNode { node } = unit {
-                let n = nref(*node);
-                if !n.is_leaf() {
-                    continue;
-                }
-                for (idx, slot) in n.leaf().iter().enumerate() {
-                    let st = slot.status.load(Ordering::Acquire);
-                    debug_assert!(st & LOCK_BIT != 0, "expanded slot not locked");
-                    if st & LEAF_PRESENT != 0 {
-                        // SAFETY: the slot lock is born held by this
-                        // guard's whole-node unit.
-                        if let Some(v) = unsafe { (*slot.value.get()).as_mut() } {
-                            f(n.base_vpn + idx as u64, v);
+            let Unit::WholeNode { node } = unit else {
+                continue;
+            };
+            let n = nref(*node);
+            match &n.slots {
+                Slots::Leaf(slots) => {
+                    for (idx, slot) in slots.iter().enumerate() {
+                        let st = slot.status.load(Ordering::Acquire);
+                        debug_assert!(st & LOCK_BIT != 0, "expanded slot not locked");
+                        if st & LEAF_PRESENT != 0 {
+                            // SAFETY: the slot lock is born held by this
+                            // guard's whole-node unit.
+                            if let Some(v) = unsafe { (*slot.value.get()).as_mut() } {
+                                f(n.base_vpn + idx as u64, 1, v);
+                            }
                         }
                     }
                 }
-            }
-        }
-    }
-
-    /// Applies `f(start_vpn, pages, value)` to every *folded* slot of
-    /// every **interior** node this lock operation created by expansion.
-    ///
-    /// Expanding a folded giant slot clones the giant template into all
-    /// 512 child slots as block-spanning folds, born locked until the
-    /// guard drops — the giant→block demote cascade. As with
-    /// [`RangeGuard::for_each_expanded_value_mut`], the caller has
-    /// exclusive access to fix up clone-sensitive state (adopting block
-    /// references) before any other core can observe the copies.
-    pub fn for_each_expanded_fold_mut(&mut self, mut f: impl FnMut(Vpn, u64, &mut V)) {
-        for unit in self.units.iter() {
-            if let Unit::WholeNode { node } = unit {
-                let n = nref(*node);
-                if n.is_leaf() {
-                    continue;
-                }
-                let span = n.slot_span();
-                for (idx, slot) in n.interior().iter().enumerate() {
-                    let w = slot.load(Ordering::Acquire);
-                    // In-range slots this same descent expanded *further*
-                    // are TAG_CHILD and already published-and-unlocked
-                    // (expand_slot's release store); only the FOLDED
-                    // clones are still born locked.
-                    if slot_tag(w) == TAG_FOLDED {
-                        debug_assert!(w & LOCK_BIT != 0, "expanded fold not locked");
-                        // SAFETY: the slot lock is born held by this
-                        // guard's whole-node unit.
-                        f(n.base_vpn + idx as u64 * span, span, unsafe {
-                            &mut *(slot_ptr(w) as *mut V)
-                        });
+                Slots::Interior(slots) => {
+                    let span = n.slot_span();
+                    for (idx, slot) in slots.iter().enumerate() {
+                        let w = slot.load(Ordering::Acquire);
+                        // In-range slots this same descent expanded
+                        // *further* are TAG_CHILD and already published-
+                        // and-unlocked (expand_slot's release store); only
+                        // the FOLDED clones are still born locked.
+                        if slot_tag(w) == TAG_FOLDED {
+                            debug_assert!(w & LOCK_BIT != 0, "expanded fold not locked");
+                            // SAFETY: the slot lock is born held by this
+                            // guard's whole-node unit.
+                            f(n.base_vpn + idx as u64 * span, span, unsafe {
+                                &mut *(slot_ptr(w) as *mut V)
+                            });
+                        }
                     }
                 }
             }

@@ -12,7 +12,7 @@
 //!
 //! This crate provides drop-in synchronization primitives ([`Atomic64`],
 //! [`AtomicPtr64`], [`Mutex`], [`SpinLock`], [`RwLock`]) that behave like
-//! their `std`/`parking_lot` counterparts when used from ordinary threads
+//! their `std` counterparts when used from ordinary threads
 //! (the two exclusive locks are a one-RMW spin-then-yield lock, see
 //! [`lock`]), but
 //! additionally report every access to a thread-local *simulator context*

@@ -5,8 +5,8 @@
 //! on the single-page VM path takes some twenty of these locks and almost
 //! never contends on one (DESIGN.md §5), so the uncontended round-trip
 //! *is* the cost; a futex mutex pays two RMWs and a waiter check for it.
-//! [`RwLock`] wraps the `parking_lot` primitive (only baselines and
-//! cold registries use it). All three report acquisition and release to
+//! [`RwLock`] wraps `std::sync::RwLock`, ignoring poison (only baselines
+//! and cold registries use it). All three report acquisition and release to
 //! the simulator so lock hold times serialize virtual clocks. In sim
 //! mode (single OS thread) the real acquisition never blocks; in
 //! real-thread mode the hooks are no-ops.
@@ -318,27 +318,29 @@ impl<T: Default> Default for SpinLock<T> {
 /// Note that even the read path writes the lock word (reader count), which
 /// is exactly why a single address-space `RwLock` does not scale for
 /// concurrent page faults — the effect the paper's Linux baseline exhibits.
+///
+/// Not poisoning: a lock whose holder panicked is treated as unlocked.
 pub struct RwLock<T: ?Sized> {
-    inner: parking_lot::RwLock<T>,
+    inner: std::sync::RwLock<T>,
 }
 
 /// RAII read guard for [`RwLock`].
 pub struct RwLockReadGuard<'a, T: ?Sized> {
     addr: usize,
-    inner: parking_lot::RwLockReadGuard<'a, T>,
+    inner: std::sync::RwLockReadGuard<'a, T>,
 }
 
 /// RAII write guard for [`RwLock`].
 pub struct RwLockWriteGuard<'a, T: ?Sized> {
     addr: usize,
-    inner: parking_lot::RwLockWriteGuard<'a, T>,
+    inner: std::sync::RwLockWriteGuard<'a, T>,
 }
 
 impl<T> RwLock<T> {
     /// Creates a new lock holding `value`.
     pub const fn new(value: T) -> Self {
         RwLock {
-            inner: parking_lot::RwLock::new(value),
+            inner: std::sync::RwLock::new(value),
         }
     }
 }
@@ -356,7 +358,7 @@ impl<T: ?Sized> RwLock<T> {
         sim::lock_acquire(addr, LockKind::Shared);
         RwLockReadGuard {
             addr,
-            inner: self.inner.read(),
+            inner: self.inner.read().unwrap_or_else(|p| p.into_inner()),
         }
     }
 
@@ -367,14 +369,14 @@ impl<T: ?Sized> RwLock<T> {
         sim::lock_acquire(addr, LockKind::Exclusive);
         RwLockWriteGuard {
             addr,
-            inner: self.inner.write(),
+            inner: self.inner.write().unwrap_or_else(|p| p.into_inner()),
         }
     }
 
     /// Returns a mutable reference to the data (no locking required).
     #[inline]
     pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
+        self.inner.get_mut().unwrap_or_else(|p| p.into_inner())
     }
 }
 
@@ -452,6 +454,19 @@ mod tests {
         drop(r);
         l.write().push(4);
         assert_eq!(l.read().len(), 4);
+    }
+
+    #[test]
+    fn rwlock_ignores_poison() {
+        let l = std::sync::Arc::new(RwLock::new(0));
+        let l2 = l.clone();
+        let _ = std::thread::spawn(move || {
+            let _g = l2.write();
+            panic!("poison it");
+        })
+        .join();
+        *l.write() += 1;
+        assert_eq!(*l.read(), 1);
     }
 
     #[test]

@@ -26,31 +26,45 @@ const BASE: u64 = 0x60_0000_0000;
 /// protocol holds under real interleaving.
 #[test]
 fn munmap_ordering_under_racing_faults() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     let machine = Machine::new(4);
     let vm = build(&machine, BackendKind::Radix);
     for c in 0..4 {
         vm.attach_core(c);
     }
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let stop = Arc::new(AtomicBool::new(false));
+    let reads: Arc<Vec<AtomicU64>> = Arc::new((0..4).map(|_| AtomicU64::new(0)).collect());
     let mut handles = Vec::new();
     // Three reader threads hammer the page.
     for core in 1..4usize {
         let machine = machine.clone();
         let vm = vm.clone();
         let stop = stop.clone();
+        let reads = reads.clone();
         handles.push(std::thread::spawn(move || {
-            let mut reads = 0u64;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+            while !stop.load(Ordering::Relaxed) {
                 match machine.read_u64(core, &*vm, BASE) {
-                    Ok(_) | Err(VmError::NoMapping) => reads += 1,
+                    Ok(_) | Err(VmError::NoMapping) => reads[core].fetch_add(1, Ordering::Relaxed),
                     Err(e) => panic!("reader saw {e}"),
-                }
+                };
             }
-            reads
         }));
     }
-    // One mapper thread cycles the mapping.
-    for i in 0..500u64 {
+    // True once every reader has completed `n` reads beyond `since` (or
+    // one has died: stop waiting and let its join report the panic).
+    let all_read = |since: &[u64], n: u64| {
+        (1..4).all(|c| reads[c].load(Ordering::Relaxed) >= since[c] + n)
+            || handles.iter().any(|h| h.is_finished())
+    };
+    // Start handshake: on a busy host the mapper could otherwise finish
+    // before any reader is scheduled, and nothing would have raced.
+    while !all_read(&[0; 4], 1) {
+        std::thread::yield_now();
+    }
+    let at_start: Vec<u64> = reads.iter().map(|r| r.load(Ordering::Relaxed)).collect();
+    // One mapper thread cycles the mapping: at least 500 times, and until
+    // every reader has started and finished a read while it was cycling.
+    for i in 0u64.. {
         vm.mmap(0, BASE, PAGE_SIZE, Prot::RW, Backing::Anon)
             .unwrap();
         machine.write_u64(0, &*vm, BASE, i).unwrap();
@@ -58,10 +72,14 @@ fn munmap_ordering_under_racing_faults() {
         if i % 64 == 0 {
             vm.maintain(0);
         }
+        if i >= 499 && all_read(&at_start, 2) {
+            break;
+        }
     }
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-    assert!(total > 0);
+    stop.store(true, Ordering::Relaxed);
+    for h in handles {
+        h.join().unwrap();
+    }
     assert_eq!(machine.stats().stale_detected, 0, "ordering invariant held");
 }
 
