@@ -77,10 +77,14 @@ impl Tlb {
         }
     }
 
-    /// The slot an entry of `span` pages covering `vpn` lives in.
+    /// The slot an entry of `span` pages covering `vpn` lives in: indexed
+    /// by span number, not by base VPN — aligned bases share their low
+    /// bits, so neighbouring superpages would all collide in one slot.
     #[inline]
     fn slot(&self, vpn: Vpn, span: u64) -> usize {
-        ((vpn & !(span - 1)) as usize) & self.mask
+        // `span` is a power of two; the shift keeps a hardware divide off
+        // the probe loops.
+        ((vpn >> span.trailing_zeros()) as usize) & self.mask
     }
 
     /// Looks up a translation. Probes the page's own slot first (4 KiB
@@ -97,8 +101,8 @@ impl Tlb {
         None
     }
 
-    /// Fills (or replaces) the entry for `vpn` (span entries are based
-    /// at their span-aligned first page).
+    /// Fills (or replaces) the entry for `entry.vpn` (span entries are
+    /// based at their span-aligned first page).
     #[inline]
     pub fn insert(&mut self, entry: TlbEntry) {
         debug_assert!(entry.span == 1 || entry.vpn.is_multiple_of(entry.span));
@@ -242,6 +246,36 @@ mod tests {
         t.insert(entry(1, base + 7, 9));
         assert_eq!(t.lookup(1, base + 7).unwrap().pfn, 9);
         assert!(t.lookup(1, base + 8).is_some(), "span survives");
+    }
+
+    #[test]
+    fn adjacent_span_entries_coexist() {
+        // Span entries index by `vpn / span`: aligned bases share their
+        // low bits, so indexing by `vpn` would land them all in one slot.
+        use crate::pagetable::GIANT_PAGES;
+        let mut t = Tlb::new(64);
+        for span in [BLOCK_PAGES, GIANT_PAGES] {
+            for i in 0..4u64 {
+                let e = TlbEntry {
+                    span,
+                    ..entry(1, span * (8 + i), (1000 * i) as Pfn)
+                };
+                t.insert(e);
+            }
+            for i in 0..4u64 {
+                let e = t
+                    .lookup(1, span * (8 + i) + 5)
+                    .expect("evicted by a neighbour");
+                assert_eq!((e.pfn, e.span), ((1000 * i) as Pfn, span));
+            }
+            // Both invalidates find them at their new slots.
+            t.invalidate_page(1, span * 9 + 7);
+            assert!(t.lookup(1, span * 9).is_none());
+            t.invalidate_range(1, span * 10 + 3, 2);
+            assert!(t.lookup(1, span * 10).is_none());
+            assert!(t.lookup(1, span * 8).is_some() && t.lookup(1, span * 11).is_some());
+            t.flush();
+        }
     }
 
     #[test]

@@ -25,6 +25,48 @@ fn radix(ncores: usize) -> (Arc<Machine>, Arc<dyn VmSystem>) {
     (machine, vm)
 }
 
+/// A core's live superpages must all stay in its TLB: span entries index
+/// by `vpn / span`, so neighbouring blocks take neighbouring slots. (They
+/// once indexed by `vpn`, which lands every 2 MiB-aligned base of the
+/// default 1024-entry TLB in slot 0 or 512: four blocks read round-robin
+/// evicted each other on every access — 0 hits, each miss a full fault.)
+#[test]
+fn round_robin_over_live_superpages_always_hits() {
+    const BLOCKS: u64 = 4;
+    const ROUNDS: u64 = 100;
+    let (machine, vm) = radix(1);
+    vm.mmap_flags(
+        0,
+        BASE,
+        BLOCKS * BLOCK_BYTES,
+        Prot::RW,
+        Backing::Anon,
+        MapFlags::HUGE,
+    )
+    .unwrap();
+    // First touch: one superpage fault per block.
+    for b in 0..BLOCKS {
+        machine
+            .write_u64(0, &*vm, BASE + b * BLOCK_BYTES, b)
+            .unwrap();
+    }
+    assert_eq!(vm.op_stats().superpage_installs, BLOCKS);
+    let before = machine.stats();
+    for i in 0..ROUNDS {
+        for b in 0..BLOCKS {
+            let va = BASE + b * BLOCK_BYTES + (i % BLOCK_PAGES) * PAGE_SIZE;
+            let want = if i == 0 { b } else { 0 };
+            assert_eq!(machine.read_u64(0, &*vm, va).unwrap(), want);
+        }
+    }
+    let after = machine.stats();
+    assert_eq!(
+        after.tlb_misses, before.tlb_misses,
+        "a live span was evicted"
+    );
+    assert_eq!(after.tlb_hits - before.tlb_hits, BLOCKS * ROUNDS);
+}
+
 #[test]
 fn concurrent_demotion_loses_no_ptes() {
     // One thread repeatedly unmaps/remaps the first 64 pages of a
