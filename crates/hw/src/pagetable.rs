@@ -293,13 +293,12 @@ impl PageTable {
         debug_assert!(is_block_word(v) && Pte(v).span() == level_span(level));
         let pte = Pte(v);
         let member_span = level_span(level + 1);
+        // Members differ only in their frame, `member_span` apart.
+        let mut member = Pte::new_span(pte.pfn(), pte.writable(), member_span).0;
         let node = PtNode::new();
-        for (i, s) in node.slots.iter().enumerate() {
-            let pfn = pte.pfn() + (i as u64 * member_span) as Pfn;
-            s.store(
-                Pte::new_span(pfn, pte.writable(), member_span).0,
-                Ordering::Relaxed,
-            );
+        for s in node.slots.iter() {
+            s.store(member, Ordering::Relaxed);
+            member += member_span << 32;
         }
         self.publish(slot, v, node).is_ok()
     }

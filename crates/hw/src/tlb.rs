@@ -55,11 +55,17 @@ const INVALID: TlbEntry = TlbEntry {
     valid: false,
 };
 
-/// Every page count one entry may translate, in probe order.
-#[inline]
-fn entry_spans() -> impl Iterator<Item = u64> {
-    std::iter::once(1).chain(SPAN_PAGES)
-}
+/// Every page count one entry may translate, in probe order: a constant
+/// array so the probe loops unroll into shifts by constants.
+const ENTRY_SPANS: [u64; SPAN_PAGES.len() + 1] = {
+    let mut spans = [1; SPAN_PAGES.len() + 1];
+    let mut i = 0;
+    while i < SPAN_PAGES.len() {
+        spans[i + 1] = SPAN_PAGES[i];
+        i += 1;
+    }
+    spans
+};
 
 /// A direct-mapped software TLB.
 pub struct Tlb {
@@ -92,7 +98,7 @@ impl Tlb {
     /// the software analogue of hardware's split 4K/2M/1G TLB probe.
     #[inline]
     pub fn lookup(&self, asid: Asid, vpn: Vpn) -> Option<TlbEntry> {
-        for span in entry_spans() {
+        for span in ENTRY_SPANS {
             let e = self.entries[self.slot(vpn, span)];
             if e.overlaps(asid, vpn, 1) {
                 return Some(e);
@@ -134,7 +140,7 @@ impl Tlb {
         // Entries overlapping the range sit at the slot of their own
         // span's base, which may precede `start`: probe each candidate
         // base at each granularity.
-        for span in entry_spans() {
+        for span in ENTRY_SPANS {
             let mut base = start & !(span - 1);
             while base < start + n {
                 let e = &mut self.entries[self.slot(base, span)];
