@@ -49,7 +49,7 @@ impl Atomic64 {
     /// Atomically swaps in `v`, returning the previous value.
     #[inline]
     pub fn swap(&self, v: u64, order: Ordering) -> u64 {
-        sim::on_write(self.addr());
+        sim::on_rmw(self.addr());
         self.inner.swap(v, order)
     }
 
@@ -63,7 +63,7 @@ impl Atomic64 {
         success: Ordering,
         failure: Ordering,
     ) -> Result<u64, u64> {
-        sim::on_write(self.addr());
+        sim::on_rmw(self.addr());
         self.inner.compare_exchange(current, new, success, failure)
     }
 
@@ -76,7 +76,7 @@ impl Atomic64 {
         success: Ordering,
         failure: Ordering,
     ) -> Result<u64, u64> {
-        sim::on_write(self.addr());
+        sim::on_rmw(self.addr());
         self.inner
             .compare_exchange_weak(current, new, success, failure)
     }
@@ -84,28 +84,28 @@ impl Atomic64 {
     /// Atomically adds, returning the previous value.
     #[inline]
     pub fn fetch_add(&self, v: u64, order: Ordering) -> u64 {
-        sim::on_write(self.addr());
+        sim::on_rmw(self.addr());
         self.inner.fetch_add(v, order)
     }
 
     /// Atomically subtracts, returning the previous value.
     #[inline]
     pub fn fetch_sub(&self, v: u64, order: Ordering) -> u64 {
-        sim::on_write(self.addr());
+        sim::on_rmw(self.addr());
         self.inner.fetch_sub(v, order)
     }
 
     /// Atomically ORs, returning the previous value.
     #[inline]
     pub fn fetch_or(&self, v: u64, order: Ordering) -> u64 {
-        sim::on_write(self.addr());
+        sim::on_rmw(self.addr());
         self.inner.fetch_or(v, order)
     }
 
     /// Atomically ANDs, returning the previous value.
     #[inline]
     pub fn fetch_and(&self, v: u64, order: Ordering) -> u64 {
-        sim::on_write(self.addr());
+        sim::on_rmw(self.addr());
         self.inner.fetch_and(v, order)
     }
 
@@ -119,6 +119,23 @@ impl Atomic64 {
         sim::on_write(self.addr());
         let v = self.inner.load(Ordering::Relaxed);
         self.inner.store(v & mask, order)
+    }
+
+    /// Adds `n` (wrapping) to a word that **only the caller mutates**
+    /// right now — a statistics cell whose every writer holds the same
+    /// lock — with a plain load and store instead of a locked
+    /// read-modify-write. One line event, like the
+    /// [`Atomic64::fetch_add`] it stands in for. Relaxed: the word
+    /// publishes nothing, and lock-free readers only need some recent
+    /// whole value.
+    ///
+    /// A word updated this way must have no `fetch_*` writer at all: an
+    /// RMW landing between this load and store is lost.
+    #[inline]
+    pub fn add_exclusive(&self, n: u64) {
+        sim::on_write(self.addr());
+        let v = self.inner.load(Ordering::Relaxed);
+        self.inner.store(v.wrapping_add(n), Ordering::Relaxed)
     }
 
     /// Non-atomic read through `&mut` (no synchronization needed).
@@ -180,7 +197,7 @@ impl AtomicPtr64 {
     /// Atomically swaps in `v`, returning the previous value.
     #[inline]
     pub fn swap(&self, v: usize, order: Ordering) -> usize {
-        sim::on_write(self.addr());
+        sim::on_rmw(self.addr());
         self.inner.swap(v, order)
     }
 
@@ -193,7 +210,7 @@ impl AtomicPtr64 {
         success: Ordering,
         failure: Ordering,
     ) -> Result<usize, usize> {
-        sim::on_write(self.addr());
+        sim::on_rmw(self.addr());
         self.inner.compare_exchange(current, new, success, failure)
     }
 }
@@ -300,7 +317,11 @@ mod tests {
         assert_eq!(a.load(Ordering::Acquire), 0xF0);
         a.and_exclusive(!0x10, Ordering::Release);
         assert_eq!(a.load(Ordering::Acquire), 0xE0);
-        a.store(0xF0, Ordering::Release);
+        a.add_exclusive(0x11);
+        assert_eq!(a.load(Ordering::Acquire), 0xF1);
+        a.store(u64::MAX, Ordering::Release);
+        a.add_exclusive(0xF1);
+        assert_eq!(a.load(Ordering::Acquire), 0xF0, "wraps like fetch_add");
         assert!(a
             .compare_exchange(0xF0, 1, Ordering::AcqRel, Ordering::Acquire)
             .is_ok());

@@ -267,7 +267,7 @@ impl<T: ?Sized> SpinLock<T> {
     #[inline]
     pub fn lock(&self) -> SpinLockGuard<'_, T> {
         // The lock word is taken exclusive: one line event.
-        sim::on_write(self as *const _ as *const () as usize);
+        sim::on_rmw(self as *const _ as *const () as usize);
         SpinLockGuard {
             inner: self.inner.lock(),
         }
@@ -280,7 +280,7 @@ impl<T: ?Sized> SpinLock<T> {
     pub fn try_lock(&self) -> Option<SpinLockGuard<'_, T>> {
         let inner = self.inner.try_lock()?;
         // Only charge when the acquisition succeeded.
-        sim::on_write(self as *const _ as *const () as usize);
+        sim::on_rmw(self as *const _ as *const () as usize);
         Some(SpinLockGuard { inner })
     }
 

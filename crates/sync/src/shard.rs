@@ -64,6 +64,23 @@ impl<const K: usize> ShardedStats<K> {
         self.cells[core & self.mask][field].fetch_add(n, Ordering::Relaxed);
     }
 
+    /// [`ShardedStats::add`] for a counter **all of whose writers hold
+    /// the same per-core lock** (the TLB lock for hit/miss counts, the
+    /// core's free list for the pool's page counts, …): a plain load and
+    /// store ([`Atomic64::add_exclusive`]), no locked instruction, the
+    /// same one simulator line event.
+    ///
+    /// The lock is per *core*, the cell per *stripe*, so `core` must
+    /// index its own stripe: two cores folded onto one stripe would hold
+    /// different locks. And a field bumped this way must have no
+    /// [`ShardedStats::add`]/[`ShardedStats::sub`]/`*_here` call site
+    /// left — mixing the two loses updates.
+    #[inline]
+    pub fn add_exclusive(&self, core: usize, field: usize, n: u64) {
+        debug_assert!(core < self.shards(), "core {core} shares a stripe");
+        self.cells[core & self.mask][field].add_exclusive(n);
+    }
+
     /// Subtracts `n` from counter `field` in `core`'s cell. The cell may
     /// wrap below zero; [`ShardedStats::sum`] reconciles.
     #[inline]
@@ -84,6 +101,13 @@ impl<const K: usize> ShardedStats<K> {
     #[inline]
     pub fn sub_here(&self, field: usize, n: u64) {
         self.sub(sim::current_core(), field, n);
+    }
+
+    /// Counter `field` of `core`'s cell alone: that core's share of the
+    /// sum (which stripe a bump landed in is what tests of "writes only
+    /// its own line" need to see).
+    pub fn stripe(&self, core: usize, field: usize) -> u64 {
+        self.cells[core & self.mask][field].load(Ordering::Relaxed)
     }
 
     /// Sums counter `field` across all cells (wrapping fold; see the
@@ -173,6 +197,60 @@ mod tests {
         assert_eq!(s.sum(0), 1);
         assert_eq!(s.sum(1), 2);
         assert_eq!(s.sum(2), 2);
+        assert_eq!((s.stripe(0, 2), s.stripe(1, 2)), (3, u64::MAX));
+    }
+
+    #[test]
+    fn exclusive_adds_are_exact_under_the_cores_lock() {
+        // Two threads per core bump one field, each under that core's
+        // lock, while a reader sums without it: no update is lost and
+        // every read is a whole value.
+        use crate::SpinLock;
+        use std::sync::Arc;
+        const PER_THREAD: u64 = 20_000;
+        let stats: Arc<ShardedStats<2>> = Arc::new(ShardedStats::new(2));
+        let locks = Arc::new([SpinLock::new(()), SpinLock::new(())]);
+        let writers: Vec<_> = (0..4)
+            .map(|t| {
+                let (stats, locks) = (stats.clone(), locks.clone());
+                std::thread::spawn(move || {
+                    let core = t % 2;
+                    for _ in 0..PER_THREAD {
+                        let _held = locks[core].lock();
+                        stats.add_exclusive(core, 1, 3);
+                    }
+                })
+            })
+            .collect();
+        let mut last = 0;
+        while writers.iter().any(|w| !w.is_finished()) {
+            let now = stats.sum(1);
+            assert!(now >= last && now.is_multiple_of(3), "{last} -> {now}");
+            last = now;
+        }
+        for w in writers {
+            w.join().unwrap();
+        }
+        assert_eq!(stats.sum(1), 4 * PER_THREAD * 3);
+        assert_eq!(stats.sum(0), 0);
+    }
+
+    #[test]
+    fn exclusive_add_is_one_unlocked_line_event() {
+        let guard = sim::install(1, CostModel::default());
+        let s: ShardedStats<1> = ShardedStats::new(1);
+        s.add(0, 0, 1);
+        let before = sim::stats().cores[0];
+        s.add_exclusive(0, 0, 1);
+        let mid = sim::stats().cores[0];
+        s.add(0, 0, 1);
+        let after = sim::stats().cores[0];
+        assert_eq!(mid.local_hits - before.local_hits, 1);
+        assert_eq!(after.local_hits - mid.local_hits, 1, "priced alike");
+        assert_eq!(mid.rmws, before.rmws, "no locked instruction");
+        assert_eq!(after.rmws, mid.rmws + 1);
+        assert_eq!(s.sum(0), 3);
+        drop(guard);
     }
 
     #[test]

@@ -175,6 +175,11 @@ pub struct CoreStats {
     pub charged_ns: u64,
     /// Heap allocations explicitly charged on hot paths.
     pub heap_allocs: u64,
+    /// Locked instructions issued: every atomic swap / compare-exchange /
+    /// `fetch_*` and every lock acquisition. Counted only — each is
+    /// priced as the line write it always was; plain stores and the
+    /// single-mutator `*_exclusive` updates are not counted.
+    pub rmws: u64,
 }
 
 /// A snapshot of the simulator's counters and clocks.
@@ -495,6 +500,13 @@ impl SimCtx {
         }
     }
 
+    /// A locked read-modify-write: priced as a write, counted in
+    /// [`CoreStats::rmws`].
+    fn on_rmw(&mut self, addr: usize) {
+        self.stats[self.cur].rmws += 1;
+        self.on_write(addr);
+    }
+
     fn lock_acquire(&mut self, addr: usize, kind: LockKind) {
         let c = self.cur;
         let clock = self.clocks[c];
@@ -510,7 +522,7 @@ impl SimCtx {
         self.clocks[c] = start;
         // The lock word itself is a contended line: both mutex acquire and
         // rwlock reader-count increment write it.
-        self.on_write(addr);
+        self.on_rmw(addr);
     }
 
     fn lock_release(&mut self, addr: usize, kind: LockKind) {
@@ -825,10 +837,18 @@ pub fn on_read(addr: usize) {
     with_ctx(|s| s.on_read(addr));
 }
 
-/// Reports a write (or RMW) of the cache line containing `addr`.
+/// Reports a plain write of the cache line containing `addr`.
 #[inline]
 pub fn on_write(addr: usize) {
     with_ctx(|s| s.on_write(addr));
+}
+
+/// Reports a locked read-modify-write (swap, compare-exchange, `fetch_*`,
+/// spin-lock acquire) of the cache line containing `addr`: the same line
+/// event as [`on_write`], also counted in [`CoreStats::rmws`].
+#[inline]
+pub fn on_rmw(addr: usize) {
+    with_ctx(|s| s.on_rmw(addr));
 }
 
 /// Reports a lock acquisition; blocks the virtual clock until available.
