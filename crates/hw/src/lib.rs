@@ -533,12 +533,21 @@ pub struct MachineStats {
     pub stale_detected: u64,
 }
 
-/// Field indices into the machine's sharded stats block.
+// Field indices into the machine's sharded stats block. "Exclusive under
+// L": every bump of core c's cell happens while c's L is held, so it is
+// `add_exclusive`, a plain load and store. "Shared": bumped with no lock
+// held, so it stays an atomic `add` (DESIGN.md §5, §6).
+/// Exclusive under `tlbs[core]`: bumped inside the lookup's critical
+/// section.
 const F_TLB_HITS: usize = 0;
+/// Exclusive under `tlbs[core]`, like [`F_TLB_HITS`].
 const F_TLB_MISSES: usize = 1;
+/// Shared: keyed by the *sender*, which holds no lock of its own while it
+/// walks the targets' TLBs. So are the next two.
 const F_SHOOTDOWN_ROUNDS: usize = 2;
 const F_SHOOTDOWN_IPIS: usize = 3;
 const F_SHOOTDOWNS_SUPPRESSED: usize = 4;
+/// Shared: bumped on the error path, after the TLB lock dropped.
 const F_STALE_DETECTED: usize = 5;
 
 /// Bound on fault-retry iterations in [`Machine::access`] before the
@@ -553,7 +562,9 @@ pub struct Machine {
     next_asid: AtomicU32,
     /// Event counters sharded per core: the access path bumps TLB
     /// hit/miss counts on *every* user memory access, so these must never
-    /// share a cache line across cores (sum-on-read; DESIGN.md §6).
+    /// share a cache line across cores (sum-on-read; DESIGN.md §6) — and,
+    /// being bumped under the core's TLB lock, need no locked instruction
+    /// either (the `F_*` table says which fields).
     stats: ShardedStats<6>,
 }
 
@@ -676,15 +687,17 @@ impl Machine {
                             self.stats.add(core, F_STALE_DETECTED, 1);
                             return Err(VmError::StaleTranslation);
                         }
-                        self.stats.add(core, F_TLB_HITS, 1);
+                        self.stats.add_exclusive(core, F_TLB_HITS, 1);
                         let pfn = e.pfn + (vpn - e.vpn) as Pfn;
                         return Ok(f(&self.pool, pfn, offset));
                     }
                     // Write through a read-only entry: fall through to a
                     // fault (the VM may upgrade, e.g. copy-on-write).
                 }
+                // Counted before the TLB lock drops: it is what makes
+                // this thread the cell's only mutator.
+                self.stats.add_exclusive(core, F_TLB_MISSES, 1);
             }
-            self.stats.add(core, F_TLB_MISSES, 1);
             let tr = vm.pagefault(core, va, kind)?;
             // Complete the access through the translation the fault
             // handler produced, even if a concurrent munmap has already

@@ -96,7 +96,11 @@ impl Tlb {
     /// Looks up a translation. Probes the page's own slot first (4 KiB
     /// entries), then the covering base's slot at each superpage span —
     /// the software analogue of hardware's split 4K/2M/1G TLB probe.
-    #[inline]
+    ///
+    /// Forced inline: this runs on every user memory access, and left to
+    /// its own cost model the compiler emits the unrolled probe as a
+    /// call out of `Machine::access`.
+    #[inline(always)]
     pub fn lookup(&self, asid: Asid, vpn: Vpn) -> Option<TlbEntry> {
         for span in ENTRY_SPANS {
             let e = self.entries[self.slot(vpn, span)];

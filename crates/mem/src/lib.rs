@@ -43,7 +43,7 @@
 use std::sync::atomic::{AtomicPtr, AtomicU16, AtomicU64, AtomicU8, Ordering};
 
 use rvm_refcache::{CountSlot, Refcache, ReleaseCtx, SlotManaged, SlotPtr};
-use rvm_sync::{failpoint, sim, CachePadded, ShardedStats, SpinLock, Topology};
+use rvm_sync::{failpoint, sim, CachePadded, ShardedStats, SpinLock, SpinLockGuard, Topology};
 
 /// Physical memory is exhausted: every tier of the pressure protocol
 /// (free list, reservoir, magazine drain, remote steal, growth) came up
@@ -204,6 +204,19 @@ struct FrameSlot {
     mapcount: rvm_sync::Atomic64,
 }
 
+impl FrameSlot {
+    /// Advances the generation of a frame being freed. The freeing
+    /// caller owns the frame exclusively (its count was confirmed zero
+    /// and no mapping is left), so nobody else writes the word: a plain
+    /// load and `Release` store — pairing with the `Acquire` load in
+    /// [`FramePool::generation`] — not a locked read-modify-write.
+    #[inline]
+    fn bump_generation(&self) {
+        let gen = self.gen.load(Ordering::Relaxed);
+        self.gen.store(gen.wrapping_add(1), Ordering::Release);
+    }
+}
+
 /// Where frames are placed across NUMA nodes: which node a fresh frame is
 /// homed on (and hence which node's reservoir it returns to when freed),
 /// and which node an allocation draws from. The paper's evaluation
@@ -267,19 +280,40 @@ pub struct PoolStats {
     pub remote_steals: u64,
 }
 
-/// Field indices into the sharded stats block.
+// Field indices into the sharded stats block. The five counters the
+// per-page fast paths bump are "exclusive under `free_lists[core]`":
+// every bump of core c's cell happens while c's free list is locked
+// (`count_alloc`/`count_free` take the guard as proof), so it is a plain
+// load and store, not a locked instruction. The pop and push fast paths
+// hold that lock anyway; the rare tiers (reservoir pull, growth,
+// pressure, blocks, cross-node frees) take it for the bump. "Shared"
+// fields are bumped with no such lock held and stay atomic adds
+// (DESIGN.md §5, §6).
+/// Shared (growth lock or none).
 const F_FRESH: usize = 0;
+/// Exclusive under `free_lists[core]`.
 const F_REUSED: usize = 1;
+/// Shared.
 const F_REMOTE_FREES: usize = 2;
+/// Exclusive under `free_lists[core]`.
 const F_LOCAL_FREES: usize = 3;
+/// Shared.
 const F_MAG_FLUSHES: usize = 4;
+/// Shared.
 const F_BLOCK_ALLOCS: usize = 5;
+/// Shared.
 const F_BLOCK_FREES: usize = 6;
+/// Exclusive under `free_lists[core]`.
 const F_ALLOC_PAGES: usize = 7;
+/// Exclusive under `free_lists[core]`.
 const F_FREE_PAGES: usize = 8;
+/// Exclusive under `free_lists[core]`.
 const F_ON_NODE_FREES: usize = 9;
+/// Shared.
 const F_CROSS_NODE_FREES: usize = 10;
+/// Shared.
 const F_RECLAIM_DRAINS: usize = 11;
+/// Shared.
 const F_REMOTE_STEALS: usize = 12;
 
 /// Remote frees a core accumulates before flushing its outbound magazine
@@ -297,6 +331,10 @@ type Magazine = Vec<(u16, Pfn)>;
 
 /// A free-list of contiguous blocks, as `(order, base)` pairs.
 type BlockList = Vec<(u8, Pfn)>;
+
+/// A core's locked free list: what makes its holder the only mutator of
+/// that core's page counters.
+type FreeListGuard<'a> = SpinLockGuard<'a, Vec<Pfn>>;
 
 /// The machine-wide physical frame pool.
 pub struct FramePool {
@@ -502,7 +540,31 @@ impl FramePool {
             .wrapping_sub(self.stats.sum(F_FREE_PAGES))
     }
 
+    /// Counts `pages` pages handed out on `core`, recycled (`reused`) or
+    /// fresh. `_list` is `core`'s held free list: the allocation
+    /// counters are single-mutator under it.
+    #[inline]
+    fn count_alloc(&self, core: usize, _list: &FreeListGuard<'_>, pages: u64, reused: bool) {
+        self.stats.add_exclusive(core, F_ALLOC_PAGES, pages);
+        if reused {
+            self.stats.add_exclusive(core, F_REUSED, pages);
+        }
+    }
+
+    /// Counts `pages` pages freed on `core`, homed on its node
+    /// (`on_node`) or bound for another's reservoir. `_list` is `core`'s
+    /// held free list, as in [`FramePool::count_alloc`].
+    #[inline]
+    fn count_free(&self, core: usize, _list: &FreeListGuard<'_>, pages: u64, on_node: bool) {
+        self.stats.add_exclusive(core, F_FREE_PAGES, pages);
+        if on_node {
+            self.stats.add_exclusive(core, F_LOCAL_FREES, pages);
+            self.stats.add_exclusive(core, F_ON_NODE_FREES, pages);
+        }
+    }
+
     /// Lock-free frame-table slot lookup.
+    #[inline]
     fn slot(&self, pfn: Pfn) -> &FrameSlot {
         debug_assert!(pfn != NULL_PFN);
         let idx = pfn as usize;
@@ -655,18 +717,23 @@ impl FramePool {
             let target = self.stride_target(core);
             if target != my_node {
                 let (pfn, ev) = self.try_draw_remote(core, target)?;
-                self.stats.add(core, F_ALLOC_PAGES, 1);
                 sim::charge_page_work_homed(target);
                 return Ok((pfn, ev));
             }
         }
         sim::charge_page_work_homed(my_node);
-        // Bind the pop before the `if`: a lock guard created in the
-        // `if let` scrutinee would live through the 4 KiB zeroing below.
-        let popped = self.free_lists[core].lock().pop();
+        // Pop and count in a block of their own: a lock guard created in
+        // the `if let` scrutinee would live through the 4 KiB zeroing
+        // below.
+        let popped = {
+            let mut list = self.free_lists[core].lock();
+            let popped = list.pop();
+            if popped.is_some() {
+                self.count_alloc(core, &list, 1, true);
+            }
+            popped
+        };
         if let Some(pfn) = popped {
-            self.stats.add(core, F_ALLOC_PAGES, 1);
-            self.stats.add(core, F_REUSED, 1);
             self.zero_frame(pfn);
             return Ok((pfn, AllocEvents::default()));
         }
@@ -682,11 +749,11 @@ impl FramePool {
         };
         if let Some(mut batch) = pulled {
             let pfn = batch.pop().expect("non-empty batch");
-            if !batch.is_empty() {
-                self.free_lists[core].lock().append(&mut batch);
+            {
+                let mut list = self.free_lists[core].lock();
+                list.append(&mut batch);
+                self.count_alloc(core, &list, 1, true);
             }
-            self.stats.add(core, F_ALLOC_PAGES, 1);
-            self.stats.add(core, F_REUSED, 1);
             self.zero_frame(pfn);
             return Ok((pfn, AllocEvents::default()));
         }
@@ -698,19 +765,18 @@ impl FramePool {
             for i in (1..REFILL_BATCH).rev() {
                 list.push(first + i as Pfn);
             }
-            self.stats.add(core, F_ALLOC_PAGES, 1);
+            self.count_alloc(core, &list, 1, false);
             return Ok((first, AllocEvents::default()));
         }
         // Full-batch growth failed: the pool is under pressure.
-        let (pfn, ev) = self.pressure_alloc(core, my_node).ok_or(OutOfMemory)?;
-        self.stats.add(core, F_ALLOC_PAGES, 1);
-        Ok((pfn, ev))
+        self.pressure_alloc(core, my_node).ok_or(OutOfMemory)
     }
 
     /// Draws one frame homed on remote node `target` for an interleaved
     /// allocation: pop that node's reservoir, else grow a fresh batch
     /// homed there (parking the remainder in the reservoir), else fall
-    /// into the pressure tiers.
+    /// into the pressure tiers. Counts the frame it hands out (taking
+    /// `core`'s free list for the bump: none of these tiers holds it).
     fn try_draw_remote(
         &self,
         core: usize,
@@ -719,7 +785,7 @@ impl FramePool {
         // The reservoir is node-shared: zero only after its lock drops.
         let popped = self.reservoirs[target].lock().pop();
         if let Some(pfn) = popped {
-            self.stats.add(core, F_REUSED, 1);
+            self.count_alloc(core, &self.free_lists[core].lock(), 1, true);
             self.zero_frame(pfn);
             return Ok((pfn, AllocEvents::default()));
         }
@@ -729,6 +795,7 @@ impl FramePool {
                 res.push(first + i as Pfn);
             }
             drop(res);
+            self.count_alloc(core, &self.free_lists[core].lock(), 1, false);
             return Ok((first, AllocEvents::default()));
         }
         // Under pressure an interleaved draw degrades to "any frame":
@@ -738,8 +805,9 @@ impl FramePool {
 
     /// Pressure tiers 4–6 (growth already failed): drain the core's own
     /// outbound magazine, steal from remote reservoirs nearest-first,
-    /// then grow whatever headroom remains. Returns `None` when all
-    /// three come up empty — the caller reports [`OutOfMemory`].
+    /// then grow whatever headroom remains. Counts the frame it hands
+    /// out. Returns `None` when all three come up empty — the caller
+    /// reports [`OutOfMemory`].
     fn pressure_alloc(&self, core: usize, my_node: usize) -> Option<(Pfn, AllocEvents)> {
         // Tier 4: the core's own magazine holds cross-node frees parked
         // for batching; under pressure, take one back and flush the
@@ -754,7 +822,7 @@ impl FramePool {
         };
         if let Some(pfn) = parked {
             self.stats.add(core, F_RECLAIM_DRAINS, 1);
-            self.stats.add(core, F_REUSED, 1);
+            self.count_alloc(core, &self.free_lists[core].lock(), 1, true);
             sim::charge_page_work_homed(self.home(pfn));
             self.zero_frame(pfn);
             return Some((
@@ -773,7 +841,7 @@ impl FramePool {
             let popped = self.reservoirs[node].lock().pop();
             if let Some(pfn) = popped {
                 self.stats.add(core, F_REMOTE_STEALS, 1);
-                self.stats.add(core, F_REUSED, 1);
+                self.count_alloc(core, &self.free_lists[core].lock(), 1, true);
                 sim::charge_page_work_homed(node);
                 self.zero_frame(pfn);
                 return Some((
@@ -793,12 +861,11 @@ impl FramePool {
         if room > 0 {
             let count = room.min(REFILL_BATCH as u64) as usize;
             if let Ok(first) = self.try_grow_contiguous(core, my_node, count) {
-                if count > 1 {
-                    let mut list = self.free_lists[core].lock();
-                    for i in (1..count).rev() {
-                        list.push(first + i as Pfn);
-                    }
+                let mut list = self.free_lists[core].lock();
+                for i in (1..count).rev() {
+                    list.push(first + i as Pfn);
                 }
+                self.count_alloc(core, &list, 1, false);
                 return Some((first, AllocEvents::default()));
             }
         }
@@ -931,19 +998,20 @@ impl FramePool {
                 .position(|&(o, _)| o == order)
                 .map(|i| res.swap_remove(i).1)
         });
-        let base = match recycled {
+        let (base, reused) = match recycled {
             Some(base) => {
-                self.stats.add(core, F_REUSED, pages as u64);
                 for i in 0..pages {
                     self.zero_frame(base + i as Pfn);
                 }
-                base
+                (base, true)
             }
             None => match self.try_grow_contiguous(core, target, pages) {
-                Ok(base) => base,
-                Err(_) => self
-                    .steal_remote_block(core, target, order)
-                    .ok_or(OutOfMemory)?,
+                Ok(base) => (base, false),
+                Err(_) => (
+                    self.steal_remote_block(core, target, order)
+                        .ok_or(OutOfMemory)?,
+                    true,
+                ),
             },
         };
         let home = self.home(base);
@@ -951,12 +1019,14 @@ impl FramePool {
             sim::charge_page_work_homed(home);
         }
         self.stats.add(core, F_BLOCK_ALLOCS, 1);
-        self.stats.add(core, F_ALLOC_PAGES, pages as u64);
+        // No tier above holds the core's free list: take it for the bump.
+        self.count_alloc(core, &self.free_lists[core].lock(), pages as u64, reused);
         Ok(base)
     }
 
     /// Pressure path for block allocation: steal a block of `order`
-    /// from the nearest remote node's block reservoir.
+    /// from the nearest remote node's block reservoir (a recycled block:
+    /// the caller counts it as reused).
     fn steal_remote_block(&self, core: usize, my_node: usize, order: u8) -> Option<Pfn> {
         let pages = 1usize << order;
         let mut nodes: Vec<usize> = (0..self.nnodes).filter(|&n| n != my_node).collect();
@@ -970,7 +1040,6 @@ impl FramePool {
             };
             if let Some(base) = stolen {
                 self.stats.add(core, F_REMOTE_STEALS, 1);
-                self.stats.add(core, F_REUSED, pages as u64);
                 for i in 0..pages {
                     self.zero_frame(base + i as Pfn);
                 }
@@ -987,17 +1056,14 @@ impl FramePool {
     pub fn free_block(&self, core: usize, base: Pfn, order: u8) {
         let pages = 1usize << order;
         for i in 0..pages {
-            self.slot(base + i as Pfn)
-                .gen
-                .fetch_add(1, Ordering::AcqRel);
+            self.slot(base + i as Pfn).bump_generation();
         }
         let home = self.home(base);
+        let on_node = home == self.core_node[core] as usize;
         self.stats.add(core, F_BLOCK_FREES, 1);
-        self.stats.add(core, F_FREE_PAGES, pages as u64);
-        if home == self.core_node[core] as usize {
-            self.stats.add(core, F_LOCAL_FREES, pages as u64);
-            self.stats.add(core, F_ON_NODE_FREES, pages as u64);
-        } else {
+        // Blocks bypass the core's free list: take it for the bump.
+        self.count_free(core, &self.free_lists[core].lock(), pages as u64, on_node);
+        if !on_node {
             // One reservoir lock per 512 frames: already better batched
             // than the single-frame magazines, so return it directly.
             self.stats.add(core, F_REMOTE_FREES, pages as u64);
@@ -1058,16 +1124,18 @@ impl FramePool {
     /// any required TLB shootdown, so parking only delays *reuse*, never
     /// safety (DESIGN.md §6).
     pub fn free(&self, core: usize, pfn: Pfn) {
-        self.stats.add(core, F_FREE_PAGES, 1);
         let slot = self.slot(pfn);
-        slot.gen.fetch_add(1, Ordering::AcqRel);
+        slot.bump_generation();
         let home = slot.home.load(Ordering::Relaxed) as usize % self.nnodes;
         if home == self.core_node[core] as usize {
-            self.stats.add(core, F_LOCAL_FREES, 1);
-            self.stats.add(core, F_ON_NODE_FREES, 1);
-            self.free_lists[core].lock().push(pfn);
+            let mut list = self.free_lists[core].lock();
+            list.push(pfn);
+            self.count_free(core, &list, 1, true);
             return;
         }
+        // The magazine path never holds the free list: take it for the
+        // bump.
+        self.count_free(core, &self.free_lists[core].lock(), 1, false);
         self.stats.add(core, F_REMOTE_FREES, 1);
         self.stats.add(core, F_CROSS_NODE_FREES, 1);
         let mut mag = self.magazines[core].lock();
@@ -1135,11 +1203,13 @@ impl FramePool {
     }
 
     /// Current generation of `pfn`.
+    #[inline]
     pub fn generation(&self, pfn: Pfn) -> u64 {
         self.slot(pfn).gen.load(Ordering::Acquire)
     }
 
     /// Home node of `pfn`.
+    #[inline]
     pub fn home(&self, pfn: Pfn) -> usize {
         self.slot(pfn).home.load(Ordering::Relaxed) as usize % self.nnodes
     }
@@ -1169,6 +1239,7 @@ impl FramePool {
     /// # Panics
     ///
     /// Panics if the access crosses the frame boundary.
+    #[inline]
     pub fn write_u64(&self, pfn: Pfn, off: usize, val: u64) {
         assert!(off + 8 <= FRAME_SIZE);
         let slot = self.slot(pfn);
@@ -1183,6 +1254,7 @@ impl FramePool {
     }
 
     /// Reads a word at byte offset `off` within the frame.
+    #[inline]
     pub fn read_u64(&self, pfn: Pfn, off: usize) -> u64 {
         assert!(off + 8 <= FRAME_SIZE);
         let slot = self.slot(pfn);
@@ -1196,6 +1268,7 @@ impl FramePool {
     /// Fills the whole frame with `byte` (workload page-touch helper);
     /// charges the simulator for page work, priced by hop distance to
     /// the frame's home node.
+    #[inline]
     pub fn fill(&self, pfn: Pfn, byte: u8) {
         sim::charge_page_work_homed(self.home(pfn));
         let slot = self.slot(pfn);

@@ -86,16 +86,29 @@ pub fn index_at_level(vpn: u64, level: usize) -> usize {
     ((vpn >> shift) as usize) & (FANOUT - 1)
 }
 
-/// Field indices into the sharded [`TreeStats`] block.
+// Field indices into the sharded [`TreeStats`] block. "Exclusive under
+// the core's hint slot": every bump of core c's cell happens while c's
+// hint slot is locked, so it is `add_exclusive`, a plain load and store.
+// "Shared": bumped under slot locks or none — nothing that is per core —
+// so an atomic `add` (DESIGN.md §5, §6).
+/// Shared; node construction and teardown have no core in scope
+/// (`add_here`). So are the next two.
 pub(crate) const F_INTERIOR_NODES: usize = 0;
 pub(crate) const F_LEAF_NODES: usize = 1;
 pub(crate) const F_FOLDED_VALUES: usize = 2;
+/// Shared.
 pub(crate) const F_EXPANSIONS: usize = 3;
+/// Shared.
 pub(crate) const F_LEAF_VALUES: usize = 4;
+/// Shared.
 pub(crate) const F_NODES_COLLAPSED: usize = 5;
+/// Exclusive under the core's hint slot: bumped before the hold drops.
 pub(crate) const F_HINT_HITS: usize = 6;
+/// Exclusive under the core's hint slot, like [`F_HINT_HITS`].
 pub(crate) const F_HINT_MISSES: usize = 7;
+/// Shared.
 pub(crate) const F_GUARD_SPILLS: usize = 8;
+/// Shared: a contended acquirer holds nothing yet.
 pub(crate) const F_SLOT_SPINS: usize = 9;
 
 /// Live-object statistics shared by a tree and its nodes.
@@ -126,6 +139,13 @@ impl TreeStats {
     #[inline]
     pub(crate) fn sub(&self, core: usize, field: usize, n: u64) {
         self.cells.sub(core, field, n);
+    }
+
+    /// Bump for the fields the `F_*` table marks exclusive: the caller
+    /// holds `core`'s hint slot.
+    #[inline]
+    pub(crate) fn add_exclusive(&self, core: usize, field: usize, n: u64) {
+        self.cells.add_exclusive(core, field, n);
     }
 
     /// Bump variants for call sites with no core id in scope (node
@@ -411,9 +431,9 @@ impl<V: Send + Sync + 'static> Drop for Node<V> {
 ///
 /// Contended retries back off exponentially ([`Backoff`]) so a waiter
 /// stops hammering the holder's cache line, and the spins burned are
-/// charged to [`TreeStats::slot_spins`].
+/// charged to [`TreeStats::slot_spins`] in the acquiring `core`'s cell.
 #[inline]
-pub fn lock_interior_slot(slot: &Atomic64, stats: &TreeStats) -> u64 {
+pub fn lock_interior_slot(core: usize, slot: &Atomic64, stats: &TreeStats) -> u64 {
     let mut backoff = Backoff::new();
     let mut spins = 0u64;
     loop {
@@ -424,7 +444,7 @@ pub fn lock_interior_slot(slot: &Atomic64, stats: &TreeStats) -> u64 {
                 .is_ok()
         {
             if spins > 0 {
-                stats.add_here(F_SLOT_SPINS, spins);
+                stats.add(core, F_SLOT_SPINS, spins);
             }
             return v;
         }
@@ -446,7 +466,7 @@ pub fn unlock_interior_slot(slot: &Atomic64) {
 /// of faults on one page must degrade into polite polling rather than a
 /// coherence storm.
 #[inline]
-pub fn lock_leaf_slot(status: &Atomic64, stats: &TreeStats) -> u64 {
+pub fn lock_leaf_slot(core: usize, status: &Atomic64, stats: &TreeStats) -> u64 {
     let mut backoff = Backoff::new();
     let mut spins = 0u64;
     loop {
@@ -457,7 +477,7 @@ pub fn lock_leaf_slot(status: &Atomic64, stats: &TreeStats) -> u64 {
                 .is_ok()
         {
             if spins > 0 {
-                stats.add_here(F_SLOT_SPINS, spins);
+                stats.add(core, F_SLOT_SPINS, spins);
             }
             return v;
         }
@@ -513,7 +533,7 @@ mod tests {
     fn interior_slot_locking() {
         let stats = TreeStats::new(1);
         let slot = Atomic64::new(0);
-        let v = lock_interior_slot(&slot, &stats);
+        let v = lock_interior_slot(0, &slot, &stats);
         assert_eq!(v, 0);
         assert_eq!(slot.load(Ordering::Acquire), LOCK_BIT);
         unlock_interior_slot(&slot);
@@ -525,7 +545,7 @@ mod tests {
     fn leaf_slot_locking_preserves_present() {
         let stats = TreeStats::new(1);
         let status = Atomic64::new(LEAF_PRESENT);
-        let v = lock_leaf_slot(&status, &stats);
+        let v = lock_leaf_slot(0, &status, &stats);
         assert_eq!(v, LEAF_PRESENT);
         unlock_leaf_slot(&status);
         assert_eq!(status.load(Ordering::Acquire), LEAF_PRESENT);
@@ -533,14 +553,16 @@ mod tests {
 
     #[test]
     fn contended_slot_lock_accrues_spins() {
-        let stats = Arc::new(TreeStats::new(1));
+        // The waiter is core 1: its spins must land in its own cell, not
+        // in core 0's (the line core 0 bumps on every fault).
+        let stats = Arc::new(TreeStats::new(2));
         let status = Arc::new(Atomic64::new(0));
-        lock_leaf_slot(&status, &stats);
+        lock_leaf_slot(0, &status, &stats);
         let waiter = {
             let stats = Arc::clone(&stats);
             let status = Arc::clone(&status);
             std::thread::spawn(move || {
-                lock_leaf_slot(&status, &stats);
+                lock_leaf_slot(1, &status, &stats);
                 unlock_leaf_slot(&status);
             })
         };
@@ -549,5 +571,10 @@ mod tests {
         unlock_leaf_slot(&status);
         waiter.join().unwrap();
         assert!(stats.slot_spins() > 0, "waiter spins were not recorded");
+        assert_eq!(
+            stats.cells.stripe(0, F_SLOT_SPINS),
+            0,
+            "a contended acquire on core 1 wrote core 0's stats line"
+        );
     }
 }

@@ -443,12 +443,13 @@ impl<V: RadixValue> RadixTree<V> {
         match hold.hint.as_ref() {
             Some(h) if Self::hint_valid(h, block_base) => {
                 let node = h.node;
-                self.stats.add(core, F_HINT_HITS, 1);
+                self.stats.add_exclusive(core, F_HINT_HITS, 1);
                 Some((node, hold))
             }
             _ => {
-                drop(hold);
-                self.stats.add(core, F_HINT_MISSES, 1);
+                // Counted before the hint slot drops, like the hit: the
+                // slot is what makes this thread the cell's only mutator.
+                self.stats.add_exclusive(core, F_HINT_MISSES, 1);
                 None
             }
         }
@@ -509,7 +510,7 @@ impl<V: RadixValue> RadixTree<V> {
             if let Some((leaf, hold)) = self.hint_lookup(core, lo) {
                 let n = nref(leaf);
                 let first = (lo - n.base_vpn) as usize;
-                lock_leaf_slot(&n.leaf()[first].status, &self.stats);
+                lock_leaf_slot(core, &n.leaf()[first].status, &self.stats);
                 if Self::leaf_linked(leaf) {
                     guard.units.push(Unit::LeafRange {
                         node: leaf,
@@ -578,7 +579,7 @@ impl<V: RadixValue> RadixTree<V> {
             debug_assert!(end <= FANOUT);
             if !born_locked {
                 for slot in &node.leaf()[first..end] {
-                    lock_leaf_slot(&slot.status, &self.stats);
+                    lock_leaf_slot(core, &slot.status, &self.stats);
                 }
                 if !Self::leaf_linked(node_ptr) {
                     // Refolded under us: the values now live in a folded
@@ -639,7 +640,7 @@ impl<V: RadixValue> RadixTree<V> {
                 let v = if born_locked {
                     peek
                 } else {
-                    let observed = lock_interior_slot(slot, &self.stats);
+                    let observed = lock_interior_slot(core, slot, &self.stats);
                     if slot_tag(observed) == TAG_CHILD {
                         // Became a child while we were acquiring; the CAS
                         // re-set the lock bit on a child word — undo and
@@ -766,7 +767,7 @@ impl<V: RadixValue> RadixTree<V> {
         if let Some((leaf, _hold)) = self.hint_lookup(core, vpn) {
             let n = nref(leaf);
             let slot = &n.leaf()[(vpn - n.base_vpn) as usize];
-            lock_leaf_slot(&slot.status, &self.stats);
+            lock_leaf_slot(core, &slot.status, &self.stats);
             // Linkage checked under the slot lock: a linked leaf cannot
             // be refolded while we hold one of its slot locks, so the
             // read below is authoritative. A severed leaf's emptied slot
@@ -788,7 +789,7 @@ impl<V: RadixValue> RadixTree<V> {
             if node.is_leaf() {
                 let idx = (vpn - node.base_vpn) as usize;
                 let slot = &node.leaf()[idx];
-                lock_leaf_slot(&slot.status, &self.stats);
+                lock_leaf_slot(core, &slot.status, &self.stats);
                 let linked = Self::leaf_linked(node_ptr);
                 // SAFETY: the slot lock is held.
                 let out = unsafe { (*slot.value.get()).clone() };
@@ -827,7 +828,7 @@ impl<V: RadixValue> RadixTree<V> {
                 }
                 TAG_FOLDED => {
                     // Clone the folded value under a brief slot lock.
-                    let v = lock_interior_slot(slot, &self.stats);
+                    let v = lock_interior_slot(core, slot, &self.stats);
                     let out = if slot_tag(v) == TAG_FOLDED {
                         // SAFETY: lock held; FOLDED slot owns the box.
                         Some(unsafe { (*(slot_ptr(v) as *const V)).clone() })
@@ -872,14 +873,13 @@ impl<V: RadixValue> RadixTree<V> {
                     // was severed after the validity check, the emptied
                     // slot says nothing — take the descent instead.
                     if st & LEAF_PRESENT != 0 || Self::hint_valid(h, block_base) {
-                        drop(hold);
-                        self.stats.add(core, F_HINT_HITS, 1);
+                        self.stats.add_exclusive(core, F_HINT_HITS, 1);
                         return st & LEAF_PRESENT != 0;
                     }
                 }
             }
+            self.stats.add_exclusive(core, F_HINT_MISSES, 1);
             drop(hold);
-            self.stats.add(core, F_HINT_MISSES, 1);
         }
         let mut node_ptr = self.root;
         let mut pin: Option<RcPtr<Node<V>>> = None;
@@ -963,7 +963,7 @@ impl<V: RadixValue> RadixTree<V> {
             let end = (hi - node.base_vpn) as usize;
             for idx in first..end {
                 let slot = &node.leaf()[idx];
-                lock_leaf_slot(&slot.status, &self.stats);
+                lock_leaf_slot(core, &slot.status, &self.stats);
                 // SAFETY: the slot lock is held.
                 let v = unsafe { (*slot.value.get()).clone() };
                 unlock_leaf_slot(&slot.status);
@@ -1010,7 +1010,7 @@ impl<V: RadixValue> RadixTree<V> {
                     TAG_FOLDED => {
                         // Clone the folded value once under a brief lock,
                         // then fan it out per page.
-                        let v = lock_interior_slot(slot, &self.stats);
+                        let v = lock_interior_slot(core, slot, &self.stats);
                         let val = if slot_tag(v) == TAG_FOLDED {
                             // SAFETY: lock held; FOLDED slot owns the box.
                             Some(unsafe { (*(slot_ptr(v) as *const V)).clone() })
@@ -1449,7 +1449,7 @@ impl<V: RadixValue> RangeGuard<'_, V> {
             return None;
         }
         let pslot = &nref(parent).interior()[pidx as usize];
-        let w = lock_interior_slot(pslot, stats);
+        let w = lock_interior_slot(core, pslot, stats);
         if !(slot_tag(w) == TAG_CHILD && slot_ptr(w) == node.addr()) {
             // Unreachable while we hold every leaf slot lock (only a
             // refold severs a linked leaf, and it needs those locks);

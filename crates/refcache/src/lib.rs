@@ -133,14 +133,27 @@ pub struct RefcacheStats {
     pub epoch: u64,
 }
 
-/// Field indices into the sharded stats block.
+// Field indices into the sharded stats block. "Exclusive under
+// `cores[core]`": every bump of core c's cell happens while c's delta
+// cache is locked, so it is `add_exclusive`, a plain load and store.
+// "Shared": some bump holds no such lock, so all of them stay atomic
+// adds (DESIGN.md §5, §6).
+/// Shared: `alloc` has no core in scope (`add_here`).
 const F_ALLOCS: usize = 0;
+/// Shared: `free_untracked` has no core in scope (`add_here`).
 const F_FREES: usize = 1;
+/// Exclusive under `cores[core]` (`adjust`).
 const F_CONFLICTS: usize = 2;
+/// Exclusive under `cores[core]` (`flush`).
 const F_FLUSHES: usize = 3;
+/// Exclusive under `cores[core]` (`review`).
 const F_DIRTY_ZEROS: usize = 4;
+/// Exclusive under `cores[core]` (`review`).
 const F_REVIVALS: usize = 5;
+/// Shared: `activate` takes the object's lock, not the core's.
 const F_SLOT_ACTIVATES: usize = 6;
+/// Exclusive under `cores[core]`: counted where `review` decides the
+/// release, not where it runs after the lock dropped.
 const F_SLOT_RELEASES: usize = 7;
 
 /// A callback invoked at the start of every [`Refcache::flush`], before
@@ -169,7 +182,9 @@ pub struct Refcache {
     hook_count: AtomicU64,
     next_hook_id: AtomicU64,
     /// Counters sharded per core: `alloc`/`dec`-rate events bump only the
-    /// operating core's padded cell (sum-on-read; DESIGN.md §6).
+    /// operating core's padded cell (sum-on-read; DESIGN.md §6), most of
+    /// them under that core's lock and so without a locked instruction
+    /// (the `F_*` table says which).
     stats: ShardedStats<8>,
 }
 
@@ -327,7 +342,7 @@ impl Refcache {
         if slot.obj == 0 {
             cc.occupied.push(idx as u32);
         } else {
-            self.stats.add(core, F_CONFLICTS, 1);
+            self.stats.add_exclusive(core, F_CONFLICTS, 1);
             if slot.delta != 0 {
                 let epoch = self.epoch();
                 // SAFETY: a cached delta implies the object has not been
@@ -429,7 +444,7 @@ impl Refcache {
         }
         let mut cc = self.cores[core].lock();
         let epoch = self.epoch();
-        self.stats.add(core, F_FLUSHES, 1);
+        self.stats.add_exclusive(core, F_FLUSHES, 1);
         // Only what was dirtied since the last flush; the list is taken
         // out for the walk (`evict` borrows the whole core cache) and put
         // back empty, keeping its allocation.
@@ -479,7 +494,7 @@ impl Refcache {
                 let mut st = hdr.state.lock();
                 if st.refcnt != 0 {
                     // Came back to life; clear review state and dying.
-                    self.stats.add(core, F_REVIVALS, 1);
+                    self.stats.add_exclusive(core, F_REVIVALS, 1);
                     st.on_review = false;
                     st.dirty = false;
                     let weak = hdr.weak.load(Ordering::Acquire);
@@ -503,14 +518,20 @@ impl Refcache {
                 if clean {
                     // The freeing CAS succeeded (or no weak exists): no
                     // new reference can appear. Defer the actual free
-                    // until locks are dropped.
+                    // until locks are dropped; count it here, under the
+                    // core lock.
                     drop(st);
+                    if hdr.slot_backed {
+                        self.stats.add_exclusive(core, F_SLOT_RELEASES, 1);
+                    } else {
+                        self.stats.add(core, F_FREES, 1);
+                    }
                     // SAFETY: `obj_addr` is a live header (see above).
                     to_free.push(unsafe { NonNull::new_unchecked(obj_addr as *mut Header) });
                 } else {
                     // Dirty zero or lost the race with a revive/lock:
                     // examine again two epochs from now.
-                    self.stats.add(core, F_DIRTY_ZEROS, 1);
+                    self.stats.add_exclusive(core, F_DIRTY_ZEROS, 1);
                     st.dirty = false;
                     if weak != 0 {
                         // SAFETY: weak word outlives the object.
@@ -526,13 +547,6 @@ impl Refcache {
         let ctx = ReleaseCtx { cache: self, core };
         for obj in to_free {
             let hdr = obj.as_ptr();
-            // SAFETY: objects on a review queue are live headers.
-            let field = if unsafe { (*hdr).slot_backed } {
-                F_SLOT_RELEASES
-            } else {
-                F_FREES
-            };
-            self.stats.add(core, field, 1);
             // SAFETY: review confirmed a clean true zero and cleared the
             // weak reference, so this is the sole owner; `drop_fn` matches
             // the storage's payload type by construction.
