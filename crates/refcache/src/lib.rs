@@ -40,6 +40,14 @@
 //!   (which implies a positive cached-sum, hence a dirty flush before any
 //!   free decision) or a weak-reference `tryget` (which clears `DYING`,
 //!   making the freeing CAS fail).
+//! * A `tryget` that read the weak word *before* the queueing instant
+//!   (not yet `DYING`) caches its increment in the same critical section
+//!   of its core's delta cache, so every flush of that core — by the core
+//!   itself or by another thread acting for it, as [`Refcache::quiesce`]
+//!   does — either precedes the read or applies the increment. Without
+//!   that, a reader preempted between the read and the increment could
+//!   sleep through two foreign-driven epochs and wake up holding a freed
+//!   object.
 //!
 //! Hence when review finally frees, no cached delta for the object exists
 //! anywhere. Unit and stress tests exercise these races; see also the
@@ -331,8 +339,13 @@ impl Refcache {
     /// to `obj` already (or to have just obtained the pointer via
     /// [`Refcache::tryget`]); a negative one surrenders that many.
     pub fn adjust<P: Counted>(&self, core: usize, obj: P, delta: i64) {
-        let key = obj.count_addr();
         let mut cc = self.cores[core].lock();
+        self.adjust_locked(&mut cc, core, obj.count_addr(), delta);
+    }
+
+    /// [`Refcache::adjust`] on the object whose header is at `key`, with
+    /// `core`'s delta cache already locked.
+    fn adjust_locked(&self, cc: &mut CoreCache, core: usize, key: usize, delta: i64) {
         let idx = self.hash_obj(key);
         let slot = cc.slots[idx];
         if slot.obj == key {
@@ -347,7 +360,7 @@ impl Refcache {
                 let epoch = self.epoch();
                 // SAFETY: a cached delta implies the object has not been
                 // freed (see the module-level freeing-safety argument).
-                unsafe { self.evict(&mut cc, slot.obj, slot.delta, epoch) };
+                unsafe { self.evict(cc, slot.obj, slot.delta, epoch) };
             }
         }
         cc.slots[idx] = Slot { obj: key, delta };
@@ -626,12 +639,18 @@ impl Refcache {
     /// If `slot` currently holds a pointer under tag `tag`, it must point
     /// to an `RcBox<T>` registered with [`Refcache::register_weak`].
     pub unsafe fn tryget<T>(&self, core: usize, slot: &Atomic64, tag: u8) -> Option<RcPtr<T>> {
+        // Read the word (reviving a dying object) and cache the increment
+        // in one critical section of the core's delta cache: no flush of
+        // this core, by whichever thread, may fall between the two (see
+        // the module-level freeing-safety argument).
+        let mut cc = self.cores[core].lock();
         match weak::tryget_raw(slot, tag) {
             weak::TrygetOutcome::Absent => None,
             weak::TrygetOutcome::Got(addr) => {
-                let ptr = RcPtr::<T>::from_header(NonNull::new_unchecked(addr as *mut Header));
-                self.inc(core, ptr);
-                Some(ptr)
+                self.adjust_locked(&mut cc, core, addr, 1);
+                Some(RcPtr::<T>::from_header(NonNull::new_unchecked(
+                    addr as *mut Header,
+                )))
             }
         }
     }

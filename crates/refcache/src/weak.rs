@@ -89,8 +89,9 @@ pub(crate) enum TrygetOutcome {
 
 /// Attempts to obtain the pointer from a weak word, reviving a dying
 /// object if necessary. Does **not** increment; the caller does that
-/// immediately after (see module docs for why the inc may follow the
-/// load on the fast path).
+/// right after, with its core's delta cache locked across both (see the
+/// module docs for why the inc may follow the load on the fast path, and
+/// the crate docs for why no flush of the core may come between).
 pub(crate) fn tryget_raw(word: &Atomic64, tag: u8) -> TrygetOutcome {
     loop {
         let v = word.load(Ordering::Acquire);

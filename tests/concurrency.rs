@@ -423,6 +423,196 @@ fn hint_riding_faults_survive_quiesce_and_refolds() {
     assert_eq!(machine.pool().outstanding_frames(), 0, "frames leaked");
 }
 
+/// Statistics bumped as single-mutator words under a per-core lock
+/// (`add_exclusive`: TLB hits and misses under the core's TLB lock, the
+/// pool's page counts under its free list, Refcache's events under its
+/// delta cache, hint hits and misses under its hint slot — DESIGN.md §5)
+/// lose no update when several threads act for one core at once. The
+/// owner core has four threads of its own (two mappers, a reader, and a
+/// churner that takes frames off the core's free list and puts them
+/// straight back) — one core, so that on a two-CPU host the two running
+/// threads are most often acting for the same one; a sweeper loops `quiesce` +
+/// `flush_magazines` + `stats`, acting for *every* core; an unmapper on
+/// a core of its own keeps replacing a region the reader touches, so
+/// remote shootdowns land on a core that is mid-access. At the end
+/// every count must equal what was issued. (Mappers and unmapper run a
+/// fixed number of ops, so the frames in flight are bounded even if the
+/// sweeper — the only thread that flushes for the unmapper's core, and
+/// so the one the epoch waits for — dies or starves.)
+#[test]
+fn counters_stay_exact_when_foreign_threads_act_for_a_core() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Barrier;
+    const OWNERS: usize = 1;
+    const MAPPERS_PER_OWNER: u64 = 2;
+    const UNMAPPER: usize = OWNERS;
+    const MAPPER_OPS: u64 = 12_000;
+    const UNMAPPER_OPS: u64 = 3_000;
+    const CHURNER_OPS: u64 = 200_000;
+    const SHARED: u64 = BASE + (1 << 30);
+    const SHARED_PAGES: u64 = 8;
+    const MAINTAIN_EVERY: u64 = 64;
+    // Without generation checks an access is exactly one TLB lookup.
+    // With them, a fault whose frame the sweeper frees before the access
+    // completes is retried and looked up twice (the sweeper flushes for
+    // the faulting core, which that core could never do mid-access).
+    let mut cfg = MachineConfig::new(OWNERS + 1);
+    cfg.check_generations = false;
+    let machine = Machine::with_config(cfg);
+    let vm = build(&machine, BackendKind::Radix);
+    let radix = vm
+        .as_any()
+        .downcast_ref::<RadixVm>()
+        .expect("Radix backend is a RadixVm");
+    let private = |core: usize| BASE + core as u64 * (1 << 24);
+    for core in 0..=OWNERS {
+        vm.attach_core(core);
+        // The reader's resident page (its block's page 0; each mapper
+        // churns 16 pages of its own in the same leaf).
+        vm.mmap(core, private(core), PAGE_SIZE, Prot::RW, Backing::Anon)
+            .unwrap();
+        machine
+            .write_u64(core, &*vm, private(core), core as u64)
+            .unwrap();
+    }
+    let flushes = |vm: &RadixVm| vm.cache().stats().flushes;
+    let f0 = flushes(radix);
+    vm.quiesce();
+    let flushes_per_quiesce = flushes(radix) - f0;
+    let (hw0, tree0, f0) = (machine.stats(), radix.tree_stats(), flushes(radix));
+    let lookups0 = tree0.hint_hits() + tree0.hint_misses();
+
+    /// Sets the flag when dropped: the open-ended threads stop when the
+    /// counted ones are done, also when one of those panicked.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+    let stop = AtomicBool::new(false);
+    // Everything the threads issued, to hold the counters against.
+    let accesses = AtomicU64::new(0);
+    let one_page_ops = AtomicU64::new(0);
+    let maintains = AtomicU64::new(0);
+    let quiesces = AtomicU64::new(0);
+    let start = Barrier::new((MAPPERS_PER_OWNER as usize + 2) * OWNERS + 2);
+    std::thread::scope(|s| {
+        let (machine, vm) = (&machine, &*vm);
+        let (stop, start) = (&stop, &start);
+        let (accesses, one_page_ops) = (&accesses, &one_page_ops);
+        let (maintains, quiesces) = (&maintains, &quiesces);
+        let mut counted = Vec::new();
+        for (core, m) in (0..OWNERS).flat_map(|c| (0..MAPPERS_PER_OWNER).map(move |m| (c, m))) {
+            counted.push(s.spawn(move || {
+                start.wait();
+                for i in 0..MAPPER_OPS {
+                    let va = private(core) + (1 + 16 * m + i % 16) * PAGE_SIZE;
+                    vm.mmap(core, va, PAGE_SIZE, Prot::RW, Backing::Anon)
+                        .unwrap();
+                    machine.write_u64(core, vm, va, i).unwrap();
+                    assert_eq!(machine.read_u64(core, vm, va), Ok(i));
+                    vm.munmap(core, va, PAGE_SIZE).unwrap();
+                    if i % MAINTAIN_EVERY == 0 {
+                        vm.maintain(core);
+                        maintains.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                accesses.fetch_add(2 * MAPPER_OPS, Ordering::Relaxed);
+                one_page_ops.fetch_add(2 * MAPPER_OPS, Ordering::Relaxed);
+            }));
+        }
+        for core in 0..OWNERS {
+            counted.push(s.spawn(move || {
+                start.wait();
+                for _ in 0..CHURNER_OPS {
+                    let pfn = machine.pool().alloc(core);
+                    machine.pool().free(core, pfn);
+                }
+            }));
+            s.spawn(move || {
+                start.wait();
+                let mut n = 0;
+                while !stop.load(Ordering::Relaxed) {
+                    let va = SHARED + (n % SHARED_PAGES) * PAGE_SIZE;
+                    match machine.read_u64(core, vm, va) {
+                        Ok(_) | Err(VmError::NoMapping) => {}
+                        Err(e) => panic!("reader on core {core} saw {e}"),
+                    }
+                    assert_eq!(machine.read_u64(core, vm, private(core)), Ok(core as u64));
+                    n += 2;
+                }
+                accesses.fetch_add(n, Ordering::Relaxed);
+            });
+        }
+        counted.push(s.spawn(move || {
+            start.wait();
+            for _ in 0..UNMAPPER_OPS {
+                let len = SHARED_PAGES * PAGE_SIZE;
+                vm.mmap(UNMAPPER, SHARED, len, Prot::RW, Backing::Anon)
+                    .unwrap();
+                for p in 0..SHARED_PAGES {
+                    machine
+                        .write_u64(UNMAPPER, vm, SHARED + p * PAGE_SIZE, p)
+                        .unwrap();
+                }
+                std::thread::yield_now();
+                vm.munmap(UNMAPPER, SHARED, len).unwrap();
+            }
+            accesses.fetch_add(UNMAPPER_OPS * SHARED_PAGES, Ordering::Relaxed);
+        }));
+        s.spawn(move || {
+            start.wait();
+            while !stop.load(Ordering::Relaxed) {
+                vm.quiesce();
+                quiesces.fetch_add(1, Ordering::Relaxed);
+                machine.pool().flush_magazines();
+                let hw = machine.stats();
+                assert_eq!(hw.stale_detected, 0);
+            }
+        });
+        let _stop = StopOnDrop(stop);
+        for t in counted {
+            t.join()
+                .expect("a mapper, churner or the unmapper panicked");
+        }
+    });
+    vm.munmap(0, 0, radixvm::hw::VA_LIMIT).unwrap();
+    vm.quiesce();
+    let quiesces = quiesces.into_inner() + 1;
+
+    let (hw, tree) = (machine.stats(), radix.tree_stats());
+    let misses = hw.tlb_misses - hw0.tlb_misses;
+    assert_eq!(
+        hw.tlb_hits - hw0.tlb_hits + misses,
+        accesses.into_inner(),
+        "TLB hits + misses != accesses issued"
+    );
+    // Every single-page mmap, munmap and fault looks the hint up once.
+    assert_eq!(
+        tree.hint_hits() + tree.hint_misses() - lookups0,
+        one_page_ops.into_inner() + misses,
+        "hint hits + misses != single-page lookups"
+    );
+    assert_eq!(
+        flushes(radix) - f0,
+        flushes_per_quiesce * quiesces + maintains.into_inner(),
+        "Refcache flushes"
+    );
+    let rc = radix.cache().stats();
+    assert_eq!(rc.slot_activates, rc.slot_releases, "frame cells");
+    let pool = machine.pool().stats();
+    assert_eq!(pool.alloc_pages, pool.free_pages, "pages handed out");
+    assert_eq!(machine.pool().outstanding_frames(), 0, "frames leaked");
+    // One node: every free is local, and on its node.
+    assert_eq!(
+        (pool.local_frees, pool.on_node_frees),
+        (pool.free_pages, pool.free_pages)
+    );
+    // Every allocation that was not a reuse grew the pool by one batch.
+    assert_eq!((pool.alloc_pages - pool.reused) * 64, pool.fresh);
+}
+
 /// The list-based range lock's precision claim, on real threads: while
 /// one thread holds a multi-page range of a VMA, a *disjoint* sub-range
 /// of the same VMA is acquired and released immediately (no coarse
