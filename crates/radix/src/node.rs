@@ -99,17 +99,15 @@ pub(crate) const F_FOLDED_VALUES: usize = 2;
 /// Shared.
 pub(crate) const F_EXPANSIONS: usize = 3;
 /// Shared.
-pub(crate) const F_LEAF_VALUES: usize = 4;
-/// Shared.
-pub(crate) const F_NODES_COLLAPSED: usize = 5;
+pub(crate) const F_NODES_COLLAPSED: usize = 4;
 /// Exclusive under the core's hint slot: bumped before the hold drops.
-pub(crate) const F_HINT_HITS: usize = 6;
+pub(crate) const F_HINT_HITS: usize = 5;
 /// Exclusive under the core's hint slot, like [`F_HINT_HITS`].
-pub(crate) const F_HINT_MISSES: usize = 7;
+pub(crate) const F_HINT_MISSES: usize = 6;
 /// Shared.
-pub(crate) const F_GUARD_SPILLS: usize = 8;
+pub(crate) const F_GUARD_SPILLS: usize = 7;
 /// Shared: a contended acquirer holds nothing yet.
-pub(crate) const F_SLOT_SPINS: usize = 9;
+pub(crate) const F_SLOT_SPINS: usize = 8;
 
 /// Live-object statistics shared by a tree and its nodes.
 ///
@@ -120,7 +118,7 @@ pub(crate) const F_SLOT_SPINS: usize = 9;
 /// §6); live counts (nodes, values) are exact whenever writers are
 /// quiescent, e.g. under a test's exclusive access.
 pub struct TreeStats {
-    cells: ShardedStats<10>,
+    cells: ShardedStats<9>,
 }
 
 impl TreeStats {
@@ -178,11 +176,6 @@ impl TreeStats {
     /// Expansions performed (folded or empty slot → child node).
     pub fn expansions(&self) -> u64 {
         self.cells.sum(F_EXPANSIONS)
-    }
-
-    /// Values currently stored in leaf slots.
-    pub fn leaf_values(&self) -> u64 {
-        self.cells.sum(F_LEAF_VALUES)
     }
 
     /// Nodes freed by Refcache collapse.
@@ -287,9 +280,6 @@ impl<V: Send + Sync + 'static> Node<V> {
         let slots: Box<[LeafSlot<V>]> = (0..FANOUT)
             .map(|i| {
                 let (status, value) = init(i);
-                if value.is_some() {
-                    stats.add_here(F_LEAF_VALUES, 1);
-                }
                 LeafSlot {
                     status: Atomic64::new(status),
                     value: UnsafeCell::new(value),
@@ -412,16 +402,8 @@ impl<V: Send + Sync + 'static> Drop for Node<V> {
                     );
                 }
             }
-            Slots::Leaf(slots) => {
-                self.stats.sub_here(F_LEAF_NODES, 1);
-                let mut live = 0;
-                for s in slots.iter_mut() {
-                    if s.value.get_mut().take().is_some() {
-                        live += 1;
-                    }
-                }
-                self.stats.sub_here(F_LEAF_VALUES, live);
-            }
+            // Leaf values drop with the slot array.
+            Slots::Leaf(_) => self.stats.sub_here(F_LEAF_NODES, 1),
         }
     }
 }

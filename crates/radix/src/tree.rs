@@ -59,8 +59,8 @@ use rvm_sync::{
 use crate::node::{
     index_at_level, lock_interior_slot, lock_leaf_slot, pack_slot, slot_ptr, slot_tag,
     unlock_interior_slot, unlock_leaf_slot, Node, Slots, TreeStats, FANOUT, F_EXPANSIONS,
-    F_FOLDED_VALUES, F_GUARD_SPILLS, F_HINT_HITS, F_HINT_MISSES, F_LEAF_VALUES, LEAF_PRESENT,
-    LEVELS, TAG_CHILD, TAG_EMPTY, TAG_FOLDED,
+    F_FOLDED_VALUES, F_GUARD_SPILLS, F_HINT_HITS, F_HINT_MISSES, LEAF_PRESENT, LEVELS, TAG_CHILD,
+    TAG_EMPTY, TAG_FOLDED,
 };
 
 /// Virtual page number (36 bits used).
@@ -1105,8 +1105,7 @@ impl<V: RadixValue> RangeGuard<'_, V> {
     ///
     /// This guard is the only mutator of the leaf status words it holds
     /// locked, so `LEAF_PRESENT` flips with plain stores, and the used-
-    /// slot references and value counts settle once per leaf, not once
-    /// per page.
+    /// slot references settle once per leaf, not once per page.
     pub fn clear(&mut self) -> RemovedList<V> {
         let mut out = RemovedList::new();
         let core = self.core;
@@ -1134,8 +1133,7 @@ impl<V: RadixValue> RangeGuard<'_, V> {
                         }
                     }
                     if emptied > 0 {
-                        stats.sub(core, F_LEAF_VALUES, emptied);
-                        cache.adjust(core, *node, -(emptied as i64));
+                        cache.adjust(core, *node, -emptied);
                     }
                 }
                 Unit::Block { node, idx, .. } => {
@@ -1195,8 +1193,8 @@ impl<V: RadixValue> RangeGuard<'_, V> {
                             if let Some(v) = old {
                                 out.push(Removed::Page(n.base_vpn + idx as u64, v));
                             }
-                            // Present → present: status, value count, and
-                            // the node's used-slot reference are unchanged.
+                            // Present → present: status and the node's
+                            // used-slot reference are unchanged.
                         } else {
                             // SAFETY: we hold the slot lock.
                             unsafe { *slot.value.get() = Some(value.clone()) };
@@ -1206,8 +1204,7 @@ impl<V: RadixValue> RangeGuard<'_, V> {
                         }
                     }
                     if filled > 0 {
-                        stats.add(core, F_LEAF_VALUES, filled);
-                        cache.adjust(core, *node, filled as i64);
+                        cache.adjust(core, *node, filled);
                     }
                 }
                 Unit::Block { node, idx, .. } => {
@@ -1466,7 +1463,6 @@ impl<V: RadixValue> RangeGuard<'_, V> {
             slot.status.store(LOCK_BIT, Ordering::Release);
             vals.push(v);
         }
-        stats.sub(core, F_LEAF_VALUES, FANOUT as u64);
         // Surrender the used-slot references the values represented; the
         // node frees once the guard's pin (and any hint pins) drain.
         // No-collapse trees give nodes a permanent reference; a severed

@@ -91,7 +91,7 @@ fn refault_op_stays_within_seven() {
 }
 
 #[test]
-fn disjoint_op_with_its_share_of_maintain_stays_within_twenty_eight() {
+fn disjoint_op_with_its_share_of_maintain_stays_within_twenty_six() {
     let (_sim, machine, vm) = one_core();
     // One op: mmap 4 KiB at one of 64 private slots, fill the page,
     // munmap; a Refcache tick every 128 ops.
@@ -116,7 +116,7 @@ fn disjoint_op_with_its_share_of_maintain_stays_within_twenty_eight() {
     let n = rmws(|| (0..OPS).for_each(|_| op()));
     assert_eq!(machine.pool().stats().fresh, fresh, "warm: no pool growth");
     assert!(
-        n <= 28 * OPS,
+        n <= 26 * OPS,
         "disjoint op: {:.2} locked instructions",
         n as f64 / OPS as f64
     );
