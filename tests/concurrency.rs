@@ -431,8 +431,9 @@ fn hint_riding_faults_survive_quiesce_and_refolds() {
 /// owner core has four threads of its own (two mappers, a reader, and a
 /// churner that takes frames off the core's free list and puts them
 /// straight back) — one core, so that on a two-CPU host the two running
-/// threads are most often acting for the same one; a sweeper loops `quiesce` +
-/// `flush_magazines` + `stats`, acting for *every* core; an unmapper on
+/// threads are most often acting for the same one; a sweeper loops
+/// `quiesce` + `flush_magazines` + `stats`, acting for *every* core; an
+/// unmapper on
 /// a core of its own keeps replacing a region the reader touches, so
 /// remote shootdowns land on a core that is mid-access. At the end
 /// every count must equal what was issued. (Mappers and unmapper run a
@@ -443,9 +444,9 @@ fn hint_riding_faults_survive_quiesce_and_refolds() {
 fn counters_stay_exact_when_foreign_threads_act_for_a_core() {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Barrier;
-    const OWNERS: usize = 1;
-    const MAPPERS_PER_OWNER: u64 = 2;
-    const UNMAPPER: usize = OWNERS;
+    const OWNER: usize = 0;
+    const UNMAPPER: usize = 1;
+    const MAPPERS: u64 = 2;
     const MAPPER_OPS: u64 = 12_000;
     const UNMAPPER_OPS: u64 = 3_000;
     const CHURNER_OPS: u64 = 200_000;
@@ -456,7 +457,7 @@ fn counters_stay_exact_when_foreign_threads_act_for_a_core() {
     // With them, a fault whose frame the sweeper frees before the access
     // completes is retried and looked up twice (the sweeper flushes for
     // the faulting core, which that core could never do mid-access).
-    let mut cfg = MachineConfig::new(OWNERS + 1);
+    let mut cfg = MachineConfig::new(2);
     cfg.check_generations = false;
     let machine = Machine::with_config(cfg);
     let vm = build(&machine, BackendKind::Radix);
@@ -465,7 +466,7 @@ fn counters_stay_exact_when_foreign_threads_act_for_a_core() {
         .downcast_ref::<RadixVm>()
         .expect("Radix backend is a RadixVm");
     let private = |core: usize| BASE + core as u64 * (1 << 24);
-    for core in 0..=OWNERS {
+    for core in [OWNER, UNMAPPER] {
         vm.attach_core(core);
         // The reader's resident page (its block's page 0; each mapper
         // churns 16 pages of its own in the same leaf).
@@ -496,25 +497,26 @@ fn counters_stay_exact_when_foreign_threads_act_for_a_core() {
     let one_page_ops = AtomicU64::new(0);
     let maintains = AtomicU64::new(0);
     let quiesces = AtomicU64::new(0);
-    let start = Barrier::new((MAPPERS_PER_OWNER as usize + 2) * OWNERS + 2);
+    // Mappers, churner, reader, unmapper, sweeper.
+    let start = Barrier::new(MAPPERS as usize + 4);
     std::thread::scope(|s| {
         let (machine, vm) = (&machine, &*vm);
         let (stop, start) = (&stop, &start);
         let (accesses, one_page_ops) = (&accesses, &one_page_ops);
         let (maintains, quiesces) = (&maintains, &quiesces);
         let mut counted = Vec::new();
-        for (core, m) in (0..OWNERS).flat_map(|c| (0..MAPPERS_PER_OWNER).map(move |m| (c, m))) {
+        for m in 0..MAPPERS {
             counted.push(s.spawn(move || {
                 start.wait();
                 for i in 0..MAPPER_OPS {
-                    let va = private(core) + (1 + 16 * m + i % 16) * PAGE_SIZE;
-                    vm.mmap(core, va, PAGE_SIZE, Prot::RW, Backing::Anon)
+                    let va = private(OWNER) + (1 + 16 * m + i % 16) * PAGE_SIZE;
+                    vm.mmap(OWNER, va, PAGE_SIZE, Prot::RW, Backing::Anon)
                         .unwrap();
-                    machine.write_u64(core, vm, va, i).unwrap();
-                    assert_eq!(machine.read_u64(core, vm, va), Ok(i));
-                    vm.munmap(core, va, PAGE_SIZE).unwrap();
+                    machine.write_u64(OWNER, vm, va, i).unwrap();
+                    assert_eq!(machine.read_u64(OWNER, vm, va), Ok(i));
+                    vm.munmap(OWNER, va, PAGE_SIZE).unwrap();
                     if i % MAINTAIN_EVERY == 0 {
-                        vm.maintain(core);
+                        vm.maintain(OWNER);
                         maintains.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -522,29 +524,30 @@ fn counters_stay_exact_when_foreign_threads_act_for_a_core() {
                 one_page_ops.fetch_add(2 * MAPPER_OPS, Ordering::Relaxed);
             }));
         }
-        for core in 0..OWNERS {
-            counted.push(s.spawn(move || {
-                start.wait();
-                for _ in 0..CHURNER_OPS {
-                    let pfn = machine.pool().alloc(core);
-                    machine.pool().free(core, pfn);
+        counted.push(s.spawn(move || {
+            start.wait();
+            for _ in 0..CHURNER_OPS {
+                let pfn = machine.pool().alloc(OWNER);
+                machine.pool().free(OWNER, pfn);
+            }
+        }));
+        s.spawn(move || {
+            start.wait();
+            let mut n = 0;
+            while !stop.load(Ordering::Relaxed) {
+                let va = SHARED + (n % SHARED_PAGES) * PAGE_SIZE;
+                match machine.read_u64(OWNER, vm, va) {
+                    Ok(_) | Err(VmError::NoMapping) => {}
+                    Err(e) => panic!("the reader saw {e}"),
                 }
-            }));
-            s.spawn(move || {
-                start.wait();
-                let mut n = 0;
-                while !stop.load(Ordering::Relaxed) {
-                    let va = SHARED + (n % SHARED_PAGES) * PAGE_SIZE;
-                    match machine.read_u64(core, vm, va) {
-                        Ok(_) | Err(VmError::NoMapping) => {}
-                        Err(e) => panic!("reader on core {core} saw {e}"),
-                    }
-                    assert_eq!(machine.read_u64(core, vm, private(core)), Ok(core as u64));
-                    n += 2;
-                }
-                accesses.fetch_add(n, Ordering::Relaxed);
-            });
-        }
+                assert_eq!(
+                    machine.read_u64(OWNER, vm, private(OWNER)),
+                    Ok(OWNER as u64)
+                );
+                n += 2;
+            }
+            accesses.fetch_add(n, Ordering::Relaxed);
+        });
         counted.push(s.spawn(move || {
             start.wait();
             for _ in 0..UNMAPPER_OPS {
