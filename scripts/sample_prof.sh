@@ -31,8 +31,7 @@
 #   cargo build --release --example hot_loop
 #   scripts/sample_prof.sh target/release/examples/hot_loop metis 5
 #
-# SAMPLE_PROF_TOP sets the rows per table (default 25). Skips, exit 0,
-# where there is no `cc` or no `addr2line`.
+# Skips, exit 0, where there is no `cc` or no `addr2line`.
 set -euo pipefail
 
 if [[ $# -lt 1 ]]; then
@@ -48,7 +47,7 @@ done
 
 binary=$(readlink -f "$1")
 shift
-top=${SAMPLE_PROF_TOP:-25}
+top=25 # rows per table
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
@@ -57,7 +56,6 @@ cat > "$work/sampler.c" <<'EOF'
 #include <signal.h>
 #include <stdint.h>
 #include <stdio.h>
-#include <stdlib.h>
 #include <sys/mman.h>
 #include <sys/time.h>
 #include <ucontext.h>
@@ -101,8 +99,7 @@ __attribute__((constructor)) static void start(void) {
 
 __attribute__((destructor)) static void stop(void) {
     arm(0);
-    const char *path = getenv("SAMPLE_PROF_OUT");
-    FILE *out = path ? fopen(path, "w") : NULL;
+    FILE *out = fopen(OUT_PATH, "w");
     FILE *maps = fopen("/proc/self/maps", "r");
     if (!out || !maps)
         return;
@@ -115,10 +112,10 @@ __attribute__((destructor)) static void stop(void) {
     fclose(out);
 }
 EOF
-cc -O2 -shared -fPIC -o "$work/sampler.so" "$work/sampler.c"
+cc -O2 -shared -fPIC -DOUT_PATH="\"$work/raw\"" -o "$work/sampler.so" "$work/sampler.c"
 
 status=0
-SAMPLE_PROF_OUT="$work/raw" LD_PRELOAD="$work/sampler.so" "$binary" "$@" || status=$?
+LD_PRELOAD="$work/sampler.so" "$binary" "$@" || status=$?
 if [[ ! -s "$work/raw" ]]; then
     echo "sample_prof: the run left no samples (exit status $status)" >&2
     exit 1
