@@ -492,7 +492,9 @@ pub struct MachineConfig {
     /// Whether munmap sends shootdowns (disable for failure injection).
     pub shootdown_enabled: bool,
     /// Whether accesses validate frame generations (use-after-free
-    /// detection; negligible cost, recommended on).
+    /// detection; negligible cost, recommended on). Off, an access that
+    /// completes a fault can land on a freed frame when another thread
+    /// flushes Refcache for the faulting core (see [`Machine::access`]).
     pub check_generations: bool,
     /// Frame-placement policy of the machine's pool (NUMA knob).
     pub placement: rvm_mem::PlacementPolicy,
@@ -703,11 +705,18 @@ impl Machine {
             // handler produced, even if a concurrent munmap has already
             // shot the fresh TLB entry down — the paper's §3.4 semantics:
             // when pagefault wins the metadata lock, the faulting access
-            // may complete while munmap is in flight. This is safe
-            // because physical frames are freed through Refcache, whose
-            // epoch barrier cannot pass until *this* core flushes again —
-            // which it cannot do mid-access. The generation check guards
-            // the (never-taken in practice) remaining window.
+            // may complete while munmap is in flight. Frames are freed
+            // through Refcache, whose epoch barrier waits for a flush of
+            // *this* core's delta cache; the core does not flush
+            // mid-access, but any thread may flush *for* it (`quiesce`, a
+            // sweeper), so the frame can be freed, and reused, between
+            // the fault's return and the access. The generation re-check
+            // is the guard: a frame freed by then reads a newer
+            // generation and the access faults again
+            // (`tests/concurrency.rs` reaches this under a foreign
+            // sweeper). With `check_generations` off nothing catches it,
+            // and such an access lands on a freed frame — pool memory,
+            // never unmapped, but no longer this page's.
             if (kind == AccessKind::Read || tr.writable)
                 && (!self.cfg.check_generations || self.pool.generation(tr.pfn) == tr.gen)
             {

@@ -103,9 +103,9 @@ impl<const K: usize> ShardedStats<K> {
         self.sub(sim::current_core(), field, n);
     }
 
-    /// Counter `field` of `core`'s cell alone: that core's share of the
-    /// sum (which stripe a bump landed in is what tests of "writes only
-    /// its own line" need to see).
+    /// Test-only, not API: counter `field` of `core`'s cell alone, for
+    /// tests that assert a bump landed in its own core's line.
+    #[doc(hidden)]
     pub fn stripe(&self, core: usize, field: usize) -> u64 {
         self.cells[core & self.mask][field].load(Ordering::Relaxed)
     }
