@@ -675,15 +675,153 @@ mod tests {
         t.cache().flush(0);
     }
 
+    /// First VPN of test block `b`: leaf blocks far enough apart that no
+    /// two share a parent's neighbouring slots by accident.
+    fn block(b: u64) -> Vpn {
+        (3 + 5 * b) * FANOUT as u64
+    }
+
+    /// A tree with pages 7 and 8 of blocks `0..n` mapped (value = block
+    /// index) by multi-page locks, which never touch the hints.
+    fn blocks_tree(n: u64) -> RadixTree<u64> {
+        let t = tree(1);
+        for b in 0..n {
+            t.lock_range(0, block(b) + 7, block(b) + 9, LockMode::ExpandAll)
+                .replace(&b);
+        }
+        assert!(t.hinted_blocks(0).is_empty());
+        t
+    }
+
+    /// One single-page lock in each of blocks `0..n`, in turn.
+    fn touch_blocks(t: &RadixTree<u64>, n: u64) {
+        for b in 0..n {
+            let mut g = t.lock_range(0, block(b) + 7, block(b) + 8, LockMode::ExpandFolded);
+            assert_eq!(g.page_value_mut(), Some(&mut { b }));
+        }
+    }
+
+    #[test]
+    fn alternating_locks_over_eight_blocks_descend_once_each() {
+        let t = blocks_tree(8);
+        let misses = t.stats().hint_misses();
+        touch_blocks(&t, 8);
+        assert_eq!(t.stats().hint_misses(), misses + 8, "first pass descends");
+        assert_eq!(t.hinted_blocks(0), (0..8).map(block).collect::<Vec<_>>());
+        let hits = t.stats().hint_hits();
+        for _ in 0..4 {
+            touch_blocks(&t, 8);
+        }
+        for b in (0..8).rev() {
+            assert_eq!(t.get(0, block(b) + 7), Some(b));
+            assert!(t.lookup_present(0, block(b) + 7));
+        }
+        assert_eq!(t.stats().hint_misses(), misses + 8, "never again");
+        assert_eq!(t.stats().hint_hits(), hits + 4 * 8 + 2 * 8);
+    }
+
+    #[test]
+    fn ninth_block_evicts_one_way_and_surrenders_one_pin() {
+        let t = blocks_tree(9);
+        touch_blocks(&t, 8);
+        let misses = t.stats().hint_misses();
+        // The set is full: the ninth block takes the round-robin victim.
+        touch_blocks(&t, 9);
+        assert_eq!(t.stats().hint_misses(), misses + 1, "only the ninth");
+        let mut hinted = t.hinted_blocks(0);
+        assert_eq!(hinted.len(), 8);
+        hinted.sort_unstable();
+        assert_eq!(hinted, (1..9).map(block).collect::<Vec<_>>(), "way 0 went");
+        // The seven untouched ways still hit; the evicted block descends.
+        let hits = t.stats().hint_hits();
+        for b in 1..8 {
+            assert_eq!(t.get(0, block(b) + 7), Some(b));
+        }
+        assert_eq!(t.stats().hint_hits(), hits + 7);
+        assert_eq!(t.stats().hint_misses(), misses + 1);
+        // Exactly one pin went with the way. One too few leaks the leaf
+        // (it never collapses below); one too many frees it here, linked
+        // and with its page mapped.
+        t.cache().quiesce();
+        assert_eq!(t.stats().leaf_nodes(), 9);
+        for b in 0..9 {
+            assert_eq!(t.get(0, block(b) + 7), Some(b), "block {b}");
+            t.lock_range(0, block(b) + 7, block(b) + 9, LockMode::ExpandFolded)
+                .clear();
+        }
+        t.cache().quiesce();
+        assert_eq!(t.cache().live_objects(), 1, "a hint pin leaked");
+    }
+
+    #[test]
+    fn flush_surrenders_every_occupied_way() {
+        let t = blocks_tree(5);
+        touch_blocks(&t, 5);
+        assert_eq!(t.hinted_blocks(0).len(), 5);
+        // Empty the leaves by multi-page locks: only the hints' pins keep
+        // them now.
+        for b in 0..5 {
+            t.lock_range(0, block(b) + 7, block(b) + 9, LockMode::ExpandFolded)
+                .clear();
+        }
+        t.cache().flush(0);
+        assert!(t.hinted_blocks(0).is_empty(), "the hook takes all ways");
+        t.cache().quiesce();
+        assert_eq!(t.cache().live_objects(), 1, "everything collapsed");
+        assert_eq!(t.stats().leaf_nodes(), 0);
+    }
+
+    #[test]
+    fn refolded_leafs_way_is_evicted_by_the_lookup_that_meets_it() {
+        let t = tree(1);
+        let start = block(2);
+        t.lock_range(0, start, start + 512, LockMode::ExpandAll)
+            .replace(&6);
+        // Demote (the descent installs the hint), then promote: the hint
+        // now pins a severed leaf.
+        drop(t.lock_range(0, start + 3, start + 4, LockMode::ExpandFolded));
+        assert_eq!(t.hinted_blocks(0), [start]);
+        t.lock_range(0, start, start + 512, LockMode::ExpandFolded)
+            .refold(6)
+            .expect("refolds");
+        let (hits, misses) = (t.stats().hint_hits(), t.stats().hint_misses());
+        let live = t.cache().live_objects();
+        // The first lookup finds the way by its tag, reads the linkage
+        // under the slot lock, evicts the way and still answers from the
+        // fold.
+        assert_eq!(t.get(0, start + 3), Some(6));
+        assert!(t.hinted_blocks(0).is_empty(), "stale way evicted");
+        assert_eq!(
+            (t.stats().hint_hits(), t.stats().hint_misses()),
+            (hits, misses + 1),
+            "one bump, a miss"
+        );
+        // Same through a lock: the fold is intact, no leaf came back.
+        {
+            let mut g = t.lock_range(0, start + 9, start + 10, LockMode::ExpandToBlock);
+            assert_eq!(
+                g.block_entry_mut().map(|(lo, n, v)| (lo, n, *v)),
+                Some((start, 512, 6))
+            );
+        }
+        assert_eq!(t.stats().leaf_nodes(), 1, "the severed leaf, still queued");
+        // The eviction surrendered the last pin: the leaf frees without a
+        // flush hook's help (the set is already empty).
+        t.cache().quiesce();
+        assert_eq!(t.cache().live_objects(), live - 1, "severed leaf freed");
+        assert_eq!(t.stats().leaf_nodes(), 0);
+    }
+
     #[test]
     fn warm_hinted_lock_unlock_line_events_are_pinned() {
-        // The hinted single-page lock/unlock touches seven instrumented
-        // lines, all core-local: the hint slot lock (1 write), the parent
-        // slot that must still publish the leaf (1 read), the hit counter
-        // (1 write), the leaf slot lock (1 read + 1 CAS), the linkage
-        // re-check under it (1 read) and the unlock (1 write). A Refcache
-        // pin/unpin pair would add four more (the core delta cache lock
-        // and the epoch, twice) — the round-trip the hint's pin replaces.
+        // The hinted single-page lock/unlock touches six instrumented
+        // lines, all core-local: the hint slot lock (1 write), the leaf
+        // slot lock (1 read + 1 CAS), the parent slot that must still
+        // publish the leaf, read once under it (1 read), the hit counter
+        // (1 write) and the unlock (1 write). A Refcache pin/unpin pair
+        // would add four more (the core delta cache lock and the epoch,
+        // twice) — the round-trip the hint's pin replaces — and a
+        // linkage check ahead of the slot lock one.
         let guard = rvm_sync::sim::install(1, rvm_sync::CostModel::default());
         rvm_sync::sim::switch(0);
         let t = hinted_tree(1);
@@ -695,7 +833,7 @@ mod tests {
         drop(t.lock_range(0, 1004, 1005, LockMode::ExpandFolded));
         let after = rvm_sync::sim::stats().cores[0];
         assert_eq!(t.stats().hint_hits(), hits + 1);
-        assert_eq!(after.local_hits - before.local_hits, 7);
+        assert_eq!(after.local_hits - before.local_hits, 6);
         assert_eq!(after.cold_misses, before.cold_misses);
         assert_eq!(after.remote_transfers, before.remote_transfers);
         drop(t);

@@ -36,16 +36,17 @@
 //!   surrendered as soon as the pinned child guarantees the chain stays
 //!   live (a linked child holds a used-slot reference on its parent), so
 //!   a single-page guard that descended holds exactly one pin: the leaf.
-//! * **Per-core leaf hints.** Each core caches the last leaf it reached
-//!   (with one pinned reference). A repeat fault in the same 512-page
-//!   block skips the descent entirely, and the guard it gets *rides the
-//!   hint's pin*: it keeps the core's hint-slot lock until it drops, and
-//!   the hint can only be replaced or surrendered under that lock, so no
-//!   Refcache traffic pins the leaf a second time. Correctness never
-//!   depends on the hint: a stale or missing hint falls back to the full
-//!   descent, and the hint's pin is surrendered at every Refcache flush
-//!   so collapse is delayed by at most one epoch. See DESIGN.md §5 for
-//!   the invariants and the lock order.
+//! * **Per-core leaf hints.** Each core caches the last few leaves it
+//!   reached (a small associative set searched by block base, one pinned
+//!   reference per way). A repeat fault in any of those 512-page blocks
+//!   skips the descent entirely, and the guard it gets *rides the hint's
+//!   pin*: it keeps the core's hint-slot lock until it drops, and hints
+//!   can only be replaced or surrendered under that lock, so no Refcache
+//!   traffic pins the leaf a second time. Correctness never depends on
+//!   a hint: a stale or missing one falls back to the full descent, and
+//!   every hint's pin is surrendered at every Refcache flush so collapse
+//!   is delayed by at most one epoch. See DESIGN.md §5 for the
+//!   invariants and the lock order.
 
 use std::sync::Arc;
 
@@ -200,8 +201,9 @@ enum Unit<V: Send + Sync + 'static> {
 /// through `tryget` and released at guard drop, (c) a used-slot
 /// reference in a parent that is itself pinned, (d) a pinned *descendant*
 /// (a linked child holds a used-slot reference on its parent, surrendered
-/// only in `on_release`), or (e) a per-core leaf hint's pinned reference,
-/// for as long as that core's hint slot stays locked ([`HintHold`]).
+/// only in `on_release`), or (e) one of a core's leaf hints' pinned
+/// reference, for as long as that core's hint slot stays locked
+/// ([`HintHold`]).
 /// See module docs and DESIGN.md §5.
 fn nref<'a, V: Send + Sync + 'static>(p: RcPtr<Node<V>>) -> &'a Node<V> {
     // SAFETY: see the contract above; all call sites hold one of the
@@ -209,18 +211,76 @@ fn nref<'a, V: Send + Sync + 'static>(p: RcPtr<Node<V>>) -> &'a Node<V> {
     unsafe { p.as_ref() }
 }
 
-/// One core's cached leaf: the last leaf node this core reached on a
-/// single-page operation, holding **one pinned reference** to it.
+/// One cached leaf: a leaf node a core reached on a single-page
+/// operation, holding **one pinned reference** to it.
 struct LeafHint<V: Send + Sync + 'static> {
-    /// First VPN of the hinted leaf's 512-page block.
-    block_base: Vpn,
     /// The hinted leaf; the hint owns one Refcache reference to it.
     node: RcPtr<Node<V>>,
 }
 
+/// Ways in each core's hint set. Eight block tags are one cache line, so
+/// a lookup scans exactly one line before it picks a way; and eight leaf
+/// blocks (16 MiB of address space) is the order of what hardware keeps
+/// in a page-walk cache for the same reason — a thread's faults alternate
+/// between a handful of regions (two buffers, a stack and a heap), and
+/// with one way every change of region is a descent from the root. A
+/// constant, not a knob: more ways would only lengthen the scan and the
+/// flush hook's sweep.
+const HINT_WAYS: usize = 8;
+
+/// Tag of an empty way: no block starts there ([`VPN_LIMIT`] is 2³⁶).
+const NO_BLOCK: Vpn = Vpn::MAX;
+
+/// One core's cached leaves: a small fully associative set searched by
+/// block base, all of it under the core's one hint-slot lock.
+struct HintSet<V: Send + Sync + 'static> {
+    /// First VPN of each way's 512-page block, [`NO_BLOCK`] when the way
+    /// is empty: the one line a lookup scans.
+    tags: [Vpn; HINT_WAYS],
+    ways: [Option<LeafHint<V>>; HINT_WAYS],
+    /// The way the next install into a full set replaces (round robin).
+    victim: usize,
+}
+
+impl<V: Send + Sync + 'static> HintSet<V> {
+    const EMPTY: Self = HintSet {
+        tags: [NO_BLOCK; HINT_WAYS],
+        ways: [const { None }; HINT_WAYS],
+        victim: 0,
+    };
+
+    /// The way caching `block_base`'s leaf, if any.
+    #[inline]
+    fn find(&self, block_base: Vpn) -> Option<usize> {
+        self.tags.iter().position(|&t| t == block_base)
+    }
+
+    /// Empties `way`, handing its hint (and the pin it owns) to the caller.
+    fn evict(&mut self, way: usize) -> Option<LeafHint<V>> {
+        self.tags[way] = NO_BLOCK;
+        self.ways[way].take()
+    }
+
+    /// Caches `hint` for `block_base`: over the way already holding that
+    /// block, else in an empty way, else over the round-robin victim.
+    /// Returns the displaced hint, whose pin the caller surrenders.
+    fn install(&mut self, block_base: Vpn, hint: LeafHint<V>) -> Option<LeafHint<V>> {
+        let way = self
+            .find(block_base)
+            .or_else(|| self.find(NO_BLOCK))
+            .unwrap_or_else(|| {
+                let v = self.victim;
+                self.victim = (v + 1) % HINT_WAYS;
+                v
+            });
+        self.tags[way] = block_base;
+        self.ways[way].replace(hint)
+    }
+}
+
 /// One core's hint slot: line-padded so neighbouring cores never share.
 struct HintCell<V: Send + Sync + 'static> {
-    hint: SpinLock<Option<LeafHint<V>>>,
+    hint: SpinLock<HintSet<V>>,
     /// Debug builds: token of the thread holding `hint` (0 when free), so
     /// re-entry on the holding thread — which would spin forever — is
     /// reported instead.
@@ -229,8 +289,8 @@ struct HintCell<V: Send + Sync + 'static> {
 }
 
 impl<V: Send + Sync + 'static> HintCell<V> {
-    /// Wraps the just-acquired lock on this cell's hint.
-    fn held<'t>(&'t self, hint: SpinLockGuard<'t, Option<LeafHint<V>>>) -> HintHold<'t, V> {
+    /// Wraps the just-acquired lock on this cell's hint set.
+    fn held<'t>(&'t self, hint: SpinLockGuard<'t, HintSet<V>>) -> HintHold<'t, V> {
         #[cfg(debug_assertions)]
         self.holder.store(thread_token(), Ordering::Relaxed);
         HintHold {
@@ -241,16 +301,16 @@ impl<V: Send + Sync + 'static> HintCell<V> {
     }
 }
 
-/// A locked hint slot. While it is held the slot's hint can be neither
-/// replaced nor surrendered, so the hinted leaf stays pinned: a
-/// single-page [`RangeGuard`] served by the hint keeps this for its whole
+/// A locked hint slot. While it is held none of the slot's hints can be
+/// replaced or surrendered, so every hinted leaf stays pinned: a
+/// single-page [`RangeGuard`] served by a hint keeps this for its whole
 /// lifetime instead of taking a pin of its own.
 ///
 /// Lock order: hint slot → leaf slot → core delta cache → object. Code
 /// that already holds slot locks may only *try* for the hint slot
 /// ([`RadixTree::install_hint`]).
 struct HintHold<'t, V: Send + Sync + 'static> {
-    hint: SpinLockGuard<'t, Option<LeafHint<V>>>,
+    hint: SpinLockGuard<'t, HintSet<V>>,
     #[cfg(debug_assertions)]
     holder: &'t std::sync::atomic::AtomicUsize,
 }
@@ -281,7 +341,7 @@ impl<V: Send + Sync + 'static> HintTable<V> {
             slots: (0..ncores)
                 .map(|_| {
                     CachePadded::new(HintCell {
-                        hint: SpinLock::new(None),
+                        hint: SpinLock::new(HintSet::EMPTY),
                         #[cfg(debug_assertions)]
                         holder: std::sync::atomic::AtomicUsize::new(0),
                     })
@@ -314,12 +374,12 @@ impl<V: Send + Sync + 'static> HintTable<V> {
         Some(cell.held(cell.hint.try_lock()?))
     }
 
-    /// Takes `core`'s hint (if any) and surrenders its pin. Runs at every
-    /// Refcache flush so a hint delays node collapse by at most one epoch
-    /// — the property that keeps the freeing-safety argument intact.
+    /// Takes every hint of `core` and surrenders their pins. Runs at
+    /// every Refcache flush so a hint delays node collapse by at most one
+    /// epoch — the property that keeps the freeing-safety argument intact.
     fn release(&self, cache: &Refcache, core: usize) {
-        let taken = self.hold(core).hint.take();
-        if let Some(h) = taken {
+        let taken = std::mem::replace(&mut *self.hold(core).hint, HintSet::EMPTY);
+        for h in taken.ways.into_iter().flatten() {
             cache.dec(core, h.node);
         }
     }
@@ -419,48 +479,72 @@ impl<V: RadixValue> RadixTree<V> {
         }
     }
 
-    /// Checks a hint against the block containing `vpn`: the block must
-    /// match and the parent slot must still publish the hinted node
-    /// (a refold severs the leaf and replaces it with a folded value, so
-    /// a promoted block's stale hint misses here instead of reading the
-    /// emptied slots).
-    fn hint_valid(h: &LeafHint<V>, block_base: Vpn) -> bool {
-        if h.block_base != block_base {
-            return false;
-        }
+    /// True when the hinted leaf's parent slot still publishes it (a
+    /// refold severs the leaf and replaces it with a folded value, so a
+    /// promoted block's stale hint misses here instead of reading the
+    /// emptied slots). For [`RadixTree::lookup_present`], which takes no
+    /// slot lock to read the linkage under.
+    fn hint_valid(h: &LeafHint<V>) -> bool {
         nref(h.node).parent.is_some() && Self::leaf_linked(h.node)
     }
 
-    /// Fault fast path: returns `core`'s hinted leaf for `vpn`'s block
-    /// together with the held hint slot that keeps it pinned, or `None`
-    /// on a miss. Hit/miss counts land in [`TreeStats`].
+    /// Fault fast path: finds `core`'s hinted leaf for `vpn`'s block and
+    /// locks `vpn`'s slot in it. Returns the leaf, **with that slot
+    /// locked**, and the held hint slot that keeps it pinned — or `None`
+    /// on a miss, with nothing held. Hit/miss counts land in
+    /// [`TreeStats`], one bump per lookup.
+    ///
+    /// The way is picked by block base alone. Whether the leaf is still
+    /// linked is read once, under the slot lock, where the answer is
+    /// authoritative: a leaf seen linked by the holder of one of its slot
+    /// locks stays linked until that lock drops. A leaf that read finds
+    /// severed (refolded) is pinned and harmless, but it will never be
+    /// linked again, so its way is evicted on the spot and the lookup is
+    /// a miss.
     fn hint_lookup(&self, core: usize, vpn: Vpn) -> Option<(RcPtr<Node<V>>, HintHold<'_, V>)> {
         if !self.cfg.leaf_hints {
             return None;
         }
         let block_base = vpn & !((FANOUT as u64) - 1);
-        let hold = self.hints.hold(core);
-        match hold.hint.as_ref() {
-            Some(h) if Self::hint_valid(h, block_base) => {
-                let node = h.node;
-                self.stats.add_exclusive(core, F_HINT_HITS, 1);
-                Some((node, hold))
+        let mut hold = self.hints.hold(core);
+        let mut stale = None;
+        let hit = hold.hint.find(block_base).and_then(|way| {
+            let leaf = hold.hint.ways[way].as_ref()?.node;
+            let status = &nref(leaf).leaf()[(vpn - block_base) as usize].status;
+            lock_leaf_slot(core, status, &self.stats);
+            if Self::leaf_linked(leaf) {
+                return Some(leaf);
             }
-            _ => {
-                // Counted before the hint slot drops, like the hit: the
-                // slot is what makes this thread the cell's only mutator.
-                self.stats.add_exclusive(core, F_HINT_MISSES, 1);
+            unlock_leaf_slot(status);
+            stale = hold.hint.evict(way);
+            None
+        });
+        // Counted before the hint slot drops: the slot is what makes this
+        // thread the cell's only mutator.
+        let field = if hit.is_some() {
+            F_HINT_HITS
+        } else {
+            F_HINT_MISSES
+        };
+        self.stats.add_exclusive(core, field, 1);
+        match hit {
+            Some(leaf) => Some((leaf, hold)),
+            None => {
+                drop(hold);
+                if let Some(h) = stale {
+                    self.cache.dec(core, h.node);
+                }
                 None
             }
         }
     }
 
-    /// Remembers `node` as `core`'s leaf hint, taking one pinned
-    /// reference for the hint and surrendering the previous hint's pin.
-    /// Skipped when the hint slot is busy (the core's flush hook is
-    /// running on another thread): callers may hold slot locks, which
-    /// come after the hint slot in the lock order, so they never wait
-    /// for it — the hint is advisory.
+    /// Remembers `node` as a leaf hint of `core`, taking one pinned
+    /// reference for the hint and surrendering the pin of the hint it
+    /// displaces (see [`HintSet::install`]). Skipped when the hint slot
+    /// is busy (the core's flush hook is running on another thread):
+    /// callers may hold slot locks, which come after the hint slot in the
+    /// lock order, so they never wait for it — the hint is advisory.
     ///
     /// The caller must hold a live reference to `node` (a traversal pin
     /// or a guard pin) across the call.
@@ -473,14 +557,19 @@ impl<V: RadixValue> RadixTree<V> {
             return;
         };
         self.cache.inc(core, node);
-        let prev = hold.hint.replace(LeafHint {
-            block_base: nref(node).base_vpn,
-            node,
-        });
+        let prev = hold.hint.install(nref(node).base_vpn, LeafHint { node });
         drop(hold);
         if let Some(h) = prev {
             self.cache.dec(core, h.node);
         }
+    }
+
+    /// The block bases `core`'s hint set caches, in way order.
+    #[cfg(test)]
+    pub(crate) fn hinted_blocks(&self, core: usize) -> Vec<Vpn> {
+        let hold = self.hints.hold(core);
+        let tags = hold.hint.tags.iter();
+        tags.copied().filter(|&t| t != NO_BLOCK).collect()
     }
 
     /// Locks `[lo, hi)` left-to-right and returns the guard.
@@ -508,22 +597,15 @@ impl<V: RadixValue> RadixTree<V> {
         // lock in their range during descent).
         if hi == lo + 1 {
             if let Some((leaf, hold)) = self.hint_lookup(core, lo) {
-                let n = nref(leaf);
-                let first = (lo - n.base_vpn) as usize;
-                lock_leaf_slot(core, &n.leaf()[first].status, &self.stats);
-                if Self::leaf_linked(leaf) {
-                    guard.units.push(Unit::LeafRange {
-                        node: leaf,
-                        first,
-                        end: first + 1,
-                        born: false,
-                    });
-                    guard.hint = Some(hold);
-                    return guard;
-                }
-                // A refold severed this leaf between the hint check and
-                // the slot lock: let go and take the full descent.
-                unlock_leaf_slot(&n.leaf()[first].status);
+                let first = (lo - nref(leaf).base_vpn) as usize;
+                guard.units.push(Unit::LeafRange {
+                    node: leaf,
+                    first,
+                    end: first + 1,
+                    born: false,
+                });
+                guard.hint = Some(hold);
+                return guard;
             }
         }
         // Multi-page acquisitions under the List substrate serialize on
@@ -767,18 +849,13 @@ impl<V: RadixValue> RadixTree<V> {
         if let Some((leaf, _hold)) = self.hint_lookup(core, vpn) {
             let n = nref(leaf);
             let slot = &n.leaf()[(vpn - n.base_vpn) as usize];
-            lock_leaf_slot(core, &slot.status, &self.stats);
-            // Linkage checked under the slot lock: a linked leaf cannot
-            // be refolded while we hold one of its slot locks, so the
-            // read below is authoritative. A severed leaf's emptied slot
-            // says nothing — fall through to the descent.
-            let linked = Self::leaf_linked(leaf);
-            // SAFETY: the slot lock is held.
+            // SAFETY: the lookup returned with the slot lock held, on a
+            // leaf it saw linked under that lock: a linked leaf cannot be
+            // refolded while we hold one of its slot locks, so the read
+            // is authoritative.
             let out = unsafe { (*slot.value.get()).clone() };
             unlock_leaf_slot(&slot.status);
-            if linked {
-                return out;
-            }
+            return out;
         }
         let mut node_ptr = self.root;
         // The single in-flight traversal pin (`None` while at the
@@ -861,8 +938,9 @@ impl<V: RadixValue> RadixTree<V> {
         if self.cfg.leaf_hints {
             let block_base = vpn & !((FANOUT as u64) - 1);
             let hold = self.hints.hold(core);
-            if let Some(h) = hold.hint.as_ref() {
-                if Self::hint_valid(h, block_base) {
+            let hinted = hold.hint.find(block_base);
+            if let Some(h) = hinted.and_then(|way| hold.hint.ways[way].as_ref()) {
+                if Self::hint_valid(h) {
                     let st = nref(h.node).leaf()[(vpn - block_base) as usize]
                         .status
                         .load(Ordering::Acquire);
@@ -872,7 +950,7 @@ impl<V: RadixValue> RadixTree<V> {
                     // An *absent* bit must be re-confirmed: if the leaf
                     // was severed after the validity check, the emptied
                     // slot says nothing — take the descent instead.
-                    if st & LEAF_PRESENT != 0 || Self::hint_valid(h, block_base) {
+                    if st & LEAF_PRESENT != 0 || Self::hint_valid(h) {
                         self.stats.add_exclusive(core, F_HINT_HITS, 1);
                         return st & LEAF_PRESENT != 0;
                     }
