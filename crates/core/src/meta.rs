@@ -102,6 +102,12 @@ impl PageMeta {
         }
         self.block.map(|b| block_member(b, vpn))
     }
+
+    /// The frame-table references this metadata owns: its page frame
+    /// and its block, whichever are set (one reference each).
+    pub fn frames(&self) -> impl Iterator<Item = FrameRef> {
+        self.phys.into_iter().chain(self.block)
+    }
 }
 
 /// The member frame backing `vpn` in the superpage block whose head

@@ -229,16 +229,29 @@ impl RadixVm {
         self.tree.stats()
     }
 
-    /// Clears page tables and shoots down TLBs for displaced metadata,
-    /// then drops the physical page references. `lo..lo+n` is the overall
-    /// operation range (used for TLB invalidation); page tables are
-    /// cleared per contiguous run of removed pages.
+    /// The attached set as [`Mmu::unmap_range`] and [`Mmu::demote`] want
+    /// it. Only the shared table looks at it (per-core tables shoot down
+    /// `tracked`), and the word is one every core's faults read, so the
+    /// per-core configuration does not load it.
+    fn attached_for_mmu(&self) -> CoreSet {
+        if self.mmu.kind() == MmuKind::Shared {
+            self.attached.load()
+        } else {
+            CoreSet::EMPTY
+        }
+    }
+
+    /// Clears page tables and shoots down TLBs for displaced metadata.
+    /// `lo..lo+n` is the overall operation range (used for TLB
+    /// invalidation); page tables are cleared per contiguous run of
+    /// removed pages.
     ///
     /// Must be called *before* the range lock is released (the caller
     /// still holds the guard), per the paper's ordering invariant: no
     /// thread may access the pages after munmap returns, and the physical
-    /// pages are released only after every stale translation is gone.
-    fn finish_unmap(&self, core: usize, lo: Vpn, n: u64, removed: &RemovedList<PageMeta>) {
+    /// pages are released ([`RadixVm::release_frames`]) only after every
+    /// stale translation is gone.
+    fn unmap_tables(&self, core: usize, lo: Vpn, n: u64, removed: &RemovedList<PageMeta>) {
         let mut tracked = CoreSet::EMPTY;
         let mut runs = Runs::new();
         for r in removed {
@@ -263,23 +276,51 @@ impl RadixVm {
             }
         }
         if !runs.is_empty() {
-            let attached = self.attached.load();
+            let attached = self.attached_for_mmu();
             let mut targets = CoreSet::EMPTY;
             for (start, len) in &runs {
                 targets = targets.union(self.mmu.unmap_range(*start, *len, tracked, attached));
             }
             self.machine.shootdown(core, self.asid, lo, n, targets);
         }
-        // Only now drop the frames. Page and block-head references drop
-        // through the same frame-table cells (the slot's kind picks the
-        // release action); a demoted page owns one reference on its
-        // backing block, which frees when the last page drops.
-        let pool = self.machine.pool();
-        for r in removed {
+    }
+
+    /// Drops the frame references displaced metadata owned, after
+    /// [`RadixVm::unmap_tables`] and — as in the paper (§3.4) — after the
+    /// range lock is released: nothing here needs the slots, and a
+    /// 16-page remap otherwise holds its 16 slot locks across 16 trips
+    /// through the delta cache. Page and block-head references drop
+    /// through the same frame-table cells (the slot's kind picks the
+    /// release action); a demoted page owns one reference on its backing
+    /// block, which frees when the last page drops.
+    fn release_frames(&self, core: usize, removed: &RemovedList<PageMeta>) {
+        let frames = removed.into_iter().flat_map(|r| {
             let (Removed::Page(_, m) | Removed::Block { value: m, .. }) = r;
-            for frame in m.phys.into_iter().chain(m.block) {
-                pool.ref_dec(&self.cache, core, frame);
+            m.frames()
+        });
+        self.settle_refs(core, frames, -1);
+    }
+
+    /// Applies `each` (one reference taken, or one surrendered) for every
+    /// handle in `frames`, settling each run of equal consecutive handles
+    /// with one [`rvm_mem::FramePool::ref_adjust`]: the pages of a
+    /// demoted block all carry the block head's handle, so hundreds of
+    /// them cost one trip through the delta cache.
+    fn settle_refs(&self, core: usize, frames: impl IntoIterator<Item = FrameRef>, each: i64) {
+        let pool = self.machine.pool();
+        let mut run: Option<(FrameRef, i64)> = None;
+        for frame in frames {
+            match &mut run {
+                Some((r, k)) if *r == frame => *k += each,
+                _ => {
+                    if let Some((r, k)) = run.replace((frame, each)) {
+                        pool.ref_adjust(&self.cache, core, r, k);
+                    }
+                }
             }
+        }
+        if let Some((r, k)) = run {
+            pool.ref_adjust(&self.cache, core, r, k);
         }
     }
 
@@ -288,8 +329,8 @@ impl RadixVm {
     /// its block-head frame slot; each rung of expansion cloned the
     /// handle into the 512 slots of a fresh node one granularity down
     /// (page values in a leaf, smaller folds in an interior node), so
-    /// per expanded node 511 clones adopt one reference each — slot
-    /// increments through the delta cache, no allocation — legal exactly
+    /// per expanded node 511 clones adopt one reference each — one
+    /// `+511` through the delta cache, no allocation — legal exactly
     /// here because expansion leaves every slot of the new node
     /// born-locked until this guard drops, so no other core can observe
     /// (or release) an unadopted copy. Clones the same descent expanded
@@ -323,10 +364,10 @@ impl RadixVm {
         demoted.sort_by_key(|e| std::cmp::Reverse(e.1));
         let pool = self.machine.pool();
         for (base, pages, b, tracked) in demoted {
-            for _ in 1..fanout {
-                pool.ref_inc(&self.cache, core, b);
-            }
-            let targets = self.mmu.demote(base, pages, tracked, self.attached.load());
+            pool.ref_adjust(&self.cache, core, b, fanout as i64 - 1);
+            let targets = self
+                .mmu
+                .demote(base, pages, tracked, self.attached_for_mmu());
             self.machine
                 .shootdown(core, self.asid, base, pages, targets);
             self.stats.superpage_demote(core);
@@ -346,20 +387,9 @@ impl RadixVm {
             let mut g = self
                 .tree
                 .lock_range(core, 0, VPN_LIMIT, LockMode::ExpandFolded);
-            let pool = self.machine.pool();
             g.for_each_entry_mut(|vpn, pages, m| {
                 if (m.phys.is_some() || m.block.is_some()) && m.prot.writable() {
                     m.kind = PageKind::Cow;
-                }
-                if let Some(p) = m.phys {
-                    // The child's copy of the metadata owns one reference.
-                    pool.ref_inc(&self.cache, core, p);
-                }
-                if let Some(b) = m.block {
-                    // Folded superpage: the child's folded copy owns one
-                    // block reference (a write fault in either address
-                    // space demotes and copies per page).
-                    pool.ref_inc(&self.cache, core, b);
                 }
                 if !m.coreset.is_empty() {
                     // Parent translations must be revoked so future parent
@@ -370,8 +400,16 @@ impl RadixVm {
                 }
                 entries.push((vpn, pages, m.clone()));
             });
+            // The child's copy of each entry owns one reference on what
+            // the entry holds: its page frame, or its block (a folded
+            // superpage's one, or a demoted page's share; a write fault
+            // in either address space demotes and copies per page).
+            // Taken under the guard, while the parent's own references
+            // cannot go away.
+            let held = entries.iter().flat_map(|(_, _, m)| m.frames());
+            self.settle_refs(core, held, 1);
             if !revoke_runs.is_empty() {
-                let attached = self.attached.load();
+                let attached = self.attached_for_mmu();
                 let mut targets = CoreSet::EMPTY;
                 for (start, len) in &revoke_runs {
                     targets =
@@ -458,7 +496,9 @@ impl VmSystem for RadixVm {
         self.demote_expanded(core, &mut guard);
         let displaced = guard.replace(&template);
         if !displaced.is_empty() {
-            self.finish_unmap(core, lo, n, &displaced);
+            self.unmap_tables(core, lo, n, &displaced);
+            drop(guard);
+            self.release_frames(core, &displaced);
         }
         Ok(addr)
     }
@@ -472,10 +512,12 @@ impl VmSystem for RadixVm {
             .lock_range(core, lo, lo + n, LockMode::ExpandFolded);
         // Partial unmap of a superpage demotes it (shatter + span
         // shootdown) before the per-page removal below; a full-block
-        // unmap keeps the fold and releases the block in finish_unmap.
+        // unmap keeps the fold and releases the block whole below.
         self.demote_expanded(core, &mut guard);
         let removed = guard.clear();
-        self.finish_unmap(core, lo, n, &removed);
+        self.unmap_tables(core, lo, n, &removed);
+        drop(guard);
+        self.release_frames(core, &removed);
         Ok(())
     }
 
@@ -571,7 +613,9 @@ impl VmSystem for RadixVm {
                 let tracked = meta.coreset;
                 meta.coreset = CoreSet::EMPTY;
                 if !tracked.is_empty() {
-                    let targets = self.mmu.unmap_range(vpn, 1, tracked, self.attached.load());
+                    let targets = self
+                        .mmu
+                        .unmap_range(vpn, 1, tracked, self.attached_for_mmu());
                     self.machine.shootdown(core, self.asid, vpn, 1, targets);
                 }
             }
@@ -676,7 +720,7 @@ impl VmSystem for RadixVm {
         // change) are cleared; subsequent accesses fault with the new
         // protection.
         if !runs.is_empty() {
-            let attached = self.attached.load();
+            let attached = self.attached_for_mmu();
             let mut targets = CoreSet::EMPTY;
             for (start, len) in &runs {
                 targets = targets.union(self.mmu.unmap_range(*start, *len, tracked, attached));
@@ -951,7 +995,6 @@ impl RadixVm {
         let (backing, prot, huge) = tmpl?;
         let writable = prot.writable();
         let pool = self.machine.pool();
-        let attached = self.attached.load();
         let (block, pte_base) = match demoted {
             Some(b) => {
                 // Demoted shape: the fold takes over one of the 512
@@ -1011,23 +1054,16 @@ impl RadixVm {
         // do not change (demoted) or stay live until the decs drain
         // through Refcache (scattered), so a racing access through a
         // not-yet-shot-down entry still reads correct memory.
-        let targets = self.mmu.unmap_range(base, BLOCK_PAGES, tracked, attached);
+        let targets = self
+            .mmu
+            .unmap_range(base, BLOCK_PAGES, tracked, self.attached_for_mmu());
         self.machine
             .shootdown(core, self.asid, base, BLOCK_PAGES, targets);
-        let mut adopted = demoted.is_none();
-        for m in &displaced {
-            if let Some(p) = m.phys {
-                pool.ref_dec(&self.cache, core, p);
-            }
-            if let Some(b) = m.block {
-                if adopted {
-                    pool.ref_dec(&self.cache, core, b);
-                } else {
-                    // The folded value's handle adopts this reference.
-                    adopted = true;
-                }
-            }
-        }
+        // Demoted shape: 512 references on one block head, of which the
+        // folded value's handle adopts the first; scattered: 512 frames.
+        let adopted = usize::from(demoted.is_some());
+        let old = displaced.iter().flat_map(PageMeta::frames).skip(adopted);
+        self.settle_refs(core, old, -1);
         let tr = self.install(core, vpn, base, pte_base, BLOCK_PAGES, writable);
         self.stats.superpage_promote(core);
         Some(tr)
@@ -1044,7 +1080,8 @@ impl Drop for RadixVm {
                 .lock_range(0, 0, VPN_LIMIT, LockMode::ExpandFolded);
             guard.clear()
         };
-        self.finish_unmap(0, 0, VPN_LIMIT, &removed);
+        self.unmap_tables(0, 0, VPN_LIMIT, &removed);
+        self.release_frames(0, &removed);
         self.machine.flush_asid(self.asid);
         self.cache.quiesce();
     }

@@ -240,9 +240,15 @@ impl PageTable {
         }
     }
 
-    /// Allocates (or finds) the child published in `slot`, returning it.
-    fn child_or_create<'a>(&'a self, slot: &'a Atomic64, create: bool) -> Option<&'a PtNode> {
-        let mut v = slot.load(Ordering::Acquire);
+    /// The child published in `slot`, whose word the caller just read as
+    /// `v` (not a superpage PTE); allocates one when `v` is empty and
+    /// `create` is set.
+    fn child_or_create<'a>(
+        &'a self,
+        slot: &'a Atomic64,
+        mut v: u64,
+        create: bool,
+    ) -> Option<&'a PtNode> {
         if v == 0 {
             if !create {
                 return None;
@@ -257,29 +263,25 @@ impl PageTable {
     }
 
     /// Walks to the node whose slots sit at `level`, optionally
-    /// allocating missing interior nodes. Slot words are peeked for a
-    /// superpage PTE only at the levels that can hold one: a superpage
-    /// covering `vpn` above `level` is shattered one rung at a time when
-    /// `create` is set (the caller is about to install something
-    /// smaller), otherwise the walk reports `None` — use
-    /// [`PageTable::get`] for span-aware reads.
+    /// allocating missing interior nodes. Each slot word on the way is
+    /// loaded once and is looked at for a superpage PTE only at the
+    /// levels that can hold one: a superpage covering `vpn` above `level`
+    /// is shattered one rung at a time when `create` is set (the caller
+    /// is about to install something smaller), otherwise the walk reports
+    /// `None` — use [`PageTable::get`] for span-aware reads.
     fn walk(&self, vpn: Vpn, level: usize, create: bool) -> Option<&PtNode> {
         let mut node: &PtNode = &self.root;
         for l in 0..level {
             let slot = &node.slots[Self::index(vpn, l)];
-            if l >= FIRST_SPAN_LEVEL {
-                loop {
-                    let v = slot.load(Ordering::Acquire);
-                    if !is_block_word(v) {
-                        break;
-                    }
-                    if !create {
-                        return None;
-                    }
-                    self.shatter_word(slot, v, l);
+            let mut v = slot.load(Ordering::Acquire);
+            while l >= FIRST_SPAN_LEVEL && is_block_word(v) {
+                if !create {
+                    return None;
                 }
+                self.shatter_word(slot, v, l);
+                v = slot.load(Ordering::Acquire);
             }
-            node = self.child_or_create(slot, create)?;
+            node = self.child_or_create(slot, v, create)?;
         }
         Some(node)
     }

@@ -640,23 +640,34 @@ impl FramePool {
         }
     }
 
-    /// Takes one more reference on the slot behind `r`.
+    /// Settles `delta` references on the slot behind `r` at once: takes
+    /// `delta` more when positive, surrenders `-delta` when negative —
+    /// one trip through the core's delta cache however many handles the
+    /// caller is settling (a demotion adopts 511 clones of one block
+    /// handle; unmapping a demoted block drops hundreds).
     ///
-    /// The caller must already hold a live reference covering `r` (the
-    /// usual Refcache discipline).
+    /// To take references the caller must already hold a live one
+    /// covering `r` (the usual Refcache discipline). When the true count
+    /// is confirmed zero the frame (or whole block, per the slot's kind)
+    /// returns to the pool.
     #[inline]
-    pub fn ref_inc(&self, cache: &Refcache, core: usize, r: FrameRef) {
+    pub fn ref_adjust(&self, cache: &Refcache, core: usize, r: FrameRef, delta: i64) {
         debug_assert_eq!(self.generation(r.pfn), r.gen, "stale frame handle");
-        cache.inc(core, self.cell(r.pfn));
+        cache.adjust(core, self.cell(r.pfn), delta);
     }
 
-    /// Surrenders one reference on the slot behind `r`. When the true
-    /// count is confirmed zero the frame (or whole block, per the slot's
-    /// kind) returns to the pool.
+    /// Takes one more reference on the slot behind `r`
+    /// ([`FramePool::ref_adjust`] by one).
+    #[inline]
+    pub fn ref_inc(&self, cache: &Refcache, core: usize, r: FrameRef) {
+        self.ref_adjust(cache, core, r, 1);
+    }
+
+    /// Surrenders one reference on the slot behind `r`
+    /// ([`FramePool::ref_adjust`] by minus one).
     #[inline]
     pub fn ref_dec(&self, cache: &Refcache, core: usize, r: FrameRef) {
-        debug_assert_eq!(self.generation(r.pfn), r.gen, "stale frame handle");
-        cache.dec(core, self.cell(r.pfn));
+        self.ref_adjust(cache, core, r, -1);
     }
 
     /// Allocates a zeroed frame on `core`.
@@ -1682,15 +1693,13 @@ mod tests {
         let cache = Refcache::new(1);
         let base = pool.alloc_block(0, BLOCK_ORDER);
         assert_eq!(pool.outstanding_frames(), BLOCK_PAGES as u64);
-        // One reference for the fold, then adoption-style inc to 512 and
-        // per-page release — the demotion lifecycle.
+        // One reference for the fold, adoption to 512 in one adjustment,
+        // a hole punch's 16 and the final unmap's 495 surrendered as two
+        // runs — the demotion lifecycle.
         let r = pool.retain_block(&cache, 0, base, BLOCK_ORDER, 1);
-        for _ in 1..BLOCK_PAGES {
-            pool.ref_inc(&cache, 0, r);
-        }
-        for _ in 0..BLOCK_PAGES - 1 {
-            pool.ref_dec(&cache, 0, r);
-        }
+        pool.ref_adjust(&cache, 0, r, BLOCK_PAGES as i64 - 1);
+        pool.ref_adjust(&cache, 0, r, -16);
+        pool.ref_adjust(&cache, 0, r, -(BLOCK_PAGES as i64 - 17));
         cache.quiesce();
         assert_eq!(pool.stats().block_frees, 0, "last page still holds it");
         pool.ref_dec(&cache, 0, r);
