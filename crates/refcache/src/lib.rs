@@ -69,7 +69,7 @@ pub mod weak;
 pub use obj::{Counted, Managed, RcPtr, ReleaseCtx};
 pub use slot::{CountSlot, SlotManaged, SlotPtr};
 
-use obj::{drop_impl, Header, ObjPtr, ObjState, RcBox};
+use obj::{drop_impl, Header, ObjState, RcBox};
 
 /// Configuration for a [`Refcache`] instance.
 #[derive(Clone, Debug)]
@@ -112,6 +112,11 @@ struct CoreCache {
     /// outgrows the `cache_slots` capacity it is created with.
     occupied: Vec<u32>,
     review: VecDeque<(usize, u64)>,
+    /// The list a [`Refcache::review`] pass collects the objects it
+    /// frees in (header addresses, like `review`'s): taken out for the
+    /// pass (the frees run with the core unlocked) and put back empty, so
+    /// a tick that frees a hundred frames grows no fresh list.
+    to_free: Vec<usize>,
     local_epoch: u64,
 }
 
@@ -212,6 +217,7 @@ impl Refcache {
                     slots: vec![EMPTY_SLOT; cfg.cache_slots].into_boxed_slice(),
                     occupied: Vec::with_capacity(cfg.cache_slots),
                     review: VecDeque::new(),
+                    to_free: Vec::new(),
                     local_epoch: 0,
                 }))
             })
@@ -486,9 +492,9 @@ impl Refcache {
     /// objects whose count has provably been zero for a full epoch,
     /// re-queues dirty zeros, and un-marks objects that came back.
     pub fn review(&self, core: usize) {
-        let mut to_free: Vec<ObjPtr> = Vec::new();
-        {
+        let mut to_free = {
             let mut cc = self.cores[core].lock();
+            let mut to_free = std::mem::take(&mut cc.to_free);
             let epoch = self.epoch();
             let mut remaining = cc.review.len();
             while remaining > 0 {
@@ -533,14 +539,20 @@ impl Refcache {
                     // new reference can appear. Defer the actual free
                     // until locks are dropped; count it here, under the
                     // core lock.
-                    drop(st);
                     if hdr.slot_backed {
+                        // A cell goes back to dormant under the hold that
+                        // confirmed its zero, not under a second one in
+                        // its zero action: nothing looks at the cell in
+                        // between (no delta for it is cached anywhere and
+                        // its resource is not reallocatable until the
+                        // action runs).
+                        st.on_review = false;
                         self.stats.add_exclusive(core, F_SLOT_RELEASES, 1);
                     } else {
                         self.stats.add(core, F_FREES, 1);
                     }
-                    // SAFETY: `obj_addr` is a live header (see above).
-                    to_free.push(unsafe { NonNull::new_unchecked(obj_addr as *mut Header) });
+                    drop(st);
+                    to_free.push(obj_addr);
                 } else {
                     // Dirty zero or lost the race with a revive/lock:
                     // examine again two epochs from now.
@@ -554,17 +566,27 @@ impl Refcache {
                     cc.review.push_back((obj_addr, epoch));
                 }
             }
-        }
+            if to_free.is_empty() {
+                // Nothing to free: the list goes straight back.
+                cc.to_free = to_free;
+                return;
+            }
+            to_free
+        };
         // Perform frees outside the per-core lock: `on_release` may
         // re-enter the cache (e.g. dec of a parent node).
         let ctx = ReleaseCtx { cache: self, core };
-        for obj in to_free {
-            let hdr = obj.as_ptr();
-            // SAFETY: review confirmed a clean true zero and cleared the
-            // weak reference, so this is the sole owner; `drop_fn` matches
-            // the storage's payload type by construction.
+        for obj_addr in to_free.drain(..) {
+            let hdr = obj_addr as *mut Header;
+            // SAFETY: a live header (objects on a review queue stay alive
+            // until the pass that decides their fate); review confirmed a
+            // clean true zero and cleared the weak reference, so this is
+            // the sole owner; `drop_fn` matches the storage's payload
+            // type by construction.
             unsafe { ((*hdr).drop_fn)(hdr, &ctx) };
         }
+        // Give the (empty) list back for the next pass.
+        self.cores[core].lock().to_free = to_free;
     }
 
     /// Periodic per-core maintenance: flush then review. Call this

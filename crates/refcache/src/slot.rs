@@ -169,10 +169,11 @@ impl<T: SlotManaged> Counted for SlotPtr<T> {
     }
 }
 
-/// Type-erased zero-count action for slot-backed cells: reset the cell
-/// to dormant, then run the payload action. Reset happens *first* so
-/// that the action (which typically returns a resource to an allocator)
-/// publishes a cell that is immediately re-activatable.
+/// Type-erased zero-count action for slot-backed cells: run the payload
+/// action. [`crate::Refcache::review`] already reset the cell to dormant,
+/// under the state lock it confirmed the zero with — *before* this runs,
+/// so that the action (which typically returns a resource to an
+/// allocator) publishes a cell that is immediately re-activatable.
 ///
 /// # Safety
 ///
@@ -180,12 +181,15 @@ impl<T: SlotManaged> Counted for SlotPtr<T> {
 /// count review confirmed zero.
 pub(crate) unsafe fn slot_drop_impl<T: SlotManaged>(h: *mut Header, ctx: &ReleaseCtx<'_>) {
     let slot = &*(h as *const CountSlot<T>);
-    {
-        let mut st = slot.hdr.state.lock();
-        debug_assert_eq!(st.refcnt, 0, "slot released with non-zero count");
-        st.on_review = false;
-        st.dirty = false;
-    }
+    // Checked on host threads only: under the simulator the state lock
+    // is a line event, and debug and release builds must price alike.
+    debug_assert!(
+        rvm_sync::sim::active() || {
+            let st = slot.hdr.state.lock();
+            st.refcnt == 0 && !st.on_review && !st.dirty
+        },
+        "slot released before review reset it to dormant"
+    );
     slot.obj.on_zero(ctx);
 }
 
