@@ -194,12 +194,14 @@ pub const INDEX_CHURN_EVERY: u64 = 8;
 /// adversarial read-mostly pattern replicate-read-only placement exists
 /// for. All cores fault pages cycling across [`INDEX_CHURN_SLOTS`] leaf
 /// blocks that live under *one* level-2 interior node of the radix tree
-/// — a different block every op, so the per-core leaf hint misses and
-/// each fault's descent re-reads the interior node's slot words (words
-/// 0..7 share one cache line). Core 0 additionally mmaps + munmaps the
+/// — a different block every op. The seven blocks fit a core's hint
+/// set, so after the first lap a fault does not descend, but every
+/// fault still reads its block's slot word in that interior node (the
+/// hinted path's linkage check, and the descents after each flush;
+/// words 0..7 share one cache line). Core 0 additionally mmaps + munmaps the
 /// empty block-aligned sibling slot 7 every [`INDEX_CHURN_EVERY`]-th
 /// op: the fold install and clear *write* that same line, forcing every
-/// reader's next descent to re-fetch it. Under first-touch the line
+/// reader's next fault to re-fetch it. Under first-touch the line
 /// lives on one node and remote readers pay a cross-node transfer per
 /// churn; with replicated index nodes the reads stay node-local and
 /// only the writer pays a broadcast invalidation.

@@ -1,33 +1,124 @@
-//! One-thread op loops for profiling: the repo benchmark's five workloads
-//! (`benchmark/src/workloads.rs`), each as a bare loop on one host thread
-//! with nothing else in the process, so a sampling profiler
-//! (`scripts/sample_prof.sh`) sees only the op. The four op workloads are
-//! `ops::Ops` (one-core machine; `examples/ops/mod.rs` says why), shared
-//! with `tests/locked_instructions.rs`; `metis` is whole jobs.
+//! Bare op loops for profiling: the repo benchmark's five workloads
+//! (`benchmark/src/workloads.rs`) with nothing else in the process, so a
+//! sampling profiler (`scripts/sample_prof.sh`) sees only the op. The four
+//! op workloads are `ops::Ops` streams (`examples/ops/mod.rs`, shared with
+//! `tests/locked_instructions.rs`): T of them as cores 0..T of one T-core
+//! machine, one host thread each — one by default, and two or more to see
+//! what the streams cost each other (`shared` is the workload whose
+//! streams meet). `metis` is whole one-worker jobs.
 //!
-//! Run with: `cargo run --release --example hot_loop -- <disjoint|refault|shared|superpage|metis> <seconds>`
+//! Run with: `cargo run --release --example hot_loop -- <disjoint|refault|shared|superpage|metis> <seconds> [threads]`
 
 mod ops;
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use ops::{Kind, Ops};
 use radixvm::metis::{run_to_completion, Metis, MetisConfig, VmArena};
 
-/// Runs `kind`'s ops until `budget` has passed; returns the ops done and
-/// the seconds they took.
-fn spin(kind: Kind, budget: Duration) -> (u64, f64) {
-    let mut ops = Ops::new(kind);
-    let t0 = Instant::now();
-    let mut n = 0;
-    while t0.elapsed() < budget {
-        for _ in 0..256 {
-            ops.op();
+/// Restricts the calling thread to one CPU, counting down from the last
+/// one it is allowed on (best effort; Linux only) — the benchmark's
+/// placement, so a profile and a benchmark run see the same neighbours.
+fn pin_to_cpu(index: usize) {
+    #[cfg(target_os = "linux")]
+    {
+        extern "C" {
+            fn sched_getaffinity(pid: i32, size: usize, mask: *mut u64) -> i32;
+            fn sched_setaffinity(pid: i32, size: usize, mask: *const u64) -> i32;
         }
-        n += 256;
+        const WORDS: usize = 16;
+        let mut allowed = [0u64; WORDS];
+        // SAFETY: `allowed` is a writable buffer of the size passed; pid
+        // 0 names the calling thread.
+        if unsafe { sched_getaffinity(0, WORDS * 8, allowed.as_mut_ptr()) } != 0 {
+            return;
+        }
+        let cpus: Vec<usize> = (0..WORDS * 64)
+            .filter(|c| allowed[c / 64] >> (c % 64) & 1 == 1)
+            .collect();
+        if cpus.is_empty() {
+            return;
+        }
+        let cpu = cpus[cpus.len() - 1 - index % cpus.len()];
+        let mut only = [0u64; WORDS];
+        only[cpu / 64] = 1 << (cpu % 64);
+        // SAFETY: `only` is a readable buffer of the size passed; a
+        // refusal only loses the placement.
+        unsafe { sched_setaffinity(0, WORDS * 8, only.as_ptr()) };
     }
-    (n, t0.elapsed().as_secs_f64())
+    #[cfg(not(target_os = "linux"))]
+    let _ = index;
+}
+
+/// Ops each stream runs before the clock starts, on the main thread like
+/// the benchmark's `prepare` (fills the pool's free lists, the radix
+/// spine, the Refcache and the TLBs).
+fn warm_ops(kind: Kind) -> u64 {
+    match kind {
+        Kind::Superpage => 64,
+        _ => 20_000,
+    }
+}
+
+/// Runs `threads` streams of `kind`, one pinned host thread each, until
+/// `budget` has passed; returns the ops done and the seconds they took,
+/// and prints what an op cost in TLB lookups, faults and IPIs.
+fn spin(kind: Kind, budget: Duration, threads: usize) -> (u64, f64) {
+    let (machine, vm) = ops::machine(threads);
+    let mut streams: Vec<Ops> = (0..threads)
+        .map(|core| Ops::on(machine.clone(), vm.clone(), core, kind))
+        .collect();
+    for o in &mut streams {
+        for _ in 0..warm_ops(kind) {
+            o.op();
+        }
+    }
+    let (hw0, vm0) = (machine.stats(), vm.op_stats());
+    let stop = AtomicBool::new(false);
+    let start = Barrier::new(threads + 1);
+    let (ops, dt) = std::thread::scope(|s| {
+        let running: Vec<_> = streams
+            .into_iter()
+            .enumerate()
+            .map(|(core, mut o)| {
+                let (stop, start) = (&stop, &start);
+                s.spawn(move || {
+                    pin_to_cpu(core);
+                    start.wait();
+                    let mut n = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        for _ in 0..256 {
+                            o.op();
+                        }
+                        n += 256;
+                    }
+                    n
+                })
+            })
+            .collect();
+        start.wait();
+        let t0 = Instant::now();
+        std::thread::sleep(budget);
+        stop.store(true, Ordering::Relaxed);
+        let ops: u64 = running
+            .into_iter()
+            .map(|t| t.join().expect("a stream panicked"))
+            .sum();
+        (ops, t0.elapsed().as_secs_f64())
+    });
+    let (hw, vm) = (machine.stats(), vm.op_stats());
+    let per_op = |n: u64| n as f64 / ops as f64;
+    println!(
+        "per op: {:.2} TLB hits, {:.2} misses, {:.3} alloc faults, {:.3} fill faults, {:.3} IPIs",
+        per_op(hw.tlb_hits - hw0.tlb_hits),
+        per_op(hw.tlb_misses - hw0.tlb_misses),
+        per_op(vm.faults_alloc - vm0.faults_alloc),
+        per_op(vm.faults_fill - vm0.faults_fill),
+        per_op(hw.shootdown_ipis - hw0.shootdown_ipis),
+    );
+    (ops, dt)
 }
 
 /// One-worker word-index jobs, 64 KiB allocation unit, each on a fresh
@@ -38,7 +129,7 @@ fn metis(budget: Duration) -> (u64, f64) {
     let t0 = Instant::now();
     let mut words = 0;
     while t0.elapsed() < budget {
-        let (m, vm) = ops::one_core_machine();
+        let (m, vm) = ops::machine(1);
         let arena = Arc::new(VmArena::new(m, vm, 16));
         let cfg = MetisConfig {
             total_words: WORDS,
@@ -51,22 +142,27 @@ fn metis(budget: Duration) -> (u64, f64) {
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let usage = "usage: hot_loop <disjoint|refault|shared|superpage|metis> <seconds>";
+    let usage =
+        "usage: hot_loop <disjoint|refault|shared|superpage|metis> <seconds> [threads, not metis]";
     let workload = args.next().expect(usage);
     let seconds: f64 = args.next().and_then(|s| s.parse().ok()).expect(usage);
+    let threads: usize = match args.next() {
+        Some(t) => t.parse().ok().filter(|&t| t >= 1).expect(usage),
+        None => 1,
+    };
     let budget = Duration::from_secs_f64(seconds);
     let (ops, dt) = match workload.as_str() {
-        "disjoint" => spin(Kind::Disjoint, budget),
-        "refault" => spin(Kind::Refault, budget),
-        "shared" => spin(Kind::SharedRemap, budget),
-        "superpage" => spin(Kind::Superpage, budget),
-        "metis" => metis(budget),
+        "disjoint" => spin(Kind::Disjoint, budget, threads),
+        "refault" => spin(Kind::Refault, budget, threads),
+        "shared" => spin(Kind::SharedRemap, budget, threads),
+        "superpage" => spin(Kind::Superpage, budget, threads),
+        "metis" if threads == 1 => metis(budget),
         _ => panic!("{usage}"),
     };
     let unit = if workload == "metis" { "words" } else { "ops" };
     println!(
-        "{workload}: {ops} {unit} in {dt:.2} s = {:.0} {unit}/s, {:.1} ns each",
+        "{workload}: {ops} {unit} in {dt:.2} s = {:.0} {unit}/s, {:.1} ns each per thread",
         ops as f64 / dt,
-        dt * 1e9 / ops as f64
+        dt * 1e9 * threads as f64 / ops as f64
     );
 }

@@ -1,13 +1,14 @@
 //! The repo benchmark's four op workloads (`benchmark/src/workloads.rs`:
 //! same constants, same picks from the same splitmix stream) as one
-//! thread's op stream on a **one-core** machine: what
-//! `examples/hot_loop.rs` profiles and `tests/locked_instructions.rs`
-//! counts locked instructions in. Not an example itself; both include it
-//! as a module.
+//! core's op stream: what `examples/hot_loop.rs` profiles and
+//! `tests/locked_instructions.rs` counts locked instructions in. Not an
+//! example itself; both include it as a module.
 //!
-//! One core, because on a two-core machine whose second core never calls
-//! `maintain` the Refcache epoch never advances, no frame is ever freed,
-//! and the loop measures frame-pool growth (24 µs/op), not the op.
+//! A stream ([`Ops::on`]) is one core of a machine ([`machine`]) the
+//! caller may share between streams, and every core of that machine needs
+//! a stream that runs: on a two-core machine whose second core never
+//! calls `maintain` the Refcache epoch never advances, no frame is ever
+//! freed, and the loop measures frame-pool growth (24 µs/op), not the op.
 
 use std::sync::Arc;
 
@@ -15,7 +16,9 @@ use radixvm::backend::{build, BackendKind};
 use radixvm::hw::{Asid, Backing, Machine, MapFlags, Prot, VmSystem, BLOCK_PAGES, PAGE_SIZE};
 
 const BLOCK_BYTES: u64 = BLOCK_PAGES * PAGE_SIZE;
+/// Each core's private gigabyte for `disjoint` and `refault`.
 const PRIVATE_BASE: u64 = 0x200_0000_0000;
+const PRIVATE_STRIDE: u64 = 1 << 30;
 /// Page slots `disjoint` draws from, all in one leaf block.
 const DISJOINT_SLOTS: usize = 64;
 /// Ops between Refcache ticks (`superpage`: 8).
@@ -26,7 +29,9 @@ const SHARED_BASE: u64 = 0x500_0000_0000;
 const SHARED_PAGES: u64 = 16;
 const SHARED_TOUCHES: u64 = 4;
 const SHARED_REMAP_EVERY: u64 = 16;
+/// Each core's private terabyte of never-reused `superpage` blocks.
 const SUPER_BASE: u64 = 0x1000_0000_0000;
+const SUPER_STRIDE: u64 = 1 << 40;
 const SUPER_MAINTAIN_EVERY: u64 = 8;
 const SUPER_FAR_PAGE: u64 = 300;
 const SUPER_HOLE_PAGE: u64 = 100;
@@ -55,18 +60,22 @@ pub enum Kind {
     Superpage,
 }
 
-/// A fresh one-core machine with a RadixVM address space, core 0 attached.
-pub fn one_core_machine() -> (Arc<Machine>, Arc<dyn VmSystem>) {
-    let machine = Machine::new(1);
+/// A fresh `ncores`-core machine with a RadixVM address space, every
+/// core attached.
+pub fn machine(ncores: usize) -> (Arc<Machine>, Arc<dyn VmSystem>) {
+    let machine = Machine::new(ncores);
     let vm = build(&machine, BackendKind::Radix);
-    vm.attach_core(0);
+    for core in 0..ncores {
+        vm.attach_core(core);
+    }
     (machine, vm)
 }
 
-/// One workload's op stream as core 0 of its own machine.
+/// One workload's op stream on one core of a machine.
 pub struct Ops {
     pub machine: Arc<Machine>,
     pub vm: Arc<dyn VmSystem>,
+    core: usize,
     asid: Asid,
     kind: Kind,
     rng: u64,
@@ -78,16 +87,18 @@ pub struct Ops {
 }
 
 impl Ops {
-    /// Builds the machine and does the workload's set-up (`refault` maps
-    /// and writes its pages, `shared_remap` maps its region).
-    pub fn new(kind: Kind) -> Ops {
-        let (machine, vm) = one_core_machine();
+    /// The stream of `core` on a machine (from [`machine`]) shared with
+    /// other streams. Does the core's share of the workload's set-up
+    /// (`refault` maps and writes the core's pages, `shared_remap`'s core
+    /// 0 maps the region).
+    pub fn on(machine: Arc<Machine>, vm: Arc<dyn VmSystem>, core: usize, kind: Kind) -> Ops {
         let mut o = Ops {
             asid: vm.asid(),
             machine,
             vm,
+            core,
             kind,
-            rng: splitmix(kind as u64 + 1),
+            rng: splitmix(((core as u64) << 32) + kind as u64 + 1),
             i: 0,
             block: 0,
             slots: Vec::new(),
@@ -105,36 +116,41 @@ impl Ops {
                 o.slots = pages;
             }
             Kind::Refault => {
-                o.map(PRIVATE_BASE, REFAULT_BLOCKS * BLOCK_BYTES);
+                let base = o.private_base();
+                o.map(base, REFAULT_BLOCKS * BLOCK_BYTES);
                 for p in 0..REFAULT_BLOCKS * BLOCK_PAGES {
-                    o.write(PRIVATE_BASE + p * PAGE_SIZE, p);
+                    o.write(base + p * PAGE_SIZE, p);
                 }
             }
-            Kind::SharedRemap => o.map(SHARED_BASE, SHARED_PAGES * PAGE_SIZE),
-            Kind::Superpage => {}
+            Kind::SharedRemap if core == 0 => o.map(SHARED_BASE, SHARED_PAGES * PAGE_SIZE),
+            Kind::SharedRemap | Kind::Superpage => {}
         }
         o
     }
 
+    fn private_base(&self) -> u64 {
+        PRIVATE_BASE + self.core as u64 * PRIVATE_STRIDE
+    }
+
     fn map(&self, addr: u64, len: u64) {
         self.vm
-            .mmap(0, addr, len, Prot::RW, Backing::Anon)
+            .mmap(self.core, addr, len, Prot::RW, Backing::Anon)
             .expect("mmap");
     }
 
     fn unmap(&self, addr: u64, len: u64) {
-        self.vm.munmap(0, addr, len).expect("munmap");
+        self.vm.munmap(self.core, addr, len).expect("munmap");
     }
 
     fn write(&self, addr: u64, val: u64) {
         self.machine
-            .write_u64(0, &*self.vm, addr, val)
+            .write_u64(self.core, &*self.vm, addr, val)
             .expect("write");
     }
 
     fn tick(&self, every: u64) {
         if self.i.is_multiple_of(every) {
-            self.vm.maintain(0);
+            self.vm.maintain(self.core);
         }
     }
 
@@ -143,13 +159,13 @@ impl Ops {
     pub fn op(&mut self) {
         self.i += 1;
         self.rng = splitmix(self.rng);
-        let (m, vm, r) = (&*self.machine, &*self.vm, self.rng);
+        let (m, vm, core, r) = (&*self.machine, &*self.vm, self.core, self.rng);
         match self.kind {
             Kind::Disjoint => {
                 let slot = self.slots[r as usize % DISJOINT_SLOTS];
-                let addr = PRIVATE_BASE + slot * PAGE_SIZE;
+                let addr = self.private_base() + slot * PAGE_SIZE;
                 self.map(addr, PAGE_SIZE);
-                m.touch_page(0, vm, addr, self.i as u8).expect("touch");
+                m.touch_page(core, vm, addr, self.i as u8).expect("touch");
                 self.unmap(addr, PAGE_SIZE);
                 self.tick(MAINTAIN_EVERY);
             }
@@ -159,9 +175,9 @@ impl Ops {
                         (self.block + 1 + (r >> 8) % (REFAULT_BLOCKS - 1)) % REFAULT_BLOCKS;
                 }
                 let page = self.block * BLOCK_PAGES + (r >> 16) % BLOCK_PAGES;
-                let addr = PRIVATE_BASE + page * PAGE_SIZE;
-                m.invalidate_local(0, self.asid, addr / PAGE_SIZE, 1);
-                assert_eq!(m.read_u64(0, vm, addr), Ok(page));
+                let addr = self.private_base() + page * PAGE_SIZE;
+                m.invalidate_local(core, self.asid, addr / PAGE_SIZE, 1);
+                assert_eq!(m.read_u64(core, vm, addr), Ok(page));
             }
             Kind::SharedRemap => {
                 if self.i.is_multiple_of(SHARED_REMAP_EVERY) {
@@ -169,16 +185,16 @@ impl Ops {
                 }
                 for k in 0..SHARED_TOUCHES {
                     let page = (r >> (8 * k)) % SHARED_PAGES;
-                    m.touch_page(0, vm, SHARED_BASE + page * PAGE_SIZE, 0)
+                    m.touch_page(core, vm, SHARED_BASE + page * PAGE_SIZE, core as u8)
                         .expect("touch");
                 }
                 self.tick(MAINTAIN_EVERY);
             }
             Kind::Superpage => {
-                let addr = SUPER_BASE + self.i * BLOCK_BYTES;
+                let addr = SUPER_BASE + core as u64 * SUPER_STRIDE + self.i * BLOCK_BYTES;
                 let val = r | 1;
                 vm.mmap_flags(
-                    0,
+                    core,
                     addr,
                     BLOCK_BYTES,
                     Prot::RW,
@@ -193,7 +209,7 @@ impl Ops {
                         addr + SUPER_HOLE_PAGE * PAGE_SIZE,
                         SUPER_HOLE_PAGES * PAGE_SIZE,
                     );
-                    assert_eq!(m.read_u64(0, vm, addr), Ok(val));
+                    assert_eq!(m.read_u64(core, vm, addr), Ok(val));
                 }
                 self.unmap(addr, BLOCK_BYTES);
                 self.tick(SUPER_MAINTAIN_EVERY);

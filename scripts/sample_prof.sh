@@ -30,6 +30,7 @@
 # Point it at the op loops in examples/hot_loop.rs:
 #   cargo build --release --example hot_loop
 #   scripts/sample_prof.sh target/release/examples/hot_loop metis 5
+#   scripts/sample_prof.sh target/release/examples/hot_loop shared 5 2   # two threads, one machine
 #
 # Skips, exit 0, where there is no `cc` or no `addr2line`.
 set -euo pipefail

@@ -2,7 +2,8 @@
 //! fault handling performs **zero heap allocations** — the guard's unit
 //! and pin storage is inline, the leaf hint skips the descent, and
 //! nothing on the PTE/TLB refill path allocates. The same holds for a
-//! warm one-page `munmap` and an in-place re-`mmap`.
+//! warm one-page `munmap`, an in-place re-`mmap`, and the Refcache tick
+//! that frees their frames.
 //!
 //! Lives in its own integration-test binary because it installs a
 //! counting global allocator, and contains a single #[test] so no
@@ -185,6 +186,39 @@ fn warm_single_page_fault_path_is_allocation_free() {
         }
         assert_eq!(last, 0, "{label}: every window allocated");
     }
+
+    // Phase 2c: a warm Refcache tick. After 128 map/touch/unmap ops,
+    // `maintain` flushes their deltas and frees the 128 frames queued two
+    // ticks earlier. Its review pass collects what it frees in a list the
+    // core keeps between ticks, so the tick allocates nothing either.
+    let tick = || -> (u64, u64) {
+        for i in 0..128u64 {
+            let va = CHURN + (i % 8) * PAGE_SIZE;
+            vm.mmap(0, va, PAGE_SIZE, Prot::RW, Backing::Anon).unwrap();
+            machine.touch_page(0, &*vm, va, 1).unwrap();
+            vm.munmap(0, va, PAGE_SIZE).unwrap();
+        }
+        let freed = machine.pool().stats().free_pages;
+        let before = ALLOCS.load(Ordering::Relaxed);
+        vm.maintain(0);
+        (
+            ALLOCS.load(Ordering::Relaxed) - before,
+            machine.pool().stats().free_pages - freed,
+        )
+    };
+    for _ in 0..4 {
+        tick(); // warm-up: the review queue and the free list have room
+    }
+    let mut last = u64::MAX;
+    for _ in 0..5 {
+        let (allocs, freed) = tick();
+        assert_eq!(freed, 128, "a warm tick frees one tick's frames");
+        last = allocs;
+        if last == 0 {
+            break;
+        }
+    }
+    assert_eq!(last, 0, "Refcache tick: every window allocated");
 
     // Phase 3: the COLD fault path — demand-zero populating a fresh page
     // (frame off the core-local free list, count cell armed in the frame

@@ -431,7 +431,10 @@ fn hint_riding_faults_survive_quiesce_and_refolds() {
 /// owner core has four threads of its own (two mappers, a reader, and a
 /// churner that takes frames off the core's free list and puts them
 /// straight back) — one core, so that on a two-CPU host the two running
-/// threads are most often acting for the same one; a sweeper loops
+/// threads are most often acting for the same one; the mappers move
+/// through nine leaf blocks, one more than the core's hint set has ways,
+/// so the sweeper's flush hook finds all eight live and every lap evicts;
+/// a sweeper loops
 /// `quiesce` + `flush_magazines` + `stats`, acting for *every* core; an
 /// unmapper on
 /// a core of its own keeps replacing a region the reader touches, so
@@ -453,6 +456,7 @@ fn counters_stay_exact_when_foreign_threads_act_for_a_core() {
     const SHARED: u64 = BASE + (1 << 30);
     const SHARED_PAGES: u64 = 8;
     const MAINTAIN_EVERY: u64 = 64;
+    const OWNER_BLOCKS: u64 = 9;
     // Without generation checks an access is exactly one TLB lookup.
     // With them, a fault whose frame the sweeper frees before the access
     // completes is retried and looked up twice (the sweeper flushes for
@@ -465,11 +469,12 @@ fn counters_stay_exact_when_foreign_threads_act_for_a_core() {
         .as_any()
         .downcast_ref::<RadixVm>()
         .expect("Radix backend is a RadixVm");
-    let private = |core: usize| BASE + core as u64 * (1 << 24);
+    let private = |core: usize| BASE + core as u64 * (1 << 25);
     for core in [OWNER, UNMAPPER] {
         vm.attach_core(core);
-        // The reader's resident page (its block's page 0; each mapper
-        // churns 16 pages of its own in the same leaf).
+        // The reader's resident page (its first block's page 0; each
+        // mapper churns 16 pages of its own in each of the core's leaf
+        // blocks in turn).
         vm.mmap(core, private(core), PAGE_SIZE, Prot::RW, Backing::Anon)
             .unwrap();
         machine
@@ -509,7 +514,9 @@ fn counters_stay_exact_when_foreign_threads_act_for_a_core() {
             counted.push(s.spawn(move || {
                 start.wait();
                 for i in 0..MAPPER_OPS {
-                    let va = private(OWNER) + (1 + 16 * m + i % 16) * PAGE_SIZE;
+                    let block = i / 16 % OWNER_BLOCKS;
+                    let page = block * BLOCK_PAGES + 1 + 16 * m + i % 16;
+                    let va = private(OWNER) + page * PAGE_SIZE;
                     vm.mmap(OWNER, va, PAGE_SIZE, Prot::RW, Backing::Anon)
                         .unwrap();
                     machine.write_u64(OWNER, vm, va, i).unwrap();

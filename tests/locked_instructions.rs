@@ -25,6 +25,12 @@ fn one_core_sim() -> sim::SimGuard {
     guard
 }
 
+/// `kind`'s op stream as core 0 of a one-core machine of its own.
+fn one_core_ops(kind: Kind) -> Ops {
+    let (machine, vm) = ops::machine(1);
+    Ops::on(machine, vm, 0, kind)
+}
+
 /// Locked instructions core 0 executes in `work`.
 fn rmws(work: impl FnOnce()) -> u64 {
     let before = sim::stats().cores[0].rmws;
@@ -41,7 +47,7 @@ fn rmws_per_op(o: &mut Ops, n: u64) -> f64 {
 fn tlb_hit_is_one_locked_instruction() {
     const BASE: u64 = 0x200_0000_0000;
     let _sim = one_core_sim();
-    let (machine, vm) = ops::one_core_machine();
+    let (machine, vm) = ops::machine(1);
     vm.mmap(0, BASE, PAGE_SIZE, Prot::RW, Backing::Anon)
         .unwrap();
     machine.write_u64(0, &*vm, BASE, 7).unwrap();
@@ -59,7 +65,7 @@ fn tlb_hit_is_one_locked_instruction() {
 fn refault_op_is_seven_when_the_leaf_hint_serves_it() {
     let _sim = one_core_sim();
     const OPS: u64 = 1024;
-    let mut o = Ops::new(Kind::Refault);
+    let mut o = one_core_ops(Kind::Refault);
     rmws_per_op(&mut o, OPS); // warm up
     let fills = o.vm.op_stats().faults_fill;
     let per_op: Vec<u64> = (0..OPS).map(|_| rmws(|| o.op())).collect();
@@ -68,21 +74,42 @@ fn refault_op_is_seven_when_the_leaf_hint_serves_it() {
         fills + OPS,
         "every op refaulted"
     );
-    // Seven ops in eight stay in the leaf block the hint caches ...
-    let hinted = per_op.iter().filter(|&&n| n <= 7).count() as u64;
-    assert!(hinted >= OPS * 3 / 4, "{hinted} of {OPS} ops within 7");
-    // ... and the eighth moves to another block, misses the hint and
-    // descends from the root (16).
+    // The stream moves between eight leaf blocks, one op in eight, and
+    // the core's hint set holds all eight: no op descends from the root
+    // (16 when it does).
     let mean = per_op.iter().sum::<u64>() as f64 / OPS as f64;
-    assert!(mean <= 8.25, "refault op: {mean:.2} locked instructions");
+    assert!(mean <= 7.01, "refault op: {mean:.2} locked instructions");
 }
 
 #[test]
-fn disjoint_op_with_its_share_of_maintain_stays_within_twenty_six() {
+fn hinted_refault_op_is_seventeen_line_events() {
+    // Every instrumented access of the op, locked or not: the TLB lock
+    // for the invalidation, again for the lookup that misses, and the
+    // miss counter under it (3); the attach check (1); the hinted slot
+    // lock and unlock (6, pinned in `rvm_radix`) and the present bit read
+    // under it (1); the fill counter (1); the page-table walk loading
+    // each interior word once (3) and swapping the PTE (1); the TLB lock
+    // for the fill (1). A word read twice shows up here, not in `rmws`.
+    let _sim = one_core_sim();
+    let mut o = one_core_ops(Kind::Refault);
+    rmws_per_op(&mut o, 1024); // warm up
+    let hits = o.vm.op_stats().faults_fill;
+    for _ in 0..64 {
+        let before = sim::stats().cores[0];
+        o.op();
+        let after = sim::stats().cores[0];
+        assert_eq!(after.local_hits - before.local_hits, 17);
+        assert_eq!(after.cold_misses, before.cold_misses);
+    }
+    assert_eq!(o.vm.op_stats().faults_fill, hits + 64);
+}
+
+#[test]
+fn disjoint_op_with_its_share_of_maintain_stays_within_twenty_five() {
     let _sim = one_core_sim();
     // Whole ticks, so each op carries its 1/128 share of `maintain`.
     const OPS: u64 = 8 * MAINTAIN_EVERY;
-    let mut o = Ops::new(Kind::Disjoint);
+    let mut o = one_core_ops(Kind::Disjoint);
     rmws_per_op(&mut o, OPS); // warm up
     let fresh = o.machine.pool().stats().fresh;
     let n = rmws_per_op(&mut o, OPS);
@@ -91,14 +118,14 @@ fn disjoint_op_with_its_share_of_maintain_stays_within_twenty_six() {
         fresh,
         "warm: no pool growth"
     );
-    assert!(n <= 26.0, "disjoint op: {n:.2} locked instructions");
+    assert!(n <= 25.0, "disjoint op: {n:.2} locked instructions");
 }
 
 #[test]
 fn one_core_shared_remap_op_stays_within_twenty_two() {
     let _sim = one_core_sim();
     const OPS: u64 = 8 * MAINTAIN_EVERY;
-    let mut o = Ops::new(Kind::SharedRemap);
+    let mut o = one_core_ops(Kind::SharedRemap);
     rmws_per_op(&mut o, OPS); // warm up
     let n = rmws_per_op(&mut o, OPS);
     assert!(n <= 22.0, "shared_remap op: {n:.2} locked instructions");
