@@ -293,35 +293,67 @@ impl RadixVm {
     /// through the same frame-table cells (the slot's kind picks the
     /// release action); a demoted page owns one reference on its backing
     /// block, which frees when the last page drops.
-    fn release_frames(&self, core: usize, removed: &RemovedList<PageMeta>) {
+    ///
+    /// Each reference weighs the pages its entry mapped — one per page
+    /// value, its own frame or a share of a demoted block alike, and a
+    /// fold's whole span — and the answer is
+    /// [`RadixVm::settle_refs`]'s: whether the caller, which holds no
+    /// guard by now, owes the core a [`Refcache::expedite`].
+    fn release_frames(&self, core: usize, removed: &RemovedList<PageMeta>) -> bool {
         let frames = removed.into_iter().flat_map(|r| {
-            let (Removed::Page(_, m) | Removed::Block { value: m, .. }) = r;
-            m.frames()
+            let (pages, m) = match r {
+                Removed::Page(_, m) => (1, m),
+                Removed::Block { pages, value, .. } => (*pages, value),
+            };
+            m.frames().map(move |f| (f, pages))
         });
-        self.settle_refs(core, frames, -1);
+        self.settle_refs(core, frames, -1)
     }
 
     /// Applies `each` (one reference taken, or one surrendered) for every
     /// handle in `frames`, settling each run of equal consecutive handles
-    /// with one [`rvm_mem::FramePool::ref_adjust`]: the pages of a
-    /// demoted block all carry the block head's handle, so hundreds of
-    /// them cost one trip through the delta cache.
-    fn settle_refs(&self, core: usize, frames: impl IntoIterator<Item = FrameRef>, each: i64) {
+    /// in one trip through the delta cache: the pages of a demoted block
+    /// all carry the block head's handle, so hundreds of them cost one.
+    /// Each handle comes with the 4 KiB pages its reference stands for.
+    /// References taken go through [`rvm_mem::FramePool::ref_adjust`];
+    /// surrendered ones through [`rvm_mem::FramePool::ref_surrender`],
+    /// which accounts their pages to the core, and the result is whether
+    /// any of those answered that the core is due a tick — for a caller
+    /// under a guard to ignore (the answer stays true until a flush) and
+    /// for the tails of `mmap_flags`/`munmap` to act on.
+    fn settle_refs(
+        &self,
+        core: usize,
+        frames: impl IntoIterator<Item = (FrameRef, u64)>,
+        each: i64,
+    ) -> bool {
         let pool = self.machine.pool();
-        let mut run: Option<(FrameRef, i64)> = None;
-        for frame in frames {
+        let mut due = false;
+        let mut settle = |(r, k, pages): (FrameRef, i64, u64)| {
+            if k < 0 {
+                due |= pool.ref_surrender(&self.cache, core, r, -k, pages);
+            } else {
+                pool.ref_adjust(&self.cache, core, r, k);
+            }
+        };
+        let mut run: Option<(FrameRef, i64, u64)> = None;
+        for (frame, pages) in frames {
             match &mut run {
-                Some((r, k)) if *r == frame => *k += each,
+                Some((r, k, p)) if *r == frame => {
+                    *k += each;
+                    *p += pages;
+                }
                 _ => {
-                    if let Some((r, k)) = run.replace((frame, each)) {
-                        pool.ref_adjust(&self.cache, core, r, k);
+                    if let Some(done) = run.replace((frame, each, pages)) {
+                        settle(done);
                     }
                 }
             }
         }
-        if let Some((r, k)) = run {
-            pool.ref_adjust(&self.cache, core, r, k);
+        if let Some(done) = run {
+            settle(done);
         }
+        due
     }
 
     /// Completes superpage demotion after a range lock expanded folded
@@ -406,7 +438,9 @@ impl RadixVm {
             // in either address space demotes and copies per page).
             // Taken under the guard, while the parent's own references
             // cannot go away.
-            let held = entries.iter().flat_map(|(_, _, m)| m.frames());
+            let held = entries
+                .iter()
+                .flat_map(|(_, pages, m)| m.frames().map(move |f| (f, *pages)));
             self.settle_refs(core, held, 1);
             if !revoke_runs.is_empty() {
                 let attached = self.attached_for_mmu();
@@ -498,7 +532,10 @@ impl VmSystem for RadixVm {
         if !displaced.is_empty() {
             self.unmap_tables(core, lo, n, &displaced);
             drop(guard);
-            self.release_frames(core, &displaced);
+            if self.release_frames(core, &displaced) {
+                // As at the tail of `munmap`: only after the guard.
+                self.cache.expedite(core);
+            }
         }
         Ok(addr)
     }
@@ -517,7 +554,13 @@ impl VmSystem for RadixVm {
         let removed = guard.clear();
         self.unmap_tables(core, lo, n, &removed);
         drop(guard);
-        self.release_frames(core, &removed);
+        if self.release_frames(core, &removed) {
+            // The core has unmapped a superpage's worth since its last
+            // flush: start that memory's two-epoch clock now, not at the
+            // caller's next tick. After the guard, so no hint-riding
+            // guard of this op is alive (DESIGN.md §5, §8).
+            self.cache.expedite(core);
+        }
         Ok(())
     }
 
@@ -619,11 +662,10 @@ impl VmSystem for RadixVm {
                     self.machine.shootdown(core, self.asid, vpn, 1, targets);
                 }
             }
-            if let Some(p) = old_page {
-                pool.ref_dec(&self.cache, core, p);
-            }
-            if let Some(b) = old_block {
-                pool.ref_dec(&self.cache, core, b);
+            // Under the guard: the page is accounted, the tick is left to
+            // the core's next `mmap`/`munmap` tail.
+            for old in old_page.into_iter().chain(old_block) {
+                pool.ref_surrender(&self.cache, core, old, 1, 1);
             }
             meta.phys = Some(pool.retain_page(&self.cache, core, new_pfn, 1));
             meta.kind = PageKind::Plain;
@@ -1044,7 +1086,7 @@ impl RadixVm {
             None => {
                 if demoted.is_none() {
                     // Unwind the migration: the fresh block frees whole.
-                    pool.ref_dec(&self.cache, core, block);
+                    pool.ref_surrender(&self.cache, core, block, 1, BLOCK_PAGES);
                 }
                 return None;
             }
@@ -1063,7 +1105,7 @@ impl RadixVm {
         // folded value's handle adopts the first; scattered: 512 frames.
         let adopted = usize::from(demoted.is_some());
         let old = displaced.iter().flat_map(PageMeta::frames).skip(adopted);
-        self.settle_refs(core, old, -1);
+        self.settle_refs(core, old.map(|f| (f, 1)), -1);
         let tr = self.install(core, vpn, base, pte_base, BLOCK_PAGES, writable);
         self.stats.superpage_promote(core);
         Some(tr)

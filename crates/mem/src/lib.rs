@@ -656,6 +656,25 @@ impl FramePool {
         cache.adjust(core, self.cell(r.pfn), delta);
     }
 
+    /// Surrenders `refs` references on the slot behind `r` —
+    /// [`FramePool::ref_adjust`] by `-refs` — that stood for `pages`
+    /// 4 KiB pages of mapped memory, and passes on
+    /// [`Refcache::surrender`]'s answer: whether `core` has given up
+    /// enough since its last flush that the caller should run
+    /// [`Refcache::expedite`] once it holds no guard.
+    #[inline]
+    pub fn ref_surrender(
+        &self,
+        cache: &Refcache,
+        core: usize,
+        r: FrameRef,
+        refs: i64,
+        pages: u64,
+    ) -> bool {
+        debug_assert_eq!(self.generation(r.pfn), r.gen, "stale frame handle");
+        cache.surrender(core, self.cell(r.pfn), refs, pages)
+    }
+
     /// Takes one more reference on the slot behind `r`
     /// ([`FramePool::ref_adjust`] by one).
     #[inline]

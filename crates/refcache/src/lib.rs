@@ -101,6 +101,20 @@ struct Slot {
 
 const EMPTY_SLOT: Slot = Slot { obj: 0, delta: 0 };
 
+/// 4 KiB pages a core may surrender ([`Refcache::surrender`]) between two
+/// flushes of its delta cache before the answer asks its caller for a
+/// tick: **one superpage**. The two-epoch clock of surrendered memory
+/// only starts at the core's next flush, so this is what a core can sit
+/// on with no clock running, whatever its caller's timer does. One
+/// superpage because that is the unit a single operation can give up: a
+/// workload that unmaps 2 MiB per op ticks once per op and has a block
+/// back after two or three, while 4 KiB workloads (128 pages between
+/// their own ticks) never reach it and pay nothing. Larger buys back
+/// little time and costs the bound in proportion (two superpages: twice
+/// the footprint for 3 % of `superpage`'s 16-core rate). A constant, not
+/// a [`RefcacheConfig`] field: no caller has a reason for another value.
+pub const EXPEDITE_PAGES: u64 = 512;
+
 /// Per-core Refcache state: the delta cache and the review queue.
 struct CoreCache {
     slots: Box<[Slot]>,
@@ -118,6 +132,11 @@ struct CoreCache {
     /// a tick that frees a hundred frames grows no fresh list.
     to_free: Vec<usize>,
     local_epoch: u64,
+    /// 4 KiB pages of memory behind the references this core has
+    /// surrendered ([`Refcache::surrender`]) since its delta cache was
+    /// last flushed — by whichever thread. Plain data under this lock,
+    /// like the deltas it rides with: no access of its own.
+    surrendered: u64,
 }
 
 /// Global counters exposed by [`Refcache::stats`].
@@ -131,6 +150,10 @@ pub struct RefcacheStats {
     pub conflicts: u64,
     /// Cache flushes performed.
     pub flushes: u64,
+    /// Of `flushes`, those of a [`Refcache::expedite`] tick: run by a
+    /// [`Refcache::surrender`] caller because of the memory its core had
+    /// given up, not by anybody's timer.
+    pub expedited: u64,
     /// Objects re-queued because of a dirty zero.
     pub dirty_zeros: u64,
     /// Objects revived through a weak reference after reaching zero.
@@ -168,6 +191,8 @@ const F_SLOT_ACTIVATES: usize = 6;
 /// Exclusive under `cores[core]`: counted where `review` decides the
 /// release, not where it runs after the lock dropped.
 const F_SLOT_RELEASES: usize = 7;
+/// Exclusive under `cores[core]` (`flush`, beside `F_FLUSHES`).
+const F_EXPEDITED: usize = 8;
 
 /// A callback invoked at the start of every [`Refcache::flush`], before
 /// any delta is applied. Data structures use flush hooks to surrender
@@ -198,7 +223,7 @@ pub struct Refcache {
     /// operating core's padded cell (sum-on-read; DESIGN.md §6), most of
     /// them under that core's lock and so without a locked instruction
     /// (the `F_*` table says which).
-    stats: ShardedStats<8>,
+    stats: ShardedStats<9>,
 }
 
 impl Refcache {
@@ -219,6 +244,7 @@ impl Refcache {
                     review: VecDeque::new(),
                     to_free: Vec::new(),
                     local_epoch: 0,
+                    surrendered: 0,
                 }))
             })
             .collect();
@@ -252,6 +278,7 @@ impl Refcache {
             frees: self.stats.sum(F_FREES),
             conflicts: self.stats.sum(F_CONFLICTS),
             flushes: self.stats.sum(F_FLUSHES),
+            expedited: self.stats.sum(F_EXPEDITED),
             dirty_zeros: self.stats.sum(F_DIRTY_ZEROS),
             revivals: self.stats.sum(F_REVIVALS),
             slot_activates: self.stats.sum(F_SLOT_ACTIVATES),
@@ -372,6 +399,27 @@ impl Refcache {
         cc.slots[idx] = Slot { obj: key, delta };
     }
 
+    /// Surrenders `refs` references to `obj` on `core` —
+    /// [`Refcache::adjust`] by `-refs` — that stood for `pages` 4 KiB
+    /// pages of memory, and answers whether the core has now surrendered
+    /// at least [`EXPEDITE_PAGES`] since its delta cache was last
+    /// flushed. The pages are added in the critical section the
+    /// adjustment takes anyway (no lock, instrumented access or
+    /// allocation of its own) and every [`Refcache::flush`] of the core,
+    /// whoever runs it, starts the count again under the same lock, so it
+    /// is exact however many threads act for the core.
+    ///
+    /// A true answer asks the caller for one [`Refcache::expedite`] once
+    /// it holds no lock a flush hook takes (DESIGN.md §5: never under a
+    /// hint-riding guard). The answer stays true until a flush, so a
+    /// caller that cannot tick leaves it to the next one that can.
+    pub fn surrender<P: Counted>(&self, core: usize, obj: P, refs: i64, pages: u64) -> bool {
+        let mut cc = self.cores[core].lock();
+        self.adjust_locked(&mut cc, core, obj.count_addr(), -refs);
+        cc.surrendered += pages;
+        cc.surrendered >= EXPEDITE_PAGES
+    }
+
     /// Increments the reference count of `obj` on `core`.
     ///
     /// The caller must hold a logical reference to `obj` (or have just
@@ -452,6 +500,12 @@ impl Refcache {
     /// Flushes `core`'s delta cache and advances the epoch barrier (the
     /// paper's `flush`).
     pub fn flush(&self, core: usize) {
+        self.flush_as(core, false);
+    }
+
+    /// [`Refcache::flush`]; `expedited` says whether to count it as an
+    /// [`Refcache::expedite`] tick's.
+    fn flush_as(&self, core: usize, expedited: bool) {
         // Run hooks before taking the core lock: hooks surrender cached
         // references (which re-enters `dec` and needs the core lock), and
         // doing it first guarantees those decs are part of this flush.
@@ -464,6 +518,11 @@ impl Refcache {
         let mut cc = self.cores[core].lock();
         let epoch = self.epoch();
         self.stats.add_exclusive(core, F_FLUSHES, 1);
+        if expedited {
+            self.stats.add_exclusive(core, F_EXPEDITED, 1);
+        }
+        // What the core surrendered is on its way to review from here.
+        cc.surrendered = 0;
         // Only what was dirtied since the last flush; the list is taken
         // out for the walk (`evict` borrows the whole core cache) and put
         // back empty, keeping its allocation.
@@ -594,6 +653,15 @@ impl Refcache {
     /// benchmarks call it every few hundred operations).
     pub fn maintain(&self, core: usize) {
         self.flush(core);
+        self.review(core);
+    }
+
+    /// The [`Refcache::maintain`] a true answer from
+    /// [`Refcache::surrender`] asks of its caller: the same flush and
+    /// review, counted in [`RefcacheStats::expedited`] as well, so that
+    /// `flushes - expedited` stays what callers' timers issued.
+    pub fn expedite(&self, core: usize) {
+        self.flush_as(core, true);
         self.review(core);
     }
 
@@ -986,6 +1054,85 @@ mod tests {
         rc.dec(0, p);
         rc.quiesce();
         assert_eq!(drops.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn surrender_answers_true_from_one_superpage_until_a_flush() {
+        let rc = Refcache::new(2);
+        let (p, drops, _) = tracked(&rc, 600);
+        // Below the threshold: false, however the pages arrive.
+        assert!(!rc.surrender(0, p, 1, EXPEDITE_PAGES - 2));
+        assert!(!rc.surrender(0, p, 1, 1));
+        // At it, and after it, until the core is flushed.
+        assert!(rc.surrender(0, p, 1, 1));
+        assert!(rc.surrender(0, p, 1, 0));
+        // Per core: core 1 has surrendered nothing yet.
+        assert!(!rc.surrender(1, p, 1, 1));
+        rc.flush(0);
+        assert!(!rc.surrender(0, p, 1, EXPEDITE_PAGES - 1));
+        assert!(rc.surrender(0, p, 1, 1));
+        // The references went where `adjust` would have put them.
+        rc.quiesce();
+        assert_eq!(rc.global_count(p), 600 - 7);
+        rc.adjust(0, p, -(600 - 7));
+        rc.quiesce();
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_flush_for_the_core_by_another_thread_restarts_the_count() {
+        let rc = Arc::new(Refcache::new(1));
+        let (p, _, _) = tracked(&rc, 8);
+        assert!(rc.surrender(0, p, 1, EXPEDITE_PAGES));
+        let sweeper = rc.clone();
+        std::thread::spawn(move || sweeper.flush(0)).join().unwrap();
+        assert!(!rc.surrender(0, p, 1, EXPEDITE_PAGES - 1));
+        assert!(rc.surrender(0, p, 1, 1));
+        let sweeper = rc.clone();
+        std::thread::spawn(move || sweeper.quiesce())
+            .join()
+            .unwrap();
+        assert!(!rc.surrender(0, p, 1, 1));
+        rc.adjust(0, p, -4);
+        rc.quiesce();
+        assert_eq!(rc.live_objects(), 0);
+    }
+
+    #[test]
+    fn adjust_inc_and_dec_surrender_no_pages() {
+        let rc = Refcache::new(1);
+        let (p, _, _) = tracked(&rc, 1);
+        assert!(!rc.surrender(0, p, 0, EXPEDITE_PAGES - 1));
+        for _ in 0..2 * EXPEDITE_PAGES {
+            rc.inc(0, p);
+            rc.dec(0, p);
+        }
+        rc.adjust(0, p, 4096);
+        rc.adjust(0, p, -4096);
+        // Still one page short.
+        assert!(!rc.surrender(0, p, 0, 0));
+        assert!(rc.surrender(0, p, 0, 1));
+        rc.dec(0, p);
+        rc.quiesce();
+        assert_eq!(rc.live_objects(), 0);
+    }
+
+    #[test]
+    fn expedite_is_maintain_counted_as_expedited() {
+        let rc = Refcache::new(1);
+        let (p, drops, _) = tracked(&rc, 1);
+        assert!(rc.surrender(0, p, 1, EXPEDITE_PAGES));
+        rc.expedite(0);
+        assert!(!rc.surrender(0, p, 0, 0), "an expedited tick flushes");
+        assert_eq!(drops.load(Ordering::SeqCst), 0);
+        // And reviews: the second tick frees, as a second `maintain`
+        // would (`free_waits_full_epoch`).
+        rc.expedite(0);
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+        rc.maintain(0);
+        rc.flush(0);
+        let st = rc.stats();
+        assert_eq!((st.flushes, st.expedited), (4, 2));
     }
 
     #[test]

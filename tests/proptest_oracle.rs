@@ -8,7 +8,7 @@ use radixvm::backend::{build, BackendKind};
 use radixvm::baselines::{SkipList, Vma, VmaMap};
 use radixvm::hw::{Backing, Machine, MapFlags, Prot, VmError, BLOCK_PAGES, GIANT_PAGES, PAGE_SIZE};
 use radixvm::radix::{LockMode, RadixConfig, RadixTree, Removed};
-use radixvm::refcache::{Managed, Refcache, ReleaseCtx};
+use radixvm::refcache::{Managed, Refcache, ReleaseCtx, EXPEDITE_PAGES};
 use radixvm::sync::failpoint::{self, Trigger};
 use radixvm::sync::{RangeLock, RangeLockKind, RangeToken};
 
@@ -771,6 +771,50 @@ proptest! {
         }
         rc.quiesce();
         prop_assert_eq!(freed.load(std::sync::atomic::Ordering::SeqCst), 1);
+        prop_assert_eq!(rc.live_objects(), 0);
+    }
+
+    /// `Refcache::surrender`'s answer is a plain per-core page counter
+    /// compared with `EXPEDITE_PAGES`, started again by every flush of
+    /// that core and by nothing else — whichever entry point runs the
+    /// flush, and whatever `inc`/`dec`/`adjust` traffic goes by.
+    #[test]
+    fn refcache_surrender_matches_plain_counter(
+        ops in proptest::collection::vec((0usize..3, 0u8..8, 0u64..400), 0..120)
+    ) {
+        struct Plain;
+        impl Managed for Plain {
+            fn on_release(&mut self, _: &ReleaseCtx<'_>) {}
+        }
+        let rc = Refcache::new(3);
+        // References to give up: more than the ops can surrender.
+        let obj = rc.alloc(1_000, Plain);
+        let mut given_up = 0i64;
+        let mut pages = [0u64; 3];
+        for (core, what, n) in ops {
+            match what {
+                0 => { rc.flush(core); pages[core] = 0; }
+                1 => { rc.maintain(core); pages[core] = 0; }
+                2 => { rc.expedite(core); pages[core] = 0; }
+                3 => { rc.quiesce(); pages = [0; 3]; }
+                4 => { rc.inc(core, obj); rc.dec(core, obj); }
+                5 => { rc.adjust(core, obj, n as i64); rc.adjust(core, obj, -(n as i64)); }
+                _ => {
+                    let refs = (n % 3) as i64;
+                    pages[core] += n;
+                    given_up += refs;
+                    prop_assert_eq!(
+                        rc.surrender(core, obj, refs, n),
+                        pages[core] >= EXPEDITE_PAGES
+                    );
+                }
+            }
+        }
+        // The references went where `adjust` would have put them.
+        rc.quiesce();
+        prop_assert_eq!(rc.global_count(obj), 1_000 - given_up);
+        rc.adjust(0, obj, given_up - 1_000);
+        rc.quiesce();
         prop_assert_eq!(rc.live_objects(), 0);
     }
 

@@ -319,3 +319,94 @@ fn reservation_backs_superpage_faults() {
     assert_eq!(machine.pool().stats().blocks_reserved, 0);
     assert_eq!(vm.op_stats().superpage_installs, 2);
 }
+
+/// One op of the repo benchmark's `superpage` workload on `core`, at its
+/// `i`-th never-reused block: map 2 MiB with the huge hint, write two
+/// words 300 pages apart (one block fault), on every fourth op punch a
+/// 16-page hole first (a demotion: the rest of the block is then given up
+/// as 496 one-page shares), unmap. No `maintain`. Returns the frames
+/// outstanding while the block was populated, the op's high-water mark.
+fn superpage_op(machine: &Machine, vm: &dyn VmSystem, core: usize, i: u64) -> u64 {
+    let addr = BASE + i * BLOCK_BYTES;
+    vm.mmap_flags(
+        core,
+        addr,
+        BLOCK_BYTES,
+        Prot::RW,
+        Backing::Anon,
+        MapFlags::HUGE,
+    )
+    .unwrap();
+    machine.write_u64(core, vm, addr, i).unwrap();
+    machine
+        .write_u64(core, vm, addr + 300 * PAGE_SIZE, !i)
+        .unwrap();
+    let populated = machine.pool().outstanding_frames();
+    if i % 4 == 3 {
+        vm.munmap(core, addr + 100 * PAGE_SIZE, 16 * PAGE_SIZE)
+            .unwrap();
+        assert_eq!(machine.read_u64(core, vm, addr), Ok(i));
+    }
+    vm.munmap(core, addr, BLOCK_BYTES).unwrap();
+    populated
+}
+
+/// The footprint bound (DESIGN.md §8): a core that unmaps a superpage's
+/// worth of memory starts that memory's two-epoch clock itself, so a loop
+/// that maps, touches and unmaps 2 MiB per op and **never calls
+/// `maintain`** runs for ever in a pool of eight blocks — it has each
+/// block back two ops later. (With only the caller's timer to start the
+/// clock, this loop exhausts the pool at its ninth op.)
+#[test]
+fn unmapped_superpages_come_back_without_a_timer() {
+    const OPS: u64 = 200;
+    let (machine, vm) = radix(1);
+    let pool = machine.pool();
+    // Eight blocks, and one refill batch of 4 KiB frames of slack.
+    pool.set_frame_limit(8 * BLOCK_PAGES + 64);
+    let peak = (0..OPS)
+        .map(|i| superpage_op(&machine, &*vm, 0, i))
+        .max()
+        .unwrap();
+    let st = vm.op_stats();
+    assert_eq!(
+        (st.superpage_installs, st.block_fallbacks, st.oom_faults),
+        (OPS, 0, 0)
+    );
+    assert!(peak <= 4 * BLOCK_PAGES, "{peak} frames outstanding");
+    assert_eq!(pool.stats().block_allocs, OPS);
+    vm.quiesce();
+    assert_eq!(pool.outstanding_frames(), 0);
+}
+
+/// What the bound does *not* promise: the epoch needs every core, so
+/// while a second core never ticks, nothing the first unmaps comes back
+/// (and nothing fails or leaks); it all does once that core ticks.
+#[test]
+fn an_idle_core_stalls_the_bound_and_loses_nothing() {
+    const BACKLOG: u64 = 12;
+    let (machine, vm) = radix(2);
+    let pool = machine.pool();
+    for i in 0..BACKLOG {
+        superpage_op(&machine, &*vm, 0, i);
+    }
+    assert_eq!(pool.outstanding_frames(), BACKLOG * BLOCK_PAGES);
+    // Two epochs: each needs a flush of core 1 and then one of core 0,
+    // which the op's own unmap runs.
+    for i in BACKLOG..BACKLOG + 2 {
+        vm.maintain(1);
+        superpage_op(&machine, &*vm, 0, i);
+    }
+    assert_eq!(
+        pool.outstanding_frames(),
+        2 * BLOCK_PAGES,
+        "the backlog is back; the last two blocks are in flight"
+    );
+    let st = vm.op_stats();
+    assert_eq!(
+        (st.superpage_installs, st.block_fallbacks, st.oom_faults),
+        (BACKLOG + 2, 0, 0)
+    );
+    vm.quiesce();
+    assert_eq!(pool.outstanding_frames(), 0);
+}
