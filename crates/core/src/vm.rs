@@ -569,10 +569,15 @@ impl VmSystem for RadixVm {
             return Err(VmError::BadRange);
         }
         sim::charge_op_base();
-        // Attach tracking is read-before-write: `AtomicCoreSet::insert`
+        // Only the shared table ever reads `attached`
+        // (`attached_for_mmu`), and the word is one every core's faults
+        // would load, so per-core tables leave it alone. Where it is
+        // kept, tracking is read-before-write: `AtomicCoreSet::insert`
         // tests membership first, so a warm fault's attach check is a
         // shared read, never an exclusive store (DESIGN.md §6).
-        self.attached.insert(core);
+        if self.mmu.kind() == MmuKind::Shared {
+            self.attached.insert(core);
+        }
         let vpn = vpn_of(va);
         // Fold-preserving lock: if the page lives under an intact folded
         // block, the block's single slot is locked instead of expanding
