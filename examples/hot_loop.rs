@@ -5,7 +5,10 @@
 //! `tests/locked_instructions.rs`): T of them as cores 0..T of one T-core
 //! machine, one host thread each — one by default, and two or more to see
 //! what the streams cost each other (`shared` is the workload whose
-//! streams meet). `metis` is whole one-worker jobs.
+//! streams meet). `metis` is whole one-worker jobs. Beside ops/s it prints
+//! the footprint: the frames the pool still has handed out when the
+//! streams stop (mapped, or unmapped and waiting out their Refcache
+//! epochs) and the process's peak resident set.
 //!
 //! Run with: `cargo run --release --example hot_loop -- <disjoint|refault|shared|superpage|metis> <seconds> [threads]`
 
@@ -62,9 +65,19 @@ fn warm_ops(kind: Kind) -> u64 {
     }
 }
 
+/// The process's peak resident set (`VmHWM`), MiB, where there is a
+/// procfs to ask.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let hwm = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: f64 = hwm.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kib / 1024.0)
+}
+
 /// Runs `threads` streams of `kind`, one pinned host thread each, until
 /// `budget` has passed; returns the ops done and the seconds they took,
-/// and prints what an op cost in TLB lookups, faults and IPIs.
+/// and prints what an op cost in TLB lookups, faults and IPIs and what
+/// the pool has outstanding at the end.
 fn spin(kind: Kind, budget: Duration, threads: usize) -> (u64, f64) {
     let (machine, vm) = ops::machine(threads);
     let mut streams: Vec<Ops> = (0..threads)
@@ -118,6 +131,11 @@ fn spin(kind: Kind, budget: Duration, threads: usize) -> (u64, f64) {
         per_op(vm.faults_fill - vm0.faults_fill),
         per_op(hw.shootdown_ipis - hw0.shootdown_ipis),
     );
+    let outstanding = machine.pool().outstanding_frames();
+    println!(
+        "at exit: {outstanding} frames outstanding in the pool ({:.1} MiB)",
+        outstanding as f64 * 4096.0 / (1 << 20) as f64
+    );
     (ops, dt)
 }
 
@@ -165,4 +183,7 @@ fn main() {
         ops as f64 / dt,
         dt * 1e9 * threads as f64 / ops as f64
     );
+    if let Some(mib) = peak_rss_mib() {
+        println!("peak RSS (VmHWM): {mib:.1} MiB");
+    }
 }
