@@ -109,10 +109,11 @@ const EMPTY_SLOT: Slot = Slot { obj: 0, delta: 0 };
 /// superpage because that is the unit a single operation can give up: a
 /// workload that unmaps 2 MiB per op ticks once per op and has a block
 /// back after two or three, while 4 KiB workloads (128 pages between
-/// their own ticks) never reach it and pay nothing. Larger buys back
-/// little time and costs the bound in proportion (two superpages: twice
-/// the footprint for 3 % of `superpage`'s 16-core rate). A constant, not
-/// a [`RefcacheConfig`] field: no caller has a reason for another value.
+/// their own ticks) never reach it and pay nothing. Larger costs the
+/// bound in proportion and buys no time back (DESIGN.md §8: two
+/// superpages read twice the benchmark's footprint, four read five
+/// times). A constant, not a [`RefcacheConfig`] field: no caller has a
+/// reason for another value.
 pub const EXPEDITE_PAGES: u64 = 512;
 
 /// Per-core Refcache state: the delta cache and the review queue.
