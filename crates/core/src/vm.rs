@@ -575,7 +575,8 @@ impl VmSystem for RadixVm {
         // kept, tracking is read-before-write: `AtomicCoreSet::insert`
         // tests membership first, so a warm fault's attach check is a
         // shared read, never an exclusive store (DESIGN.md §6).
-        if self.mmu.kind() == MmuKind::Shared {
+        let shared_table = self.mmu.kind() == MmuKind::Shared;
+        if shared_table {
             self.attached.insert(core);
         }
         let vpn = vpn_of(va);
@@ -589,7 +590,7 @@ impl VmSystem for RadixVm {
         // Shared-table configuration: a PTE installed by another core is
         // filled by hardware without kernel involvement; model that as a
         // cheap walk that bypasses the metadata entirely.
-        if self.mmu.kind() == MmuKind::Shared {
+        if shared_table {
             let pte = self.mmu.walk(core, vpn);
             if pte.present() && (kind == AccessKind::Read || pte.writable()) {
                 self.stats.fault_fill(core);
