@@ -45,11 +45,12 @@
 #
 # Run from the repository root; commit the refreshed files.
 #
-# `--check` regenerates nothing: it re-runs the three single-purpose
-# records whose simulator runs have stable line ids (fastpath, huge,
-# refcount) and diffs each against the checked-in file. The simulator is
-# deterministic, so a refactor that claims to preserve behaviour must
-# reproduce them: every field must be equal, except that
+# `--check` regenerates nothing: it re-runs all six records and holds
+# each against the checked-in file. The simulator is deterministic, so a
+# refactor that claims to preserve behaviour must reproduce them.
+#
+# By value — fastpath, huge, refcount, pressure, whose simulator runs
+# have stable line ids: every field must be equal, except that
 #   - virtual-time fields (VIRT_FIELDS) may move by VIRT_TOL: they
 #     jitter by a few ppm (up to 0.03 % seen) with where the heap lands,
 #     because the simulator keys cache lines by address;
@@ -57,12 +58,18 @@
 #     count of remote transfers on anonymous *heap* lines, which depends
 #     on the same heap layout (labelled lines — frame table, radix
 #     nodes — are compared exactly).
-# scale/numa/pressure wait for layout-independent line ids (ROADMAP's
-# simulator item).
+#
+# By shape — scale and numa, a third of whose scalars move from run to
+# run with the heap layout, so their values wait for layout-independent
+# line ids (ROADMAP's simulator item): the sorted key paths of every
+# scalar must be the same, which catches a renamed, dropped, re-nested
+# or re-typed field and a sweep of another length. numa's
+# `points[].attribution[]` is left out: one entry per label that saw
+# cross-node traffic, so its length follows the heap layout too.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-VIRT_FIELDS='["virt_ns", "pages_per_sec"]'
+VIRT_FIELDS='["virt_ns", "pages_per_sec", "ops_per_sec"]'
 VIRT_TOL=0.001
 SKIP_FIELDS='[
   "real_fault_fill_loop_1core.ops_per_sec",
@@ -70,12 +77,20 @@ SKIP_FIELDS='[
   "remote_transfers_by_category.heap"
 ]'
 
-# check NAME: run bench_NAME and compare its output with BENCH_NAME.json.
+# fresh NAME: run bench_NAME, print the file its record went to.
+fresh() {
+    local out
+    out=$(mktemp)
+    cargo run --release -p rvm_bench --bin "bench_$1" > "$out"
+    echo "$out"
+}
+
+# check NAME: run bench_NAME and compare its output with BENCH_NAME.json
+# value by value.
 check() {
-    local name=$1 fresh diffs
-    fresh=$(mktemp)
-    cargo run --release -p rvm_bench --bin "bench_$name" > "$fresh"
-    diffs=$(jq -rn --slurpfile old "BENCH_$name.json" --slurpfile new "$fresh" \
+    local name=$1 new diffs
+    new=$(fresh "$name")
+    diffs=$(jq -rn --slurpfile old "BENCH_$name.json" --slurpfile new "$new" \
         --argjson virt "$VIRT_FIELDS" --argjson tol "$VIRT_TOL" --argjson skip "$SKIP_FIELDS" '
         def flat: [paths(type != "object" and type != "array") as $p
                    | {key: ($p | map(tostring) | join(".")), value: getpath($p)}] | from_entries;
@@ -87,7 +102,7 @@ check() {
                  then (($n[$k] - $o[$k]) | fabs) > $tol * $o[$k]
                  else $o[$k] != $n[$k] end)
         | "  \($k): recorded \($o[$k]), now \($n[$k])"')
-    rm -f "$fresh"
+    rm -f "$new"
     if [[ -n "$diffs" ]]; then
         echo "bench_record --check: bench_$name departs from BENCH_$name.json:" >&2
         echo "$diffs" >&2
@@ -96,10 +111,33 @@ check() {
     echo "bench_record --check: BENCH_$name.json reproduced" >&2
 }
 
+# shape NAME [FILTER]: run bench_NAME and compare the key path and JSON
+# type of every scalar with BENCH_NAME.json's, both after the jq FILTER.
+shape() {
+    local name=$1 filter=${2:-.} new diffs
+    new=$(fresh "$name")
+    diffs=$(jq -rn --slurpfile old "BENCH_$name.json" --slurpfile new "$new" '
+        def shape: '"$filter"'
+            | [paths(type != "object" and type != "array") as $p
+               | "\($p | map(tostring) | join(".")): \(getpath($p) | type)"];
+        ($old[0] | shape) as $o | ($new[0] | shape) as $n
+        | (($o - $n)[] | "  recorded only: \(.)"), (($n - $o)[] | "  now only: \(.)")')
+    rm -f "$new"
+    if [[ -n "$diffs" ]]; then
+        echo "bench_record --check: bench_$name has another shape than BENCH_$name.json:" >&2
+        echo "$diffs" >&2
+        return 1
+    fi
+    echo "bench_record --check: BENCH_$name.json's shape reproduced" >&2
+}
+
 if [[ "${1:-}" == "--check" ]]; then
     check fastpath
     check huge
     check refcount
+    check pressure
+    shape scale
+    shape numa 'del(.points[].attribution)'
     exit 0
 fi
 
