@@ -102,7 +102,7 @@ impl VmSystem for ToyVm {
     ) -> VmResult<Vaddr> {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
-        self.stats.mmap(core);
+        self.stats.add(core, OpStats::mmaps, 1);
         let _ = backing; // all backings are demand-zero in the simulation
         let mut pages = self.pages.lock();
         self.remove_range(core, &mut pages, lo, n);
@@ -115,7 +115,7 @@ impl VmSystem for ToyVm {
     fn munmap(&self, core: usize, addr: Vaddr, len: u64) -> VmResult<()> {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
-        self.stats.munmap(core);
+        self.stats.add(core, OpStats::munmaps, 1);
         let mut pages = self.pages.lock();
         self.remove_range(core, &mut pages, lo, n);
         Ok(())
@@ -138,7 +138,7 @@ impl VmSystem for ToyVm {
         let pool = self.machine.pool();
         let pfn = match page.pfn {
             Some(pfn) => {
-                self.stats.fault_fill(core);
+                self.stats.add(core, OpStats::faults_fill, 1);
                 pfn
             }
             None => {
@@ -147,11 +147,11 @@ impl VmSystem for ToyVm {
                 let pfn = match pool.try_alloc(core) {
                     Ok(pfn) => pfn,
                     Err(e) => {
-                        self.stats.oom_fault(core);
+                        self.stats.add(core, OpStats::oom_faults, 1);
                         return Err(e.into());
                     }
                 };
-                self.stats.fault_alloc(core);
+                self.stats.add(core, OpStats::faults_alloc, 1);
                 page.pfn = Some(pfn);
                 pfn
             }

@@ -308,7 +308,7 @@ impl VmSystem for BonsaiVm {
     ) -> VmResult<Vaddr> {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
-        self.stats.mmap(core);
+        self.stats.add(core, OpStats::mmaps, 1);
         let backing = match backing {
             Backing::File { file, offset_pages } => Backing::File {
                 file,
@@ -335,7 +335,7 @@ impl VmSystem for BonsaiVm {
     fn munmap(&self, core: usize, addr: Vaddr, len: u64) -> VmResult<()> {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
-        self.stats.munmap(core);
+        self.stats.add(core, OpStats::munmaps, 1);
         let _m = self.mutate.lock();
         let g = epoch::pin();
         let shared = self.root.load(std::sync::atomic::Ordering::Acquire, &g);
@@ -377,7 +377,7 @@ impl VmSystem for BonsaiVm {
         let table = self.mmu.table();
         let pte = table.get(vpn);
         let pfn = if pte.present() {
-            self.stats.fault_fill(core);
+            self.stats.add(core, OpStats::faults_fill, 1);
             pte.pfn()
         } else {
             // Fallible allocation: on OutOfMemory the early return drops
@@ -385,11 +385,11 @@ impl VmSystem for BonsaiVm {
             let pfn = match pool.try_alloc(core) {
                 Ok(pfn) => pfn,
                 Err(e) => {
-                    self.stats.oom_fault(core);
+                    self.stats.add(core, OpStats::oom_faults, 1);
                     return Err(e.into());
                 }
             };
-            self.stats.fault_alloc(core);
+            self.stats.add(core, OpStats::faults_alloc, 1);
             pool.inc_map(pfn);
             table.set(vpn, Pte::new(pfn, writable));
             pfn

@@ -100,7 +100,7 @@ impl VmSystem for LinuxVm {
     ) -> VmResult<Vaddr> {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
-        self.stats.mmap(core);
+        self.stats.add(core, OpStats::mmaps, 1);
         let backing = match backing {
             Backing::File { file, offset_pages } => Backing::File {
                 file,
@@ -125,7 +125,7 @@ impl VmSystem for LinuxVm {
     fn munmap(&self, core: usize, addr: Vaddr, len: u64) -> VmResult<()> {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
-        self.stats.munmap(core);
+        self.stats.add(core, OpStats::munmaps, 1);
         let mut vmas = self.state.write();
         let removed = vmas.carve(lo, lo + n);
         for old in &removed {
@@ -155,7 +155,7 @@ impl VmSystem for LinuxVm {
         let table = self.mmu.table();
         let pte = table.get(vpn);
         let pfn = if pte.present() {
-            self.stats.fault_fill(core);
+            self.stats.add(core, OpStats::faults_fill, 1);
             pte.pfn()
         } else {
             // Fallible allocation: nothing is installed before the frame
@@ -164,19 +164,19 @@ impl VmSystem for LinuxVm {
             let pfn = match pool.try_alloc(core) {
                 Ok(pfn) => pfn,
                 Err(e) => {
-                    self.stats.oom_fault(core);
+                    self.stats.add(core, OpStats::oom_faults, 1);
                     return Err(e.into());
                 }
             };
             pool.inc_map(pfn);
             match table.set_if(vpn, Pte::EMPTY, Pte::new(pfn, writable)) {
                 Ok(()) => {
-                    self.stats.fault_alloc(core);
+                    self.stats.add(core, OpStats::faults_alloc, 1);
                     pfn
                 }
                 Err(winner) => {
                     // Another core's fault won the install race.
-                    self.stats.fault_fill(core);
+                    self.stats.add(core, OpStats::faults_fill, 1);
                     pool.dec_map(pfn);
                     pool.free(core, pfn);
                     winner.pfn()

@@ -148,17 +148,8 @@ pub fn point_duration(base_ns: u64, ncores: usize) -> u64 {
 
 /// True when `--quick` (or RVM_QUICK=1) trims the sweep for CI runs.
 pub fn quick() -> bool {
-    std::env::args().any(|a| a == "--quick") || std::env::var("RVM_QUICK").is_dead_simple()
-}
-
-trait EnvBool {
-    fn is_dead_simple(&self) -> bool;
-}
-
-impl EnvBool for Result<String, std::env::VarError> {
-    fn is_dead_simple(&self) -> bool {
-        matches!(self.as_deref(), Ok("1") | Ok("true"))
-    }
+    std::env::args().any(|a| a == "--quick")
+        || matches!(std::env::var("RVM_QUICK").as_deref(), Ok("1") | Ok("true"))
 }
 
 /// Prints a CSV table: header then one row per core count, one column

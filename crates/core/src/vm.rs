@@ -27,8 +27,8 @@ use std::sync::Arc;
 use std::sync::Mutex;
 
 use rvm_hw::{
-    vpn_of, AccessKind, Asid, Backing, Machine, MapFlags, Mmu, MmuKind, PerCoreMmu, Prot, Pte,
-    ShardedOpStats, SharedMmu, SpaceUsage, TlbEntry, Translation, Vaddr, VmError, VmResult,
+    vpn_of, AccessKind, Asid, Backing, Machine, MapFlags, Mmu, MmuKind, OpStats, PerCoreMmu, Prot,
+    Pte, ShardedOpStats, SharedMmu, SpaceUsage, TlbEntry, Translation, Vaddr, VmError, VmResult,
     VmSystem, Vpn, BLOCK_PAGES, SPAN_PAGES, VA_LIMIT,
 };
 use rvm_mem::{FrameRef, Pfn};
@@ -218,9 +218,10 @@ impl RadixVm {
     fn count_fault_placement(&self, core: usize, pfn: Pfn, frames: u64) {
         let pool = self.machine.pool();
         if pool.home(pfn) == pool.node_of(core) {
-            self.stats.fault_frames_on_node(core, frames);
+            self.stats.add(core, OpStats::fault_frames_on_node, frames);
         } else {
-            self.stats.fault_frames_cross_node(core, frames);
+            self.stats
+                .add(core, OpStats::fault_frames_cross_node, frames);
         }
     }
 
@@ -402,7 +403,7 @@ impl RadixVm {
                 .demote(base, pages, tracked, self.attached_for_mmu());
             self.machine
                 .shootdown(core, self.asid, base, pages, targets);
-            self.stats.superpage_demote(core);
+            self.stats.add(core, OpStats::superpage_demotions, 1);
         }
     }
 
@@ -511,7 +512,7 @@ impl VmSystem for RadixVm {
     ) -> VmResult<Vaddr> {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
-        self.stats.mmap(core);
+        self.stats.add(core, OpStats::mmaps, 1);
         // Anchor file offsets to the VPN so every page's metadata is
         // identical and the mapping folds (§3.2).
         let backing = match backing {
@@ -543,7 +544,7 @@ impl VmSystem for RadixVm {
     fn munmap(&self, core: usize, addr: Vaddr, len: u64) -> VmResult<()> {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
-        self.stats.munmap(core);
+        self.stats.add(core, OpStats::munmaps, 1);
         let mut guard = self
             .tree
             .lock_range(core, lo, lo + n, LockMode::ExpandFolded);
@@ -593,7 +594,7 @@ impl VmSystem for RadixVm {
         if shared_table {
             let pte = self.mmu.walk(core, vpn);
             if pte.present() && (kind == AccessKind::Read || pte.writable()) {
-                self.stats.fault_fill(core);
+                self.stats.add(core, OpStats::faults_fill, 1);
                 // Fill whatever span the entry maps: when another core
                 // populated a superpage, the whole of it, so this core
                 // stops faulting on it.
@@ -632,14 +633,14 @@ impl VmSystem for RadixVm {
             let (new_pfn, ev) = match pool.try_alloc_traced(core) {
                 Ok(r) => r,
                 Err(e) => {
-                    self.stats.oom_fault(core);
+                    self.stats.add(core, OpStats::oom_faults, 1);
                     return Err(e.into());
                 }
             };
             if ev.drained {
-                self.stats.reclaim_drain(core);
+                self.stats.add(core, OpStats::reclaim_drains, 1);
             }
-            self.stats.fault_cow(core);
+            self.stats.add(core, OpStats::faults_cow, 1);
             let src = meta.frame_for(vpn);
             let old_page = meta.phys.take();
             let old_block = meta.block.take();
@@ -678,7 +679,7 @@ impl VmSystem for RadixVm {
         }
         let pfn = match meta.frame_for(vpn) {
             Some(pfn) => {
-                self.stats.fault_fill(core);
+                self.stats.add(core, OpStats::faults_fill, 1);
                 pfn
             }
             None => {
@@ -692,14 +693,14 @@ impl VmSystem for RadixVm {
                 let (pfn, ev) = match pool.try_alloc_traced(core) {
                     Ok(r) => r,
                     Err(e) => {
-                        self.stats.oom_fault(core);
+                        self.stats.add(core, OpStats::oom_faults, 1);
                         return Err(e.into());
                     }
                 };
                 if ev.drained {
-                    self.stats.reclaim_drain(core);
+                    self.stats.add(core, OpStats::reclaim_drains, 1);
                 }
-                self.stats.fault_alloc(core);
+                self.stats.add(core, OpStats::faults_alloc, 1);
                 self.count_fault_placement(core, pfn, 1);
                 meta.phys = Some(pool.retain_page(&self.cache, core, pfn, 1));
                 pfn
@@ -933,7 +934,7 @@ impl RadixVm {
         let pool = self.machine.pool();
         let base = match meta.block {
             Some(b) => {
-                self.stats.fault_fill(core);
+                self.stats.add(core, OpStats::faults_fill, 1);
                 // The handle's pfn is its slot's block head; a chunk
                 // demoted out of a larger block keeps that block's head
                 // handle, so resolve the chunk base by the virtual
@@ -953,11 +954,11 @@ impl RadixVm {
                 let base = match pool.try_alloc_block(core, order) {
                     Ok(base) => base,
                     Err(_) => {
-                        self.stats.block_fallback(core);
+                        self.stats.add(core, OpStats::block_fallbacks, 1);
                         return BlockPath::Demote;
                     }
                 };
-                self.stats.fault_alloc(core);
+                self.stats.add(core, OpStats::faults_alloc, 1);
                 self.count_fault_placement(core, base, pages);
                 meta.block = Some(pool.retain_block(&self.cache, core, base, order, 1));
                 base
@@ -968,7 +969,7 @@ impl RadixVm {
         let writable = meta.prot.writable() && meta.kind != PageKind::Cow;
         if !meta.coreset.contains(core) {
             meta.coreset.insert(core);
-            self.stats.superpage_install(core);
+            self.stats.add(core, OpStats::superpage_installs, 1);
         }
         BlockPath::Resolved(Ok(self.install(core, vpn, start, base, pages, writable)))
     }
@@ -1113,7 +1114,7 @@ impl RadixVm {
         let old = displaced.iter().flat_map(PageMeta::frames).skip(adopted);
         self.settle_refs(core, old.map(|f| (f, 1)), -1);
         let tr = self.install(core, vpn, base, pte_base, BLOCK_PAGES, writable);
-        self.stats.superpage_promote(core);
+        self.stats.add(core, OpStats::superpage_promotions, 1);
         Some(tr)
     }
 }

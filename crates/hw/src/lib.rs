@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use rvm_mem::{FramePool, Pfn, FRAME_SIZE};
-use rvm_sync::{sim, CachePadded, CoreSet, ShardedStats, SpinLock};
+use rvm_sync::{sharded_stats, sim, CachePadded, CoreSet, SpinLock};
 
 pub mod mmu;
 pub mod pagetable;
@@ -220,178 +220,54 @@ impl SpaceUsage {
     }
 }
 
-/// Operation counters every VM system may report (the paper's §5.2
-/// numbers). Backends that do not track a counter leave it zero.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct OpStats {
-    /// mmap invocations.
-    pub mmaps: u64,
-    /// munmap invocations.
-    pub munmaps: u64,
-    /// Faults that allocated a new physical page.
-    pub faults_alloc: u64,
-    /// Faults that only filled a translation (page already present).
-    pub faults_fill: u64,
-    /// Copy-on-write resolutions.
-    pub faults_cow: u64,
-    /// Superpage (block) PTE installs — faults that populated or filled
-    /// a whole block with one entry.
-    pub superpage_installs: u64,
-    /// Superpage demotions (block PTE shattered into 4 KiB PTEs).
-    pub superpage_demotions: u64,
-    /// Superpage promotions — demoted (or never-folded) 4 KiB runs
-    /// opportunistically re-folded into one block PTE (§7's inverse).
-    pub superpage_promotions: u64,
-    /// Frames installed by faults that were homed on the faulting core's
-    /// NUMA node (placement hit).
-    pub fault_frames_on_node: u64,
-    /// Frames installed by faults homed on a different node (the access
-    /// stream pays cross-node traffic for the page's lifetime).
-    pub fault_frames_cross_node: u64,
-    /// Operations that failed with [`VmError::OutOfMemory`] after the
-    /// full pressure protocol came up empty.
-    pub oom_faults: u64,
-    /// Superpage populates that degraded to scattered 4 KiB pages
-    /// because no contiguous block was available.
-    pub block_fallbacks: u64,
-    /// Allocations that were satisfied only by reclaiming parked frames
-    /// (magazine drain) under pressure.
-    pub reclaim_drains: u64,
-}
-
-/// Per-core sharded operation counters for [`VmSystem::op_stats`].
-///
-/// Every backend embeds one and bumps it on each operation with the
-/// operating core's id: the bump lands in that core's cache-line-padded
-/// cell, so counting costs no cross-core traffic even when every core
-/// runs the op loop flat out (sum-on-read; DESIGN.md §6). Totals are
-/// exact once the address space is idle — the conformance suite asserts
-/// no count is ever lost.
-pub struct ShardedOpStats {
-    cells: ShardedStats<13>,
-}
-
-impl ShardedOpStats {
-    const F_MMAPS: usize = 0;
-    const F_MUNMAPS: usize = 1;
-    const F_FAULTS_ALLOC: usize = 2;
-    const F_FAULTS_FILL: usize = 3;
-    const F_FAULTS_COW: usize = 4;
-    const F_SUPERPAGE_INSTALLS: usize = 5;
-    const F_SUPERPAGE_DEMOTIONS: usize = 6;
-    const F_FAULT_FRAMES_ON_NODE: usize = 7;
-    const F_FAULT_FRAMES_CROSS_NODE: usize = 8;
-    const F_OOM_FAULTS: usize = 9;
-    const F_BLOCK_FALLBACKS: usize = 10;
-    const F_RECLAIM_DRAINS: usize = 11;
-    const F_SUPERPAGE_PROMOTIONS: usize = 12;
-
-    /// Creates a block striped for `ncores` cores.
-    pub fn new(ncores: usize) -> Self {
-        ShardedOpStats {
-            cells: ShardedStats::new(ncores),
-        }
+sharded_stats! {
+    /// Operation counters every VM system may report (the paper's §5.2
+    /// numbers). Backends that do not track a counter leave it zero.
+    pub struct OpStats {
+        /// mmap invocations.
+        mmaps: Shared,
+        /// munmap invocations.
+        munmaps: Shared,
+        /// Faults that allocated a new physical page.
+        faults_alloc: Shared,
+        /// Faults that only filled a translation (page already present).
+        faults_fill: Shared,
+        /// Copy-on-write resolutions.
+        faults_cow: Shared,
+        /// Superpage (block) PTE installs — faults that populated or filled
+        /// a whole block with one entry.
+        superpage_installs: Shared,
+        /// Superpage demotions (block PTE shattered into 4 KiB PTEs).
+        superpage_demotions: Shared,
+        /// Frames installed by faults that were homed on the faulting core's
+        /// NUMA node (placement hit).
+        fault_frames_on_node: Shared,
+        /// Frames installed by faults homed on a different node (the access
+        /// stream pays cross-node traffic for the page's lifetime).
+        fault_frames_cross_node: Shared,
+        /// Operations that failed with [`VmError::OutOfMemory`] after the
+        /// full pressure protocol came up empty.
+        oom_faults: Shared,
+        /// Superpage populates that degraded to scattered 4 KiB pages
+        /// because no contiguous block was available.
+        block_fallbacks: Shared,
+        /// Allocations that were satisfied only by reclaiming parked frames
+        /// (magazine drain) under pressure.
+        reclaim_drains: Shared,
+        /// Superpage promotions — demoted (or never-folded) 4 KiB runs
+        /// opportunistically re-folded into one block PTE (§7's inverse).
+        superpage_promotions: Shared,
     }
-
-    /// Counts one mmap by `core`.
-    #[inline]
-    pub fn mmap(&self, core: usize) {
-        self.cells.add(core, Self::F_MMAPS, 1);
-    }
-
-    /// Counts one munmap by `core`.
-    #[inline]
-    pub fn munmap(&self, core: usize) {
-        self.cells.add(core, Self::F_MUNMAPS, 1);
-    }
-
-    /// Counts one page-allocating fault by `core`.
-    #[inline]
-    pub fn fault_alloc(&self, core: usize) {
-        self.cells.add(core, Self::F_FAULTS_ALLOC, 1);
-    }
-
-    /// Counts one fill-only fault by `core`.
-    #[inline]
-    pub fn fault_fill(&self, core: usize) {
-        self.cells.add(core, Self::F_FAULTS_FILL, 1);
-    }
-
-    /// Counts one copy-on-write resolution by `core`.
-    #[inline]
-    pub fn fault_cow(&self, core: usize) {
-        self.cells.add(core, Self::F_FAULTS_COW, 1);
-    }
-
-    /// Counts one superpage PTE install by `core`.
-    #[inline]
-    pub fn superpage_install(&self, core: usize) {
-        self.cells.add(core, Self::F_SUPERPAGE_INSTALLS, 1);
-    }
-
-    /// Counts one superpage demotion by `core`.
-    #[inline]
-    pub fn superpage_demote(&self, core: usize) {
-        self.cells.add(core, Self::F_SUPERPAGE_DEMOTIONS, 1);
-    }
-
-    /// Counts one superpage promotion (re-fold) by `core`.
-    #[inline]
-    pub fn superpage_promote(&self, core: usize) {
-        self.cells.add(core, Self::F_SUPERPAGE_PROMOTIONS, 1);
-    }
-
-    /// Counts `frames` fault-installed frames homed on the faulting
-    /// core's node.
-    #[inline]
-    pub fn fault_frames_on_node(&self, core: usize, frames: u64) {
-        self.cells.add(core, Self::F_FAULT_FRAMES_ON_NODE, frames);
-    }
-
-    /// Counts `frames` fault-installed frames homed on a remote node.
-    #[inline]
-    pub fn fault_frames_cross_node(&self, core: usize, frames: u64) {
-        self.cells
-            .add(core, Self::F_FAULT_FRAMES_CROSS_NODE, frames);
-    }
-
-    /// Counts one operation that failed with
-    /// [`VmError::OutOfMemory`] on `core`.
-    #[inline]
-    pub fn oom_fault(&self, core: usize) {
-        self.cells.add(core, Self::F_OOM_FAULTS, 1);
-    }
-
-    /// Counts one superpage-to-scattered-pages degradation on `core`.
-    #[inline]
-    pub fn block_fallback(&self, core: usize) {
-        self.cells.add(core, Self::F_BLOCK_FALLBACKS, 1);
-    }
-
-    /// Counts one pressure reclaim (magazine drain) on `core`.
-    #[inline]
-    pub fn reclaim_drain(&self, core: usize) {
-        self.cells.add(core, Self::F_RECLAIM_DRAINS, 1);
-    }
-
-    /// Sums the cells into an [`OpStats`] snapshot.
-    pub fn snapshot(&self) -> OpStats {
-        OpStats {
-            mmaps: self.cells.sum(Self::F_MMAPS),
-            munmaps: self.cells.sum(Self::F_MUNMAPS),
-            faults_alloc: self.cells.sum(Self::F_FAULTS_ALLOC),
-            faults_fill: self.cells.sum(Self::F_FAULTS_FILL),
-            faults_cow: self.cells.sum(Self::F_FAULTS_COW),
-            superpage_installs: self.cells.sum(Self::F_SUPERPAGE_INSTALLS),
-            superpage_demotions: self.cells.sum(Self::F_SUPERPAGE_DEMOTIONS),
-            superpage_promotions: self.cells.sum(Self::F_SUPERPAGE_PROMOTIONS),
-            fault_frames_on_node: self.cells.sum(Self::F_FAULT_FRAMES_ON_NODE),
-            fault_frames_cross_node: self.cells.sum(Self::F_FAULT_FRAMES_CROSS_NODE),
-            oom_faults: self.cells.sum(Self::F_OOM_FAULTS),
-            block_fallbacks: self.cells.sum(Self::F_BLOCK_FALLBACKS),
-            reclaim_drains: self.cells.sum(Self::F_RECLAIM_DRAINS),
-        }
-    }
+    /// Per-core sharded operation counters for [`VmSystem::op_stats`].
+    ///
+    /// Every backend embeds one and bumps it on each operation with the
+    /// operating core's id (`ops.add(core, OpStats::mmaps, 1)`): the bump
+    /// lands in that core's cache-line-padded cell, so counting costs no
+    /// cross-core traffic even when every core runs the op loop flat out
+    /// (sum-on-read; DESIGN.md §6). Totals are exact once the address
+    /// space is idle — the conformance suite asserts no count is ever
+    /// lost.
+    pub struct ShardedOpStats;
 }
 
 /// A virtual memory system managing one address space.
@@ -491,11 +367,6 @@ pub struct MachineConfig {
     pub tlb_entries: usize,
     /// Whether munmap sends shootdowns (disable for failure injection).
     pub shootdown_enabled: bool,
-    /// Whether accesses validate frame generations (use-after-free
-    /// detection; negligible cost, recommended on). Off, an access that
-    /// completes a fault can land on a freed frame when another thread
-    /// flushes Refcache for the faulting core (see [`Machine::access`]).
-    pub check_generations: bool,
     /// Frame-placement policy of the machine's pool (NUMA knob).
     pub placement: rvm_mem::PlacementPolicy,
     /// NUMA topology: node count, core striping, and hop distances. Must
@@ -511,46 +382,45 @@ impl MachineConfig {
             ncores,
             tlb_entries: 1024,
             shootdown_enabled: true,
-            check_generations: true,
             placement: rvm_mem::PlacementPolicy::FirstTouch,
             topology: rvm_sync::Topology::single(),
         }
     }
 }
 
-/// Machine-level event counters.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct MachineStats {
-    /// TLB hits on the access path.
-    pub tlb_hits: u64,
-    /// TLB misses (page faults taken).
-    pub tlb_misses: u64,
-    /// Shootdown rounds with at least one remote target.
-    pub shootdown_rounds: u64,
-    /// Total remote shootdown IPIs delivered.
-    pub shootdown_ipis: u64,
-    /// Shootdowns suppressed by failure injection.
-    pub shootdowns_suppressed: u64,
-    /// Stale translations detected (should be zero unless injected).
-    pub stale_detected: u64,
+sharded_stats! {
+    /// Machine-level event counters.
+    pub struct MachineStats {
+        /// TLB hits on the access path. Bumped inside the lookup's
+        /// critical section.
+        tlb_hits: Exclusive<Tlb>,
+        /// TLB misses (page faults taken). Counted before the TLB lock
+        /// drops, like `tlb_hits`.
+        tlb_misses: Exclusive<Tlb>,
+        /// Shootdown rounds with at least one remote target. Keyed by the
+        /// *sender*, which holds no lock of its own while it walks the
+        /// targets' TLBs; so are the next two.
+        shootdown_rounds: Shared,
+        /// Total remote shootdown IPIs delivered.
+        shootdown_ipis: Shared,
+        /// Shootdowns suppressed by failure injection.
+        shootdowns_suppressed: Shared,
+        /// Stale translations detected (should be zero unless injected).
+        /// Bumped on the error path, after the TLB lock dropped.
+        stale_detected: Shared,
+        /// Times [`Machine::access`] went round again after a fault
+        /// returned: the frame was recycled, or the protection changed,
+        /// between the fault's return and the access. Never a hit or a
+        /// first miss, so `tlb_hits + tlb_misses` is the accesses made
+        /// plus these.
+        access_retries: Shared,
+    }
+    /// The machine's cells: the access path bumps TLB hit/miss counts on
+    /// *every* user memory access, so these must never share a cache line
+    /// across cores (sum-on-read; DESIGN.md §6) — and, being bumped under
+    /// the core's TLB lock, need no locked instruction either.
+    struct MachineCells;
 }
-
-// Field indices into the machine's sharded stats block. "Exclusive under
-// L": every bump of core c's cell happens while c's L is held, so it is
-// `add_exclusive`, a plain load and store. "Shared": bumped with no lock
-// held, so it stays an atomic `add` (DESIGN.md §5, §6).
-/// Exclusive under `tlbs[core]`: bumped inside the lookup's critical
-/// section.
-const F_TLB_HITS: usize = 0;
-/// Exclusive under `tlbs[core]`, like [`F_TLB_HITS`].
-const F_TLB_MISSES: usize = 1;
-/// Shared: keyed by the *sender*, which holds no lock of its own while it
-/// walks the targets' TLBs. So are the next two.
-const F_SHOOTDOWN_ROUNDS: usize = 2;
-const F_SHOOTDOWN_IPIS: usize = 3;
-const F_SHOOTDOWNS_SUPPRESSED: usize = 4;
-/// Shared: bumped on the error path, after the TLB lock dropped.
-const F_STALE_DETECTED: usize = 5;
 
 /// Bound on fault-retry iterations in [`Machine::access`] before the
 /// machine declares a livelock (indicates a VM-system bug).
@@ -562,12 +432,7 @@ pub struct Machine {
     pool: Arc<FramePool>,
     tlbs: Vec<CachePadded<SpinLock<Tlb>>>,
     next_asid: AtomicU32,
-    /// Event counters sharded per core: the access path bumps TLB
-    /// hit/miss counts on *every* user memory access, so these must never
-    /// share a cache line across cores (sum-on-read; DESIGN.md §6) — and,
-    /// being bumped under the core's TLB lock, need no locked instruction
-    /// either (the `F_*` table says which fields).
-    stats: ShardedStats<6>,
+    stats: MachineCells,
 }
 
 impl Machine {
@@ -588,7 +453,7 @@ impl Machine {
             .map(|_| CachePadded::new(SpinLock::new(Tlb::new(cfg.tlb_entries))))
             .collect();
         Arc::new(Machine {
-            stats: ShardedStats::new(cfg.ncores),
+            stats: MachineCells::new(cfg.ncores),
             cfg,
             pool,
             tlbs,
@@ -628,14 +493,7 @@ impl Machine {
 
     /// Snapshot of machine counters.
     pub fn stats(&self) -> MachineStats {
-        MachineStats {
-            tlb_hits: self.stats.sum(F_TLB_HITS),
-            tlb_misses: self.stats.sum(F_TLB_MISSES),
-            shootdown_rounds: self.stats.sum(F_SHOOTDOWN_ROUNDS),
-            shootdown_ipis: self.stats.sum(F_SHOOTDOWN_IPIS),
-            shootdowns_suppressed: self.stats.sum(F_SHOOTDOWNS_SUPPRESSED),
-            stale_detected: self.stats.sum(F_STALE_DETECTED),
-        }
+        self.stats.snapshot()
     }
 
     /// Fills `core`'s TLB with `entry`.
@@ -680,16 +538,16 @@ impl Machine {
                         // frames free only as a unit, so it proxies the
                         // whole block. The member frame is the base plus
                         // the page's offset within the span.
-                        if self.cfg.check_generations && self.pool.generation(e.pfn) != e.gen {
+                        if self.pool.generation(e.pfn) != e.gen {
                             // Report the use-after-unmap and evict the
                             // poisoned entry so later accesses refault
                             // instead of repeating the report.
                             tlb.invalidate_page(asid, vpn);
                             drop(tlb);
-                            self.stats.add(core, F_STALE_DETECTED, 1);
+                            self.stats.add(core, MachineStats::stale_detected, 1);
                             return Err(VmError::StaleTranslation);
                         }
-                        self.stats.add_exclusive(core, F_TLB_HITS, 1);
+                        self.stats.add_held(core, MachineStats::tlb_hits, &tlb, 1);
                         let pfn = e.pfn + (vpn - e.vpn) as Pfn;
                         return Ok(f(&self.pool, pfn, offset));
                     }
@@ -698,7 +556,7 @@ impl Machine {
                 }
                 // Counted before the TLB lock drops: it is what makes
                 // this thread the cell's only mutator.
-                self.stats.add_exclusive(core, F_TLB_MISSES, 1);
+                self.stats.add_held(core, MachineStats::tlb_misses, &tlb, 1);
             }
             let tr = vm.pagefault(core, va, kind)?;
             // Complete the access through the translation the fault
@@ -714,15 +572,12 @@ impl Machine {
             // is the guard: a frame freed by then reads a newer
             // generation and the access faults again
             // (`tests/concurrency.rs` reaches this under a foreign
-            // sweeper). With `check_generations` off nothing catches it,
-            // and such an access lands on a freed frame — pool memory,
-            // never unmapped, but no longer this page's.
-            if (kind == AccessKind::Read || tr.writable)
-                && (!self.cfg.check_generations || self.pool.generation(tr.pfn) == tr.gen)
-            {
+            // sweeper).
+            if (kind == AccessKind::Read || tr.writable) && self.pool.generation(tr.pfn) == tr.gen {
                 return Ok(f(&self.pool, tr.pfn, offset));
             }
             // Protection changed or frame already recycled: fault again.
+            self.stats.add(core, MachineStats::access_retries, 1);
         }
         panic!("translation livelock at va {va:#x} (fault/shootdown loop)");
     }
@@ -775,17 +630,20 @@ impl Machine {
             return 0;
         }
         if !self.cfg.shootdown_enabled {
-            self.stats
-                .add(sender, F_SHOOTDOWNS_SUPPRESSED, remote.len() as u64);
+            self.stats.add(
+                sender,
+                MachineStats::shootdowns_suppressed,
+                remote.len() as u64,
+            );
             return 0;
         }
         sim::ipi_round(remote);
         for t in remote.iter() {
             self.tlbs[t].lock().invalidate_range(asid, start_vpn, n);
         }
-        self.stats.add(sender, F_SHOOTDOWN_ROUNDS, 1);
+        self.stats.add(sender, MachineStats::shootdown_rounds, 1);
         self.stats
-            .add(sender, F_SHOOTDOWN_IPIS, remote.len() as u64);
+            .add(sender, MachineStats::shootdown_ipis, remote.len() as u64);
         remote.len()
     }
 
@@ -801,6 +659,69 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The word each counter had as a hand-numbered `F_*` constant up to
+    /// PR 20, copied here once. Which word shares a line with which is
+    /// simulator-visible (these thirteen span two lines): a field may
+    /// be added at the end, none may move.
+    #[test]
+    fn opstats_cells_keep_their_words() {
+        use OpStats as S;
+        let pinned = [
+            ("mmaps", S::mmaps.index(), 0),
+            ("munmaps", S::munmaps.index(), 1),
+            ("faults_alloc", S::faults_alloc.index(), 2),
+            ("faults_fill", S::faults_fill.index(), 3),
+            ("faults_cow", S::faults_cow.index(), 4),
+            ("superpage_installs", S::superpage_installs.index(), 5),
+            ("superpage_demotions", S::superpage_demotions.index(), 6),
+            ("fault_frames_on_node", S::fault_frames_on_node.index(), 7),
+            (
+                "fault_frames_cross_node",
+                S::fault_frames_cross_node.index(),
+                8,
+            ),
+            ("oom_faults", S::oom_faults.index(), 9),
+            ("block_fallbacks", S::block_fallbacks.index(), 10),
+            ("reclaim_drains", S::reclaim_drains.index(), 11),
+            ("superpage_promotions", S::superpage_promotions.index(), 12),
+        ];
+        for (name, word, was) in pinned {
+            assert_eq!(word, was, "{name}");
+        }
+        let mut visited = Vec::new();
+        S::default().visit(|name, _| {
+            visited.push(name);
+        });
+        assert_eq!(visited, pinned.map(|(name, ..)| name), "`visit` order");
+    }
+
+    /// The word each counter had as a hand-numbered `F_*` constant up to
+    /// PR 20, copied here once. Which word shares a line with which is
+    /// simulator-visible (`access_retries`, new in PR 21,
+    /// is the seventh word of the one line): a field may
+    /// be added at the end, none may move.
+    #[test]
+    fn machinestats_cells_keep_their_words() {
+        use MachineStats as S;
+        let pinned = [
+            ("tlb_hits", S::tlb_hits.index(), 0),
+            ("tlb_misses", S::tlb_misses.index(), 1),
+            ("shootdown_rounds", S::shootdown_rounds.index(), 2),
+            ("shootdown_ipis", S::shootdown_ipis.index(), 3),
+            ("shootdowns_suppressed", S::shootdowns_suppressed.index(), 4),
+            ("stale_detected", S::stale_detected.index(), 5),
+            ("access_retries", S::access_retries.index(), 6),
+        ];
+        for (name, word, was) in pinned {
+            assert_eq!(word, was, "{name}");
+        }
+        let mut visited = Vec::new();
+        S::default().visit(|name, _| {
+            visited.push(name);
+        });
+        assert_eq!(visited, pinned.map(|(name, ..)| name), "`visit` order");
+    }
 
     /// A trivial VmSystem: identity-ish mapping over a fixed set of pages,
     /// allocating frames on first fault.

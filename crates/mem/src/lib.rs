@@ -43,7 +43,7 @@
 use std::sync::atomic::{AtomicPtr, AtomicU16, AtomicU64, AtomicU8, Ordering};
 
 use rvm_refcache::{CountSlot, Refcache, ReleaseCtx, SlotManaged, SlotPtr};
-use rvm_sync::{failpoint, sim, CachePadded, ShardedStats, SpinLock, SpinLockGuard, Topology};
+use rvm_sync::{failpoint, sharded_stats, sim, CachePadded, SpinLock, SpinLockGuard, Topology};
 
 /// Physical memory is exhausted: every tier of the pressure protocol
 /// (free list, reservoir, magazine drain, remote steal, growth) came up
@@ -241,80 +241,52 @@ pub enum PlacementPolicy {
     ReplicateReadOnly,
 }
 
-/// Allocation statistics.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct PoolStats {
-    /// Fresh frames created.
-    pub fresh: u64,
-    /// Allocations served from a free list.
-    pub reused: u64,
-    /// Frees destined for a remote home node (batched via magazines).
-    pub remote_frees: u64,
-    /// Frees pushed to the local core's list.
-    pub local_frees: u64,
-    /// Pages freed on a core of the frame's home node.
-    pub on_node_frees: u64,
-    /// Pages freed on a core of a different node than the frame's home
-    /// (placement-regression signal: surfaced in the bench JSON).
-    pub cross_node_frees: u64,
-    /// Outbound-magazine flushes (each returns a whole batch of remote
-    /// frees to their home lists).
-    pub magazine_flushes: u64,
-    /// Contiguous blocks handed out by [`FramePool::alloc_block`].
-    pub block_allocs: u64,
-    /// Contiguous blocks returned by [`FramePool::free_block`].
-    pub block_frees: u64,
-    /// Blocks currently parked in the reservation pool (a gauge, read at
-    /// snapshot time — hugetlb-style `reserve`/`release` accounting).
-    pub blocks_reserved: u64,
-    /// Pages handed out by `alloc`/`alloc_block` (leak accounting; see
-    /// [`FramePool::outstanding_frames`]).
-    pub alloc_pages: u64,
-    /// Pages returned through `free`/`free_block`.
-    pub free_pages: u64,
-    /// Allocations satisfied by draining the core's own outbound
-    /// magazine under pressure (tier 4 of the pressure protocol).
-    pub reclaim_drains: u64,
-    /// Allocations satisfied by stealing from a remote node's reservoir
-    /// under pressure (tier 5; priced at hop cost).
-    pub remote_steals: u64,
+sharded_stats! {
+    /// Allocation statistics.
+    ///
+    /// The five counters the per-page fast paths bump are exclusive under
+    /// `free_lists[core]`: the pop and push fast paths hold that lock
+    /// anyway; the rare tiers (reservoir pull, growth, pressure, blocks,
+    /// cross-node frees) take it for the bump.
+    pub struct PoolStats {
+        /// Fresh frames created (under the growth lock or none).
+        fresh: Shared,
+        /// Allocations served from a free list.
+        reused: Exclusive<Vec<Pfn>>,
+        /// Frees destined for a remote home node (batched via magazines).
+        remote_frees: Shared,
+        /// Frees pushed to the local core's list.
+        local_frees: Exclusive<Vec<Pfn>>,
+        /// Outbound-magazine flushes (each returns a whole batch of remote
+        /// frees to their home lists).
+        magazine_flushes: Shared,
+        /// Contiguous blocks handed out by [`FramePool::alloc_block`].
+        block_allocs: Shared,
+        /// Contiguous blocks returned by [`FramePool::free_block`].
+        block_frees: Shared,
+        /// Pages handed out by `alloc`/`alloc_block` (leak accounting; see
+        /// [`FramePool::outstanding_frames`]).
+        alloc_pages: Exclusive<Vec<Pfn>>,
+        /// Pages returned through `free`/`free_block`.
+        free_pages: Exclusive<Vec<Pfn>>,
+        /// Pages freed on a core of the frame's home node.
+        on_node_frees: Exclusive<Vec<Pfn>>,
+        /// Pages freed on a core of a different node than the frame's home
+        /// (placement-regression signal: surfaced in the bench JSON).
+        cross_node_frees: Shared,
+        /// Allocations satisfied by draining the core's own outbound
+        /// magazine under pressure (tier 4 of the pressure protocol).
+        reclaim_drains: Shared,
+        /// Allocations satisfied by stealing from a remote node's reservoir
+        /// under pressure (tier 5; priced at hop cost).
+        remote_steals: Shared,
+        /// Blocks currently parked in the reservation pool (read at
+        /// snapshot time — hugetlb-style `reserve`/`release` accounting).
+        blocks_reserved: Gauge,
+    }
+    /// The pool's cells (sum-on-read; DESIGN.md §6).
+    struct PoolCells;
 }
-
-// Field indices into the sharded stats block. The five counters the
-// per-page fast paths bump are "exclusive under `free_lists[core]`":
-// every bump of core c's cell happens while c's free list is locked
-// (`count_alloc`/`count_free` take the guard as proof), so it is a plain
-// load and store, not a locked instruction. The pop and push fast paths
-// hold that lock anyway; the rare tiers (reservoir pull, growth,
-// pressure, blocks, cross-node frees) take it for the bump. "Shared"
-// fields are bumped with no such lock held and stay atomic adds
-// (DESIGN.md §5, §6).
-/// Shared (growth lock or none).
-const F_FRESH: usize = 0;
-/// Exclusive under `free_lists[core]`.
-const F_REUSED: usize = 1;
-/// Shared.
-const F_REMOTE_FREES: usize = 2;
-/// Exclusive under `free_lists[core]`.
-const F_LOCAL_FREES: usize = 3;
-/// Shared.
-const F_MAG_FLUSHES: usize = 4;
-/// Shared.
-const F_BLOCK_ALLOCS: usize = 5;
-/// Shared.
-const F_BLOCK_FREES: usize = 6;
-/// Exclusive under `free_lists[core]`.
-const F_ALLOC_PAGES: usize = 7;
-/// Exclusive under `free_lists[core]`.
-const F_FREE_PAGES: usize = 8;
-/// Exclusive under `free_lists[core]`.
-const F_ON_NODE_FREES: usize = 9;
-/// Shared.
-const F_CROSS_NODE_FREES: usize = 10;
-/// Shared.
-const F_RECLAIM_DRAINS: usize = 11;
-/// Shared.
-const F_REMOTE_STEALS: usize = 12;
 
 /// Remote frees a core accumulates before flushing its outbound magazine
 /// to the home cores' lists. Large enough to amortize the home list's
@@ -385,8 +357,7 @@ pub struct FramePool {
     /// Growth past the limit fails with [`OutOfMemory`]; tests and the
     /// pressure bench lower it to make exhaustion inducible.
     frame_limit: AtomicU64,
-    /// Counters sharded per core (sum-on-read; DESIGN.md §6).
-    stats: ShardedStats<13>,
+    stats: PoolCells,
 }
 
 /// Hard capacity of the frame table (chunk table fully populated).
@@ -458,7 +429,7 @@ impl FramePool {
             grow_lock: SpinLock::new(()),
             nframes: AtomicU64::new(0),
             frame_limit: AtomicU64::new(TABLE_CAPACITY),
-            stats: ShardedStats::new(ncores),
+            stats: PoolCells::new(ncores),
         })
     }
 
@@ -513,20 +484,8 @@ impl FramePool {
     /// Snapshot of the pool's statistics.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
-            fresh: self.stats.sum(F_FRESH),
-            reused: self.stats.sum(F_REUSED),
-            remote_frees: self.stats.sum(F_REMOTE_FREES),
-            local_frees: self.stats.sum(F_LOCAL_FREES),
-            magazine_flushes: self.stats.sum(F_MAG_FLUSHES),
-            block_allocs: self.stats.sum(F_BLOCK_ALLOCS),
-            block_frees: self.stats.sum(F_BLOCK_FREES),
             blocks_reserved: self.reserved.lock().len() as u64,
-            alloc_pages: self.stats.sum(F_ALLOC_PAGES),
-            free_pages: self.stats.sum(F_FREE_PAGES),
-            on_node_frees: self.stats.sum(F_ON_NODE_FREES),
-            cross_node_frees: self.stats.sum(F_CROSS_NODE_FREES),
-            reclaim_drains: self.stats.sum(F_RECLAIM_DRAINS),
-            remote_steals: self.stats.sum(F_REMOTE_STEALS),
+            ..self.stats.snapshot()
         }
     }
 
@@ -536,30 +495,33 @@ impl FramePool {
     /// frame-leak conformance gate reads it.
     pub fn outstanding_frames(&self) -> u64 {
         self.stats
-            .sum(F_ALLOC_PAGES)
-            .wrapping_sub(self.stats.sum(F_FREE_PAGES))
+            .alloc_pages()
+            .wrapping_sub(self.stats.free_pages())
     }
 
     /// Counts `pages` pages handed out on `core`, recycled (`reused`) or
-    /// fresh. `_list` is `core`'s held free list: the allocation
-    /// counters are single-mutator under it.
+    /// fresh, under `core`'s held free list.
     #[inline]
-    fn count_alloc(&self, core: usize, _list: &FreeListGuard<'_>, pages: u64, reused: bool) {
-        self.stats.add_exclusive(core, F_ALLOC_PAGES, pages);
+    fn count_alloc(&self, core: usize, list: &FreeListGuard<'_>, pages: u64, reused: bool) {
+        self.stats
+            .add_held(core, PoolStats::alloc_pages, list, pages);
         if reused {
-            self.stats.add_exclusive(core, F_REUSED, pages);
+            self.stats.add_held(core, PoolStats::reused, list, pages);
         }
     }
 
     /// Counts `pages` pages freed on `core`, homed on its node
-    /// (`on_node`) or bound for another's reservoir. `_list` is `core`'s
-    /// held free list, as in [`FramePool::count_alloc`].
+    /// (`on_node`) or bound for another's reservoir, under `core`'s held
+    /// free list.
     #[inline]
-    fn count_free(&self, core: usize, _list: &FreeListGuard<'_>, pages: u64, on_node: bool) {
-        self.stats.add_exclusive(core, F_FREE_PAGES, pages);
+    fn count_free(&self, core: usize, list: &FreeListGuard<'_>, pages: u64, on_node: bool) {
+        self.stats
+            .add_held(core, PoolStats::free_pages, list, pages);
         if on_node {
-            self.stats.add_exclusive(core, F_LOCAL_FREES, pages);
-            self.stats.add_exclusive(core, F_ON_NODE_FREES, pages);
+            self.stats
+                .add_held(core, PoolStats::local_frees, list, pages);
+            self.stats
+                .add_held(core, PoolStats::on_node_frees, list, pages);
         }
     }
 
@@ -851,7 +813,7 @@ impl FramePool {
             taken
         };
         if let Some(pfn) = parked {
-            self.stats.add(core, F_RECLAIM_DRAINS, 1);
+            self.stats.add(core, PoolStats::reclaim_drains, 1);
             self.count_alloc(core, &self.free_lists[core].lock(), 1, true);
             sim::charge_page_work_homed(self.home(pfn));
             self.zero_frame(pfn);
@@ -870,7 +832,7 @@ impl FramePool {
         for node in nodes {
             let popped = self.reservoirs[node].lock().pop();
             if let Some(pfn) = popped {
-                self.stats.add(core, F_REMOTE_STEALS, 1);
+                self.stats.add(core, PoolStats::remote_steals, 1);
                 self.count_alloc(core, &self.free_lists[core].lock(), 1, true);
                 sim::charge_page_work_homed(node);
                 self.zero_frame(pfn);
@@ -969,7 +931,7 @@ impl FramePool {
             self.nframes.store((n + count) as u64, Ordering::Release);
             first = n as Pfn;
         }
-        self.stats.add(core, F_FRESH, count as u64);
+        self.stats.add(core, PoolStats::fresh, count as u64);
         for i in 0..count {
             self.slot(first + i as Pfn)
                 .home
@@ -1048,7 +1010,7 @@ impl FramePool {
         for _ in 0..pages {
             sim::charge_page_work_homed(home);
         }
-        self.stats.add(core, F_BLOCK_ALLOCS, 1);
+        self.stats.add(core, PoolStats::block_allocs, 1);
         // No tier above holds the core's free list: take it for the bump.
         self.count_alloc(core, &self.free_lists[core].lock(), pages as u64, reused);
         Ok(base)
@@ -1069,7 +1031,7 @@ impl FramePool {
                     .map(|i| list.swap_remove(i).1)
             };
             if let Some(base) = stolen {
-                self.stats.add(core, F_REMOTE_STEALS, 1);
+                self.stats.add(core, PoolStats::remote_steals, 1);
                 for i in 0..pages {
                     self.zero_frame(base + i as Pfn);
                 }
@@ -1090,14 +1052,15 @@ impl FramePool {
         }
         let home = self.home(base);
         let on_node = home == self.core_node[core] as usize;
-        self.stats.add(core, F_BLOCK_FREES, 1);
+        self.stats.add(core, PoolStats::block_frees, 1);
         // Blocks bypass the core's free list: take it for the bump.
         self.count_free(core, &self.free_lists[core].lock(), pages as u64, on_node);
         if !on_node {
             // One reservoir lock per 512 frames: already better batched
             // than the single-frame magazines, so return it directly.
-            self.stats.add(core, F_REMOTE_FREES, pages as u64);
-            self.stats.add(core, F_CROSS_NODE_FREES, pages as u64);
+            self.stats.add(core, PoolStats::remote_frees, pages as u64);
+            self.stats
+                .add(core, PoolStats::cross_node_frees, pages as u64);
         }
         self.block_reservoirs[home].lock().push((order, base));
     }
@@ -1166,8 +1129,8 @@ impl FramePool {
         // The magazine path never holds the free list: take it for the
         // bump.
         self.count_free(core, &self.free_lists[core].lock(), 1, false);
-        self.stats.add(core, F_REMOTE_FREES, 1);
-        self.stats.add(core, F_CROSS_NODE_FREES, 1);
+        self.stats.add(core, PoolStats::remote_frees, 1);
+        self.stats.add(core, PoolStats::cross_node_frees, 1);
         let mut mag = self.magazines[core].lock();
         mag.push((home as u16, pfn));
         if mag.len() >= MAGAZINE_SIZE {
@@ -1194,7 +1157,7 @@ impl FramePool {
         if failpoint::should_fail(failpoint::MAGAZINE_FLUSH, core) {
             return;
         }
-        self.stats.add(core, F_MAG_FLUSHES, 1);
+        self.stats.add(core, PoolStats::magazine_flushes, 1);
         mag.sort_unstable_by_key(|&(home, _)| home);
         let mut i = 0;
         while i < mag.len() {
@@ -1344,6 +1307,40 @@ impl Drop for FramePool {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    /// The word each counter had as a hand-numbered `F_*` constant up to
+    /// PR 20, copied here once. Which word shares a line with which is
+    /// simulator-visible (these thirteen span two lines): a field may
+    /// be added at the end, none may move.
+    #[test]
+    fn poolstats_cells_keep_their_words() {
+        use PoolStats as S;
+        let pinned = [
+            ("fresh", S::fresh.index(), 0),
+            ("reused", S::reused.index(), 1),
+            ("remote_frees", S::remote_frees.index(), 2),
+            ("local_frees", S::local_frees.index(), 3),
+            ("magazine_flushes", S::magazine_flushes.index(), 4),
+            ("block_allocs", S::block_allocs.index(), 5),
+            ("block_frees", S::block_frees.index(), 6),
+            ("alloc_pages", S::alloc_pages.index(), 7),
+            ("free_pages", S::free_pages.index(), 8),
+            ("on_node_frees", S::on_node_frees.index(), 9),
+            ("cross_node_frees", S::cross_node_frees.index(), 10),
+            ("reclaim_drains", S::reclaim_drains.index(), 11),
+            ("remote_steals", S::remote_steals.index(), 12),
+        ];
+        for (name, word, was) in pinned {
+            assert_eq!(word, was, "{name}");
+        }
+        let mut visited = Vec::new();
+        S::default().visit(|name, _| {
+            if name != "blocks_reserved" {
+                visited.push(name);
+            }
+        });
+        assert_eq!(visited, pinned.map(|(name, ..)| name), "`visit` order");
+    }
 
     #[test]
     fn alloc_zeroes_and_stores() {

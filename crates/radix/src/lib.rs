@@ -27,7 +27,7 @@
 pub mod node;
 pub mod tree;
 
-pub use node::{TreeStats, FANOUT, LEVELS};
+pub use node::{TreeCounts, TreeStats, FANOUT, LEVELS};
 pub use tree::{
     LockMode, RadixConfig, RadixTree, RadixValue, RangeGuard, Removed, RemovedList, Vpn, VPN_LIMIT,
 };

@@ -29,7 +29,9 @@ use std::sync::Arc;
 use rvm_refcache::weak::{DYING_BIT, LOCK_BIT, PTR_MASK, TAG_SHIFT};
 use rvm_refcache::{Managed, RcPtr, ReleaseCtx};
 use rvm_sync::atomic::Ordering;
-use rvm_sync::{sim, Atomic64, Backoff, ShardedStats};
+use rvm_sync::{sharded_stats, sim, Atomic64, Backoff};
+
+use crate::tree::HintTags;
 
 /// Bits of VPN consumed per level.
 pub const LEVEL_BITS: usize = 9;
@@ -86,130 +88,48 @@ pub fn index_at_level(vpn: u64, level: usize) -> usize {
     ((vpn >> shift) as usize) & (FANOUT - 1)
 }
 
-// Field indices into the sharded [`TreeStats`] block. "Exclusive under
-// the core's hint slot": every bump of core c's cell happens while c's
-// hint slot is locked, so it is `add_exclusive`, a plain load and store.
-// "Shared": bumped under slot locks or none — nothing that is per core —
-// so an atomic `add` (DESIGN.md §5, §6).
-/// Shared; node construction and teardown have no core in scope
-/// (`add_here`). So are the next two.
-pub(crate) const F_INTERIOR_NODES: usize = 0;
-pub(crate) const F_LEAF_NODES: usize = 1;
-pub(crate) const F_FOLDED_VALUES: usize = 2;
-/// Shared.
-pub(crate) const F_EXPANSIONS: usize = 3;
-/// Shared.
-pub(crate) const F_NODES_COLLAPSED: usize = 4;
-/// Exclusive under the core's hint slot: bumped before the hold drops.
-pub(crate) const F_HINT_HITS: usize = 5;
-/// Exclusive under the core's hint slot, like [`F_HINT_HITS`].
-pub(crate) const F_HINT_MISSES: usize = 6;
-/// Shared.
-pub(crate) const F_GUARD_SPILLS: usize = 7;
-/// Shared: a contended acquirer holds nothing yet.
-pub(crate) const F_SLOT_SPINS: usize = 8;
-
-/// Live-object statistics shared by a tree and its nodes.
-///
-/// Every counter is sharded per core ([`ShardedStats`]): hot-path bumps
-/// (hint hits on every fault) write only the operating core's padded
-/// cell, so disjoint-range operations never contend on statistics lines.
-/// Readers sum the cells — a monotonic total, not a snapshot (DESIGN.md
-/// §6); live counts (nodes, values) are exact whenever writers are
-/// quiescent, e.g. under a test's exclusive access.
-pub struct TreeStats {
-    cells: ShardedStats<9>,
-}
-
-impl TreeStats {
-    /// Creates a stats block striped for `ncores` cores.
-    pub fn new(ncores: usize) -> Self {
-        TreeStats {
-            cells: ShardedStats::new(ncores),
-        }
+sharded_stats! {
+    /// A reading of a tree's [`TreeStats`].
+    pub struct TreeCounts {
+        /// Live interior nodes (root included). Node construction and
+        /// teardown have no core in scope; nor do the next two.
+        interior_nodes: Shared,
+        /// Live leaf nodes.
+        leaf_nodes: Shared,
+        /// Live folded values.
+        folded_values: Shared,
+        /// Expansions performed (folded or empty slot → child node).
+        expansions: Shared,
+        /// Nodes freed by Refcache collapse.
+        nodes_collapsed: Shared,
+        /// Single-page operations served by the per-core leaf hint cache
+        /// (the fault fast path: no descent, no per-level pins). Bumped
+        /// before the core's hint slot drops.
+        hint_hits: Exclusive<HintTags>,
+        /// Single-page operations that fell back to a full descent because
+        /// the hint was absent, stale, or covered a different block.
+        hint_misses: Exclusive<HintTags>,
+        /// Range guards whose unit/pin storage, and `clear`/`replace` calls
+        /// whose list of displaced values, spilled from inline capacity to
+        /// the heap (only multi-page operations should).
+        guard_spills: Shared,
+        /// Spin iterations burned waiting for contended slot locks
+        /// (interior or leaf): a contended acquirer holds nothing yet.
+        /// Zero under the simulator — virtual cores run ops to completion,
+        /// so a simulated acquirer never observes a held slot;
+        /// real-thread contention shows up here, shaped by the bounded
+        /// exponential backoff in [`lock_leaf_slot`].
+        slot_spins: Shared,
     }
-
-    #[inline]
-    pub(crate) fn add(&self, core: usize, field: usize, n: u64) {
-        self.cells.add(core, field, n);
-    }
-
-    #[inline]
-    pub(crate) fn sub(&self, core: usize, field: usize, n: u64) {
-        self.cells.sub(core, field, n);
-    }
-
-    /// Bump for the fields the `F_*` table marks exclusive: the caller
-    /// holds `core`'s hint slot.
-    #[inline]
-    pub(crate) fn add_exclusive(&self, core: usize, field: usize, n: u64) {
-        self.cells.add_exclusive(core, field, n);
-    }
-
-    /// Bump variants for call sites with no core id in scope (node
-    /// construction and teardown — off the steady-state hot path).
-    #[inline]
-    pub(crate) fn add_here(&self, field: usize, n: u64) {
-        self.cells.add_here(field, n);
-    }
-
-    #[inline]
-    pub(crate) fn sub_here(&self, field: usize, n: u64) {
-        self.cells.sub_here(field, n);
-    }
-
-    /// Live interior nodes (root included).
-    pub fn interior_nodes(&self) -> u64 {
-        self.cells.sum(F_INTERIOR_NODES)
-    }
-
-    /// Live leaf nodes.
-    pub fn leaf_nodes(&self) -> u64 {
-        self.cells.sum(F_LEAF_NODES)
-    }
-
-    /// Live folded values.
-    pub fn folded_values(&self) -> u64 {
-        self.cells.sum(F_FOLDED_VALUES)
-    }
-
-    /// Expansions performed (folded or empty slot → child node).
-    pub fn expansions(&self) -> u64 {
-        self.cells.sum(F_EXPANSIONS)
-    }
-
-    /// Nodes freed by Refcache collapse.
-    pub fn nodes_collapsed(&self) -> u64 {
-        self.cells.sum(F_NODES_COLLAPSED)
-    }
-
-    /// Single-page operations served by the per-core leaf hint cache
-    /// (the fault fast path: no descent, no per-level pins).
-    pub fn hint_hits(&self) -> u64 {
-        self.cells.sum(F_HINT_HITS)
-    }
-
-    /// Single-page operations that fell back to a full descent because
-    /// the hint was absent, stale, or covered a different block.
-    pub fn hint_misses(&self) -> u64 {
-        self.cells.sum(F_HINT_MISSES)
-    }
-
-    /// Range guards whose unit/pin storage, and `clear`/`replace` calls
-    /// whose list of displaced values, spilled from inline capacity to
-    /// the heap (only multi-page operations should).
-    pub fn guard_spills(&self) -> u64 {
-        self.cells.sum(F_GUARD_SPILLS)
-    }
-
-    /// Spin iterations burned waiting for contended slot locks
-    /// (interior or leaf). Zero under the simulator — virtual cores run
-    /// ops to completion, so a simulated acquirer never observes a held
-    /// slot; real-thread contention shows up here, shaped by the
-    /// bounded exponential backoff in [`lock_leaf_slot`].
-    pub fn slot_spins(&self) -> u64 {
-        self.cells.sum(F_SLOT_SPINS)
-    }
+    /// Live-object statistics shared by a tree and its nodes.
+    ///
+    /// Every counter is sharded per core: hot-path bumps (hint hits on
+    /// every fault) write only the operating core's padded cell, so
+    /// disjoint-range operations never contend on statistics lines.
+    /// Readers sum the cells — a monotonic total, not a snapshot
+    /// (DESIGN.md §6); live counts (nodes, values) are exact whenever
+    /// writers are quiescent, e.g. under a test's exclusive access.
+    pub struct TreeStats;
 }
 
 /// One leaf slot: a status word (lock, present) plus inline storage.
@@ -258,7 +178,7 @@ impl<V: Send + Sync + 'static> Node<V> {
         stats: Arc<TreeStats>,
         init_word: impl Fn(usize) -> u64,
     ) -> Node<V> {
-        stats.add_here(F_INTERIOR_NODES, 1);
+        stats.add_here(TreeCounts::interior_nodes, 1);
         Node {
             level,
             base_vpn,
@@ -276,7 +196,7 @@ impl<V: Send + Sync + 'static> Node<V> {
         stats: Arc<TreeStats>,
         mut init: impl FnMut(usize) -> (u64, Option<V>),
     ) -> Node<V> {
-        stats.add_here(F_LEAF_NODES, 1);
+        stats.add_here(TreeCounts::leaf_nodes, 1);
         let slots: Box<[LeafSlot<V>]> = (0..FANOUT)
             .map(|i| {
                 let (status, value) = init(i);
@@ -367,7 +287,7 @@ impl<V: Send + Sync + 'static> Managed for Node<V> {
         // Freed by Refcache: all slots are empty and no traversals pin us.
         // The freeing CAS already emptied our parent's slot; surrender the
         // used-slot reference it represented.
-        self.stats.add(ctx.core, F_NODES_COLLAPSED, 1);
+        self.stats.add(ctx.core, TreeCounts::nodes_collapsed, 1);
         if let Some((parent, _idx)) = self.parent {
             ctx.cache.dec(ctx.core, parent);
         }
@@ -383,11 +303,11 @@ impl<V: Send + Sync + 'static> Drop for Node<V> {
         sim::unplace_range(start, bytes);
         match &mut self.slots {
             Slots::Interior(slots) => {
-                self.stats.sub_here(F_INTERIOR_NODES, 1);
+                self.stats.sub_here(TreeCounts::interior_nodes, 1);
                 for s in slots.iter() {
                     let w = s.load(Ordering::Acquire);
                     if slot_tag(w) == TAG_FOLDED {
-                        self.stats.sub_here(F_FOLDED_VALUES, 1);
+                        self.stats.sub_here(TreeCounts::folded_values, 1);
                         // SAFETY: FOLDED slots own their boxed value; we
                         // have exclusive access in Drop.
                         unsafe { drop(Box::from_raw(slot_ptr(w) as *mut V)) };
@@ -403,7 +323,7 @@ impl<V: Send + Sync + 'static> Drop for Node<V> {
                 }
             }
             // Leaf values drop with the slot array.
-            Slots::Leaf(_) => self.stats.sub_here(F_LEAF_NODES, 1),
+            Slots::Leaf(_) => self.stats.sub_here(TreeCounts::leaf_nodes, 1),
         }
     }
 }
@@ -426,7 +346,7 @@ pub fn lock_interior_slot(core: usize, slot: &Atomic64, stats: &TreeStats) -> u6
                 .is_ok()
         {
             if spins > 0 {
-                stats.add(core, F_SLOT_SPINS, spins);
+                stats.add(core, TreeCounts::slot_spins, spins);
             }
             return v;
         }
@@ -459,7 +379,7 @@ pub fn lock_leaf_slot(core: usize, status: &Atomic64, stats: &TreeStats) -> u64 
                 .is_ok()
         {
             if spins > 0 {
-                stats.add(core, F_SLOT_SPINS, spins);
+                stats.add(core, TreeCounts::slot_spins, spins);
             }
             return v;
         }
@@ -490,6 +410,34 @@ const _: u64 = DYING_BIT;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The word each counter had as a hand-numbered `F_*` constant up to
+    /// PR 20, copied here once. Which word shares a line with which is
+    /// simulator-visible: a field may
+    /// be added at the end, none may move.
+    #[test]
+    fn treecounts_cells_keep_their_words() {
+        use TreeCounts as S;
+        let pinned = [
+            ("interior_nodes", S::interior_nodes.index(), 0),
+            ("leaf_nodes", S::leaf_nodes.index(), 1),
+            ("folded_values", S::folded_values.index(), 2),
+            ("expansions", S::expansions.index(), 3),
+            ("nodes_collapsed", S::nodes_collapsed.index(), 4),
+            ("hint_hits", S::hint_hits.index(), 5),
+            ("hint_misses", S::hint_misses.index(), 6),
+            ("guard_spills", S::guard_spills.index(), 7),
+            ("slot_spins", S::slot_spins.index(), 8),
+        ];
+        for (name, word, was) in pinned {
+            assert_eq!(word, was, "{name}");
+        }
+        let mut visited = Vec::new();
+        S::default().visit(|name, _| {
+            visited.push(name);
+        });
+        assert_eq!(visited, pinned.map(|(name, ..)| name), "`visit` order");
+    }
 
     #[test]
     fn geometry() {
@@ -554,7 +502,7 @@ mod tests {
         waiter.join().unwrap();
         assert!(stats.slot_spins() > 0, "waiter spins were not recorded");
         assert_eq!(
-            stats.cells.stripe(0, F_SLOT_SPINS),
+            stats.stripe(0, TreeCounts::slot_spins.index()),
             0,
             "a contended acquire on core 1 wrote core 0's stats line"
         );

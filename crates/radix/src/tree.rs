@@ -59,9 +59,8 @@ use rvm_sync::{
 
 use crate::node::{
     index_at_level, lock_interior_slot, lock_leaf_slot, pack_slot, slot_ptr, slot_tag,
-    unlock_interior_slot, unlock_leaf_slot, Node, Slots, TreeStats, FANOUT, F_EXPANSIONS,
-    F_FOLDED_VALUES, F_GUARD_SPILLS, F_HINT_HITS, F_HINT_MISSES, LEAF_PRESENT, LEVELS, TAG_CHILD,
-    TAG_EMPTY, TAG_FOLDED,
+    unlock_interior_slot, unlock_leaf_slot, Node, Slots, TreeCounts, TreeStats, FANOUT,
+    LEAF_PRESENT, LEVELS, TAG_CHILD, TAG_EMPTY, TAG_FOLDED,
 };
 
 /// Virtual page number (36 bits used).
@@ -231,12 +230,17 @@ const HINT_WAYS: usize = 8;
 /// Tag of an empty way: no block starts there ([`VPN_LIMIT`] is 2³⁶).
 const NO_BLOCK: Vpn = Vpn::MAX;
 
+/// The block tags of one core's hint set: the part of what the core's
+/// hint-slot lock guards that does not depend on the tree's value type,
+/// so the hint counters of [`TreeStats`] can name it as their lock.
+pub(crate) type HintTags = [Vpn; HINT_WAYS];
+
 /// One core's cached leaves: a small fully associative set searched by
 /// block base, all of it under the core's one hint-slot lock.
 struct HintSet<V: Send + Sync + 'static> {
     /// First VPN of each way's 512-page block, [`NO_BLOCK`] when the way
     /// is empty: the one line a lookup scans.
-    tags: [Vpn; HINT_WAYS],
+    tags: HintTags,
     ways: [Option<LeafHint<V>>; HINT_WAYS],
     /// The way the next install into a full set replaces (round robin).
     victim: usize,
@@ -522,11 +526,11 @@ impl<V: RadixValue> RadixTree<V> {
         // Counted before the hint slot drops: the slot is what makes this
         // thread the cell's only mutator.
         let field = if hit.is_some() {
-            F_HINT_HITS
+            TreeCounts::hint_hits
         } else {
-            F_HINT_MISSES
+            TreeCounts::hint_misses
         };
-        self.stats.add_exclusive(core, field, 1);
+        self.stats.add_held(core, field, &hold.hint.tags, 1);
         match hit {
             Some(leaf) => Some((leaf, hold)),
             None => {
@@ -787,14 +791,14 @@ impl<V: RadixValue> RadixTree<V> {
         let was_folded = slot_tag(locked_word) == TAG_FOLDED;
         // Take ownership of the folded template, if any.
         let template: Option<Box<V>> = if was_folded {
-            self.stats.sub(core, F_FOLDED_VALUES, 1);
+            self.stats.sub(core, TreeCounts::folded_values, 1);
             // SAFETY: FOLDED slots own their boxed value; the slot lock is
             // held, so no one else can free or replace it.
             Some(unsafe { Box::from_raw(slot_ptr(locked_word) as *mut V) })
         } else {
             None
         };
-        self.stats.add(core, F_EXPANSIONS, 1);
+        self.stats.add(core, TreeCounts::expansions, 1);
         let permanent = if self.cfg.collapse { 0 } else { 1 };
         let child = if child_level == LEVELS - 1 {
             let node = Node::new_leaf(
@@ -823,7 +827,8 @@ impl<V: RadixValue> RadixTree<V> {
                 },
             );
             if template.is_some() {
-                self.stats.add(core, F_FOLDED_VALUES, FANOUT as u64);
+                self.stats
+                    .add(core, TreeCounts::folded_values, FANOUT as u64);
             }
             let used = if template.is_some() { FANOUT as i64 } else { 0 };
             self.cache.alloc(used + 1 + permanent, node)
@@ -951,12 +956,14 @@ impl<V: RadixValue> RadixTree<V> {
                     // was severed after the validity check, the emptied
                     // slot says nothing — take the descent instead.
                     if st & LEAF_PRESENT != 0 || Self::hint_valid(h) {
-                        self.stats.add_exclusive(core, F_HINT_HITS, 1);
+                        self.stats
+                            .add_held(core, TreeCounts::hint_hits, &hold.hint.tags, 1);
                         return st & LEAF_PRESENT != 0;
                     }
                 }
             }
-            self.stats.add_exclusive(core, F_HINT_MISSES, 1);
+            self.stats
+                .add_held(core, TreeCounts::hint_misses, &hold.hint.tags, 1);
             drop(hold);
         }
         let mut node_ptr = self.root;
@@ -1223,7 +1230,7 @@ impl<V: RadixValue> RangeGuard<'_, V> {
                         // SAFETY: lock held; FOLDED slot owns the box.
                         let boxed = unsafe { Box::from_raw(slot_ptr(w) as *mut V) };
                         slot.store(LOCK_BIT, Ordering::Release);
-                        stats.sub(core, F_FOLDED_VALUES, 1);
+                        stats.sub(core, TreeCounts::folded_values, 1);
                         cache.dec(core, *node);
                         out.push(Removed::Block {
                             start: n.base_vpn + *idx as u64 * n.slot_span(),
@@ -1236,7 +1243,7 @@ impl<V: RadixValue> RangeGuard<'_, V> {
             }
         }
         if out.spilled() {
-            stats.add(core, F_GUARD_SPILLS, 1);
+            stats.add(core, TreeCounts::guard_spills, 1);
         }
         out
     }
@@ -1309,7 +1316,7 @@ impl<V: RadixValue> RangeGuard<'_, V> {
                             pack_slot(Box::into_raw(boxed) as usize, TAG_FOLDED) | LOCK_BIT,
                             Ordering::Release,
                         );
-                        stats.add(core, F_FOLDED_VALUES, 1);
+                        stats.add(core, TreeCounts::folded_values, 1);
                         cache.inc(core, *node);
                     }
                 }
@@ -1317,7 +1324,7 @@ impl<V: RadixValue> RangeGuard<'_, V> {
             }
         }
         if out.spilled() {
-            stats.add(core, F_GUARD_SPILLS, 1);
+            stats.add(core, TreeCounts::guard_spills, 1);
         }
         out
     }
@@ -1558,13 +1565,8 @@ impl<V: RadixValue> RangeGuard<'_, V> {
         let boxed = Box::into_raw(Box::new(folded)) as usize;
         // Publish the fold and release the parent slot lock in one store.
         pslot.store(pack_slot(boxed, TAG_FOLDED), Ordering::Release);
-        stats.add(core, F_FOLDED_VALUES, 1);
+        stats.add(core, TreeCounts::folded_values, 1);
         Some(vals)
-    }
-
-    /// Number of distinct locked units (diagnostics).
-    pub fn unit_count(&self) -> usize {
-        self.units.len()
     }
 }
 
@@ -1611,7 +1613,7 @@ impl<V: RadixValue> Drop for RangeGuard<'_, V> {
             self.tree.cache.dec(self.core, *pin);
         }
         if self.units.spilled() || self.pins.spilled() {
-            self.tree.stats.add(self.core, F_GUARD_SPILLS, 1);
+            self.tree.stats.add(self.core, TreeCounts::guard_spills, 1);
         }
         // Release the list descriptor after every slot lock is down so
         // overlapping waiters observe a fully unlocked range.

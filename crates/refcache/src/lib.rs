@@ -59,7 +59,7 @@ use std::collections::VecDeque;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use rvm_sync::{sim, Atomic64, CachePadded, Mutex, RwLock, ShardedStats, SpinLock};
+use rvm_sync::{sharded_stats, sim, Atomic64, CachePadded, Mutex, RwLock, SpinLock};
 
 pub mod counters;
 pub mod obj;
@@ -140,60 +140,44 @@ struct CoreCache {
     surrendered: u64,
 }
 
-/// Global counters exposed by [`Refcache::stats`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RefcacheStats {
-    /// Objects allocated.
-    pub allocs: u64,
-    /// Objects freed (true-zero confirmed).
-    pub frees: u64,
-    /// Delta-cache conflict evictions (hash collisions).
-    pub conflicts: u64,
-    /// Cache flushes performed.
-    pub flushes: u64,
-    /// Of `flushes`, those of a [`Refcache::expedite`] tick: run by a
-    /// [`Refcache::surrender`] caller because of the memory its core had
-    /// given up, not by anybody's timer.
-    pub expedited: u64,
-    /// Objects re-queued because of a dirty zero.
-    pub dirty_zeros: u64,
-    /// Objects revived through a weak reference after reaching zero.
-    pub revivals: u64,
-    /// Table-embedded cells activated ([`Refcache::activate`]) — the
-    /// slot-backed analogue of `allocs`, with no heap allocation behind
-    /// it.
-    pub slot_activates: u64,
-    /// Table-embedded cells whose zero-count action ran (true-zero
-    /// confirmed) — the slot-backed analogue of `frees`.
-    pub slot_releases: u64,
-    /// Current global epoch.
-    pub epoch: u64,
+sharded_stats! {
+    /// Global counters exposed by [`Refcache::stats`].
+    pub struct RefcacheStats {
+        /// Objects allocated. `alloc` has no core in scope.
+        allocs: Shared,
+        /// Objects freed (true-zero confirmed). `free_untracked` has no
+        /// core in scope.
+        frees: Shared,
+        /// Delta-cache conflict evictions (hash collisions), in `adjust`.
+        conflicts: Exclusive<CoreCache>,
+        /// Cache flushes performed.
+        flushes: Exclusive<CoreCache>,
+        /// Objects re-queued because of a dirty zero, in `review`.
+        dirty_zeros: Exclusive<CoreCache>,
+        /// Objects revived through a weak reference after reaching zero,
+        /// in `review`.
+        revivals: Exclusive<CoreCache>,
+        /// Table-embedded cells activated ([`Refcache::activate`]) — the
+        /// slot-backed analogue of `allocs`, with no heap allocation
+        /// behind it. `activate` takes the object's lock, not the core's.
+        slot_activates: Shared,
+        /// Table-embedded cells whose zero-count action ran (true-zero
+        /// confirmed) — the slot-backed analogue of `frees`. Counted
+        /// where `review` decides the release, not where it runs after
+        /// the lock dropped.
+        slot_releases: Exclusive<CoreCache>,
+        /// Of `flushes`, those of a [`Refcache::expedite`] tick: run by a
+        /// [`Refcache::surrender`] caller because of the memory its core
+        /// had given up, not by anybody's timer.
+        expedited: Exclusive<CoreCache>,
+        /// Current global epoch.
+        epoch: Gauge,
+    }
+    /// The cells: `alloc`/`dec`-rate events bump only the operating
+    /// core's padded cell (sum-on-read; DESIGN.md §6), most of them under
+    /// that core's delta-cache lock and so without a locked instruction.
+    struct RefcacheCells;
 }
-
-// Field indices into the sharded stats block. "Exclusive under
-// `cores[core]`": every bump of core c's cell happens while c's delta
-// cache is locked, so it is `add_exclusive`, a plain load and store.
-// "Shared": some bump holds no such lock, so all of them stay atomic
-// adds (DESIGN.md §5, §6).
-/// Shared: `alloc` has no core in scope (`add_here`).
-const F_ALLOCS: usize = 0;
-/// Shared: `free_untracked` has no core in scope (`add_here`).
-const F_FREES: usize = 1;
-/// Exclusive under `cores[core]` (`adjust`).
-const F_CONFLICTS: usize = 2;
-/// Exclusive under `cores[core]` (`flush`).
-const F_FLUSHES: usize = 3;
-/// Exclusive under `cores[core]` (`review`).
-const F_DIRTY_ZEROS: usize = 4;
-/// Exclusive under `cores[core]` (`review`).
-const F_REVIVALS: usize = 5;
-/// Shared: `activate` takes the object's lock, not the core's.
-const F_SLOT_ACTIVATES: usize = 6;
-/// Exclusive under `cores[core]`: counted where `review` decides the
-/// release, not where it runs after the lock dropped.
-const F_SLOT_RELEASES: usize = 7;
-/// Exclusive under `cores[core]` (`flush`, beside `F_FLUSHES`).
-const F_EXPEDITED: usize = 8;
 
 /// A callback invoked at the start of every [`Refcache::flush`], before
 /// any delta is applied. Data structures use flush hooks to surrender
@@ -220,11 +204,7 @@ pub struct Refcache {
     /// simulator-instrumented, so the common no-hook case stays free).
     hook_count: AtomicU64,
     next_hook_id: AtomicU64,
-    /// Counters sharded per core: `alloc`/`dec`-rate events bump only the
-    /// operating core's padded cell (sum-on-read; DESIGN.md §6), most of
-    /// them under that core's lock and so without a locked instruction
-    /// (the `F_*` table says which).
-    stats: ShardedStats<9>,
+    stats: RefcacheCells,
 }
 
 impl Refcache {
@@ -258,7 +238,7 @@ impl Refcache {
             hooks: RwLock::new(Vec::new()),
             hook_count: AtomicU64::new(0),
             next_hook_id: AtomicU64::new(1),
-            stats: ShardedStats::new(ncores),
+            stats: RefcacheCells::new(ncores),
         }
     }
 
@@ -275,16 +255,8 @@ impl Refcache {
     /// Snapshot of the cache's counters.
     pub fn stats(&self) -> RefcacheStats {
         RefcacheStats {
-            allocs: self.stats.sum(F_ALLOCS),
-            frees: self.stats.sum(F_FREES),
-            conflicts: self.stats.sum(F_CONFLICTS),
-            flushes: self.stats.sum(F_FLUSHES),
-            expedited: self.stats.sum(F_EXPEDITED),
-            dirty_zeros: self.stats.sum(F_DIRTY_ZEROS),
-            revivals: self.stats.sum(F_REVIVALS),
-            slot_activates: self.stats.sum(F_SLOT_ACTIVATES),
-            slot_releases: self.stats.sum(F_SLOT_RELEASES),
             epoch: self.epoch(),
+            ..self.stats.snapshot()
         }
     }
 
@@ -293,17 +265,15 @@ impl Refcache {
         // Wrapping: a reader racing writers can observe a free before the
         // matching alloc (sharded sums are not snapshots, DESIGN.md §6);
         // the value is exact at quiescence.
-        self.stats
-            .sum(F_ALLOCS)
-            .wrapping_sub(self.stats.sum(F_FREES))
+        self.stats.allocs().wrapping_sub(self.stats.frees())
     }
 
     /// Number of live slot activations (activated minus released); exact
     /// at quiescence, like [`Refcache::live_objects`].
     pub fn live_slots(&self) -> u64 {
         self.stats
-            .sum(F_SLOT_ACTIVATES)
-            .wrapping_sub(self.stats.sum(F_SLOT_RELEASES))
+            .slot_activates()
+            .wrapping_sub(self.stats.slot_releases())
     }
 
     /// Registers a [`FlushHook`] invoked at the start of every flush.
@@ -346,7 +316,7 @@ impl Refcache {
             },
             obj,
         });
-        self.stats.add_here(F_ALLOCS, 1);
+        self.stats.add_here(RefcacheStats::allocs, 1);
         let raw = Box::into_raw(boxed);
         // SAFETY: `Box::into_raw` never returns null.
         RcPtr {
@@ -389,7 +359,7 @@ impl Refcache {
         if slot.obj == 0 {
             cc.occupied.push(idx as u32);
         } else {
-            self.stats.add_exclusive(core, F_CONFLICTS, 1);
+            self.stats.add_held(core, RefcacheStats::conflicts, cc, 1);
             if slot.delta != 0 {
                 let epoch = self.epoch();
                 // SAFETY: a cached delta implies the object has not been
@@ -450,7 +420,7 @@ impl Refcache {
     /// is dormant: its previous activation, if any, completed the full
     /// review protocol before the resource became reallocatable.
     pub fn activate<T: SlotManaged>(&self, core: usize, cell: SlotPtr<T>, init_count: i64) {
-        self.stats.add(core, F_SLOT_ACTIVATES, 1);
+        self.stats.add(core, RefcacheStats::slot_activates, 1);
         // SAFETY: the cell's table is live (the caller holds its
         // resource) and `count_addr` points at its header.
         let hdr = unsafe { &*(cell.count_addr() as *const Header) };
@@ -518,9 +488,9 @@ impl Refcache {
         }
         let mut cc = self.cores[core].lock();
         let epoch = self.epoch();
-        self.stats.add_exclusive(core, F_FLUSHES, 1);
+        self.stats.add_held(core, RefcacheStats::flushes, &cc, 1);
         if expedited {
-            self.stats.add_exclusive(core, F_EXPEDITED, 1);
+            self.stats.add_held(core, RefcacheStats::expedited, &cc, 1);
         }
         // What the core surrendered is on its way to review from here.
         cc.surrendered = 0;
@@ -573,7 +543,7 @@ impl Refcache {
                 let mut st = hdr.state.lock();
                 if st.refcnt != 0 {
                     // Came back to life; clear review state and dying.
-                    self.stats.add_exclusive(core, F_REVIVALS, 1);
+                    self.stats.add_held(core, RefcacheStats::revivals, &cc, 1);
                     st.on_review = false;
                     st.dirty = false;
                     let weak = hdr.weak.load(Ordering::Acquire);
@@ -607,16 +577,18 @@ impl Refcache {
                         // its resource is not reallocatable until the
                         // action runs).
                         st.on_review = false;
-                        self.stats.add_exclusive(core, F_SLOT_RELEASES, 1);
+                        self.stats
+                            .add_held(core, RefcacheStats::slot_releases, &cc, 1);
                     } else {
-                        self.stats.add(core, F_FREES, 1);
+                        self.stats.add(core, RefcacheStats::frees, 1);
                     }
                     drop(st);
                     to_free.push(obj_addr);
                 } else {
                     // Dirty zero or lost the race with a revive/lock:
                     // examine again two epochs from now.
-                    self.stats.add_exclusive(core, F_DIRTY_ZEROS, 1);
+                    self.stats
+                        .add_held(core, RefcacheStats::dirty_zeros, &cc, 1);
                     st.dirty = false;
                     if weak != 0 {
                         // SAFETY: weak word outlives the object.
@@ -785,7 +757,7 @@ impl Refcache {
     /// reference uses can occur afterwards.
     pub unsafe fn free_untracked<T>(&self, obj: RcPtr<T>) {
         debug_assert!(!(*(obj.addr() as *const Header)).slot_backed);
-        self.stats.add_here(F_FREES, 1);
+        self.stats.add_here(RefcacheStats::frees, 1);
         drop(Box::from_raw(obj.raw.as_ptr()));
     }
 
@@ -803,6 +775,36 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64 as StdAtomicU64;
     use std::sync::Arc;
+
+    /// The word each counter had as a hand-numbered `F_*` constant up to
+    /// PR 20, copied here once. Which word shares a line with which is
+    /// simulator-visible: a field may
+    /// be added at the end, none may move.
+    #[test]
+    fn refcachestats_cells_keep_their_words() {
+        use RefcacheStats as S;
+        let pinned = [
+            ("allocs", S::allocs.index(), 0),
+            ("frees", S::frees.index(), 1),
+            ("conflicts", S::conflicts.index(), 2),
+            ("flushes", S::flushes.index(), 3),
+            ("dirty_zeros", S::dirty_zeros.index(), 4),
+            ("revivals", S::revivals.index(), 5),
+            ("slot_activates", S::slot_activates.index(), 6),
+            ("slot_releases", S::slot_releases.index(), 7),
+            ("expedited", S::expedited.index(), 8),
+        ];
+        for (name, word, was) in pinned {
+            assert_eq!(word, was, "{name}");
+        }
+        let mut visited = Vec::new();
+        S::default().visit(|name, _| {
+            if name != "epoch" {
+                visited.push(name);
+            }
+        });
+        assert_eq!(visited, pinned.map(|(name, ..)| name), "`visit` order");
+    }
 
     /// Test payload that counts drops and release callbacks.
     struct Tracked {

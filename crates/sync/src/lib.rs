@@ -49,7 +49,7 @@ pub use lock::{
 pub use model::{CostModel, Topology};
 pub use pad::CachePadded;
 pub use rangelock::{RangeLock, RangeLockKind, RangeToken};
-pub use shard::{ShardedCounter, ShardedStats};
+pub use shard::{Exclusive, Field, ShardedStats, Shared};
 pub use sim::{SimGuard, SimStats};
 
 /// Maximum number of simulated cores supported by bitmask-based core sets.

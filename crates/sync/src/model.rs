@@ -211,27 +211,6 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// A model with all costs zero except local accesses; useful in tests
-    /// that only check event *counts*, not timing.
-    pub fn counting_only() -> Self {
-        CostModel {
-            local_ns: 0,
-            remote_ns: 0,
-            line_service_ns: 0,
-            inval_per_sharer_ns: 0,
-            cold_ns: 0,
-            ipi_send_ns: 0,
-            ipi_handle_ns: 0,
-            ipi_bus_ns: 0,
-            page_work_ns: 0,
-            op_base_ns: 0,
-            alloc_ns: 0,
-            hop_ns: 0,
-            page_hop_ns: 0,
-            topology: Topology::single(),
-        }
-    }
-
     /// Returns `self` with the given topology installed.
     pub fn with_topology(mut self, topology: Topology) -> Self {
         self.topology = topology;

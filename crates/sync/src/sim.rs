@@ -798,16 +798,6 @@ pub fn unlabel_range(start: usize, bytes: usize) {
     });
 }
 
-/// Number of NUMA nodes in the installed topology (1 when inactive).
-pub fn topology_nnodes() -> usize {
-    with_ctx(|s| s.nnodes).unwrap_or(1)
-}
-
-/// NUMA node of `core` under the installed topology (0 when inactive).
-pub fn node_of_core(core: usize) -> usize {
-    with_ctx(|s| s.core_node.get(core).copied().unwrap_or(0) as usize).unwrap_or(0)
-}
-
 /// Charges the model's heap-allocation cost to the current core and
 /// counts the allocation. Called by hot-path code that allocates
 /// (node expansion, Refcache object allocation, `InlineVec` spill) so

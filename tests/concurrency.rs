@@ -424,7 +424,7 @@ fn hint_riding_faults_survive_quiesce_and_refolds() {
 }
 
 /// Statistics bumped as single-mutator words under a per-core lock
-/// (`add_exclusive`: TLB hits and misses under the core's TLB lock, the
+/// (`Exclusive` fields: TLB hits and misses under the core's TLB lock, the
 /// pool's page counts under its free list, Refcache's events under its
 /// delta cache, hint hits and misses under its hint slot — DESIGN.md §5)
 /// lose no update when several threads act for one core at once. The
@@ -457,13 +457,7 @@ fn counters_stay_exact_when_foreign_threads_act_for_a_core() {
     const SHARED_PAGES: u64 = 8;
     const MAINTAIN_EVERY: u64 = 64;
     const OWNER_BLOCKS: u64 = 9;
-    // Without generation checks an access is exactly one TLB lookup.
-    // With them, a fault whose frame the sweeper frees before the access
-    // completes is retried and looked up twice (the sweeper flushes for
-    // the faulting core, which that core could never do mid-access).
-    let mut cfg = MachineConfig::new(2);
-    cfg.check_generations = false;
-    let machine = Machine::with_config(cfg);
+    let machine = Machine::new(2);
     let vm = build(&machine, BackendKind::Radix);
     let radix = vm
         .as_any()
@@ -590,12 +584,17 @@ fn counters_stay_exact_when_foreign_threads_act_for_a_core() {
     vm.quiesce();
     let quiesces = quiesces.into_inner() + 1;
 
-    let (hw, tree) = (machine.stats(), radix.tree_stats());
-    let misses = hw.tlb_misses - hw0.tlb_misses;
+    // An access is one TLB lookup, or one more for each time it went
+    // round again: a fault whose frame the sweeper freed before the
+    // access completed (the sweeper flushes for the faulting core, which
+    // that core could never do mid-access) is retried and looked up
+    // twice, and `access_retries` says how often.
+    let (hw, tree) = (machine.stats().since(&hw0), radix.tree_stats());
+    let misses = hw.tlb_misses;
     assert_eq!(
-        hw.tlb_hits - hw0.tlb_hits + misses,
-        accesses.into_inner(),
-        "TLB hits + misses != accesses issued"
+        hw.tlb_hits + misses,
+        accesses.into_inner() + hw.access_retries,
+        "TLB hits + misses != accesses issued + retries"
     );
     // Every single-page mmap, munmap and fault looks the hint up once.
     assert_eq!(
@@ -609,9 +608,10 @@ fn counters_stay_exact_when_foreign_threads_act_for_a_core() {
     // also when the sweeper's flush gets in between that unmap's
     // surrender and its tick.
     let rc = radix.cache().stats();
+    let ticked = rc.since(&rc0);
     assert_eq!(
-        rc.flushes - rc0.flushes,
-        flushes_per_quiesce * quiesces + maintains.into_inner() + (rc.expedited - rc0.expedited),
+        ticked.flushes,
+        flushes_per_quiesce * quiesces + maintains.into_inner() + ticked.expedited,
         "Refcache flushes != issued + expedited"
     );
     assert_eq!(rc.slot_activates, rc.slot_releases, "frame cells");
