@@ -51,8 +51,9 @@
 #
 # By value — fastpath, huge, refcount, pressure, whose simulator runs
 # have stable line ids: every field must be equal, except that
-#   - virtual-time fields (VIRT_FIELDS) may move by VIRT_TOL: they
-#     jitter by a few ppm (up to 0.03 % seen) with where the heap lands,
+#   - virtual-time fields (VIRT_FIELDS: times, rates, and the pressure
+#     gate's ratio of two rates) may move by VIRT_TOL: they jitter by a
+#     few ppm from one build to the next with where the heap lands,
 #     because the simulator keys cache lines by address;
 #   - SKIP_FIELDS are not compared: host wall-clock numbers, and the
 #     count of remote transfers on anonymous *heap* lines, which depends
@@ -69,7 +70,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-VIRT_FIELDS='["virt_ns", "pages_per_sec", "ops_per_sec"]'
+VIRT_FIELDS='["virt_ns", "pages_per_sec", "ops_per_sec", "pressured_over_baseline"]'
 VIRT_TOL=0.001
 SKIP_FIELDS='[
   "real_fault_fill_loop_1core.ops_per_sec",
@@ -77,11 +78,22 @@ SKIP_FIELDS='[
   "remote_transfers_by_category.heap"
 ]'
 
+# The simulator keys cache lines by address, so where the kernel puts the
+# heap moves virtual time: with address-space randomization, one
+# bench_pressure run in five departs from the others (by up to 0.2 % in
+# one ops_per_sec, 40 runs); without it every run of one binary prints
+# the same bytes, scale and numa included. So --check runs the binaries
+# unrandomized where the kernel allows it (containers often do not).
+NO_ASLR=()
+if setarch "$(uname -m)" -R true 2>/dev/null; then
+    NO_ASLR=(setarch "$(uname -m)" -R)
+fi
+
 # fresh NAME: run bench_NAME, print the file its record went to.
 fresh() {
     local out
     out=$(mktemp)
-    cargo run --release -p rvm_bench --bin "bench_$1" > "$out"
+    "${NO_ASLR[@]}" cargo run --release -p rvm_bench --bin "bench_$1" > "$out"
     echo "$out"
 }
 
