@@ -10,7 +10,8 @@
 use std::time::Instant;
 
 use rvm_bench::fastpath::{hit_rate, tree_fault_point};
-use rvm_bench::{build, BackendKind};
+use rvm_bench::json::fixed;
+use rvm_bench::{build, obj, BackendKind};
 use rvm_core::RadixVm;
 use rvm_hw::{Backing, Machine, Prot, PAGE_SIZE};
 
@@ -42,8 +43,7 @@ fn real_fault_loop(iters: u64) -> (f64, f64) {
             .read_u64(0, &*vm, BASE + (i % 8) * PAGE_SIZE)
             .expect("fastpath refault read failed");
     }
-    let hits0 = radix.tree_stats().hint_hits();
-    let misses0 = radix.tree_stats().hint_misses();
+    let before = radix.tree_stats().snapshot();
     let t0 = Instant::now();
     for i in 0..iters {
         let vpn = (BASE >> 12) + (i % 8);
@@ -53,9 +53,11 @@ fn real_fault_loop(iters: u64) -> (f64, f64) {
             .expect("fastpath refault read failed");
     }
     let elapsed = t0.elapsed().as_secs_f64();
-    let hits = radix.tree_stats().hint_hits() - hits0;
-    let misses = radix.tree_stats().hint_misses() - misses0;
-    (iters as f64 / elapsed, hit_rate(hits, misses))
+    let looked_up = radix.tree_stats().snapshot().since(&before);
+    (
+        iters as f64 / elapsed,
+        hit_rate(looked_up.hint_hits, looked_up.hint_misses),
+    )
 }
 
 fn main() {
@@ -65,33 +67,31 @@ fn main() {
     let improvement =
         (descent.virt_ns_per_fault - fast.virt_ns_per_fault) / descent.virt_ns_per_fault * 100.0;
     let (ops_per_sec, real_hit_rate) = real_fault_loop(1_000_000);
-    println!("{{");
-    println!("  \"schema\": 1,");
-    println!("  \"bench\": \"fastpath\",");
-    println!("  \"sim_single_page_fault\": {{");
-    println!("    \"descent_ns\": {:.1},", descent.virt_ns_per_fault);
-    println!("    \"fastpath_ns\": {:.1},", fast.virt_ns_per_fault);
-    println!("    \"improvement_pct\": {improvement:.1},");
-    println!("    \"hint_hit_rate\": {:.4},", fast.hit_rate());
-    println!(
-        "    \"steady_state_heap_allocs\": {}",
-        fast.heap_allocs + descent.heap_allocs
-    );
-    println!("  }},");
-    println!("  \"real_fault_fill_loop_1core\": {{");
-    println!("    \"ops_per_sec\": {ops_per_sec:.0},");
-    println!("    \"ns_per_op\": {:.1},", 1e9 / ops_per_sec);
-    println!("    \"hint_hit_rate\": {real_hit_rate:.4}");
-    println!("  }},");
-    // Fixed reference point: the same benches run against the PR 1 tree
-    // (Vec-based guards, per-level pins, no hints), with the
-    // `pagefault_fill` VPN-invalidation fix applied so both sides
-    // measure real faults. Lets any machine see the trajectory even
-    // though absolute wall-clock numbers are host-dependent.
-    println!("  \"before_pr2_reference\": {{");
-    println!("    \"criterion_pagefault_fill_radixvm_ns\": 244.0,");
-    println!("    \"criterion_index_lookup_radix_ns\": 109.3,");
-    println!("    \"sim_descent_ns\": 44.0");
-    println!("  }}");
-    println!("}}");
+    let record = obj! {
+        "schema" => 1,
+        "bench" => "fastpath",
+        "sim_single_page_fault" => obj! {
+            "descent_ns" => fixed(descent.virt_ns_per_fault, 1),
+            "fastpath_ns" => fixed(fast.virt_ns_per_fault, 1),
+            "improvement_pct" => fixed(improvement, 1),
+            "hint_hit_rate" => fixed(fast.hit_rate(), 4),
+            "steady_state_heap_allocs" => fast.heap_allocs + descent.heap_allocs,
+        },
+        "real_fault_fill_loop_1core" => obj! {
+            "ops_per_sec" => fixed(ops_per_sec, 0),
+            "ns_per_op" => fixed(1e9 / ops_per_sec, 1),
+            "hint_hit_rate" => fixed(real_hit_rate, 4),
+        },
+        // Fixed reference point: the same benches run against the PR 1
+        // tree (Vec-based guards, per-level pins, no hints), with the
+        // `pagefault_fill` VPN-invalidation fix applied so both sides
+        // measure real faults. Lets any machine see the trajectory even
+        // though absolute wall-clock numbers are host-dependent.
+        "before_pr2_reference" => obj! {
+            "criterion_pagefault_fill_radixvm_ns" => fixed(244.0, 1),
+            "criterion_index_lookup_radix_ns" => fixed(109.3, 1),
+            "sim_descent_ns" => fixed(44.0, 1),
+        },
+    };
+    println!("{record}");
 }

@@ -29,23 +29,20 @@ use rvm_bench::huge::{
     check_gate, check_sweep, huge_blocks, populate_point, run_converge_gate, shootdown_sweep,
     HugePoint, CONVERGE_RATIO_CEIL, HUGE_FAULT_RATIO_FLOOR,
 };
-use rvm_bench::BackendKind;
+use rvm_bench::json::{array, fixed, object, Json};
+use rvm_bench::{obj, BackendKind, Gate};
 
-fn print_point(p: &HugePoint, last: bool) {
-    let mode = if p.hinted { "huge" } else { "4k" };
-    println!(
-        "      {{\"mode\": \"{mode}\", \"faults\": {}, \"superpage_installs\": {}, \
-         \"superpage_demotions\": {}, \"superpage_promotions\": {}, \"index_bytes\": {}, \
-         \"pagetable_bytes\": {}, \"pages_per_sec\": {:.0}}}{}",
-        p.faults,
-        p.superpage_installs,
-        p.superpage_demotions,
-        p.superpage_promotions,
-        p.index_bytes,
-        p.pagetable_bytes,
-        p.pages_per_sec(),
-        if last { "" } else { "," }
-    );
+fn point(p: &HugePoint) -> Json {
+    obj! {
+        "mode" => if p.hinted { "huge" } else { "4k" },
+        "faults" => p.faults,
+        "superpage_installs" => p.superpage_installs,
+        "superpage_demotions" => p.superpage_demotions,
+        "superpage_promotions" => p.superpage_promotions,
+        "index_bytes" => p.index_bytes,
+        "pagetable_bytes" => p.pagetable_bytes,
+        "pages_per_sec" => fixed(p.pages_per_sec(), 0),
+    }
 }
 
 fn main() {
@@ -92,94 +89,51 @@ fn main() {
     );
     eprintln!("span-shootdown sweep (16 cores)...");
     let sweep = shootdown_sweep();
-    let sweep_failures = check_sweep(&sweep);
+    let sweep_gate = check_sweep(&sweep);
 
-    println!("{{");
-    println!("  \"schema\": 2,");
-    println!("  \"bench\": \"huge\",");
-    println!(
-        "  \"workload\": \"populate {blocks} aligned 2 MiB anonymous blocks, huge hint vs 4 KiB; \
-         demote-then-converge promotion gate; 16-core span-shootdown sweep\","
-    );
-    println!("  \"blocks\": {blocks},");
-    println!("  \"backends\": {{");
-    for (i, (kind, points)) in sweeps.iter().enumerate() {
-        println!("    \"{}\": [", kind.name());
-        for (j, p) in points.iter().enumerate() {
-            print_point(p, j + 1 == points.len());
-        }
-        println!("    ]{}", if i + 1 == sweeps.len() { "" } else { "," });
-    }
-    println!("  }},");
-    println!("  \"converge\": {{");
-    println!("    \"ratio_ceil\": {CONVERGE_RATIO_CEIL},");
-    println!("    \"demotions\": {},", converge.demotions);
-    println!("    \"promotions\": {},", converge.promotions);
-    println!("    \"converge_faults\": {},", converge.converge_faults);
-    println!("    \"probe_faults\": {},", converge.probe_faults);
-    println!(
-        "    \"probe_faults_baseline\": {},",
-        converge.probe_faults_baseline
-    );
-    println!("    \"index_bytes\": {},", converge.index_bytes);
-    println!(
-        "    \"index_bytes_baseline\": {},",
-        converge.index_bytes_baseline
-    );
-    println!("    \"passed\": {}", converge.passed());
-    println!("  }},");
-    println!("  \"shootdown_sweep\": [");
-    for (i, p) in sweep.iter().enumerate() {
-        println!(
-            "    {{\"sharers\": {}, \"span_ipis\": {}, \"per_page_ipis\": {}, \
-             \"promotions\": {}, \"bg_faults\": {}, \"virt_ns\": {}}}{}",
-            p.sharers,
-            p.span_ipis,
-            p.per_page_ipis,
-            p.promotions,
-            p.bg_faults,
-            p.virt_ns,
-            if i + 1 == sweep.len() { "" } else { "," }
-        );
-    }
-    println!("  ],");
-    println!("  \"gate\": {{");
-    println!("    \"fault_ratio_floor\": {HUGE_FAULT_RATIO_FLOOR},");
-    println!("    \"fault_ratio\": {:.1},", report.fault_ratio);
-    println!("    \"faults_huge\": {},", report.faults_huge);
-    println!("    \"faults_4k\": {},", report.faults_4k);
-    println!("    \"index_bytes_huge\": {},", report.index_bytes_huge);
-    println!("    \"index_bytes_4k\": {},", report.index_bytes_4k);
-    println!("    \"superpage_installs\": {},", report.superpage_installs);
-    println!("    \"passed\": {}", report.passed());
-    println!("  }}");
-    println!("}}");
-
-    let mut failed = false;
-    if !report.passed() {
-        eprintln!("HUGE-MAPPING GATE FAILED:");
-        for f in &report.failures {
-            eprintln!("  {f}");
-        }
-        failed = true;
-    }
-    if !converge.passed() {
-        eprintln!("PROMOTION GATE FAILED:");
-        for f in &converge.failures {
-            eprintln!("  {f}");
-        }
-        failed = true;
-    }
-    if !sweep_failures.is_empty() {
-        eprintln!("SHOOTDOWN SWEEP FAILED:");
-        for f in &sweep_failures {
-            eprintln!("  {f}");
-        }
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    let record = obj! {
+        "schema" => 2,
+        "bench" => "huge",
+        "workload" => format!(
+            "populate {blocks} aligned 2 MiB anonymous blocks, huge hint vs 4 KiB; \
+             demote-then-converge promotion gate; 16-core span-shootdown sweep"
+        ),
+        "blocks" => blocks,
+        "backends" => object(
+            sweeps.iter().map(|(kind, points)| (kind.name(), array(points.iter().map(point)))),
+        ),
+        "converge" => obj! {
+            "ratio_ceil" => CONVERGE_RATIO_CEIL,
+            "demotions" => converge.demotions,
+            "promotions" => converge.promotions,
+            "converge_faults" => converge.converge_faults,
+            "probe_faults" => converge.probe_faults,
+            "probe_faults_baseline" => converge.probe_faults_baseline,
+            "index_bytes" => converge.index_bytes,
+            "index_bytes_baseline" => converge.index_bytes_baseline,
+            "passed" => converge.gate.passed(),
+        },
+        "shootdown_sweep" => array(sweep.iter().map(|p| obj! {
+            "sharers" => p.sharers,
+            "span_ipis" => p.span_ipis,
+            "per_page_ipis" => p.per_page_ipis,
+            "promotions" => p.promotions,
+            "bg_faults" => p.bg_faults,
+            "virt_ns" => p.virt_ns,
+        })),
+        "gate" => obj! {
+            "fault_ratio_floor" => HUGE_FAULT_RATIO_FLOOR,
+            "fault_ratio" => fixed(report.fault_ratio, 1),
+            "faults_huge" => report.faults_huge,
+            "faults_4k" => report.faults_4k,
+            "index_bytes_huge" => report.index_bytes_huge,
+            "index_bytes_4k" => report.index_bytes_4k,
+            "superpage_installs" => report.superpage_installs,
+            "passed" => report.gate.passed(),
+        },
+    };
+    println!("{record}");
+    Gate::enforce(&[&report.gate, &converge.gate, &sweep_gate]);
     eprintln!(
         "huge gates passed: {:.0}x fewer populate faults, {} promotions recovered \
          span faults ({} vs {}), span shootdown beat per-page at every sharer count",

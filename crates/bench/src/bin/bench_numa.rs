@@ -15,11 +15,12 @@
 //! (or `scripts/bench_record.sh`, which redirects into the checked-in
 //! JSON). Env: `RVM_CORES=8,...`, `RVM_DUR_MS`.
 
-use rvm_bench::duration_ns;
+use rvm_bench::json::{array, fixed, Json};
 use rvm_bench::numa::{
-    check_numa, numa_core_counts, numa_point, NumaPoint, NumaWorkload, FT_OVER_INTERLEAVE_FLOOR,
-    NODE_COUNTS, POLICIES,
+    check_numa, numa_core_counts, numa_point, policy_name, NumaPoint, NumaWorkload,
+    FT_OVER_INTERLEAVE_FLOOR, NODE_COUNTS, POLICIES,
 };
+use rvm_bench::{duration_ns, obj, Gate};
 use rvm_hw::PlacementPolicy;
 
 const WORKLOADS: [NumaWorkload; 3] = [
@@ -28,49 +29,31 @@ const WORKLOADS: [NumaWorkload; 3] = [
     NumaWorkload::IndexChurn,
 ];
 
-fn print_point(p: &NumaPoint, last: bool) {
-    println!("    {{");
-    println!("      \"workload\": \"{}\",", p.workload);
-    println!("      \"cores\": {},", p.cores);
-    println!("      \"nnodes\": {},", p.nnodes);
-    println!("      \"policy\": \"{}\",", p.policy);
-    println!("      \"ops_per_sec\": {:.0},", p.ops_per_sec());
-    println!(
-        "      \"cross_node_transfers\": {},",
-        p.cross_node_transfers
-    );
-    println!("      \"index_cross\": {},", p.index_cross);
-    println!("      \"on_node_frees\": {},", p.on_node_frees);
-    println!("      \"cross_node_frees\": {},", p.cross_node_frees);
-    println!(
-        "      \"fault_frames_on_node\": {},",
-        p.fault_frames_on_node
-    );
-    println!(
-        "      \"fault_frames_cross_node\": {},",
-        p.fault_frames_cross_node
-    );
+fn point(p: &NumaPoint) -> Json {
     // Per-node-pair attribution: one flattened source→destination
     // matrix per label with any cross-node traffic.
-    println!("      \"attribution\": [");
-    let live: Vec<_> = p
+    let live = p
         .attribution
         .iter()
-        .filter(|(_, m)| m.iter().any(|&v| v > 0))
-        .collect();
-    for (i, (label, m)) in live.iter().enumerate() {
-        let comma = if i + 1 == live.len() { "" } else { "," };
-        println!(
-            "        {{\"label\": \"{label}\", \"total\": {}, \"matrix\": [{}]}}{comma}",
-            m.iter().sum::<u64>(),
-            m.iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
+        .filter(|(_, m)| m.iter().any(|&v| v > 0));
+    obj! {
+        "workload" => p.workload,
+        "cores" => p.cores,
+        "nnodes" => p.nnodes,
+        "policy" => p.policy,
+        "ops_per_sec" => fixed(p.ops_per_sec(), 0),
+        "cross_node_transfers" => p.cross_node_transfers,
+        "index_cross" => p.index_cross,
+        "on_node_frees" => p.on_node_frees,
+        "cross_node_frees" => p.cross_node_frees,
+        "fault_frames_on_node" => p.fault_frames_on_node,
+        "fault_frames_cross_node" => p.fault_frames_cross_node,
+        "attribution" => array(live.map(|(label, m)| obj! {
+            "label" => *label,
+            "total" => m.iter().sum::<u64>(),
+            "matrix" => array(m.iter().copied()),
+        })),
     }
-    println!("      ]");
-    println!("    }}{}", if last { "" } else { "," });
 }
 
 fn main() {
@@ -108,7 +91,7 @@ fn main() {
                 p.workload == w.name()
                     && p.cores == gate_cores
                     && p.nnodes == 4
-                    && p.policy == rvm_bench::numa::policy_name(policy)
+                    && p.policy == policy_name(policy)
             })
             .expect("gate point missing from sweep")
     };
@@ -120,55 +103,28 @@ fn main() {
         find(NumaWorkload::Contended, PlacementPolicy::FirstTouch),
     );
 
-    println!("{{");
-    println!("  \"schema\": 1,");
-    println!("  \"bench\": \"numa\",");
-    println!(
-        "  \"workloads\": \"disjoint local cycles / contended 4-page range / \
-         index churn through one hot interior node\","
-    );
-    print!("  \"cores\": [");
-    print!(
-        "{}",
-        cores
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    println!("],");
-    println!("  \"node_counts\": [1, 2, 4],");
-    println!("  \"policies\": [\"first-touch\", \"interleave\", \"replicate-read-only\"],");
-    println!("  \"points\": [");
-    for (i, p) in points.iter().enumerate() {
-        print_point(p, i + 1 == points.len());
-    }
-    println!("  ],");
-    println!("  \"gate\": {{");
-    println!("    \"cores\": {},", report.cores);
-    println!("    \"nnodes\": {},", report.nnodes);
-    println!("    \"ft_over_interleave_floor\": {FT_OVER_INTERLEAVE_FLOOR},");
-    println!(
-        "    \"ft_over_interleave\": {:.4},",
-        report.ft_over_interleave
-    );
-    println!("    \"ft_index_cross\": {},", report.ft_index_cross);
-    println!(
-        "    \"replicate_index_cross\": {},",
-        report.replicate_index_cross
-    );
-    println!("    \"contended_labels\": {},", report.contended_labels);
-    println!("    \"passed\": {}", report.passed());
-    println!("  }}");
-    println!("}}");
-
-    if !report.passed() {
-        eprintln!("NUMA GATE FAILED:");
-        for f in &report.failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
+    let record = obj! {
+        "schema" => 1,
+        "bench" => "numa",
+        "workloads" => "disjoint local cycles / contended 4-page range / \
+            index churn through one hot interior node",
+        "cores" => array(cores.iter().copied()),
+        "node_counts" => array(NODE_COUNTS),
+        "policies" => array(POLICIES.map(policy_name)),
+        "points" => array(points.iter().map(point)),
+        "gate" => obj! {
+            "cores" => report.cores,
+            "nnodes" => report.nnodes,
+            "ft_over_interleave_floor" => FT_OVER_INTERLEAVE_FLOOR,
+            "ft_over_interleave" => fixed(report.ft_over_interleave, 4),
+            "ft_index_cross" => report.ft_index_cross,
+            "replicate_index_cross" => report.replicate_index_cross,
+            "contended_labels" => report.contended_labels,
+            "passed" => report.gate.passed(),
+        },
+    };
+    println!("{record}");
+    Gate::enforce(&[&report.gate]);
     eprintln!(
         "numa gate passed: first-touch {:.3}x interleave at {} cores / {} nodes; \
          index cross-node lines {} (first-touch) vs {} (replicated); \

@@ -13,24 +13,25 @@
 //! [--quick]` (or `scripts/bench_record.sh`, which redirects into the
 //! checked-in JSON). Env: `RVM_CORES=8,...`, `RVM_DUR_MS`.
 
-use rvm_bench::duration_ns;
+use rvm_bench::json::{array, fixed, Json};
 use rvm_bench::pressure::{
     check_pressure, fragmentation_point, pressure_core_counts, pressure_point, PressurePoint,
     FRAME_LIMIT, PRESSURE_THROUGHPUT_FLOOR, UTILIZATIONS,
 };
+use rvm_bench::{duration_ns, obj, Gate};
 
-fn print_point(p: &PressurePoint, last: bool) {
-    println!("    {{");
-    println!("      \"cores\": {},", p.cores);
-    println!("      \"utilization_pct\": {},", p.utilization_pct);
-    println!("      \"frame_limit\": {},", p.frame_limit);
-    println!("      \"prefilled\": {},", p.prefilled);
-    println!("      \"ops_per_sec\": {:.0},", p.ops_per_sec());
-    println!("      \"oom_stalls\": {},", p.oom_stalls);
-    println!("      \"reclaim_drains\": {},", p.reclaim_drains);
-    println!("      \"remote_steals\": {},", p.remote_steals);
-    println!("      \"oom_faults\": {}", p.oom_faults);
-    println!("    }}{}", if last { "" } else { "," });
+fn point(p: &PressurePoint) -> Json {
+    obj! {
+        "cores" => p.cores,
+        "utilization_pct" => p.utilization_pct,
+        "frame_limit" => p.frame_limit,
+        "prefilled" => p.prefilled,
+        "ops_per_sec" => fixed(p.ops_per_sec(), 0),
+        "oom_stalls" => p.oom_stalls,
+        "reclaim_drains" => p.reclaim_drains,
+        "remote_steals" => p.remote_steals,
+        "oom_faults" => p.oom_faults,
+    }
 }
 
 fn main() {
@@ -68,58 +69,34 @@ fn main() {
     };
     let report = check_pressure(find(0), find(90), &frag);
 
-    println!("{{");
-    println!("  \"schema\": 1,");
-    println!("  \"bench\": \"pressure\",");
-    println!(
-        "  \"workload\": \"OOM-tolerant per-core mmap+touch+munmap cycles on a \
-         frame-capped two-node machine; huge-hinted populate under squeezed headroom\","
-    );
-    println!("  \"frame_limit\": {FRAME_LIMIT},");
-    print!("  \"cores\": [");
-    print!(
-        "{}",
-        cores
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    println!("],");
-    println!("  \"utilizations_pct\": [0, 50, 90],");
-    println!("  \"points\": [");
-    for (i, p) in points.iter().enumerate() {
-        print_point(p, i + 1 == points.len());
-    }
-    println!("  ],");
-    println!("  \"fragmentation\": {{");
-    println!("    \"frame_limit\": {},", frag.frame_limit);
-    println!("    \"prefilled\": {},", frag.prefilled);
-    println!("    \"touched\": {},", frag.touched);
-    println!("    \"block_fallbacks\": {},", frag.block_fallbacks);
-    println!("    \"oom_faults\": {},", frag.oom_faults);
-    println!("    \"superpage_installs\": {}", frag.superpage_installs);
-    println!("  }},");
-    println!("  \"gate\": {{");
-    println!("    \"cores\": {},", report.cores);
-    println!("    \"throughput_floor\": {PRESSURE_THROUGHPUT_FLOOR},");
-    println!(
-        "    \"pressured_over_baseline\": {:.4},",
-        report.pressured_over_baseline
-    );
-    println!("    \"block_fallbacks\": {},", report.block_fallbacks);
-    println!("    \"frag_oom_faults\": {},", report.frag_oom_faults);
-    println!("    \"passed\": {}", report.passed());
-    println!("  }}");
-    println!("}}");
-
-    if !report.passed() {
-        eprintln!("PRESSURE GATE FAILED:");
-        for f in &report.failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
+    let record = obj! {
+        "schema" => 1,
+        "bench" => "pressure",
+        "workload" => "OOM-tolerant per-core mmap+touch+munmap cycles on a \
+            frame-capped two-node machine; huge-hinted populate under squeezed headroom",
+        "frame_limit" => FRAME_LIMIT,
+        "cores" => array(cores.iter().copied()),
+        "utilizations_pct" => array(UTILIZATIONS),
+        "points" => array(points.iter().map(point)),
+        "fragmentation" => obj! {
+            "frame_limit" => frag.frame_limit,
+            "prefilled" => frag.prefilled,
+            "touched" => frag.touched,
+            "block_fallbacks" => frag.block_fallbacks,
+            "oom_faults" => frag.oom_faults,
+            "superpage_installs" => frag.superpage_installs,
+        },
+        "gate" => obj! {
+            "cores" => report.cores,
+            "throughput_floor" => PRESSURE_THROUGHPUT_FLOOR,
+            "pressured_over_baseline" => fixed(report.pressured_over_baseline, 4),
+            "block_fallbacks" => report.block_fallbacks,
+            "frag_oom_faults" => report.frag_oom_faults,
+            "passed" => report.gate.passed(),
+        },
+    };
+    println!("{record}");
+    Gate::enforce(&[&report.gate]);
     eprintln!(
         "pressure gate passed: {:.3}x baseline at 90% utilization on {} cores; \
          {} block fallbacks, {} oom faults under fragmentation",

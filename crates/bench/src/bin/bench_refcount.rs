@@ -13,66 +13,41 @@
 //! [--quick]` (or `scripts/bench_record.sh`, which redirects into the
 //! checked-in JSON). Exits non-zero on gate regression.
 
+use rvm_bench::json::{fixed, object};
 use rvm_bench::refcount::{check_gate, run_refcount};
-use rvm_bench::{duration_ns, quick};
+use rvm_bench::{duration_ns, obj, quick, Gate};
 
 fn main() {
     let cores = if quick() { 4 } else { 8 };
     let report = run_refcount(cores, duration_ns());
-    let failures = check_gate(&report);
-
-    println!("{{");
-    println!("  \"schema\": 1,");
-    println!("  \"bench\": \"refcount\",");
-    println!(
-        "  \"workload\": \"cold populate + warm refill (1 core), disjoint ops attribution ({cores} cores)\","
-    );
-    println!("  \"cold\": {{");
-    println!("    \"faults\": {},", report.cold_faults);
-    println!(
-        "    \"refcache_obj_allocs\": {},",
-        report.cold_refcache_obj_allocs
-    );
-    println!("    \"heap_allocs\": {}", report.cold_heap_allocs);
-    println!("  }},");
-    println!("  \"warm\": {{");
-    println!("    \"faults\": {},", report.warm_faults);
-    println!("    \"heap_allocs\": {}", report.warm_heap_allocs);
-    println!("  }},");
-    println!("  \"frame_table\": {{");
-    println!("    \"slot_activates\": {},", report.slot_activates);
-    println!("    \"slot_releases\": {},", report.slot_releases);
-    println!(
-        "    \"balance_after_teardown\": {}",
-        report.slot_balance_after_teardown
-    );
-    println!("  }},");
-    println!("  \"remote_transfers_by_category\": {{");
-    for (i, (label, transfers)) in report.remote_by_label.iter().enumerate() {
-        let comma = if i + 1 == report.remote_by_label.len() {
-            ""
-        } else {
-            ","
-        };
-        println!("    \"{label}\": {transfers}{comma}");
-    }
-    println!("  }},");
-    println!(
-        "  \"frame_table_share_of_remote\": {:.4},",
-        report.frame_table_share
-    );
-    println!("  \"gate\": {{");
-    println!("    \"passed\": {}", failures.is_empty());
-    println!("  }}");
-    println!("}}");
-
-    if !failures.is_empty() {
-        eprintln!("REFCOUNT OWNERSHIP GATE FAILED:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
+    let gate = check_gate(&report);
+    let record = obj! {
+        "schema" => 1,
+        "bench" => "refcount",
+        "workload" => format!(
+            "cold populate + warm refill (1 core), disjoint ops attribution ({cores} cores)"
+        ),
+        "cold" => obj! {
+            "faults" => report.cold_faults,
+            "refcache_obj_allocs" => report.cold_refcache_obj_allocs,
+            "heap_allocs" => report.cold_heap_allocs,
+        },
+        "warm" => obj! {
+            "faults" => report.warm_faults,
+            "heap_allocs" => report.warm_heap_allocs,
+        },
+        "frame_table" => obj! {
+            "slot_activates" => report.slot_activates,
+            "slot_releases" => report.slot_releases,
+            "balance_after_teardown" => report.slot_balance_after_teardown,
+        },
+        "remote_transfers_by_category" =>
+            object(report.remote_by_label.iter().map(|(label, n)| (label, *n))),
+        "frame_table_share_of_remote" => fixed(report.frame_table_share, 4),
+        "gate" => obj! {"passed" => gate.passed()},
+    };
+    println!("{record}");
+    Gate::enforce(&[&gate]);
     eprintln!(
         "refcount gate passed: {} cold + {} warm faults with zero Refcache-object \
          allocations; slots balanced; frame-table share of remote lines {:.1}%",

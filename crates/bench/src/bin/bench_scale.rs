@@ -14,39 +14,40 @@
 //! (or `scripts/bench_record.sh`, which redirects into the checked-in
 //! JSON). Env: `RVM_CORES=1,4,...`, `RVM_DUR_MS`.
 
+use rvm_bench::json::{array, fixed, object, Json};
 use rvm_bench::scale::{
     check_contended, check_gate, check_overlap, contended_sweep, disjoint_sweep, overlap_sweep,
     retention, scale_core_counts, OverlapSweep, ScalePoint, CONTENDED_DEGRADATION_FLOOR,
     CONTENDED_REMOTE_PER_OP_CEIL, OVERLAP_DEGRADATION_FLOOR, OVERLAP_DEGREES,
     OVERLAP_RETENTION_FLOOR, RADIX_REMOTE_PER_OP_CEIL, RADIX_RETENTION_FLOOR,
 };
-use rvm_bench::{duration_ns, BackendKind};
+use rvm_bench::{duration_ns, obj, BackendKind, Gate};
 
-fn print_backend(name: &str, points: &[ScalePoint], last: bool) {
-    println!("    \"{name}\": {{");
-    println!(
-        "      \"retention_at_max_cores\": {:.4},",
-        retention(points)
-    );
-    println!("      \"points\": [");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 == points.len() { "" } else { "," };
-        println!(
-            "        {{\"cores\": {}, \"ops_per_sec\": {:.0}, \
-             \"per_core_ops_per_sec\": {:.0}, \"remote_per_op\": {:.4}, \
-             \"ipis_per_op\": {:.4}, \"on_node_frees\": {}, \
-             \"cross_node_frees\": {}}}{comma}",
-            p.cores,
-            p.ops_per_sec(),
-            p.per_core_ops_per_sec(),
-            p.remote_per_op(),
-            p.ipis_per_op(),
-            p.on_node_frees,
-            p.cross_node_frees,
-        );
+/// One point of a contended or overlap sweep: throughput, and that
+/// against the sweep's 1-core rate.
+fn point_vs(p: &ScalePoint, serial: f64) -> Json {
+    obj! {
+        "cores" => p.cores,
+        "ops_per_sec" => fixed(p.ops_per_sec(), 0),
+        "vs_serial" => fixed(p.ops_per_sec() / serial.max(1e-9), 4),
+        "remote_per_op" => fixed(p.remote_per_op(), 4),
+        "ipis_per_op" => fixed(p.ipis_per_op(), 4),
     }
-    println!("      ]");
-    println!("    }}{}", if last { "" } else { "," });
+}
+
+fn backend(points: &[ScalePoint]) -> Json {
+    obj! {
+        "retention_at_max_cores" => fixed(retention(points), 4),
+        "points" => array(points.iter().map(|p| obj! {
+            "cores" => p.cores,
+            "ops_per_sec" => fixed(p.ops_per_sec(), 0),
+            "per_core_ops_per_sec" => fixed(p.per_core_ops_per_sec(), 0),
+            "remote_per_op" => fixed(p.remote_per_op(), 4),
+            "ipis_per_op" => fixed(p.ipis_per_op(), 4),
+            "on_node_frees" => p.on_node_frees,
+            "cross_node_frees" => p.cross_node_frees,
+        })),
+    }
 }
 
 fn main() {
@@ -121,127 +122,55 @@ fn main() {
     }
     let overlap_report = check_overlap(&overlap[0].1);
 
-    println!("{{");
-    println!("  \"schema\": 1,");
-    println!("  \"bench\": \"scale\",");
-    println!("  \"workload\": \"disjoint mmap+touch+munmap per core (Fig. 7)\",");
-    print!("  \"cores\": [");
-    print!(
-        "{}",
-        cores
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    println!("],");
-    println!("  \"backends\": {{");
-    for (i, (kind, points)) in sweeps.iter().enumerate() {
-        print_backend(kind.name(), points, i + 1 == sweeps.len());
-    }
-    println!("  }},");
-    println!("  \"contended\": {{");
-    println!(
-        "    \"workload\": \"all cores touch ONE persistently mapped 4-page range, \
-         remapping it every 16th cycle (a map-unmap-per-cycle shape privatizes the \
-         range each op and measures ipis_per_op=0)\","
-    );
-    println!("    \"points\": [");
-    for (i, p) in contended.iter().enumerate() {
-        let comma = if i + 1 == contended.len() { "" } else { "," };
-        println!(
-            "      {{\"cores\": {}, \"ops_per_sec\": {:.0}, \"vs_serial\": {:.4}, \
-             \"remote_per_op\": {:.4}, \"ipis_per_op\": {:.4}}}{comma}",
-            p.cores,
-            p.ops_per_sec(),
-            p.ops_per_sec() / contended[0].ops_per_sec().max(1e-9),
-            p.remote_per_op(),
-            p.ipis_per_op(),
-        );
-    }
-    println!("    ],");
-    println!("    \"degradation_floor\": {CONTENDED_DEGRADATION_FLOOR},");
-    println!("    \"remote_per_op_ceiling\": {CONTENDED_REMOTE_PER_OP_CEIL},");
-    println!(
-        "    \"worst_vs_serial\": {:.4},",
-        contended_report.worst_ratio
-    );
-    println!(
-        "    \"worst_remote_per_op\": {:.4},",
-        contended_report.worst_remote_per_op
-    );
-    println!("    \"passed\": {}", contended_report.passed());
-    println!("  }},");
-    println!("  \"overlap\": {{");
-    println!(
-        "    \"workload\": \"16-page mmap+touch+munmap; each op collides on a shared \
-         slice with probability <degree>%\","
-    );
-    println!("    \"degrees\": [0, 10, 50, 100],");
-    println!("    \"substrates\": {{");
-    for (bi, (kind, sweeps)) in overlap.iter().enumerate() {
-        let subst = kind.meta().range_lock.name();
-        println!("      \"{subst}\": {{");
-        for (si, s) in sweeps.iter().enumerate() {
-            let serial = s.points.first().map(|p| p.ops_per_sec()).unwrap_or(0.0);
-            println!("        \"{}\": [", s.degree);
-            for (i, p) in s.points.iter().enumerate() {
-                let comma = if i + 1 == s.points.len() { "" } else { "," };
-                println!(
-                    "          {{\"cores\": {}, \"ops_per_sec\": {:.0}, \"vs_serial\": {:.4}, \
-                     \"remote_per_op\": {:.4}, \"ipis_per_op\": {:.4}}}{comma}",
-                    p.cores,
-                    p.ops_per_sec(),
-                    p.ops_per_sec() / serial.max(1e-9),
-                    p.remote_per_op(),
-                    p.ipis_per_op(),
-                );
-            }
-            let comma = if si + 1 == sweeps.len() { "" } else { "," };
-            println!("        ]{comma}");
-        }
-        let comma = if bi + 1 == overlap.len() { "" } else { "," };
-        println!("      }}{comma}");
-    }
-    println!("    }},");
-    println!("    \"retention_floor_at_0\": {OVERLAP_RETENTION_FLOOR},");
-    println!("    \"degradation_floor_at_100\": {OVERLAP_DEGRADATION_FLOOR},");
-    println!(
-        "    \"list_disjoint_retention\": {:.4},",
-        overlap_report.disjoint_retention
-    );
-    println!(
-        "    \"list_full_overlap_worst_vs_serial\": {:.4},",
-        overlap_report.full_overlap_worst_ratio
-    );
-    println!("    \"passed\": {}", overlap_report.passed());
-    println!("  }},");
-    println!("  \"gate\": {{");
-    println!("    \"radix_retention_floor\": {RADIX_RETENTION_FLOOR},");
-    println!("    \"radix_remote_per_op_ceiling\": {RADIX_REMOTE_PER_OP_CEIL},");
-    println!("    \"radix_retention\": {:.4},", report.radix_retention);
-    println!("    \"bonsai_retention\": {:.4},", report.bonsai_retention);
-    println!("    \"linux_retention\": {:.4},", report.linux_retention);
-    println!(
-        "    \"radix_remote_per_op\": {:.4},",
-        report.radix_remote_per_op
-    );
-    println!("    \"passed\": {}", report.passed());
-    println!("  }}");
-    println!("}}");
-
-    if !report.passed() || !contended_report.passed() || !overlap_report.passed() {
-        eprintln!("SCALING GATE FAILED:");
-        for f in report
-            .failures
-            .iter()
-            .chain(&contended_report.failures)
-            .chain(&overlap_report.failures)
-        {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
+    let first_rate = |points: &[ScalePoint]| points.first().map_or(0.0, ScalePoint::ops_per_sec);
+    let record = obj! {
+        "schema" => 1,
+        "bench" => "scale",
+        "workload" => "disjoint mmap+touch+munmap per core (Fig. 7)",
+        "cores" => array(cores.iter().copied()),
+        "backends" => object(sweeps.iter().map(|(kind, points)| (kind.name(), backend(points)))),
+        "contended" => obj! {
+            "workload" => "all cores touch ONE persistently mapped 4-page range, \
+                remapping it every 16th cycle (a map-unmap-per-cycle shape privatizes the \
+                range each op and measures ipis_per_op=0)",
+            "points" =>
+                array(contended.iter().map(|p| point_vs(p, first_rate(&contended)))),
+            "degradation_floor" => CONTENDED_DEGRADATION_FLOOR,
+            "remote_per_op_ceiling" => CONTENDED_REMOTE_PER_OP_CEIL,
+            "worst_vs_serial" => fixed(contended_report.worst_ratio, 4),
+            "worst_remote_per_op" => fixed(contended_report.worst_remote_per_op, 4),
+            "passed" => contended_report.gate.passed(),
+        },
+        "overlap" => obj! {
+            "workload" => "16-page mmap+touch+munmap; each op collides on a shared \
+                slice with probability <degree>%",
+            "degrees" => array(OVERLAP_DEGREES),
+            "substrates" => object(overlap.iter().map(|(kind, sweeps)| {
+                let by_degree = sweeps.iter().map(|s| {
+                    let points = s.points.iter().map(|p| point_vs(p, first_rate(&s.points)));
+                    (s.degree, array(points))
+                });
+                (kind.meta().range_lock.name(), object(by_degree))
+            })),
+            "retention_floor_at_0" => OVERLAP_RETENTION_FLOOR,
+            "degradation_floor_at_100" => OVERLAP_DEGRADATION_FLOOR,
+            "list_disjoint_retention" => fixed(overlap_report.disjoint_retention, 4),
+            "list_full_overlap_worst_vs_serial" =>
+                fixed(overlap_report.full_overlap_worst_ratio, 4),
+            "passed" => overlap_report.gate.passed(),
+        },
+        "gate" => obj! {
+            "radix_retention_floor" => RADIX_RETENTION_FLOOR,
+            "radix_remote_per_op_ceiling" => RADIX_REMOTE_PER_OP_CEIL,
+            "radix_retention" => fixed(report.radix_retention, 4),
+            "bonsai_retention" => fixed(report.bonsai_retention, 4),
+            "linux_retention" => fixed(report.linux_retention, 4),
+            "radix_remote_per_op" => fixed(report.radix_remote_per_op, 4),
+            "passed" => report.gate.passed(),
+        },
+    };
+    println!("{record}");
+    Gate::enforce(&[&report.gate, &contended_report.gate, &overlap_report.gate]);
     eprintln!(
         "scaling gate passed: radix retention {:.3} at {} cores \
          (bonsai {:.3}, linux {:.3}), {:.3} remote lines/op; \

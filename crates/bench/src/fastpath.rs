@@ -84,8 +84,7 @@ pub fn tree_fault_point(leaf_hints: bool, iters: u64) -> FastpathPoint {
         );
         *g.page_value_mut().expect("mapped") += 1;
     }
-    let hits0 = tree.stats().hint_hits();
-    let misses0 = tree.stats().hint_misses();
+    let before = tree.stats().snapshot();
     let allocs0 = sim::stats().cores[0].heap_allocs;
     let t0 = sim::clock(0);
     for i in 0..iters {
@@ -95,10 +94,11 @@ pub fn tree_fault_point(leaf_hints: bool, iters: u64) -> FastpathPoint {
     }
     let t1 = sim::clock(0);
     let stats = guard.finish();
+    let looked_up = tree.stats().snapshot().since(&before);
     let point = FastpathPoint {
         virt_ns_per_fault: (t1 - t0) as f64 / iters as f64,
-        hint_hits: tree.stats().hint_hits() - hits0,
-        hint_misses: tree.stats().hint_misses() - misses0,
+        hint_hits: looked_up.hint_hits,
+        hint_misses: looked_up.hint_misses,
         heap_allocs: stats.cores[0].heap_allocs - allocs0,
     };
     drop(tree);

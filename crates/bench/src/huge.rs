@@ -22,7 +22,7 @@
 use rvm_hw::{Backing, Machine, MapFlags, Prot, BLOCK_PAGES, PAGE_SIZE};
 use rvm_sync::{sim, CostModel};
 
-use crate::{build, BackendKind};
+use crate::{build, BackendKind, Gate};
 
 /// Virtual-address base of the huge workload (2 MiB aligned, clear of
 /// the other workloads' regions).
@@ -137,15 +137,8 @@ pub struct HugeGateReport {
     pub index_bytes_huge: u64,
     /// Superpage installs observed on the hinted run.
     pub superpage_installs: u64,
-    /// Human-readable failures; empty means the gate passed.
-    pub failures: Vec<String>,
-}
-
-impl HugeGateReport {
-    /// True when every gate condition held.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
+    /// The verdict.
+    pub gate: Gate,
 }
 
 /// Populating a hinted aligned region must take at least this many times
@@ -166,21 +159,21 @@ pub fn check_gate(huge: &HugePoint, four_k: &HugePoint) -> HugeGateReport {
     } else {
         four_k.faults as f64 / huge.faults as f64
     };
-    let mut failures = Vec::new();
+    let mut gate = Gate::new("HUGE-MAPPING");
     if fault_ratio < HUGE_FAULT_RATIO_FLOOR {
-        failures.push(format!(
+        gate.fail(format!(
             "fault ratio {fault_ratio:.1} ({} vs {}) < floor {HUGE_FAULT_RATIO_FLOOR}",
             four_k.faults, huge.faults
         ));
     }
     if huge.index_bytes >= four_k.index_bytes {
-        failures.push(format!(
+        gate.fail(format!(
             "hinted index bytes {} not strictly smaller than 4 KiB {}",
             huge.index_bytes, four_k.index_bytes
         ));
     }
     if huge.superpage_installs == 0 {
-        failures.push("hinted run installed no superpages".into());
+        gate.fail("hinted run installed no superpages");
     }
     HugeGateReport {
         blocks: huge.blocks,
@@ -190,7 +183,7 @@ pub fn check_gate(huge: &HugePoint, four_k: &HugePoint) -> HugeGateReport {
         index_bytes_4k: four_k.index_bytes,
         index_bytes_huge: huge.index_bytes,
         superpage_installs: huge.superpage_installs,
-        failures,
+        gate,
     }
 }
 
@@ -239,15 +232,8 @@ pub struct ConvergeReport {
     pub index_bytes: u64,
     /// Index bytes of the never-demoted baseline.
     pub index_bytes_baseline: u64,
-    /// Human-readable failures; empty means the gate passed.
-    pub failures: Vec<String>,
-}
-
-impl ConvergeReport {
-    /// True when every gate condition held.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
+    /// The verdict.
+    pub gate: Gate,
 }
 
 /// One populate-(demote-converge)-probe run on full RadixVM: two
@@ -334,20 +320,20 @@ fn converge_run(demote: bool, blocks: u64) -> (u64, u64, u64, u64, u64) {
 pub fn run_converge_gate(blocks: u64) -> ConvergeReport {
     let (probe_b, index_b, _, _, _) = converge_run(false, blocks);
     let (probe, index, promotions, demotions, converge_faults) = converge_run(true, blocks);
-    let mut failures = Vec::new();
+    let mut gate = Gate::new("PROMOTION");
     if promotions < blocks {
-        failures.push(format!(
+        gate.fail(format!(
             "only {promotions}/{blocks} demoted blocks promoted back"
         ));
     }
     if (probe as f64) > probe_b as f64 * CONVERGE_RATIO_CEIL {
-        failures.push(format!(
+        gate.fail(format!(
             "post-promotion probe faults {probe} exceed {CONVERGE_RATIO_CEIL}x \
              never-demoted {probe_b}"
         ));
     }
     if (index as f64) > index_b as f64 * CONVERGE_RATIO_CEIL {
-        failures.push(format!(
+        gate.fail(format!(
             "post-promotion index bytes {index} exceed {CONVERGE_RATIO_CEIL}x \
              never-demoted {index_b}"
         ));
@@ -361,7 +347,7 @@ pub fn run_converge_gate(blocks: u64) -> ConvergeReport {
         probe_faults_baseline: probe_b,
         index_bytes: index,
         index_bytes_baseline: index_b,
-        failures,
+        gate,
     }
 }
 
@@ -486,21 +472,21 @@ pub fn shootdown_sweep() -> Vec<ShootdownPoint> {
 
 /// Sanity conditions for the sweep (CI smoke): every point promoted,
 /// and with remote sharers the span protocol beat per-page pricing.
-pub fn check_sweep(points: &[ShootdownPoint]) -> Vec<String> {
-    let mut failures = Vec::new();
+pub fn check_sweep(points: &[ShootdownPoint]) -> Gate {
+    let mut gate = Gate::new("SHOOTDOWN SWEEP");
     for p in points {
         if p.promotions == 0 {
-            failures.push(format!("{} sharers: no promotion", p.sharers));
+            gate.fail(format!("{} sharers: no promotion", p.sharers));
         }
         if p.sharers > 1 && p.span_ipis >= p.per_page_ipis {
-            failures.push(format!(
+            gate.fail(format!(
                 "{} sharers: span shootdown sent {} IPIs, not fewer than \
                  per-page {}",
                 p.sharers, p.span_ipis, p.per_page_ipis
             ));
         }
     }
-    failures
+    gate
 }
 
 #[cfg(test)]
@@ -513,11 +499,7 @@ mod tests {
     #[test]
     fn huge_mapping_gate() {
         let report = run_gate(2);
-        assert!(
-            report.passed(),
-            "huge-mapping gate failed:\n  {}",
-            report.failures.join("\n  ")
-        );
+        assert!(report.gate.passed(), "{}", report.gate);
         // The ratio is not marginal: one fault per block.
         assert_eq!(report.faults_huge, report.blocks);
         assert_eq!(report.faults_4k, report.blocks * BLOCK_PAGES);
@@ -556,11 +538,7 @@ mod tests {
     #[test]
     fn promotion_gate() {
         let report = run_converge_gate(2);
-        assert!(
-            report.passed(),
-            "promotion gate failed:\n  {}",
-            report.failures.join("\n  ")
-        );
+        assert!(report.gate.passed(), "{}", report.gate);
         assert_eq!(report.demotions, report.blocks);
         assert_eq!(report.promotions, report.blocks);
         // The probe is not marginal: one fault per block on both sides.
@@ -571,8 +549,8 @@ mod tests {
     fn shootdown_sweep_spans_beat_per_page() {
         let points = shootdown_sweep();
         assert_eq!(points.len(), 5);
-        let failures = check_sweep(&points);
-        assert!(failures.is_empty(), "{}", failures.join("\n"));
+        let gate = check_sweep(&points);
+        assert!(gate.passed(), "{gate}");
         // Background cores never stall: every disjoint fault completed.
         for p in &points {
             assert_eq!(

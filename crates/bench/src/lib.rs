@@ -24,6 +24,7 @@ use rvm_sync::{sim, CostModel, SimStats};
 
 pub mod fastpath;
 pub mod huge;
+pub mod json;
 pub mod layouts;
 pub mod numa;
 pub mod pressure;
@@ -35,6 +36,57 @@ pub mod workloads;
 // re-exports it so bench code and downstream users construct every VM
 // through one seam.
 pub use rvm_backend::{build, BackendKind, BackendMeta, ShootdownPolicy};
+
+/// The verdict of one named acceptance gate: what it found wrong.
+#[derive(Clone, Debug)]
+pub struct Gate {
+    /// What the gate guards, as its failure heading names it.
+    pub name: &'static str,
+    /// Human-readable failures; empty means the gate passed.
+    pub failures: Vec<String>,
+}
+
+impl Gate {
+    /// A gate that has found nothing wrong yet.
+    pub fn new(name: &'static str) -> Gate {
+        Gate {
+            name,
+            failures: Vec::new(),
+        }
+    }
+
+    /// Records one failed condition.
+    pub fn fail(&mut self, what: impl Into<String>) {
+        self.failures.push(what.into());
+    }
+
+    /// True when every condition held.
+    pub fn passed(&self) -> bool {
+        self.failures.is_empty()
+    }
+
+    /// The one exit path of the `bench_*` binaries, after the record is
+    /// printed: lists every failed gate on stderr and exits non-zero, so
+    /// a CI smoke step fails loudly.
+    pub fn enforce(gates: &[&Gate]) {
+        let failed: Vec<_> = gates.iter().filter(|g| !g.passed()).collect();
+        for gate in &failed {
+            eprintln!("{gate}");
+        }
+        if !failed.is_empty() {
+            std::process::exit(1);
+        }
+    }
+}
+
+/// The failure heading and one indented line per failure (what
+/// [`Gate::enforce`] prints, and a test's panic message).
+impl std::fmt::Display for Gate {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} GATE FAILED:", self.name)?;
+        self.failures.iter().try_for_each(|x| write!(f, "\n  {x}"))
+    }
+}
 
 /// One measured point of a scalability sweep.
 #[derive(Clone, Debug)]

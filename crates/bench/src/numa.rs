@@ -27,7 +27,7 @@ use std::sync::Arc;
 use rvm_hw::{Machine, MachineConfig, PlacementPolicy};
 use rvm_sync::{sim, CostModel, Topology};
 
-use crate::{build, run_sim_collect, workloads, BackendKind};
+use crate::{build, run_sim_collect, workloads, BackendKind, Gate};
 
 /// Workloads the NUMA sweep drives (on the Radix backend).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -199,15 +199,8 @@ pub struct NumaReport {
     pub replicate_index_cross: u64,
     /// Labels with non-zero cross-node traffic in the contended run.
     pub contended_labels: usize,
-    /// Human-readable failures; empty means the gate passed.
-    pub failures: Vec<String>,
-}
-
-impl NumaReport {
-    /// True when every condition held.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
+    /// The verdict.
+    pub gate: Gate,
 }
 
 /// Evaluates the three NUMA gate conditions from measured points.
@@ -218,7 +211,7 @@ pub fn check_numa(
     churn_rep: &NumaPoint,
     contended: &NumaPoint,
 ) -> NumaReport {
-    let mut failures = Vec::new();
+    let mut gate = Gate::new("NUMA");
     let il = disjoint_il.ops_per_sec();
     let ft_over_interleave = if il > 0.0 {
         disjoint_ft.ops_per_sec() / il
@@ -226,14 +219,14 @@ pub fn check_numa(
         0.0
     };
     if ft_over_interleave < FT_OVER_INTERLEAVE_FLOOR {
-        failures.push(format!(
+        gate.fail(format!(
             "first-touch is only {ft_over_interleave:.3}x interleave on disjoint ops at \
              {} nodes < floor {FT_OVER_INTERLEAVE_FLOOR}",
             disjoint_ft.nnodes
         ));
     }
     if churn_rep.index_cross >= churn_ft.index_cross {
-        failures.push(format!(
+        gate.fail(format!(
             "replicate-read-only moved {} cross-node radix-index lines vs first-touch's {} \
              on index churn — replication did not cut index traffic",
             churn_rep.index_cross, churn_ft.index_cross
@@ -245,7 +238,7 @@ pub fn check_numa(
         .filter(|(_, m)| m.iter().any(|&v| v > 0))
         .count();
     if contended_labels == 0 {
-        failures.push(
+        gate.fail(
             "contended workload produced no cross-node transfer attribution (labels empty)"
                 .to_string(),
         );
@@ -257,7 +250,7 @@ pub fn check_numa(
         ft_index_cross: churn_ft.index_cross,
         replicate_index_cross: churn_rep.index_cross,
         contended_labels,
-        failures,
+        gate,
     }
 }
 
@@ -335,11 +328,7 @@ mod tests {
     #[test]
     fn numa_placement_gate() {
         let report = run_numa_gate(8, 3_000_000);
-        assert!(
-            report.passed(),
-            "NUMA gate failed:\n  {}",
-            report.failures.join("\n  ")
-        );
+        assert!(report.gate.passed(), "{}", report.gate);
     }
 
     /// `nnodes = 1` degenerates to the flat model: no cross-node

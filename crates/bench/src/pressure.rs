@@ -29,7 +29,7 @@ use rvm_hw::{
 };
 use rvm_sync::{CostModel, Topology};
 
-use crate::{build, run_sim, BackendKind};
+use crate::{build, run_sim, BackendKind, Gate};
 
 /// Frame-table cap for every pressure run: small enough that the
 /// pre-fill reaches real exhaustion quickly, large enough that the
@@ -174,8 +174,7 @@ pub fn pressure_point(ncores: usize, utilization_pct: u64, duration_ns: u64) -> 
             })
         },
     );
-    let pool = machine.pool().stats();
-    let op = vm.op_stats();
+    let pool = machine.pool().stats().since(&base_pool);
     PressurePoint {
         cores: ncores,
         utilization_pct,
@@ -184,9 +183,9 @@ pub fn pressure_point(ncores: usize, utilization_pct: u64, duration_ns: u64) -> 
         ops: point.units,
         virt_ns: point.virt_ns,
         oom_stalls: stalls.load(Ordering::Relaxed),
-        reclaim_drains: pool.reclaim_drains - base_pool.reclaim_drains,
-        remote_steals: pool.remote_steals - base_pool.remote_steals,
-        oom_faults: op.oom_faults - base_op.oom_faults,
+        reclaim_drains: pool.reclaim_drains,
+        remote_steals: pool.remote_steals,
+        oom_faults: vm.op_stats().since(&base_op).oom_faults,
     }
 }
 
@@ -240,15 +239,8 @@ pub struct PressureReport {
     pub block_fallbacks: u64,
     /// OOM faults on the fragmentation run (must be 0).
     pub frag_oom_faults: u64,
-    /// Human-readable failures; empty means the gate passed.
-    pub failures: Vec<String>,
-}
-
-impl PressureReport {
-    /// True when every condition held.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
+    /// The verdict.
+    pub gate: Gate,
 }
 
 /// Evaluates the pressure gate from measured points.
@@ -257,12 +249,12 @@ pub fn check_pressure(
     pressured: &PressurePoint,
     frag: &FragmentationPoint,
 ) -> PressureReport {
-    let mut failures = Vec::new();
+    let mut gate = Gate::new("PRESSURE");
     if baseline.ops == 0 {
-        failures.push("baseline run made no progress".to_string());
+        gate.fail("baseline run made no progress");
     }
     if pressured.ops == 0 {
-        failures.push("pressured run made no progress".to_string());
+        gate.fail("pressured run made no progress");
     }
     let base = baseline.ops_per_sec();
     let ratio = if base > 0.0 {
@@ -271,28 +263,28 @@ pub fn check_pressure(
         0.0
     };
     if ratio < PRESSURE_THROUGHPUT_FLOOR {
-        failures.push(format!(
+        gate.fail(format!(
             "throughput at {}% utilization is only {ratio:.3}x the unpressured baseline \
              < floor {PRESSURE_THROUGHPUT_FLOOR}",
             pressured.utilization_pct
         ));
     }
     if frag.block_fallbacks == 0 {
-        failures.push(
+        gate.fail(
             "fragmented huge-page run recorded no block fallbacks — the squeeze never \
              exercised the degradation path"
                 .to_string(),
         );
     }
     if frag.oom_faults != 0 {
-        failures.push(format!(
+        gate.fail(format!(
             "fragmented huge-page run surfaced {} OOM faults — fallback must succeed, \
              not fail",
             frag.oom_faults
         ));
     }
     if frag.superpage_installs != 0 {
-        failures.push(format!(
+        gate.fail(format!(
             "fragmented run installed {} superpages with headroom below one block",
             frag.superpage_installs
         ));
@@ -302,7 +294,7 @@ pub fn check_pressure(
         pressured_over_baseline: ratio,
         block_fallbacks: frag.block_fallbacks,
         frag_oom_faults: frag.oom_faults,
-        failures,
+        gate,
     }
 }
 
@@ -339,11 +331,7 @@ mod tests {
     #[test]
     fn pressure_gate() {
         let report = run_pressure_gate(4, 2_000_000);
-        assert!(
-            report.passed(),
-            "pressure gate failed:\n  {}",
-            report.failures.join("\n  ")
-        );
+        assert!(report.gate.passed(), "{}", report.gate);
     }
 
     /// The 90% point actually runs *pressured*: the pre-fill holds 90%

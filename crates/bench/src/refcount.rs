@@ -24,7 +24,7 @@ use rvm_core::RadixVm;
 use rvm_hw::{Backing, Machine, Prot, PAGE_SIZE};
 use rvm_sync::{sim, CostModel};
 
-use crate::{build, BackendKind};
+use crate::{build, BackendKind, Gate};
 
 /// Pages in the cold-populate region.
 const COLD_PAGES: u64 = 1024;
@@ -174,41 +174,40 @@ pub fn run_refcount(attribution_cores: usize, attribution_ns: u64) -> RefcountRe
     }
 }
 
-/// Evaluates the zero-allocation ownership gate; returns failures
-/// (empty = pass).
-pub fn check_gate(r: &RefcountReport) -> Vec<String> {
-    let mut failures = Vec::new();
+/// Evaluates the zero-allocation ownership gate.
+pub fn check_gate(r: &RefcountReport) -> Gate {
+    let mut gate = Gate::new("REFCOUNT OWNERSHIP");
     if r.cold_faults < COLD_PAGES {
-        failures.push(format!(
+        gate.fail(format!(
             "expected {COLD_PAGES} cold faults, measured {}",
             r.cold_faults
         ));
     }
     if r.cold_refcache_obj_allocs != 0 {
-        failures.push(format!(
+        gate.fail(format!(
             "cold fault path allocated {} Refcache heap objects (must be 0)",
             r.cold_refcache_obj_allocs
         ));
     }
     if r.cold_heap_allocs != 0 {
-        failures.push(format!(
+        gate.fail(format!(
             "cold fault path charged {} heap allocations (must be 0)",
             r.cold_heap_allocs
         ));
     }
     if r.warm_heap_allocs != 0 {
-        failures.push(format!(
+        gate.fail(format!(
             "warm fault path charged {} heap allocations (must be 0)",
             r.warm_heap_allocs
         ));
     }
     if r.slot_balance_after_teardown != 0 {
-        failures.push(format!(
+        gate.fail(format!(
             "{} frame-table activations never released (ownership leak)",
             r.slot_balance_after_teardown
         ));
     }
-    failures
+    gate
 }
 
 #[cfg(test)]
@@ -221,12 +220,8 @@ mod tests {
     #[test]
     fn fault_path_owns_frames_through_the_table_allocation_free() {
         let report = run_refcount(4, 1_500_000);
-        let failures = check_gate(&report);
-        assert!(
-            failures.is_empty(),
-            "refcount ownership gate failed:\n  {}",
-            failures.join("\n  ")
-        );
+        let gate = check_gate(&report);
+        assert!(gate.passed(), "{gate}");
         assert!(report.slot_activates >= report.cold_faults);
         assert_eq!(report.warm_faults, WARM_ITERS);
         // The attribution run must know about the frame-table category

@@ -26,7 +26,7 @@ use rvm_hw::Machine;
 use rvm_sync::CostModel;
 
 use crate::workloads;
-use crate::{build, run_sim, BackendKind};
+use crate::{build, run_sim, BackendKind, Gate};
 
 /// One measured point of the disjoint-ops sweep.
 #[derive(Clone, Debug)]
@@ -142,15 +142,8 @@ pub struct GateReport {
     pub linux_retention: f64,
     /// RadixVM's worst remote-line-transfers-per-op over the sweep.
     pub radix_remote_per_op: f64,
-    /// Human-readable failures; empty means the gate passed.
-    pub failures: Vec<String>,
-}
-
-impl GateReport {
-    /// True when every gate condition held.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
+    /// The verdict.
+    pub gate: Gate,
 }
 
 /// RadixVM must retain at least this fraction of its 1-core per-core
@@ -185,26 +178,26 @@ pub fn check_gate(radix: &[ScalePoint], bonsai: &[ScalePoint], linux: &[ScalePoi
         .iter()
         .map(ScalePoint::remote_per_op)
         .fold(0.0, f64::max);
-    let mut failures = Vec::new();
+    let mut gate = Gate::new("SCALING");
     if radix_retention < RADIX_RETENTION_FLOOR {
-        failures.push(format!(
+        gate.fail(format!(
             "radix per-core retention {radix_retention:.3} at {max_cores} cores \
              < floor {RADIX_RETENTION_FLOOR}"
         ));
     }
     if radix_remote_per_op > RADIX_REMOTE_PER_OP_CEIL {
-        failures.push(format!(
+        gate.fail(format!(
             "radix remote line transfers per op peak at {radix_remote_per_op:.3} \
              > ceiling {RADIX_REMOTE_PER_OP_CEIL} (not O(1))"
         ));
     }
     if radix_retention <= bonsai_retention {
-        failures.push(format!(
+        gate.fail(format!(
             "radix retention {radix_retention:.3} does not beat bonsai {bonsai_retention:.3}"
         ));
     }
     if radix_retention <= linux_retention {
-        failures.push(format!(
+        gate.fail(format!(
             "radix retention {radix_retention:.3} does not beat linux {linux_retention:.3}"
         ));
     }
@@ -214,7 +207,7 @@ pub fn check_gate(radix: &[ScalePoint], bonsai: &[ScalePoint], linux: &[ScalePoi
         bonsai_retention,
         linux_retention,
         radix_remote_per_op,
-        failures,
+        gate,
     }
 }
 
@@ -276,15 +269,8 @@ pub struct ContendedReport {
     pub worst_ratio: f64,
     /// Worst remote-line-transfers-per-op over the sweep.
     pub worst_remote_per_op: f64,
-    /// Human-readable failures; empty means the gate passed.
-    pub failures: Vec<String>,
-}
-
-impl ContendedReport {
-    /// True when the gate held.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
+    /// The verdict.
+    pub gate: Gate,
 }
 
 /// Evaluates graceful degradation over a contended sweep (first point
@@ -293,29 +279,29 @@ pub fn check_contended(radix: &[ScalePoint]) -> ContendedReport {
     let max_cores = radix.last().map(|p| p.cores).unwrap_or(0);
     let serial = radix.first().map(ScalePoint::ops_per_sec).unwrap_or(0.0);
     let mut worst_ratio = f64::INFINITY;
-    let mut failures = Vec::new();
+    let mut gate = Gate::new("CONTENDED-RANGE");
     // The ratios below are meaningless against anything but a 1-core
     // serial baseline (RVM_CORES can reorder or trim the sweep).
     if radix.first().map(|p| p.cores) != Some(1) {
-        failures.push(format!(
+        gate.fail(format!(
             "contended sweep must start at 1 core (serial baseline), got {:?}",
             radix.first().map(|p| p.cores)
         ));
     }
     if serial <= 0.0 {
-        failures.push("no serial baseline point".to_string());
+        gate.fail("no serial baseline point");
         return ContendedReport {
             max_cores,
             worst_ratio: 0.0,
             worst_remote_per_op: 0.0,
-            failures,
+            gate,
         };
     }
     for p in &radix[1..] {
         let ratio = p.ops_per_sec() / serial;
         worst_ratio = worst_ratio.min(ratio);
         if ratio < CONTENDED_DEGRADATION_FLOOR {
-            failures.push(format!(
+            gate.fail(format!(
                 "contended throughput at {} cores is {:.3}x the serial rate \
                  < floor {CONTENDED_DEGRADATION_FLOOR} (collapse, not degradation)",
                 p.cores, ratio
@@ -327,7 +313,7 @@ pub fn check_contended(radix: &[ScalePoint]) -> ContendedReport {
         .map(ScalePoint::remote_per_op)
         .fold(0.0, f64::max);
     if worst_remote_per_op > CONTENDED_REMOTE_PER_OP_CEIL {
-        failures.push(format!(
+        gate.fail(format!(
             "contended remote line transfers per op peak at {worst_remote_per_op:.3} \
              > ceiling {CONTENDED_REMOTE_PER_OP_CEIL}"
         ));
@@ -339,7 +325,7 @@ pub fn check_contended(radix: &[ScalePoint]) -> ContendedReport {
         max_cores,
         worst_ratio,
         worst_remote_per_op,
-        failures,
+        gate,
     }
 }
 
@@ -418,15 +404,8 @@ pub struct OverlapReport {
     pub disjoint_retention: f64,
     /// Worst total-throughput ratio vs. 1 core at 100 % overlap.
     pub full_overlap_worst_ratio: f64,
-    /// Human-readable failures; empty means the gate passed.
-    pub failures: Vec<String>,
-}
-
-impl OverlapReport {
-    /// True when every gate condition held.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
+    /// The verdict.
+    pub gate: Gate,
 }
 
 /// Evaluates the overlap gate over one backend's degree sweeps: the
@@ -435,7 +414,7 @@ impl OverlapReport {
 /// degrade gracefully (every multicore point ≥
 /// [`OVERLAP_DEGRADATION_FLOOR`] × the 1-core rate).
 pub fn check_overlap(sweeps: &[OverlapSweep]) -> OverlapReport {
-    let mut failures = Vec::new();
+    let mut gate = Gate::new("OVERLAP");
     let mut max_cores = 0;
     let mut disjoint_retention = 0.0;
     let mut full_overlap_worst_ratio: f64 = 1.0;
@@ -444,25 +423,25 @@ pub fn check_overlap(sweeps: &[OverlapSweep]) -> OverlapReport {
             max_cores = s.points.last().map(|p| p.cores).unwrap_or(0);
             disjoint_retention = retention(&s.points);
             if disjoint_retention < OVERLAP_RETENTION_FLOOR {
-                failures.push(format!(
+                gate.fail(format!(
                     "0%-overlap per-core retention {disjoint_retention:.3} at {max_cores} \
                      cores < floor {OVERLAP_RETENTION_FLOOR}"
                 ));
             }
         }
-        None => failures.push("sweep is missing the 0%-overlap degree".to_string()),
+        None => gate.fail("sweep is missing the 0%-overlap degree"),
     }
     match sweeps.iter().find(|s| s.degree == 100) {
         Some(s) => {
             let serial = s.points.first().map(ScalePoint::ops_per_sec).unwrap_or(0.0);
             if s.points.first().map(|p| p.cores) != Some(1) || serial <= 0.0 {
-                failures.push("100%-overlap sweep lacks a 1-core serial baseline".to_string());
+                gate.fail("100%-overlap sweep lacks a 1-core serial baseline");
             } else {
                 for p in &s.points[1..] {
                     let ratio = p.ops_per_sec() / serial;
                     full_overlap_worst_ratio = full_overlap_worst_ratio.min(ratio);
                     if ratio < OVERLAP_DEGRADATION_FLOOR {
-                        failures.push(format!(
+                        gate.fail(format!(
                             "100%-overlap throughput at {} cores is {ratio:.3}x the serial \
                              rate < floor {OVERLAP_DEGRADATION_FLOOR} (collapse)",
                             p.cores
@@ -471,13 +450,13 @@ pub fn check_overlap(sweeps: &[OverlapSweep]) -> OverlapReport {
                 }
             }
         }
-        None => failures.push("sweep is missing the 100%-overlap degree".to_string()),
+        None => gate.fail("sweep is missing the 100%-overlap degree"),
     }
     OverlapReport {
         max_cores,
         disjoint_retention,
         full_overlap_worst_ratio,
-        failures,
+        gate,
     }
 }
 
@@ -514,11 +493,7 @@ mod tests {
     #[test]
     fn disjoint_ops_scaling_gate() {
         let report = run_gate(&[1, 8], 4_000_000);
-        assert!(
-            report.passed(),
-            "scalability gate failed:\n  {}",
-            report.failures.join("\n  ")
-        );
+        assert!(report.gate.passed(), "{}", report.gate);
         // The separation must be qualitative, not marginal: the
         // serialized baselines lose most of their per-core throughput.
         assert!(
@@ -547,11 +522,7 @@ mod tests {
             "no progress under contention"
         );
         let report = check_contended(&sweep);
-        assert!(
-            report.passed(),
-            "contended degradation gate failed:\n  {}",
-            report.failures.join("\n  ")
-        );
+        assert!(report.gate.passed(), "{}", report.gate);
     }
 
     /// The overlap-degree gate at its extremes, on the List substrate:
@@ -565,11 +536,7 @@ mod tests {
             "no progress in an overlap sweep"
         );
         let report = check_overlap(&sweeps);
-        assert!(
-            report.passed(),
-            "overlap gate failed:\n  {}",
-            report.failures.join("\n  ")
-        );
+        assert!(report.gate.passed(), "{}", report.gate);
     }
 
     /// Both range-lock substrates must agree on correctness under full

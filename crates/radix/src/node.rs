@@ -432,11 +432,6 @@ mod tests {
         for (name, word, was) in pinned {
             assert_eq!(word, was, "{name}");
         }
-        let mut visited = Vec::new();
-        S::default().visit(|name, _| {
-            visited.push(name);
-        });
-        assert_eq!(visited, pinned.map(|(name, ..)| name), "`visit` order");
     }
 
     #[test]

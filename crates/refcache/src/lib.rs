@@ -797,13 +797,6 @@ mod tests {
         for (name, word, was) in pinned {
             assert_eq!(word, was, "{name}");
         }
-        let mut visited = Vec::new();
-        S::default().visit(|name, _| {
-            if name != "epoch" {
-                visited.push(name);
-            }
-        });
-        assert_eq!(visited, pinned.map(|(name, ..)| name), "`visit` order");
     }
 
     /// Test payload that counts drops and release callbacks.

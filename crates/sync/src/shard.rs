@@ -223,7 +223,7 @@ impl<S, const K: usize> ShardedStats<S, K> {
 /// cells.add(1, CacheStats::evictions, 3);
 /// let now = CacheStats { resident: 1, ..cells.snapshot() };
 /// assert_eq!((now.hits, now.evictions, cells.evictions()), (1, 5, 5));
-/// assert_eq!(now.since(&before), CacheStats { hits: 0, evictions: 3, resident: 1 });
+/// assert_eq!(now.since(&before), CacheStats { hits: 0, evictions: 3, resident: 0 });
 /// let mut names = Vec::new();
 /// now.visit(|name, _| names.push(name));
 /// assert_eq!(names, ["hits", "evictions", "resident"]);
@@ -235,7 +235,7 @@ impl<S, const K: usize> ShardedStats<S, K> {
 ///
 /// * the snapshot struct (every field a `pub u64`; `Debug`, `Default`,
 ///   `Clone`, `Copy`, `PartialEq`, `Eq`), with `since(&earlier)` — the
-///   counters' difference, gauges as they read now — and
+///   counters' difference; gauges zero, a difference has no level — and
 ///   `visit(|name, value|)` in declaration order;
 /// * a [`Field`] token per cell, as an associated constant of the
 ///   snapshot struct named like the field and as visible as the cells
@@ -249,49 +249,22 @@ impl<S, const K: usize> ShardedStats<S, K> {
 /// the locked data:
 ///
 /// ```compile_fail,E0308
-/// # use rvm_sync::sharded_stats;
-/// # sharded_stats! {
-/// #     /// s
-/// #     pub struct S {
-/// #         /// f
-/// #         hits: Exclusive<Vec<u64>>,
-/// #     }
-/// #     /// c
-/// #     pub struct C;
-/// # }
+/// # rvm_sync::sharded_stats! { pub struct S { hits: Exclusive<Vec<u64>> } pub struct C; }
 /// C::new(1).add(0, S::hits, 1); // `add` is the atomic bump: `Shared` only
 /// ```
 ///
 /// nor with another lock's data:
 ///
 /// ```compile_fail,E0308
-/// # use rvm_sync::{sharded_stats, SpinLock};
-/// # sharded_stats! {
-/// #     /// s
-/// #     pub struct S {
-/// #         /// f
-/// #         hits: Exclusive<Vec<u64>>,
-/// #     }
-/// #     /// c
-/// #     pub struct C;
-/// # }
-/// let other = SpinLock::new(0u64);
+/// # rvm_sync::sharded_stats! { pub struct S { hits: Exclusive<Vec<u64>> } pub struct C; }
+/// let other = rvm_sync::SpinLock::new(0u64);
 /// C::new(1).add_held(0, S::hits, &other.lock(), 1); // guards a `u64`, not the `Vec<u64>`
 /// ```
 ///
 /// nor from a site that does not even know its core:
 ///
 /// ```compile_fail,E0308
-/// # use rvm_sync::sharded_stats;
-/// # sharded_stats! {
-/// #     /// s
-/// #     pub struct S {
-/// #         /// f
-/// #         hits: Exclusive<Vec<u64>>,
-/// #     }
-/// #     /// c
-/// #     pub struct C;
-/// # }
+/// # rvm_sync::sharded_stats! { pub struct S { hits: Exclusive<Vec<u64>> } pub struct C; }
 /// C::new(1).add_here(S::hits, 1); // no core in scope, so no core's lock held
 /// ```
 #[macro_export]
@@ -340,14 +313,11 @@ macro_rules! sharded_stats {
                 })*
 
                 /// What was counted since `earlier`: every counter's
-                /// (wrapping) difference, every gauge as it reads now.
+                /// (wrapping) difference, every gauge zero.
                 $snap_vis fn since(&self, earlier: &Self) -> Self {
                     $Snap {
-                        $($field: if $crate::sharded_stats!(@words $kind) == 1 {
-                            self.$field.wrapping_sub(earlier.$field)
-                        } else {
-                            self.$field
-                        },)*
+                        $($field: $crate::sharded_stats!(@words $kind) as u64
+                            * self.$field.wrapping_sub(earlier.$field),)*
                     }
                 }
 
@@ -491,9 +461,9 @@ mod tests {
             seen,
             [
                 ("plain", 4),
-                ("level", 2),
+                ("level", 0),
                 ("locked", 0),
-                ("depth", 7),
+                ("depth", 0),
                 ("net", 1)
             ]
         );

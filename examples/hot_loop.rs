@@ -6,6 +6,8 @@
 //! machine, one host thread each — one by default, and two or more to see
 //! what the streams cost each other (`shared` is the workload whose
 //! streams meet). `metis` is whole one-worker jobs. Beside ops/s it prints
+//! every counter of the machine, the address space, the frame pool and
+//! Refcache that moved, per op, and
 //! the footprint: the frames the pool still has handed out when the
 //! streams stop (mapped, or unmapped and waiting out their Refcache
 //! epochs) and the process's peak resident set.
@@ -19,7 +21,11 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use ops::{Kind, Ops};
+use radixvm::core_vm::RadixVm;
+use radixvm::hw::{Machine, MachineStats, OpStats, VmSystem};
+use radixvm::mem::PoolStats;
 use radixvm::metis::{run_to_completion, Metis, MetisConfig, VmArena};
+use radixvm::refcache::RefcacheStats;
 
 /// Restricts the calling thread to one CPU, counting down from the last
 /// one it is allowed on (best effort; Linux only) — the benchmark's
@@ -74,10 +80,26 @@ fn peak_rss_mib() -> Option<f64> {
     Some(kib / 1024.0)
 }
 
+/// Every counter of the stack at once: machine, address space, frame
+/// pool, Refcache.
+fn counters(
+    machine: &Machine,
+    vm: &dyn VmSystem,
+) -> (MachineStats, OpStats, PoolStats, RefcacheStats) {
+    let radix = vm.as_any().downcast_ref::<RadixVm>();
+    let cache = radix.expect("ops::machine builds a RadixVm").cache();
+    (
+        machine.stats(),
+        vm.op_stats(),
+        machine.pool().stats(),
+        cache.stats(),
+    )
+}
+
 /// Runs `threads` streams of `kind`, one pinned host thread each, until
 /// `budget` has passed; returns the ops done and the seconds they took,
-/// and prints what an op cost in TLB lookups, faults and IPIs and what
-/// the pool has outstanding at the end.
+/// and prints every counter that moved, per op, and what the pool has
+/// outstanding at the end.
 fn spin(kind: Kind, budget: Duration, threads: usize) -> (u64, f64) {
     let (machine, vm) = ops::machine(threads);
     let mut streams: Vec<Ops> = (0..threads)
@@ -88,7 +110,7 @@ fn spin(kind: Kind, budget: Duration, threads: usize) -> (u64, f64) {
             o.op();
         }
     }
-    let (hw0, vm0) = (machine.stats(), vm.op_stats());
+    let (hw0, vm0, pool0, rc0) = counters(&machine, &*vm);
     let stop = AtomicBool::new(false);
     let start = Barrier::new(threads + 1);
     let (ops, dt) = std::thread::scope(|s| {
@@ -121,16 +143,19 @@ fn spin(kind: Kind, budget: Duration, threads: usize) -> (u64, f64) {
             .sum();
         (ops, t0.elapsed().as_secs_f64())
     });
-    let (hw, vm) = (machine.stats(), vm.op_stats());
-    let per_op = |n: u64| n as f64 / ops as f64;
-    println!(
-        "per op: {:.2} TLB hits, {:.2} misses, {:.3} alloc faults, {:.3} fill faults, {:.3} IPIs",
-        per_op(hw.tlb_hits - hw0.tlb_hits),
-        per_op(hw.tlb_misses - hw0.tlb_misses),
-        per_op(vm.faults_alloc - vm0.faults_alloc),
-        per_op(vm.faults_fill - vm0.faults_fill),
-        per_op(hw.shootdown_ipis - hw0.shootdown_ipis),
-    );
+    let (hw, vm, pool, rc) = counters(&machine, &*vm);
+    println!("per op:");
+    let per_op = |layer: &'static str| {
+        move |name, n: u64| {
+            if n != 0 {
+                println!("  {layer}.{name}: {:.3}", n as f64 / ops as f64);
+            }
+        }
+    };
+    hw.since(&hw0).visit(per_op("machine"));
+    vm.since(&vm0).visit(per_op("vm"));
+    pool.since(&pool0).visit(per_op("pool"));
+    rc.since(&rc0).visit(per_op("refcache"));
     let outstanding = machine.pool().outstanding_frames();
     println!(
         "at exit: {outstanding} frames outstanding in the pool ({:.1} MiB)",
