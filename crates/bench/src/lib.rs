@@ -19,6 +19,18 @@
 //! | `fig9_tlb` | Figure 9 — per-core vs shared page tables |
 //! | `table1_loc` | Table 1 — component sizes |
 //! | `table2_memory` | Table 2 — address-space metadata memory |
+//!
+//! Six more binaries write the checked-in perf records, `BENCH_*.json`
+//! at the repository root: `bench_fastpath`, `bench_scale`, `bench_huge`,
+//! `bench_refcount`, `bench_numa`, `bench_pressure`. Each measures
+//! through its module here, builds the record as one [`json`] value,
+//! prints it once, and leaves through [`Gate::enforce`] — non-zero when
+//! an acceptance gate failed. `scripts/bench_record.sh` regenerates the
+//! files; its `--check` re-runs all six against them instead: fastpath,
+//! huge, refcount and pressure value by value (virtual time within
+//! 0.1 %), scale and numa — whose values follow the heap layout — by the
+//! key paths and types of their scalars. CI runs it, so a refactor that
+//! renames, re-nests, re-rounds or moves a number does not pass as one.
 
 use rvm_sync::{sim, CostModel, SimStats};
 
