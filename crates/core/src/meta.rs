@@ -14,7 +14,7 @@
 //!
 //! Frame ownership is a plain [`FrameRef`] handle: the reference count
 //! lives in the frame table's embedded Refcache cell
-//! (`FramePool::retain_page` / `retain_block`, DESIGN.md §8), so
+//! ([`rvm_mem::FramePool::retain`], DESIGN.md §8), so
 //! carrying, duplicating (fork), and dropping a frame reference never
 //! touches the heap. There is no per-fault ownership object anymore —
 //! the table *is* the authority.
@@ -127,8 +127,8 @@ mod tests {
         let pool = FramePool::new(1);
         let cache = Refcache::new(1);
         let pfn = pool.alloc(0);
-        let r = pool.retain_page(&cache, 0, pfn, 1);
-        pool.ref_dec(&cache, 0, r);
+        let r = pool.retain(&cache, 0, pfn, 0, 1);
+        pool.ref_adjust(&cache, 0, r, -1);
         cache.quiesce();
         // The frame is back on core 0's free list.
         let again = pool.alloc(0);
@@ -152,11 +152,11 @@ mod tests {
         let cache = Refcache::new(1);
         let base = pool.alloc_block(0, BLOCK_ORDER);
         let mut m = PageMeta::new(Backing::Anon, Prot::RW);
-        m.block = Some(pool.retain_block(&cache, 0, base, BLOCK_ORDER, 1));
+        m.block = Some(pool.retain(&cache, 0, base, BLOCK_ORDER, 1));
         let vpn_base = 7 * BLOCK_PAGES as u64; // virtually aligned
         assert_eq!(m.frame_for(vpn_base), Some(base));
         assert_eq!(m.frame_for(vpn_base + 17), Some(base + 17));
-        pool.ref_dec(&cache, 0, m.block.take().unwrap());
+        pool.ref_adjust(&cache, 0, m.block.take().unwrap(), -1);
         cache.quiesce();
         assert_eq!(pool.outstanding_frames(), 0);
     }

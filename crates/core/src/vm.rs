@@ -32,7 +32,7 @@ use rvm_hw::{
     VmSystem, Vpn, BLOCK_PAGES, SPAN_PAGES, VA_LIMIT,
 };
 use rvm_mem::{FrameRef, Pfn};
-use rvm_radix::{LockMode, RadixConfig, RadixTree, RangeGuard, Removed, RemovedList, VPN_LIMIT};
+use rvm_radix::{LockMode, RadixConfig, RadixTree, RangeGuard, RemovedList, VPN_LIMIT};
 use rvm_refcache::Refcache;
 use rvm_sync::atomic::AtomicCoreSet;
 use rvm_sync::{failpoint, sim, CoreSet, InlineVec, RangeLockKind};
@@ -225,6 +225,16 @@ impl RadixVm {
         }
     }
 
+    /// One zeroed frame for a 4 KiB fault on `core`. Exhaustion is
+    /// counted and becomes the fault's error; the caller has installed
+    /// nothing yet, so it unwinds exactly (DESIGN.md §11).
+    fn fault_frame(&self, core: usize) -> VmResult<Pfn> {
+        self.machine.pool().try_alloc(core).map_err(|e| {
+            self.stats.add(core, OpStats::oom_faults, 1);
+            e.into()
+        })
+    }
+
     /// Radix-tree statistics (node counts, expansions, collapses).
     pub fn tree_stats(&self) -> &rvm_radix::TreeStats {
         self.tree.stats()
@@ -242,6 +252,21 @@ impl RadixVm {
         }
     }
 
+    /// Clears the page tables over `runs` in every core of `tracked` and
+    /// shoots down `lo..lo+n` in the TLBs that cached any of it: one
+    /// shootdown round for the whole operation, however many runs.
+    fn revoke(&self, core: usize, lo: Vpn, n: u64, runs: &Runs, tracked: CoreSet) {
+        if runs.is_empty() {
+            return;
+        }
+        let attached = self.attached_for_mmu();
+        let mut targets = CoreSet::EMPTY;
+        for (start, len) in runs {
+            targets = targets.union(self.mmu.unmap_range(*start, *len, tracked, attached));
+        }
+        self.machine.shootdown(core, self.asid, lo, n, targets);
+    }
+
     /// Clears page tables and shoots down TLBs for displaced metadata.
     /// `lo..lo+n` is the overall operation range (used for TLB
     /// invalidation); page tables are cleared per contiguous run of
@@ -256,34 +281,18 @@ impl RadixVm {
         let mut tracked = CoreSet::EMPTY;
         let mut runs = Runs::new();
         for r in removed {
-            let (start, pages, m) = match r {
-                Removed::Page(vpn, m) => (*vpn, 1, m),
-                // Folded blocks carry fault state only once a superpage
-                // populated them: one block PTE per core in the coreset,
-                // one span TLB entry each, one frame block (invariant in
-                // `PageMeta`; `phys` never).
-                Removed::Block {
-                    start,
-                    pages,
-                    value,
-                } => {
-                    debug_assert!(value.phys.is_none());
-                    (*start, *pages, value)
-                }
-            };
+            let m = &r.value;
+            // Folded blocks carry fault state only once a superpage
+            // populated them: one block PTE per core in the coreset, one
+            // span TLB entry each, one frame block (invariant in
+            // `PageMeta`; `phys` never).
+            debug_assert!(r.pages == 1 || m.phys.is_none());
             if m.phys.is_some() || m.block.is_some() || !m.coreset.is_empty() {
                 tracked = tracked.union(m.coreset);
-                push_run(&mut runs, start, pages);
+                push_run(&mut runs, r.start, r.pages);
             }
         }
-        if !runs.is_empty() {
-            let attached = self.attached_for_mmu();
-            let mut targets = CoreSet::EMPTY;
-            for (start, len) in &runs {
-                targets = targets.union(self.mmu.unmap_range(*start, *len, tracked, attached));
-            }
-            self.machine.shootdown(core, self.asid, lo, n, targets);
-        }
+        self.revoke(core, lo, n, &runs, tracked);
     }
 
     /// Drops the frame references displaced metadata owned, after
@@ -301,13 +310,9 @@ impl RadixVm {
     /// [`RadixVm::settle_refs`]'s: whether the caller, which holds no
     /// guard by now, owes the core a [`Refcache::expedite`].
     fn release_frames(&self, core: usize, removed: &RemovedList<PageMeta>) -> bool {
-        let frames = removed.into_iter().flat_map(|r| {
-            let (pages, m) = match r {
-                Removed::Page(_, m) => (1, m),
-                Removed::Block { pages, value, .. } => (*pages, value),
-            };
-            m.frames().map(move |f| (f, pages))
-        });
+        let frames = removed
+            .into_iter()
+            .flat_map(|r| r.value.frames().map(move |f| (f, r.pages)));
         self.settle_refs(core, frames, -1)
     }
 
@@ -443,16 +448,7 @@ impl RadixVm {
                 .iter()
                 .flat_map(|(_, pages, m)| m.frames().map(move |f| (f, *pages)));
             self.settle_refs(core, held, 1);
-            if !revoke_runs.is_empty() {
-                let attached = self.attached_for_mmu();
-                let mut targets = CoreSet::EMPTY;
-                for (start, len) in &revoke_runs {
-                    targets =
-                        targets.union(self.mmu.unmap_range(*start, *len, revoke_set, attached));
-                }
-                self.machine
-                    .shootdown(core, self.asid, 0, VPN_LIMIT, targets);
-            }
+            self.revoke(core, 0, VPN_LIMIT, &revoke_runs, revoke_set);
         }
         for (vpn, pages, meta) in entries {
             let mut g = child
@@ -630,16 +626,7 @@ impl VmSystem for RadixVm {
             // references: on OutOfMemory the metadata still owns its
             // frame, so the fault unwinds exactly — nothing installed,
             // nothing leaked, and the guard drop releases every lock.
-            let (new_pfn, ev) = match pool.try_alloc_traced(core) {
-                Ok(r) => r,
-                Err(e) => {
-                    self.stats.add(core, OpStats::oom_faults, 1);
-                    return Err(e.into());
-                }
-            };
-            if ev.drained {
-                self.stats.add(core, OpStats::reclaim_drains, 1);
-            }
+            let new_pfn = self.fault_frame(core)?;
             self.stats.add(core, OpStats::faults_cow, 1);
             let src = meta.frame_for(vpn);
             let old_page = meta.phys.take();
@@ -674,7 +661,7 @@ impl VmSystem for RadixVm {
             for old in old_page.into_iter().chain(old_block) {
                 pool.ref_surrender(&self.cache, core, old, 1, 1);
             }
-            meta.phys = Some(pool.retain_page(&self.cache, core, new_pfn, 1));
+            meta.phys = Some(pool.retain(&self.cache, core, new_pfn, 0, 1));
             meta.kind = PageKind::Plain;
         }
         let pfn = match meta.frame_for(vpn) {
@@ -690,19 +677,10 @@ impl VmSystem for RadixVm {
                 // installed yet, so the error propagates with the
                 // metadata untouched (exact unwind, DESIGN.md §11).
                 let pool = self.machine.pool();
-                let (pfn, ev) = match pool.try_alloc_traced(core) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        self.stats.add(core, OpStats::oom_faults, 1);
-                        return Err(e.into());
-                    }
-                };
-                if ev.drained {
-                    self.stats.add(core, OpStats::reclaim_drains, 1);
-                }
+                let pfn = self.fault_frame(core)?;
                 self.stats.add(core, OpStats::faults_alloc, 1);
                 self.count_fault_placement(core, pfn, 1);
-                meta.phys = Some(pool.retain_page(&self.cache, core, pfn, 1));
+                meta.phys = Some(pool.retain(&self.cache, core, pfn, 0, 1));
                 pfn
             }
         };
@@ -768,14 +746,7 @@ impl VmSystem for RadixVm {
         // Revoke-and-refault: existing translations (either direction of
         // change) are cleared; subsequent accesses fault with the new
         // protection.
-        if !runs.is_empty() {
-            let attached = self.attached_for_mmu();
-            let mut targets = CoreSet::EMPTY;
-            for (start, len) in &runs {
-                targets = targets.union(self.mmu.unmap_range(*start, *len, tracked, attached));
-            }
-            self.machine.shootdown(core, self.asid, lo, n, targets);
-        }
+        self.revoke(core, lo, n, &runs, tracked);
         Ok(())
     }
 
@@ -960,7 +931,7 @@ impl RadixVm {
                 };
                 self.stats.add(core, OpStats::faults_alloc, 1);
                 self.count_fault_placement(core, base, pages);
-                meta.block = Some(pool.retain_block(&self.cache, core, base, order, 1));
+                meta.block = Some(pool.retain(&self.cache, core, base, order, 1));
                 base
             }
         };
@@ -1073,10 +1044,7 @@ impl RadixVm {
                     }
                     sim::charge_page_work();
                 }
-                (
-                    pool.retain_block(&self.cache, core, newbase, order, 1),
-                    newbase,
-                )
+                (pool.retain(&self.cache, core, newbase, order, 1), newbase)
             }
         };
         let folded = PageMeta {

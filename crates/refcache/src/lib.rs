@@ -631,7 +631,7 @@ impl Refcache {
 
     /// The [`Refcache::maintain`] a true answer from
     /// [`Refcache::surrender`] asks of its caller: the same flush and
-    /// review, counted in [`RefcacheStats::expedited`] as well, so that
+    /// review, counted in [`RefcacheStats`]' `expedited` as well, so that
     /// `flushes - expedited` stays what callers' timers issued.
     pub fn expedite(&self, core: usize) {
         self.flush_as(core, true);

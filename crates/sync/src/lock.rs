@@ -1,6 +1,6 @@
 //! Instrumented mutex, spin lock and reader-writer lock.
 //!
-//! [`Mutex`] and [`SpinLock`] sit on [`HostLock`], a one-RMW host lock:
+//! [`Mutex`] and [`SpinLock`] sit on `HostLock`, a one-RMW host lock:
 //! an uncontended acquire is one CAS, a release is one store. An op on
 //! the single-page VM path (mmap, fault, munmap) takes 15 of these locks
 //! and almost never contends on one (DESIGN.md §5), so the uncontended

@@ -523,21 +523,14 @@ proptest! {
         let check_removed = |oracle: &BTreeMap<u64, u64>, removed: &[Removed<u64>]| -> u64 {
             let mut blocks = 0u64;
             for d in removed {
-                match d {
-                    Removed::Page(vpn, v) => {
-                        // Block-granular ops never displace loose pages.
-                        prop_assert!(false, "page-grain removal at {} ({})", vpn, v);
-                    }
-                    Removed::Block { start, pages, value } => {
-                        prop_assert_eq!(*pages % BLOCK_PAGES, 0,
-                                        "removal not block-granular");
-                        for b in (*start - base) / BLOCK_PAGES
-                            ..(*start - base + *pages) / BLOCK_PAGES {
-                            prop_assert_eq!(oracle.get(&b), Some(value), "block {}", b);
-                        }
-                        blocks += pages / BLOCK_PAGES;
-                    }
+                // Block-granular ops never displace loose pages.
+                prop_assert!(d.pages != 1, "page-grain removal at {} ({})", d.start, d.value);
+                prop_assert_eq!(d.pages % BLOCK_PAGES, 0, "removal not block-granular");
+                for b in (d.start - base) / BLOCK_PAGES
+                    ..(d.start - base + d.pages) / BLOCK_PAGES {
+                    prop_assert_eq!(oracle.get(&b), Some(&d.value), "block {}", b);
                 }
+                blocks += d.pages / BLOCK_PAGES;
             }
             blocks
         };
@@ -614,18 +607,10 @@ proptest! {
                     // Displaced values must match the oracle's prior state.
                     let mut displaced_pages = 0;
                     for d in &displaced {
-                        match d {
-                            Removed::Page(vpn, v) => {
-                                prop_assert_eq!(oracle.get(vpn), Some(v));
-                                displaced_pages += 1;
-                            }
-                            Removed::Block { start, pages, value } => {
-                                for p in *start..*start + *pages {
-                                    prop_assert_eq!(oracle.get(&p), Some(value));
-                                }
-                                displaced_pages += pages;
-                            }
+                        for p in d.start..d.start + d.pages {
+                            prop_assert_eq!(oracle.get(&p), Some(&d.value));
                         }
+                        displaced_pages += d.pages;
                     }
                     let expected: u64 =
                         (lo..hi).filter(|p| oracle.contains_key(p)).count() as u64;
@@ -640,18 +625,10 @@ proptest! {
                     let removed = g.clear();
                     let mut removed_pages = 0;
                     for d in &removed {
-                        match d {
-                            Removed::Page(vpn, v) => {
-                                prop_assert_eq!(oracle.get(vpn), Some(v));
-                                removed_pages += 1;
-                            }
-                            Removed::Block { start, pages, value } => {
-                                for p in *start..*start + *pages {
-                                    prop_assert_eq!(oracle.get(&p), Some(value));
-                                }
-                                removed_pages += pages;
-                            }
+                        for p in d.start..d.start + d.pages {
+                            prop_assert_eq!(oracle.get(&p), Some(&d.value));
                         }
+                        removed_pages += d.pages;
                     }
                     let expected: u64 =
                         (lo..hi).filter(|p| oracle.contains_key(p)).count() as u64;
