@@ -332,6 +332,27 @@ mod tests {
         m.write_u64(0, &*vm, BASE + PAGE_SIZE, 44).unwrap();
         assert_eq!(m.read_u64(0, &*vm, BASE + PAGE_SIZE).unwrap(), 44);
         assert_eq!(m.read_u64(1, &*child, BASE + PAGE_SIZE).unwrap(), 43);
+        // Each copier's value holds one handle, on a private order-0
+        // frame, and each source lost exactly one reference: not two
+        // (nothing frees yet), not none (its other holder's unmap alone
+        // frees it).
+        let vpn = BASE / PAGE_SIZE;
+        for page in 0..2 {
+            let ours = vm.meta_at(0, vpn + page).unwrap().frame.unwrap();
+            let theirs = child.meta_at(1, vpn + page).unwrap().frame.unwrap();
+            assert_eq!((ours.order, theirs.order), (0, 0));
+            assert_ne!(ours.pfn, theirs.pfn, "page {page} still shared");
+        }
+        let freed = || {
+            vm.quiesce();
+            let st = m.pool().stats();
+            st.local_frees + st.remote_frees
+        };
+        assert_eq!(freed(), 0, "a source lost more than the copier's one");
+        vm.munmap(0, BASE, PAGE_SIZE).unwrap();
+        assert_eq!(freed(), 1, "page 0's source: the parent held the last");
+        child.munmap(1, BASE + PAGE_SIZE, PAGE_SIZE).unwrap();
+        assert_eq!(freed(), 2, "page 1's source: the child held the last");
     }
 
     #[test]
@@ -624,12 +645,34 @@ mod tests {
         m.write_u64(1, &*child, BASE, 999).unwrap();
         assert_eq!(m.read_u64(1, &*child, BASE).unwrap(), 999);
         assert_eq!(m.read_u64(0, &*vm, BASE).unwrap(), 0xF0, "parent intact");
+        // The copied page's one handle is its private frame's; its
+        // demoted siblings keep their share of the source block.
+        let vpn = BASE / PAGE_SIZE;
+        let head = vm.meta_at(0, vpn).unwrap().frame.unwrap();
+        assert_eq!(head.order, rvm_mem::BLOCK_ORDER);
+        let copied = child.meta_at(1, vpn).unwrap().frame.unwrap();
+        assert_eq!(copied.order, 0);
+        assert_eq!(child.meta_at(1, vpn + 1).unwrap().frame, Some(head));
         // Parent write to another page demotes the parent's fold too;
         // both stay correct.
         m.write_u64(0, &*vm, BASE + PAGE_SIZE, 111).unwrap();
         assert_eq!(m.read_u64(1, &*child, BASE + PAGE_SIZE).unwrap(), 0xF1);
         assert_eq!(m.stats().stale_detected, 0);
         assert!(child.op_stats().faults_cow >= 1);
+        // Each copy surrendered exactly one of its space's 512 shares:
+        // the block outlives the child's 511 and frees, once, with the
+        // parent's 511; the two private copies free on their own.
+        let freed = || {
+            vm.quiesce();
+            let st = m.pool().stats();
+            (st.block_frees, st.local_frees + st.remote_frees)
+        };
+        assert_eq!(freed(), (0, 0));
+        child.munmap(1, BASE, BLOCK_BYTES).unwrap();
+        assert_eq!(freed(), (0, 1), "the parent's shares still hold it");
+        vm.munmap(0, BASE, BLOCK_BYTES).unwrap();
+        assert_eq!(freed(), (1, BLOCK_PAGES + 2));
+        assert_eq!(m.pool().outstanding_frames(), 0);
     }
 
     #[test]
@@ -729,6 +772,28 @@ mod tests {
         }
         let st = vm.op_stats();
         assert_eq!(st.faults_alloc + st.faults_fill + st.faults_cow, 1);
+        // A forked child's write demotes two rungs in the child only and
+        // copies one page: that page's one handle is its private
+        // frame's, while its leaf siblings and the other 2 MiB chunks
+        // keep the giant head's. Dropping the child gives every share
+        // back, so the block's lifetime below is the parent's alone.
+        {
+            let child = RadixVm::fork(&vm, 0);
+            child.attach_core(0);
+            let vpn = gbase / PAGE_SIZE;
+            let head = vm.meta_at(0, vpn).unwrap().frame.unwrap();
+            assert_eq!(head.order, rvm_mem::GIANT_ORDER);
+            m.write_u64(0, &*child, gbase, 9).unwrap();
+            assert_eq!(child.op_stats().superpage_demotions, 2);
+            assert_eq!(child.meta_at(0, vpn).unwrap().frame.unwrap().order, 0);
+            assert_eq!(child.meta_at(0, vpn + 1).unwrap().frame, Some(head));
+            assert_eq!(
+                child.meta_at(0, vpn + BLOCK_PAGES).unwrap().frame,
+                Some(head)
+            );
+            assert_eq!(m.read_u64(0, &*child, gbase).unwrap(), 9);
+            assert_eq!(m.read_u64(0, &*vm, gbase).unwrap(), 7, "parent intact");
+        }
         // Unmap the first 64 pages: a sub-2 MiB hole demotes *two*
         // rungs — giant to 2 MiB folds, then the punctured chunk to
         // 4 KiB pages — with the other 511 chunks untouched.

@@ -12,12 +12,13 @@
 //! hardware page tables are disposable caches) and the set of cores that
 //! faulted the page — the basis of targeted TLB shootdown (§3.3).
 //!
-//! Frame ownership is a plain [`FrameRef`] handle: the reference count
-//! lives in the frame table's embedded Refcache cell
-//! ([`rvm_mem::FramePool::retain`], DESIGN.md §8), so
-//! carrying, duplicating (fork), and dropping a frame reference never
-//! touches the heap. There is no per-fault ownership object anymore —
-//! the table *is* the authority.
+//! Frame ownership is **one** plain [`FrameRef`] handle per value,
+//! whatever the granularity: the reference count lives in the frame
+//! table's embedded Refcache cell ([`rvm_mem::FramePool::retain`],
+//! DESIGN.md §8), and the handle's `order` says what it is a reference
+//! on — 0 for the page's own frame, the block order for the head of a
+//! superpage block. Carrying, duplicating (fork), and dropping a frame
+//! reference never touches the heap, and the value is one cache line.
 
 use rvm_hw::{Backing, Prot};
 use rvm_mem::{FrameRef, Pfn};
@@ -36,11 +37,11 @@ pub enum PageKind {
 /// Per-page mapping metadata: the radix tree's value type.
 ///
 /// Designed to be identical for every page of a mapping at `mmap` time
-/// (`file_anchor` is relative to VPN, and `phys`/`coreset` start empty),
-/// so fresh mappings fold. Fault-time state (`phys`, `coreset`, `Cow`
-/// resolution) is only ever written to *expanded* per-page copies under
-/// the page's slot lock — except the folded-block fault state governed
-/// by the superpage protocol (DESIGN.md §7).
+/// (`file_anchor` is relative to VPN, and `frame`/`coreset` start
+/// empty), so fresh mappings fold. Fault-time state (`frame`, `coreset`,
+/// `Cow` resolution) is only ever written to *expanded* per-page copies
+/// under the page's slot lock — except the folded-block fault state
+/// governed by the superpage protocol (DESIGN.md §7).
 #[derive(Clone)]
 pub struct PageMeta {
     /// What backs the mapping.
@@ -49,22 +50,21 @@ pub struct PageMeta {
     pub prot: Prot,
     /// Plain or copy-on-write.
     pub kind: PageKind,
-    /// The page's frame, once faulted at 4 KiB granularity: one owning
-    /// reference on the frame table's *page* slot.
+    /// The one frame-table reference this value owns, once faulted; the
+    /// handle's `order` says on what.
     ///
-    /// Invariant: folded (block) metadata never has `phys` set — a 4 KiB
-    /// fault expands to leaf granularity first — so cloning templates
-    /// never duplicates a reference.
-    pub phys: Option<FrameRef>,
-    /// The contiguous superpage block backing this page, once a
-    /// superpage fault populated it: a reference on the frame table's
-    /// *block-head* slot (the handle's `pfn` is the block base). On a
-    /// *folded* value this is block state: one reference for the whole
-    /// block. On an *expanded* (demoted) per-page value it is per-page
-    /// state: one reference per page, adopted by the demotion protocol
-    /// under the expansion's born-held slot locks (DESIGN.md §7) — the
-    /// only place a fold with fault state may legally expand.
-    pub block: Option<FrameRef>,
+    /// * `order == 0`: the page's own 4 KiB frame. Only ever on a page
+    ///   value — a 4 KiB fault expands to leaf granularity first — so
+    ///   cloning a fold's template never duplicates a page reference.
+    /// * `order > 0`: the head of a contiguous superpage block (the
+    ///   handle's `pfn` is the block base). On a *folded* value it is
+    ///   block state, one reference for the whole span, and the block
+    ///   covers at least the fold (`1 << order >=` the fold's pages). On
+    ///   an *expanded* (demoted) value it is that value's share, one
+    ///   reference per clone, adopted by the demotion protocol under
+    ///   the expansion's born-held slot locks (DESIGN.md §7) — the only
+    ///   place a fold with fault state may legally expand.
+    pub frame: Option<FrameRef>,
     /// Huge-page hint from `mmap` ([`rvm_hw::MapFlags::HUGE`]): aligned
     /// folded blocks of this mapping may be populated by one superpage
     /// PTE. Template state (identical for every page), so it folds.
@@ -82,36 +82,26 @@ impl PageMeta {
             backing,
             prot,
             kind: PageKind::Plain,
-            phys: None,
-            block: None,
+            frame: None,
             huge: false,
             coreset: CoreSet::EMPTY,
         }
     }
 
     /// The frame backing `vpn` under this metadata, if faulted: the
-    /// per-page frame, or the member frame of the superpage block
-    /// (blocks are virtually aligned, so the offset is `vpn`'s low
-    /// bits, masked by the *handle's* order — a page demoted out of a
-    /// 1 GiB block keeps a giant-head handle and still resolves its
-    /// member). Pure arithmetic on the handle — no dereference, no
-    /// ownership traffic.
+    /// page's own frame, or the member frame of the superpage block
+    /// (see [`block_member`]; at order 0 the mask is empty and the
+    /// member is the frame itself). Pure arithmetic on the handle — no
+    /// dereference, no ownership traffic.
     pub fn frame_for(&self, vpn: u64) -> Option<Pfn> {
-        if let Some(r) = self.phys {
-            return Some(r.pfn);
-        }
-        self.block.map(|b| block_member(b, vpn))
-    }
-
-    /// The frame-table references this metadata owns: its page frame
-    /// and its block, whichever are set (one reference each).
-    pub fn frames(&self) -> impl Iterator<Item = FrameRef> {
-        self.phys.into_iter().chain(self.block)
+        self.frame.map(|f| block_member(f, vpn))
     }
 }
 
-/// The member frame backing `vpn` in the superpage block whose head
-/// `block` references (see [`PageMeta::frame_for`]).
+/// The member frame backing `vpn` in the block whose head `block`
+/// references. Blocks are virtually aligned, so the offset is `vpn`'s
+/// low bits, masked by the *handle's* order — a page demoted out of a
+/// 1 GiB block keeps a giant-head handle and still resolves its member.
 pub fn block_member(block: FrameRef, vpn: u64) -> Pfn {
     block.pfn + (vpn & ((1u64 << block.order) - 1)) as Pfn
 }
@@ -136,13 +126,25 @@ mod tests {
         assert_eq!(pool.stats().reused, 1);
     }
 
+    /// One handle keeps the value on one cache line and a leaf at
+    /// 512 × 80 B = 40 KiB; a second handle (96 / 112 B, a 56 KiB leaf)
+    /// fails here.
+    #[test]
+    fn pagemeta_is_one_cache_line_and_a_leaf_slot_eighty_bytes() {
+        assert_eq!(std::mem::size_of::<PageMeta>(), 64);
+        assert_eq!(
+            std::mem::size_of::<rvm_radix::node::LeafSlot<PageMeta>>(),
+            80
+        );
+    }
+
     #[test]
     fn pagemeta_template_is_foldable() {
         let m = PageMeta::new(Backing::Anon, Prot::RW);
-        assert!(m.phys.is_none());
+        assert!(m.frame.is_none());
         assert!(m.coreset.is_empty());
         let c = m.clone();
-        assert!(c.phys.is_none());
+        assert!(c.frame.is_none());
         assert_eq!(c.prot, Prot::RW);
     }
 
@@ -152,11 +154,11 @@ mod tests {
         let cache = Refcache::new(1);
         let base = pool.alloc_block(0, BLOCK_ORDER);
         let mut m = PageMeta::new(Backing::Anon, Prot::RW);
-        m.block = Some(pool.retain(&cache, 0, base, BLOCK_ORDER, 1));
+        m.frame = Some(pool.retain(&cache, 0, base, BLOCK_ORDER, 1));
         let vpn_base = 7 * BLOCK_PAGES as u64; // virtually aligned
         assert_eq!(m.frame_for(vpn_base), Some(base));
         assert_eq!(m.frame_for(vpn_base + 17), Some(base + 17));
-        pool.ref_adjust(&cache, 0, m.block.take().unwrap(), -1);
+        pool.ref_adjust(&cache, 0, m.frame.take().unwrap(), -1);
         cache.quiesce();
         assert_eq!(pool.outstanding_frames(), 0);
     }

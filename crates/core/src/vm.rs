@@ -235,6 +235,12 @@ impl RadixVm {
         })
     }
 
+    /// A clone of the metadata governing `vpn`, for white-box tests.
+    #[cfg(test)]
+    pub(crate) fn meta_at(&self, core: usize, vpn: Vpn) -> Option<PageMeta> {
+        self.tree.get(core, vpn)
+    }
+
     /// Radix-tree statistics (node counts, expansions, collapses).
     pub fn tree_stats(&self) -> &rvm_radix::TreeStats {
         self.tree.stats()
@@ -284,10 +290,9 @@ impl RadixVm {
             let m = &r.value;
             // Folded blocks carry fault state only once a superpage
             // populated them: one block PTE per core in the coreset, one
-            // span TLB entry each, one frame block (invariant in
-            // `PageMeta`; `phys` never).
-            debug_assert!(r.pages == 1 || m.phys.is_none());
-            if m.phys.is_some() || m.block.is_some() || !m.coreset.is_empty() {
+            // span TLB entry each, one frame block.
+            debug_assert!(fold_handle_covers(m, r.pages));
+            if m.frame.is_some() || !m.coreset.is_empty() {
                 tracked = tracked.union(m.coreset);
                 push_run(&mut runs, r.start, r.pages);
             }
@@ -299,10 +304,11 @@ impl RadixVm {
     /// [`RadixVm::unmap_tables`] and — as in the paper (§3.4) — after the
     /// range lock is released: nothing here needs the slots, and a
     /// 16-page remap otherwise holds its 16 slot locks across 16 trips
-    /// through the delta cache. Page and block-head references drop
-    /// through the same frame-table cells (the slot's kind picks the
-    /// release action); a demoted page owns one reference on its backing
-    /// block, which frees when the last page drops.
+    /// through the delta cache. Each value owns at most one handle;
+    /// page and block-head references drop through the same frame-table
+    /// cells (the order a cell was armed with picks the release action);
+    /// a demoted page owns one reference on its backing block, which
+    /// frees when the last page drops.
     ///
     /// Each reference weighs the pages its entry mapped — one per page
     /// value, its own frame or a share of a demoted block alike, and a
@@ -312,7 +318,7 @@ impl RadixVm {
     fn release_frames(&self, core: usize, removed: &RemovedList<PageMeta>) -> bool {
         let frames = removed
             .into_iter()
-            .flat_map(|r| r.value.frames().map(move |f| (f, r.pages)));
+            .filter_map(|r| r.value.frame.map(|f| (f, r.pages)));
         self.settle_refs(core, frames, -1)
     }
 
@@ -388,7 +394,9 @@ impl RadixVm {
         let fanout = rvm_radix::FANOUT as u64;
         let mut demoted: Vec<(Vpn, u64, FrameRef, CoreSet)> = Vec::new();
         guard.for_each_expanded_mut(|vpn, clone_pages, m| {
-            if let Some(b) = m.block {
+            // A clone of a fold's value: its handle, when set, is a
+            // block head's (`PageMeta::frame`).
+            if let Some(b) = m.frame {
                 let pages = clone_pages * fanout;
                 let base = vpn & !(pages - 1);
                 if !demoted.iter().any(|e| (e.0, e.1) == (base, pages)) {
@@ -426,7 +434,7 @@ impl RadixVm {
                 .tree
                 .lock_range(core, 0, VPN_LIMIT, LockMode::ExpandFolded);
             g.for_each_entry_mut(|vpn, pages, m| {
-                if (m.phys.is_some() || m.block.is_some()) && m.prot.writable() {
+                if m.frame.is_some() && m.prot.writable() {
                     m.kind = PageKind::Cow;
                 }
                 if !m.coreset.is_empty() {
@@ -439,14 +447,15 @@ impl RadixVm {
                 entries.push((vpn, pages, m.clone()));
             });
             // The child's copy of each entry owns one reference on what
-            // the entry holds: its page frame, or its block (a folded
-            // superpage's one, or a demoted page's share; a write fault
-            // in either address space demotes and copies per page).
+            // the entry's handle references: its page frame, or its block
+            // (a folded superpage's one, or a demoted page's share; a
+            // write fault in either address space demotes and copies per
+            // page).
             // Taken under the guard, while the parent's own references
             // cannot go away.
             let held = entries
                 .iter()
-                .flat_map(|(_, pages, m)| m.frames().map(move |f| (f, *pages)));
+                .filter_map(|(_, pages, m)| m.frame.map(|f| (f, *pages)));
             self.settle_refs(core, held, 1);
             self.revoke(core, 0, VPN_LIMIT, &revoke_runs, revoke_set);
         }
@@ -617,29 +626,26 @@ impl VmSystem for RadixVm {
         let meta = guard.page_value_mut().ok_or(VmError::NoMapping)?;
         check_access(meta.prot, kind)?;
         // Copy-on-write resolution for write faults. The shared source
-        // may be a per-page frame or a member of a (demoted) superpage
-        // block; either way the page gets a private 4 KiB copy and drops
-        // its reference on the shared object.
+        // is whatever the page's one handle references — its own frame
+        // or its member of a (demoted) superpage block; either way the
+        // page gets a private 4 KiB copy and the handle is replaced.
         if kind == AccessKind::Write && meta.kind == PageKind::Cow {
             let pool = self.machine.pool();
             // Allocate the private copy BEFORE surrendering the shared
-            // references: on OutOfMemory the metadata still owns its
+            // reference: on OutOfMemory the metadata still owns its
             // frame, so the fault unwinds exactly — nothing installed,
             // nothing leaked, and the guard drop releases every lock.
             let new_pfn = self.fault_frame(core)?;
             self.stats.add(core, OpStats::faults_cow, 1);
-            let src = meta.frame_for(vpn);
-            let old_page = meta.phys.take();
-            let old_block = meta.block.take();
             self.count_fault_placement(core, new_pfn, 1);
-            if let Some(old_pfn) = src {
+            if let Some(shared) = meta.frame.take() {
                 // Copy the old contents into the private page.
-                // SAFETY: both frames are live (the taken refs are not
-                // yet decremented; new was just allocated) and
+                // SAFETY: both frames are live (the taken reference is
+                // not yet surrendered; new was just allocated) and
                 // FRAME_SIZE-bounded.
                 unsafe {
                     std::ptr::copy_nonoverlapping(
-                        pool.frame_ptr(old_pfn),
+                        pool.frame_ptr(block_member(shared, vpn)),
                         pool.frame_ptr(new_pfn),
                         rvm_mem::FRAME_SIZE,
                     );
@@ -655,13 +661,11 @@ impl VmSystem for RadixVm {
                         .unmap_range(vpn, 1, tracked, self.attached_for_mmu());
                     self.machine.shootdown(core, self.asid, vpn, 1, targets);
                 }
+                // Under the guard: the page is accounted, the tick is
+                // left to the core's next `mmap`/`munmap` tail.
+                pool.ref_surrender(&self.cache, core, shared, 1, 1);
             }
-            // Under the guard: the page is accounted, the tick is left to
-            // the core's next `mmap`/`munmap` tail.
-            for old in old_page.into_iter().chain(old_block) {
-                pool.ref_surrender(&self.cache, core, old, 1, 1);
-            }
-            meta.phys = Some(pool.retain(&self.cache, core, new_pfn, 0, 1));
+            meta.frame = Some(pool.retain(&self.cache, core, new_pfn, 0, 1));
             meta.kind = PageKind::Plain;
         }
         let pfn = match meta.frame_for(vpn) {
@@ -680,7 +684,7 @@ impl VmSystem for RadixVm {
                 let pfn = self.fault_frame(core)?;
                 self.stats.add(core, OpStats::faults_alloc, 1);
                 self.count_fault_placement(core, pfn, 1);
-                meta.phys = Some(pool.retain(&self.cache, core, pfn, 0, 1));
+                meta.frame = Some(pool.retain(&self.cache, core, pfn, 0, 1));
                 pfn
             }
         };
@@ -693,13 +697,13 @@ impl VmSystem for RadixVm {
             meta.coreset.insert(core);
         }
         // Promotion candidacy (§12): a 4 KiB fault in a demoted block
-        // (per-page block reference) or a hinted-but-never-folded run
-        // (block allocation failed under pressure) feeds the fill
-        // counter; crossing the threshold attempts re-folding below,
-        // after this page's slot lock is released.
+        // (the page's handle is a block head's) or a hinted-but-never-
+        // folded run (block allocation failed under pressure) feeds the
+        // fill counter; crossing the threshold attempts re-folding
+        // below, after this page's slot lock is released.
         let promote_candidate = meta.backing == Backing::Anon
             && meta.kind == PageKind::Plain
-            && (meta.huge || meta.block.is_some());
+            && (meta.huge || meta.frame.is_some_and(|f| f.order > 0));
         let tr = self.install(core, vpn, vpn, pfn, 1, writable);
         if promote_candidate {
             let base = vpn & !(BLOCK_PAGES - 1);
@@ -787,6 +791,14 @@ impl VmSystem for RadixVm {
 fn block_order(pages: u64) -> u8 {
     debug_assert!(pages.is_power_of_two());
     pages.trailing_zeros() as u8
+}
+
+/// The invariant of `PageMeta::frame` on a value governing `pages`
+/// pages: a fold's handle, when set, references a block at least as
+/// large as the fold — never a single page's frame. (A page value's
+/// handle may be either.)
+fn fold_handle_covers(m: &PageMeta, pages: u64) -> bool {
+    pages == 1 || m.frame.is_none_or(|f| 1u64 << f.order >= pages)
 }
 
 /// Whether a mapping with protection `prot` permits an access of `kind`
@@ -895,15 +907,16 @@ impl RadixVm {
         if let Err(e) = check_access(meta.prot, kind) {
             return BlockPath::Resolved(Err(e));
         }
+        debug_assert!(fold_handle_covers(meta, pages));
         let eligible = SPAN_PAGES.contains(&pages)
-            && (meta.block.is_some()
+            && (meta.frame.is_some()
                 || (meta.huge && meta.kind == PageKind::Plain && meta.backing == Backing::Anon));
         let cow_write = kind == AccessKind::Write && meta.kind == PageKind::Cow;
         if !eligible || cow_write {
             return BlockPath::Demote;
         }
         let pool = self.machine.pool();
-        let base = match meta.block {
+        let base = match meta.frame {
             Some(b) => {
                 self.stats.add(core, OpStats::faults_fill, 1);
                 // The handle's pfn is its slot's block head; a chunk
@@ -931,7 +944,7 @@ impl RadixVm {
                 };
                 self.stats.add(core, OpStats::faults_alloc, 1);
                 self.count_fault_placement(core, base, pages);
-                meta.block = Some(pool.retain(&self.cache, core, base, order, 1));
+                meta.frame = Some(pool.retain(&self.cache, core, base, order, 1));
                 base
             }
         };
@@ -954,12 +967,13 @@ impl RadixVm {
     /// TLB entry for the promoting core, and shoots down the 4 KiB
     /// entries. Two backing shapes promote:
     ///
-    /// * **demoted**: every page carries one reference on the same
-    ///   block-head slot (the §7 demotion protocol's state) — the fold
+    /// * **demoted**: every page's handle is the same block head's
+    ///   (`order > 0`; the §7 demotion protocol's state) — the fold
     ///   adopts one reference and the other 511 are surrendered; no
     ///   frame moves, no generation changes;
-    /// * **scattered**: every page has its own 4 KiB frame (a hinted
-    ///   populate that fell back under pressure) — the pages migrate
+    /// * **scattered**: every page's handle is its own 4 KiB frame's
+    ///   (`order == 0`; a hinted populate that fell back under
+    ///   pressure) — the pages migrate
     ///   into a freshly allocated block, and the old frames free (their
     ///   generations bump, so any missed stale translation is detected).
     ///
@@ -999,13 +1013,13 @@ impl RadixVm {
                 Some(_) => ok = false,
             }
             tracked = tracked.union(m.coreset);
-            match (m.phys, m.block) {
-                (None, Some(b)) if scattered.is_empty() => match demoted {
+            match m.frame {
+                Some(b) if b.order > 0 && scattered.is_empty() => match demoted {
                     None => demoted = Some(b),
                     Some(d) if d == b => {}
                     Some(_) => ok = false,
                 },
-                (Some(p), None) if demoted.is_none() => scattered.push(p),
+                Some(p) if p.order == 0 && demoted.is_none() => scattered.push(p),
                 _ => ok = false,
             }
         });
@@ -1051,8 +1065,7 @@ impl RadixVm {
             backing,
             prot,
             kind: PageKind::Plain,
-            phys: None,
-            block: Some(block),
+            frame: Some(block),
             huge,
             coreset: CoreSet::single(core),
         };
@@ -1079,7 +1092,7 @@ impl RadixVm {
         // Demoted shape: 512 references on one block head, of which the
         // folded value's handle adopts the first; scattered: 512 frames.
         let adopted = usize::from(demoted.is_some());
-        let old = displaced.iter().flat_map(PageMeta::frames).skip(adopted);
+        let old = displaced.iter().filter_map(|m| m.frame).skip(adopted);
         self.settle_refs(core, old.map(|f| (f, 1)), -1);
         let tr = self.install(core, vpn, base, pte_base, BLOCK_PAGES, writable);
         self.stats.add(core, OpStats::superpage_promotions, 1);

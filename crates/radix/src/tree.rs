@@ -59,7 +59,7 @@ use rvm_sync::{
 
 use crate::node::{
     index_at_level, lock_interior_slot, lock_leaf_slot, pack_slot, slot_ptr, slot_tag,
-    unlock_interior_slot, unlock_leaf_slot, Node, Slots, TreeCounts, TreeStats, FANOUT,
+    unlock_interior_slot, unlock_leaf_slot, LeafSlot, Node, Slots, TreeCounts, TreeStats, FANOUT,
     LEAF_PRESENT, LEVELS, TAG_CHILD, TAG_EMPTY, TAG_FOLDED,
 };
 
@@ -455,7 +455,9 @@ impl<V: RadixValue> RadixTree<V> {
         let interior = self.stats.interior_nodes();
         let leaf = self.stats.leaf_nodes();
         let folded = self.stats.folded_values();
-        let leaf_slot = 8 + std::mem::size_of::<Option<V>>() as u64;
+        // The slot as the allocator hands it out: status word, value
+        // and the padding the value's alignment asks for.
+        let leaf_slot = std::mem::size_of::<LeafSlot<V>>() as u64;
         interior * (FANOUT as u64 * 8 + hdr)
             + leaf * (FANOUT as u64 * leaf_slot + hdr)
             + folded * std::mem::size_of::<V>() as u64
