@@ -628,6 +628,70 @@ mod tests {
         assert_eq!(cache.live_objects(), 0, "tree teardown leaked nodes");
     }
 
+    #[test]
+    fn a_collapsed_leaf_array_stays_with_the_core_that_reviewed_it() {
+        use crate::node::SPARE_LEAVES;
+        let cache = Arc::new(Refcache::new(2));
+        let t = RadixTree::<u64>::new(cache.clone(), RadixConfig::default());
+        // One page in the `i`th of a run of blocks: each is a leaf of its own.
+        let page = |i: u64| 512 * (100 + i) + 7;
+        let map = |core: usize, i: u64| {
+            let vpn = page(i);
+            t.lock_range(core, vpn, vpn + 1, LockMode::ExpandAll)
+                .replace(&i);
+        };
+        let unmap = |core: usize, i: u64| {
+            let vpn = page(i);
+            t.lock_range(core, vpn, vpn + 1, LockMode::ExpandFolded)
+                .clear();
+        };
+        // Every delta of a core's leaf is cached on that core, so its
+        // zero is queued, and the leaf reviewed, there.
+        let settle = || {
+            for _ in 0..8 {
+                cache.maintain(0);
+                cache.maintain(1);
+            }
+            for core in 0..2 {
+                assert!(t.spare_arrays(core).len() <= SPARE_LEAVES, "core {core}");
+            }
+        };
+        map(0, 0);
+        let first = t.leaf_array(page(0)).expect("a leaf");
+        unmap(0, 0);
+        settle();
+        assert_eq!(t.leaf_array(page(0)), None, "collapsed");
+        assert_eq!(t.spare_arrays(0), [first]);
+        assert!(t.spare_arrays(1).is_empty());
+        // Core 1's next leaf does not take core 0's array; core 0's does,
+        // rebuilt slot by slot.
+        map(1, 1);
+        assert_ne!(t.leaf_array(page(1)), Some(first));
+        assert_eq!(t.spare_arrays(0), [first]);
+        map(0, 2);
+        assert_eq!(t.leaf_array(page(2)), Some(first));
+        assert!(t.spare_arrays(0).is_empty());
+        let lo = page(2) & !511;
+        assert_eq!(t.collect_range(0, lo, lo + 512), [(page(2), 2)]);
+        // Twice the bound collapses on each core: each keeps SPARE_LEAVES.
+        let many = 3..3 + 2 * SPARE_LEAVES as u64;
+        for core in 0..2 {
+            many.clone().for_each(|i| map(core, i + 100 * core as u64));
+            many.clone()
+                .for_each(|i| unmap(core, i + 100 * core as u64));
+        }
+        settle();
+        for core in 0..2 {
+            assert_eq!(t.spare_arrays(core).len(), SPARE_LEAVES, "core {core}");
+        }
+        // Dropping the tree with both lists full frees them and leaks
+        // nothing (the mapped leaves included).
+        let shared = t.shared_weak();
+        drop(t);
+        assert!(shared.upgrade().is_none(), "spare lists outlived the tree");
+        assert_eq!(cache.live_objects(), 0);
+    }
+
     /// A tree with pages `1000..1010` mapped and core 0's hint warm on
     /// their leaf.
     fn hinted_tree(ncores: usize) -> RadixTree<u64> {

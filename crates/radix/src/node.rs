@@ -22,6 +22,10 @@
 //! number of used slots plus the number of in-flight traversals pinning
 //! it. The parent's slot *is* the node's weak reference, so Refcache's
 //! freeing CAS atomically empties the parent slot.
+//!
+//! A collapsed leaf's slot array is not handed back to the allocator:
+//! it waits on the reviewing core's spare list ([`TreeShared`]) for that
+//! core's next leaf (DESIGN.md §7).
 
 use std::cell::UnsafeCell;
 use std::sync::Arc;
@@ -29,7 +33,7 @@ use std::sync::Arc;
 use rvm_refcache::weak::{DYING_BIT, LOCK_BIT, PTR_MASK, TAG_SHIFT};
 use rvm_refcache::{Managed, RcPtr, ReleaseCtx};
 use rvm_sync::atomic::Ordering;
-use rvm_sync::{sharded_stats, sim, Atomic64, Backoff};
+use rvm_sync::{asan_poison, sharded_stats, sim, Atomic64, Backoff, CachePadded, SpinLock};
 
 use crate::tree::HintTags;
 
@@ -141,12 +145,109 @@ pub struct LeafSlot<V> {
     pub value: UnsafeCell<Option<V>>,
 }
 
+/// A leaf's slot array.
+type LeafSlots<V> = Box<[LeafSlot<V>]>;
+
+/// One core's spare leaf arrays.
+type SpareList<V> = SpinLock<Vec<LeafSlots<V>>>;
+
 /// Slot storage of a node.
 pub enum Slots<V> {
     /// Interior: packed child / folded words.
     Interior(Box<[Atomic64]>),
     /// Leaf: per-page value slots.
-    Leaf(Box<[LeafSlot<V>]>),
+    Leaf(LeafSlots<V>),
+}
+
+/// Emptied leaf slot arrays each core keeps for its own next leaf.
+///
+/// Measured on the repo benchmark's `superpage` workload at 16 virtual
+/// cores, whose demotions create and collapse leaves (`radix-leaf` +
+/// `heap` remote lines per op): a bound of 1 leaves 68, 2 leaves 11, 4
+/// and 8 both leave 5.35 — Refcache's two-epoch delay keeps two or three
+/// of a core's leaves in flight, so four covers them and more would only
+/// hold memory (40 KiB a leaf for RadixVM's mapping metadata).
+pub const SPARE_LEAVES: usize = 4;
+
+/// What a tree shares with every one of its nodes, behind the one `Arc`
+/// each node holds: the statistics, and per core the spare leaf arrays.
+///
+/// A leaf collapses on the core that reviews it ([`ReleaseCtx::core`]),
+/// which keeps the emptied array here instead of freeing it, and
+/// [`Node::new_leaf`] on that core takes it back before it allocates.
+/// Freed to the shared allocator instead, the array's lines go to
+/// whichever core allocates next, and every line of it is then a remote
+/// transfer for that core. Spare arrays are free memory, not index:
+/// [`TreeStats`] does not count them.
+pub struct TreeShared<V> {
+    /// Live-object statistics.
+    pub stats: TreeStats,
+    /// Per core, at most [`SPARE_LEAVES`] arrays whose values are all
+    /// `None`. The lock is innermost in the lock order: nothing is taken
+    /// while it is held.
+    spare: Box<[CachePadded<SpareList<V>>]>,
+}
+
+impl<V> TreeShared<V> {
+    /// Shared state for a tree serving `ncores` cores.
+    pub fn new(ncores: usize) -> Self {
+        TreeShared {
+            stats: TreeStats::new(ncores),
+            spare: (0..ncores)
+                .map(|_| CachePadded::new(SpinLock::new(Vec::with_capacity(SPARE_LEAVES))))
+                .collect(),
+        }
+    }
+
+    /// Keeps the emptied leaf array `slots` on `core`'s spare list,
+    /// leaving an empty array in its place, unless the list is full.
+    fn keep_spare(&self, core: usize, slots: &mut LeafSlots<V>) {
+        let mut spare = self.spare[core].lock();
+        if spare.len() == SPARE_LEAVES {
+            return;
+        }
+        debug_assert!(
+            // SAFETY: the node is being freed; nothing else reaches it.
+            slots.iter().all(|s| unsafe { (*s.value.get()).is_none() }),
+            "a spare leaf array holds a value"
+        );
+        let (start, bytes) = (slots.as_ptr() as usize, std::mem::size_of_val(&**slots));
+        sim::unlabel_range(start, bytes);
+        asan_poison(start, bytes, true);
+        spare.push(std::mem::take(slots));
+    }
+
+    /// The array `core` emptied last, if it kept one.
+    fn take_spare(&self, core: usize) -> Option<LeafSlots<V>> {
+        let slots = self.spare[core].lock().pop()?;
+        asan_poison(
+            slots.as_ptr() as usize,
+            std::mem::size_of_val(&*slots),
+            false,
+        );
+        Some(slots)
+    }
+
+    /// Addresses of the arrays on `core`'s spare list, oldest first.
+    #[cfg(test)]
+    pub(crate) fn spare_arrays(&self, core: usize) -> Vec<usize> {
+        let spare = self.spare[core].lock();
+        spare.iter().map(|s| s.as_ptr() as usize).collect()
+    }
+}
+
+impl<V> Drop for TreeShared<V> {
+    fn drop(&mut self) {
+        for spare in self.spare.iter_mut() {
+            for slots in spare.get_mut().iter() {
+                asan_poison(
+                    slots.as_ptr() as usize,
+                    std::mem::size_of_val(&**slots),
+                    false,
+                );
+            }
+        }
+    }
 }
 
 /// A radix-tree node (interior or leaf), Refcache-managed.
@@ -157,8 +258,8 @@ pub struct Node<V: Send + Sync + 'static> {
     pub base_vpn: u64,
     /// Parent node and our slot index within it (`None` for the root).
     pub parent: Option<(RcPtr<Node<V>>, u16)>,
-    /// Shared statistics for space accounting.
-    pub stats: Arc<TreeStats>,
+    /// The tree's statistics and spare leaf arrays.
+    pub shared: Arc<TreeShared<V>>,
     /// The slots.
     pub slots: Slots<V>,
 }
@@ -175,42 +276,52 @@ impl<V: Send + Sync + 'static> Node<V> {
         level: u8,
         base_vpn: u64,
         parent: Option<(RcPtr<Node<V>>, u16)>,
-        stats: Arc<TreeStats>,
+        shared: Arc<TreeShared<V>>,
         init_word: impl Fn(usize) -> u64,
     ) -> Node<V> {
-        stats.add_here(TreeCounts::interior_nodes, 1);
+        shared.stats.add_here(TreeCounts::interior_nodes, 1);
         Node {
             level,
             base_vpn,
             parent,
-            stats,
+            shared,
             slots: Slots::Interior((0..FANOUT).map(|i| Atomic64::new(init_word(i))).collect()),
         }
     }
 
-    /// Creates a leaf node whose slots are produced by `init` (status
-    /// word, value).
+    /// Creates a leaf node on `core` whose slots are produced by `init`
+    /// (status word, value), in the array `core` emptied last if it kept
+    /// one ([`TreeShared`]), else in a fresh one. Every slot of a reused
+    /// array is built exactly as a fresh array's is.
     pub fn new_leaf(
+        core: usize,
         base_vpn: u64,
         parent: Option<(RcPtr<Node<V>>, u16)>,
-        stats: Arc<TreeStats>,
+        shared: Arc<TreeShared<V>>,
         mut init: impl FnMut(usize) -> (u64, Option<V>),
     ) -> Node<V> {
-        stats.add_here(TreeCounts::leaf_nodes, 1);
-        let slots: Box<[LeafSlot<V>]> = (0..FANOUT)
-            .map(|i| {
-                let (status, value) = init(i);
-                LeafSlot {
-                    status: Atomic64::new(status),
-                    value: UnsafeCell::new(value),
+        shared.stats.add_here(TreeCounts::leaf_nodes, 1);
+        let mut slot = |i| {
+            let (status, value) = init(i);
+            LeafSlot {
+                status: Atomic64::new(status),
+                value: UnsafeCell::new(value),
+            }
+        };
+        let slots = match shared.take_spare(core) {
+            Some(mut slots) => {
+                for (i, s) in slots.iter_mut().enumerate() {
+                    *s = slot(i);
                 }
-            })
-            .collect();
+                slots
+            }
+            None => (0..FANOUT).map(slot).collect(),
+        };
         Node {
             level: (LEVELS - 1) as u8,
             base_vpn,
             parent,
-            stats,
+            shared,
             slots: Slots::Leaf(slots),
         }
     }
@@ -287,9 +398,14 @@ impl<V: Send + Sync + 'static> Managed for Node<V> {
         // Freed by Refcache: all slots are empty and no traversals pin us.
         // The freeing CAS already emptied our parent's slot; surrender the
         // used-slot reference it represented.
-        self.stats.add(ctx.core, TreeCounts::nodes_collapsed, 1);
+        self.shared
+            .stats
+            .add(ctx.core, TreeCounts::nodes_collapsed, 1);
         if let Some((parent, _idx)) = self.parent {
             ctx.cache.dec(ctx.core, parent);
+        }
+        if let Slots::Leaf(slots) = &mut self.slots {
+            self.shared.keep_spare(ctx.core, slots);
         }
     }
 }
@@ -297,17 +413,20 @@ impl<V: Send + Sync + 'static> Managed for Node<V> {
 impl<V: Send + Sync + 'static> Drop for Node<V> {
     fn drop(&mut self) {
         // Retire the slot array's simulator registrations before the
-        // storage can be reused by an unrelated allocation.
+        // storage can be reused by an unrelated allocation (a leaf whose
+        // array went to a spare list has none left to retire).
         let (start, bytes) = self.slot_bytes();
-        sim::unlabel_range(start, bytes);
-        sim::unplace_range(start, bytes);
+        if bytes > 0 {
+            sim::unlabel_range(start, bytes);
+            sim::unplace_range(start, bytes);
+        }
         match &mut self.slots {
             Slots::Interior(slots) => {
-                self.stats.sub_here(TreeCounts::interior_nodes, 1);
+                self.shared.stats.sub_here(TreeCounts::interior_nodes, 1);
                 for s in slots.iter() {
                     let w = s.load(Ordering::Acquire);
                     if slot_tag(w) == TAG_FOLDED {
-                        self.stats.sub_here(TreeCounts::folded_values, 1);
+                        self.shared.stats.sub_here(TreeCounts::folded_values, 1);
                         // SAFETY: FOLDED slots own their boxed value; we
                         // have exclusive access in Drop.
                         unsafe { drop(Box::from_raw(slot_ptr(w) as *mut V)) };
@@ -323,7 +442,7 @@ impl<V: Send + Sync + 'static> Drop for Node<V> {
                 }
             }
             // Leaf values drop with the slot array.
-            Slots::Leaf(_) => self.stats.sub_here(TreeCounts::leaf_nodes, 1),
+            Slots::Leaf(_) => self.shared.stats.sub_here(TreeCounts::leaf_nodes, 1),
         }
     }
 }

@@ -59,8 +59,8 @@ use rvm_sync::{
 
 use crate::node::{
     index_at_level, lock_interior_slot, lock_leaf_slot, pack_slot, slot_ptr, slot_tag,
-    unlock_interior_slot, unlock_leaf_slot, LeafSlot, Node, Slots, TreeCounts, TreeStats, FANOUT,
-    LEAF_PRESENT, LEVELS, TAG_CHILD, TAG_EMPTY, TAG_FOLDED,
+    unlock_interior_slot, unlock_leaf_slot, LeafSlot, Node, Slots, TreeCounts, TreeShared,
+    TreeStats, FANOUT, LEAF_PRESENT, LEVELS, TAG_CHILD, TAG_EMPTY, TAG_FOLDED,
 };
 
 /// Virtual page number (36 bits used).
@@ -390,7 +390,8 @@ pub struct RadixTree<V: RadixValue> {
     cache: Arc<Refcache>,
     root: RcPtr<Node<V>>,
     cfg: RadixConfig,
-    stats: Arc<TreeStats>,
+    /// Statistics and spare leaf arrays, shared with every node.
+    shared: Arc<TreeShared<V>>,
     hints: Arc<HintTable<V>>,
     /// Flush-hook registration (0 when `leaf_hints` is off).
     hook_id: u64,
@@ -411,9 +412,9 @@ unsafe impl<V: RadixValue> Sync for RadixTree<V> {}
 impl<V: RadixValue> RadixTree<V> {
     /// Creates an empty tree whose node lifetimes are managed by `cache`.
     pub fn new(cache: Arc<Refcache>, cfg: RadixConfig) -> Self {
-        let stats = Arc::new(TreeStats::new(cache.ncores()));
+        let shared = Arc::new(TreeShared::new(cache.ncores()));
         // The root is pinned forever with its initial count of 1.
-        let root = cache.alloc(1, Node::new_interior(0, 0, None, stats.clone(), |_| 0));
+        let root = cache.alloc(1, Node::new_interior(0, 0, None, shared.clone(), |_| 0));
         nref(root).register_sim_lines(cfg.replicate_index);
         let hints = Arc::new(HintTable::new(cache.ncores()));
         let hook_id = if cfg.leaf_hints {
@@ -426,7 +427,7 @@ impl<V: RadixValue> RadixTree<V> {
             cache,
             root,
             cfg,
-            stats,
+            shared,
             hints,
             hook_id,
             range_lock: RangeLock::new(),
@@ -440,7 +441,7 @@ impl<V: RadixValue> RadixTree<V> {
 
     /// The tree's statistics block.
     pub fn stats(&self) -> &TreeStats {
-        &self.stats
+        &self.shared.stats
     }
 
     /// The Refcache managing this tree's nodes.
@@ -452,9 +453,9 @@ impl<V: RadixValue> RadixTree<V> {
     /// (Table 2 accounting).
     pub fn space_bytes(&self) -> u64 {
         let hdr = 96u64; // node header + Refcache header, rounded
-        let interior = self.stats.interior_nodes();
-        let leaf = self.stats.leaf_nodes();
-        let folded = self.stats.folded_values();
+        let interior = self.shared.stats.interior_nodes();
+        let leaf = self.shared.stats.leaf_nodes();
+        let folded = self.shared.stats.folded_values();
         // The slot as the allocator hands it out: status word, value
         // and the padding the value's alignment asks for.
         let leaf_slot = std::mem::size_of::<LeafSlot<V>>() as u64;
@@ -513,7 +514,7 @@ impl<V: RadixValue> RadixTree<V> {
         let hit = hold.hint.find(block_base).and_then(|way| {
             let leaf = hold.hint.ways[way].as_ref()?.node;
             let status = &nref(leaf).leaf()[(vpn - block_base) as usize].status;
-            lock_leaf_slot(core, status, &self.stats);
+            lock_leaf_slot(core, status, &self.shared.stats);
             if Self::leaf_linked(leaf) {
                 return Some(leaf);
             }
@@ -528,7 +529,7 @@ impl<V: RadixValue> RadixTree<V> {
         } else {
             TreeCounts::hint_misses
         };
-        self.stats.add_held(core, field, &hold.hint.tags, 1);
+        self.shared.stats.add_held(core, field, &hold.hint.tags, 1);
         match hit {
             Some(leaf) => Some((leaf, hold)),
             None => {
@@ -572,6 +573,36 @@ impl<V: RadixValue> RadixTree<V> {
         let hold = self.hints.hold(core);
         let tags = hold.hint.tags.iter();
         tags.copied().filter(|&t| t != NO_BLOCK).collect()
+    }
+
+    /// Addresses of the leaf arrays on `core`'s spare list.
+    #[cfg(test)]
+    pub(crate) fn spare_arrays(&self, core: usize) -> Vec<usize> {
+        self.shared.spare_arrays(core)
+    }
+
+    /// Address of the slot array of the leaf linked for `vpn`, if any.
+    /// Reads the linkage unpinned: only for a test that owns the tree.
+    #[cfg(test)]
+    pub(crate) fn leaf_array(&self, vpn: Vpn) -> Option<usize> {
+        let mut node = nref(self.root);
+        while !node.is_leaf() {
+            let w =
+                node.interior()[index_at_level(vpn, node.level as usize)].load(Ordering::Acquire);
+            if slot_tag(w) != TAG_CHILD {
+                return None;
+            }
+            // SAFETY: TAG_CHILD slots hold `Node<V>` pointers, and nothing
+            // else runs on the tree to free one.
+            node = nref(unsafe { RcPtr::<Node<V>>::from_raw_addr(slot_ptr(w)) });
+        }
+        Some(node.leaf().as_ptr() as usize)
+    }
+
+    /// What keeps the tree's shared state alive, to see it go.
+    #[cfg(test)]
+    pub(crate) fn shared_weak(&self) -> std::sync::Weak<TreeShared<V>> {
+        Arc::downgrade(&self.shared)
     }
 
     /// Locks `[lo, hi)` left-to-right and returns the guard.
@@ -663,7 +694,7 @@ impl<V: RadixValue> RadixTree<V> {
             debug_assert!(end <= FANOUT);
             if !born_locked {
                 for slot in &node.leaf()[first..end] {
-                    lock_leaf_slot(core, &slot.status, &self.stats);
+                    lock_leaf_slot(core, &slot.status, &self.shared.stats);
                 }
                 if !Self::leaf_linked(node_ptr) {
                     // Refolded under us: the values now live in a folded
@@ -724,7 +755,7 @@ impl<V: RadixValue> RadixTree<V> {
                 let v = if born_locked {
                     peek
                 } else {
-                    let observed = lock_interior_slot(core, slot, &self.stats);
+                    let observed = lock_interior_slot(core, slot, &self.shared.stats);
                     if slot_tag(observed) == TAG_CHILD {
                         // Became a child while we were acquiring; the CAS
                         // re-set the lock bit on a child word — undo and
@@ -789,20 +820,21 @@ impl<V: RadixValue> RadixTree<V> {
         let was_folded = slot_tag(locked_word) == TAG_FOLDED;
         // Take ownership of the folded template, if any.
         let template: Option<Box<V>> = if was_folded {
-            self.stats.sub(core, TreeCounts::folded_values, 1);
+            self.shared.stats.sub(core, TreeCounts::folded_values, 1);
             // SAFETY: FOLDED slots own their boxed value; the slot lock is
             // held, so no one else can free or replace it.
             Some(unsafe { Box::from_raw(slot_ptr(locked_word) as *mut V) })
         } else {
             None
         };
-        self.stats.add(core, TreeCounts::expansions, 1);
+        self.shared.stats.add(core, TreeCounts::expansions, 1);
         let permanent = if self.cfg.collapse { 0 } else { 1 };
         let child = if child_level == LEVELS - 1 {
             let node = Node::new_leaf(
+                core,
                 block_lo,
                 Some((parent, idx as u16)),
-                self.stats.clone(),
+                self.shared.clone(),
                 |_| match &template {
                     Some(t) => (LOCK_BIT | LEAF_PRESENT, Some((**t).clone())),
                     None => (LOCK_BIT, None),
@@ -815,7 +847,7 @@ impl<V: RadixValue> RadixTree<V> {
                 child_level as u8,
                 block_lo,
                 Some((parent, idx as u16)),
-                self.stats.clone(),
+                self.shared.clone(),
                 |_| match &template {
                     Some(t) => {
                         let boxed = Box::new((**t).clone());
@@ -825,7 +857,8 @@ impl<V: RadixValue> RadixTree<V> {
                 },
             );
             if template.is_some() {
-                self.stats
+                self.shared
+                    .stats
                     .add(core, TreeCounts::folded_values, FANOUT as u64);
             }
             let used = if template.is_some() { FANOUT as i64 } else { 0 };
@@ -869,7 +902,7 @@ impl<V: RadixValue> RadixTree<V> {
             if node.is_leaf() {
                 let idx = (vpn - node.base_vpn) as usize;
                 let slot = &node.leaf()[idx];
-                lock_leaf_slot(core, &slot.status, &self.stats);
+                lock_leaf_slot(core, &slot.status, &self.shared.stats);
                 let linked = Self::leaf_linked(node_ptr);
                 // SAFETY: the slot lock is held.
                 let out = unsafe { (*slot.value.get()).clone() };
@@ -908,7 +941,7 @@ impl<V: RadixValue> RadixTree<V> {
                 }
                 TAG_FOLDED => {
                     // Clone the folded value under a brief slot lock.
-                    let v = lock_interior_slot(core, slot, &self.stats);
+                    let v = lock_interior_slot(core, slot, &self.shared.stats);
                     let out = if slot_tag(v) == TAG_FOLDED {
                         // SAFETY: lock held; FOLDED slot owns the box.
                         Some(unsafe { (*(slot_ptr(v) as *const V)).clone() })
@@ -954,13 +987,15 @@ impl<V: RadixValue> RadixTree<V> {
                     // was severed after the validity check, the emptied
                     // slot says nothing — take the descent instead.
                     if st & LEAF_PRESENT != 0 || Self::hint_valid(h) {
-                        self.stats
+                        self.shared
+                            .stats
                             .add_held(core, TreeCounts::hint_hits, &hold.hint.tags, 1);
                         return st & LEAF_PRESENT != 0;
                     }
                 }
             }
-            self.stats
+            self.shared
+                .stats
                 .add_held(core, TreeCounts::hint_misses, &hold.hint.tags, 1);
             drop(hold);
         }
@@ -1046,7 +1081,7 @@ impl<V: RadixValue> RadixTree<V> {
             let end = (hi - node.base_vpn) as usize;
             for idx in first..end {
                 let slot = &node.leaf()[idx];
-                lock_leaf_slot(core, &slot.status, &self.stats);
+                lock_leaf_slot(core, &slot.status, &self.shared.stats);
                 // SAFETY: the slot lock is held.
                 let v = unsafe { (*slot.value.get()).clone() };
                 unlock_leaf_slot(&slot.status);
@@ -1093,7 +1128,7 @@ impl<V: RadixValue> RadixTree<V> {
                     TAG_FOLDED => {
                         // Clone the folded value once under a brief lock,
                         // then fan it out per page.
-                        let v = lock_interior_slot(core, slot, &self.stats);
+                        let v = lock_interior_slot(core, slot, &self.shared.stats);
                         let val = if slot_tag(v) == TAG_FOLDED {
                             // SAFETY: lock held; FOLDED slot owns the box.
                             Some(unsafe { (*(slot_ptr(v) as *const V)).clone() })
@@ -1193,7 +1228,7 @@ impl<V: RadixValue> RangeGuard<'_, V> {
         let mut out = RemovedList::new();
         let core = self.core;
         let cache = &self.tree.cache;
-        let stats = &self.tree.stats;
+        let stats = &self.tree.shared.stats;
         for unit in self.units.iter() {
             match unit {
                 Unit::LeafRange {
@@ -1262,7 +1297,7 @@ impl<V: RadixValue> RangeGuard<'_, V> {
         let mut out = RemovedList::new();
         let core = self.core;
         let cache = &self.tree.cache;
-        let stats = &self.tree.stats;
+        let stats = &self.tree.shared.stats;
         for unit in self.units.iter() {
             match unit {
                 Unit::LeafRange {
@@ -1509,7 +1544,7 @@ impl<V: RadixValue> RangeGuard<'_, V> {
     pub fn refold(&mut self, folded: V) -> Option<Vec<V>> {
         let core = self.core;
         let cache = &self.tree.cache;
-        let stats = &self.tree.stats;
+        let stats = &self.tree.shared.stats;
         if self.units.len() != 1 {
             return None;
         }
@@ -1613,7 +1648,10 @@ impl<V: RadixValue> Drop for RangeGuard<'_, V> {
             self.tree.cache.dec(self.core, *pin);
         }
         if self.units.spilled() || self.pins.spilled() {
-            self.tree.stats.add(self.core, TreeCounts::guard_spills, 1);
+            self.tree
+                .shared
+                .stats
+                .add(self.core, TreeCounts::guard_spills, 1);
         }
         // Release the list descriptor after every slot lock is down so
         // overlapping waiters observe a fully unlocked range.

@@ -55,6 +55,34 @@ pub use sim::{SimGuard, SimStats};
 /// Maximum number of simulated cores supported by bitmask-based core sets.
 pub const MAX_CORES: usize = 128;
 
+/// Marks `bytes` bytes at address `start` unaddressable (`poisoned`) or
+/// addressable again, for AddressSanitizer. Memory a structure keeps for
+/// reuse instead of freeing is invisible to ASan's use-after-free check
+/// until it is poisoned here; unpoison it before touching or freeing it.
+/// Only builds with `--cfg rvm_asan` (`scripts/sanitize.sh`) call into
+/// ASan; in every other build this is nothing.
+#[inline]
+pub fn asan_poison(start: usize, bytes: usize, poisoned: bool) {
+    #[cfg(rvm_asan)]
+    {
+        extern "C" {
+            fn __asan_poison_memory_region(addr: *const u8, size: usize);
+            fn __asan_unpoison_memory_region(addr: *const u8, size: usize);
+        }
+        // SAFETY: ASan's interface only changes its shadow bytes for the
+        // range; the caller owns the memory.
+        unsafe {
+            if poisoned {
+                __asan_poison_memory_region(start as *const u8, bytes);
+            } else {
+                __asan_unpoison_memory_region(start as *const u8, bytes);
+            }
+        }
+    }
+    #[cfg(not(rvm_asan))]
+    let _ = (start, bytes, poisoned);
+}
+
 /// A set of core ids represented as a 128-bit mask.
 ///
 /// Used for TLB core tracking ([RadixVM §3.3]) and for addressing IPI

@@ -3,7 +3,9 @@
 //! and pin storage is inline, the leaf hint skips the descent, and
 //! nothing on the PTE/TLB refill path allocates. The same holds for a
 //! warm one-page `munmap`, an in-place re-`mmap`, and the Refcache tick
-//! that frees their frames.
+//! that frees their frames. And a warm superpage demotion, which builds
+//! a radix leaf and later frees it, takes the leaf's slot array from the
+//! core's spare list, not from the allocator.
 //!
 //! Lives in its own integration-test binary because it installs a
 //! counting global allocator, and contains a single #[test] so no
@@ -13,18 +15,31 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use radixvm::backend::{build, BackendKind};
-use radixvm::hw::{Backing, Machine, Prot, PAGE_SIZE};
-use radixvm::radix::{LockMode, RadixConfig, RadixTree};
+use radixvm::core_vm::PageMeta;
+use radixvm::hw::{Backing, Machine, MapFlags, Prot, BLOCK_PAGES, PAGE_SIZE};
+use radixvm::radix::node::LeafSlot;
+use radixvm::radix::{LockMode, RadixConfig, RadixTree, FANOUT};
 use radixvm::refcache::Refcache;
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-// SAFETY: delegates to the system allocator; only adds a counter.
+/// Bytes of one radix leaf's slot array in RadixVM's tree.
+const LEAF_BYTES: usize = FANOUT * std::mem::size_of::<LeafSlot<PageMeta>>();
+
+/// Fresh allocations of at least a leaf array's size. A `realloc` is
+/// not one: the list of values a 2 MiB `munmap` displaces grows past
+/// this size in place.
+static LEAF_SIZED: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: delegates to the system allocator; only adds counters.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        if layout.size() >= LEAF_BYTES {
+            LEAF_SIZED.fetch_add(1, Ordering::Relaxed);
+        }
         System.alloc(layout)
     }
 
@@ -219,6 +234,44 @@ fn warm_single_page_fault_path_is_allocation_free() {
         }
     }
     assert_eq!(last, 0, "Refcache tick: every window allocated");
+
+    // Phase 2d: a warm demotion cycle — hinted 2 MiB map, one write (a
+    // block fault), a 16-page hole punched (the fold becomes a leaf),
+    // unmap, tick. The tick reviews the leaf the cycle two ticks earlier
+    // emptied, and its slot array goes to the core's spare list, where
+    // the next demotion finds it: no allocation of a leaf's size.
+    const SUPER: u64 = 0x74_0000_0000;
+    const BLOCK_BYTES: u64 = BLOCK_PAGES * PAGE_SIZE;
+    let demote = |i: u64| {
+        let addr = SUPER + (i % 4) * BLOCK_BYTES;
+        vm.mmap_flags(
+            0,
+            addr,
+            BLOCK_BYTES,
+            Prot::RW,
+            Backing::Anon,
+            MapFlags::HUGE,
+        )
+        .unwrap();
+        machine.write_u64(0, &*vm, addr, i).unwrap();
+        vm.munmap(0, addr + 100 * PAGE_SIZE, 16 * PAGE_SIZE)
+            .unwrap();
+        vm.munmap(0, addr, BLOCK_BYTES).unwrap();
+        vm.maintain(0);
+    };
+    (0..16).for_each(demote); // warm-up: the block pool and the spare list
+    let mut last = u64::MAX;
+    for _ in 0..5 {
+        let demotions = vm.op_stats().superpage_demotions;
+        let before = LEAF_SIZED.load(Ordering::Relaxed);
+        (0..64).for_each(demote);
+        last = LEAF_SIZED.load(Ordering::Relaxed) - before;
+        assert_eq!(vm.op_stats().superpage_demotions - demotions, 64);
+        if last == 0 {
+            break;
+        }
+    }
+    assert_eq!(last, 0, "demotion cycle: {LEAF_BYTES}-byte allocations");
 
     // Phase 3: the COLD fault path — demand-zero populating a fresh page
     // (frame off the core-local free list, count cell armed in the frame
