@@ -271,6 +271,10 @@ pub struct SimCtx {
     /// Labeled address ranges for transfer attribution (few, scanned
     /// linearly — diagnostics only, never on the modeled hot path).
     labels: Vec<LabeledRange>,
+    /// Per label, the remote transfers and the flattened cross-node
+    /// matrix of lines whose label has since changed: what a line served
+    /// under one owner stays with that owner's label (see [`SimCtx::retire`]).
+    retired: Vec<(&'static str, u64, Box<[u64]>)>,
     /// Explicit placement registrations, consulted at line creation.
     placed: Vec<PlacedRange>,
     /// Node id of each simulated core (from the model's topology).
@@ -309,6 +313,7 @@ impl SimCtx {
             locks: AddrMap::default(),
             ranges: AddrMap::default(),
             labels: Vec::new(),
+            retired: Vec::new(),
             placed: Vec::new(),
             core_node,
             nnodes,
@@ -336,6 +341,43 @@ impl SimCtx {
             .find(|r| r.lo_line <= line && line < r.hi_line)
             .map(|r| r.label)
             .unwrap_or(UNLABELED)
+    }
+
+    /// The retired totals of `label`, created empty on first use.
+    fn retired_of(&mut self, label: &'static str) -> &mut (&'static str, u64, Box<[u64]>) {
+        let i = match self.retired.iter().position(|r| r.0 == label) {
+            Some(i) => i,
+            None => {
+                let matrix = vec![0; self.nnodes * self.nnodes].into_boxed_slice();
+                self.retired.push((label, 0, matrix));
+                self.retired.len() - 1
+            }
+        };
+        &mut self.retired[i]
+    }
+
+    /// Books what lines `[lo, hi)` have served so far — remote transfers
+    /// and cross-node events — to the label each line has now, and
+    /// starts them from zero: called just before a range's label
+    /// changes, so a line whose memory passes from one structure to
+    /// another reports each one's traffic under its own name.
+    fn retire(&mut self, lo: u64, hi: u64) {
+        for key in lo..hi {
+            let transfers = self
+                .lines
+                .get_mut(&key)
+                .map_or(0, |l| std::mem::take(&mut l.transfers));
+            let cross = self.cross.remove(&key);
+            if transfers == 0 && cross.is_none() {
+                continue;
+            }
+            let label = self.label_of(key);
+            let r = self.retired_of(label);
+            r.1 += transfers;
+            for (acc, v) in r.2.iter_mut().zip(cross.iter().flat_map(|m| m.iter())) {
+                *acc += v;
+            }
+        }
     }
 
     fn on_read(&mut self, addr: usize) {
@@ -654,15 +696,11 @@ impl Drop for SimGuard {
 ///
 /// Panics if a context is already installed on this thread.
 pub fn install(ncores: usize, model: CostModel) -> SimGuard {
-    let boxed = Box::new(SimCtx::new(ncores, model));
-    let ptr = Box::into_raw(boxed);
-    SIM.with(|c| {
-        assert!(
-            c.get().is_null(),
-            "simulator already installed on this thread"
-        );
-        c.set(ptr);
-    });
+    // Refuse before taking the context apart from its box, which a panic
+    // afterwards would leak.
+    assert!(!active(), "simulator already installed on this thread");
+    let ptr = Box::into_raw(Box::new(SimCtx::new(ncores, model)));
+    SIM.with(|c| c.set(ptr));
     SimGuard { ptr }
 }
 
@@ -789,11 +827,13 @@ pub fn unplace_range(start: usize, bytes: usize) {
 
 /// Removes label registrations fully contained in `[start, start + bytes)`
 /// (the inverse of [`label_range`], for owners whose memory is freed and
-/// reused while the simulator is active).
+/// reused while the simulator is active). The transfers the range's
+/// lines served so far stay with the label they were served under.
 pub fn unlabel_range(start: usize, bytes: usize) {
     with_ctx(|s| {
         let lo = start as u64 >> 6;
         let hi = ((start + bytes) as u64).div_ceil(64);
+        s.retire(lo, hi);
         s.labels.retain(|r| !(lo <= r.lo_line && r.hi_line <= hi));
     });
 }
@@ -880,12 +920,17 @@ pub fn ipi_round(targets: CoreSet) {
 /// remote-transfer attribution. Ranges are registered once per
 /// allocation by the structure that owns the memory (e.g. the frame
 /// pool labels each frame-table chunk as `"frame-table"`); unclaimed
-/// lines report as [`UNLABELED`]. No-op when simulation is inactive.
+/// lines report as [`UNLABELED`]. A transfer counts under the label its
+/// line had when it happened: what the range served before this call
+/// stays with its old label. No-op when simulation is inactive.
 pub fn label_range(label: &'static str, start: usize, bytes: usize) {
     with_ctx(|s| {
+        let lo_line = start as u64 >> 6;
+        let hi_line = ((start + bytes) as u64).div_ceil(64);
+        s.retire(lo_line, hi_line);
         s.labels.push(LabeledRange {
-            lo_line: start as u64 >> 6,
-            hi_line: ((start + bytes) as u64).div_ceil(64),
+            lo_line,
+            hi_line,
             label,
         });
     });
@@ -893,7 +938,7 @@ pub fn label_range(label: &'static str, start: usize, bytes: usize) {
 
 /// Returns the `n` cache lines with the most remote transfers, as
 /// `(line address, transfers)` (diagnostics: finds the shared lines that
-/// flatten a scaling curve).
+/// flatten a scaling curve). A line counts from its last (un)labeling.
 pub fn top_remote_lines(n: usize) -> Vec<(u64, u64)> {
     top_remote_lines_labeled(n)
         .into_iter()
@@ -921,10 +966,17 @@ pub fn top_remote_lines_labeled(n: usize) -> Vec<(u64, u64, &'static str)> {
 }
 
 /// Total remote transfers per registered category, sorted descending
-/// ([`UNLABELED`] collects everything no structure claimed).
+/// ([`UNLABELED`] collects everything no structure claimed): each
+/// transfer under the label its line had when it happened, so a total
+/// only ever grows.
 pub fn remote_transfers_by_label() -> Vec<(&'static str, u64)> {
     with_ctx(|s| {
-        let mut totals: Vec<(&'static str, u64)> = Vec::new();
+        let mut totals: Vec<(&'static str, u64)> = s
+            .retired
+            .iter()
+            .filter(|r| r.1 > 0)
+            .map(|r| (r.0, r.1))
+            .collect();
         for (addr, l) in s.lines.iter() {
             if l.transfers == 0 {
                 continue;
@@ -949,7 +1001,12 @@ pub fn remote_transfers_by_label() -> Vec<(&'static str, u64)> {
 /// [`remote_transfers_by_label`].
 pub fn cross_node_transfers_by_label() -> Vec<(&'static str, Vec<u64>)> {
     with_ctx(|s| {
-        let mut totals: Vec<(&'static str, Vec<u64>)> = Vec::new();
+        let mut totals: Vec<(&'static str, Vec<u64>)> = s
+            .retired
+            .iter()
+            .filter(|r| r.2.iter().any(|&v| v > 0))
+            .map(|r| (r.0, r.2.to_vec()))
+            .collect();
         for (addr, m) in s.cross.iter() {
             let label = s.label_of(*addr);
             match totals.iter_mut().find(|(n, _)| *n == label) {
@@ -1358,8 +1415,48 @@ mod tests {
         let (label, matrix) = &cross[0];
         assert_eq!(*label, "radix-index");
         assert_eq!(matrix.iter().sum::<u64>(), 3, "one event per remote node");
+        // The events stay with the label they happened under.
         unlabel_range(addr, 64);
-        assert_eq!(cross_node_transfers_by_label()[0].0, UNLABELED);
+        assert_eq!(cross_node_transfers_by_label(), cross);
+        drop(g);
+    }
+
+    #[test]
+    fn a_transfer_keeps_the_label_its_line_had_when_it_happened() {
+        let m = CostModel::default().with_topology(crate::Topology::striped(2));
+        let g = install(2, m);
+        let addr = 0xD000usize;
+        let bounce = || {
+            for c in [0, 1] {
+                switch(c);
+                on_write(addr);
+            }
+        };
+        bounce(); // a cold miss, then one transfer: unlabeled
+        label_range("radix-leaf", addr, 4096);
+        bounce();
+        bounce();
+        // The memory changes hands.
+        unlabel_range(addr, 4096);
+        label_range("page-table", addr, 4096);
+        bounce();
+        let by_label = remote_transfers_by_label();
+        assert_eq!(
+            by_label,
+            [("radix-leaf", 4), ("page-table", 2), (UNLABELED, 1)]
+        );
+        let cross = cross_node_transfers_by_label();
+        let total = |label| {
+            cross
+                .iter()
+                .find(|c| c.0 == label)
+                .map(|c| c.1.iter().sum::<u64>())
+        };
+        assert_eq!(total("radix-leaf"), Some(4));
+        assert_eq!(total(UNLABELED), Some(1));
+        assert_eq!(total("page-table"), Some(2));
+        // The line itself counts from its last relabeling.
+        assert_eq!(top_remote_lines(1), [(addr as u64, 2)]);
         drop(g);
     }
 
