@@ -899,9 +899,9 @@ mod tests {
 
     #[test]
     fn warm_hinted_lock_unlock_line_events_are_pinned() {
-        // The hinted single-page lock/unlock touches six instrumented
+        // The hinted single-page lock/unlock touches five instrumented
         // lines, all core-local: the hint slot lock (1 write), the leaf
-        // slot lock (1 read + 1 CAS), the parent slot that must still
+        // slot lock (1 `fetch_or`), the parent slot that must still
         // publish the leaf, read once under it (1 read), the hit counter
         // (1 write) and the unlock (1 write). A Refcache pin/unpin pair
         // would add four more (the core delta cache lock and the epoch,
@@ -918,7 +918,7 @@ mod tests {
         drop(t.lock_range(0, 1004, 1005, LockMode::ExpandFolded));
         let after = rvm_sync::sim::stats().cores[0];
         assert_eq!(t.stats().hint_hits(), hits + 1);
-        assert_eq!(after.local_hits - before.local_hits, 6);
+        assert_eq!(after.local_hits - before.local_hits, 5);
         assert_eq!(after.cold_misses, before.cold_misses);
         assert_eq!(after.remote_transfers, before.remote_transfers);
         drop(t);

@@ -482,7 +482,11 @@ pub fn unlock_interior_slot(slot: &Atomic64) {
 /// Acquires a leaf slot's lock bit; returns the observed status (without
 /// the lock bit).
 ///
-/// Same backoff and spin-accounting discipline as
+/// One read-modify-write, `fetch_or(LOCK_BIT)`, and no load before it:
+/// a slot another core wrote last costs one exclusive transfer, not a
+/// shared fetch and then an upgrade. Only after a failed attempt does
+/// the caller poll with loads (which keep the line shared among the
+/// waiters), with the backoff and spin accounting of
 /// [`lock_interior_slot`]: this is the fault path's lock, so a stampede
 /// of faults on one page must degrade into polite polling rather than a
 /// coherence storm.
@@ -491,31 +495,37 @@ pub fn lock_leaf_slot(core: usize, status: &Atomic64, stats: &TreeStats) -> u64 
     let mut backoff = Backoff::new();
     let mut spins = 0u64;
     loop {
-        let v = status.load(Ordering::Acquire);
-        if v & LOCK_BIT == 0
-            && status
-                .compare_exchange(v, v | LOCK_BIT, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-        {
+        let v = status.fetch_or(LOCK_BIT, Ordering::Acquire);
+        if v & LOCK_BIT == 0 {
             if spins > 0 {
                 stats.add(core, TreeCounts::slot_spins, spins);
             }
             return v;
         }
-        spins += u64::from(backoff.pause());
+        loop {
+            spins += u64::from(backoff.pause());
+            if status.load(Ordering::Relaxed) & LOCK_BIT == 0 {
+                break;
+            }
+        }
     }
 }
 
 /// Releases a leaf slot's lock bit.
 ///
-/// A leaf status word has a single mutator while its lock bit is set:
-/// acquirers only CAS it from an unlocked value, and nothing else ever
-/// writes it (Refcache's `DYING` protocol works on *interior* words,
-/// which is why [`unlock_interior_slot`] must stay an RMW). So the
-/// holder releases — and flips `LEAF_PRESENT`, see the range guard —
-/// with plain stores. They are `Release` stores, pairing with the
-/// `Acquire` load and CAS of the next [`lock_leaf_slot`] (and with
-/// `lookup_present`'s lock-free `Acquire` load of the present bit), so
+/// A leaf status word changes only at its lock holder's hand while the
+/// lock bit is set: an acquirer's `fetch_or` that finds the bit set
+/// writes back exactly the value it read, and nothing else writes the
+/// word (Refcache's `DYING` protocol works on *interior* words, which is
+/// why [`unlock_interior_slot`] must stay an RMW). So the holder releases
+/// with a plain load and store ([`Atomic64::and_exclusive`]) and flips
+/// `LEAF_PRESENT` with plain stores (see the range guard): a failed
+/// acquire landing between the holder's load and store rewrites the
+/// value already there, and the store loses nothing. They are `Release`
+/// stores, pairing with the `Acquire` `fetch_or` of the next
+/// [`lock_leaf_slot`] — the failed attempts between them are
+/// read-modify-writes, which continue the release sequence — and with
+/// `lookup_present`'s lock-free `Acquire` load of the present bit, so
 /// the slot's value written under the lock is visible to whoever sees
 /// the word change.
 #[inline]

@@ -111,9 +111,10 @@ impl Atomic64 {
 
     /// ANDs `mask` into a word that **only the caller mutates** right
     /// now — a lock word's holder clearing bits, when everyone else only
-    /// ever CASes the word from its unlocked state — with a plain load
-    /// and store instead of a locked read-modify-write. One line event,
-    /// like the [`Atomic64::fetch_and`] it stands in for.
+    /// ever sets the lock bit, so that an attempt on a held word writes
+    /// back the value it read — with a plain load and store instead of a
+    /// locked read-modify-write. One line event, like the
+    /// [`Atomic64::fetch_and`] it stands in for.
     #[inline]
     pub fn and_exclusive(&self, mask: u64, order: Ordering) {
         sim::on_write(self.addr());

@@ -85,13 +85,14 @@ fn refault_op_is_seven_when_the_leaf_hint_serves_it() {
 fn hinted_refault_op_line_events_are_pinned() {
     // Every instrumented access of the op, locked or not: the TLB lock
     // for the invalidation, again for the lookup that misses, and the
-    // miss counter under it (3); the hinted slot lock and unlock (6,
+    // miss counter under it (3); the hinted slot lock and unlock (5,
     // pinned in `rvm_radix`) and the present bit read under it (1); the
     // fill counter (1); the page-table walk loading each interior word
     // once (3) and swapping the PTE (1); the TLB lock for the fill (1).
     // A word read twice shows up here, not in `rmws` — as did the attach
-    // set, which every fault loaded and only the shared table reads.
-    const LINE_EVENTS: u64 = 16;
+    // set, which every fault loaded and only the shared table reads, and
+    // the slot lock's load ahead of its CAS.
+    const LINE_EVENTS: u64 = 15;
     let _sim = one_core_sim();
     let mut o = one_core_ops(Kind::Refault);
     rmws_per_op(&mut o, 1024); // warm up
