@@ -211,20 +211,15 @@ impl<V> TreeShared<V> {
             slots.iter().all(|s| unsafe { (*s.value.get()).is_none() }),
             "a spare leaf array holds a value"
         );
-        let (start, bytes) = (slots.as_ptr() as usize, std::mem::size_of_val(&**slots));
-        sim::unlabel_range(start, bytes);
-        asan_poison(start, bytes, true);
+        sim::unlabel_range(slots.as_ptr() as usize, std::mem::size_of_val(&**slots));
+        poison(slots, true);
         spare.push(std::mem::take(slots));
     }
 
     /// The array `core` emptied last, if it kept one.
     fn take_spare(&self, core: usize) -> Option<LeafSlots<V>> {
         let slots = self.spare[core].lock().pop()?;
-        asan_poison(
-            slots.as_ptr() as usize,
-            std::mem::size_of_val(&*slots),
-            false,
-        );
+        poison(&slots, false);
         Some(slots)
     }
 
@@ -239,15 +234,22 @@ impl<V> TreeShared<V> {
 impl<V> Drop for TreeShared<V> {
     fn drop(&mut self) {
         for spare in self.spare.iter_mut() {
-            for slots in spare.get_mut().iter() {
-                asan_poison(
-                    slots.as_ptr() as usize,
-                    std::mem::size_of_val(&**slots),
-                    false,
-                );
-            }
+            spare
+                .get_mut()
+                .iter()
+                .for_each(|slots| poison(slots, false));
         }
     }
+}
+
+/// [`asan_poison`] over a spare leaf array: poisoned while it waits, so a
+/// stale node pointer that reads it is a reported use-after-free.
+fn poison<V>(slots: &[LeafSlot<V>], poisoned: bool) {
+    asan_poison(
+        slots.as_ptr() as usize,
+        std::mem::size_of_val(slots),
+        poisoned,
+    );
 }
 
 /// A radix-tree node (interior or leaf), Refcache-managed.

@@ -258,6 +258,16 @@ struct LabeledRange {
 /// Category name reported for lines no structure claimed.
 pub const UNLABELED: &str = "heap";
 
+/// What lines served under one label before their label changed (see
+/// [`SimCtx::retire`]).
+struct Retired {
+    label: &'static str,
+    /// Remote transfers.
+    transfers: u64,
+    /// Cross-node events, a flattened `nnodes × nnodes` matrix.
+    cross: Box<[u64]>,
+}
+
 /// The simulator context: one per benchmark thread, installed in TLS.
 pub struct SimCtx {
     model: CostModel,
@@ -271,10 +281,9 @@ pub struct SimCtx {
     /// Labeled address ranges for transfer attribution (few, scanned
     /// linearly — diagnostics only, never on the modeled hot path).
     labels: Vec<LabeledRange>,
-    /// Per label, the remote transfers and the flattened cross-node
-    /// matrix of lines whose label has since changed: what a line served
-    /// under one owner stays with that owner's label (see [`SimCtx::retire`]).
-    retired: Vec<(&'static str, u64, Box<[u64]>)>,
+    /// Per label, what its lines served before their label changed:
+    /// what a line served under one owner stays with that owner's label.
+    retired: Vec<Retired>,
     /// Explicit placement registrations, consulted at line creation.
     placed: Vec<PlacedRange>,
     /// Node id of each simulated core (from the model's topology).
@@ -344,12 +353,15 @@ impl SimCtx {
     }
 
     /// The retired totals of `label`, created empty on first use.
-    fn retired_of(&mut self, label: &'static str) -> &mut (&'static str, u64, Box<[u64]>) {
-        let i = match self.retired.iter().position(|r| r.0 == label) {
+    fn retired_of(&mut self, label: &'static str) -> &mut Retired {
+        let i = match self.retired.iter().position(|r| r.label == label) {
             Some(i) => i,
             None => {
-                let matrix = vec![0; self.nnodes * self.nnodes].into_boxed_slice();
-                self.retired.push((label, 0, matrix));
+                self.retired.push(Retired {
+                    label,
+                    transfers: 0,
+                    cross: vec![0; self.nnodes * self.nnodes].into_boxed_slice(),
+                });
                 self.retired.len() - 1
             }
         };
@@ -373,8 +385,8 @@ impl SimCtx {
             }
             let label = self.label_of(key);
             let r = self.retired_of(label);
-            r.1 += transfers;
-            for (acc, v) in r.2.iter_mut().zip(cross.iter().flat_map(|m| m.iter())) {
+            r.transfers += transfers;
+            for (acc, v) in r.cross.iter_mut().zip(cross.iter().flat_map(|m| m.iter())) {
                 *acc += v;
             }
         }
@@ -974,8 +986,8 @@ pub fn remote_transfers_by_label() -> Vec<(&'static str, u64)> {
         let mut totals: Vec<(&'static str, u64)> = s
             .retired
             .iter()
-            .filter(|r| r.1 > 0)
-            .map(|r| (r.0, r.1))
+            .filter(|r| r.transfers > 0)
+            .map(|r| (r.label, r.transfers))
             .collect();
         for (addr, l) in s.lines.iter() {
             if l.transfers == 0 {
@@ -1004,8 +1016,8 @@ pub fn cross_node_transfers_by_label() -> Vec<(&'static str, Vec<u64>)> {
         let mut totals: Vec<(&'static str, Vec<u64>)> = s
             .retired
             .iter()
-            .filter(|r| r.2.iter().any(|&v| v > 0))
-            .map(|r| (r.0, r.2.to_vec()))
+            .filter(|r| r.cross.iter().any(|&v| v > 0))
+            .map(|r| (r.label, r.cross.to_vec()))
             .collect();
         for (addr, m) in s.cross.iter() {
             let label = s.label_of(*addr);
