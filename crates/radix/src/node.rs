@@ -163,10 +163,11 @@ pub enum Slots<V> {
 ///
 /// Measured on the repo benchmark's `superpage` workload at 16 virtual
 /// cores, whose demotions create and collapse leaves (`radix-leaf` +
-/// `heap` remote lines per op): a bound of 1 leaves 68, 2 leaves 11, 4
-/// and 8 both leave 5.35 — Refcache's two-epoch delay keeps two or three
-/// of a core's leaves in flight, so four covers them and more would only
-/// hold memory (40 KiB a leaf for RadixVM's mapping metadata).
+/// `heap` remote lines per op, 230 with none kept): a bound of 1 leaves
+/// 60, 2 leaves 8.8, 4 leaves 4.5 and 8 leaves 5.5 — Refcache's
+/// two-epoch delay keeps two or three of a core's leaves in flight, so
+/// four covers them and more only holds memory (40 KiB a leaf for
+/// RadixVM's mapping metadata).
 pub const SPARE_LEAVES: usize = 4;
 
 /// What a tree shares with every one of its nodes, behind the one `Arc`
@@ -504,6 +505,8 @@ pub fn lock_leaf_slot(core: usize, status: &Atomic64, stats: &TreeStats) -> u64 
             }
             return v;
         }
+        // Relaxed: the poll only says when to try again; the `fetch_or`
+        // is what acquires.
         loop {
             spins += u64::from(backoff.pause());
             if status.load(Ordering::Relaxed) & LOCK_BIT == 0 {

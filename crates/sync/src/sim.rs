@@ -25,8 +25,11 @@
 //!   spins; contention appears as virtual-time waiting (line serialization
 //!   and lock `avail_at` windows) rather than retry work.
 //! * Line and lock tables are keyed by address; if an allocation is freed
-//!   and its address reused, stale timing state may carry over. This only
-//!   perturbs timing slightly and never correctness.
+//!   and its address reused, its line state carries over — as it would on
+//!   hardware, and it can be a large effect: memory one core frees and
+//!   another reuses is a remote transfer per line (DESIGN.md §1). It
+//!   never affects correctness. Transfer attribution by label does not
+//!   carry over: see [`label_range`].
 
 use std::cell::Cell;
 use std::collections::HashMap;
