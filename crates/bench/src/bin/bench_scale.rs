@@ -6,9 +6,9 @@
 //! (Figure 7's experiment), recording ops per virtual second, per-core
 //! retention vs. 1 core, remote cache-line transfers per op, and
 //! shootdown IPIs per op. The gate (radix retention ≥ 70 % at max
-//! cores, O(1) remote traffic per op, and a strictly better slope than
-//! the Bonsai/Linux baselines) exits non-zero on regression, so the CI
-//! smoke step fails loudly.
+//! cores, O(1) remote traffic per op, a strictly better slope than the
+//! Bonsai/Linux baselines, and 1-core throughput ≥ 0.92 × Linux's)
+//! exits non-zero on regression, so the CI smoke step fails loudly.
 //!
 //! Usage: `cargo run --release -p rvm_bench --bin bench_scale [--quick]`
 //! (or `scripts/bench_record.sh`, which redirects into the checked-in
@@ -16,10 +16,11 @@
 
 use rvm_bench::json::{array, fixed, object, Json};
 use rvm_bench::scale::{
-    check_contended, check_gate, check_overlap, contended_sweep, disjoint_sweep, overlap_sweep,
-    retention, scale_core_counts, OverlapSweep, ScalePoint, CONTENDED_DEGRADATION_FLOOR,
-    CONTENDED_REMOTE_PER_OP_CEIL, OVERLAP_DEGRADATION_FLOOR, OVERLAP_DEGREES,
-    OVERLAP_RETENTION_FLOOR, RADIX_REMOTE_PER_OP_CEIL, RADIX_RETENTION_FLOOR,
+    check_contended, check_gate, check_overlap, contended_sweep, disjoint_sweep, first_rate,
+    overlap_sweep, retention, scale_core_counts, OverlapSweep, ScalePoint,
+    CONTENDED_DEGRADATION_FLOOR, CONTENDED_REMOTE_PER_OP_CEIL, OVERLAP_DEGRADATION_FLOOR,
+    OVERLAP_DEGREES, OVERLAP_RETENTION_FLOOR, RADIX_REMOTE_PER_OP_CEIL, RADIX_RETENTION_FLOOR,
+    RADIX_VS_LINUX_1C_FLOOR,
 };
 use rvm_bench::{duration_ns, obj, BackendKind, Gate};
 
@@ -122,7 +123,6 @@ fn main() {
     }
     let overlap_report = check_overlap(&overlap[0].1);
 
-    let first_rate = |points: &[ScalePoint]| points.first().map_or(0.0, ScalePoint::ops_per_sec);
     let record = obj! {
         "schema" => 1,
         "bench" => "scale",
@@ -166,6 +166,8 @@ fn main() {
             "bonsai_retention" => fixed(report.bonsai_retention, 4),
             "linux_retention" => fixed(report.linux_retention, 4),
             "radix_remote_per_op" => fixed(report.radix_remote_per_op, 4),
+            "radix_vs_linux_1c_floor" => RADIX_VS_LINUX_1C_FLOOR,
+            "radix_vs_linux_1c" => fixed(report.radix_vs_linux_1c, 4),
             "passed" => report.gate.passed(),
         },
     };
@@ -173,7 +175,8 @@ fn main() {
     Gate::enforce(&[&report.gate, &contended_report.gate, &overlap_report.gate]);
     eprintln!(
         "scaling gate passed: radix retention {:.3} at {} cores \
-         (bonsai {:.3}, linux {:.3}), {:.3} remote lines/op; \
+         (bonsai {:.3}, linux {:.3}), {:.3} remote lines/op, \
+         {:.3}x linux at 1 core; \
          contended worst {:.3}x serial; overlap 0% retention {:.3}, \
          100% worst {:.3}x serial",
         report.radix_retention,
@@ -181,6 +184,7 @@ fn main() {
         report.bonsai_retention,
         report.linux_retention,
         report.radix_remote_per_op,
+        report.radix_vs_linux_1c,
         contended_report.worst_ratio,
         overlap_report.disjoint_retention,
         overlap_report.full_overlap_worst_ratio

@@ -1,13 +1,23 @@
-//! Figure 5: throughput of the local, pipeline, and global
-//! microbenchmarks (total page writes/sec) on RadixVM, Bonsai, and Linux.
+//! Figures 5 and 9: throughput of the local, pipeline, and global
+//! microbenchmarks (total page writes/sec), from one sweep.
 //!
-//! Expected shape (paper §5.3): RadixVM scales linearly on local
-//! (zero shootdowns, zero remote traffic), near-linearly on pipeline
-//! (exactly one remote shootdown per munmap, IPI delivery cost grows with
-//! core count), and well on global (broadcast shootdowns amortized over
-//! many faults). Linux and Bonsai stay flat on local/pipeline because
-//! every operation takes the address-space lock; they do better on global
-//! thanks to its higher fault:mmap ratio.
+//! Figure 5 compares RadixVM, Bonsai, and Linux. Expected shape (paper
+//! §5.3): RadixVM scales linearly on local (zero shootdowns, zero
+//! remote traffic), near-linearly on pipeline (exactly one remote
+//! shootdown per munmap, IPI delivery cost grows with core count), and
+//! well on global (broadcast shootdowns amortized over many faults).
+//! Linux and Bonsai stay flat on local/pipeline because every operation
+//! takes the address-space lock; they do better on global thanks to its
+//! higher fault:mmap ratio.
+//!
+//! Figure 9 compares RadixVM's per-core page tables with targeted
+//! shootdown (the Figure 5 RadixVM series, not a rerun) against a
+//! shared page table with broadcast shootdown. Expected shape (paper
+//! §5.5): local and pipeline collapse under the shared table — every
+//! munmap must broadcast to all cores at hundreds of thousands of cycles
+//! per round. Global is closer (it broadcasts under both schemes) but
+//! per-core tables still win by eliminating contention on the shared
+//! page-table structure.
 //!
 //! Usage: `fig5_micro [--quick]`; env `RVM_CORES`, `RVM_DUR_MS`.
 
@@ -51,15 +61,34 @@ fn sweep(bench: &str, kind: BackendKind, cores_list: &[usize], dur: u64) -> Vec<
 fn main() {
     let cores_list = core_counts();
     let dur = duration_ns();
-    let systems = [BackendKind::Radix, BackendKind::Bonsai, BackendKind::Linux];
-    for bench in ["local", "pipeline", "global"] {
-        let series: Vec<(&str, Vec<(usize, f64)>)> = systems
-            .iter()
-            .map(|&k| (k.name(), sweep(bench, k, &cores_list, dur)))
-            .collect();
+    let benches = ["local", "pipeline", "global"];
+    // One sweep per (bench, backend): [Radix, Bonsai, Linux, RadixSharedPt].
+    let results: Vec<[Vec<(usize, f64)>; 4]> = benches
+        .iter()
+        .map(|bench| {
+            [
+                BackendKind::Radix,
+                BackendKind::Bonsai,
+                BackendKind::Linux,
+                BackendKind::RadixSharedPt,
+            ]
+            .map(|k| sweep(bench, k, &cores_list, dur))
+        })
+        .collect();
+    for (bench, [radix, bonsai, linux, _]) in benches.iter().zip(&results) {
         print_table(
             &format!("Figure 5 ({bench}): total page writes/sec"),
-            &series,
+            &[
+                (BackendKind::Radix.name(), radix.clone()),
+                (BackendKind::Bonsai.name(), bonsai.clone()),
+                (BackendKind::Linux.name(), linux.clone()),
+            ],
+        );
+    }
+    for (bench, [radix, _, _, shared]) in benches.iter().zip(&results) {
+        print_table(
+            &format!("Figure 9 ({bench}): per-core vs shared page tables, page writes/sec"),
+            &[("Per-core", radix.clone()), ("Shared", shared.clone())],
         );
     }
 }

@@ -119,7 +119,7 @@ mod tests {
 
     #[test]
     fn same_block_faults_meet_the_25_percent_bar() {
-        // Acceptance criterion: the leaf-hint fast path costs at least
+        // Acceptance bar: the leaf-hint fast path costs at least
         // 25 % fewer virtual cycles per repeated same-block fault than
         // the full descent. The simulator is deterministic, so this is a
         // stable regression gate, not a flaky perf test.

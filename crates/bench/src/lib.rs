@@ -12,11 +12,10 @@
 //! | binary | reproduces |
 //! |---|---|
 //! | `fig4_metis` | Figure 4 — Metis jobs/hour vs cores |
-//! | `fig5_micro` | Figure 5 — local/pipeline/global microbenchmarks |
+//! | `fig5_micro` | Figures 5 and 9 — local/pipeline/global microbenchmarks; per-core vs shared page tables |
 //! | `fig6_skiplist` | Figure 6 — skip-list lookups under writers |
 //! | `fig7_radix` | Figure 7 — radix-tree lookups under writers |
 //! | `fig8_refcount` | Figure 8 — Refcache vs SNZI vs shared counter |
-//! | `fig9_tlb` | Figure 9 — per-core vs shared page tables |
 //! | `table1_loc` | Table 1 — component sizes |
 //! | `table2_memory` | Table 2 — address-space metadata memory |
 //!

@@ -928,6 +928,44 @@ mod tests {
         assert_eq!(d2.load(Ordering::SeqCst), 1);
     }
 
+    /// The §3.1 space/conflict trade-off: on a 1024-object working set
+    /// a small delta cache evicts constantly and a large one rarely.
+    #[test]
+    fn conflicts_fall_as_the_delta_cache_grows() {
+        let conflicts: Vec<u64> = [64, 512, 4096]
+            .into_iter()
+            .map(|cache_slots| {
+                let rc = Refcache::with_config(
+                    1,
+                    RefcacheConfig {
+                        cache_slots,
+                        review_delay: 2,
+                    },
+                );
+                let objs: Vec<_> = (0..1024).map(|_| tracked(&rc, 1)).collect();
+                for _ in 0..4 {
+                    for (p, _, _) in &objs {
+                        rc.inc(0, *p);
+                        rc.dec(0, *p);
+                    }
+                    rc.maintain(0);
+                }
+                let conflicts = rc.stats().conflicts;
+                for (p, _, _) in &objs {
+                    rc.dec(0, *p);
+                }
+                rc.quiesce();
+                assert!(objs.iter().all(|(_, d, _)| d.load(Ordering::SeqCst) == 1));
+                assert_eq!(rc.live_objects(), 0);
+                conflicts
+            })
+            .collect();
+        assert!(
+            conflicts[0] > conflicts[1] && conflicts[1] > conflicts[2],
+            "conflicts at 64/512/4096 slots: {conflicts:?}"
+        );
+    }
+
     #[test]
     fn weak_tryget_revives() {
         let rc = Refcache::new(1);
