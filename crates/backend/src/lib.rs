@@ -1,16 +1,14 @@
 //! The backend layer: every VM system in the workspace behind one enum,
-//! one factory, and one metadata table.
+//! one factory, and one table of RadixVM's ablations.
 //!
-//! The paper's evaluation compares RadixVM (and two ablations of it)
-//! against Linux-style and Bonsai-style baselines. Before this crate,
-//! the only place that enumeration existed was a `VmKind` enum buried in
-//! the bench harness, and every binary, test, and example constructed
-//! concrete VM types by hand. This crate makes the set of backends a
-//! first-class concept:
+//! The paper's evaluation compares RadixVM (and three ablations of it)
+//! against Linux-style and Bonsai-style baselines. This crate makes the
+//! set of backends a first-class concept:
 //!
 //! * [`BackendKind`] — the closed set of VM systems,
-//! * [`BackendMeta`] — static per-backend metadata (display name, MMU
-//!   organization, collapse flag, concurrency contract),
+//! * [`BackendKind::radix_config`] — the one table of RadixVM's
+//!   variants: each ablation is a [`RadixVmConfig`] with one field
+//!   changed, and its display name is that config's,
 //! * [`build`] — the one factory producing an `Arc<dyn VmSystem>`,
 //! * [`ToyVm`] — the simplest possible correct backend, kept as the
 //!   reference implementation of the [`VmSystem`] contract and as the
@@ -42,7 +40,7 @@ pub enum BackendKind {
     /// RadixVM without radix-node collapsing (paper's prototype config).
     RadixNoCollapse,
     /// RadixVM with multi-page range locks realized purely by slot CAS
-    /// spinning (no list-based range lock; the pre-PR-6 baseline).
+    /// spinning (no list-based range lock; the original substrate).
     RadixSlotSpin,
     /// The Linux baseline (address-space lock, shared table, broadcast).
     Linux,
@@ -50,38 +48,6 @@ pub enum BackendKind {
     Bonsai,
     /// The reference backend: one big lock, per-page map ([`ToyVm`]).
     Toy,
-}
-
-/// How a backend's munmap path decides which TLBs to shoot down.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ShootdownPolicy {
-    /// Per-page fault-core tracking: only cores that faulted the page.
-    Targeted,
-    /// Every core attached to the address space.
-    Broadcast,
-}
-
-/// Static metadata describing one backend.
-#[derive(Clone, Copy, Debug)]
-pub struct BackendMeta {
-    /// Display name (matches the paper's figure legends).
-    pub name: &'static str,
-    /// Page-table organization.
-    pub mmu: MmuKind,
-    /// Whether empty radix nodes are collapsed (meaningful for the Radix
-    /// family; `true` for non-radix backends, which keep no spine).
-    pub collapse: bool,
-    /// Which TLBs munmap contacts.
-    pub shootdown: ShootdownPolicy,
-    /// Whether concurrent page faults run without a shared lock.
-    pub concurrent_faults: bool,
-    /// Substrate fronting multi-page range locks (meaningful for the
-    /// Radix family; non-radix backends report their own locking).
-    pub range_lock: RangeLockKind,
-    /// Whether fork + copy-on-write is implemented.
-    pub supports_fork: bool,
-    /// One-line description for tables and `--help` text.
-    pub description: &'static str,
 }
 
 impl BackendKind {
@@ -96,113 +62,45 @@ impl BackendKind {
         BackendKind::Toy,
     ];
 
-    /// This backend's static metadata.
-    pub fn meta(self) -> &'static BackendMeta {
+    /// The one table of RadixVM's variants: the configuration each
+    /// RadixVM kind builds, `None` for the baselines. Each ablation is
+    /// the full design with one field changed.
+    pub fn radix_config(self) -> Option<RadixVmConfig> {
+        let full = RadixVmConfig::default();
         match self {
-            BackendKind::Radix => &BackendMeta {
-                name: "RadixVM",
-                mmu: MmuKind::PerCore,
-                collapse: true,
-                shootdown: ShootdownPolicy::Targeted,
-                concurrent_faults: true,
-                range_lock: RangeLockKind::List,
-                supports_fork: true,
-                description: "full RadixVM: range-locked radix tree, Refcache, \
-                              per-core tables, targeted shootdown",
-            },
-            BackendKind::RadixSharedPt => &BackendMeta {
-                name: "RadixVM/shared-pt",
+            BackendKind::Radix => Some(full),
+            BackendKind::RadixSharedPt => Some(RadixVmConfig {
                 mmu: MmuKind::Shared,
-                collapse: true,
-                shootdown: ShootdownPolicy::Broadcast,
-                concurrent_faults: true,
-                range_lock: RangeLockKind::List,
-                supports_fork: true,
-                description: "RadixVM over one shared page table (Figure 9 ablation)",
-            },
-            BackendKind::RadixNoCollapse => &BackendMeta {
-                name: "RadixVM/no-collapse",
-                mmu: MmuKind::PerCore,
+                ..full
+            }),
+            BackendKind::RadixNoCollapse => Some(RadixVmConfig {
                 collapse: false,
-                shootdown: ShootdownPolicy::Targeted,
-                concurrent_faults: true,
-                range_lock: RangeLockKind::List,
-                supports_fork: true,
-                description: "RadixVM without radix-node collapsing (the paper's \
-                              prototype configuration)",
-            },
-            BackendKind::RadixSlotSpin => &BackendMeta {
-                name: "RadixVM/slotspin-rl",
-                mmu: MmuKind::PerCore,
-                collapse: true,
-                shootdown: ShootdownPolicy::Targeted,
-                concurrent_faults: true,
+                ..full
+            }),
+            BackendKind::RadixSlotSpin => Some(RadixVmConfig {
                 range_lock: RangeLockKind::SlotSpin,
-                supports_fork: true,
-                description: "RadixVM with multi-page range locks taken by slot-CAS \
-                              spinning only (range-lock substrate ablation)",
-            },
-            BackendKind::Linux => &BackendMeta {
-                name: "Linux",
-                mmu: MmuKind::Shared,
-                collapse: true,
-                shootdown: ShootdownPolicy::Broadcast,
-                concurrent_faults: false,
-                range_lock: RangeLockKind::SlotSpin,
-                supports_fork: false,
-                description: "conventional design: address-space rwlock over a VMA \
-                              map, shared table, broadcast shootdown",
-            },
-            BackendKind::Bonsai => &BackendMeta {
-                name: "Bonsai",
-                mmu: MmuKind::Shared,
-                collapse: true,
-                shootdown: ShootdownPolicy::Broadcast,
-                concurrent_faults: true,
-                range_lock: RangeLockKind::SlotSpin,
-                supports_fork: false,
-                description: "Bonsai-style: lock-free RCU region lookups, \
-                              serialized mmap/munmap",
-            },
-            BackendKind::Toy => &BackendMeta {
-                name: "Toy",
-                mmu: MmuKind::Shared,
-                collapse: true,
-                shootdown: ShootdownPolicy::Broadcast,
-                concurrent_faults: false,
-                range_lock: RangeLockKind::SlotSpin,
-                supports_fork: false,
-                description: "reference backend: one mutex around a per-page map",
-            },
+                ..full
+            }),
+            BackendKind::Linux | BackendKind::Bonsai | BackendKind::Toy => None,
         }
+    }
+
+    /// Whether this is a RadixVM variant. Exactly these act on the
+    /// [`rvm_hw::MapFlags::HUGE`] hint (the others behave identically
+    /// hinted and unhinted, so sweeps that vary the hint need one run
+    /// for them) and implement fork.
+    pub fn is_radix(self) -> bool {
+        self.radix_config().is_some()
     }
 
     /// Display name (matches the paper's figure legends).
     pub fn name(self) -> &'static str {
-        self.meta().name
-    }
-
-    /// Whether this backend acts on the [`rvm_hw::MapFlags::HUGE`] hint
-    /// (overrides `mmap_flags`). Hint-ignoring backends behave
-    /// identically hinted and unhinted, so sweeps that vary the hint
-    /// need only one run for them.
-    pub fn hint_aware(self) -> bool {
-        matches!(
-            self,
-            BackendKind::Radix
-                | BackendKind::RadixSharedPt
-                | BackendKind::RadixNoCollapse
-                | BackendKind::RadixSlotSpin
-        )
-    }
-
-    /// Parses a backend name as used on bench CLIs (case-insensitive,
-    /// accepting both the display name and the enum-ish short form).
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        let k = s.to_ascii_lowercase();
-        BackendKind::ALL.into_iter().find(|b| {
-            b.name().to_ascii_lowercase() == k || format!("{b:?}").to_ascii_lowercase() == k
-        })
+        match self {
+            BackendKind::Linux => "Linux",
+            BackendKind::Bonsai => "Bonsai",
+            BackendKind::Toy => "Toy",
+            radix => radix.radix_config().expect("a RadixVM kind").name(),
+        }
     }
 }
 
@@ -217,23 +115,14 @@ impl std::fmt::Display for BackendKind {
 /// This is the only constructor of concrete VM types outside their own
 /// crates; everything else in the workspace goes through it.
 pub fn build(machine: &Arc<Machine>, kind: BackendKind) -> Arc<dyn VmSystem> {
-    let meta = kind.meta();
     match kind {
-        BackendKind::Radix
-        | BackendKind::RadixSharedPt
-        | BackendKind::RadixNoCollapse
-        | BackendKind::RadixSlotSpin => RadixVm::new(
-            machine.clone(),
-            RadixVmConfig {
-                mmu: meta.mmu,
-                collapse: meta.collapse,
-                range_lock: meta.range_lock,
-                ..Default::default()
-            },
-        ),
         BackendKind::Linux => LinuxVm::new(machine.clone()),
         BackendKind::Bonsai => BonsaiVm::new(machine.clone()),
         BackendKind::Toy => ToyVm::new(machine.clone()),
+        radix => RadixVm::new(
+            machine.clone(),
+            radix.radix_config().expect("a RadixVM kind"),
+        ),
     }
 }
 
@@ -243,15 +132,7 @@ mod tests {
     use rvm_hw::{Backing, Prot, PAGE_SIZE};
 
     #[test]
-    fn names_are_unique_and_parseable() {
-        for kind in BackendKind::ALL {
-            assert_eq!(BackendKind::parse(kind.name()), Some(kind));
-            assert_eq!(
-                BackendKind::parse(&format!("{kind:?}").to_uppercase()),
-                Some(kind)
-            );
-        }
-        assert_eq!(BackendKind::parse("no-such-vm"), None);
+    fn names_are_unique() {
         let mut names: Vec<_> = BackendKind::ALL.iter().map(|k| k.name()).collect();
         names.sort_unstable();
         names.dedup();
@@ -264,6 +145,7 @@ mod tests {
             let machine = Machine::new(2);
             let vm = build(&machine, kind);
             assert_eq!(vm.name(), kind.name());
+            assert_eq!(vm.as_any().is::<RadixVm>(), kind.is_radix());
             vm.attach_core(0);
             let addr = 0x9_0000_0000u64;
             vm.mmap(0, addr, 2 * PAGE_SIZE, Prot::RW, Backing::Anon)
@@ -273,20 +155,5 @@ mod tests {
             vm.munmap(0, addr, 2 * PAGE_SIZE).unwrap();
             assert!(machine.read_u64(0, &*vm, addr).is_err(), "{kind}");
         }
-    }
-
-    #[test]
-    fn metadata_matches_construction() {
-        // The collapse flag and MMU kind in the metadata are what the
-        // factory actually passes to RadixVm.
-        let meta = BackendKind::RadixNoCollapse.meta();
-        assert_eq!(meta.mmu, MmuKind::PerCore);
-        assert!(!meta.collapse);
-        let meta = BackendKind::RadixSharedPt.meta();
-        assert_eq!(meta.mmu, MmuKind::Shared);
-        assert!(meta.collapse);
-        let meta = BackendKind::RadixSlotSpin.meta();
-        assert_eq!(meta.range_lock, RangeLockKind::SlotSpin);
-        assert_eq!(BackendKind::Radix.meta().range_lock, RangeLockKind::List);
     }
 }

@@ -555,7 +555,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_faults_with_mutations() {
+    fn faults_run_alongside_mutations() {
         // Readers fault on a stable region while a writer churns another:
         // the RCU contract (fault never blocks on the mutation lock).
         let (m, vm) = setup(4);

@@ -51,7 +51,7 @@ fn main() {
     for kind in BackendKind::ALL {
         // Hint-ignoring backends produce identical hinted/unhinted
         // points; one 4 KiB row says everything.
-        let points = if kind.hint_aware() {
+        let points = if kind.is_radix() {
             eprintln!("populating {blocks} blocks on {kind} (huge + 4k)...");
             vec![
                 populate_point(kind, true, blocks),

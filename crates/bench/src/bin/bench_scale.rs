@@ -150,7 +150,7 @@ fn main() {
                     let points = s.points.iter().map(|p| point_vs(p, first_rate(&s.points)));
                     (s.degree, array(points))
                 });
-                (kind.meta().range_lock.name(), object(by_degree))
+                (kind.radix_config().expect("a RadixVM kind").range_lock.name(), object(by_degree))
             })),
             "retention_floor_at_0" => OVERLAP_RETENTION_FLOOR,
             "degradation_floor_at_100" => OVERLAP_DEGRADATION_FLOOR,

@@ -521,7 +521,7 @@ mod tests {
         // The dedup in `bench_huge` is sound: a hint-ignoring backend
         // produces identical points hinted and unhinted.
         for kind in BackendKind::ALL {
-            if kind.hint_aware() {
+            if kind.is_radix() {
                 continue;
             }
             let hinted = populate_point(kind, true, 1);

@@ -46,7 +46,7 @@ pub mod workloads;
 // The VM systems under test live behind the backend layer; the harness
 // re-exports it so bench code and downstream users construct every VM
 // through one seam.
-pub use rvm_backend::{build, BackendKind, BackendMeta, ShootdownPolicy};
+pub use rvm_backend::{build, BackendKind};
 
 /// The verdict of one named acceptance gate: what it found wrong.
 #[derive(Clone, Debug)]

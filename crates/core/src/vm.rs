@@ -47,9 +47,6 @@ pub struct RadixVmConfig {
     /// Collapse empty radix nodes (the full design; the paper's prototype
     /// shipped without it).
     pub collapse: bool,
-    /// Per-core leaf hint cache on the fault fast path (DESIGN.md §5).
-    /// Disable to measure the plain descent.
-    pub leaf_hints: bool,
     /// Substrate fronting multi-page range locks (DESIGN.md §9).
     /// [`RangeLockKind::List`] is the scalable list-based lock;
     /// [`RangeLockKind::SlotSpin`] is the slot-CAS-only baseline.
@@ -61,8 +58,20 @@ impl Default for RadixVmConfig {
         RadixVmConfig {
             mmu: MmuKind::PerCore,
             collapse: true,
-            leaf_hints: true,
             range_lock: RangeLockKind::List,
+        }
+    }
+}
+
+impl RadixVmConfig {
+    /// Display name of this variant (matches the paper's figure
+    /// legends): the full design, or the one field an ablation changes.
+    pub fn name(&self) -> &'static str {
+        match (self.mmu, self.collapse, self.range_lock) {
+            (MmuKind::Shared, _, _) => "RadixVM/shared-pt",
+            (MmuKind::PerCore, false, _) => "RadixVM/no-collapse",
+            (MmuKind::PerCore, true, RangeLockKind::SlotSpin) => "RadixVM/slotspin-rl",
+            (MmuKind::PerCore, true, RangeLockKind::List) => "RadixVM",
         }
     }
 }
@@ -174,7 +183,7 @@ impl RadixVm {
             cache.clone(),
             RadixConfig {
                 collapse: cfg.collapse,
-                leaf_hints: cfg.leaf_hints,
+                leaf_hints: true,
                 range_lock: cfg.range_lock,
                 // Hot read-mostly index nodes become per-node replicas
                 // under the machine's replicate-read-only placement.
@@ -477,14 +486,7 @@ impl RadixVm {
 
 impl VmSystem for RadixVm {
     fn name(&self) -> &'static str {
-        match (self.cfg.mmu, self.cfg.collapse) {
-            (MmuKind::PerCore, true) if self.cfg.range_lock == RangeLockKind::SlotSpin => {
-                "RadixVM/slotspin-rl"
-            }
-            (MmuKind::PerCore, true) => "RadixVM",
-            (MmuKind::Shared, _) => "RadixVM/shared-pt",
-            (MmuKind::PerCore, false) => "RadixVM/no-collapse",
-        }
+        self.cfg.name()
     }
 
     fn asid(&self) -> Asid {

@@ -330,8 +330,8 @@ pub trait VmSystem: Send + Sync {
     fn maintain(&self, _core: usize) {}
 
     /// Forks this address space copy-on-write, returning the child.
-    /// Backends without fork return [`VmError::Unsupported`]; the backend
-    /// layer's metadata (`supports_fork`) says which do.
+    /// Backends without fork return [`VmError::Unsupported`]; in the
+    /// backend layer, the RadixVM kinds are the ones that fork.
     fn fork(&self, _core: usize) -> VmResult<Arc<dyn VmSystem>> {
         Err(VmError::Unsupported)
     }

@@ -434,11 +434,6 @@ impl<V: RadixValue> RadixTree<V> {
         }
     }
 
-    /// The configured multi-page lock substrate.
-    pub fn range_lock_kind(&self) -> RangeLockKind {
-        self.cfg.range_lock
-    }
-
     /// The tree's statistics block.
     pub fn stats(&self) -> &TreeStats {
         &self.shared.stats

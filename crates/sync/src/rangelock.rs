@@ -70,7 +70,7 @@ pub enum RangeLockKind {
 }
 
 impl RangeLockKind {
-    /// Stable lowercase name (bench records, backend metadata).
+    /// Stable lowercase name (the bench records' substrate keys).
     pub fn name(self) -> &'static str {
         match self {
             RangeLockKind::SlotSpin => "slotspin",

@@ -60,4 +60,4 @@ pub use rvm_radix as radix;
 pub use rvm_refcache as refcache;
 pub use rvm_sync as sync;
 
-pub use rvm_backend::{build, BackendKind, BackendMeta};
+pub use rvm_backend::{build, BackendKind};

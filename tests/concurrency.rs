@@ -637,7 +637,7 @@ fn counters_stay_exact_when_foreign_threads_act_for_a_core() {
 fn disjoint_subranges_progress_under_list_range_lock() {
     let cache = Arc::new(Refcache::new(3));
     let tree = Arc::new(RadixTree::<u64>::new(cache, RadixConfig::default()));
-    assert_eq!(tree.range_lock_kind(), RangeLockKind::List);
+    assert_eq!(RadixConfig::default().range_lock, RangeLockKind::List);
     let base = 512 * 3;
     // Pre-expand the block to a leaf: a freshly expanded node is born
     // with every slot lock held by its creator, which would serialize

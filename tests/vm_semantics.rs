@@ -165,9 +165,9 @@ fn mprotect_agrees_across_backends() {
 }
 
 #[test]
-fn fork_support_matches_metadata() {
-    // The metadata's supports_fork flag is exactly the set of backends
-    // whose trait fork succeeds.
+fn fork_support_matches_radix_kinds() {
+    // The RadixVM kinds are exactly the set of backends whose trait fork
+    // succeeds.
     for kind in BackendKind::ALL {
         let machine = Machine::new(2);
         let vm = build(&machine, kind);
@@ -177,12 +177,12 @@ fn fork_support_matches_metadata() {
         machine.write_u64(0, &*vm, BASE, 9).unwrap();
         match vm.fork(0) {
             Ok(child) => {
-                assert!(kind.meta().supports_fork, "{kind} forked unexpectedly");
+                assert!(kind.is_radix(), "{kind} forked unexpectedly");
                 child.attach_core(1);
                 assert_eq!(machine.read_u64(1, &*child, BASE).unwrap(), 9);
             }
             Err(VmError::Unsupported) => {
-                assert!(!kind.meta().supports_fork, "{kind} should fork");
+                assert!(!kind.is_radix(), "{kind} should fork");
             }
             Err(e) => panic!("{kind}: unexpected fork error {e}"),
         }
