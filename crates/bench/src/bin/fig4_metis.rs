@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use rvm_bench::{build, core_counts, print_table, quick, BackendKind};
+use rvm_bench::{build, core_counts, env_u64, print_table, quick, BackendKind};
 use rvm_hw::Machine;
 use rvm_metis::{Metis, MetisConfig, Step, VmArena};
 use rvm_sync::{sim, CostModel};
@@ -65,10 +65,7 @@ fn run_job(
 }
 
 fn main() {
-    let words: u64 = std::env::var("RVM_METIS_WORDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if quick() { 100_000 } else { 400_000 });
+    let words = env_u64("RVM_METIS_WORDS").unwrap_or(if quick() { 100_000 } else { 400_000 });
     let cores_list = core_counts();
     let systems = [BackendKind::Radix, BackendKind::Bonsai, BackendKind::Linux];
     for (unit_name, block_pages) in [("8 MB", 2048u64), ("64 KB", 16u64)] {

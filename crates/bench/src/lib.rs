@@ -31,7 +31,7 @@
 //! key paths and types of their scalars. CI runs it, so a refactor that
 //! renames, re-nests, re-rounds or moves a number does not pass as one.
 
-use rvm_sync::{sim, CostModel, SimStats};
+use rvm_sync::{sim, CostModel, SimStats, MAX_CORES};
 
 pub mod fastpath;
 pub mod huge;
@@ -179,26 +179,46 @@ pub fn run_sim_collect<T>(
     )
 }
 
+/// Parses an `RVM_CORES` value: comma-separated core counts, each in
+/// `1..=MAX_CORES` once trimmed. The error names the first bad entry
+/// (an empty value is one empty entry).
+pub fn parse_cores(s: &str) -> Result<Vec<usize>, String> {
+    s.split(',')
+        .map(str::trim)
+        .map(|x| match x.parse() {
+            Ok(n) if (1..=MAX_CORES).contains(&n) => Ok(n),
+            _ => Err(format!("core count {x:?} is not in 1..={MAX_CORES}")),
+        })
+        .collect()
+}
+
+/// A sweep's core counts: `RVM_CORES` when set (a malformed value
+/// panics), else `quick_default` under `--quick`, else `full_default`.
+pub fn sweep_cores(quick_default: &[usize], full_default: &[usize]) -> Vec<usize> {
+    match std::env::var("RVM_CORES") {
+        Ok(s) => parse_cores(&s).unwrap_or_else(|e| panic!("RVM_CORES={s:?}: {e}")),
+        Err(_) if quick() => quick_default.to_vec(),
+        Err(_) => full_default.to_vec(),
+    }
+}
+
+/// The unsigned integer in environment variable `name`, `None` when
+/// unset; a value that does not parse panics, naming it.
+pub fn env_u64(name: &str) -> Option<u64> {
+    let s = std::env::var(name).ok()?;
+    let bad = |_| panic!("{name}={s:?} is not an unsigned integer");
+    Some(s.parse().unwrap_or_else(bad))
+}
+
 /// Default core counts for sweeps (the paper's x-axis, whole chips of 10
 /// cores at a time plus single core, §5.1).
 pub fn core_counts() -> Vec<usize> {
-    if let Ok(s) = std::env::var("RVM_CORES") {
-        return s.split(',').filter_map(|x| x.trim().parse().ok()).collect();
-    }
-    if quick() {
-        vec![1, 4, 16, 48, 80]
-    } else {
-        vec![1, 10, 20, 30, 40, 50, 60, 70, 80]
-    }
+    sweep_cores(&[1, 4, 16, 48, 80], &[1, 10, 20, 30, 40, 50, 60, 70, 80])
 }
 
 /// Virtual duration per measured point (base value at ≤10 cores).
 pub fn duration_ns() -> u64 {
-    std::env::var("RVM_DUR_MS")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(if quick() { 8 } else { 25 })
-        * 1_000_000
+    env_u64("RVM_DUR_MS").unwrap_or(if quick() { 8 } else { 25 }) * 1_000_000
 }
 
 /// Scales the virtual duration down at high core counts so the real cost
@@ -265,5 +285,22 @@ mod tests {
         let p = run_sim(2, 100_000, CostModel::default(), |_| Box::new(|| 0));
         assert_eq!(p.units, 0);
         assert!(p.virt_ns >= 100_000);
+    }
+
+    #[test]
+    fn parse_cores_accepts_lists_and_names_bad_entries() {
+        assert_eq!(parse_cores("1,4,16"), Ok(vec![1, 4, 16]));
+        assert_eq!(parse_cores(" 2 , 8 "), Ok(vec![2, 8]));
+        // (value, the entry its error must name)
+        for (bad, token) in [
+            ("", ""),
+            ("1;4", "1;4"),
+            ("0", "0"),
+            ("1,x", "x"),
+            ("129", "129"),
+        ] {
+            let err = parse_cores(bad).unwrap_err();
+            assert!(err.contains(&format!("{token:?}")), "{bad:?}: {err}");
+        }
     }
 }

@@ -307,14 +307,7 @@ pub fn run_numa_gate(ncores: usize, duration_ns: u64) -> NumaReport {
 /// `--quick`, 16 otherwise (cores stripe across up to 4 nodes, so both
 /// put multiple cores on every node).
 pub fn numa_core_counts() -> Vec<usize> {
-    if let Ok(s) = std::env::var("RVM_CORES") {
-        return s.split(',').filter_map(|x| x.trim().parse().ok()).collect();
-    }
-    if crate::quick() {
-        vec![8]
-    } else {
-        vec![16]
-    }
+    crate::sweep_cores(&[8], &[16])
 }
 
 #[cfg(test)]

@@ -310,14 +310,7 @@ pub fn run_pressure_gate(ncores: usize, duration_ns: u64) -> PressureReport {
 /// Core counts for the pressure sweep: `RVM_CORES` override, else 4 for
 /// `--quick`, 8 otherwise (both stripe across the 2 nodes).
 pub fn pressure_core_counts() -> Vec<usize> {
-    if let Ok(s) = std::env::var("RVM_CORES") {
-        return s.split(',').filter_map(|x| x.trim().parse().ok()).collect();
-    }
-    if crate::quick() {
-        vec![4]
-    } else {
-        vec![8]
-    }
+    crate::sweep_cores(&[4], &[8])
 }
 
 #[cfg(test)]

@@ -487,14 +487,7 @@ pub fn check_overlap(sweeps: &[OverlapSweep]) -> OverlapReport {
 /// Core counts for the scale sweep: `RVM_CORES` override, trimmed for
 /// `--quick` (the CI smoke gate at 4 cores), full 1..16 otherwise.
 pub fn scale_core_counts() -> Vec<usize> {
-    if let Ok(s) = std::env::var("RVM_CORES") {
-        return s.split(',').filter_map(|x| x.trim().parse().ok()).collect();
-    }
-    if crate::quick() {
-        vec![1, 4]
-    } else {
-        vec![1, 2, 4, 8, 16]
-    }
+    crate::sweep_cores(&[1, 4], &[1, 2, 4, 8, 16])
 }
 
 /// Runs the three gated backends at the given core counts and evaluates
