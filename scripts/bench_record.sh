@@ -82,7 +82,7 @@ SKIP_FIELDS='[
 # heap moves virtual time: with address-space randomization, one
 # bench_pressure run in five departs from the others (by up to 0.2 % in
 # one ops_per_sec, 40 runs); without it every run of one binary prints
-# the same bytes, scale and numa included. So --check runs the binaries
+# the same bytes, scale and numa included. So both modes run the binaries
 # unrandomized where the kernel allows it (containers often do not).
 NO_ASLR=()
 if setarch "$(uname -m)" -R true 2>/dev/null; then
@@ -153,26 +153,12 @@ if [[ "${1:-}" == "--check" ]]; then
     exit 0
 fi
 
-cargo run --release -p rvm_bench --bin bench_fastpath > BENCH_fastpath.json
-echo "wrote $(pwd)/BENCH_fastpath.json:" >&2
-cat BENCH_fastpath.json
-
-cargo run --release -p rvm_bench --bin bench_scale > BENCH_scale.json
-echo "wrote $(pwd)/BENCH_scale.json:" >&2
-cat BENCH_scale.json
-
-cargo run --release -p rvm_bench --bin bench_huge > BENCH_huge.json
-echo "wrote $(pwd)/BENCH_huge.json:" >&2
-cat BENCH_huge.json
-
-cargo run --release -p rvm_bench --bin bench_refcount > BENCH_refcount.json
-echo "wrote $(pwd)/BENCH_refcount.json:" >&2
-cat BENCH_refcount.json
-
-cargo run --release -p rvm_bench --bin bench_numa > BENCH_numa.json
-echo "wrote $(pwd)/BENCH_numa.json:" >&2
-cat BENCH_numa.json
-
-cargo run --release -p rvm_bench --bin bench_pressure > BENCH_pressure.json
-echo "wrote $(pwd)/BENCH_pressure.json:" >&2
-cat BENCH_pressure.json
+# Regenerate exactly as --check runs, through `fresh`; `cat >` rather
+# than `mv` keeps each record's file mode.
+for name in fastpath scale huge refcount numa pressure; do
+    new=$(fresh "$name")
+    cat "$new" > "BENCH_$name.json"
+    rm -f "$new"
+    echo "wrote $(pwd)/BENCH_$name.json:" >&2
+    cat "BENCH_$name.json"
+done
