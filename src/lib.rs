@@ -21,7 +21,8 @@
 //! * [`baselines`] — Linux-style and Bonsai-style VMs, lock-free skip
 //!   list,
 //! * [`backend`] — the backend layer: [`BackendKind`] + [`build`], the
-//!   one seam through which every VM system is constructed,
+//!   one seam through which every VM system is constructed, and
+//!   [`BackendKind::radix_config`], the one table of RadixVM's ablations,
 //! * [`metis`] — MapReduce workload with a VM-backed allocator.
 //!
 //! # Quickstart
