@@ -229,10 +229,9 @@ pub fn point_duration(base_ns: u64, ncores: usize) -> u64 {
     base_ns * 10 / ncores.max(10) as u64
 }
 
-/// True when `--quick` (or RVM_QUICK=1) trims the sweep for CI runs.
+/// True when `--quick` trims the sweep for CI runs.
 pub fn quick() -> bool {
     std::env::args().any(|a| a == "--quick")
-        || matches!(std::env::var("RVM_QUICK").as_deref(), Ok("1") | Ok("true"))
 }
 
 /// Prints a CSV table: header then one row per core count, one column

@@ -24,7 +24,7 @@ use rvm_core::RadixVm;
 use rvm_hw::{Backing, Machine, Prot, PAGE_SIZE};
 use rvm_sync::{sim, CostModel};
 
-use crate::{build, BackendKind, Gate};
+use crate::{build, run_sim_collect, BackendKind, Gate};
 
 /// Pages in the cold-populate region.
 const COLD_PAGES: u64 = 1024;
@@ -121,33 +121,27 @@ pub fn run_refcount(attribution_cores: usize, attribution_ns: u64) -> RefcountRe
     drop(guard);
 
     // --- Measurement 2: remote-line attribution on disjoint ops. ---
-    let guard = sim::install(attribution_cores, CostModel::default());
-    let machine = Machine::new(attribution_cores);
-    let vm = build(&machine, BackendKind::Radix);
-    let mut ops: Vec<Box<dyn FnMut() -> u64>> = (0..attribution_cores)
-        .map(|core| crate::workloads::local(machine.clone(), vm.clone(), core))
-        .collect();
-    loop {
-        let core = sim::min_clock_core();
-        if sim::clock(core) >= attribution_ns {
-            break;
-        }
-        sim::switch(core);
-        let before = sim::clock(core);
-        ops[core]();
-        if sim::clock(core) == before {
-            // Same forward-progress guard as `run_sim`: an op that
-            // charged nothing must still advance the clock.
-            sim::charge(50);
-        }
-    }
-    let remote_by_label: Vec<(String, u64)> = sim::remote_transfers_by_label()
+    // The machine is built at the first core's closure, inside the
+    // simulator context, so the tree's nodes are labelled from birth.
+    let mut radix = None;
+    let (_, by_label) = run_sim_collect(
+        attribution_cores,
+        attribution_ns,
+        CostModel::default(),
+        |core| {
+            let (machine, vm) = radix.get_or_insert_with(|| {
+                let machine = Machine::new(attribution_cores);
+                let vm = build(&machine, BackendKind::Radix);
+                (machine, vm)
+            });
+            crate::workloads::local(machine.clone(), vm.clone(), core)
+        },
+        sim::remote_transfers_by_label,
+    );
+    let remote_by_label: Vec<(String, u64)> = by_label
         .into_iter()
         .map(|(l, t)| (l.to_string(), t))
         .collect();
-    drop(ops);
-    drop(vm);
-    drop(guard);
     let total: u64 = remote_by_label.iter().map(|(_, t)| t).sum();
     let table: u64 = remote_by_label
         .iter()

@@ -22,7 +22,9 @@
 //! multicore perf trajectory, complementing the single-core
 //! `BENCH_fastpath.json`.
 
-use rvm_hw::Machine;
+use std::sync::Arc;
+
+use rvm_hw::{Machine, VmSystem};
 use rvm_sync::CostModel;
 
 use crate::workloads;
@@ -82,16 +84,22 @@ impl ScalePoint {
     }
 }
 
-/// Runs the disjoint-ops workload for one backend at one core count.
+/// Runs `workload` (one of [`workloads`]' per-core closure builders) for
+/// one backend at one core count.
 ///
 /// A fresh machine and address space per point keeps points independent
 /// (the simulator is deterministic, so every run of this function with
 /// the same arguments produces the same numbers).
-pub fn disjoint_point(kind: BackendKind, ncores: usize, duration_ns: u64) -> ScalePoint {
+pub fn point(
+    kind: BackendKind,
+    ncores: usize,
+    duration_ns: u64,
+    workload: impl Fn(Arc<Machine>, Arc<dyn VmSystem>, usize) -> Box<dyn FnMut() -> u64>,
+) -> ScalePoint {
     let machine = Machine::new(ncores);
     let vm = build(&machine, kind);
     let point = run_sim(ncores, duration_ns, CostModel::default(), |core| {
-        workloads::local(machine.clone(), vm.clone(), core)
+        workload(machine.clone(), vm.clone(), core)
     });
     let pool = machine.pool().stats();
     ScalePoint {
@@ -105,16 +113,27 @@ pub fn disjoint_point(kind: BackendKind, ncores: usize, duration_ns: u64) -> Sca
     }
 }
 
-/// Sweeps one backend across `core_counts`.
+/// A [`point`] of `workload` at each of `core_counts`, the window scaled
+/// by [`crate::point_duration`].
+fn sweep(
+    kind: BackendKind,
+    core_counts: &[usize],
+    duration_ns: u64,
+    workload: impl Fn(Arc<Machine>, Arc<dyn VmSystem>, usize) -> Box<dyn FnMut() -> u64>,
+) -> Vec<ScalePoint> {
+    core_counts
+        .iter()
+        .map(|&n| point(kind, n, crate::point_duration(duration_ns, n), &workload))
+        .collect()
+}
+
+/// Sweeps one backend's disjoint-ops workload across `core_counts`.
 pub fn disjoint_sweep(
     kind: BackendKind,
     core_counts: &[usize],
     duration_ns: u64,
 ) -> Vec<ScalePoint> {
-    core_counts
-        .iter()
-        .map(|&n| disjoint_point(kind, n, crate::point_duration(duration_ns, n)))
-        .collect()
+    sweep(kind, core_counts, duration_ns, workloads::local)
 }
 
 /// Per-core throughput retention of the last point relative to the
@@ -235,36 +254,14 @@ pub fn check_gate(radix: &[ScalePoint], bonsai: &[ScalePoint], linux: &[ScalePoi
     }
 }
 
-/// Runs the *contended* workload (all cores hammering one range) for
-/// one backend at one core count.
-pub fn contended_point(kind: BackendKind, ncores: usize, duration_ns: u64) -> ScalePoint {
-    let machine = Machine::new(ncores);
-    let vm = build(&machine, kind);
-    let point = run_sim(ncores, duration_ns, CostModel::default(), |core| {
-        workloads::contended(machine.clone(), vm.clone(), core)
-    });
-    let pool = machine.pool().stats();
-    ScalePoint {
-        cores: ncores,
-        ops: point.units,
-        virt_ns: point.virt_ns,
-        remote_transfers: point.sim.total_remote(),
-        ipis: point.sim.total_ipis(),
-        on_node_frees: pool.on_node_frees,
-        cross_node_frees: pool.cross_node_frees,
-    }
-}
-
-/// Sweeps the contended workload across `core_counts`.
+/// Sweeps the *contended* workload (all cores hammering one range)
+/// across `core_counts`.
 pub fn contended_sweep(
     kind: BackendKind,
     core_counts: &[usize],
     duration_ns: u64,
 ) -> Vec<ScalePoint> {
-    core_counts
-        .iter()
-        .map(|&n| contended_point(kind, n, crate::point_duration(duration_ns, n)))
-        .collect()
+    sweep(kind, core_counts, duration_ns, workloads::contended)
 }
 
 /// Under full contention RadixVM's *total* throughput must stay at or
@@ -353,31 +350,6 @@ pub fn check_contended(radix: &[ScalePoint]) -> ContendedReport {
     }
 }
 
-/// Runs the *overlap* workload (multi-page ops colliding with
-/// probability `degree`%) for one backend at one core count.
-pub fn overlap_point(
-    kind: BackendKind,
-    degree: u32,
-    ncores: usize,
-    duration_ns: u64,
-) -> ScalePoint {
-    let machine = Machine::new(ncores);
-    let vm = build(&machine, kind);
-    let point = run_sim(ncores, duration_ns, CostModel::default(), |core| {
-        workloads::overlap(machine.clone(), vm.clone(), core, degree)
-    });
-    let pool = machine.pool().stats();
-    ScalePoint {
-        cores: ncores,
-        ops: point.units,
-        virt_ns: point.virt_ns,
-        remote_transfers: point.sim.total_remote(),
-        ipis: point.sim.total_ipis(),
-        on_node_frees: pool.on_node_frees,
-        cross_node_frees: pool.cross_node_frees,
-    }
-}
-
 /// One overlap degree's sweep across core counts for one backend.
 #[derive(Clone, Debug)]
 pub struct OverlapSweep {
@@ -387,7 +359,8 @@ pub struct OverlapSweep {
     pub points: Vec<ScalePoint>,
 }
 
-/// Sweeps the overlap workload across `core_counts` for each degree.
+/// Sweeps the *overlap* workload (multi-page ops colliding with
+/// probability `degree`%) across `core_counts` for each degree.
 pub fn overlap_sweep(
     kind: BackendKind,
     degrees: &[u32],
@@ -398,10 +371,9 @@ pub fn overlap_sweep(
         .iter()
         .map(|&degree| OverlapSweep {
             degree,
-            points: core_counts
-                .iter()
-                .map(|&n| overlap_point(kind, degree, n, crate::point_duration(duration_ns, n)))
-                .collect(),
+            points: sweep(kind, core_counts, duration_ns, |m, vm, c| {
+                workloads::overlap(m, vm, c, degree)
+            }),
         })
         .collect()
 }
@@ -562,7 +534,9 @@ mod tests {
     #[test]
     fn overlap_runs_on_both_substrates() {
         for kind in [BackendKind::Radix, BackendKind::RadixSlotSpin] {
-            let p = overlap_point(kind, 100, 4, 1_000_000);
+            let p = point(kind, 4, 1_000_000, |m, vm, c| {
+                workloads::overlap(m, vm, c, 100)
+            });
             assert!(p.ops > 0, "{kind}: no progress at full overlap");
         }
     }
@@ -571,7 +545,7 @@ mod tests {
     fn disjoint_ops_send_no_ipis_on_radix() {
         // Targeted shootdown: a core unmapping its own pages never
         // interrupts another core.
-        let p = disjoint_point(BackendKind::Radix, 4, 1_000_000);
+        let p = point(BackendKind::Radix, 4, 1_000_000, workloads::local);
         assert!(p.ops > 0);
         assert_eq!(p.ipis, 0, "disjoint munmaps sent IPIs");
     }

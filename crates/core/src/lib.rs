@@ -41,7 +41,7 @@ pub use vm::{RadixVm, RadixVmConfig, VmOpStats};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rvm_hw::{Backing, Machine, MachineConfig, MmuKind, Prot, VmError, VmSystem, PAGE_SIZE};
+    use rvm_hw::{Backing, Machine, MmuKind, Prot, VmError, VmSystem, PAGE_SIZE};
     use std::sync::Arc;
 
     fn setup(ncores: usize) -> (Arc<Machine>, Arc<RadixVm>) {
@@ -291,9 +291,9 @@ mod tests {
     fn missed_shootdown_detected_by_generations() {
         // Failure injection: with shootdowns suppressed, a stale TLB entry
         // must be *detected* at the access, not silently corrupt memory.
-        let mut cfg = MachineConfig::new(2);
-        cfg.shootdown_enabled = false;
-        let machine = Machine::with_config(cfg);
+        failpoint::disarm_all();
+        failpoint::arm(failpoint::SHOOTDOWN, 0, Trigger::EveryK(1));
+        let machine = Machine::new(2);
         let vm = RadixVm::new(machine.clone(), RadixVmConfig::default());
         vm.attach_core(0);
         vm.attach_core(1);
@@ -308,6 +308,7 @@ mod tests {
         );
         assert!(machine.stats().stale_detected >= 1);
         assert!(machine.stats().shootdowns_suppressed >= 1);
+        failpoint::disarm_all();
     }
 
     #[test]

@@ -17,16 +17,16 @@
 //! remote TLB invalidations itself while the simulator charges IPI
 //! latencies to sender and targets (see DESIGN.md; delivery mechanics are
 //! not what the paper measures — the number of cores contacted is). The
-//! `shootdown_enabled` switch exists for failure injection: with it off,
-//! stale TLB entries survive and the generation check converts the
-//! resulting silent use-after-free into a detectable
-//! [`VmError::StaleTranslation`].
+//! `rvm_sync::failpoint::SHOOTDOWN` site exists for failure injection:
+//! a round it suppresses leaves stale TLB entries behind, and the
+//! generation check converts the resulting silent use-after-free into a
+//! detectable [`VmError::StaleTranslation`].
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use rvm_mem::{FramePool, Pfn, FRAME_SIZE};
-use rvm_sync::{sharded_stats, sim, CachePadded, CoreSet, SpinLock};
+use rvm_sync::{failpoint, sharded_stats, sim, CachePadded, CoreSet, SpinLock};
 
 pub mod mmu;
 pub mod pagetable;
@@ -360,10 +360,6 @@ pub trait VmSystem: Send + Sync {
 pub struct MachineConfig {
     /// Number of cores.
     pub ncores: usize,
-    /// TLB entries per core (power of two).
-    pub tlb_entries: usize,
-    /// Whether munmap sends shootdowns (disable for failure injection).
-    pub shootdown_enabled: bool,
     /// Frame-placement policy of the machine's pool (NUMA knob).
     pub placement: rvm_mem::PlacementPolicy,
     /// NUMA topology: node count, core striping, and hop distances. Must
@@ -377,8 +373,6 @@ impl MachineConfig {
     pub fn new(ncores: usize) -> Self {
         MachineConfig {
             ncores,
-            tlb_entries: 1024,
-            shootdown_enabled: true,
             placement: rvm_mem::PlacementPolicy::FirstTouch,
             topology: rvm_sync::Topology::single(),
         }
@@ -400,7 +394,8 @@ sharded_stats! {
         shootdown_rounds: Shared,
         /// Total remote shootdown IPIs delivered.
         shootdown_ipis: Shared,
-        /// Shootdowns suppressed by failure injection.
+        /// Remote targets of rounds suppressed by failure injection (the
+        /// `shootdown` failpoint).
         shootdowns_suppressed: Shared,
         /// Stale translations detected (should be zero unless injected).
         /// Bumped on the error path, after the TLB lock dropped.
@@ -447,7 +442,7 @@ impl Machine {
             cfg.topology.clone(),
         ));
         let tlbs = (0..cfg.ncores)
-            .map(|_| CachePadded::new(SpinLock::new(Tlb::new(cfg.tlb_entries))))
+            .map(|_| CachePadded::new(SpinLock::new(Tlb::new(tlb::TLB_ENTRIES))))
             .collect();
         Arc::new(Machine {
             stats: MachineCells::new(cfg.ncores),
@@ -468,19 +463,9 @@ impl Machine {
         &self.pool
     }
 
-    /// The machine configuration.
-    pub fn config(&self) -> &MachineConfig {
-        &self.cfg
-    }
-
     /// The machine's frame-placement policy.
     pub fn placement_policy(&self) -> rvm_mem::PlacementPolicy {
         self.cfg.placement
-    }
-
-    /// The machine's NUMA topology.
-    pub fn topology(&self) -> &rvm_sync::Topology {
-        &self.cfg.topology
     }
 
     /// Allocates a fresh address-space identifier.
@@ -626,7 +611,10 @@ impl Machine {
         if remote.is_empty() {
             return 0;
         }
-        if !self.cfg.shootdown_enabled {
+        // Asked only once there is a remote target, so a local round
+        // never counts a hit. The registry is thread-local: a test that
+        // arms this site must issue its shootdowns from the arming thread.
+        if failpoint::should_fail(failpoint::SHOOTDOWN, sender) {
             self.stats.add(
                 sender,
                 MachineStats::shootdowns_suppressed,
@@ -832,9 +820,9 @@ mod tests {
 
     #[test]
     fn suppressed_shootdown_leaves_stale_entry_detected() {
-        let mut cfg = MachineConfig::new(2);
-        cfg.shootdown_enabled = false;
-        let m = Machine::with_config(cfg);
+        failpoint::disarm_all();
+        failpoint::arm(failpoint::SHOOTDOWN, 0, failpoint::Trigger::EveryK(1));
+        let m = Machine::new(2);
         let vm = ToyVm::new(&m, 100);
         // Core 1 caches the translation.
         m.write_u64(1, &vm, 0x1000, 7).unwrap();
@@ -852,6 +840,53 @@ mod tests {
         assert_eq!(m.read_u64(1, &vm, 0x1000), Err(VmError::StaleTranslation));
         assert_eq!(m.stats().stale_detected, 1);
         assert_eq!(m.stats().shootdowns_suppressed, 1);
+        failpoint::disarm_all();
+    }
+
+    /// What a machine-wide switch could not express: of three remote
+    /// rounds from one sender, only the second misses. Its targets keep
+    /// a stale entry each, the other rounds' entries are gone, and arming
+    /// the site again replays exactly that.
+    #[test]
+    fn suppressed_shootdown_hits_only_the_chosen_round() {
+        failpoint::disarm_all();
+        let m = Machine::new(3);
+        let vm = ToyVm::new(&m, 100);
+        let mut targets = CoreSet::single(1);
+        targets.insert(2);
+        let va = |vpn: Vpn| vpn << PAGE_SHIFT;
+        let pass = || {
+            failpoint::arm(failpoint::SHOOTDOWN, 0, failpoint::Trigger::Nth(2));
+            let before = m.stats();
+            for vpn in 1..=3 {
+                // Cores 1 and 2 cache the page; core 0 unmaps and frees it.
+                m.write_u64(1, &vm, va(vpn), vpn).unwrap();
+                m.write_u64(2, &vm, va(vpn), vpn).unwrap();
+                let pfn = vm.frames.lock().remove(&vpn).unwrap();
+                m.shootdown(0, vm.asid(), vpn, 1, targets);
+                m.pool().free(0, pfn);
+            }
+            let after = m.stats();
+            let stale = [m.read_u64(1, &vm, va(2)), m.read_u64(2, &vm, va(2))];
+            // Rounds 1 and 3 cleared their targets: every read refaults.
+            let misses = m.stats().tlb_misses;
+            for core in [1, 2] {
+                for vpn in [1, 3] {
+                    m.read_u64(core, &vm, va(vpn)).unwrap();
+                }
+            }
+            (
+                after.shootdown_rounds - before.shootdown_rounds,
+                after.shootdowns_suppressed - before.shootdowns_suppressed,
+                stale,
+                m.stats().tlb_misses - misses,
+            )
+        };
+        let first = pass();
+        let stale = Err(VmError::StaleTranslation);
+        assert_eq!(first, (2, targets.len() as u64, [stale, stale], 4));
+        assert_eq!(pass(), first, "re-arming replays the schedule");
+        failpoint::disarm_all();
     }
 
     #[test]

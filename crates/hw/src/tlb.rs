@@ -67,6 +67,9 @@ const ENTRY_SPANS: [u64; SPAN_PAGES.len() + 1] = {
     spans
 };
 
+/// Slots in each core's TLB (a power of two).
+pub(crate) const TLB_ENTRIES: usize = 1024;
+
 /// A direct-mapped software TLB.
 pub struct Tlb {
     entries: Box<[TlbEntry]>,

@@ -60,20 +60,6 @@ impl std::fmt::Display for OutOfMemory {
 
 impl std::error::Error for OutOfMemory {}
 
-/// A [`Topology`] that failed [`Topology::validate`], with the reason.
-/// Returned by [`FramePool::try_with_placement`] so embedders can
-/// surface configuration mistakes instead of aborting.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct InvalidTopology(pub String);
-
-impl std::fmt::Display for InvalidTopology {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid NUMA topology: {}", self.0)
-    }
-}
-
-impl std::error::Error for InvalidTopology {}
-
 /// Size of a physical frame / virtual page in bytes.
 pub const FRAME_SIZE: usize = 4096;
 
@@ -262,9 +248,6 @@ sharded_stats! {
         /// Allocations satisfied by stealing from a remote node's reservoir
         /// under pressure (tier 5; priced at hop cost).
         remote_steals: Shared,
-        /// Blocks currently parked in the reservation pool (read at
-        /// snapshot time — hugetlb-style `reserve`/`release` accounting).
-        blocks_reserved: Gauge,
     }
     /// The pool's cells (sum-on-read; DESIGN.md §6).
     struct PoolCells;
@@ -322,9 +305,6 @@ pub struct FramePool {
     reservoirs: Vec<CachePadded<SpinLock<Vec<Pfn>>>>,
     /// Per-node reservoirs of contiguous blocks.
     block_reservoirs: Vec<CachePadded<SpinLock<BlockList>>>,
-    /// Hugetlb-style reservation pool: pre-created blocks parked until
-    /// drawn by `alloc_block` or returned by `release`.
-    reserved: SpinLock<BlockList>,
     /// Per-core outbound magazines: cross-node frees park here (tagged
     /// with their home node) and return home in batches, so a stream of
     /// cross-node frees costs one reservoir cache-line transfer per
@@ -363,33 +343,19 @@ impl FramePool {
     ///
     /// # Panics
     ///
-    /// Panics on an invalid topology; use
-    /// [`FramePool::try_with_placement`] to handle that as a typed
-    /// error instead.
+    /// Panics on an invalid topology ([`Topology::validate`]'s reason).
     pub fn with_placement(ncores: usize, policy: PlacementPolicy, topology: Topology) -> Self {
-        match Self::try_with_placement(ncores, policy, topology) {
-            Ok(pool) => pool,
-            Err(e) => panic!("FramePool: {e}"),
-        }
-    }
-
-    /// Creates a pool serving `ncores` cores with the given placement
-    /// policy and NUMA topology, surfacing an invalid topology as a
-    /// typed error instead of panicking.
-    pub fn try_with_placement(
-        ncores: usize,
-        policy: PlacementPolicy,
-        topology: Topology,
-    ) -> Result<Self, InvalidTopology> {
         assert!((1..=rvm_sync::MAX_CORES).contains(&ncores));
-        topology.validate().map_err(InvalidTopology)?;
+        if let Err(e) = topology.validate() {
+            panic!("FramePool: invalid NUMA topology: {e}");
+        }
         let nnodes = topology.nnodes;
         let core_node: Vec<u16> = (0..ncores).map(|c| topology.node_of(c) as u16).collect();
         let chunk_ptrs = (0..MAX_CHUNKS)
             .map(|_| AtomicPtr::new(std::ptr::null_mut()))
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        Ok(FramePool {
+        FramePool {
             ncores,
             policy,
             topology,
@@ -409,7 +375,6 @@ impl FramePool {
             block_reservoirs: (0..nnodes)
                 .map(|_| CachePadded::new(SpinLock::new(Vec::new())))
                 .collect(),
-            reserved: SpinLock::new(Vec::new()),
             magazines: (0..ncores)
                 .map(|_| CachePadded::new(SpinLock::new(Vec::with_capacity(MAGAZINE_SIZE))))
                 .collect(),
@@ -418,7 +383,7 @@ impl FramePool {
             nframes: AtomicU64::new(0),
             frame_limit: AtomicU64::new(TABLE_CAPACITY),
             stats: PoolCells::new(ncores),
-        })
+        }
     }
 
     /// Caps the pool at `frames` total frames: growth past the limit
@@ -441,16 +406,6 @@ impl FramePool {
         self.ncores
     }
 
-    /// The pool's placement policy.
-    pub fn policy(&self) -> PlacementPolicy {
-        self.policy
-    }
-
-    /// The pool's NUMA topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
     /// NUMA node of `core`.
     #[inline]
     pub fn node_of(&self, core: usize) -> usize {
@@ -471,10 +426,7 @@ impl FramePool {
 
     /// Snapshot of the pool's statistics.
     pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            blocks_reserved: self.reserved.lock().len() as u64,
-            ..self.stats.snapshot()
-        }
+        self.stats.snapshot()
     }
 
     /// Pages currently handed out (allocated minus freed). Wrapping
@@ -880,8 +832,8 @@ impl FramePool {
     /// [`FramePool::free_block`].
     ///
     /// Prefers the target node's block reservoir (the core's own node,
-    /// or the stride target under interleave), then the reservation
-    /// pool, then fresh growth homed on the target node. Charges the
+    /// or the stride target under interleave), then fresh growth homed
+    /// on the target node. Charges the
     /// simulator for zeroing the block, priced by hop distance to the
     /// block's home node.
     ///
@@ -912,9 +864,8 @@ impl FramePool {
             PlacementPolicy::Interleave => self.stride_target(core),
             _ => self.core_node[core] as usize,
         };
-        // One lock at a time: each guard drops with its statement.
+        // The guard drops with its statement: no lock is held below.
         let recycled = take_block(&mut self.block_reservoirs[target].lock(), order);
-        let recycled = recycled.or_else(|| take_block(&mut self.reserved.lock(), order));
         let (base, reused) = match recycled {
             Some(base) => (base, true),
             None => match self.try_grow_contiguous(core, target, pages) {
@@ -977,46 +928,6 @@ impl FramePool {
                 .add(core, PoolStats::cross_node_frees, pages as u64);
         }
         self.block_reservoirs[home].lock().push((order, base));
-    }
-
-    /// Hugetlb-style reservation: pre-creates `n_blocks` contiguous
-    /// blocks of `1 << order` frames and parks them in the reservation
-    /// pool, guaranteeing later `alloc_block` calls cannot fail for lack
-    /// of contiguity. Surfaced as [`PoolStats::blocks_reserved`].
-    /// Reserved blocks are homed on the reserving core's node.
-    pub fn reserve(&self, core: usize, n_blocks: usize, order: u8) {
-        assert!(order <= GIANT_ORDER, "unsupported block order {order}");
-        let node = self.core_node[core] as usize;
-        let mut fresh = Vec::with_capacity(n_blocks);
-        for _ in 0..n_blocks {
-            let base = self
-                .try_grow_contiguous(core, node, 1usize << order)
-                .expect("reservation exceeds the frame limit");
-            fresh.push((order, base));
-        }
-        self.reserved.lock().extend(fresh);
-    }
-
-    /// Returns up to `n_blocks` reserved blocks of `order` to the block
-    /// reservoir of `core`'s node (un-reserving them).
-    pub fn release(&self, core: usize, n_blocks: usize, order: u8) {
-        let node = self.core_node[core] as usize;
-        let mut moved = Vec::new();
-        {
-            let mut res = self.reserved.lock();
-            for _ in 0..n_blocks {
-                match take_block(&mut res, order) {
-                    Some(base) => moved.push((order, base)),
-                    None => break,
-                }
-            }
-        }
-        self.block_reservoirs[node].lock().extend(moved);
-    }
-
-    /// Blocks currently parked in the reservation pool.
-    pub fn reserved_blocks(&self) -> usize {
-        self.reserved.lock().len()
     }
 
     /// Frees `pfn` from `core`, bumping its generation so stale
@@ -1544,26 +1455,6 @@ mod tests {
         assert_eq!(pool.alloc_block(0, BLOCK_ORDER), base);
     }
 
-    #[test]
-    fn reservation_accounting() {
-        let pool = FramePool::new(1);
-        pool.reserve(0, 3, BLOCK_ORDER);
-        assert_eq!(pool.stats().blocks_reserved, 3);
-        assert_eq!(pool.reserved_blocks(), 3);
-        // An allocation draws from the reservation before growing.
-        let frames_before = pool.total_frames();
-        let b = pool.alloc_block(0, BLOCK_ORDER);
-        assert_eq!(pool.total_frames(), frames_before, "drew from reserve");
-        assert_eq!(pool.stats().blocks_reserved, 2);
-        pool.free_block(0, b, BLOCK_ORDER);
-        // Release moves the rest to the general block list.
-        pool.release(0, 2, BLOCK_ORDER);
-        assert_eq!(pool.stats().blocks_reserved, 0);
-        assert_eq!(pool.total_frames(), frames_before);
-        pool.alloc_block(0, BLOCK_ORDER);
-        assert_eq!(pool.total_frames(), frames_before, "released block reused");
-    }
-
     /// One lifecycle at every granularity — the only thing that differs
     /// is the order `retain` arms the cell with, which the zero action
     /// dispatches on: a page goes back on the freeing core's list, a
@@ -1631,11 +1522,6 @@ mod tests {
         assert_eq!(pool.outstanding_frames(), BLOCK_PAGES as u64);
         pool.free_block(0, b, BLOCK_ORDER);
         assert_eq!(pool.outstanding_frames(), 0);
-        // Reservations are not outstanding until drawn.
-        pool.reserve(0, 1, BLOCK_ORDER);
-        assert_eq!(pool.outstanding_frames(), 0);
-        pool.alloc_block(0, BLOCK_ORDER);
-        assert_eq!(pool.outstanding_frames(), BLOCK_PAGES as u64);
     }
 
     #[test]
@@ -1649,7 +1535,6 @@ mod tests {
     #[test]
     fn interleave_strides_across_nodes() {
         let pool = FramePool::with_placement(4, PlacementPolicy::Interleave, Topology::striped(4));
-        assert_eq!(pool.policy(), PlacementPolicy::Interleave);
         // All allocation happens on core 0; homes must still rotate.
         let mut homes = std::collections::HashSet::new();
         for _ in 0..8 {
@@ -1722,17 +1607,14 @@ mod tests {
     }
 
     #[test]
-    fn invalid_topology_is_a_typed_error() {
+    #[should_panic(expected = "invalid NUMA topology")]
+    fn invalid_topology_panics() {
         let broken = Topology {
             nnodes: 2,
             core_to_node: Vec::new(),
             distance: vec![0, 0, 0, 0], // off-diagonal zeros
         };
-        let err = match FramePool::try_with_placement(2, PlacementPolicy::FirstTouch, broken) {
-            Ok(_) => panic!("invalid topology must be rejected"),
-            Err(e) => e,
-        };
-        assert!(err.to_string().contains("invalid NUMA topology"));
+        FramePool::with_placement(2, PlacementPolicy::FirstTouch, broken);
     }
 
     #[test]

@@ -71,26 +71,20 @@ pub use slot::{CountSlot, SlotManaged, SlotPtr};
 
 use obj::{drop_impl, Header, ObjState, RcBox};
 
-/// Configuration for a [`Refcache`] instance.
-#[derive(Clone, Debug)]
-pub struct RefcacheConfig {
-    /// Number of delta-cache slots per core (power of two). Larger caches
-    /// lower the conflict/eviction rate at the cost of space — the paper's
-    /// space/scalability knob (§3.1).
-    pub cache_slots: usize,
-    /// Epochs an object must wait on the review queue before being
-    /// examined (the paper uses 2: guarantees one full epoch elapsed).
-    pub review_delay: u64,
-}
+/// Delta-cache slots per core (a power of two). Larger caches lower the
+/// conflict/eviction rate at the cost of space — the paper's
+/// space/scalability trade-off (§3.1), which
+/// `conflicts_fall_as_the_delta_cache_grows` measures at 64, 512 and
+/// 4096 slots.
+const CACHE_SLOTS: usize = 4096;
 
-impl Default for RefcacheConfig {
-    fn default() -> Self {
-        RefcacheConfig {
-            cache_slots: 4096,
-            review_delay: 2,
-        }
-    }
-}
+/// Epochs an object waits on the review queue before it is examined.
+/// Two, and no fewer: a delta cached anywhere when the object was queued
+/// at epoch `E` is flushed before the epoch reaches `E + 2` (the epoch
+/// advances only once every core has flushed), so only then has a full
+/// epoch of flushes passed with the object queued, and a count still
+/// clean at zero is a true zero (module docs, DESIGN.md §8).
+const REVIEW_DELAY: u64 = 2;
 
 /// One delta-cache way: an object pointer and its locally cached delta.
 #[derive(Clone, Copy)]
@@ -112,8 +106,7 @@ const EMPTY_SLOT: Slot = Slot { obj: 0, delta: 0 };
 /// their own ticks) never reach it and pay nothing. Larger costs the
 /// bound in proportion and buys no time back (DESIGN.md §8: two
 /// superpages read twice the benchmark's footprint, four read five
-/// times). A constant, not a [`RefcacheConfig`] field: no caller has a
-/// reason for another value.
+/// times). A constant: no caller has a reason for another value.
 pub const EXPEDITE_PAGES: u64 = 512;
 
 /// Per-core Refcache state: the delta cache and the review queue.
@@ -124,7 +117,7 @@ struct CoreCache {
     /// instead of walking the whole cache. An index enters when its way
     /// goes from empty to occupied (a conflict eviction re-uses the way,
     /// and its index) and the list empties at every flush, so it never
-    /// outgrows the `cache_slots` capacity it is created with.
+    /// outgrows the capacity of one index per way it is created with.
     occupied: Vec<u32>,
     review: VecDeque<(usize, u64)>,
     /// The list a [`Refcache::review`] pass collects the objects it
@@ -189,7 +182,6 @@ pub type FlushHook = Box<dyn Fn(&Refcache, usize) + Send + Sync>;
 
 /// The scalable reference-count cache (one per simulated machine).
 pub struct Refcache {
-    cfg: RefcacheConfig,
     ncores: usize,
     cores: Vec<CachePadded<Mutex<CoreCache>>>,
     /// Global epoch counter; advances when all cores have flushed.
@@ -208,20 +200,14 @@ pub struct Refcache {
 }
 
 impl Refcache {
-    /// Creates a cache for `ncores` cores with default configuration.
-    pub fn new(ncores: usize) -> Self {
-        Self::with_config(ncores, RefcacheConfig::default())
-    }
-
     /// Creates a cache for `ncores` cores.
-    pub fn with_config(ncores: usize, cfg: RefcacheConfig) -> Self {
+    pub fn new(ncores: usize) -> Self {
         assert!((1..=rvm_sync::MAX_CORES).contains(&ncores));
-        assert!(cfg.cache_slots.is_power_of_two());
         let cores = (0..ncores)
             .map(|_| {
                 CachePadded::new(Mutex::new(CoreCache {
-                    slots: vec![EMPTY_SLOT; cfg.cache_slots].into_boxed_slice(),
-                    occupied: Vec::with_capacity(cfg.cache_slots),
+                    slots: vec![EMPTY_SLOT; CACHE_SLOTS].into_boxed_slice(),
+                    occupied: Vec::with_capacity(CACHE_SLOTS),
                     review: VecDeque::new(),
                     to_free: Vec::new(),
                     local_epoch: 0,
@@ -230,7 +216,6 @@ impl Refcache {
             })
             .collect();
         Refcache {
-            cfg,
             ncores,
             cores,
             global_epoch: Atomic64::new(1),
@@ -240,6 +225,21 @@ impl Refcache {
             next_hook_id: AtomicU64::new(1),
             stats: RefcacheCells::new(ncores),
         }
+    }
+
+    /// [`Refcache::new`] with `slots` delta-cache slots per core instead
+    /// of [`CACHE_SLOTS`]: the small caches that make conflict evictions
+    /// easy to provoke.
+    #[cfg(test)]
+    fn with_cache_slots(ncores: usize, slots: usize) -> Self {
+        assert!(slots.is_power_of_two());
+        let rc = Self::new(ncores);
+        for core in &rc.cores {
+            let mut cc = core.lock();
+            cc.slots = vec![EMPTY_SLOT; slots].into_boxed_slice();
+            cc.occupied = Vec::with_capacity(slots);
+        }
+        rc
     }
 
     /// Number of cores this cache serves.
@@ -324,11 +324,12 @@ impl Refcache {
         }
     }
 
+    /// The way of a `slots`-way delta cache that `obj` hashes to.
     #[inline]
-    fn hash_obj(&self, obj: usize) -> usize {
+    fn hash_obj(obj: usize, slots: usize) -> usize {
         // Multiplicative hash of the (16-aligned) object address.
         let h = (obj as u64 >> 4).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 32) as usize & (self.cfg.cache_slots - 1)
+        (h >> 32) as usize & (slots - 1)
     }
 
     /// Applies `delta` to `core`'s cached count for `obj` (the paper's
@@ -350,7 +351,7 @@ impl Refcache {
     /// [`Refcache::adjust`] on the object whose header is at `key`, with
     /// `core`'s delta cache already locked.
     fn adjust_locked(&self, cc: &mut CoreCache, core: usize, key: usize, delta: i64) {
-        let idx = self.hash_obj(key);
+        let idx = Self::hash_obj(key, cc.slots.len());
         let slot = cc.slots[idx];
         if slot.obj == key {
             cc.slots[idx].delta += delta;
@@ -533,7 +534,7 @@ impl Refcache {
                     Some(&e) => e,
                     None => break,
                 };
-                if epoch < objepoch + self.cfg.review_delay {
+                if epoch < objepoch + REVIEW_DELAY {
                     break;
                 }
                 cc.review.pop_front();
@@ -644,7 +645,7 @@ impl Refcache {
     pub fn quiesce(&self) {
         // Each full sweep over all cores advances the epoch at least once;
         // run enough sweeps for queue→review→(dirty requeue)→review.
-        let rounds = 4 * self.cfg.review_delay as usize + 4;
+        let rounds = 4 * REVIEW_DELAY as usize + 4;
         for _ in 0..rounds {
             for c in 0..self.ncores {
                 self.maintain(c);
@@ -911,13 +912,7 @@ mod tests {
     #[test]
     fn conflict_eviction_applies_delta() {
         // A 1-slot cache forces every distinct object to evict the last.
-        let rc = Refcache::with_config(
-            1,
-            RefcacheConfig {
-                cache_slots: 1,
-                review_delay: 2,
-            },
-        );
+        let rc = Refcache::with_cache_slots(1, 1);
         let (p1, d1, _) = tracked(&rc, 1);
         let (p2, d2, _) = tracked(&rc, 1);
         rc.dec(0, p1);
@@ -934,14 +929,8 @@ mod tests {
     fn conflicts_fall_as_the_delta_cache_grows() {
         let conflicts: Vec<u64> = [64, 512, 4096]
             .into_iter()
-            .map(|cache_slots| {
-                let rc = Refcache::with_config(
-                    1,
-                    RefcacheConfig {
-                        cache_slots,
-                        review_delay: 2,
-                    },
-                );
+            .map(|slots| {
+                let rc = Refcache::with_cache_slots(1, slots);
                 let objs: Vec<_> = (0..1024).map(|_| tracked(&rc, 1)).collect();
                 for _ in 0..4 {
                     for (p, _, _) in &objs {
@@ -1174,13 +1163,7 @@ mod tests {
         // More live objects than a flush interval dirties, a conflict
         // eviction in the middle, and several flushes: every delta must
         // land, and ways dirtied after a flush must be found again.
-        let rc = Refcache::with_config(
-            1,
-            RefcacheConfig {
-                cache_slots: 8,
-                review_delay: 2,
-            },
-        );
+        let rc = Refcache::with_cache_slots(1, 8);
         let objs: Vec<_> = (0..64).map(|_| tracked(&rc, 1)).collect();
         for round in 0..3 {
             for (p, _, _) in objs.iter().skip(round).step_by(3) {

@@ -37,6 +37,11 @@ pub const MAGAZINE_FLUSH: &str = "magazine-flush";
 /// attempt in `RadixVm`). Failing this site vetoes the promotion — the
 /// mapping simply stays at 4 KiB; it never surfaces as a user error.
 pub const PROMOTE: &str = "promote";
+/// Failpoint site: a TLB shootdown round with at least one remote target
+/// (`Machine::shootdown`, keyed by the sender). Failing this site
+/// suppresses the round — the targets keep their stale entries, which the
+/// frame generation check then reports as `VmError::StaleTranslation`.
+pub const SHOOTDOWN: &str = "shootdown";
 
 /// When an armed failpoint fires, as a function of the site's per-core
 /// hit counter (1-based: the first `should_fail` call is hit 1).

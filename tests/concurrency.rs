@@ -10,11 +10,10 @@ use std::sync::Arc;
 
 use radixvm::backend::{build, BackendKind};
 use radixvm::core_vm::RadixVm;
-use radixvm::hw::{
-    Backing, Machine, MachineConfig, MapFlags, Prot, VmError, BLOCK_PAGES, PAGE_SIZE,
-};
+use radixvm::hw::{Backing, Machine, MapFlags, Prot, VmError, BLOCK_PAGES, PAGE_SIZE};
 use radixvm::radix::{LockMode, RadixConfig, RadixTree};
 use radixvm::refcache::Refcache;
+use radixvm::sync::failpoint::{self, Trigger};
 use radixvm::sync::RangeLockKind;
 
 const BASE: u64 = 0x60_0000_0000;
@@ -148,14 +147,15 @@ fn fork_cow_under_concurrency() {
     assert_eq!(cache.live_objects(), 0, "all pages and nodes reclaimed");
 }
 
-/// Failure injection: with shootdowns disabled, the same workload that
-/// passes above must produce *detected* stale translations rather than
-/// silent corruption.
+/// Failure injection: with core 0's shootdowns suppressed, the same
+/// workload that passes above must produce *detected* stale translations
+/// rather than silent corruption. Single-threaded: the failpoint registry
+/// is per thread.
 #[test]
 fn suppressed_shootdowns_are_detected_not_silent() {
-    let mut cfg = MachineConfig::new(2);
-    cfg.shootdown_enabled = false;
-    let machine = Machine::with_config(cfg);
+    failpoint::disarm_all();
+    failpoint::arm(failpoint::SHOOTDOWN, 0, Trigger::EveryK(1));
+    let machine = Machine::new(2);
     let vm = build(&machine, BackendKind::Radix);
     vm.attach_core(0);
     vm.attach_core(1);
@@ -185,6 +185,7 @@ fn suppressed_shootdowns_are_detected_not_silent() {
     }
     assert!(detected > 0, "injected fault must be observed");
     assert_eq!(machine.stats().stale_detected, detected);
+    failpoint::disarm_all();
 }
 
 /// Refcache epochs keep up under adversarial maintenance schedules: one

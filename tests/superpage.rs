@@ -1,5 +1,5 @@
 //! Superpage (variable-granularity) integration tests: concurrent
-//! demotion, exact frame accounting, and reservation plumbing.
+//! demotion, promotion, exact frame accounting, and the footprint bound.
 //!
 //! The demotion protocol (DESIGN.md §7) must hold under real threads:
 //! one thread partially unmapping a populated superpage while others
@@ -11,7 +11,6 @@ use std::sync::Arc;
 
 use radixvm::backend::{build, BackendKind};
 use radixvm::hw::{Backing, Machine, MapFlags, Prot, VmError, VmSystem, BLOCK_PAGES, PAGE_SIZE};
-use radixvm::mem::BLOCK_ORDER;
 
 const BASE: u64 = 0x70_0000_0000; // 2 MiB aligned
 const BLOCK_BYTES: u64 = BLOCK_PAGES * PAGE_SIZE;
@@ -284,37 +283,6 @@ fn promotion_races_faults_without_leaks() {
         1,
         "block freed exactly once despite repeated promote/demote"
     );
-}
-
-#[test]
-fn reservation_backs_superpage_faults() {
-    // A hugetlb-style reservation is drawn by superpage population
-    // instead of growing the pool.
-    let (machine, vm) = radix(1);
-    machine.pool().reserve(0, 2, BLOCK_ORDER);
-    assert_eq!(machine.pool().stats().blocks_reserved, 2);
-    let frames_before = machine.pool().total_frames();
-    vm.mmap_flags(
-        0,
-        BASE,
-        2 * BLOCK_BYTES,
-        Prot::RW,
-        Backing::Anon,
-        MapFlags::HUGE,
-    )
-    .unwrap();
-    for b in 0..2u64 {
-        machine
-            .write_u64(0, &*vm, BASE + b * BLOCK_BYTES, b)
-            .unwrap();
-    }
-    assert_eq!(
-        machine.pool().total_frames(),
-        frames_before,
-        "population must draw from the reservation"
-    );
-    assert_eq!(machine.pool().stats().blocks_reserved, 0);
-    assert_eq!(vm.op_stats().superpage_installs, 2);
 }
 
 /// One op of the repo benchmark's `superpage` workload on `core`, at its
