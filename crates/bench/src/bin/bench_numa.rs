@@ -2,7 +2,7 @@
 //! enforces the placement gate.
 //!
 //! The sweep drives the disjoint, contended, and index-churn workloads
-//! on the Radix backend across 1/2/4-node striped topologies × the
+//! on the Radix backend across 1/2/4-node machines × the
 //! three placement policies (first-touch, interleave,
 //! replicate-read-only), with the simulator pricing every cache-line
 //! transfer and page of allocator work by hop distance. The gate

@@ -1,12 +1,12 @@
 //! The NUMA placement sweep: distance-priced workloads across
-//! topologies × placement policies, and the gates `bench_numa` /
+//! node counts × placement policies, and the gates `bench_numa` /
 //! `BENCH_numa.json` enforce.
 //!
 //! The simulator prices every cache-line transfer and every page of
 //! allocator work by the hop distance it crosses (`rvm_sync::model`),
 //! so frame *placement* becomes measurable: this module runs the
-//! disjoint, contended, and index-churn workloads on 1/2/4-node striped
-//! topologies under each [`PlacementPolicy`] and records throughput,
+//! disjoint, contended, and index-churn workloads on 1/2/4-node machines
+//! under each [`PlacementPolicy`] and records throughput,
 //! on-node vs cross-node allocator traffic, and the per-label
 //! cross-node transfer attribution.
 //!
@@ -22,10 +22,8 @@
 //!    attribution is non-empty — the *where does cross-socket traffic
 //!    live* view works end-to-end.
 
-use std::sync::Arc;
-
 use rvm_hw::{Machine, MachineConfig, PlacementPolicy};
-use rvm_sync::{sim, CostModel, Topology};
+use rvm_sync::{sim, CostModel};
 
 use crate::{build, run_sim_collect, workloads, BackendKind, Gate};
 
@@ -69,7 +67,7 @@ pub const POLICIES: [PlacementPolicy; 3] = [
     PlacementPolicy::ReplicateReadOnly,
 ];
 
-/// Node counts the sweep records (striped topologies).
+/// Node counts the sweep records.
 pub const NODE_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// One measured point of the NUMA sweep.
@@ -79,7 +77,7 @@ pub struct NumaPoint {
     pub workload: &'static str,
     /// Virtual cores.
     pub cores: usize,
-    /// NUMA nodes (striped topology).
+    /// NUMA nodes.
     pub nnodes: usize,
     /// Placement policy name.
     pub policy: &'static str,
@@ -115,23 +113,10 @@ impl NumaPoint {
     }
 }
 
-/// Builds a machine whose pool *and* simulator cost model share one
-/// striped `nnodes`-node topology under `policy`.
-pub fn numa_machine(ncores: usize, nnodes: usize, policy: PlacementPolicy) -> Arc<Machine> {
-    let mut cfg = MachineConfig::new(ncores);
-    cfg.placement = policy;
-    cfg.topology = Topology::striped(nnodes);
-    Machine::with_config(cfg)
-}
-
-/// The default cost model carrying a striped `nnodes`-node topology.
-pub fn numa_model(nnodes: usize) -> CostModel {
-    CostModel::default().with_topology(Topology::striped(nnodes))
-}
-
 /// Runs one workload on the Radix backend at one (cores, nodes, policy)
 /// configuration and captures the cross-node attribution before the
-/// simulator tears down.
+/// simulator tears down. The pool and the simulator see the same
+/// `nnodes`.
 pub fn numa_point(
     workload: NumaWorkload,
     ncores: usize,
@@ -139,7 +124,11 @@ pub fn numa_point(
     policy: PlacementPolicy,
     duration_ns: u64,
 ) -> NumaPoint {
-    let machine = numa_machine(ncores, nnodes, policy);
+    let machine = Machine::with_config(MachineConfig {
+        ncores,
+        placement: policy,
+        nnodes,
+    });
     let vm = build(&machine, BackendKind::Radix);
     let make = |core: usize| -> Box<dyn FnMut() -> u64> {
         match workload {
@@ -151,7 +140,7 @@ pub fn numa_point(
     let (point, attribution) = run_sim_collect(
         ncores,
         duration_ns,
-        numa_model(nnodes),
+        CostModel::new(nnodes),
         make,
         sim::cross_node_transfers_by_label,
     );
@@ -254,7 +243,7 @@ pub fn check_numa(
     }
 }
 
-/// Runs the five gate points at `ncores` on a 4-node striped topology
+/// Runs the five gate points at `ncores` on a 4-node machine
 /// and evaluates the gate (the entry point both the unit test and
 /// `bench_numa` use).
 pub fn run_numa_gate(ncores: usize, duration_ns: u64) -> NumaReport {

@@ -27,7 +27,7 @@ use rvm_hw::{
     Backing, Machine, MachineConfig, MapFlags, PlacementPolicy, Prot, VmError, VmSystem,
     BLOCK_PAGES, PAGE_SIZE,
 };
-use rvm_sync::{CostModel, Topology};
+use rvm_sync::CostModel;
 
 use crate::{build, run_sim, BackendKind, Gate};
 
@@ -102,13 +102,17 @@ pub struct FragmentationPoint {
     pub superpage_installs: u64,
 }
 
-/// Two-node machine capped at [`FRAME_LIMIT`] frames.
-fn capped_machine(ncores: usize) -> Arc<Machine> {
-    let mut cfg = MachineConfig::new(ncores);
-    cfg.placement = PlacementPolicy::FirstTouch;
-    cfg.topology = Topology::striped(2);
-    let machine = Machine::with_config(cfg);
-    machine.pool().set_frame_limit(FRAME_LIMIT);
+/// NUMA nodes of every pressure machine, and of the simulator pricing it.
+const NNODES: usize = 2;
+
+/// First-touch [`NNODES`]-node machine capped at `frame_limit` frames.
+fn capped_machine(ncores: usize, frame_limit: u64) -> Arc<Machine> {
+    let machine = Machine::with_config(MachineConfig {
+        ncores,
+        placement: PlacementPolicy::FirstTouch,
+        nnodes: NNODES,
+    });
+    machine.pool().set_frame_limit(frame_limit);
     machine
 }
 
@@ -130,50 +134,45 @@ fn prefill(machine: &Arc<Machine>, vm: &Arc<dyn VmSystem>, ncores: usize, frames
 
 /// Runs the OOM-tolerant local cycle at one pre-fill level.
 pub fn pressure_point(ncores: usize, utilization_pct: u64, duration_ns: u64) -> PressurePoint {
-    let machine = capped_machine(ncores);
+    let machine = capped_machine(ncores, FRAME_LIMIT);
     let vm = build(&machine, BackendKind::Radix);
     let prefilled = FRAME_LIMIT * utilization_pct / 100;
     prefill(&machine, &vm, ncores, prefilled);
     let base_pool = machine.pool().stats();
     let base_op = vm.op_stats();
     let stalls = Arc::new(AtomicU64::new(0));
-    let point = run_sim(
-        ncores,
-        duration_ns,
-        CostModel::default().with_topology(Topology::striped(2)),
-        |core| {
-            let (machine, vm, stalls) = (machine.clone(), vm.clone(), stalls.clone());
-            vm.attach_core(core);
-            let base = CYCLE_BASE + core as u64 * (1 << 30);
-            let mut i = 0u64;
-            Box::new(move || {
-                let addr = base + (i % 64) * PAGE_SIZE;
-                i += 1;
-                vm.mmap(core, addr, PAGE_SIZE, Prot::RW, Backing::Anon)
-                    .expect("mmap allocates no frames");
-                let units = match machine.touch_page(core, &*vm, addr, i as u8) {
-                    Ok(()) => 1,
-                    Err(VmError::OutOfMemory) => {
-                        // Tolerated: give reclaim a tick and retry the
-                        // slot on a later cycle.
-                        stalls.fetch_add(1, Ordering::Relaxed);
-                        vm.maintain(core);
-                        0
-                    }
-                    Err(e) => panic!("pressure cycle: unexpected {e}"),
-                };
-                vm.munmap(core, addr, PAGE_SIZE).expect("munmap");
-                // Tick maintenance more often than the unpressured
-                // workloads do: near the cap, frames parked in deferred
-                // refcache frees are the difference between a pressure
-                // stall and a free-list hit.
-                if i.is_multiple_of(32) {
+    let point = run_sim(ncores, duration_ns, CostModel::new(NNODES), |core| {
+        let (machine, vm, stalls) = (machine.clone(), vm.clone(), stalls.clone());
+        vm.attach_core(core);
+        let base = CYCLE_BASE + core as u64 * (1 << 30);
+        let mut i = 0u64;
+        Box::new(move || {
+            let addr = base + (i % 64) * PAGE_SIZE;
+            i += 1;
+            vm.mmap(core, addr, PAGE_SIZE, Prot::RW, Backing::Anon)
+                .expect("mmap allocates no frames");
+            let units = match machine.touch_page(core, &*vm, addr, i as u8) {
+                Ok(()) => 1,
+                Err(VmError::OutOfMemory) => {
+                    // Tolerated: give reclaim a tick and retry the
+                    // slot on a later cycle.
+                    stalls.fetch_add(1, Ordering::Relaxed);
                     vm.maintain(core);
+                    0
                 }
-                units
-            })
-        },
-    );
+                Err(e) => panic!("pressure cycle: unexpected {e}"),
+            };
+            vm.munmap(core, addr, PAGE_SIZE).expect("munmap");
+            // Tick maintenance more often than the unpressured
+            // workloads do: near the cap, frames parked in deferred
+            // refcache frees are the difference between a pressure
+            // stall and a free-list hit.
+            if i.is_multiple_of(32) {
+                vm.maintain(core);
+            }
+            units
+        })
+    });
     let pool = machine.pool().stats().since(&base_pool);
     PressurePoint {
         cores: ncores,
@@ -196,11 +195,7 @@ pub fn fragmentation_point() -> FragmentationPoint {
     const PREFILL: u64 = 600; // headroom ≈ 1024 − 640 < BLOCK_PAGES
     const TOUCH: u64 = BLOCK_PAGES / 2;
     let ncores = 2;
-    let mut cfg = MachineConfig::new(ncores);
-    cfg.placement = PlacementPolicy::FirstTouch;
-    cfg.topology = Topology::striped(2);
-    let machine = Machine::with_config(cfg);
-    machine.pool().set_frame_limit(1024);
+    let machine = capped_machine(ncores, 1024);
     let vm = build(&machine, BackendKind::Radix);
     prefill(&machine, &vm, ncores, PREFILL);
     vm.mmap_flags(

@@ -362,19 +362,19 @@ pub struct MachineConfig {
     pub ncores: usize,
     /// Frame-placement policy of the machine's pool (NUMA knob).
     pub placement: rvm_mem::PlacementPolicy,
-    /// NUMA topology: node count, core striping, and hop distances. Must
-    /// match the topology installed in the simulator's [`rvm_sync::CostModel`] for
-    /// the virtual-time pricing to line up with placement decisions.
-    pub topology: rvm_sync::Topology,
+    /// NUMA nodes the cores stripe across ([`rvm_sync::model::node_of`]).
+    /// A simulated run prices hops with the node count it gives
+    /// [`rvm_sync::CostModel::new`].
+    pub nnodes: usize,
 }
 
 impl MachineConfig {
-    /// Defaults for `ncores` cores: flat single-node topology.
+    /// Defaults for `ncores` cores: first-touch on one node.
     pub fn new(ncores: usize) -> Self {
         MachineConfig {
             ncores,
             placement: rvm_mem::PlacementPolicy::FirstTouch,
-            topology: rvm_sync::Topology::single(),
+            nnodes: 1,
         }
     }
 }
@@ -439,7 +439,7 @@ impl Machine {
         let pool = Arc::new(FramePool::with_placement(
             cfg.ncores,
             cfg.placement,
-            cfg.topology.clone(),
+            cfg.nnodes,
         ));
         let tlbs = (0..cfg.ncores)
             .map(|_| CachePadded::new(SpinLock::new(Tlb::new(tlb::TLB_ENTRIES))))

@@ -43,7 +43,7 @@
 use std::sync::atomic::{AtomicPtr, AtomicU16, AtomicU64, AtomicU8, Ordering};
 
 use rvm_refcache::{CountSlot, Refcache, ReleaseCtx, SlotManaged, SlotPtr};
-use rvm_sync::{failpoint, sharded_stats, sim, CachePadded, SpinLock, SpinLockGuard, Topology};
+use rvm_sync::{failpoint, model, sharded_stats, sim, CachePadded, SpinLock, SpinLockGuard};
 
 /// Physical memory is exhausted: every tier of the pressure protocol
 /// (free list, reservoir, magazine drain, remote steal, growth) came up
@@ -285,11 +285,8 @@ pub struct FramePool {
     ncores: usize,
     /// Placement policy for frames (see [`PlacementPolicy`]).
     policy: PlacementPolicy,
-    /// NUMA topology: maps cores to nodes and defines the node count.
-    topology: Topology,
-    /// Cached node id per core (from `topology`).
-    core_node: Vec<u16>,
-    /// Number of NUMA nodes (≥ 1).
+    /// Number of NUMA nodes (≥ 1); cores stripe across them
+    /// ([`model::node_of`]).
     nnodes: usize,
     /// Per-core stride cursors for [`PlacementPolicy::Interleave`]: each
     /// core picks its next target node from its own padded cursor, so
@@ -333,24 +330,16 @@ const TABLE_CAPACITY: u64 = (MAX_CHUNKS * CHUNK_FRAMES) as u64;
 
 impl FramePool {
     /// Creates a pool serving `ncores` cores with first-touch placement
-    /// on a single-node (flat) topology.
+    /// on one node (the flat machine).
     pub fn new(ncores: usize) -> Self {
-        Self::with_placement(ncores, PlacementPolicy::FirstTouch, Topology::single())
+        Self::with_placement(ncores, PlacementPolicy::FirstTouch, 1)
     }
 
-    /// Creates a pool serving `ncores` cores with the given placement
-    /// policy and NUMA topology.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid topology ([`Topology::validate`]'s reason).
-    pub fn with_placement(ncores: usize, policy: PlacementPolicy, topology: Topology) -> Self {
+    /// Creates a pool serving `ncores` cores striped across `nnodes`
+    /// NUMA nodes, with the given placement policy.
+    pub fn with_placement(ncores: usize, policy: PlacementPolicy, nnodes: usize) -> Self {
         assert!((1..=rvm_sync::MAX_CORES).contains(&ncores));
-        if let Err(e) = topology.validate() {
-            panic!("FramePool: invalid NUMA topology: {e}");
-        }
-        let nnodes = topology.nnodes;
-        let core_node: Vec<u16> = (0..ncores).map(|c| topology.node_of(c) as u16).collect();
+        assert!(nnodes >= 1, "FramePool needs at least one NUMA node");
         let chunk_ptrs = (0..MAX_CHUNKS)
             .map(|_| AtomicPtr::new(std::ptr::null_mut()))
             .collect::<Vec<_>>()
@@ -358,8 +347,6 @@ impl FramePool {
         FramePool {
             ncores,
             policy,
-            topology,
-            core_node,
             nnodes,
             // Start each core's stride at its own index so concurrent
             // interleaved allocators begin on different nodes.
@@ -409,7 +396,7 @@ impl FramePool {
     /// NUMA node of `core`.
     #[inline]
     pub fn node_of(&self, core: usize) -> usize {
-        self.core_node[core] as usize
+        model::node_of(core, self.nnodes)
     }
 
     /// Next target node for an interleaved allocation on `core`: a
@@ -600,7 +587,7 @@ impl FramePool {
         if failpoint::should_fail(failpoint::FRAME_ALLOC, core) {
             return Err(OutOfMemory);
         }
-        let my_node = self.core_node[core] as usize;
+        let my_node = self.node_of(core);
         if self.policy == PlacementPolicy::Interleave {
             let target = self.stride_target(core);
             if target != my_node {
@@ -683,7 +670,7 @@ impl FramePool {
     /// tiers visit remote reservoirs in.
     fn other_nodes_nearest_first(&self, node: usize) -> Vec<usize> {
         let mut nodes: Vec<usize> = (0..self.nnodes).filter(|&n| n != node).collect();
-        nodes.sort_by_key(|&n| self.topology.dist(node, n));
+        nodes.sort_by_key(|&n| model::hops(node, n));
         nodes
     }
 
@@ -862,7 +849,7 @@ impl FramePool {
         let pages = 1usize << order;
         let target = match self.policy {
             PlacementPolicy::Interleave => self.stride_target(core),
-            _ => self.core_node[core] as usize,
+            _ => self.node_of(core),
         };
         // The guard drops with its statement: no lock is held below.
         let recycled = take_block(&mut self.block_reservoirs[target].lock(), order);
@@ -916,7 +903,7 @@ impl FramePool {
             self.slot(base + i as Pfn).bump_generation();
         }
         let home = self.home(base);
-        let on_node = home == self.core_node[core] as usize;
+        let on_node = home == self.node_of(core);
         self.stats.add(core, PoolStats::block_frees, 1);
         // Blocks bypass the core's free list: take it for the bump.
         self.count_free(core, &self.free_lists[core].lock(), pages as u64, on_node);
@@ -945,7 +932,7 @@ impl FramePool {
         let slot = self.slot(pfn);
         slot.bump_generation();
         let home = slot.home.load(Ordering::Relaxed) as usize % self.nnodes;
-        if home == self.core_node[core] as usize {
+        if home == self.node_of(core) {
             let mut list = self.free_lists[core].lock();
             list.push(pfn);
             self.count_free(core, &list, 1, true);
@@ -1187,16 +1174,12 @@ mod tests {
 
     /// First-touch pool with cores striped across `nnodes` nodes.
     fn numa_pool(ncores: usize, nnodes: usize) -> FramePool {
-        FramePool::with_placement(
-            ncores,
-            PlacementPolicy::FirstTouch,
-            Topology::striped(nnodes),
-        )
+        FramePool::with_placement(ncores, PlacementPolicy::FirstTouch, nnodes)
     }
 
     #[test]
     fn same_node_free_stays_core_local() {
-        // On a flat topology every core shares node 0: a free on any core
+        // On one node every core shares node 0: a free on any core
         // adopts the frame locally instead of parking in a magazine.
         let pool = FramePool::new(2);
         let f = pool.alloc(0);
@@ -1299,7 +1282,7 @@ mod tests {
     fn remote_free_line_traffic_is_batched() {
         // The simulator story: a stream of cross-node frees from one core
         // costs one reservoir transfer per magazine, not one per page.
-        // (Flat sim pricing; the pool's own 2-node topology decides what
+        // (Flat sim pricing; the pool's own two nodes decide what
         // counts as cross-node.)
         let guard = rvm_sync::sim::install(2, rvm_sync::CostModel::default());
         let pool = numa_pool(2, 2);
@@ -1534,7 +1517,7 @@ mod tests {
 
     #[test]
     fn interleave_strides_across_nodes() {
-        let pool = FramePool::with_placement(4, PlacementPolicy::Interleave, Topology::striped(4));
+        let pool = FramePool::with_placement(4, PlacementPolicy::Interleave, 4);
         // All allocation happens on core 0; homes must still rotate.
         let mut homes = std::collections::HashSet::new();
         for _ in 0..8 {
@@ -1564,7 +1547,7 @@ mod tests {
         // nnodes = 1: the stride always lands on the local node, so the
         // fast path (own list, batch adoption) is identical to
         // first-touch — this is what keeps single-node numbers unchanged.
-        let pool = FramePool::with_placement(2, PlacementPolicy::Interleave, Topology::single());
+        let pool = FramePool::with_placement(2, PlacementPolicy::Interleave, 1);
         let f = pool.alloc(0);
         pool.free(0, f);
         assert_eq!(pool.alloc(0), f, "own free list reused");
@@ -1577,7 +1560,7 @@ mod tests {
     fn interleave_remote_draw_reuses_reservoir() {
         // A remote stride target with a stocked reservoir pops exactly
         // one frame instead of growing fresh ones.
-        let pool = FramePool::with_placement(2, PlacementPolicy::Interleave, Topology::striped(2));
+        let pool = FramePool::with_placement(2, PlacementPolicy::Interleave, 2);
         // Stock node 1's reservoir: allocate on core 1 until a frame is
         // homed there, free it cross-node from core 0, flush.
         let f = loop {
@@ -1607,14 +1590,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid NUMA topology")]
-    fn invalid_topology_panics() {
-        let broken = Topology {
-            nnodes: 2,
-            core_to_node: Vec::new(),
-            distance: vec![0, 0, 0, 0], // off-diagonal zeros
-        };
-        FramePool::with_placement(2, PlacementPolicy::FirstTouch, broken);
+    #[should_panic(expected = "at least one NUMA node")]
+    fn a_pool_without_nodes_panics() {
+        FramePool::with_placement(2, PlacementPolicy::FirstTouch, 0);
     }
 
     #[test]

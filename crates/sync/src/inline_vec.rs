@@ -246,9 +246,8 @@ mod tests {
 
     #[test]
     fn spill_charges_virtual_alloc_cost() {
-        let model = crate::CostModel::default();
-        let alloc = model.alloc_ns;
-        let g = sim::install(1, model);
+        let alloc = crate::model::ALLOC_NS;
+        let g = sim::install(1, crate::CostModel::default());
         sim::switch(0);
         let mut v: InlineVec<u64, 1> = InlineVec::new();
         v.push(1);

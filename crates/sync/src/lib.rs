@@ -46,7 +46,7 @@ pub use inline_vec::InlineVec;
 pub use lock::{
     Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, SpinLock, SpinLockGuard,
 };
-pub use model::{CostModel, Topology};
+pub use model::CostModel;
 pub use pad::CachePadded;
 pub use rangelock::{RangeLock, RangeLockKind, RangeToken};
 pub use shard::{Exclusive, Field, ShardedStats, Shared};

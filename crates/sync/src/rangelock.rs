@@ -132,7 +132,7 @@ impl RangeLock {
         }
     }
 
-    /// The lock's identity for simulator accounting ([`sim::top_lock_waits`]).
+    /// The lock's identity for simulator accounting ([`sim::range_lock_acquire`]).
     #[inline]
     pub fn sim_addr(&self) -> usize {
         &*self.head as *const Desc as usize

@@ -5,9 +5,9 @@
 //! operation at a time per core. The real data-structure code executes
 //! normally (single-threaded, so trivially race-free); every instrumented
 //! synchronization access reports here and advances the *current virtual
-//! core's clock* according to the [`CostModel`] and a MESI-style table of
-//! cache-line states. Lock hold times and IPI rounds serialize virtual
-//! clocks the way real hardware serializes cores.
+//! core's clock* according to the prices in [`crate::model`] and a
+//! MESI-style table of cache-line states. Lock hold times and IPI rounds
+//! serialize virtual clocks the way real hardware serializes cores.
 //!
 //! Reported throughput is then `operations / max(core clocks)`, which
 //! reproduces the shape of multicore scalability curves deterministically
@@ -18,7 +18,7 @@
 //! * Only accesses through [`crate::Atomic64`], [`crate::AtomicPtr64`],
 //!   [`crate::Mutex`], [`crate::RwLock`], and explicit [`charge`] calls are
 //!   modeled. Private (unshared) computation is folded into
-//!   `CostModel::op_base_ns` / explicit charges. This is the right
+//!   [`crate::model::OP_BASE_NS`] / explicit charges. This is the right
 //!   abstraction for the paper's experiments, whose outcomes are entirely
 //!   determined by shared-line and IPI behaviour.
 //! * Because virtual cores execute sequentially, a CAS/lock never *really*
@@ -35,7 +35,11 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::model::CostModel;
+use crate::model::{
+    hops, node_of, CostModel, ALLOC_NS, COLD_NS, HOP_NS, INVAL_PER_SHARER_NS, IPI_BUS_NS,
+    IPI_HANDLE_NS, IPI_SEND_NS, LINE_SERVICE_NS, LOCAL_NS, OP_BASE_NS, PAGE_HOP_NS, PAGE_WORK_NS,
+    REMOTE_NS,
+};
 use crate::CoreSet;
 
 /// Sentinel core id meaning "no exclusive owner" in a line entry.
@@ -53,13 +57,12 @@ struct Line {
     /// transfer; transfers queue behind this.
     busy_until: u64,
     /// Remote transfers served by this line (diagnostics; see
-    /// [`top_remote_lines`]).
+    /// [`remote_transfers_by_label`]).
     transfers: u64,
     /// NUMA node holding the line's memory. Shared-source fetches and cold
     /// misses are priced from here (directory/home sourcing); modified
-    /// data is priced from the owning core's node. Resolved once at line
-    /// creation: an explicit [`place_range`] registration wins, otherwise
-    /// the first toucher's node (first-touch homing).
+    /// data is priced from the owning core's node. The first toucher's
+    /// node (first-touch homing).
     home: u16,
     /// When set, every node holds a local replica: reads never pay
     /// distance, but a write that invalidates sharers pays a broadcast to
@@ -67,52 +70,33 @@ struct Line {
     replicated: bool,
 }
 
-/// An explicit placement registration consulted when a line entry is
-/// first created (see [`place_range`] / [`place_replicated`]).
+/// A replicated range, consulted when a line entry is first created
+/// (see [`place_replicated`]).
 #[derive(Clone, Copy)]
 struct PlacedRange {
     /// First cache line of the range (address >> 6).
     lo_line: u64,
     /// One past the last cache line of the range.
     hi_line: u64,
-    /// Home node for lines in the range (ignored when `replicated`).
-    node: u16,
-    /// Per-node replicas instead of a single home.
-    replicated: bool,
 }
 
-/// Hop distance between nodes `a` and `b` in a flattened matrix.
-#[inline]
-fn hops(ndist: &[u64], nnodes: usize, a: u16, b: u16) -> u64 {
-    ndist[a as usize * nnodes + b as usize]
-}
-
-/// Looks up (or creates) the entry for cache line `key`, resolving its
-/// placement on creation. Free function so callers can keep the borrow
-/// field-level (`lines` only) and still read the context's other fields.
+/// Looks up (or creates) the entry for cache line `key`, homed on the
+/// first toucher's `node` unless a registration replicates it. Free
+/// function so callers can keep the borrow field-level (`lines` only)
+/// and still read the context's other fields.
 fn line_entry<'a>(
     lines: &'a mut AddrMap<Line>,
     placed: &[PlacedRange],
     key: u64,
-    node: u16,
+    node: usize,
 ) -> &'a mut Line {
-    lines.entry(key).or_insert_with(|| {
-        let mut home = node;
-        let mut replicated = false;
-        for r in placed {
-            if r.lo_line <= key && key < r.hi_line {
-                home = r.node;
-                replicated = r.replicated;
-            }
-        }
-        Line {
-            owner: NO_OWNER,
-            sharers: 0,
-            busy_until: 0,
-            transfers: 0,
-            home,
-            replicated,
-        }
+    lines.entry(key).or_insert_with(|| Line {
+        owner: NO_OWNER,
+        sharers: 0,
+        busy_until: 0,
+        transfers: 0,
+        home: node as u16,
+        replicated: placed.iter().any(|r| r.lo_line <= key && key < r.hi_line),
     })
 }
 
@@ -123,29 +107,6 @@ struct LockState {
     write_avail: u64,
     /// Latest virtual release time among read holders.
     readers_until: u64,
-    /// Accumulated wait time charged at this lock (diagnostics).
-    wait_total: u64,
-    /// Acquisitions (diagnostics).
-    acquires: u64,
-}
-
-/// Virtual-time state of one *range* lock: the recently released
-/// intervals, so a later acquisition of an overlapping range waits for
-/// the latest overlapping release while disjoint ranges pass for free.
-///
-/// This is the range-indexed analogue of [`LockState::write_avail`]:
-/// because virtual cores execute sequentially, the releaser has always
-/// recorded its release time before the next acquirer runs, so the
-/// acquirer can compute its wait exactly instead of spinning.
-#[derive(Default)]
-struct RangeLockState {
-    /// Released intervals `(lo, hi, release_time)`. Pruned on release:
-    /// entries no core's clock can still be behind are dropped.
-    history: Vec<(u64, u64, u64)>,
-    /// Accumulated wait time charged at this lock (diagnostics).
-    wait_total: u64,
-    /// Acquisitions (diagnostics).
-    acquires: u64,
 }
 
 /// Which side of a reader-writer lock an acquire/release refers to.
@@ -273,28 +234,32 @@ struct Retired {
 
 /// The simulator context: one per benchmark thread, installed in TLS.
 pub struct SimCtx {
-    model: CostModel,
     ncores: usize,
     cur: usize,
     clocks: Vec<u64>,
     stats: Vec<CoreStats>,
     lines: AddrMap<Line>,
     locks: AddrMap<LockState>,
-    ranges: AddrMap<RangeLockState>,
+    /// Virtual-time state of each *range* lock: its recently released
+    /// intervals `(lo, hi, release_time)`, so a later acquisition of an
+    /// overlapping range waits for the latest overlapping release while
+    /// disjoint ranges pass for free. This is the range-indexed analogue
+    /// of [`LockState::write_avail`]: because virtual cores execute
+    /// sequentially, the releaser has always recorded its release time
+    /// before the next acquirer runs, so the acquirer can compute its
+    /// wait exactly instead of spinning. Pruned on release: intervals no
+    /// core's clock can still be behind are dropped.
+    ranges: AddrMap<Vec<(u64, u64, u64)>>,
     /// Labeled address ranges for transfer attribution (few, scanned
     /// linearly — diagnostics only, never on the modeled hot path).
     labels: Vec<LabeledRange>,
     /// Per label, what its lines served before their label changed:
     /// what a line served under one owner stays with that owner's label.
     retired: Vec<Retired>,
-    /// Explicit placement registrations, consulted at line creation.
+    /// Replicated ranges, consulted at line creation.
     placed: Vec<PlacedRange>,
-    /// Node id of each simulated core (from the model's topology).
-    core_node: Vec<u16>,
     /// Number of NUMA nodes.
     nnodes: usize,
-    /// Flattened `nnodes × nnodes` hop-distance matrix.
-    ndist: Vec<u64>,
     /// Per-line cross-node transfer counts, keyed like `lines`; each value
     /// is a flattened `nnodes × nnodes` source→destination matrix. Only
     /// lines with at least one priced cross-node event have an entry.
@@ -306,17 +271,7 @@ pub struct SimCtx {
 impl SimCtx {
     fn new(ncores: usize, model: CostModel) -> Self {
         assert!((1..=crate::MAX_CORES).contains(&ncores));
-        model
-            .topology
-            .validate()
-            .expect("CostModel carries an invalid topology");
-        let core_node: Vec<u16> = (0..ncores)
-            .map(|c| model.topology.node_of(c) as u16)
-            .collect();
-        let nnodes = model.topology.nnodes;
-        let ndist = model.topology.distance.clone();
         SimCtx {
-            model,
             ncores,
             cur: 0,
             clocks: vec![0; ncores],
@@ -327,9 +282,7 @@ impl SimCtx {
             labels: Vec::new(),
             retired: Vec::new(),
             placed: Vec::new(),
-            core_node,
-            nnodes,
-            ndist,
+            nnodes: model.nnodes,
             cross: AddrMap::default(),
             apic_busy: 0,
         }
@@ -337,13 +290,13 @@ impl SimCtx {
 
     /// Records one cross-node transfer of line `key` from node `from` to
     /// node `to`.
-    fn cross_event(&mut self, key: u64, from: u16, to: u16) {
+    fn cross_event(&mut self, key: u64, from: usize, to: usize) {
         let n = self.nnodes;
         let m = self
             .cross
             .entry(key)
             .or_insert_with(|| vec![0u64; n * n].into_boxed_slice());
-        m[from as usize * n + to as usize] += 1;
+        m[from * n + to] += 1;
     }
 
     /// Category of the cache line `line` (address >> 6).
@@ -398,52 +351,46 @@ impl SimCtx {
     fn on_read(&mut self, addr: usize) {
         let c = self.cur;
         let clock = self.clocks[c];
-        let m_local = self.model.local_ns;
-        let m_remote = self.model.remote_ns;
-        let m_cold = self.model.cold_ns;
-        let m_service = self.model.line_service_ns;
-        let hop = self.model.hop_ns;
         let nnodes = self.nnodes;
-        let node = self.core_node[c];
+        let node = node_of(c, nnodes);
         let bit = 1u128 << c;
         let key = addr as u64 >> 6;
-        let ndist = &self.ndist;
         let line = line_entry(&mut self.lines, &self.placed, key, node);
         // Cross-node fetch to record once the line borrow ends:
         // the source node the priced transfer came from.
-        let mut cross_from: Option<u16> = None;
+        let mut cross_from: Option<usize> = None;
         if line.sharers == 0 {
             // First touch: bring the line in from its home node's memory
             // (the local replica when replicated).
-            let src = if line.replicated { node } else { line.home };
-            let d = hops(ndist, nnodes, src, node);
+            let src = if line.replicated {
+                node
+            } else {
+                line.home as usize
+            };
+            let d = hops(src, node);
             line.sharers = bit;
-            self.clocks[c] = clock + m_cold + hop * d;
+            self.clocks[c] = clock + COLD_NS + HOP_NS * d;
             self.stats[c].cold_misses += 1;
             if d > 0 {
                 cross_from = Some(src);
             }
         } else if line.owner == c as u32 || (line.owner == NO_OWNER && line.sharers & bit != 0) {
             // Own modified copy, or already a sharer.
-            self.clocks[c] = clock + m_local;
+            self.clocks[c] = clock + LOCAL_NS;
             self.stats[c].local_hits += 1;
         } else if line.owner != NO_OWNER {
             // Modified elsewhere: downgrade to shared; serialized at the
             // line's home node. Dirty data moves core-to-core, so distance
             // is priced from the owning core's node (replicas are refilled
             // for free on the way: the broadcast was paid by the writer).
-            let src = self.core_node[line.owner as usize];
-            let d = if line.replicated {
-                0
-            } else {
-                hops(ndist, nnodes, src, node)
-            };
+            let src = node_of(line.owner as usize, nnodes);
+            let d = if line.replicated { 0 } else { hops(src, node) };
             let start = clock.max(line.busy_until);
-            line.busy_until = start + m_service;
+            line.busy_until = start + LINE_SERVICE_NS;
             line.sharers |= bit;
             line.owner = NO_OWNER;
             line.transfers += 1;
-            self.clocks[c] = start + m_remote + hop * d;
+            self.clocks[c] = start + REMOTE_NS + HOP_NS * d;
             self.stats[c].remote_transfers += 1;
             if d > 0 {
                 cross_from = Some(src);
@@ -454,11 +401,15 @@ impl SimCtx {
             // not the nearest sharer); shared sourcing is served in
             // parallel (no home-node serialization). Replicated lines are
             // served from the local node's replica.
-            let src = if line.replicated { node } else { line.home };
-            let d = hops(ndist, nnodes, src, node);
+            let src = if line.replicated {
+                node
+            } else {
+                line.home as usize
+            };
+            let d = hops(src, node);
             line.sharers |= bit;
             line.transfers += 1;
-            self.clocks[c] = clock + m_remote + hop * d;
+            self.clocks[c] = clock + REMOTE_NS + HOP_NS * d;
             self.stats[c].remote_transfers += 1;
             if d > 0 {
                 cross_from = Some(src);
@@ -472,39 +423,36 @@ impl SimCtx {
     fn on_write(&mut self, addr: usize) {
         let c = self.cur;
         let clock = self.clocks[c];
-        let m_local = self.model.local_ns;
-        let m_remote = self.model.remote_ns;
-        let m_cold = self.model.cold_ns;
-        let m_service = self.model.line_service_ns;
-        let m_inval = self.model.inval_per_sharer_ns;
-        let hop = self.model.hop_ns;
         let nnodes = self.nnodes;
-        let node = self.core_node[c];
+        let node = node_of(c, nnodes);
         let bit = 1u128 << c;
         let key = addr as u64 >> 6;
-        let ndist = &self.ndist;
         let line = line_entry(&mut self.lines, &self.placed, key, node);
-        let mut cross_from: Option<u16> = None;
+        let mut cross_from: Option<usize> = None;
         // A write that invalidates sharers of a replicated line must reach
         // every node's replica: record a broadcast after the borrow ends.
         let mut broadcast = false;
         if line.sharers == 0 {
-            let src = if line.replicated { node } else { line.home };
-            let d = hops(ndist, nnodes, src, node);
+            let src = if line.replicated {
+                node
+            } else {
+                line.home as usize
+            };
+            let d = hops(src, node);
             line.sharers = bit;
             line.owner = c as u32;
-            self.clocks[c] = clock + m_cold + hop * d;
+            self.clocks[c] = clock + COLD_NS + HOP_NS * d;
             self.stats[c].cold_misses += 1;
             if d > 0 {
                 cross_from = Some(src);
             }
         } else if line.owner == c as u32 {
-            self.clocks[c] = clock + m_local;
+            self.clocks[c] = clock + LOCAL_NS;
             self.stats[c].local_hits += 1;
         } else if line.owner == NO_OWNER && line.sharers == bit {
             // Sole sharer upgrading to exclusive: silent upgrade.
             line.owner = c as u32;
-            self.clocks[c] = clock + m_local;
+            self.clocks[c] = clock + LOCAL_NS;
             self.stats[c].local_hits += 1;
         } else {
             // Take the line exclusive: invalidate other copies, serialized
@@ -515,30 +463,22 @@ impl SimCtx {
             let others = (line.sharers & !bit).count_ones() as u64;
             let start = clock.max(line.busy_until);
             let extra = if line.replicated {
-                let mut sum = 0;
-                for n in 0..nnodes as u16 {
-                    if n != node {
-                        sum += hops(ndist, nnodes, node, n);
-                    }
-                }
-                hop * sum
+                broadcast = true;
+                HOP_NS * (0..nnodes).map(|n| hops(node, n)).sum::<u64>()
             } else {
                 let src = if line.owner != NO_OWNER {
-                    self.core_node[line.owner as usize]
+                    node_of(line.owner as usize, nnodes)
                 } else {
-                    line.home
+                    line.home as usize
                 };
-                let d = hops(ndist, nnodes, src, node);
+                let d = hops(src, node);
                 if d > 0 {
                     cross_from = Some(src);
                 }
-                hop * d
+                HOP_NS * d
             };
-            if line.replicated {
-                broadcast = true;
-            }
-            let cost = m_remote + m_inval * others + extra;
-            line.busy_until = start + m_service;
+            let cost = REMOTE_NS + INVAL_PER_SHARER_NS * others + extra;
+            line.busy_until = start + LINE_SERVICE_NS;
             line.owner = c as u32;
             line.sharers = bit;
             line.transfers += 1;
@@ -547,7 +487,7 @@ impl SimCtx {
             self.stats[c].invalidations += others;
         }
         if broadcast {
-            for n in 0..nnodes as u16 {
+            for n in 0..nnodes {
                 if n != node {
                     self.cross_event(key, node, n);
                 }
@@ -572,10 +512,7 @@ impl SimCtx {
             LockKind::Exclusive => clock.max(st.write_avail).max(st.readers_until),
             LockKind::Shared => clock.max(st.write_avail),
         };
-        let wait = start - clock;
-        st.wait_total += wait;
-        st.acquires += 1;
-        self.stats[c].lock_wait_ns += wait;
+        self.stats[c].lock_wait_ns += start - clock;
         self.clocks[c] = start;
         // The lock word itself is a contended line: both mutex acquire and
         // rwlock reader-count increment write it.
@@ -595,17 +532,14 @@ impl SimCtx {
     fn range_lock_acquire(&mut self, addr: usize, lo: u64, hi: u64) {
         let c = self.cur;
         let clock = self.clocks[c];
-        let st = self.ranges.entry(addr as u64).or_default();
+        let history = self.ranges.entry(addr as u64).or_default();
         let mut start = clock;
-        for &(ilo, ihi, release) in st.history.iter() {
+        for &(ilo, ihi, release) in history.iter() {
             if ilo < hi && lo < ihi {
                 start = start.max(release);
             }
         }
-        let wait = start - clock;
-        st.wait_total += wait;
-        st.acquires += 1;
-        self.stats[c].lock_wait_ns += wait;
+        self.stats[c].lock_wait_ns += start - clock;
         self.clocks[c] = start;
     }
 
@@ -613,24 +547,23 @@ impl SimCtx {
         let c = self.cur;
         let clock = self.clocks[c];
         let min_clock = self.clocks.iter().copied().min().unwrap_or(0);
-        let st = self.ranges.entry(addr as u64).or_default();
+        let history = self.ranges.entry(addr as u64).or_default();
         // An interval released at or before every core's clock can no
         // longer delay anyone: prune it.
-        st.history.retain(|&(_, _, r)| r > min_clock);
-        st.history.push((lo, hi, clock));
+        history.retain(|&(_, _, r)| r > min_clock);
+        history.push((lo, hi, clock));
     }
 
     fn ipi_round(&mut self, targets: CoreSet) {
         let sender = self.cur;
         let mut send_t = self.clocks[sender];
         let mut finish = send_t;
-        let m = &self.model;
         for tgt in targets.iter() {
             let issue = send_t.max(self.apic_busy);
-            send_t = issue + m.ipi_send_ns;
-            self.apic_busy = issue + m.ipi_bus_ns;
+            send_t = issue + IPI_SEND_NS;
+            self.apic_busy = issue + IPI_BUS_NS;
             let arrival = send_t;
-            let done = self.clocks[tgt].max(arrival) + m.ipi_handle_ns;
+            let done = self.clocks[tgt].max(arrival) + IPI_HANDLE_NS;
             if tgt != sender {
                 self.clocks[tgt] = done;
                 self.stats[tgt].ipis_received += 1;
@@ -755,76 +688,45 @@ pub fn charge(ns: u64) {
     });
 }
 
-/// Charges the model's fixed per-operation base cost to the current core.
+/// Charges [`OP_BASE_NS`], the fixed per-operation base cost, to the
+/// current core.
 #[inline]
 pub fn charge_op_base() {
-    with_ctx(|s| {
-        let c = s.cur;
-        s.clocks[c] += s.model.op_base_ns;
-        s.stats[c].charged_ns += s.model.op_base_ns;
-    });
+    charge(OP_BASE_NS);
 }
 
-/// Charges the model's page-work cost (zeroing / filling a 4 KB page).
+/// Charges [`PAGE_WORK_NS`] (zeroing / filling a 4 KB page).
 #[inline]
 pub fn charge_page_work() {
-    with_ctx(|s| {
-        let c = s.cur;
-        s.clocks[c] += s.model.page_work_ns;
-        s.stats[c].charged_ns += s.model.page_work_ns;
-    });
+    charge(PAGE_WORK_NS);
 }
 
-/// Charges the model's page-work cost for a page homed on `home_node`,
-/// adding the per-hop premium (`page_hop_ns × hops`) when the current
-/// core sits on a different node. Falls back to [`charge_page_work`]
-/// pricing on a single-node topology. `home_node` is taken modulo the
-/// topology's node count so callers with a mismatched topology degrade
-/// gracefully instead of panicking.
+/// Charges [`PAGE_WORK_NS`] for a page homed on node `home_node`, plus
+/// [`PAGE_HOP_NS`] per hop when the current core sits on a different
+/// node. On one node this is [`charge_page_work`].
 #[inline]
 pub fn charge_page_work_homed(home_node: usize) {
     with_ctx(|s| {
         let c = s.cur;
-        let node = s.core_node[c];
-        let home = (home_node % s.nnodes) as u16;
-        let cost =
-            s.model.page_work_ns + s.model.page_hop_ns * hops(&s.ndist, s.nnodes, home, node);
+        let cost = PAGE_WORK_NS + PAGE_HOP_NS * hops(home_node, node_of(c, s.nnodes));
         s.clocks[c] += cost;
         s.stats[c].charged_ns += cost;
-    });
-}
-
-/// Registers `[start, start + bytes)` as homed on NUMA node `node`: cache
-/// lines in the range are priced as living in that node's memory (cold
-/// misses and shared-source fetches pay the hop distance from it).
-/// Placement is resolved when a line entry is first created; lines already
-/// touched keep their placement, and address reuse carries the old
-/// registration until [`unplace_range`]. No-op when simulation is
-/// inactive.
-pub fn place_range(node: usize, start: usize, bytes: usize) {
-    with_ctx(|s| {
-        s.placed.push(PlacedRange {
-            lo_line: start as u64 >> 6,
-            hi_line: ((start + bytes) as u64).div_ceil(64),
-            node: (node % s.nnodes) as u16,
-            replicated: false,
-        });
     });
 }
 
 /// Registers `[start, start + bytes)` as replicated read-only: every node
 /// holds a local replica, so reads never pay hop distance, but a write
 /// that invalidates sharers pays a broadcast to every other node (and
-/// records one cross-node event per remote node). Used for hot radix
-/// index nodes under the replicate-read-only placement policy. No-op when
-/// simulation is inactive.
+/// records one cross-node event per remote node). Resolved when a line
+/// entry is first created; lines already touched keep their placement,
+/// and address reuse carries the registration until [`unplace_range`].
+/// Used for hot radix index nodes under the replicate-read-only
+/// placement policy. No-op when simulation is inactive.
 pub fn place_replicated(start: usize, bytes: usize) {
     with_ctx(|s| {
         s.placed.push(PlacedRange {
             lo_line: start as u64 >> 6,
             hi_line: ((start + bytes) as u64).div_ceil(64),
-            node: 0,
-            replicated: true,
         });
     });
 }
@@ -853,7 +755,7 @@ pub fn unlabel_range(start: usize, bytes: usize) {
     });
 }
 
-/// Charges the model's heap-allocation cost to the current core and
+/// Charges [`ALLOC_NS`], one heap allocation, to the current core and
 /// counts the allocation. Called by hot-path code that allocates
 /// (node expansion, Refcache object allocation, `InlineVec` spill) so
 /// allocation-free fast paths are rewarded in virtual time.
@@ -861,8 +763,8 @@ pub fn unlabel_range(start: usize, bytes: usize) {
 pub fn charge_alloc() {
     with_ctx(|s| {
         let c = s.cur;
-        s.clocks[c] += s.model.alloc_ns;
-        s.stats[c].charged_ns += s.model.alloc_ns;
+        s.clocks[c] += ALLOC_NS;
+        s.stats[c].charged_ns += ALLOC_NS;
         s.stats[c].heap_allocs += 1;
     });
 }
@@ -951,35 +853,6 @@ pub fn label_range(label: &'static str, start: usize, bytes: usize) {
     });
 }
 
-/// Returns the `n` cache lines with the most remote transfers, as
-/// `(line address, transfers)` (diagnostics: finds the shared lines that
-/// flatten a scaling curve). A line counts from its last (un)labeling.
-pub fn top_remote_lines(n: usize) -> Vec<(u64, u64)> {
-    top_remote_lines_labeled(n)
-        .into_iter()
-        .map(|(addr, t, _)| (addr, t))
-        .collect()
-}
-
-/// [`top_remote_lines`] with each line's registered category attached
-/// ([`UNLABELED`] for anonymous heap addresses) — the residual-hunt
-/// view: after a refactor moves hot metadata into a labeled table, its
-/// share of the remaining traffic is visible by name.
-pub fn top_remote_lines_labeled(n: usize) -> Vec<(u64, u64, &'static str)> {
-    with_ctx(|s| {
-        let mut v: Vec<(u64, u64, &'static str)> = s
-            .lines
-            .iter()
-            .filter(|(_, l)| l.transfers > 0)
-            .map(|(addr, l)| (*addr << 6, l.transfers, s.label_of(*addr)))
-            .collect();
-        v.sort_by_key(|x| std::cmp::Reverse(x.1));
-        v.truncate(n);
-        v
-    })
-    .unwrap_or_default()
-}
-
 /// Total remote transfers per registered category, sorted descending
 /// ([`UNLABELED`] collects everything no structure claimed): each
 /// transfer under the label its line had when it happened, so a total
@@ -1011,7 +884,7 @@ pub fn remote_transfers_by_label() -> Vec<(&'static str, u64)> {
 /// Cross-node transfers per registered category, as a flattened
 /// `nnodes × nnodes` source→destination matrix per label, sorted by total
 /// descending. Only transfers priced at non-zero hop distance are
-/// counted, so the result is empty on a single-node topology — this is
+/// counted, so the result is empty on a one-node machine — this is
 /// the *where does cross-socket traffic live* view of
 /// [`remote_transfers_by_label`].
 pub fn cross_node_transfers_by_label() -> Vec<(&'static str, Vec<u64>)> {
@@ -1035,27 +908,6 @@ pub fn cross_node_transfers_by_label() -> Vec<(&'static str, Vec<u64>)> {
         }
         totals.sort_by_key(|x| std::cmp::Reverse(x.1.iter().sum::<u64>()));
         totals
-    })
-    .unwrap_or_default()
-}
-
-/// Returns the `n` locks with the largest accumulated wait (diagnostics).
-/// Range locks are included alongside mutexes and rwlocks.
-pub fn top_lock_waits(n: usize) -> Vec<(u64, u64, u64)> {
-    with_ctx(|s| {
-        let mut v: Vec<(u64, u64, u64)> = s
-            .locks
-            .iter()
-            .map(|(addr, st)| (*addr, st.wait_total, st.acquires))
-            .chain(
-                s.ranges
-                    .iter()
-                    .map(|(addr, st)| (*addr, st.wait_total, st.acquires)),
-            )
-            .collect();
-        v.sort_by_key(|x| std::cmp::Reverse(x.1));
-        v.truncate(n);
-        v
     })
     .unwrap_or_default()
 }
@@ -1114,17 +966,15 @@ mod tests {
 
     #[test]
     fn local_vs_remote_costs() {
-        let m = CostModel::default();
-        let (local, remote, cold) = (m.local_ns, m.remote_ns, m.cold_ns);
-        let g = install(2, m);
+        let g = install(2, CostModel::default());
         let addr = 0x4000usize;
         switch(0);
         on_write(addr); // cold
         on_write(addr); // local
-        assert_eq!(clock(0), cold + local);
+        assert_eq!(clock(0), COLD_NS + LOCAL_NS);
         switch(1);
         on_read(addr); // remote transfer from core 0's modified copy
-        assert!(clock(1) >= remote);
+        assert!(clock(1) >= REMOTE_NS);
         let st = g.finish();
         assert_eq!(st.cores[0].cold_misses, 1);
         assert_eq!(st.cores[0].local_hits, 1);
@@ -1162,10 +1012,8 @@ mod tests {
     #[test]
     fn line_transfers_serialize() {
         // Many cores writing one line queue behind the home node.
-        let m = CostModel::default();
-        let service = m.line_service_ns;
         let n = 8;
-        let g = install(n, m);
+        let g = install(n, CostModel::default());
         let addr = 0xC000usize;
         for round in 0..10 {
             for c in 0..n {
@@ -1176,7 +1024,7 @@ mod tests {
         }
         let st = g.finish();
         // 80 serialized transfers must span at least 79 service windows.
-        assert!(st.max_clock() >= service * 79);
+        assert!(st.max_clock() >= LINE_SERVICE_NS * 79);
         // Distinct lines would not serialize: compare.
         let g2 = install(n, CostModel::default());
         for _round in 0..10 {
@@ -1246,32 +1094,17 @@ mod tests {
         switch(1);
         on_read(table_base + 128);
         on_read(0x20_0000);
-        let labeled = top_remote_lines_labeled(10);
-        assert_eq!(labeled.len(), 2);
-        let find = |addr: usize| {
-            labeled
-                .iter()
-                .find(|(a, _, _)| *a == (addr as u64 & !63))
-                .map(|(_, _, l)| *l)
-                .expect("line recorded")
-        };
-        assert_eq!(find(table_base + 128), "frame-table");
-        assert_eq!(find(0x20_0000), UNLABELED);
         let by_cat = remote_transfers_by_label();
         assert_eq!(by_cat.len(), 2);
         assert!(by_cat.iter().any(|&(l, t)| l == "frame-table" && t == 1));
         assert!(by_cat.iter().any(|&(l, t)| l == UNLABELED && t == 1));
-        // The unlabeled view still works and agrees.
-        assert_eq!(top_remote_lines(10).len(), 2);
         drop(g);
-        assert!(top_remote_lines_labeled(1).is_empty(), "inactive: empty");
+        assert!(remote_transfers_by_label().is_empty(), "inactive: empty");
     }
 
     #[test]
     fn ipi_round_charges_sender_and_targets() {
-        let m = CostModel::default();
-        let (send, handle) = (m.ipi_send_ns, m.ipi_handle_ns);
-        let g = install(4, m);
+        let g = install(4, CostModel::default());
         switch(0);
         let mut set = CoreSet::EMPTY;
         set.insert(1);
@@ -1282,8 +1115,8 @@ mod tests {
         assert_eq!(st.cores[1].ipis_received, 1);
         assert_eq!(st.cores[2].ipis_received, 1);
         assert_eq!(st.cores[3].ipis_received, 0);
-        assert!(st.clocks[0] >= 2 * send + handle);
-        assert!(st.clocks[1] >= send + handle);
+        assert!(st.clocks[0] >= 2 * IPI_SEND_NS + IPI_HANDLE_NS);
+        assert!(st.clocks[1] >= IPI_SEND_NS + IPI_HANDLE_NS);
     }
 
     #[test]
@@ -1324,12 +1157,8 @@ mod tests {
                 range_lock_release(addr, round, round + 1);
             }
         }
-        let n = with_ctx(|s| s.ranges[&(addr as u64)].history.len()).unwrap();
+        let n = with_ctx(|s| s.ranges[&(addr as u64)].len()).unwrap();
         assert!(n < 10, "history grew without bound: {n}");
-        let waits = top_lock_waits(4);
-        assert!(waits
-            .iter()
-            .any(|&(a, _, acq)| a == addr as u64 && acq == 200));
         drop(g);
     }
 
@@ -1358,19 +1187,17 @@ mod tests {
 
     #[test]
     fn distance_prices_cross_node_fetches() {
-        let m = CostModel::default().with_topology(crate::Topology::striped(4));
-        let (remote, cold, hop) = (m.remote_ns, m.cold_ns, m.hop_ns);
-        let g = install(4, m); // core c sits on node c
+        let g = install(4, CostModel::new(4)); // core c sits on node c
         let addr = 0xA000usize;
         switch(0);
         on_write(addr); // cold at node 0 (first touch homes it there)
-        assert_eq!(clock(0), cold);
+        assert_eq!(clock(0), COLD_NS);
         switch(1);
         on_read(addr); // dirty data from core 0: 1 hop
-        assert_eq!(clock(1), remote + hop);
+        assert_eq!(clock(1), REMOTE_NS + HOP_NS);
         switch(3);
         on_read(addr); // clean data from home node 0: 3 hops
-        assert_eq!(clock(3), remote + 3 * hop);
+        assert_eq!(clock(3), REMOTE_NS + 3 * HOP_NS);
         let cross = cross_node_transfers_by_label();
         assert_eq!(cross.len(), 1);
         let (label, matrix) = &cross[0];
@@ -1382,27 +1209,8 @@ mod tests {
     }
 
     #[test]
-    fn placed_ranges_override_first_touch_home() {
-        let m = CostModel::default().with_topology(crate::Topology::striped(2));
-        let (remote, cold, hop) = (m.remote_ns, m.cold_ns, m.hop_ns);
-        let g = install(2, m);
-        let addr = 0xB000usize;
-        place_range(1, addr, 64); // homed on node 1
-        switch(0);
-        on_read(addr); // cold from remote home: 1 hop
-        assert_eq!(clock(0), cold + hop);
-        switch(1);
-        on_read(addr); // shared, served from node 1's memory: local node
-        assert_eq!(clock(1), remote);
-        unplace_range(addr, 64);
-        drop(g);
-    }
-
-    #[test]
     fn replicated_lines_read_local_write_broadcast() {
-        let m = CostModel::default().with_topology(crate::Topology::striped(4));
-        let (remote, hop, inval) = (m.remote_ns, m.hop_ns, m.inval_per_sharer_ns);
-        let g = install(4, m);
+        let g = install(4, CostModel::new(4));
         let addr = 0xC800usize;
         label_range("radix-index", addr, 64);
         place_replicated(addr, 64);
@@ -1411,10 +1219,10 @@ mod tests {
                         // Readers on remote nodes pay no hop distance.
         switch(1);
         on_read(addr);
-        assert_eq!(clock(1), remote);
+        assert_eq!(clock(1), REMOTE_NS);
         switch(3);
         on_read(addr);
-        assert_eq!(clock(3), remote);
+        assert_eq!(clock(3), REMOTE_NS);
         assert!(
             cross_node_transfers_by_label().is_empty(),
             "reads are local"
@@ -1424,7 +1232,10 @@ mod tests {
         let before = clock(0);
         on_write(addr);
         // 2 sharers invalidated; broadcast = hops to nodes 1,2,3 = 1+2+3.
-        assert_eq!(clock(0), before + remote + 2 * inval + 6 * hop);
+        assert_eq!(
+            clock(0),
+            before + REMOTE_NS + 2 * INVAL_PER_SHARER_NS + 6 * HOP_NS
+        );
         let cross = cross_node_transfers_by_label();
         assert_eq!(cross.len(), 1);
         let (label, matrix) = &cross[0];
@@ -1438,8 +1249,7 @@ mod tests {
 
     #[test]
     fn a_transfer_keeps_the_label_its_line_had_when_it_happened() {
-        let m = CostModel::default().with_topology(crate::Topology::striped(2));
-        let g = install(2, m);
+        let g = install(2, CostModel::new(2));
         let addr = 0xD000usize;
         let bounce = || {
             for c in [0, 1] {
@@ -1470,16 +1280,22 @@ mod tests {
         assert_eq!(total("radix-leaf"), Some(4));
         assert_eq!(total(UNLABELED), Some(1));
         assert_eq!(total("page-table"), Some(2));
-        // The line itself counts from its last relabeling.
-        assert_eq!(top_remote_lines(1), [(addr as u64, 2)]);
+        // The line itself counts from its last relabeling: handing it
+        // back moves none of page-table's transfers.
+        unlabel_range(addr, 4096);
+        label_range("radix-leaf", addr, 4096);
+        bounce();
+        assert_eq!(
+            remote_transfers_by_label(),
+            [("radix-leaf", 6), ("page-table", 2), (UNLABELED, 1)]
+        );
         drop(g);
     }
 
     #[test]
     fn page_work_homed_prices_hops() {
-        let m = CostModel::default().with_topology(crate::Topology::striped(2));
-        let (pw, ph) = (m.page_work_ns, m.page_hop_ns);
-        let g = install(2, m);
+        let (pw, ph) = (PAGE_WORK_NS, PAGE_HOP_NS);
+        let g = install(2, CostModel::new(2));
         switch(0);
         charge_page_work_homed(0); // on-node
         assert_eq!(clock(0), pw);

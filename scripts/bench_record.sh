@@ -30,7 +30,8 @@
 #     category (frame-table vs anonymous heap); bench_refcount exits
 #     non-zero on regression.
 #   BENCH_numa.json     — NUMA placement sweep: disjoint / contended /
-#     index-churn workloads on 1/2/4-node striped topologies under
+#     index-churn workloads on 1/2/4-node machines (cores striped
+#     across nodes, nodes on a line) under
 #     first-touch, interleave, and replicate-read-only placement, with
 #     every cache-line transfer priced by hop distance; records per-label
 #     per-node-pair cross-socket attribution, on-node vs cross-node frees

@@ -25,7 +25,6 @@ use radixvm::hw::{
     PAGE_SIZE,
 };
 use radixvm::sync::failpoint::{self, Trigger};
-use radixvm::sync::Topology;
 
 const BASE: u64 = 0x61_0000_0000;
 const NCORES: usize = 4;
@@ -39,7 +38,7 @@ const POLICIES: [PlacementPolicy; 3] = [
 fn numa_machine(policy: PlacementPolicy) -> Arc<Machine> {
     let mut cfg = MachineConfig::new(NCORES);
     cfg.placement = policy;
-    cfg.topology = Topology::striped(2);
+    cfg.nnodes = 2;
     Machine::with_config(cfg)
 }
 

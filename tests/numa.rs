@@ -1,130 +1,16 @@
-//! NUMA topology and placement-policy conformance.
+//! NUMA placement-policy conformance (DESIGN.md §10).
 //!
-//! Two contracts from DESIGN.md §10:
-//!
-//! 1. `Topology::validate` is the single gate every topology passes
-//!    through ([`Topology::new`] panics on failure, `MachineConfig` and
-//!    `CostModel::with_topology` only accept validated topologies), so
-//!    the property tests pin its invariants: zero diagonal, symmetry,
-//!    and no free remote hop (local distance 0 is never dearer than any
-//!    off-diagonal entry, which must be ≥ 1).
-//! 2. Frame accounting is placement-independent: after unmap, quiesce,
-//!    and magazine flush, `outstanding_frames() == 0` on every backend ×
-//!    every placement policy, even when frees travel through per-node
-//!    reservoirs.
+//! Frame accounting is placement-independent: after unmap, quiesce, and
+//! magazine flush, `outstanding_frames() == 0` on every backend × every
+//! placement policy, even when frees travel through per-node
+//! reservoirs.
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
 use radixvm::backend::{build, BackendKind};
 use radixvm::hw::{
     Backing, Machine, MachineConfig, PlacementPolicy, Prot, VmError, VmSystem, PAGE_SIZE,
 };
-use radixvm::sync::Topology;
-
-/// Reference implementation of the topology invariants, written
-/// independently of `validate` so the property test is not circular.
-fn matrix_ok(nnodes: usize, distance: &[u64]) -> bool {
-    if nnodes == 0 || distance.len() != nnodes * nnodes {
-        return false;
-    }
-    for i in 0..nnodes {
-        for j in 0..nnodes {
-            let d = distance[i * nnodes + j];
-            if i == j && d != 0 {
-                return false; // non-zero diagonal
-            }
-            if i != j && d == 0 {
-                return false; // remote hop priced below local
-            }
-            if d != distance[j * nnodes + i] {
-                return false; // asymmetric
-            }
-        }
-    }
-    true
-}
-
-proptest! {
-    /// `validate` accepts exactly the matrices the reference check
-    /// accepts, over arbitrary small matrices (most random draws are
-    /// invalid, exercising every rejection arm).
-    #[test]
-    fn validate_matches_reference(
-        (nnodes, raw) in (1usize..5, proptest::collection::vec(0u64..4, 0..25))
-    ) {
-        let mut distance = raw;
-        distance.resize(nnodes * nnodes, 0);
-        let t = Topology { nnodes, core_to_node: Vec::new(), distance: distance.clone() };
-        prop_assert_eq!(
-            t.validate().is_ok(),
-            matrix_ok(nnodes, &distance),
-            "validate disagrees with reference on {:?}", t
-        );
-    }
-
-    /// Symmetrizing any strictly-positive off-diagonal draw yields a
-    /// valid topology — and perturbing it (non-zero diagonal, asymmetry,
-    /// zero off-diagonal) always breaks validation.
-    #[test]
-    fn perturbed_valid_matrices_are_rejected(
-        (nnodes, raw, i, j) in (
-            2usize..5,
-            proptest::collection::vec(1u64..9, 16..17),
-            0usize..4,
-            0usize..4,
-        )
-    ) {
-        let (i, j) = (i % nnodes, j % nnodes);
-        let mut distance = vec![0u64; nnodes * nnodes];
-        for a in 0..nnodes {
-            for b in 0..nnodes {
-                if a != b {
-                    // Symmetric, ≥ 1 off-diagonal.
-                    distance[a * nnodes + b] = raw[a.min(b) * 4 + a.max(b)];
-                }
-            }
-        }
-        let valid = Topology { nnodes, core_to_node: Vec::new(), distance: distance.clone() };
-        prop_assert!(valid.validate().is_ok());
-
-        // Non-zero diagonal.
-        let mut bad = distance.clone();
-        bad[i * nnodes + i] = 1;
-        prop_assert!(Topology { nnodes, core_to_node: Vec::new(), distance: bad }
-            .validate().is_err());
-        // Free remote hop.
-        let mut bad = distance.clone();
-        bad[i * nnodes + j] = 0;
-        bad[j * nnodes + i] = 0;
-        if i != j {
-            prop_assert!(Topology { nnodes, core_to_node: Vec::new(), distance: bad }
-                .validate().is_err());
-        }
-        // Asymmetry.
-        let mut bad = distance.clone();
-        if i != j {
-            bad[i * nnodes + j] += 1;
-            prop_assert!(Topology { nnodes, core_to_node: Vec::new(), distance: bad }
-                .validate().is_err());
-        }
-        // Out-of-range core mapping.
-        prop_assert!(Topology {
-            nnodes,
-            core_to_node: vec![nnodes as u16],
-            distance,
-        }
-        .validate()
-        .is_err());
-    }
-
-    /// The stock constructors are valid at any size.
-    #[test]
-    fn stock_topologies_validate(nnodes in 1usize..9) {
-        prop_assert!(Topology::striped(nnodes).validate().is_ok());
-        prop_assert!(Topology::single().validate().is_ok());
-    }
-}
 
 const BASE: u64 = 0x51_0000_0000;
 
@@ -144,7 +30,7 @@ fn no_policy_leaks_frames_across_nodes() {
             let ncores = 4;
             let mut cfg = MachineConfig::new(ncores);
             cfg.placement = policy;
-            cfg.topology = Topology::striped(4);
+            cfg.nnodes = 4;
             let machine = Machine::with_config(cfg);
             {
                 let vm: Arc<dyn VmSystem> = build(&machine, kind);
