@@ -240,6 +240,41 @@ mod tests {
         assert_eq!(t.get(0, start + 9), None);
     }
 
+    /// A promotion clears the old pages' PTEs after the refold. Once the
+    /// refold released the fold's slot, another core's fault could lock
+    /// the new fold and install a superpage PTE in a page table the
+    /// promoter was still clearing, freeing the table level it walked
+    /// (an ASan heap-use-after-free in `PageTable::clear_level`). The
+    /// fold now stays locked until the promoting guard drops.
+    #[test]
+    fn a_refolded_block_stays_locked_until_its_guard_drops() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let t = tree(2);
+        let start = 512 * 21;
+        {
+            let mut g = t.lock_range(0, start, start + 512, LockMode::ExpandAll);
+            g.replace(&6);
+        }
+        drop(t.lock_range(0, start + 3, start + 4, LockMode::ExpandFolded));
+        let locked = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let mut g = t.lock_range(0, start, start + 512, LockMode::ExpandFolded);
+            g.refold(6).expect("refolds");
+            s.spawn(|| {
+                let mut fault = t.lock_range(1, start + 7, start + 8, LockMode::ExpandToBlock);
+                assert_eq!(fault.block_entry_mut().map(|(_, _, v)| *v), Some(6));
+                locked.store(true, Ordering::SeqCst);
+            });
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(
+                !locked.load(Ordering::SeqCst),
+                "the fold was lockable mid-promotion"
+            );
+            drop(g);
+        });
+        assert!(locked.into_inner());
+    }
+
     #[test]
     fn refold_under_no_collapse_frees_the_severed_leaf() {
         let t = RadixTree::new(

@@ -1527,7 +1527,10 @@ impl<V: RadixValue> RangeGuard<'_, V> {
     /// and returned, the leaf is severed from its parent slot (its weak
     /// reference unregistered so Refcache frees it cleanly once the
     /// guard's pin and any hint pins drain), and the parent slot is
-    /// republished as a FOLDED block holding `folded`. Returns `None`,
+    /// republished as a FOLDED block holding `folded` — still locked, by
+    /// this guard, until it drops: the caller clears and shoots down the
+    /// old pages' PTEs and installs the fold's before any other operation
+    /// on the block can touch the page tables. Returns `None`,
     /// with the mapping untouched, when the guard's shape does not match
     /// (already folded, partially populated, or freshly expanded).
     ///
@@ -1593,8 +1596,14 @@ impl<V: RadixValue> RangeGuard<'_, V> {
         // later true-zero review of the leaf cannot CAS the folded word.
         cache.unregister_weak(node);
         let boxed = Box::into_raw(Box::new(folded)) as usize;
-        // Publish the fold and release the parent slot lock in one store.
-        pslot.store(pack_slot(boxed, TAG_FOLDED), Ordering::Release);
+        // Publish the fold with the parent slot lock still held; the
+        // guard releases it at drop.
+        pslot.store(pack_slot(boxed, TAG_FOLDED) | LOCK_BIT, Ordering::Release);
+        self.units.push(Unit::Block {
+            node: parent,
+            idx: pidx as usize,
+            born: false,
+        });
         stats.add(core, TreeCounts::folded_values, 1);
         Some(vals)
     }
