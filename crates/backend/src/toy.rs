@@ -282,11 +282,11 @@ mod tests {
             }
             vm.munmap(0, BASE, 2 * PAGE_SIZE).unwrap();
             let st = m.pool().stats();
-            assert_eq!(st.local_frees + st.remote_frees, 2);
+            assert_eq!(st.free_pages, 2);
             // Two pages still mapped at drop time.
         }
         let st = m.pool().stats();
-        assert_eq!(st.local_frees + st.remote_frees, 4);
+        assert_eq!(st.free_pages, 4);
     }
 
     #[test]

@@ -288,7 +288,7 @@ mod tests {
         vm.munmap(0, BASE, 4 * PAGE_SIZE).unwrap();
         assert_eq!(m.read_u64(0, &*vm, BASE), Err(VmError::NoMapping));
         // Frame freed eagerly (no Refcache delay in Linux).
-        assert_eq!(m.pool().stats().local_frees, 1);
+        assert_eq!(m.pool().stats().on_node_frees, 1);
     }
 
     #[test]
@@ -392,6 +392,6 @@ mod tests {
             m.touch_page(0, &*vm, BASE, 1).unwrap();
             m.touch_page(0, &*vm, BASE + PAGE_SIZE, 1).unwrap();
         }
-        assert_eq!(m.pool().stats().local_frees, 2);
+        assert_eq!(m.pool().stats().on_node_frees, 2);
     }
 }

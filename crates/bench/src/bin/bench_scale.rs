@@ -3,7 +3,7 @@
 //!
 //! The sweep drives every backend through `rvm_backend::build()` over
 //! the disjoint mmap/touch/munmap workload on 1..N simulated cores
-//! (Figure 7's experiment), recording ops per virtual second, per-core
+//! (Figure 5's local experiment), recording ops per virtual second, per-core
 //! retention vs. 1 core, remote cache-line transfers per op, and
 //! shootdown IPIs per op. The gate (radix retention ≥ 70 % at max
 //! cores, O(1) remote traffic per op, a strictly better slope than the
@@ -126,7 +126,7 @@ fn main() {
     let record = obj! {
         "schema" => 1,
         "bench" => "scale",
-        "workload" => "disjoint mmap+touch+munmap per core (Fig. 7)",
+        "workload" => "disjoint mmap+touch+munmap per core (Fig. 5 local)",
         "cores" => array(cores.iter().copied()),
         "backends" => object(sweeps.iter().map(|(kind, points)| (kind.name(), backend(points)))),
         "contended" => obj! {

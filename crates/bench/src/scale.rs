@@ -1,7 +1,7 @@
-//! The Figure 7 scalability harness: disjoint mmap/munmap/pagefault
+//! The Figure 5 *local* scalability harness: disjoint mmap/munmap/pagefault
 //! throughput vs. simulated core count, for every backend.
 //!
-//! The paper's headline claim (§5, Figure 7) is that operations on
+//! The paper's headline claim (§5, Figure 5's local series) is that operations on
 //! *disjoint* address-space ranges scale linearly with cores on RadixVM,
 //! while lock-based designs flatten. This module sweeps the `local`
 //! workload (per-core private mmap → touch → munmap cycles, the
@@ -198,7 +198,7 @@ pub const RADIX_VS_LINUX_1C_FLOOR: f64 = 0.92;
 ///    (flat incidental sharing: sharded counters, read-only attach
 ///    checks, batched magazines);
 /// 3. radix's retention strictly dominates both baselines' — the slope
-///    separation Figure 7 shows;
+///    separation Figure 5's local series shows;
 /// 4. radix's throughput at the sweep's first (1-core) point is at
 ///    least [`RADIX_VS_LINUX_1C_FLOOR`] × Linux's.
 pub fn check_gate(radix: &[ScalePoint], bonsai: &[ScalePoint], linux: &[ScalePoint]) -> GateReport {

@@ -98,7 +98,7 @@ mod tests {
         vm.munmap(0, BASE, 4 * PAGE_SIZE).unwrap();
         vm.cache().quiesce();
         let st = m.pool().stats();
-        assert_eq!(st.local_frees + st.remote_frees, 4, "all frames returned");
+        assert_eq!(st.free_pages, 4, "all frames returned");
     }
 
     #[test]
@@ -184,11 +184,7 @@ mod tests {
             .unwrap();
         assert_eq!(m.read_u64(0, &*vm, BASE).unwrap(), 0);
         vm.cache().quiesce();
-        assert_eq!(
-            m.pool().stats().local_frees + m.pool().stats().remote_frees,
-            1,
-            "displaced frame freed"
-        );
+        assert_eq!(m.pool().stats().free_pages, 1, "displaced frame freed");
     }
 
     #[test]
@@ -347,7 +343,7 @@ mod tests {
         let freed = || {
             vm.quiesce();
             let st = m.pool().stats();
-            st.local_frees + st.remote_frees
+            st.free_pages
         };
         assert_eq!(freed(), 0, "a source lost more than the copier's one");
         vm.munmap(0, BASE, PAGE_SIZE).unwrap();
@@ -369,7 +365,7 @@ mod tests {
         child.munmap(0, BASE, PAGE_SIZE).unwrap();
         vm.cache().quiesce();
         let st = m.pool().stats();
-        assert_eq!(st.local_frees + st.remote_frees, 1);
+        assert_eq!(st.free_pages, 1);
     }
 
     #[test]
@@ -499,7 +495,7 @@ mod tests {
             // Dropped with mappings still live.
         }
         let st = machine.pool().stats();
-        assert_eq!(st.local_frees + st.remote_frees, 32, "drop reclaims frames");
+        assert_eq!(st.free_pages, 32, "drop reclaims frames");
     }
 
     // --- Superpage (variable-granularity) tests: DESIGN.md §7 ---
@@ -666,7 +662,7 @@ mod tests {
         let freed = || {
             vm.quiesce();
             let st = m.pool().stats();
-            (st.block_frees, st.local_frees + st.remote_frees)
+            (st.block_frees, st.free_pages)
         };
         assert_eq!(freed(), (0, 0));
         child.munmap(1, BASE, BLOCK_BYTES).unwrap();
@@ -909,7 +905,7 @@ mod tests {
         }
         vm.quiesce();
         let fst = m.pool().stats();
-        assert_eq!(fst.local_frees + fst.remote_frees, 512, "old frames freed");
+        assert_eq!(fst.free_pages, 512, "old frames freed");
         vm.munmap(0, BASE, BLOCK_BYTES).unwrap();
         vm.quiesce();
         assert_eq!(m.pool().stats().block_frees, 1);

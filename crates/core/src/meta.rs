@@ -116,12 +116,12 @@ mod tests {
     fn page_reference_returns_frame_on_release() {
         let pool = FramePool::new(1);
         let cache = Refcache::new(1);
-        let pfn = pool.alloc(0);
+        let pfn = pool.try_alloc(0).unwrap();
         let r = pool.retain(&cache, 0, pfn, 0, 1);
         pool.ref_adjust(&cache, 0, r, -1);
         cache.quiesce();
         // The frame is back on core 0's free list.
-        let again = pool.alloc(0);
+        let again = pool.try_alloc(0).unwrap();
         assert_eq!(again, pfn);
         assert_eq!(pool.stats().reused, 1);
     }
@@ -152,7 +152,7 @@ mod tests {
     fn frame_for_resolves_block_members_by_offset() {
         let pool = FramePool::new(1);
         let cache = Refcache::new(1);
-        let base = pool.alloc_block(0, BLOCK_ORDER);
+        let base = pool.try_alloc_block(0, BLOCK_ORDER).unwrap();
         let mut m = PageMeta::new(Backing::Anon, Prot::RW);
         m.frame = Some(pool.retain(&cache, 0, base, BLOCK_ORDER, 1));
         let vpn_base = 7 * BLOCK_PAGES as u64; // virtually aligned

@@ -35,7 +35,7 @@ use rvm_mem::{FrameRef, Pfn};
 use rvm_radix::{LockMode, RadixConfig, RadixTree, RangeGuard, RemovedList, VPN_LIMIT};
 use rvm_refcache::Refcache;
 use rvm_sync::atomic::AtomicCoreSet;
-use rvm_sync::{failpoint, sim, CoreSet, InlineVec, RangeLockKind};
+use rvm_sync::{failpoint, sim, CachePadded, CoreSet, InlineVec, RangeLockKind};
 
 use crate::meta::{block_member, PageKind, PageMeta};
 
@@ -157,8 +157,9 @@ pub struct RadixVm {
     stats: ShardedOpStats,
     /// Per-core promotion fill counters (DESIGN.md §12): opportunistic
     /// superpage promotion is triggered from the fault path, not a
-    /// background thread.
-    promote: Vec<Mutex<PromoteCounters>>,
+    /// background thread. Padded: neighbouring cores' counters would
+    /// otherwise share lines on every eligible 4 KiB fault.
+    promote: Vec<CachePadded<Mutex<PromoteCounters>>>,
 }
 
 impl RadixVm {
@@ -195,7 +196,7 @@ impl RadixVm {
             asid: machine.alloc_asid(),
             stats: ShardedOpStats::new(machine.ncores()),
             promote: (0..machine.ncores())
-                .map(|_| Mutex::new(PromoteCounters::new()))
+                .map(|_| CachePadded::new(Mutex::new(PromoteCounters::new())))
                 .collect(),
             machine,
             cache,

@@ -550,13 +550,15 @@ impl Machine {
             // *this* core's delta cache; the core does not flush
             // mid-access, but any thread may flush *for* it (`quiesce`, a
             // sweeper), so the frame can be freed, and reused, between
-            // the fault's return and the access. The generation re-check
-            // is the guard: a frame freed by then reads a newer
-            // generation and the access faults again
-            // (`tests/concurrency.rs` reaches this under a foreign
-            // sweeper).
-            if (kind == AccessKind::Read || tr.writable) && self.pool.generation(tr.pfn) == tr.gen {
-                return Ok(f(&self.pool, tr.pfn, offset));
+            // the fault's return and the access. The pin is the guard: a
+            // frame freed by then reads a newer generation and the
+            // access faults again, and a free that lands after the check
+            // waits for the access to finish (`tests/concurrency.rs`
+            // reaches both under a foreign sweeper).
+            if kind == AccessKind::Read || tr.writable {
+                if let Some(_pin) = self.pool.pin(tr.pfn, tr.gen) {
+                    return Ok(f(&self.pool, tr.pfn, offset));
+                }
             }
             // Protection changed or frame already recycled: fault again.
             self.stats.add(core, MachineStats::access_retries, 1);
@@ -743,7 +745,9 @@ mod tests {
             }
             let pool = self.machine.pool();
             let mut frames = self.frames.lock();
-            let pfn = *frames.entry(vpn).or_insert_with(|| pool.alloc(core));
+            let pfn = *frames
+                .entry(vpn)
+                .or_insert_with(|| pool.try_alloc(core).unwrap());
             let tr = Translation {
                 pfn,
                 gen: pool.generation(pfn),

@@ -3,20 +3,30 @@
 //! Stands in for the kernel page allocator underneath the VM systems.
 //! Design points taken from the paper's evaluation environment:
 //!
-//! * **Per-core free lists**: frame allocation and free are core-local in
-//!   the common case, so the allocator itself never becomes the bottleneck
-//!   being measured.
+//! * **One lock per core**: a core's free list, its outbound magazine
+//!   and its interleave stride are one [`CachePadded`] spin lock, so
+//!   frame allocation and free are core-local in the common case and
+//!   the allocator itself never becomes the bottleneck being measured.
+//!   Every allocation and every free takes its core's lock once, on
+//!   every tier, and counts what it did under it: [`PoolStats`] costs
+//!   no locked instruction.
 //! * **Per-node reservoirs + home-node return**: every frame is homed on a
 //!   NUMA *node* (see [`PlacementPolicy`]); a frame freed on a core of a
 //!   different node is batched back to its home node's reservoir. The
 //!   pipeline microbenchmark's cross-socket traffic includes exactly this
 //!   "synchronization to return freed pages to their home nodes" (§5.3).
-//!   Reservoir invariants are in DESIGN.md §10.
+//!   Reservoir invariants and the lock order are in DESIGN.md §10.
+//! * **One way out, one way back**: pages and blocks leave through one
+//!   function (count, charge, unpoison, zero) and return through one
+//!   (bump generations, poison, count, route) — DESIGN.md §11.
 //! * **Generation tags**: every frame carries a generation counter bumped
 //!   on each free. A translation caches the generation it observed; a
 //!   later access through a stale (not shot down) TLB entry detects the
 //!   mismatch. This makes the unmap/shootdown safety invariant *testable*
-//!   — disabling shootdown must produce detectable use-after-free.
+//!   — disabling shootdown must produce detectable use-after-free. Under
+//!   `scripts/sanitize.sh` a free frame's bytes are also poisoned
+//!   ([`rvm_sync::asan_poison`]), so AddressSanitizer reports any access
+//!   to them, not only one through a stale TLB entry.
 //! * Frames hold real 4 KB buffers, so workloads store and verify real
 //!   data through the VM systems.
 //!
@@ -40,10 +50,13 @@
 //! whole contiguous block. Baseline VM systems that count eagerly keep
 //! using the separate `mapcount` word.
 
-use std::sync::atomic::{AtomicPtr, AtomicU16, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{fence, AtomicPtr, AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 use rvm_refcache::{CountSlot, Refcache, ReleaseCtx, SlotManaged, SlotPtr};
-use rvm_sync::{failpoint, model, sharded_stats, sim, CachePadded, SpinLock, SpinLockGuard};
+use rvm_sync::{
+    asan_poison, failpoint, model, sharded_stats, sim, Backoff, CachePadded, SpinLock,
+    SpinLockGuard,
+};
 
 /// Physical memory is exhausted: every tier of the pressure protocol
 /// (free list, reservoir, magazine drain, remote steal, growth) came up
@@ -66,13 +79,13 @@ pub const FRAME_SIZE: usize = 4096;
 /// log2 of the frames in a superpage-backing block (2 MiB / 4 KiB).
 pub const BLOCK_ORDER: u8 = 9;
 
-/// Frames in one contiguous block ([`FramePool::alloc_block`]).
+/// Frames in one contiguous block ([`FramePool::try_alloc_block`]).
 pub const BLOCK_PAGES: usize = 1 << BLOCK_ORDER;
 
 /// log2 of the frames in a giant-superpage block (1 GiB / 4 KiB): the
 /// second granularity rung. Giant blocks flow through the same
-/// `alloc_block`/`free_block`/`retain` machinery as 2 MiB blocks — only
-/// the order differs.
+/// `try_alloc_block`/`free_block`/`retain` machinery as 2 MiB blocks —
+/// only the order differs.
 pub const GIANT_ORDER: u8 = 2 * BLOCK_ORDER;
 
 /// Frames in one contiguous giant block.
@@ -115,10 +128,7 @@ impl SlotManaged for FrameRc {
         debug_assert!(!pool.is_null(), "released a never-retained frame slot");
         // SAFETY: see the `pool` field docs.
         let pool = unsafe { &*pool };
-        match self.order.load(Ordering::Acquire) {
-            0 => pool.free(ctx.core, self.pfn),
-            order => pool.free_block(ctx.core, self.pfn, order),
-        }
+        pool.take_back(ctx.core, self.pfn, self.order.load(Ordering::Acquire));
     }
 }
 
@@ -166,6 +176,10 @@ struct FrameSlot {
     /// Plain (uninstrumented) atomic: generation checks model the MMU
     /// hardware's view of memory, not kernel cache traffic.
     gen: AtomicU64,
+    /// Accesses in flight that checked `gen` outside any lock
+    /// ([`FramePool::pin`]); a free waits for them to finish. Plain
+    /// (uninstrumented) atomic, like `gen`.
+    pins: AtomicU32,
     /// Map count for VM systems that use eager, immediate reference
     /// counting (the Linux/Bonsai baselines). Instrumented: this is real
     /// kernel-side shared state.
@@ -183,6 +197,12 @@ impl FrameSlot {
         let gen = self.gen.load(Ordering::Relaxed);
         self.gen.store(gen.wrapping_add(1), Ordering::Release);
     }
+
+    /// Address of the frame's payload, for [`asan_poison`].
+    #[inline]
+    fn payload(&self) -> usize {
+        self.data.as_ptr() as usize
+    }
 }
 
 /// Where frames are placed across NUMA nodes: which node a fresh frame is
@@ -196,10 +216,9 @@ pub enum PlacementPolicy {
     /// default local-allocation policy): all allocator work is on-node.
     #[default]
     FirstTouch,
-    /// Allocations stride round-robin across nodes via a per-core cursor:
-    /// memory spreads evenly at the cost of mostly-remote placement. The
-    /// stride cursor is per-core ([`CachePadded`]) so interleave never
-    /// adds a shared contended line to the allocation path.
+    /// Allocations stride round-robin across nodes via a per-core cursor
+    /// kept under the core's own lock, so interleave never adds a shared
+    /// line to the allocation path.
     Interleave,
     /// Frame placement as [`PlacementPolicy::FirstTouch`], plus read-
     /// mostly radix *index* nodes are replicated per node in the
@@ -212,72 +231,76 @@ pub enum PlacementPolicy {
 sharded_stats! {
     /// Allocation statistics.
     ///
-    /// The five counters the per-page fast paths bump are exclusive under
-    /// `free_lists[core]`: the pop and push fast paths hold that lock
-    /// anyway; the rare tiers (reservoir pull, growth, pressure, blocks,
-    /// cross-node frees) take it for the bump.
+    /// Every counter is exclusive under the acting core's `CoreFrames`
+    /// lock: each allocation and each free takes that lock once, on
+    /// every tier, and counts what it did before dropping it — no
+    /// counter costs a locked instruction.
     pub struct PoolStats {
-        /// Fresh frames created (under the growth lock or none).
-        fresh: Shared,
-        /// Allocations served from a free list.
-        reused: Exclusive<Vec<Pfn>>,
-        /// Frees destined for a remote home node (batched via magazines).
-        remote_frees: Shared,
-        /// Frees pushed to the local core's list.
-        local_frees: Exclusive<Vec<Pfn>>,
-        /// Outbound-magazine flushes (each returns a whole batch of remote
-        /// frees to their home lists).
-        magazine_flushes: Shared,
-        /// Contiguous blocks handed out by [`FramePool::alloc_block`].
-        block_allocs: Shared,
+        /// Fresh frames created by growth.
+        fresh: Exclusive<CoreFrames>,
+        /// Pages handed out recycled rather than fresh.
+        reused: Exclusive<CoreFrames>,
+        /// Outbound-magazine flushes (each returns a whole batch of
+        /// cross-node frees to their home reservoirs).
+        magazine_flushes: Exclusive<CoreFrames>,
+        /// Contiguous blocks handed out by [`FramePool::try_alloc_block`].
+        block_allocs: Exclusive<CoreFrames>,
         /// Contiguous blocks returned by [`FramePool::free_block`].
-        block_frees: Shared,
-        /// Pages handed out by `alloc`/`alloc_block` (leak accounting; see
+        block_frees: Exclusive<CoreFrames>,
+        /// Pages handed out, singly or in blocks (leak accounting; see
         /// [`FramePool::outstanding_frames`]).
-        alloc_pages: Exclusive<Vec<Pfn>>,
-        /// Pages returned through `free`/`free_block`.
-        free_pages: Exclusive<Vec<Pfn>>,
+        alloc_pages: Exclusive<CoreFrames>,
+        /// Pages returned, singly or in blocks.
+        free_pages: Exclusive<CoreFrames>,
         /// Pages freed on a core of the frame's home node.
-        on_node_frees: Exclusive<Vec<Pfn>>,
+        on_node_frees: Exclusive<CoreFrames>,
         /// Pages freed on a core of a different node than the frame's home
         /// (placement-regression signal: surfaced in the bench JSON).
-        cross_node_frees: Shared,
+        cross_node_frees: Exclusive<CoreFrames>,
         /// Allocations satisfied by draining the core's own outbound
         /// magazine under pressure (tier 4 of the pressure protocol).
-        reclaim_drains: Shared,
+        reclaim_drains: Exclusive<CoreFrames>,
         /// Allocations satisfied by stealing from a remote node's reservoir
         /// under pressure (tier 5; priced at hop cost).
-        remote_steals: Shared,
+        remote_steals: Exclusive<CoreFrames>,
     }
     /// The pool's cells (sum-on-read; DESIGN.md §6).
     struct PoolCells;
 }
 
 /// Remote frees a core accumulates before flushing its outbound magazine
-/// to the home cores' lists. Large enough to amortize the home list's
-/// cache-line transfer across a batch, small enough that parked frames
-/// are a negligible slice of the pool.
+/// to the home nodes' reservoirs. Large enough to amortize the
+/// reservoir's cache-line transfer across a batch, small enough that
+/// parked frames are a negligible slice of the pool.
 pub const MAGAZINE_SIZE: usize = 64;
 
 /// Fresh frames created per growth (the per-CPU pageset refill batch).
 const REFILL_BATCH: usize = 64;
 
-/// One core's outbound magazine: remote frees tagged with their home
-/// node.
-type Magazine = Vec<(u16, Pfn)>;
-
 /// A free-list of contiguous blocks, as `(order, base)` pairs.
 type BlockList = Vec<(u8, Pfn)>;
-
-/// A core's locked free list: what makes its holder the only mutator of
-/// that core's page counters.
-type FreeListGuard<'a> = SpinLockGuard<'a, Vec<Pfn>>;
 
 /// Removes one block of `order` from `list`, if it holds any. Blocks are
 /// few and large, so the short linear scan is noise.
 fn take_block(list: &mut BlockList, order: u8) -> Option<Pfn> {
     let i = list.iter().position(|&(o, _)| o == order)?;
     Some(list.swap_remove(i).1)
+}
+
+/// One core's share of the pool, behind the core's one lock. Holding it
+/// makes the holder the only mutator of the core's [`PoolStats`] cells.
+struct CoreFrames {
+    /// Free frames homed on the core's node: the first allocation tier.
+    free: Vec<Pfn>,
+    /// The outbound magazine: cross-node frees parked with their home
+    /// node until [`MAGAZINE_SIZE`] of them return home in one batch, so
+    /// a stream of cross-node frees costs one reservoir cache-line
+    /// transfer per batch instead of one per page (§5.3's
+    /// "synchronization to return freed pages to their home nodes").
+    magazine: Vec<(u16, Pfn)>,
+    /// The next [`PlacementPolicy::Interleave`] target, before the
+    /// modulo by the node count.
+    stride: usize,
 }
 
 /// The machine-wide physical frame pool.
@@ -288,12 +311,10 @@ pub struct FramePool {
     /// Number of NUMA nodes (≥ 1); cores stripe across them
     /// ([`model::node_of`]).
     nnodes: usize,
-    /// Per-core stride cursors for [`PlacementPolicy::Interleave`]: each
-    /// core picks its next target node from its own padded cursor, so
-    /// interleave adds no globally shared line to the allocation path
-    /// (the old single `rr_next` word did).
-    cursors: Vec<CachePadded<AtomicU64>>,
-    free_lists: Vec<CachePadded<SpinLock<Vec<Pfn>>>>,
+    /// Per-core frame state, one lock each. Lock order: a core's lock
+    /// comes before a node reservoir, a block reservoir or the growth
+    /// lock, and nothing takes a core's lock while holding one of those.
+    cores: Vec<CachePadded<SpinLock<CoreFrames>>>,
     /// Per-node frame reservoirs: the second allocation tier. A core with
     /// an empty free list pulls a batch from its own node's reservoir;
     /// magazines flush cross-node frees here by home node. Any core may
@@ -302,12 +323,6 @@ pub struct FramePool {
     reservoirs: Vec<CachePadded<SpinLock<Vec<Pfn>>>>,
     /// Per-node reservoirs of contiguous blocks.
     block_reservoirs: Vec<CachePadded<SpinLock<BlockList>>>,
-    /// Per-core outbound magazines: cross-node frees park here (tagged
-    /// with their home node) and return home in batches, so a stream of
-    /// cross-node frees costs one reservoir cache-line transfer per
-    /// [`MAGAZINE_SIZE`] pages instead of one per page (§5.3's
-    /// "synchronization to return freed pages to their home nodes").
-    magazines: Vec<CachePadded<SpinLock<Magazine>>>,
     /// Chunk pointer table: `chunk_ptrs[i]` points at a leaked
     /// `[FrameSlot; CHUNK_FRAMES]` slice, published with `Release` after
     /// initialization and reclaimed in `Drop`.
@@ -348,22 +363,23 @@ impl FramePool {
             ncores,
             policy,
             nnodes,
-            // Start each core's stride at its own index so concurrent
-            // interleaved allocators begin on different nodes.
-            cursors: (0..ncores)
-                .map(|c| CachePadded::new(AtomicU64::new(c as u64)))
-                .collect(),
-            free_lists: (0..ncores)
-                .map(|_| CachePadded::new(SpinLock::new(Vec::new())))
+            cores: (0..ncores)
+                .map(|core| {
+                    CachePadded::new(SpinLock::new(CoreFrames {
+                        free: Vec::new(),
+                        magazine: Vec::with_capacity(MAGAZINE_SIZE),
+                        // Each core's stride starts at its own index, so
+                        // concurrent interleaved allocators begin on
+                        // different nodes.
+                        stride: core,
+                    }))
+                })
                 .collect(),
             reservoirs: (0..nnodes)
                 .map(|_| CachePadded::new(SpinLock::new(Vec::new())))
                 .collect(),
             block_reservoirs: (0..nnodes)
                 .map(|_| CachePadded::new(SpinLock::new(Vec::new())))
-                .collect(),
-            magazines: (0..ncores)
-                .map(|_| CachePadded::new(SpinLock::new(Vec::with_capacity(MAGAZINE_SIZE))))
                 .collect(),
             chunk_ptrs,
             grow_lock: SpinLock::new(()),
@@ -399,11 +415,17 @@ impl FramePool {
         model::node_of(core, self.nnodes)
     }
 
-    /// Next target node for an interleaved allocation on `core`: a
-    /// per-core stride, so no shared cursor line.
+    /// The node an allocation on `core` draws from: the core's own, or
+    /// under [`PlacementPolicy::Interleave`] the next step of the core's
+    /// stride.
     #[inline]
-    fn stride_target(&self, core: usize) -> usize {
-        self.cursors[core].fetch_add(1, Ordering::Relaxed) as usize % self.nnodes
+    fn target_node(&self, core: usize, frames: &mut CoreFrames) -> usize {
+        if self.policy != PlacementPolicy::Interleave {
+            return self.node_of(core);
+        }
+        let target = frames.stride % self.nnodes;
+        frames.stride += 1;
+        target
     }
 
     /// Total frames ever created.
@@ -424,32 +446,6 @@ impl FramePool {
         self.stats
             .alloc_pages()
             .wrapping_sub(self.stats.free_pages())
-    }
-
-    /// Counts `pages` pages handed out on `core`, recycled (`reused`) or
-    /// fresh, under `core`'s held free list.
-    #[inline]
-    fn count_alloc(&self, core: usize, list: &FreeListGuard<'_>, pages: u64, reused: bool) {
-        self.stats
-            .add_held(core, PoolStats::alloc_pages, list, pages);
-        if reused {
-            self.stats.add_held(core, PoolStats::reused, list, pages);
-        }
-    }
-
-    /// Counts `pages` pages freed on `core`, homed on its node
-    /// (`on_node`) or bound for another's reservoir, under `core`'s held
-    /// free list.
-    #[inline]
-    fn count_free(&self, core: usize, list: &FreeListGuard<'_>, pages: u64, on_node: bool) {
-        self.stats
-            .add_held(core, PoolStats::free_pages, list, pages);
-        if on_node {
-            self.stats
-                .add_held(core, PoolStats::local_frees, list, pages);
-            self.stats
-                .add_held(core, PoolStats::on_node_frees, list, pages);
-        }
     }
 
     /// Lock-free frame-table slot lookup.
@@ -474,12 +470,12 @@ impl FramePool {
     /// Arms the frame-table cell of `base` with `init_count` references
     /// through `cache` and returns the owning handle: the first
     /// reference on what the caller has just allocated (exclusive
-    /// ownership) — one frame from [`FramePool::alloc`] at `order` 0, or
-    /// the contiguous block from [`FramePool::alloc_block`] at the same
-    /// `order`, whose member frames are never counted individually. The
-    /// zero-count action frees exactly those `1 << order` frames. No
-    /// heap allocation happens — the count lives in the
-    /// statically-indexed table (DESIGN.md §8).
+    /// ownership) — one frame from [`FramePool::try_alloc`] at `order`
+    /// 0, or the contiguous block from [`FramePool::try_alloc_block`] at
+    /// the same `order`, whose member frames are never counted
+    /// individually. The zero-count action frees exactly those
+    /// `1 << order` frames. No heap allocation happens — the count
+    /// lives in the statically-indexed table (DESIGN.md §8).
     pub fn retain(
         &self,
         cache: &Refcache,
@@ -540,7 +536,8 @@ impl FramePool {
         cache.surrender(core, self.cell(r.pfn), refs, pages)
     }
 
-    /// Allocates a zeroed frame on `core`.
+    /// Allocates a zeroed frame on `core`, or returns [`OutOfMemory`]
+    /// once every tier of the pressure protocol has come up empty.
     ///
     /// Under first-touch (and replicate-read-only, which places frames
     /// identically) the allocation is node-local: the core's own free
@@ -555,175 +552,80 @@ impl FramePool {
     /// rest locally — adopted remote frames would drift the pool back to
     /// first-touch steady state and hide the placement difference.
     ///
+    /// Only when a full-batch grow *fails* (frame limit reached, table
+    /// full, or an armed `chunk-grow` failpoint) do the pressure tiers
+    /// engage (DESIGN.md §11): drain the core's own outbound magazine,
+    /// steal from other nodes' reservoirs in ascending hop distance,
+    /// grow whatever headroom remains, and finally fail. The drain and
+    /// steal tiers never run unpressured because they hand out frames
+    /// homed elsewhere, which would silently violate the placement
+    /// policy; [`PoolStats`] counts them as `reclaim_drains` and
+    /// `remote_steals`.
+    ///
     /// Charges the simulator for zeroing, priced by the hop distance to
     /// the frame's home node.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the pool is exhausted; VM fault paths use
-    /// [`FramePool::try_alloc`] and surface the failure instead.
-    pub fn alloc(&self, core: usize) -> Pfn {
-        match self.try_alloc(core) {
-            Ok(pfn) => pfn,
-            Err(e) => panic!("FramePool::alloc: {e}"),
-        }
-    }
-
-    /// Fallible [`FramePool::alloc`]: returns [`OutOfMemory`] once
-    /// every tier of the pressure protocol has come up empty.
-    ///
-    /// Tier order (DESIGN.md §11): the core's own free list, its node's
-    /// reservoir, and fresh batch growth are the unpressured path —
-    /// identical to the pre-pressure allocator. Only when a full-batch
-    /// grow *fails* (frame limit reached, table full, or an armed
-    /// `chunk-grow` failpoint) do the pressure tiers engage: drain the
-    /// core's own outbound magazine, steal from remote-node reservoirs
-    /// in ascending hop distance (priced), grow whatever headroom
-    /// remains, and finally fail. The drain/steal tiers never run
-    /// unpressured because they hand out remote-homed frames, which
-    /// would silently violate the placement policy; [`PoolStats`] counts
-    /// them as `reclaim_drains` and `remote_steals`.
     pub fn try_alloc(&self, core: usize) -> Result<Pfn, OutOfMemory> {
         if failpoint::should_fail(failpoint::FRAME_ALLOC, core) {
             return Err(OutOfMemory);
         }
-        let my_node = self.node_of(core);
-        if self.policy == PlacementPolicy::Interleave {
-            let target = self.stride_target(core);
-            if target != my_node {
-                let pfn = self.draw_remote(core, target).ok_or(OutOfMemory)?;
-                sim::charge_page_work_homed(target);
-                return Ok(pfn);
-            }
-        }
-        sim::charge_page_work_homed(my_node);
-        self.hand_out(core, true, None, |list| list.pop())
-            .or_else(|| {
-                // Second tier: pull a batch from the node reservoir.
-                let mut batch = {
-                    let mut res = self.reservoirs[my_node].lock();
-                    if res.is_empty() {
-                        return None;
-                    }
-                    let split = res.len() - res.len().min(REFILL_BATCH);
-                    res.split_off(split)
-                };
-                let pfn = batch.pop()?;
-                self.hand_out(core, true, None, |list| {
-                    list.append(&mut batch);
-                    Some(pfn)
-                })
-            })
-            // Third tier: a fresh batch, grown under the growth lock.
-            .or_else(|| self.grow_adopt(core, my_node, REFILL_BATCH))
-            // Full-batch growth failed: the pool is under pressure.
-            .or_else(|| self.pressure_alloc(core, my_node))
-            .ok_or(OutOfMemory)
+        let mut frames = self.cores[core].lock();
+        let target = self.target_node(core, &mut frames);
+        let (pfn, reused) = self
+            .take_frame(core, &mut frames, target)
+            .ok_or(OutOfMemory)?;
+        Ok(self.hand_out(core, frames, pfn, 0, reused))
     }
 
-    /// The one way a single frame leaves the pool. Under `core`'s free
-    /// list — which makes the caller that core's only counter mutator —
-    /// `take` picks the frame (or finds none: nothing is counted) and
-    /// puts whatever else its tier obtained on the list; the frame is
-    /// counted, recycled (`reused`) or fresh; with the lock dropped, the
-    /// zeroing is charged at the hop distance to `charge_home` (tiers
-    /// whose caller has not priced it already) and a recycled frame is
-    /// zeroed: 4 KiB of `memset` never runs under a lock.
-    fn hand_out(
+    /// The tier ladder for one frame homed on `target`, under `core`'s
+    /// held lock: the frame and whether it is recycled, or `None` when
+    /// every tier came up empty. Every reservoir guard below is a
+    /// temporary.
+    fn take_frame(
         &self,
         core: usize,
-        reused: bool,
-        charge_home: Option<usize>,
-        take: impl FnOnce(&mut Vec<Pfn>) -> Option<Pfn>,
-    ) -> Option<Pfn> {
-        let pfn = {
-            let mut list = self.free_lists[core].lock();
-            let pfn = take(&mut list)?;
-            self.count_alloc(core, &list, 1, reused);
-            pfn
-        };
-        if let Some(home) = charge_home {
-            sim::charge_page_work_homed(home);
-        }
-        if reused {
-            self.zero_frame(pfn);
-        }
-        Some(pfn)
-    }
-
-    /// Creates `count` fresh frames homed on `node`, adopts all but the
-    /// first on `core`'s own list and hands that one out.
-    fn grow_adopt(&self, core: usize, node: usize, count: usize) -> Option<Pfn> {
-        let first = self.try_grow_contiguous(core, node, count).ok()?;
-        self.hand_out(core, false, None, |list| {
-            // Pushed, not `extend`ed: the simulator keys lines by address,
-            // so the list's growth steps are part of the heap layout the
-            // BENCH_*.json records were taken under.
-            for i in (1..count).rev() {
-                list.push(first + i as Pfn);
+        frames: &mut CoreFrames,
+        target: usize,
+    ) -> Option<(Pfn, bool)> {
+        if target == self.node_of(core) {
+            // Tiers 1-2: the own list, refilled with a batch from the
+            // node's reservoir when empty.
+            if frames.free.is_empty() {
+                let mut res = self.reservoirs[target].lock();
+                let split = res.len().saturating_sub(REFILL_BATCH);
+                frames.free.extend(res.drain(split..));
             }
-            Some(first)
-        })
-    }
-
-    /// Every node but `node`, nearest first: the order the pressure
-    /// tiers visit remote reservoirs in.
-    fn other_nodes_nearest_first(&self, node: usize) -> Vec<usize> {
-        let mut nodes: Vec<usize> = (0..self.nnodes).filter(|&n| n != node).collect();
-        nodes.sort_by_key(|&n| model::hops(node, n));
-        nodes
-    }
-
-    /// Draws one frame homed on remote node `target` for an interleaved
-    /// allocation: pop that node's reservoir, else grow a fresh batch
-    /// homed there (parking the remainder in the reservoir), else fall
-    /// into the pressure tiers.
-    fn draw_remote(&self, core: usize, target: usize) -> Option<Pfn> {
-        // The reservoir is node-shared: zero only after its lock drops.
-        let popped = self.reservoirs[target].lock().pop();
-        if popped.is_some() {
-            return self.hand_out(core, true, None, |_| popped);
-        }
-        if let Ok(first) = self.try_grow_contiguous(core, target, REFILL_BATCH) {
-            let mut res = self.reservoirs[target].lock();
-            for i in (1..REFILL_BATCH).rev() {
-                res.push(first + i as Pfn);
+            if let Some(pfn) = frames.free.pop() {
+                return Some((pfn, true));
             }
-            drop(res);
-            return self.hand_out(core, false, None, |_| Some(first));
-        }
-        // Under pressure an interleaved draw degrades to "any frame":
-        // placement fidelity yields to survival.
-        self.pressure_alloc(core, target)
-    }
-
-    /// Pressure tiers 4–6 (growth already failed): drain the core's own
-    /// outbound magazine, steal from remote reservoirs nearest-first,
-    /// then grow whatever headroom remains. Returns `None` when all
-    /// three come up empty — the caller reports [`OutOfMemory`].
-    fn pressure_alloc(&self, core: usize, my_node: usize) -> Option<Pfn> {
-        // Tier 4: the core's own magazine holds cross-node frees parked
-        // for batching; under pressure, take one back and flush the
-        // rest home so other cores' steal tier can see them.
-        let parked = {
-            let mut mag = self.magazines[core].lock();
-            let taken = mag.pop().map(|(_, pfn)| pfn);
-            if taken.is_some() {
-                self.flush_mag(core, &mut mag);
+        } else {
+            // A remote target gives one frame and keeps the rest.
+            let popped = self.reservoirs[target].lock().pop();
+            if let Some(pfn) = popped {
+                return Some((pfn, true));
             }
-            taken
-        };
-        if let Some(pfn) = parked {
-            self.stats.add(core, PoolStats::reclaim_drains, 1);
-            return self.hand_out(core, true, Some(self.home(pfn)), |_| parked);
         }
-        // Tier 5: steal a single frame from a remote node's reservoir,
+        // Tier 3: a fresh batch homed on the target.
+        if let Some(pfn) = self.grow(core, frames, target, REFILL_BATCH) {
+            return Some((pfn, false));
+        }
+        // Full-batch growth failed: the pool is under pressure. Tier 4:
+        // the magazine holds cross-node frees parked for batching; take
+        // one back and flush the rest home so other cores' steal tier
+        // can see them.
+        if let Some((_, pfn)) = frames.magazine.pop() {
+            self.flush_mag(core, frames);
+            self.stats
+                .add_held(core, PoolStats::reclaim_drains, frames, 1);
+            return Some((pfn, true));
+        }
+        // Tier 5: steal a single frame from another node's reservoir,
         // nearest node first, priced at hop cost.
-        for node in self.other_nodes_nearest_first(my_node) {
+        for node in self.other_nodes_nearest_first(target) {
             let popped = self.reservoirs[node].lock().pop();
-            if popped.is_some() {
-                self.stats.add(core, PoolStats::remote_steals, 1);
-                return self.hand_out(core, true, Some(node), |_| popped);
+            if let Some(pfn) = popped {
+                self.stats
+                    .add_held(core, PoolStats::remote_steals, frames, 1);
+                return Some((pfn, true));
             }
         }
         // Tier 6: grow less than a full batch if any headroom remains.
@@ -735,28 +637,75 @@ impl FramePool {
         if count == 0 {
             return None;
         }
-        self.grow_adopt(core, my_node, count)
+        self.grow(core, frames, target, count)
+            .map(|pfn| (pfn, false))
     }
 
-    /// Re-zeroes a reused frame's payload.
-    fn zero_frame(&self, pfn: Pfn) {
-        let slot = self.slot(pfn);
-        // SAFETY: the frame was free (no mapping references it), so we
-        // have exclusive access to its payload.
-        unsafe {
-            std::ptr::write_bytes(slot.data.as_ptr() as *mut u8, 0, FRAME_SIZE);
+    /// Creates `count` fresh frames homed on `node` and returns the
+    /// first. The rest go on `core`'s own list when `node` is the core's
+    /// node, and into `node`'s reservoir otherwise: a remote target
+    /// adopts nothing.
+    fn grow(&self, core: usize, frames: &mut CoreFrames, node: usize, count: usize) -> Option<Pfn> {
+        let first = self.try_grow_contiguous(core, frames, node, count).ok()?;
+        // Last first, so the list hands them out in ascending order.
+        let rest = (1..count).rev().map(|i| first + i as Pfn);
+        if node == self.node_of(core) {
+            frames.free.extend(rest);
+        } else {
+            self.reservoirs[node].lock().extend(rest);
         }
+        Some(first)
+    }
+
+    /// The one way out, for a frame (`order` 0) or a block: counts the
+    /// `1 << order` pages handed out on `core` under its lock, drops
+    /// the lock, then per page charges the zeroing at the hop distance
+    /// to the frame's home, unpoisons the payload and, when recycled,
+    /// zeroes it. No `memset` ever runs under a lock.
+    fn hand_out(
+        &self,
+        core: usize,
+        frames: SpinLockGuard<'_, CoreFrames>,
+        base: Pfn,
+        order: u8,
+        reused: bool,
+    ) -> Pfn {
+        let pages = 1u64 << order;
+        self.stats
+            .add_held(core, PoolStats::alloc_pages, &frames, pages);
+        if reused {
+            self.stats.add_held(core, PoolStats::reused, &frames, pages);
+        }
+        drop(frames);
+        let home = self.home(base);
+        for pfn in base..base + pages as Pfn {
+            sim::charge_page_work_homed(home);
+            let slot = self.slot(pfn);
+            asan_poison(slot.payload(), FRAME_SIZE, false);
+            if reused {
+                zero_frame(slot);
+            }
+        }
+        base
+    }
+
+    /// Every node but `node`, nearest first: the order the pressure
+    /// tiers visit remote reservoirs in.
+    fn other_nodes_nearest_first(&self, node: usize) -> Vec<usize> {
+        let mut nodes: Vec<usize> = (0..self.nnodes).filter(|&n| n != node).collect();
+        nodes.sort_by_key(|&n| model::hops(node, n));
+        nodes
     }
 
     /// Creates `count` fresh, physically contiguous frames homed on node
-    /// `home`, returning the first PFN. Serialized by the growth lock;
-    /// `core` only attributes the statistics. Fails — instead of the
-    /// old "frame pool exhausted" abort — when the growth would exceed
-    /// the frame limit or the table's hard chunk capacity, or when the
-    /// `chunk-grow` failpoint is armed.
+    /// `home`, returning the first PFN, and counts them under `core`'s
+    /// held lock. Serialized by the growth lock. Fails when the growth
+    /// would exceed the frame limit or the table's hard chunk capacity,
+    /// or when the `chunk-grow` failpoint is armed.
     fn try_grow_contiguous(
         &self,
         core: usize,
+        frames: &CoreFrames,
         home: usize,
         count: usize,
     ) -> Result<Pfn, OutOfMemory> {
@@ -786,6 +735,7 @@ impl FramePool {
                             data: Box::new([0u8; FRAME_SIZE]),
                             home: AtomicU16::new(home as u16),
                             gen: AtomicU64::new(1),
+                            pins: AtomicU32::new(0),
                             mapcount: rvm_sync::Atomic64::new(0),
                         })
                         .collect();
@@ -804,7 +754,8 @@ impl FramePool {
             self.nframes.store((n + count) as u64, Ordering::Release);
             first = n as Pfn;
         }
-        self.stats.add(core, PoolStats::fresh, count as u64);
+        self.stats
+            .add_held(core, PoolStats::fresh, frames, count as u64);
         for i in 0..count {
             self.slot(first + i as Pfn)
                 .home
@@ -820,73 +771,53 @@ impl FramePool {
     ///
     /// Prefers the target node's block reservoir (the core's own node,
     /// or the stride target under interleave), then fresh growth homed
-    /// on the target node. Charges the
-    /// simulator for zeroing the block, priced by hop distance to the
-    /// block's home node.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no contiguous block can be produced; VM fault paths
-    /// use [`FramePool::try_alloc_block`] and degrade to scattered
-    /// 4 KiB pages instead.
-    pub fn alloc_block(&self, core: usize, order: u8) -> Pfn {
-        match self.try_alloc_block(core, order) {
-            Ok(base) => base,
-            Err(e) => panic!("FramePool::alloc_block: {e}"),
-        }
-    }
-
-    /// Fallible [`FramePool::alloc_block`]. When growth fails (frame
-    /// limit, table capacity, or an armed failpoint) the pressure path
-    /// steals a whole block from a *remote* node's block reservoir,
-    /// nearest node first; only when no node holds a block of the
-    /// requested order does the allocation fail.
+    /// on the target node. When growth fails (frame limit, table
+    /// capacity, or an armed failpoint) the pressure path steals a
+    /// whole block from another node's block reservoir, nearest node
+    /// first; only when no node holds a block of the requested order
+    /// does the allocation fail — VM fault paths then degrade to
+    /// scattered 4 KiB pages. Charges the simulator for zeroing the
+    /// block, priced by hop distance to the block's home node.
     pub fn try_alloc_block(&self, core: usize, order: u8) -> Result<Pfn, OutOfMemory> {
         assert!(order <= GIANT_ORDER, "unsupported block order {order}");
         if failpoint::should_fail(failpoint::BLOCK_ALLOC, core) {
             return Err(OutOfMemory);
         }
-        let pages = 1usize << order;
-        let target = match self.policy {
-            PlacementPolicy::Interleave => self.stride_target(core),
-            _ => self.node_of(core),
-        };
-        // The guard drops with its statement: no lock is held below.
+        let mut frames = self.cores[core].lock();
+        let target = self.target_node(core, &mut frames);
+        // The guard drops with its statement: a reservoir is never held
+        // while another is locked.
         let recycled = take_block(&mut self.block_reservoirs[target].lock(), order);
         let (base, reused) = match recycled {
             Some(base) => (base, true),
-            None => match self.try_grow_contiguous(core, target, pages) {
+            None => match self.try_grow_contiguous(core, &frames, target, 1 << order) {
                 Ok(base) => (base, false),
                 Err(_) => (
-                    self.steal_remote_block(core, target, order)
+                    self.steal_remote_block(core, &frames, target, order)
                         .ok_or(OutOfMemory)?,
                     true,
                 ),
             },
         };
-        if reused {
-            for i in 0..pages {
-                self.zero_frame(base + i as Pfn);
-            }
-        }
-        let home = self.home(base);
-        for _ in 0..pages {
-            sim::charge_page_work_homed(home);
-        }
-        self.stats.add(core, PoolStats::block_allocs, 1);
-        // No tier above holds the core's free list: take it for the bump.
-        self.count_alloc(core, &self.free_lists[core].lock(), pages as u64, reused);
-        Ok(base)
+        self.stats
+            .add_held(core, PoolStats::block_allocs, &frames, 1);
+        Ok(self.hand_out(core, frames, base, order, reused))
     }
 
     /// Pressure path for block allocation: steal a block of `order`
-    /// from the nearest remote node's block reservoir (a recycled block:
-    /// the caller zeroes it and counts it as reused).
-    fn steal_remote_block(&self, core: usize, my_node: usize, order: u8) -> Option<Pfn> {
-        for node in self.other_nodes_nearest_first(my_node) {
-            let stolen = take_block(&mut self.block_reservoirs[node].lock(), order);
+    /// from the nearest other node's block reservoir (a recycled block).
+    fn steal_remote_block(
+        &self,
+        core: usize,
+        frames: &CoreFrames,
+        node: usize,
+        order: u8,
+    ) -> Option<Pfn> {
+        for other in self.other_nodes_nearest_first(node) {
+            let stolen = take_block(&mut self.block_reservoirs[other].lock(), order);
             if stolen.is_some() {
-                self.stats.add(core, PoolStats::remote_steals, 1);
+                self.stats
+                    .add_held(core, PoolStats::remote_steals, frames, 1);
                 return stolen;
             }
         }
@@ -894,27 +825,10 @@ impl FramePool {
     }
 
     /// Frees the contiguous block at `base` (allocated with the same
-    /// `order`), bumping every member frame's generation so stale block
-    /// translations become detectable. The block returns whole to its
-    /// home node's block reservoir.
+    /// `order`) from `core`: every member frame's generation is bumped,
+    /// and the block returns whole to its home node's block reservoir.
     pub fn free_block(&self, core: usize, base: Pfn, order: u8) {
-        let pages = 1usize << order;
-        for i in 0..pages {
-            self.slot(base + i as Pfn).bump_generation();
-        }
-        let home = self.home(base);
-        let on_node = home == self.node_of(core);
-        self.stats.add(core, PoolStats::block_frees, 1);
-        // Blocks bypass the core's free list: take it for the bump.
-        self.count_free(core, &self.free_lists[core].lock(), pages as u64, on_node);
-        if !on_node {
-            // One reservoir lock per 512 frames: already better batched
-            // than the single-frame magazines, so return it directly.
-            self.stats.add(core, PoolStats::remote_frees, pages as u64);
-            self.stats
-                .add(core, PoolStats::cross_node_frees, pages as u64);
-        }
-        self.block_reservoirs[home].lock().push((order, base));
+        self.take_back(core, base, order);
     }
 
     /// Frees `pfn` from `core`, bumping its generation so stale
@@ -929,30 +843,58 @@ impl FramePool {
     /// any required TLB shootdown, so parking only delays *reuse*, never
     /// safety (DESIGN.md §6).
     pub fn free(&self, core: usize, pfn: Pfn) {
-        let slot = self.slot(pfn);
-        slot.bump_generation();
-        let home = slot.home.load(Ordering::Relaxed) as usize % self.nnodes;
-        if home == self.node_of(core) {
-            let mut list = self.free_lists[core].lock();
-            list.push(pfn);
-            self.count_free(core, &list, 1, true);
-            return;
+        self.take_back(core, pfn, 0);
+    }
+
+    /// The one way back, for a frame (`order` 0) or a block: bumps each
+    /// member frame's generation and poisons its payload, then under
+    /// `core`'s lock counts the pages and routes them — a block whole to
+    /// its home node's block reservoir (already better batched than a
+    /// magazine), a page homed on the core's node onto the core's own
+    /// list, any other page into the core's outbound magazine, which
+    /// flushes home once it holds [`MAGAZINE_SIZE`] frames.
+    fn take_back(&self, core: usize, base: Pfn, order: u8) {
+        let pages = 1u64 << order;
+        for pfn in base..base + pages as Pfn {
+            let slot = self.slot(pfn);
+            slot.bump_generation();
+            // An access pinned under the old generation may still run:
+            // the payload is poisoned, and the frame reusable, only once
+            // it is done.
+            fence(Ordering::SeqCst);
+            let mut backoff = Backoff::new();
+            while slot.pins.load(Ordering::Acquire) != 0 {
+                backoff.pause();
+            }
+            asan_poison(slot.payload(), FRAME_SIZE, true);
         }
-        // The magazine path never holds the free list: take it for the
-        // bump.
-        self.count_free(core, &self.free_lists[core].lock(), 1, false);
-        self.stats.add(core, PoolStats::remote_frees, 1);
-        self.stats.add(core, PoolStats::cross_node_frees, 1);
-        let mut mag = self.magazines[core].lock();
-        mag.push((home as u16, pfn));
-        if mag.len() >= MAGAZINE_SIZE {
-            self.flush_mag(core, &mut mag);
+        let home = self.home(base);
+        let on_node = home == self.node_of(core);
+        let mut frames = self.cores[core].lock();
+        self.stats
+            .add_held(core, PoolStats::free_pages, &frames, pages);
+        let placement = match on_node {
+            true => PoolStats::on_node_frees,
+            false => PoolStats::cross_node_frees,
+        };
+        self.stats.add_held(core, placement, &frames, pages);
+        if order > 0 {
+            self.stats
+                .add_held(core, PoolStats::block_frees, &frames, 1);
+            self.block_reservoirs[home].lock().push((order, base));
+        } else if on_node {
+            frames.free.push(base);
+        } else {
+            frames.magazine.push((home as u16, base));
+            if frames.magazine.len() >= MAGAZINE_SIZE {
+                self.flush_mag(core, &mut frames);
+            }
         }
     }
 
-    /// Drains a held magazine to the home nodes' reservoirs: one
-    /// reservoir lock (one contended-line transfer) per contiguous run
-    /// of same-home frames, instead of one per page. Runs are flushed in
+    /// Drains `core`'s held magazine to the home nodes' reservoirs: one
+    /// reservoir lock (one contended-line transfer) per run of
+    /// same-home frames, instead of one per page. Runs are flushed in
     /// ascending node order — the fixed ordering means two cores
     /// flushing concurrently lock reservoirs in the same sequence
     /// (DESIGN.md §10).
@@ -962,49 +904,51 @@ impl FramePool {
     /// [`MAGAZINE_SIZE`]) and return home at the next unvetoed flush.
     /// A parked frame was already counted freed and generation-bumped,
     /// so deferral delays reuse, never safety or accounting.
-    fn flush_mag(&self, core: usize, mag: &mut Magazine) {
-        if mag.is_empty() {
+    fn flush_mag(&self, core: usize, frames: &mut CoreFrames) {
+        if frames.magazine.is_empty() || failpoint::should_fail(failpoint::MAGAZINE_FLUSH, core) {
             return;
         }
-        if failpoint::should_fail(failpoint::MAGAZINE_FLUSH, core) {
-            return;
-        }
-        self.stats.add(core, PoolStats::magazine_flushes, 1);
+        self.stats
+            .add_held(core, PoolStats::magazine_flushes, frames, 1);
+        let mag = &mut frames.magazine;
         mag.sort_unstable_by_key(|&(home, _)| home);
-        let mut i = 0;
-        while i < mag.len() {
-            let home = mag[i].0;
-            let mut j = i;
-            while j < mag.len() && mag[j].0 == home {
-                j += 1;
-            }
-            let mut res = self.reservoirs[home as usize].lock();
-            for &(_, pfn) in &mag[i..j] {
-                res.push(pfn);
-            }
-            i = j;
+        for run in mag.chunk_by(|a, b| a.0 == b.0) {
+            self.reservoirs[run[0].0 as usize]
+                .lock()
+                .extend(run.iter().map(|&(_, pfn)| pfn));
         }
         mag.clear();
     }
 
-    /// Flushes `core`'s outbound magazine, making its parked cross-node
-    /// frees allocatable on their home nodes.
-    pub fn flush_magazine(&self, core: usize) {
-        let mut mag = self.magazines[core].lock();
-        self.flush_mag(core, &mut mag);
-    }
-
     /// Flushes every core's outbound magazine (quiesce / orderly
-    /// shutdown; frame accounting is exact afterwards).
+    /// shutdown; frame accounting is exact afterwards), making the
+    /// parked cross-node frees allocatable on their home nodes.
     pub fn flush_magazines(&self) {
         for core in 0..self.ncores {
-            self.flush_magazine(core);
+            self.flush_mag(core, &mut self.cores[core].lock());
         }
     }
 
     /// Frames currently parked in `core`'s outbound magazine (tests).
     pub fn magazine_len(&self, core: usize) -> usize {
-        self.magazines[core].lock().len()
+        self.cores[core].lock().magazine.len()
+    }
+
+    /// Pins `pfn` for one access if its generation is still `gen`, or
+    /// returns `None` if the frame was freed since. A free of the frame
+    /// waits until the pin drops, so the access never touches a freed
+    /// (poisoned, or already reused) frame. For the one access that runs
+    /// outside the TLB lock: the one `Machine::access` completes through
+    /// the translation a fault returned, which a foreign flush may free
+    /// at any moment.
+    #[inline]
+    pub fn pin(&self, pfn: Pfn, gen: u64) -> Option<FramePin<'_>> {
+        let slot = self.slot(pfn);
+        slot.pins.fetch_add(1, Ordering::SeqCst);
+        // Either this load sees a free's new generation, or that free's
+        // fenced load sees the pin (`take_back`).
+        let pin = FramePin(slot);
+        (slot.gen.load(Ordering::SeqCst) == gen).then_some(pin)
     }
 
     /// Current generation of `pfn`.
@@ -1095,6 +1039,25 @@ impl FramePool {
     }
 }
 
+/// One access in flight on a frame ([`FramePool::pin`]): the frame is
+/// not freed until this drops.
+pub struct FramePin<'a>(&'a FrameSlot);
+
+impl Drop for FramePin<'_> {
+    fn drop(&mut self) {
+        self.0.pins.fetch_sub(1, Ordering::Release);
+    }
+}
+
+/// Re-zeroes a recycled frame's payload.
+fn zero_frame(slot: &FrameSlot) {
+    // SAFETY: the frame is being handed out (no mapping references it),
+    // so we have exclusive access to its payload.
+    unsafe {
+        std::ptr::write_bytes(slot.data.as_ptr() as *mut u8, 0, FRAME_SIZE);
+    }
+}
+
 impl Drop for FramePool {
     fn drop(&mut self) {
         let n = self.total_frames();
@@ -1103,12 +1066,14 @@ impl Drop for FramePool {
             let p = self.chunk_ptrs[i].load(Ordering::Acquire);
             if !p.is_null() {
                 // SAFETY: `p` was leaked from a Box<[FrameSlot]> of length
-                // CHUNK_FRAMES in `alloc` and is reclaimed exactly once.
-                unsafe {
-                    drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(
-                        p,
-                        CHUNK_FRAMES,
-                    )));
+                // CHUNK_FRAMES in `try_grow_contiguous` and is reclaimed
+                // exactly once.
+                let chunk =
+                    unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(p, CHUNK_FRAMES)) };
+                // Free frames are poisoned: their payloads must be
+                // addressable again before they return to the allocator.
+                for slot in chunk.iter() {
+                    asan_poison(slot.payload(), FRAME_SIZE, false);
                 }
             }
         }
@@ -1120,27 +1085,25 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    /// The word each counter had as a hand-numbered `F_*` constant up to
-    /// PR 20, copied here once. Which word shares a line with which is
-    /// simulator-visible (these thirteen span two lines): a field may
-    /// be added at the end, none may move.
+    /// Which word shares a line with which is simulator-visible (these
+    /// eleven span two lines, and the two a page-sized free bumps share
+    /// the first): a field may be added at the end, and one that moves
+    /// moves the records.
     #[test]
     fn poolstats_cells_keep_their_words() {
         use PoolStats as S;
         let pinned = [
             ("fresh", S::fresh.index(), 0),
             ("reused", S::reused.index(), 1),
-            ("remote_frees", S::remote_frees.index(), 2),
-            ("local_frees", S::local_frees.index(), 3),
-            ("magazine_flushes", S::magazine_flushes.index(), 4),
-            ("block_allocs", S::block_allocs.index(), 5),
-            ("block_frees", S::block_frees.index(), 6),
-            ("alloc_pages", S::alloc_pages.index(), 7),
-            ("free_pages", S::free_pages.index(), 8),
-            ("on_node_frees", S::on_node_frees.index(), 9),
-            ("cross_node_frees", S::cross_node_frees.index(), 10),
-            ("reclaim_drains", S::reclaim_drains.index(), 11),
-            ("remote_steals", S::remote_steals.index(), 12),
+            ("magazine_flushes", S::magazine_flushes.index(), 2),
+            ("block_allocs", S::block_allocs.index(), 3),
+            ("block_frees", S::block_frees.index(), 4),
+            ("alloc_pages", S::alloc_pages.index(), 5),
+            ("free_pages", S::free_pages.index(), 6),
+            ("on_node_frees", S::on_node_frees.index(), 7),
+            ("cross_node_frees", S::cross_node_frees.index(), 8),
+            ("reclaim_drains", S::reclaim_drains.index(), 9),
+            ("remote_steals", S::remote_steals.index(), 10),
         ];
         for (name, word, was) in pinned {
             assert_eq!(word, was, "{name}");
@@ -1150,12 +1113,12 @@ mod tests {
     #[test]
     fn alloc_zeroes_and_stores() {
         let pool = FramePool::new(2);
-        let f = pool.alloc(0);
+        let f = pool.try_alloc(0).unwrap();
         assert_eq!(pool.read_u64(f, 0), 0);
         pool.write_u64(f, 8, 0xDEAD_BEEF);
         assert_eq!(pool.read_u64(f, 8), 0xDEAD_BEEF);
         pool.free(0, f);
-        let f2 = pool.alloc(0);
+        let f2 = pool.try_alloc(0).unwrap();
         assert_eq!(f2, f, "free list reuse");
         assert_eq!(pool.read_u64(f2, 8), 0, "reused frame re-zeroed");
     }
@@ -1163,11 +1126,11 @@ mod tests {
     #[test]
     fn generation_bumps_on_free() {
         let pool = FramePool::new(1);
-        let f = pool.alloc(0);
+        let f = pool.try_alloc(0).unwrap();
         let g0 = pool.generation(f);
         pool.free(0, f);
         assert_eq!(pool.generation(f), g0 + 1);
-        let f2 = pool.alloc(0);
+        let f2 = pool.try_alloc(0).unwrap();
         assert_eq!(f2, f);
         assert_eq!(pool.generation(f2), g0 + 1, "gen stable across realloc");
     }
@@ -1182,12 +1145,16 @@ mod tests {
         // On one node every core shares node 0: a free on any core
         // adopts the frame locally instead of parking in a magazine.
         let pool = FramePool::new(2);
-        let f = pool.alloc(0);
+        let f = pool.try_alloc(0).unwrap();
         pool.free(1, f);
         assert_eq!(pool.magazine_len(1), 0);
         assert_eq!(pool.stats().on_node_frees, 1);
         assert_eq!(pool.stats().cross_node_frees, 0);
-        assert_eq!(pool.alloc(1), f, "same-node frame adopted by core 1");
+        assert_eq!(
+            pool.try_alloc(1).unwrap(),
+            f,
+            "same-node frame adopted by core 1"
+        );
     }
 
     #[test]
@@ -1196,22 +1163,22 @@ mod tests {
         // the freeing core's magazine and returns to the home node's
         // reservoir at flush.
         let pool = numa_pool(2, 2);
-        let f = pool.alloc(0); // homed node 0
+        let f = pool.try_alloc(0).unwrap(); // homed node 0
         pool.free(1, f);
-        assert_eq!(pool.stats().remote_frees, 1);
+        assert_eq!(pool.stats().cross_node_frees, 1);
         assert_eq!(pool.stats().cross_node_frees, 1);
         assert_eq!(pool.magazine_len(1), 1);
-        let g = pool.alloc(1);
+        let g = pool.try_alloc(1).unwrap();
         assert_ne!(g, f, "node 1 must not see node 0's frame");
         // Once the magazine flushes, the home node's cores reuse it:
         // drain core 0's leftover grow batch until the reservoir frame
         // surfaces.
-        pool.flush_magazine(1);
+        pool.flush_magazines();
         assert_eq!(pool.magazine_len(1), 0);
         assert_eq!(pool.reservoir_len(0), 1);
         let mut drained = 0;
         loop {
-            if pool.alloc(0) == f {
+            if pool.try_alloc(0).unwrap() == f {
                 break;
             }
             drained += 1;
@@ -1225,7 +1192,9 @@ mod tests {
     #[test]
     fn magazine_flushes_at_capacity() {
         let pool = numa_pool(2, 2);
-        let frames: Vec<Pfn> = (0..MAGAZINE_SIZE).map(|_| pool.alloc(0)).collect();
+        let frames: Vec<Pfn> = (0..MAGAZINE_SIZE)
+            .map(|_| pool.try_alloc(0).unwrap())
+            .collect();
         // Cross-node-free one short of the magazine size: all park.
         for &f in &frames[..MAGAZINE_SIZE - 1] {
             pool.free(1, f);
@@ -1236,11 +1205,11 @@ mod tests {
         pool.free(1, frames[MAGAZINE_SIZE - 1]);
         assert_eq!(pool.magazine_len(1), 0);
         assert_eq!(pool.stats().magazine_flushes, 1);
-        assert_eq!(pool.stats().remote_frees, MAGAZINE_SIZE as u64);
+        assert_eq!(pool.stats().cross_node_frees, MAGAZINE_SIZE as u64);
         // All frames are allocatable on the home node again.
         let mut seen = std::collections::HashSet::new();
         for _ in 0..MAGAZINE_SIZE {
-            seen.insert(pool.alloc(0));
+            seen.insert(pool.try_alloc(0).unwrap());
         }
         for f in frames {
             assert!(seen.contains(&f), "frame {f} not reusable after flush");
@@ -1255,27 +1224,142 @@ mod tests {
         let pool = numa_pool(4, 4);
         let mut by_home = Vec::new();
         for core in 1..4usize {
-            let f = pool.alloc(core);
+            let f = pool.try_alloc(core).unwrap();
             by_home.push((core, f));
         }
         for &(_, f) in &by_home {
             pool.free(0, f);
         }
         assert_eq!(pool.magazine_len(0), 3);
-        pool.flush_magazine(0);
+        pool.flush_magazines();
         for (core, f) in by_home {
             assert_eq!(pool.reservoir_len(core), 1, "node {core} reservoir");
             // The home core reaches the frame once its adopted fresh
             // batch drains through its own free list.
             let mut got = false;
             for _ in 0..4 * REFILL_BATCH {
-                if pool.alloc(core) == f {
+                if pool.try_alloc(core).unwrap() == f {
                     got = true;
                     break;
                 }
             }
             assert!(got, "node {core} never reused its frame {f}");
         }
+    }
+
+    /// Locked instructions (`sim::CoreStats::rmws`) of every path on a
+    /// two-node pool, core 0 on node 0 and core 1 on node 1: the acting
+    /// core's one lock, plus the shared lock each tier visits (a node
+    /// reservoir, a block reservoir, the growth lock). No counter adds
+    /// one.
+    #[test]
+    fn every_path_takes_its_core_lock_once() {
+        let _sim = sim::install(2, rvm_sync::CostModel::default());
+        let rmws = |core: usize, op: &mut dyn FnMut()| {
+            sim::switch(core);
+            let before = sim::stats().cores[core].rmws;
+            op();
+            sim::stats().cores[core].rmws - before
+        };
+        let mut seen = Vec::new();
+        let (mut f, mut g) = (0, 0);
+
+        let pool = numa_pool(2, 2);
+        seen.push((
+            "fresh growth",
+            rmws(0, &mut || f = pool.try_alloc(0).unwrap()),
+        ));
+        seen.push(("own list", rmws(0, &mut || g = pool.try_alloc(0).unwrap())));
+        seen.push(("on-node free", rmws(0, &mut || pool.free(0, g))));
+        // Empty core 0's list; f and these 63 are homed on node 0.
+        let batch: Vec<Pfn> = (1..REFILL_BATCH)
+            .map(|_| pool.try_alloc(0).unwrap())
+            .collect();
+        seen.push(("cross-node free", rmws(1, &mut || pool.free(1, f))));
+        for &b in &batch[..MAGAZINE_SIZE - 2] {
+            pool.free(1, b);
+        }
+        let last = batch[MAGAZINE_SIZE - 2];
+        seen.push((
+            "cross-node free + flush",
+            rmws(1, &mut || pool.free(1, last)),
+        ));
+        seen.push((
+            "reservoir refill",
+            rmws(0, &mut || f = pool.try_alloc(0).unwrap()),
+        ));
+
+        // Core 0's stride visits node 0, then node 1, then again.
+        let pool = FramePool::with_placement(2, PlacementPolicy::Interleave, 2);
+        pool.try_alloc(0).unwrap();
+        seen.push((
+            "remote draw, growth",
+            rmws(0, &mut || f = pool.try_alloc(0).unwrap()),
+        ));
+        pool.try_alloc(0).unwrap();
+        seen.push((
+            "remote draw",
+            rmws(0, &mut || g = pool.try_alloc(0).unwrap()),
+        ));
+        assert_eq!((pool.home(f), pool.home(g)), (1, 1));
+
+        let pool = numa_pool(2, 2);
+        f = pool.try_alloc(0).unwrap();
+        pool.free(1, f);
+        pool.set_frame_limit(pool.total_frames() as u64);
+        seen.push((
+            "tier 4: drain",
+            rmws(1, &mut || f = pool.try_alloc(1).unwrap()),
+        ));
+        pool.free(1, f);
+        pool.flush_magazines();
+        seen.push((
+            "tier 5: steal",
+            rmws(1, &mut || f = pool.try_alloc(1).unwrap()),
+        ));
+        pool.set_frame_limit(pool.total_frames() as u64 + 3);
+        seen.push((
+            "tier 6: growth",
+            rmws(1, &mut || f = pool.try_alloc(1).unwrap()),
+        ));
+        pool.try_alloc(1).unwrap();
+        pool.try_alloc(1).unwrap();
+        let mut failed = Ok(0);
+        seen.push(("out of memory", rmws(1, &mut || failed = pool.try_alloc(1))));
+        assert_eq!(failed, Err(OutOfMemory));
+
+        let pool = numa_pool(2, 2);
+        let alloc = |pfn: &mut Pfn| *pfn = pool.try_alloc_block(0, BLOCK_ORDER).unwrap();
+        seen.push(("fresh block", rmws(0, &mut || alloc(&mut f))));
+        seen.push((
+            "on-node block free",
+            rmws(0, &mut || pool.free_block(0, f, BLOCK_ORDER)),
+        ));
+        seen.push(("recycled block", rmws(0, &mut || alloc(&mut f))));
+        seen.push((
+            "cross-node block free",
+            rmws(1, &mut || pool.free_block(1, f, BLOCK_ORDER)),
+        ));
+
+        let pinned = [
+            ("fresh growth", 3),
+            ("own list", 1),
+            ("on-node free", 1),
+            ("cross-node free", 1),
+            ("cross-node free + flush", 2),
+            ("reservoir refill", 2),
+            ("remote draw, growth", 4),
+            ("remote draw", 2),
+            ("tier 4: drain", 3),
+            ("tier 5: steal", 4),
+            ("tier 6: growth", 5),
+            ("out of memory", 4),
+            ("fresh block", 3),
+            ("on-node block free", 2),
+            ("recycled block", 2),
+            ("cross-node block free", 2),
+        ];
+        assert_eq!(seen, pinned);
     }
 
     #[test]
@@ -1287,7 +1371,9 @@ mod tests {
         let guard = rvm_sync::sim::install(2, rvm_sync::CostModel::default());
         let pool = numa_pool(2, 2);
         rvm_sync::sim::switch(0);
-        let frames: Vec<Pfn> = (0..(2 * MAGAZINE_SIZE)).map(|_| pool.alloc(0)).collect();
+        let frames: Vec<Pfn> = (0..(2 * MAGAZINE_SIZE))
+            .map(|_| pool.try_alloc(0).unwrap())
+            .collect();
         // Warm core 1's magazine structures with one full cycle.
         rvm_sync::sim::switch(1);
         for &f in &frames[..MAGAZINE_SIZE] {
@@ -1310,7 +1396,7 @@ mod tests {
     #[test]
     fn map_counts() {
         let pool = FramePool::new(1);
-        let f = pool.alloc(0);
+        let f = pool.try_alloc(0).unwrap();
         pool.inc_map(f);
         pool.inc_map(f);
         assert!(!pool.dec_map(f));
@@ -1323,7 +1409,7 @@ mod tests {
         let pool = FramePool::new(1);
         let mut frames = Vec::new();
         for i in 0..(CHUNK_FRAMES + 10) as u64 {
-            let f = pool.alloc(0);
+            let f = pool.try_alloc(0).unwrap();
             pool.write_u64(f, 0, i);
             frames.push(f);
         }
@@ -1344,7 +1430,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let mut held = Vec::new();
                 for i in 0..2_000u64 {
-                    let f = pool.alloc(core);
+                    let f = pool.try_alloc(core).unwrap();
                     pool.write_u64(f, 0, i);
                     held.push(f);
                     if held.len() > 16 {
@@ -1371,13 +1457,13 @@ mod tests {
         let pool = FramePool::new(4);
         rvm_sync::sim::switch(1);
         // Warm up (fresh allocation touches the growth path).
-        let f = pool.alloc(1);
+        let f = pool.try_alloc(1).unwrap();
         pool.free(1, f);
-        let f = pool.alloc(1);
+        let f = pool.try_alloc(1).unwrap();
         pool.free(1, f);
         let before = rvm_sync::sim::stats();
         for _ in 0..100 {
-            let f = pool.alloc(1);
+            let f = pool.try_alloc(1).unwrap();
             pool.free(1, f);
         }
         let after = rvm_sync::sim::stats();
@@ -1392,14 +1478,14 @@ mod tests {
     #[should_panic]
     fn out_of_bounds_write_panics() {
         let pool = FramePool::new(1);
-        let f = pool.alloc(0);
+        let f = pool.try_alloc(0).unwrap();
         pool.write_u64(f, FRAME_SIZE - 4, 1);
     }
 
     #[test]
     fn block_alloc_is_contiguous_zeroed_and_reusable() {
         let pool = FramePool::new(2);
-        let base = pool.alloc_block(0, BLOCK_ORDER);
+        let base = pool.try_alloc_block(0, BLOCK_ORDER).unwrap();
         // Contiguous and writable across the whole block.
         for i in 0..BLOCK_PAGES {
             let pfn = base + i as Pfn;
@@ -1416,7 +1502,7 @@ mod tests {
             assert_eq!(pool.generation(base + i as Pfn), g + 1, "frame {i}");
         }
         // The block is reused whole, re-zeroed.
-        let again = pool.alloc_block(0, BLOCK_ORDER);
+        let again = pool.try_alloc_block(0, BLOCK_ORDER).unwrap();
         assert_eq!(again, base, "home core reuses the freed block");
         assert_eq!(pool.read_u64(again, 0), 0);
         let st = pool.stats();
@@ -1427,15 +1513,15 @@ mod tests {
     #[test]
     fn block_free_returns_home() {
         let pool = numa_pool(2, 2);
-        let base = pool.alloc_block(0, BLOCK_ORDER); // homed node 0
-                                                     // Freed from core 1 (node 1): returns whole to node 0's block
-                                                     // reservoir.
+        let base = pool.try_alloc_block(0, BLOCK_ORDER).unwrap(); // homed node 0
+                                                                  // Freed from core 1 (node 1): returns whole to node 0's block
+                                                                  // reservoir.
         pool.free_block(1, base, BLOCK_ORDER);
-        assert_eq!(pool.stats().remote_frees, BLOCK_PAGES as u64);
         assert_eq!(pool.stats().cross_node_frees, BLOCK_PAGES as u64);
-        let other = pool.alloc_block(1, BLOCK_ORDER);
+        assert_eq!(pool.stats().cross_node_frees, BLOCK_PAGES as u64);
+        let other = pool.try_alloc_block(1, BLOCK_ORDER).unwrap();
         assert_ne!(other, base, "node 1 must not see node 0's block");
-        assert_eq!(pool.alloc_block(0, BLOCK_ORDER), base);
+        assert_eq!(pool.try_alloc_block(0, BLOCK_ORDER).unwrap(), base);
     }
 
     /// One lifecycle at every granularity — the only thing that differs
@@ -1449,13 +1535,10 @@ mod tests {
             let cache = Refcache::new(2);
             let pages = 1u64 << order;
             let alloc = |core| match order {
-                0 => pool.alloc(core),
-                _ => pool.alloc_block(core, order),
+                0 => pool.try_alloc(core).unwrap(),
+                _ => pool.try_alloc_block(core, order).unwrap(),
             };
-            let freed = || {
-                let st = pool.stats();
-                st.local_frees + st.remote_frees
-            };
+            let freed = || pool.stats().free_pages;
             let base = alloc(0);
             let table = pool.total_frames();
             assert_eq!(pool.outstanding_frames(), pages, "order {order}");
@@ -1498,8 +1581,8 @@ mod tests {
     #[test]
     fn outstanding_frames_tracks_pages_and_blocks() {
         let pool = FramePool::new(1);
-        let a = pool.alloc(0);
-        let b = pool.alloc_block(0, BLOCK_ORDER);
+        let a = pool.try_alloc(0).unwrap();
+        let b = pool.try_alloc_block(0, BLOCK_ORDER).unwrap();
         assert_eq!(pool.outstanding_frames(), 1 + BLOCK_PAGES as u64);
         pool.free(0, a);
         assert_eq!(pool.outstanding_frames(), BLOCK_PAGES as u64);
@@ -1513,6 +1596,35 @@ mod tests {
         // cache lines, or per-core counting would false-share.
         assert!(std::mem::align_of::<FrameSlot>() >= 64);
         assert!(std::mem::size_of::<FrameSlot>().is_multiple_of(64));
+        // Two lines, as before the access pin: the frame table's layout
+        // is simulator-visible.
+        assert_eq!(std::mem::size_of::<FrameSlot>(), 128);
+    }
+
+    /// The schedule `Machine::access` met under a foreign sweeper: a
+    /// fault returned a translation, the access checked the frame's
+    /// generation, and another thread freed the frame before the access
+    /// touched it. With the pin, the free waits for the access.
+    #[test]
+    fn a_free_waits_for_a_pinned_access() {
+        use std::sync::atomic::AtomicBool;
+        let pool = FramePool::new(2);
+        let f = pool.try_alloc(0).unwrap();
+        let gen = pool.generation(f);
+        let freed = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let pin = pool.pin(f, gen).expect("a live frame pins");
+            s.spawn(|| {
+                pool.free(1, f);
+                freed.store(true, Ordering::SeqCst);
+            });
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(!freed.load(Ordering::SeqCst), "freed under a pin");
+            pool.write_u64(f, 0, 1);
+            drop(pin);
+        });
+        assert!(freed.into_inner());
+        assert!(pool.pin(f, gen).is_none(), "a freed frame does not pin");
     }
 
     #[test]
@@ -1521,7 +1633,7 @@ mod tests {
         // All allocation happens on core 0; homes must still rotate.
         let mut homes = std::collections::HashSet::new();
         for _ in 0..8 {
-            let b = pool.alloc_block(0, BLOCK_ORDER);
+            let b = pool.try_alloc_block(0, BLOCK_ORDER).unwrap();
             homes.insert(pool.home(b));
         }
         assert_eq!(
@@ -1532,14 +1644,14 @@ mod tests {
         // Single-page interleave likewise draws from every node.
         let mut homes = std::collections::HashSet::new();
         for _ in 0..8 {
-            homes.insert(pool.home(pool.alloc(0)));
+            homes.insert(pool.home(pool.try_alloc(0).unwrap()));
         }
         assert_eq!(homes.len(), 4, "page interleave covers all nodes");
         // First-touch keeps everything on the allocating core's node.
         let ft = numa_pool(4, 4);
-        let b = ft.alloc_block(2, BLOCK_ORDER);
+        let b = ft.try_alloc_block(2, BLOCK_ORDER).unwrap();
         assert_eq!(ft.home(b), 2);
-        assert_eq!(ft.home(ft.alloc(3)), 3);
+        assert_eq!(ft.home(ft.try_alloc(3).unwrap()), 3);
     }
 
     #[test]
@@ -1548,9 +1660,9 @@ mod tests {
         // fast path (own list, batch adoption) is identical to
         // first-touch — this is what keeps single-node numbers unchanged.
         let pool = FramePool::with_placement(2, PlacementPolicy::Interleave, 1);
-        let f = pool.alloc(0);
+        let f = pool.try_alloc(0).unwrap();
         pool.free(0, f);
-        assert_eq!(pool.alloc(0), f, "own free list reused");
+        assert_eq!(pool.try_alloc(0).unwrap(), f, "own free list reused");
         let st = pool.stats();
         assert_eq!(st.cross_node_frees, 0);
         assert_eq!(st.on_node_frees, 1);
@@ -1564,19 +1676,19 @@ mod tests {
         // Stock node 1's reservoir: allocate on core 1 until a frame is
         // homed there, free it cross-node from core 0, flush.
         let f = loop {
-            let f = pool.alloc(1);
+            let f = pool.try_alloc(1).unwrap();
             if pool.home(f) == 1 {
                 break f;
             }
         };
         pool.free(0, f);
-        pool.flush_magazine(0);
+        pool.flush_magazines();
         assert_eq!(pool.reservoir_len(1), 1);
         let fresh_before = pool.stats().fresh;
         // Drive core 0's stride until it targets node 1.
         let mut drawn = None;
         for _ in 0..4 {
-            let a = pool.alloc(0);
+            let a = pool.try_alloc(0).unwrap();
             if pool.home(a) == 1 {
                 drawn = Some(a);
                 break;
@@ -1598,7 +1710,7 @@ mod tests {
     #[test]
     fn frame_limit_exhaustion_and_recovery() {
         let pool = FramePool::new(1);
-        let f = pool.alloc(0); // grows one REFILL_BATCH
+        let f = pool.try_alloc(0).unwrap(); // grows one REFILL_BATCH
         pool.set_frame_limit(pool.total_frames() as u64);
         // Drain the adopted batch; every allocation still succeeds.
         let mut held = vec![f];
@@ -1629,7 +1741,7 @@ mod tests {
     #[test]
     fn pressure_drains_own_magazine() {
         let pool = numa_pool(2, 2);
-        let f = pool.alloc(0); // homed node 0
+        let f = pool.try_alloc(0).unwrap(); // homed node 0
         pool.free(1, f); // parks in core 1's magazine
         assert_eq!(pool.magazine_len(1), 1);
         pool.set_frame_limit(pool.total_frames() as u64);
@@ -1646,9 +1758,9 @@ mod tests {
     #[test]
     fn pressure_steals_from_remote_reservoir_nearest_first() {
         let pool = numa_pool(2, 2);
-        let f = pool.alloc(0); // homed node 0
+        let f = pool.try_alloc(0).unwrap(); // homed node 0
         pool.free(1, f);
-        pool.flush_magazine(1); // node 0's reservoir now holds f
+        pool.flush_magazines(); // node 0's reservoir now holds f
         pool.set_frame_limit(pool.total_frames() as u64);
         let got = pool
             .try_alloc(1)
@@ -1662,7 +1774,7 @@ mod tests {
     #[test]
     fn pressure_partial_growth_uses_remaining_headroom() {
         let pool = FramePool::new(1);
-        let f = pool.alloc(0);
+        let f = pool.try_alloc(0).unwrap();
         // Leave headroom for 3 more frames: less than a refill batch.
         pool.set_frame_limit(pool.total_frames() as u64 + 3);
         let mut held = vec![f];
@@ -1682,7 +1794,7 @@ mod tests {
     #[test]
     fn block_pressure_steals_remote_block() {
         let pool = numa_pool(2, 2);
-        let b = pool.alloc_block(0, BLOCK_ORDER); // homed node 0
+        let b = pool.try_alloc_block(0, BLOCK_ORDER).unwrap(); // homed node 0
         pool.free_block(0, b, BLOCK_ORDER); // node 0 block reservoir
         pool.set_frame_limit(pool.total_frames() as u64);
         let got = pool
@@ -1692,7 +1804,7 @@ mod tests {
         assert_eq!(pool.stats().remote_steals, 1);
         pool.free_block(1, got, BLOCK_ORDER);
         // With the reservoir empty too, block allocation fails typed.
-        let again = pool.alloc_block(1, BLOCK_ORDER); // reuses b via steal? no: node 1 target, steals again
+        let again = pool.try_alloc_block(1, BLOCK_ORDER).unwrap(); // reuses b via steal? no: node 1 target, steals again
         pool.free_block(1, again, BLOCK_ORDER);
         pool.set_frame_limit(0);
         // Drain both block reservoirs so nothing is stealable.
@@ -1707,7 +1819,7 @@ mod tests {
         use rvm_sync::failpoint::{self, Trigger};
         failpoint::disarm_all();
         let pool = FramePool::new(1);
-        let f = pool.alloc(0);
+        let f = pool.try_alloc(0).unwrap();
         pool.free(0, f);
         failpoint::arm(failpoint::FRAME_ALLOC, 0, Trigger::Nth(1));
         assert_eq!(
@@ -1731,7 +1843,9 @@ mod tests {
         use rvm_sync::failpoint::{self, Trigger};
         failpoint::disarm_all();
         let pool = numa_pool(2, 2);
-        let frames: Vec<Pfn> = (0..MAGAZINE_SIZE + 4).map(|_| pool.alloc(0)).collect();
+        let frames: Vec<Pfn> = (0..MAGAZINE_SIZE + 4)
+            .map(|_| pool.try_alloc(0).unwrap())
+            .collect();
         failpoint::arm(failpoint::MAGAZINE_FLUSH, 1, Trigger::EveryK(1));
         for &f in &frames {
             pool.free(1, f);
@@ -1740,7 +1854,7 @@ mod tests {
         assert_eq!(pool.magazine_len(1), MAGAZINE_SIZE + 4);
         assert_eq!(pool.stats().magazine_flushes, 0);
         failpoint::disarm_all();
-        pool.flush_magazine(1);
+        pool.flush_magazines();
         assert_eq!(pool.magazine_len(1), 0);
         assert_eq!(pool.reservoir_len(0), MAGAZINE_SIZE + 4);
         assert_eq!(pool.outstanding_frames(), 0);

@@ -73,8 +73,7 @@ fn main() {
     let st = machine.pool().stats();
     println!(
         "teardown: {} frames freed ({} fresh allocated in total)",
-        st.local_frees + st.remote_frees,
-        st.fresh
+        st.free_pages, st.fresh
     );
-    assert_eq!(st.local_frees + st.remote_frees, 18, "16 shared + 2 copies");
+    assert_eq!(st.free_pages, 18, "16 shared + 2 copies");
 }

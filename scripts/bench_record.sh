@@ -5,7 +5,7 @@
 #   BENCH_fastpath.json — single-core fault fast path: virtual-time cost
 #     of repeated same-block single-page faults (leaf hints on vs off),
 #     hint hit rate, and a wall-clock 1-core fault-fill loop.
-#   BENCH_scale.json    — multicore disjoint-ops sweep (Fig. 7): ops/sec
+#   BENCH_scale.json    — multicore disjoint-ops sweep (Fig. 5 local): ops/sec
 #     and per-core retention for every backend on 1..16 simulated cores,
 #     remote cache-line transfers and shootdown IPIs per op; the
 #     contended-range sweep (persistent shared mapping, periodic remap,

@@ -451,10 +451,6 @@ fn frames_return_to_pool_after_unmap() {
         vm.munmap(0, BASE, pages * PAGE_SIZE).unwrap();
         vm.quiesce();
         let st = machine.pool().stats();
-        assert_eq!(
-            st.local_frees + st.remote_frees,
-            pages,
-            "{kind}: frames leaked after munmap"
-        );
+        assert_eq!(st.free_pages, pages, "{kind}: frames leaked after munmap");
     }
 }

@@ -213,7 +213,7 @@ fn lagging_core_stalls_but_never_corrupts() {
     // Once the lagging cores tick, everything drains.
     vm.quiesce();
     let st = machine.pool().stats();
-    assert_eq!(st.local_frees + st.remote_frees, 200);
+    assert_eq!(st.free_pages, 200);
 }
 
 /// The leaf hint cache under adversarial churn: one core faults
@@ -329,7 +329,11 @@ fn leaf_hint_never_serves_freed_or_stale_nodes() {
 /// oracle's value, and no frame may leak.
 #[test]
 fn hint_riding_faults_survive_quiesce_and_refolds() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::time::{Duration, Instant};
     const HINT_BASE: u64 = 0x62_0000_0000; // 2 MiB aligned
+                                           // Fewer than the 64 eligible faults that trigger a promotion.
+    const FAULTS_PER_ROUND: u64 = 40;
     let oracle = |p: u64| 0xA000 + p;
     let machine = Machine::new(2);
     let vm = build(&machine, BackendKind::Radix);
@@ -352,16 +356,19 @@ fn hint_riding_faults_survive_quiesce_and_refolds() {
         }
     };
     sweep(&machine);
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let stop = Arc::new(AtomicBool::new(false));
+    // The faulter's completed faults, so the rounds can wait on progress
+    // instead of on wall time.
+    let faults = Arc::new(AtomicU64::new(0));
     let faulter = {
         let machine = machine.clone();
         let vm = vm.clone();
-        let stop = stop.clone();
+        let (stop, faults) = (stop.clone(), faults.clone());
         std::thread::spawn(move || {
             let mut x = 1u64;
-            let mut faults = 0u64;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(faults);
+            let mut n = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(n);
                 let p = (x >> 33) % BLOCK_PAGES;
                 // Drop the translation so the read is a (fill) fault.
                 machine.invalidate_local(1, vm.asid(), (HINT_BASE >> 12) + p, 1);
@@ -369,47 +376,68 @@ fn hint_riding_faults_survive_quiesce_and_refolds() {
                     .read_u64(1, &*vm, HINT_BASE + p * PAGE_SIZE)
                     .unwrap_or_else(|e| panic!("page {p} lost: {e}"));
                 assert_eq!(got, oracle(p), "page {p} corrupted");
-                faults += 1;
+                n += 1;
+                faults.store(n, Ordering::Relaxed);
             }
-            faults
         })
     };
+    let radix = vm
+        .as_any()
+        .downcast_ref::<RadixVm>()
+        .expect("Radix backend is a RadixVm");
+    // Waits until `done`, panicking with the state of the race if the
+    // faulter died or 30 s pass first.
+    let wait_for = |what: &str, done: &mut dyn FnMut() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !done() {
+            assert!(
+                !faulter.is_finished() && Instant::now() < deadline,
+                "{what}: the faulter made {} faults, {} hint hits, {} demotions, {} promotions",
+                faults.load(Ordering::Relaxed),
+                radix.tree_stats().hint_hits(),
+                vm.op_stats().superpage_demotions,
+                vm.op_stats().superpage_promotions,
+            );
+        }
+    };
     for round in 0..40u64 {
+        // Read before the demotion: the promotion that ends this round
+        // may land as soon as the block is demoted, before this thread
+        // runs again.
+        let promoted = vm.op_stats().superpage_promotions;
         // Demote: a partial mprotect expands the fold to a leaf, which
         // the faulter's hint then caches.
         vm.mprotect(0, HINT_BASE, 8 * PAGE_SIZE, Prot::READ)
             .unwrap();
         vm.mprotect(0, HINT_BASE, 8 * PAGE_SIZE, Prot::RW).unwrap();
+        // Let the faulter ride the leaf alone for FAULTS_PER_ROUND
+        // faults: nothing else touches core 1's hint slot meanwhile.
+        let target = faults.load(Ordering::Relaxed) + FAULTS_PER_ROUND;
+        wait_for("the faulter stalled", &mut || {
+            std::thread::yield_now();
+            faults.load(Ordering::Relaxed) >= target
+        });
         // Re-promote: the refold severs the hinted leaf. Every fourth
         // round this thread's sweep fills the promotion counter; in the
         // others the faulter's own hinted faults do, while this thread
         // keeps draining every core's Refcache state under it.
-        let promoted = vm.op_stats().superpage_promotions;
         if round % 4 == 0 {
             sweep(&machine);
         }
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while vm.op_stats().superpage_promotions == promoted {
+        wait_for("block never re-promoted", &mut || {
             vm.quiesce();
-            assert!(
-                std::time::Instant::now() < deadline,
-                "block never re-promoted"
-            );
-        }
+            vm.op_stats().superpage_promotions != promoted
+        });
     }
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let faults = faulter.join().unwrap();
-    assert!(faults > 0);
-    let radix = vm
-        .as_any()
-        .downcast_ref::<RadixVm>()
-        .expect("Radix backend is a RadixVm");
+    stop.store(true, Ordering::Relaxed);
+    faulter.join().unwrap();
     let ops = vm.op_stats();
     assert!(ops.superpage_demotions >= 1, "block never demoted");
     assert!(ops.superpage_promotions >= 1, "block never refolded");
-    // A demoted block takes 64 faults to re-promote, all but the first
-    // hinted. The sweeps account for 10 of the 40 rounds; the rest are
-    // the faulter's, each hit a guard that rode core 1's hint slot.
+    // Each wait above is FAULTS_PER_ROUND hinted faults but the first.
+    // In the rounds that follow one the faulter itself promoted (30 of
+    // the 40: all but those after a sweep round), its promotion counter
+    // starts from zero, so no refold cuts the wait short: 30 × 39 hits.
     assert!(
         radix.tree_stats().hint_hits() > 1000,
         "too few faults rode a hint"
@@ -426,7 +454,7 @@ fn hint_riding_faults_survive_quiesce_and_refolds() {
 
 /// Statistics bumped as single-mutator words under a per-core lock
 /// (`Exclusive` fields: TLB hits and misses under the core's TLB lock, the
-/// pool's page counts under its free list, Refcache's events under its
+/// pool's counters under its per-core lock, Refcache's events under its
 /// delta cache, hint hits and misses under its hint slot — DESIGN.md §5)
 /// lose no update when several threads act for one core at once. The
 /// owner core has four threads of its own (two mappers, a reader, and a
@@ -528,7 +556,7 @@ fn counters_stay_exact_when_foreign_threads_act_for_a_core() {
         counted.push(s.spawn(move || {
             start.wait();
             for _ in 0..CHURNER_OPS {
-                let pfn = machine.pool().alloc(OWNER);
+                let pfn = machine.pool().try_alloc(OWNER).unwrap();
                 machine.pool().free(OWNER, pfn);
             }
         }));
@@ -619,11 +647,8 @@ fn counters_stay_exact_when_foreign_threads_act_for_a_core() {
     let pool = machine.pool().stats();
     assert_eq!(pool.alloc_pages, pool.free_pages, "pages handed out");
     assert_eq!(machine.pool().outstanding_frames(), 0, "frames leaked");
-    // One node: every free is local, and on its node.
-    assert_eq!(
-        (pool.local_frees, pool.on_node_frees),
-        (pool.free_pages, pool.free_pages)
-    );
+    // One node: every free is on its node.
+    assert_eq!(pool.on_node_frees, pool.free_pages);
     // Every allocation that was not a reuse grew the pool by one batch.
     assert_eq!((pool.alloc_pages - pool.reused) * 64, pool.fresh);
 }

@@ -143,7 +143,7 @@ fn concurrent_demotion_loses_no_ptes() {
     let ops = vm.op_stats();
     assert!(ops.superpage_demotions >= 1, "demotion never happened");
     assert_eq!(
-        st.local_frees + st.remote_frees,
+        st.free_pages,
         // 512 block member frames (freed in one block) + one 4 KiB frame
         // per alloc-fault on the low pages.
         BLOCK_PAGES + (ops.faults_alloc - 1),
