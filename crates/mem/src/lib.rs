@@ -1045,6 +1045,8 @@ pub struct FramePin<'a>(&'a FrameSlot);
 
 impl Drop for FramePin<'_> {
     fn drop(&mut self) {
+        // Release, paired with `take_back`'s Acquire load: the access
+        // happens before the free poisons or reuses the payload.
         self.0.pins.fetch_sub(1, Ordering::Release);
     }
 }
