@@ -9,6 +9,11 @@
 //! drops to zero is placed on the detecting core's review queue and freed
 //! only after its count has provably remained zero for an entire epoch
 //! (re-checked two epoch boundaries later, with *dirty zeros* re-queued).
+//! One zero skips the wait: a table-embedded cell's, applied by the only
+//! core that ever added to it, which no other core's cache can revive
+//! (the last point below) — biased reference counting (Choi et al.,
+//! PACT 2018) on the delta caches. A frame thus comes back at its own
+//! core's next tick, whether or not the other cores tick.
 //!
 //! Space is proportional to objects **plus** cores, not objects **times**
 //! cores — the property that makes per-physical-page reference counting
@@ -50,8 +55,26 @@
 //!   object.
 //!
 //! Hence when review finally frees, no cached delta for the object exists
-//! anywhere. Unit and stress tests exercise these races; see also the
-//! proptest model comparing against an exact counter.
+//! anywhere.
+//!
+//! * A slot-backed cell records its **adders**, the cores that added
+//!   references to it since [`Refcache::activate`], each under the
+//!   cell's state lock before its delta enters the core's cache. Let `T`
+//!   be the true count and `G` the global one: `T = G + Σ deltas` (cached
+//!   or being flushed) and `T ≥ 0`. When `evict` applies core `c`'s
+//!   delta and `G` reaches zero while the adders are none or `c` alone,
+//!   `c`'s whole delta is applied (a cache holds one way per object),
+//!   and no other core holds a positive delta, since its core would be
+//!   an adder and `evict` reads the adders under the lock that recorded
+//!   them. So `T ≤ 0`, hence `T = 0` and every other delta is zero. A
+//!   new reference needs a live one and cells have no `tryget`, so
+//!   nothing revives the cell, and no cache keeps a non-zero delta for
+//!   an address that may be re-activated: `evict` releases the cell at
+//!   once. Any other zero — a boxed object's, a cell's with a foreign
+//!   adder, one already on review — takes the two-epoch path above.
+//!
+//! Unit and stress tests exercise these races; see also the proptest
+//! model comparing against an exact counter.
 //!
 //! [Clements et al., EuroSys 2013]: https://pdos.csail.mit.edu/papers/radixvm:eurosys13.pdf
 
@@ -97,14 +120,14 @@ const EMPTY_SLOT: Slot = Slot { obj: 0, delta: 0 };
 
 /// 4 KiB pages a core may surrender ([`Refcache::surrender`]) between two
 /// flushes of its delta cache before the answer asks its caller for a
-/// tick: **one superpage**. The two-epoch clock of surrendered memory
-/// only starts at the core's next flush, so this is what a core can sit
-/// on with no clock running, whatever its caller's timer does. One
-/// superpage because that is the unit a single operation can give up: a
-/// workload that unmaps 2 MiB per op ticks once per op and has a block
-/// back after two or three, while 4 KiB workloads (128 pages between
-/// their own ticks) never reach it and pay nothing. Larger costs the
-/// bound in proportion and buys no time back (DESIGN.md §8: two
+/// tick: **one superpage**. Surrendered memory is released, or starts
+/// its two-epoch clock, only at the core's next flush, so this is what a
+/// core can sit on with no clock running, whatever its caller's timer
+/// does. One superpage because that is the unit a single operation can
+/// give up: a workload that unmaps 2 MiB per op ticks once per op and
+/// has a block back at its own tick, while 4 KiB workloads (128 pages
+/// between their own ticks) never reach it and pay nothing. Larger costs
+/// the bound in proportion and buys no time back (DESIGN.md §8: two
 /// superpages read twice the benchmark's footprint, four read five
 /// times). A constant: no caller has a reason for another value.
 pub const EXPEDITE_PAGES: u64 = 512;
@@ -120,10 +143,12 @@ struct CoreCache {
     /// outgrows the capacity of one index per way it is created with.
     occupied: Vec<u32>,
     review: VecDeque<(usize, u64)>,
-    /// The list a [`Refcache::review`] pass collects the objects it
-    /// frees in (header addresses, like `review`'s): taken out for the
-    /// pass (the frees run with the core unlocked) and put back empty, so
-    /// a tick that frees a hundred frames grows no fresh list.
+    /// The objects the next [`Refcache::review`] pass frees (header
+    /// addresses, like `review`'s): the cells `evict` released at once,
+    /// then what the pass itself confirms. Taken out for the pass (the
+    /// frees run with the core unlocked) and put back empty unless a
+    /// flush queued more meanwhile, so a tick that frees a hundred frames
+    /// grows no fresh list.
     to_free: Vec<usize>,
     local_epoch: u64,
     /// 4 KiB pages of memory behind the references this core has
@@ -156,8 +181,9 @@ sharded_stats! {
         slot_activates: Shared,
         /// Table-embedded cells whose zero-count action ran (true-zero
         /// confirmed) — the slot-backed analogue of `frees`. Counted
-        /// where `review` decides the release, not where it runs after
-        /// the lock dropped.
+        /// where the release is decided (in `review`, or in the `evict`
+        /// of a cell's only adder), not where it runs after the lock
+        /// dropped.
         slot_releases: Exclusive<CoreCache>,
         /// Of `flushes`, those of a [`Refcache::expedite`] tick: run by a
         /// [`Refcache::surrender`] caller because of the memory its core
@@ -196,6 +222,14 @@ pub struct Refcache {
     /// simulator-instrumented, so the common no-hook case stays free).
     hook_count: AtomicU64,
     next_hook_id: AtomicU64,
+    /// [`Refcache::review`] passes running their frees with the core
+    /// unlocked, which [`Refcache::quiesce`] waits out: a pass another
+    /// thread runs for a core may hold frees the quiescer's own passes
+    /// never saw. A pass counts itself under the core lock, before it
+    /// unlocks, and its `Release` decrement after the frees pairs with
+    /// `quiesce`'s `Acquire` load, so a zero read means those frees are
+    /// done. Std atomic, like `hook_count`: not instrumented.
+    releasing: AtomicUsize,
     stats: RefcacheCells,
 }
 
@@ -223,6 +257,7 @@ impl Refcache {
             hooks: RwLock::new(Vec::new()),
             hook_count: AtomicU64::new(0),
             next_hook_id: AtomicU64::new(1),
+            releasing: AtomicUsize::new(0),
             stats: RefcacheCells::new(ncores),
         }
     }
@@ -305,11 +340,7 @@ impl Refcache {
         sim::charge_alloc();
         let boxed = Box::new(RcBox {
             hdr: Header {
-                state: SpinLock::new(ObjState {
-                    refcnt: init_count,
-                    dirty: false,
-                    on_review: false,
-                }),
+                state: SpinLock::new(ObjState::new(init_count)),
                 weak: AtomicUsize::new(0),
                 drop_fn: drop_impl::<T>,
                 slot_backed: false,
@@ -344,6 +375,23 @@ impl Refcache {
     /// to `obj` already (or to have just obtained the pointer via
     /// [`Refcache::tryget`]); a negative one surrenders that many.
     pub fn adjust<P: Counted>(&self, core: usize, obj: P, delta: i64) {
+        if P::SLOT_BACKED && delta > 0 {
+            // Recorded before the delta enters the cache, so an evict
+            // that finds no adder but its own core knows no other cache
+            // holds a positive delta for the cell (module docs).
+            // SAFETY: the caller holds a reference, so the cell's table
+            // is live and `count_addr` points at its header.
+            let hdr = unsafe { &*(obj.count_addr() as *const Header) };
+            let mut st = hdr.state.lock();
+            let me = core as u16 + 1;
+            if st.adders != me {
+                st.adders = if st.adders == 0 {
+                    me
+                } else {
+                    ObjState::SEVERAL
+                };
+            }
+        }
         let mut cc = self.cores[core].lock();
         self.adjust_locked(&mut cc, core, obj.count_addr(), delta);
     }
@@ -365,7 +413,7 @@ impl Refcache {
                 let epoch = self.epoch();
                 // SAFETY: a cached delta implies the object has not been
                 // freed (see the module-level freeing-safety argument).
-                unsafe { self.evict(cc, slot.obj, slot.delta, epoch) };
+                unsafe { self.evict(cc, core, slot.obj, slot.delta, epoch) };
             }
         }
         cc.slots[idx] = Slot { obj: key, delta };
@@ -430,10 +478,14 @@ impl Refcache {
         debug_assert_eq!(st.refcnt, 0, "activated a cell with live count");
         st.refcnt = init_count;
         st.dirty = false;
+        st.adders = 0;
     }
 
-    /// Applies a cached delta to the object's global count (the paper's
-    /// `evict`). Queues the object for review when the count reaches zero.
+    /// Applies `core`'s whole cached delta for an object to its global
+    /// count (the paper's `evict`). Queues the object for review when the
+    /// count reaches zero — or, for a slot-backed cell whose only adder
+    /// is `core` (or that has none), releases it at `core`'s next
+    /// [`Refcache::review`]: that zero is final (module docs).
     ///
     /// Called with the core lock held; takes the object lock (lock order:
     /// core → object).
@@ -441,24 +493,42 @@ impl Refcache {
     /// # Safety
     ///
     /// `obj_addr` must point to a live managed object's header.
-    unsafe fn evict(&self, cc: &mut CoreCache, obj_addr: usize, delta: i64, epoch: u64) {
+    unsafe fn evict(
+        &self,
+        cc: &mut CoreCache,
+        core: usize,
+        obj_addr: usize,
+        delta: i64,
+        epoch: u64,
+    ) {
         let hdr = &*(obj_addr as *const Header);
         let mut st = hdr.state.lock();
         st.refcnt += delta;
         if st.refcnt == 0 {
             if !st.on_review {
                 st.dirty = false;
-                st.on_review = true;
-                // Mark the weak reference dying so tryget must revive.
-                let weak = hdr.weak.load(Ordering::Acquire);
-                if weak != 0 {
-                    // SAFETY: the weak word outlives the object (it is a
-                    // slot in a parent structure kept alive by this child;
-                    // see `register_weak`).
-                    weak::set_dying(&*(weak as *const Atomic64));
+                if hdr.slot_backed && (st.adders == 0 || st.adders == core as u16 + 1) {
+                    // No other core ever added: a final zero (module
+                    // docs). The cell is dormant from this hold on, as
+                    // from review's; its action runs at the core's next
+                    // review, with no lock held.
+                    drop(st);
+                    self.stats
+                        .add_held(core, RefcacheStats::slot_releases, cc, 1);
+                    cc.to_free.push(obj_addr);
+                } else {
+                    st.on_review = true;
+                    // Mark the weak reference dying so tryget must revive.
+                    let weak = hdr.weak.load(Ordering::Acquire);
+                    if weak != 0 {
+                        // SAFETY: the weak word outlives the object (it is
+                        // a slot in a parent structure kept alive by this
+                        // child; see `register_weak`).
+                        weak::set_dying(&*(weak as *const Atomic64));
+                    }
+                    drop(st);
+                    cc.review.push_back((obj_addr, epoch));
                 }
-                drop(st);
-                cc.review.push_back((obj_addr, epoch));
             }
             // Already under review: leave `dirty` as is — an earlier
             // non-zero excursion was recorded there.
@@ -503,7 +573,7 @@ impl Refcache {
             let slot = std::mem::replace(&mut cc.slots[i as usize], EMPTY_SLOT);
             if slot.delta != 0 {
                 // SAFETY: cached deltas imply liveness (module docs).
-                unsafe { self.evict(&mut cc, slot.obj, slot.delta, epoch) };
+                unsafe { self.evict(&mut cc, core, slot.obj, slot.delta, epoch) };
             }
         }
         occupied.clear();
@@ -521,7 +591,9 @@ impl Refcache {
 
     /// Processes `core`'s review queue (the paper's `review`): frees
     /// objects whose count has provably been zero for a full epoch,
-    /// re-queues dirty zeros, and un-marks objects that came back.
+    /// re-queues dirty zeros, and un-marks objects that came back. Runs
+    /// the zero-count actions of the cells the core's flushes released
+    /// at once as well.
     pub fn review(&self, core: usize) {
         let mut to_free = {
             let mut cc = self.cores[core].lock();
@@ -604,22 +676,38 @@ impl Refcache {
                 cc.to_free = to_free;
                 return;
             }
+            // Counted before the core unlocks, so a quiesce that takes the
+            // lock after this pass did also sees it running.
+            self.releasing.fetch_add(1, Ordering::Relaxed);
             to_free
         };
+        // Uncounted when the pass ends, also by a panicking action: a
+        // count left behind would hang every later quiesce.
+        struct Running<'a>(&'a AtomicUsize);
+        impl Drop for Running<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::Release);
+            }
+        }
+        let _running = Running(&self.releasing);
         // Perform frees outside the per-core lock: `on_release` may
         // re-enter the cache (e.g. dec of a parent node).
         let ctx = ReleaseCtx { cache: self, core };
         for obj_addr in to_free.drain(..) {
             let hdr = obj_addr as *mut Header;
-            // SAFETY: a live header (objects on a review queue stay alive
-            // until the pass that decides their fate); review confirmed a
-            // clean true zero and cleared the weak reference, so this is
-            // the sole owner; `drop_fn` matches the storage's payload
-            // type by construction.
+            // SAFETY: a live header (objects on a review queue or this
+            // list stay alive until their action runs); review, or the
+            // only adder's evict, confirmed a clean true zero with no
+            // weak reference left, so this is the sole owner; `drop_fn`
+            // matches the storage's payload type by construction.
             unsafe { ((*hdr).drop_fn)(hdr, &ctx) };
         }
-        // Give the (empty) list back for the next pass.
-        self.cores[core].lock().to_free = to_free;
+        // Give the (empty) list back for the next pass, unless a flush
+        // for this core queued releases in the meantime: those stay.
+        let mut cc = self.cores[core].lock();
+        if cc.to_free.is_empty() {
+            cc.to_free = to_free;
+        }
     }
 
     /// Periodic per-core maintenance: flush then review. Call this
@@ -640,8 +728,9 @@ impl Refcache {
     }
 
     /// Runs enough maintenance rounds on all cores to flush every delta
-    /// and free every unreferenced object. Intended for tests and orderly
-    /// shutdown.
+    /// and free every unreferenced object, and returns once the frees of
+    /// passes other threads run meanwhile are done too. Intended for
+    /// tests and orderly shutdown.
     pub fn quiesce(&self) {
         // Each full sweep over all cores advances the epoch at least once;
         // run enough sweeps for queue→review→(dirty requeue)→review.
@@ -650,6 +739,9 @@ impl Refcache {
             for c in 0..self.ncores {
                 self.maintain(c);
             }
+        }
+        while self.releasing.load(Ordering::Acquire) != 0 {
+            std::thread::yield_now();
         }
     }
 

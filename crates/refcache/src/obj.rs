@@ -42,6 +42,27 @@ pub(crate) struct ObjState {
     pub(crate) dirty: bool,
     /// True while the object is on some core's review queue.
     pub(crate) on_review: bool,
+    /// The cores that added references to a slot-backed cell since it
+    /// was activated: 0 for none, `c + 1` for core `c` alone,
+    /// [`ObjState::SEVERAL`] for more than one. A zero a cell's only
+    /// adder applies is final (module docs in [`crate`]). Boxed objects
+    /// never record.
+    pub(crate) adders: u16,
+}
+
+impl ObjState {
+    /// [`ObjState::adders`] once two cores have added.
+    pub(crate) const SEVERAL: u16 = u16::MAX;
+
+    /// A state with count `refcnt`, off review, clean, with no adders.
+    pub(crate) const fn new(refcnt: i64) -> Self {
+        ObjState {
+            refcnt,
+            dirty: false,
+            on_review: false,
+            adders: 0,
+        }
+    }
 }
 
 /// Header shared by all Refcache-counted locations — the storage-
@@ -76,6 +97,12 @@ pub struct Header {
 /// `inc`/`dec` and the whole delta-cache/epoch/review machinery work on
 /// either storage.
 pub trait Counted: Copy {
+    /// Whether the count is a table-embedded cell, whose positive
+    /// adjustments record their core (internal plumbing: boxed objects
+    /// neither read the header nor take its lock in `adjust`).
+    #[doc(hidden)]
+    const SLOT_BACKED: bool = false;
+
     /// Address of the location's count [`Header`] (internal plumbing;
     /// stable for the object's lifetime).
     #[doc(hidden)]
@@ -220,11 +247,7 @@ mod tests {
         assert_eq!(std::mem::align_of::<RcBox<u64>>(), 16);
         let b = RcBox {
             hdr: Header {
-                state: SpinLock::new(ObjState {
-                    refcnt: 0,
-                    dirty: false,
-                    on_review: false,
-                }),
+                state: SpinLock::new(ObjState::new(0)),
                 weak: AtomicUsize::new(0),
                 drop_fn: |_, _| (),
                 slot_backed: false,

@@ -19,21 +19,27 @@
 //!
 //! * **Birth**: [`crate::Refcache::activate`] arms a dormant cell with
 //!   an initial count — no allocation, no `alloc_ns` charge.
-//! * **Death**: when review confirms a true zero, the cell's payload
-//!   action ([`SlotManaged::on_zero`]) runs — for a frame slot, the
-//!   frame returns to the pool — and the cell resets to dormant. No
-//!   memory is freed; the same cell is re-activated when the table
-//!   entry's resource is reused.
+//! * **Death**: when the count is a true zero the cell resets to dormant
+//!   and its payload action ([`SlotManaged::on_zero`]) runs at the next
+//!   review — for a frame slot, the frame returns to the pool. A zero
+//!   applied by the cell's only adder (the only core that added
+//!   references to it since activation) is true at once, so a frame
+//!   comes back at its own core's next tick; any other zero is confirmed
+//!   by review two epochs later, as a boxed object's is. No memory is
+//!   freed; the same cell is re-activated when the table entry's
+//!   resource is reused.
 //! * **No weak references**: table entries are revived by re-activation
 //!   (the resource allocator hands them out again), not `tryget`.
 //!
 //! The freeing-safety argument of the module docs in [`crate`] carries
 //! over verbatim — it only ever reasons about header addresses, and a
 //! table cell's address is even more stable than a box's (the table
-//! outlives every activation). Re-activation after a zero-action is
-//! sound for the same reason malloc reusing a freed box's address is:
-//! review only runs the action when provably no core caches a delta for
-//! the address, and the next activation starts the count from scratch.
+//! outlives every activation) — and its last point is what lets a cell
+//! skip the wait. Re-activation after a zero-action is sound for the
+//! same reason malloc reusing a freed box's address is: the action only
+//! runs when provably no core caches a non-zero delta for the address,
+//! and the next activation starts the count, and the adders, from
+//! scratch.
 
 use std::ptr::NonNull;
 use std::sync::atomic::AtomicUsize;
@@ -73,11 +79,7 @@ impl<T: SlotManaged> CountSlot<T> {
     pub fn new(obj: T) -> Self {
         CountSlot {
             hdr: Header {
-                state: SpinLock::new(ObjState {
-                    refcnt: 0,
-                    dirty: false,
-                    on_review: false,
-                }),
+                state: SpinLock::new(ObjState::new(0)),
                 weak: AtomicUsize::new(0),
                 drop_fn: slot_drop_impl::<T>,
                 slot_backed: true,
@@ -162,6 +164,8 @@ impl<T: SlotManaged> SlotPtr<T> {
 }
 
 impl<T: SlotManaged> Counted for SlotPtr<T> {
+    const SLOT_BACKED: bool = true;
+
     #[inline]
     fn count_addr(self) -> usize {
         // `CountSlot` is `repr(C)` with the header first.
@@ -170,8 +174,9 @@ impl<T: SlotManaged> Counted for SlotPtr<T> {
 }
 
 /// Type-erased zero-count action for slot-backed cells: run the payload
-/// action. [`crate::Refcache::review`] already reset the cell to dormant,
-/// under the state lock it confirmed the zero with — *before* this runs,
+/// action. The cell was already reset to dormant, under the state lock
+/// its zero was confirmed with (by review, or by the only adder's
+/// evict) — *before* this runs,
 /// so that the action (which typically returns a resource to an
 /// allocator) publishes a cell that is immediately re-activatable.
 ///
@@ -271,6 +276,143 @@ mod tests {
         rc.quiesce();
         assert_eq!(hits.load(Ordering::SeqCst), 1);
         assert!(rc.stats().revivals >= 1, "false zero must revive");
+    }
+
+    #[test]
+    fn only_adders_first_maintain_releases_the_cell() {
+        // Core 1 never ticks, so no epoch passes: only the sole-adder
+        // rule can release the cell.
+        let rc = Refcache::new(2);
+        let (slot, hits) = cell();
+        rc.activate(0, slot.handle(), 1);
+        rc.inc(0, slot.handle());
+        rc.adjust(0, slot.handle(), -2);
+        assert_eq!(rc.live_slots(), 1, "nothing before the tick");
+        let epoch = rc.epoch();
+        rc.maintain(0);
+        assert_eq!(rc.epoch(), epoch, "core 1 never flushed");
+        assert_eq!(rc.live_slots(), 0);
+        assert_eq!(hits.load(Ordering::SeqCst), 1);
+        // A cell nobody added to is released by whichever core applies
+        // its zero.
+        rc.activate(0, slot.handle(), 1);
+        rc.dec(1, slot.handle());
+        rc.maintain(1);
+        assert_eq!(hits.load(Ordering::SeqCst), 2);
+        assert_eq!(rc.live_slots(), 0);
+    }
+
+    #[test]
+    fn a_foreign_adder_keeps_the_cell_on_review_for_two_epochs() {
+        let rc = Refcache::new(2);
+        let (slot, hits) = cell();
+        rc.activate(0, slot.handle(), 1);
+        rc.inc(1, slot.handle());
+        rc.dec(1, slot.handle());
+        rc.dec(0, slot.handle());
+        rc.maintain(1); // a net zero delta: nothing applied
+        let queued = rc.epoch();
+        rc.maintain(0); // global zero, but core 1 added: review
+        for _ in 0..4 {
+            rc.maintain(0);
+        }
+        assert_eq!(rc.epoch(), queued + 1, "core 1 has not flushed again");
+        assert_eq!(hits.load(Ordering::SeqCst), 0, "released before two epochs");
+        rc.maintain(1);
+        rc.maintain(0);
+        assert_eq!(rc.epoch(), queued + 2);
+        assert_eq!(hits.load(Ordering::SeqCst), 1);
+        assert_eq!(rc.live_slots(), 0);
+    }
+
+    #[test]
+    fn a_sweeper_flushing_for_the_adder_releases_the_cell() {
+        let rc = Arc::new(Refcache::new(2));
+        let (slot, hits) = cell();
+        rc.activate(0, slot.handle(), 1);
+        rc.inc(0, slot.handle());
+        rc.adjust(0, slot.handle(), -2);
+        let sweeper = rc.clone();
+        std::thread::spawn(move || sweeper.flush(0)).join().unwrap();
+        assert_eq!(rc.live_slots(), 0, "decided at the sweeper's flush");
+        assert_eq!(hits.load(Ordering::SeqCst), 0, "run at the next review");
+        let sweeper = rc.clone();
+        std::thread::spawn(move || sweeper.review(0))
+            .join()
+            .unwrap();
+        assert_eq!(hits.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_conflict_eviction_releases_the_cell_too() {
+        let rc = Refcache::with_cache_slots(1, 1);
+        let (a, a_hits) = cell();
+        let (b, _) = cell();
+        rc.activate(0, a.handle(), 1);
+        rc.activate(0, b.handle(), 1);
+        rc.dec(0, a.handle());
+        rc.inc(0, b.handle()); // evicts a's delta: a true zero
+        assert_eq!(rc.live_slots(), 1);
+        rc.review(0);
+        assert_eq!(a_hits.load(Ordering::SeqCst), 1);
+        rc.adjust(0, b.handle(), -2);
+        rc.quiesce();
+        assert_eq!(rc.live_slots(), 0);
+    }
+
+    #[test]
+    fn adders_reset_at_reactivation() {
+        let rc = Refcache::new(2);
+        let (slot, hits) = cell();
+        rc.activate(0, slot.handle(), 1);
+        rc.inc(1, slot.handle());
+        rc.dec(1, slot.handle());
+        rc.dec(0, slot.handle());
+        rc.maintain(0);
+        assert_eq!(hits.load(Ordering::SeqCst), 0, "core 1 added");
+        rc.quiesce();
+        assert_eq!(hits.load(Ordering::SeqCst), 1);
+        // The next activation starts with no adders: core 0's tick
+        // releases it although core 1 added to the last one.
+        rc.activate(0, slot.handle(), 1);
+        rc.dec(0, slot.handle());
+        rc.maintain(0);
+        assert_eq!(hits.load(Ordering::SeqCst), 2);
+    }
+
+    /// A zero action that, once, gives up the last reference to another
+    /// cell and flushes its core: a release queued while the review pass
+    /// that runs this action has its list out.
+    struct DropsAnother {
+        other: SlotPtr<Zeroed>,
+        armed: std::sync::atomic::AtomicBool,
+    }
+
+    impl SlotManaged for DropsAnother {
+        fn on_zero(&self, ctx: &ReleaseCtx<'_>) {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                ctx.cache.dec(ctx.core, self.other);
+                ctx.cache.flush(ctx.core);
+            }
+        }
+    }
+
+    #[test]
+    fn a_release_queued_during_a_pass_outlives_the_pass() {
+        let rc = Refcache::new(1);
+        let (other, hits) = cell();
+        let first = CountSlot::new(DropsAnother {
+            other: other.handle(),
+            armed: true.into(),
+        });
+        rc.activate(0, first.handle(), 1);
+        rc.activate(0, other.handle(), 1);
+        rc.dec(0, first.handle());
+        rc.maintain(0); // runs `first`'s action, which queues `other`
+        assert_eq!(rc.live_slots(), 0);
+        assert_eq!(hits.load(Ordering::SeqCst), 0, "not run in that pass");
+        rc.review(0);
+        assert_eq!(hits.load(Ordering::SeqCst), 1, "the release was lost");
     }
 
     #[test]
