@@ -258,5 +258,7 @@ mod tests {
         let hdr = &b.hdr as *const _ as usize;
         assert_eq!(base, hdr);
         assert_eq!(base % 16, 0);
+        // `adders` sits in what was padding: a header is no bigger.
+        assert_eq!(std::mem::size_of::<ObjState>(), 16);
     }
 }

@@ -380,20 +380,17 @@ mod tests {
         assert_eq!(hits.load(Ordering::SeqCst), 2);
     }
 
-    /// A zero action that, once, gives up the last reference to another
-    /// cell and flushes its core: a release queued while the review pass
-    /// that runs this action has its list out.
+    /// A zero action that gives up the last reference to another cell
+    /// and flushes its core: a release queued while the review pass that
+    /// runs this action has its list out.
     struct DropsAnother {
         other: SlotPtr<Zeroed>,
-        armed: std::sync::atomic::AtomicBool,
     }
 
     impl SlotManaged for DropsAnother {
         fn on_zero(&self, ctx: &ReleaseCtx<'_>) {
-            if self.armed.swap(false, Ordering::SeqCst) {
-                ctx.cache.dec(ctx.core, self.other);
-                ctx.cache.flush(ctx.core);
-            }
+            ctx.cache.dec(ctx.core, self.other);
+            ctx.cache.flush(ctx.core);
         }
     }
 
@@ -403,7 +400,6 @@ mod tests {
         let (other, hits) = cell();
         let first = CountSlot::new(DropsAnother {
             other: other.handle(),
-            armed: true.into(),
         });
         rc.activate(0, first.handle(), 1);
         rc.activate(0, other.handle(), 1);
