@@ -565,9 +565,11 @@ impl VmSystem for RadixVm {
         drop(guard);
         if self.release_frames(core, &removed) {
             // The core has unmapped a superpage's worth since its last
-            // flush: start that memory's two-epoch clock now, not at the
-            // caller's next tick. After the guard, so no hint-riding
-            // guard of this op is alive (DESIGN.md §5, §8).
+            // flush: tick now, not at the caller's next tick. A frame
+            // only this core added references to comes back at this
+            // tick; the rest starts its two-epoch clock. After the guard,
+            // so no hint-riding guard of this op is alive (DESIGN.md §5,
+            // §8).
             self.cache.expedite(core);
         }
         Ok(())

@@ -933,6 +933,109 @@ mod tests {
     }
 
     #[test]
+    fn a_get_that_misses_installs_the_hint() {
+        let t = blocks_tree(2);
+        let misses = t.stats().hint_misses();
+        assert_eq!(t.get(0, block(0) + 7), Some(0));
+        assert_eq!(t.stats().hint_misses(), misses + 1);
+        assert_eq!(t.hinted_blocks(0), [block(0)], "the walk cached its leaf");
+        let hits = t.stats().hint_hits();
+        assert_eq!(t.get(0, block(0) + 8), Some(0));
+        assert_eq!(t.stats().hint_hits(), hits + 1, "the next get rides it");
+        // A miss that ends at an empty slot caches nothing.
+        assert_eq!(t.get(0, block(2) + 7), None);
+        assert_eq!(t.hinted_blocks(0), [block(0)]);
+    }
+
+    /// A `get` that pinned a leaf which a refold then severs finds the
+    /// page in the parent slot's fold: core 1 holds every slot of the
+    /// leaf while core 0's `get` pins it and waits at its slot lock, then
+    /// refolds the block with a new value.
+    #[test]
+    fn a_get_that_meets_a_severed_leaf_answers_from_the_fold() {
+        let t = tree(2);
+        let start = block(4);
+        t.lock_range(0, start, start + 512, LockMode::ExpandAll)
+            .replace(&0);
+        for round in 1..=8u64 {
+            // Demote: a partial op expands the fold into a leaf.
+            drop(t.lock_range(1, start + 3, start + 4, LockMode::ExpandFolded));
+            let mut whole = t.lock_range(1, start, start + 512, LockMode::ExpandFolded);
+            std::thread::scope(|s| {
+                let reader = s.spawn(|| t.get(0, start + 5));
+                // Long enough for the reader to pin the leaf and spin.
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                whole.refold(round).expect("refolds");
+                drop(whole);
+                assert_eq!(reader.join().unwrap(), Some(round), "round {round}");
+            });
+            t.cache().maintain(0);
+            t.cache().maintain(1);
+        }
+        assert!(t.hinted_blocks(0).is_empty(), "no leaf to cache");
+        t.cache().quiesce();
+        assert_eq!(t.stats().leaf_nodes(), 0, "every severed leaf freed");
+    }
+
+    /// Demotions and refolds of one block on core 1 race `collect_range`
+    /// over it on core 0. Each refold severs the leaf a walk may be in
+    /// the middle of; the walk goes on from the first page it has not
+    /// reported, so every page of the mapping comes back exactly once,
+    /// in order, with a value it had while the walk ran. Each refold
+    /// folds a new value, so a walk that met a sever past the leaf's
+    /// first page reports two values: the rounds go on until one has.
+    #[test]
+    fn collect_range_racing_refolds_reports_each_page_once() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        let t = tree(2);
+        let start = block(6);
+        t.lock_range(0, start, start + 512, LockMode::ExpandAll)
+            .replace(&0);
+        // The last round whose refold completed, and whether a walk has
+        // reported pages from both sides of a sever.
+        let (folded, mixed) = (AtomicU64::new(0), AtomicBool::new(false));
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut round = 0;
+                while round < 100 || !mixed.load(Ordering::Acquire) {
+                    if std::time::Instant::now() > deadline {
+                        break;
+                    }
+                    round += 1;
+                    drop(t.lock_range(1, start + 3, start + 4, LockMode::ExpandFolded));
+                    t.lock_range(1, start, start + 512, LockMode::ExpandFolded)
+                        .refold(round)
+                        .expect("refolds");
+                    folded.store(round, Ordering::Release);
+                    t.cache().maintain(1);
+                }
+                folded.store(u64::MAX, Ordering::Release);
+            });
+            while folded.load(Ordering::Acquire) != u64::MAX {
+                let before = folded.load(Ordering::Acquire);
+                let walk = t.collect_range(0, start - 2, start + 514);
+                let after = folded.load(Ordering::Acquire);
+                let vpns: Vec<Vpn> = walk.iter().map(|&(vpn, _)| vpn).collect();
+                assert_eq!(vpns, (start..start + 512).collect::<Vec<_>>());
+                assert!(walk.windows(2).all(|w| w[0].1 <= w[1].1), "{walk:?}");
+                let (first, last) = (walk[0].1, walk[511].1);
+                assert!(before <= first && last <= after.saturating_add(1));
+                if first != last {
+                    mixed.store(true, Ordering::Release);
+                }
+                t.cache().maintain(0);
+            }
+        });
+        assert!(
+            mixed.load(Ordering::Acquire),
+            "no walk met a sever mid-leaf"
+        );
+        t.cache().quiesce();
+        assert_eq!(t.stats().leaf_nodes(), 0, "every severed leaf freed");
+    }
+
+    #[test]
     fn warm_hinted_lock_unlock_line_events_are_pinned() {
         // The hinted single-page lock/unlock touches five instrumented
         // lines, all core-local: the hint slot lock (1 write), the leaf

@@ -22,6 +22,19 @@
 //! born held (created atomically with the node, before it is published),
 //! so they add no waiting edges.
 //!
+//! # Reading and editing locked slots
+//!
+//! A slot's value is read or changed in one place: `Held`, a leaf page
+//! or interior slot whose maker holds its lock for as long as the entry
+//! lives. Every [`RangeGuard`] method that reads or edits values
+//! iterates the guard's held slots, and the one read walk behind
+//! [`RadixTree::get`] and [`RadixTree::collect_range`] makes an entry
+//! inside each brief slot lock it takes. That walk pins one node per
+//! level and, when a refold severs the leaf it is reading, goes on from
+//! the first page it has not reported, in the parent slot's fold.
+//! [`RadixTree::lookup_present`], Figure 7's lock-free lookup, keeps a
+//! walk of its own that walks hand-over-hand with at most one pin.
+//!
 //! # The fault fast path (DESIGN.md §5)
 //!
 //! Single-page operations — the page-fault pattern the paper's Figure 5
@@ -54,7 +67,7 @@ use rvm_refcache::weak::LOCK_BIT;
 use rvm_refcache::{RcPtr, Refcache};
 use rvm_sync::atomic::Ordering;
 use rvm_sync::{
-    CachePadded, InlineVec, RangeLock, RangeLockKind, RangeToken, SpinLock, SpinLockGuard,
+    Atomic64, CachePadded, InlineVec, RangeLock, RangeLockKind, RangeToken, SpinLock, SpinLockGuard,
 };
 
 use crate::node::{
@@ -189,6 +202,19 @@ enum Unit<V: Send + Sync + 'static> {
     WholeNode { node: RcPtr<Node<V>> },
 }
 
+impl<V: Send + Sync + 'static> Unit<V> {
+    /// The node this unit locked slots of, and which slots.
+    fn slots(&self) -> (RcPtr<Node<V>>, std::ops::Range<usize>) {
+        match *self {
+            Unit::LeafRange {
+                node, first, end, ..
+            } => (node, first..end),
+            Unit::Block { node, idx, .. } => (node, idx..idx + 1),
+            Unit::WholeNode { node } => (node, 0..FANOUT),
+        }
+    }
+}
+
 /// Dereferences a tree node pointer.
 ///
 /// SAFETY-CONTRACT: every `RcPtr<Node<V>>` the tree manipulates is kept
@@ -204,6 +230,148 @@ fn nref<'a, V: Send + Sync + 'static>(p: RcPtr<Node<V>>) -> &'a Node<V> {
     // SAFETY: see the contract above; all call sites hold one of the
     // listed references across the borrow.
     unsafe { p.as_ref() }
+}
+
+/// One slot its holder has locked: a leaf page, or an interior slot
+/// standing for a block (empty or folded). [`RangeGuard::held`] yields
+/// one for each slot a guard holds; [`RadixTree::walk`] makes one inside
+/// each of its brief slot locks.
+///
+/// This type is where the file dereferences a slot's value — a page's
+/// value cell, or a fold's box — and the argument is the same for both:
+/// whoever makes a `Held` holds the slot's lock for all of `'g`. A
+/// guard's entries borrow the guard mutably, and the guard unlocks only
+/// when it drops; a walk's entry does not outlive its lock. A value
+/// changes only under its slot's lock, so the holder is its only reader
+/// and writer. Each method loads the slot's word once and never waits.
+enum Held<'g, V: Send + Sync + 'static> {
+    /// A leaf slot: page `vpn`, with its status word and its value cell
+    /// (`Some` iff `LEAF_PRESENT` is set).
+    Page {
+        vpn: Vpn,
+        status: &'g Atomic64,
+        value: &'g mut Option<V>,
+    },
+    /// An interior slot covering `[start, start + pages)`.
+    Block {
+        start: Vpn,
+        pages: u64,
+        slot: &'g Atomic64,
+    },
+}
+
+impl<'g, V: RadixValue> Held<'g, V> {
+    /// Slot `idx` of `node`, which the caller holds locked for `'g`.
+    fn at(node: RcPtr<Node<V>>, idx: usize) -> Self {
+        let n: &'g Node<V> = nref(node);
+        match &n.slots {
+            Slots::Leaf(slots) => Held::Page {
+                vpn: n.base_vpn + idx as u64,
+                status: &slots[idx].status,
+                // SAFETY: the caller holds the slot's lock for `'g`
+                // (type docs).
+                value: unsafe { &mut *slots[idx].value.get() },
+            },
+            Slots::Interior(slots) => Held::Block {
+                start: n.base_vpn + idx as u64 * n.slot_span(),
+                pages: n.slot_span(),
+                slot: &slots[idx],
+            },
+        }
+    }
+
+    /// The pages the slot governs: its first VPN and their count.
+    fn span(&self) -> (Vpn, u64) {
+        match *self {
+            Held::Page { vpn, .. } => (vpn, 1),
+            Held::Block { start, pages, .. } => (start, pages),
+        }
+    }
+
+    /// The box of the fold whose locked slot word is `word`.
+    fn fold(word: u64) -> &'g mut V {
+        debug_assert!(word & LOCK_BIT != 0, "interior slot not locked");
+        // SAFETY: a FOLDED word owns its box, and its slot is locked by
+        // this entry's holder for `'g` (type docs).
+        unsafe { &mut *(slot_ptr(word) as *mut V) }
+    }
+
+    /// The slot's value, if it holds one. Its presence must not change
+    /// through this reference ([`Held::take`] and [`Held::put`] do that).
+    fn value_mut(self) -> Option<&'g mut V> {
+        match self {
+            Held::Page { status, value, .. } => {
+                let st = status.load(Ordering::Acquire);
+                debug_assert!(st & LOCK_BIT != 0, "leaf slot not locked");
+                value.as_mut().filter(|_| st & LEAF_PRESENT != 0)
+            }
+            Held::Block { slot, .. } => {
+                let w = slot.load(Ordering::Acquire);
+                (slot_tag(w) == TAG_FOLDED).then(|| Self::fold(w))
+            }
+        }
+    }
+
+    /// Empties the slot and returns its value, if it held one.
+    fn take(self) -> Option<V> {
+        match self {
+            Held::Page { status, value, .. } => {
+                let st = status.load(Ordering::Acquire);
+                debug_assert!(st & LOCK_BIT != 0, "leaf slot not locked");
+                if st & LEAF_PRESENT == 0 {
+                    return None;
+                }
+                let taken = value.take();
+                status.store(LOCK_BIT, Ordering::Release);
+                taken
+            }
+            Held::Block { slot, .. } => {
+                let w = slot.load(Ordering::Acquire);
+                debug_assert!(w & LOCK_BIT != 0, "interior slot not locked");
+                if slot_tag(w) != TAG_FOLDED {
+                    return None;
+                }
+                // SAFETY: as in `fold`; the store below hands the box
+                // from the slot to us.
+                let boxed = unsafe { Box::from_raw(slot_ptr(w) as *mut V) };
+                slot.store(LOCK_BIT, Ordering::Release);
+                Some(*boxed)
+            }
+        }
+    }
+
+    /// Sets the slot's value to a clone of `value` and returns the one it
+    /// displaced; `None` when the slot was empty and now holds one more
+    /// value. A present value is swapped in place: a page's status and a
+    /// fold's box stay as they are.
+    fn put(self, value: &V) -> Option<V> {
+        match self {
+            Held::Page {
+                status,
+                value: cell,
+                ..
+            } => {
+                let st = status.load(Ordering::Acquire);
+                debug_assert!(st & LOCK_BIT != 0, "leaf slot not locked");
+                if st & LEAF_PRESENT != 0 {
+                    return cell.replace(value.clone());
+                }
+                *cell = Some(value.clone());
+                status.store(LOCK_BIT | LEAF_PRESENT, Ordering::Release);
+                None
+            }
+            Held::Block { slot, .. } => {
+                let w = slot.load(Ordering::Acquire);
+                if slot_tag(w) == TAG_FOLDED {
+                    return Some(std::mem::replace(Self::fold(w), value.clone()));
+                }
+                debug_assert!(w & LOCK_BIT != 0, "interior slot not locked");
+                let boxed = Box::into_raw(Box::new(value.clone())) as usize;
+                slot.store(pack_slot(boxed, TAG_FOLDED) | LOCK_BIT, Ordering::Release);
+                None
+            }
+        }
+    }
 }
 
 /// One cached leaf: a leaf node a core reached on a single-page
@@ -466,7 +634,7 @@ impl<V: RadixValue> RadixTree<V> {
     /// stays linked (and its values stay put) until that lock drops.
     /// Readers that find a slot *empty* must re-check linkage: an
     /// emptied-and-severed leaf means the pages moved into a folded
-    /// block value and the operation must retry from the root.
+    /// block value, and the operation must re-read the parent slot.
     fn leaf_linked(node: RcPtr<Node<V>>) -> bool {
         match nref(node).parent {
             Some((parent, idx)) => {
@@ -872,90 +1040,25 @@ impl<V: RadixValue> RadixTree<V> {
 
     /// Reads (clones) the value governing `vpn`, if any.
     ///
-    /// Allocation-free; holds at most one pin at a time (hand-over-hand:
-    /// the previous level's pin is surrendered as soon as the next level
-    /// is pinned), and none at all when the leaf hint hits (the hint slot
-    /// stays locked across the read instead).
+    /// Allocation-free. A leaf-hint hit reads the page under its slot
+    /// lock with no pin at all (the hint slot stays locked across the
+    /// read instead); a miss takes the pinned range walk that
+    /// [`RadixTree::collect_range`] takes too, holding one pin per level,
+    /// and caches the leaf it reaches as `core`'s hint.
     pub fn get(&self, core: usize, vpn: Vpn) -> Option<V> {
         if let Some((leaf, _hold)) = self.hint_lookup(core, vpn) {
-            let n = nref(leaf);
-            let slot = &n.leaf()[(vpn - n.base_vpn) as usize];
-            // SAFETY: the lookup returned with the slot lock held, on a
-            // leaf it saw linked under that lock: a linked leaf cannot be
-            // refolded while we hold one of its slot locks, so the read
-            // is authoritative.
-            let out = unsafe { (*slot.value.get()).clone() };
-            unlock_leaf_slot(&slot.status);
+            // The lookup returned with the slot locked, on a leaf it saw
+            // linked under that lock: the read is authoritative.
+            let idx = (vpn - nref(leaf).base_vpn) as usize;
+            let out = Held::at(leaf, idx).value_mut().cloned();
+            unlock_leaf_slot(&nref(leaf).leaf()[idx].status);
             return out;
         }
-        let mut node_ptr = self.root;
-        // The single in-flight traversal pin (`None` while at the
-        // permanently pinned root).
-        let mut pin: Option<RcPtr<Node<V>>> = None;
-        let result = loop {
-            let node = nref(node_ptr);
-            if node.is_leaf() {
-                let idx = (vpn - node.base_vpn) as usize;
-                let slot = &node.leaf()[idx];
-                lock_leaf_slot(core, &slot.status, &self.shared.stats);
-                let linked = Self::leaf_linked(node_ptr);
-                // SAFETY: the slot lock is held.
-                let out = unsafe { (*slot.value.get()).clone() };
-                unlock_leaf_slot(&slot.status);
-                if !linked {
-                    // Refolded under us: restart from the root (the
-                    // parent slot now folds the whole block).
-                    if let Some(prev) = pin.take() {
-                        self.cache.dec(core, prev);
-                    }
-                    node_ptr = self.root;
-                    continue;
-                }
-                // We hold the leaf's pin: remember it for the next fault.
-                self.install_hint(core, node_ptr);
-                break out;
-            }
-            let idx = index_at_level(vpn, node.level as usize);
-            let slot = &node.interior()[idx];
-            let peek = slot.load(Ordering::Acquire);
-            match slot_tag(peek) {
-                TAG_CHILD => {
-                    // SAFETY: TAG_CHILD slots hold `Node<V>` pointers.
-                    match unsafe { self.cache.tryget::<Node<V>>(core, slot, TAG_CHILD) } {
-                        Some(child) => {
-                            // Hand-over-hand: the pinned child keeps its
-                            // ancestors alive, so drop the previous pin.
-                            if let Some(prev) = pin.replace(child) {
-                                self.cache.dec(core, prev);
-                            }
-                            node_ptr = child;
-                            continue;
-                        }
-                        None => continue,
-                    }
-                }
-                TAG_FOLDED => {
-                    // Clone the folded value under a brief slot lock.
-                    let v = lock_interior_slot(core, slot, &self.shared.stats);
-                    let out = if slot_tag(v) == TAG_FOLDED {
-                        // SAFETY: lock held; FOLDED slot owns the box.
-                        Some(unsafe { (*(slot_ptr(v) as *const V)).clone() })
-                    } else {
-                        None
-                    };
-                    unlock_interior_slot(slot);
-                    match out {
-                        Some(val) => break Some(val),
-                        None => continue, // changed under us; retry
-                    }
-                }
-                _ => break None, // EMPTY
-            }
-        };
-        if let Some(p) = pin {
-            self.cache.dec(core, p);
-        }
-        result
+        let mut out = None;
+        self.walk(core, self.root, vpn, vpn + 1, &mut |_, _, v| {
+            out = Some(v.clone())
+        });
+        out
     }
 
     /// Read-only presence check: returns true if `vpn` has a value,
@@ -1041,111 +1144,122 @@ impl<V: RadixValue> RadixTree<V> {
     /// Collects all `(vpn, value)` pairs in `[lo, hi)` (test oracle aid;
     /// clones each page's governing value).
     ///
-    /// A single range walk: each leaf and each folded block in range is
-    /// visited once, with one pin per traversed level — not the old
-    /// per-page root-to-leaf descent (O(pages × depth) with per-page pin
-    /// traffic).
+    /// One pinned range walk, the one [`RadixTree::get`] takes on a hint
+    /// miss: each leaf and each folded block in range is visited once,
+    /// and each page is reported once even when a refold races the walk.
     pub fn collect_range(&self, core: usize, lo: Vpn, hi: Vpn) -> Vec<(Vpn, V)> {
         assert!(hi <= VPN_LIMIT, "bad range {lo}..{hi}");
         let mut out = Vec::new();
         if lo < hi {
-            // The root is interior and never severed, so the top-level
-            // walk cannot request a retry.
-            let ok = self.collect_from(core, self.root, lo, hi, &mut out);
-            debug_assert!(ok, "root walk requested a retry");
+            self.walk(core, self.root, lo, hi, &mut |start, pages, v| {
+                out.extend((start..start + pages).map(|vpn| (vpn, v.clone())))
+            });
         }
         out
     }
 
-    /// Range-walk worker for [`RadixTree::collect_range`]. Returns false
-    /// when a concurrent refold severed this leaf mid-walk (its pages
-    /// were rolled back from `out`); the caller re-reads its slot, which
-    /// now holds the folded value.
-    fn collect_from(
+    /// The pinned range walk behind [`RadixTree::get`] and
+    /// [`RadixTree::collect_range`]: calls `f(start, pages, value)` for
+    /// each present page and each fold in `[lo, hi)` below `node_ptr`, in
+    /// VPN order, a fold clipped to the range, each call under the slot's
+    /// lock. Takes no lock on a node; holds one pin per level
+    /// ([`Refcache::with_pin`]) and allocates nothing.
+    ///
+    /// A leaf is read page by page, and each page's linkage is read under
+    /// its slot lock, where it is authoritative
+    /// ([`RadixTree::leaf_linked`]). A refold that severed the leaf moved
+    /// its pages into the parent slot's fold: the walk then returns the
+    /// first page it has not reported (`None` when it reported them
+    /// all), and the parent re-reads its slot from that page on. A
+    /// single-page walk that ends at a linked leaf caches it as `core`'s
+    /// hint, as a single-page [`RadixTree::lock_range`] does.
+    fn walk(
         &self,
         core: usize,
         node_ptr: RcPtr<Node<V>>,
         lo: Vpn,
         hi: Vpn,
-        out: &mut Vec<(Vpn, V)>,
-    ) -> bool {
+        f: &mut impl FnMut(Vpn, u64, &V),
+    ) -> Option<Vpn> {
         let node = nref(node_ptr);
+        let stats = &self.shared.stats;
         if node.is_leaf() {
-            let mark = out.len();
-            let first = (lo - node.base_vpn) as usize;
-            let end = (hi - node.base_vpn) as usize;
-            for idx in first..end {
-                let slot = &node.leaf()[idx];
-                lock_leaf_slot(core, &slot.status, &self.shared.stats);
-                // SAFETY: the slot lock is held.
-                let v = unsafe { (*slot.value.get()).clone() };
-                unlock_leaf_slot(&slot.status);
-                if let Some(v) = v {
-                    out.push((node.base_vpn + idx as u64, v));
+            for vpn in lo..hi {
+                let idx = (vpn - node.base_vpn) as usize;
+                let status = &node.leaf()[idx].status;
+                lock_leaf_slot(core, status, stats);
+                let linked = Self::leaf_linked(node_ptr);
+                if let Some(v) = Held::at(node_ptr, idx).value_mut().filter(|_| linked) {
+                    f(vpn, 1, v);
+                }
+                unlock_leaf_slot(status);
+                if !linked {
+                    return Some(vpn);
                 }
             }
-            // Locks were taken slot-by-slot, so a refold may have raced
-            // through the middle of the walk (emptying later slots). If
-            // the leaf is still linked the snapshot is sound; otherwise
-            // discard it and re-read the fold.
-            if !Self::leaf_linked(node_ptr) {
-                out.truncate(mark);
-                return false;
+            if hi == lo + 1 {
+                self.install_hint(core, node_ptr);
             }
-            return true;
+            return None;
         }
         let span = node.slot_span();
         let level = node.level as usize;
-        let first_idx = index_at_level(lo, level);
-        let last_idx = index_at_level(hi - 1, level);
-        for idx in first_idx..=last_idx {
-            let block_lo = node.base_vpn + idx as u64 * span;
-            let sub_lo = lo.max(block_lo);
-            let sub_hi = hi.min(block_lo + span);
+        let mut at = lo;
+        for idx in index_at_level(lo, level)..=index_at_level(hi - 1, level) {
+            let end = hi.min(node.base_vpn + (idx as u64 + 1) * span);
             let slot = &node.interior()[idx];
             loop {
-                let peek = slot.load(Ordering::Acquire);
-                match slot_tag(peek) {
+                match slot_tag(slot.load(Ordering::Acquire)) {
                     TAG_CHILD => {
                         // SAFETY: TAG_CHILD slots hold `Node<V>` pointers.
-                        let done = unsafe {
+                        let walked = unsafe {
                             self.cache
                                 .with_pin::<Node<V>, _>(core, slot, TAG_CHILD, |child| {
-                                    self.collect_from(core, child, sub_lo, sub_hi, out)
+                                    self.walk(core, child, at, end, f)
                                 })
                         };
-                        match done {
-                            Some(true) => break,
-                            // Refolded or freed under us; re-read.
-                            Some(false) | None => continue,
+                        match walked {
+                            Some(None) => break,
+                            // Refolded under us: the rest is in the fold.
+                            Some(Some(resume)) => at = resume,
+                            None => {} // freed under us; re-read
                         }
                     }
                     TAG_FOLDED => {
-                        // Clone the folded value once under a brief lock,
-                        // then fan it out per page.
-                        let v = lock_interior_slot(core, slot, &self.shared.stats);
-                        let val = if slot_tag(v) == TAG_FOLDED {
-                            // SAFETY: lock held; FOLDED slot owns the box.
-                            Some(unsafe { (*(slot_ptr(v) as *const V)).clone() })
-                        } else {
-                            None
-                        };
+                        lock_interior_slot(core, slot, stats);
+                        let fold = Held::at(node_ptr, idx).value_mut();
+                        let found = fold.map(|v| f(at, end - at, v)).is_some();
                         unlock_interior_slot(slot);
-                        match val {
-                            Some(val) => {
-                                for vpn in sub_lo..sub_hi {
-                                    out.push((vpn, val.clone()));
-                                }
-                                break;
-                            }
-                            None => continue, // changed under us; retry
-                        }
+                        if found {
+                            break;
+                        } // changed under us; re-read
                     }
                     _ => break, // EMPTY
                 }
             }
+            at = end;
         }
-        true
+        None
+    }
+
+    /// Books a fold that appeared (`delta` = 1) or went (-1) in an
+    /// interior slot of `node`: the fold count, and the used-slot
+    /// reference the fold holds on `node`.
+    fn fold_counted(&self, core: usize, node: RcPtr<Node<V>>, delta: i64) {
+        match delta {
+            1 => self.shared.stats.add(core, TreeCounts::folded_values, 1),
+            _ => self.shared.stats.sub(core, TreeCounts::folded_values, 1),
+        }
+        self.cache.adjust(core, node, delta);
+    }
+
+    /// Returns `out`, counting it in [`TreeStats::guard_spills`] if it
+    /// spilled to the heap.
+    fn spill_counted(&self, core: usize, out: RemovedList<V>) -> RemovedList<V> {
+        if out.spilled() {
+            self.shared.stats.add(core, TreeCounts::guard_spills, 1);
+        }
+        out
     }
 
     /// Tears down a subtree, freeing nodes directly (exclusive access).
@@ -1213,6 +1327,23 @@ pub struct RangeGuard<'t, V: RadixValue> {
 }
 
 impl<V: RadixValue> RangeGuard<'_, V> {
+    /// The slots this guard holds locked, unit by unit in the order it
+    /// locked them: each unit's node and an entry per slot. These are the
+    /// pages and blocks it locked or, with `expanded`, every slot of the
+    /// nodes its expansions created (born locked; an interior slot that
+    /// was expanded further is a published child and yields no value).
+    fn held(
+        &mut self,
+        expanded: bool,
+    ) -> impl Iterator<Item = (RcPtr<Node<V>>, impl Iterator<Item = Held<'_, V>>)> {
+        let units = self.units.iter();
+        let wanted = units.filter(move |u| matches!(u, Unit::WholeNode { .. }) == expanded);
+        wanted.map(|unit| {
+            let (node, slots) = unit.slots();
+            (node, slots.map(move |idx| Held::at(node, idx)))
+        })
+    }
+
     /// Removes every value in the locked range, returning the displaced
     /// pages and blocks.
     ///
@@ -1220,64 +1351,29 @@ impl<V: RadixValue> RangeGuard<'_, V> {
     /// locked, so `LEAF_PRESENT` flips with plain stores, and the used-
     /// slot references settle once per leaf, not once per page.
     pub fn clear(&mut self) -> RemovedList<V> {
+        let (core, tree) = (self.core, self.tree);
         let mut out = RemovedList::new();
-        let core = self.core;
-        let cache = &self.tree.cache;
-        let stats = &self.tree.shared.stats;
-        for unit in self.units.iter() {
-            match unit {
-                Unit::LeafRange {
-                    node, first, end, ..
-                } => {
-                    let n = nref(*node);
-                    let mut emptied = 0;
-                    for idx in *first..*end {
-                        let slot = &n.leaf()[idx];
-                        let st = slot.status.load(Ordering::Acquire);
-                        debug_assert!(st & LOCK_BIT != 0, "leaf slot not locked");
-                        if st & LEAF_PRESENT != 0 {
-                            // SAFETY: we hold the slot lock.
-                            let val = unsafe { (*slot.value.get()).take() };
-                            slot.status.store(LOCK_BIT, Ordering::Release);
-                            emptied += 1;
-                            if let Some(value) = val {
-                                out.push(Removed {
-                                    start: n.base_vpn + idx as u64,
-                                    pages: 1,
-                                    value,
-                                });
-                            }
-                        }
-                    }
-                    if emptied > 0 {
-                        cache.adjust(core, *node, -emptied);
-                    }
+        for (node, entries) in self.held(false) {
+            let mut emptied = 0;
+            for e in entries {
+                let ((start, pages), fold) = (e.span(), matches!(e, Held::Block { .. }));
+                let Some(value) = e.take() else { continue };
+                if fold {
+                    tree.fold_counted(core, node, -1);
+                } else {
+                    emptied += 1;
                 }
-                Unit::Block { node, idx, .. } => {
-                    let n = nref(*node);
-                    let slot = &n.interior()[*idx];
-                    let w = slot.load(Ordering::Acquire);
-                    debug_assert!(w & LOCK_BIT != 0, "interior slot not locked");
-                    if slot_tag(w) == TAG_FOLDED {
-                        // SAFETY: lock held; FOLDED slot owns the box.
-                        let boxed = unsafe { Box::from_raw(slot_ptr(w) as *mut V) };
-                        slot.store(LOCK_BIT, Ordering::Release);
-                        stats.sub(core, TreeCounts::folded_values, 1);
-                        cache.dec(core, *node);
-                        out.push(Removed {
-                            start: n.base_vpn + *idx as u64 * n.slot_span(),
-                            pages: n.slot_span(),
-                            value: *boxed,
-                        });
-                    }
-                }
-                Unit::WholeNode { .. } => {}
+                out.push(Removed {
+                    start,
+                    pages,
+                    value,
+                });
+            }
+            if emptied > 0 {
+                tree.cache.adjust(core, node, -emptied);
             }
         }
-        if out.spilled() {
-            stats.add(core, TreeCounts::guard_spills, 1);
-        }
-        out
+        tree.spill_counted(core, out)
     }
 
     /// Sets every page (or whole block) in the locked range to a clone of
@@ -1289,118 +1385,35 @@ impl<V: RadixValue> RangeGuard<'_, V> {
     /// box allocation); only previously empty slots pay the install cost,
     /// settled once per leaf like [`RangeGuard::clear`]'s.
     pub fn replace(&mut self, value: &V) -> RemovedList<V> {
+        let (core, tree) = (self.core, self.tree);
         let mut out = RemovedList::new();
-        let core = self.core;
-        let cache = &self.tree.cache;
-        let stats = &self.tree.shared.stats;
-        for unit in self.units.iter() {
-            match unit {
-                Unit::LeafRange {
-                    node, first, end, ..
-                } => {
-                    let n = nref(*node);
-                    let mut filled = 0;
-                    for idx in *first..*end {
-                        let slot = &n.leaf()[idx];
-                        let st = slot.status.load(Ordering::Acquire);
-                        debug_assert!(st & LOCK_BIT != 0, "leaf slot not locked");
-                        if st & LEAF_PRESENT != 0 {
-                            // SAFETY: we hold the slot lock.
-                            let old = unsafe { (*slot.value.get()).replace(value.clone()) };
-                            if let Some(value) = old {
-                                out.push(Removed {
-                                    start: n.base_vpn + idx as u64,
-                                    pages: 1,
-                                    value,
-                                });
-                            }
-                            // Present → present: status and the node's
-                            // used-slot reference are unchanged.
-                        } else {
-                            // SAFETY: we hold the slot lock.
-                            unsafe { *slot.value.get() = Some(value.clone()) };
-                            slot.status
-                                .store(LOCK_BIT | LEAF_PRESENT, Ordering::Release);
-                            filled += 1;
-                        }
-                    }
-                    if filled > 0 {
-                        cache.adjust(core, *node, filled);
-                    }
+        for (node, entries) in self.held(false) {
+            let mut filled = 0;
+            for e in entries {
+                let ((start, pages), fold) = (e.span(), matches!(e, Held::Block { .. }));
+                match e.put(value) {
+                    Some(value) => out.push(Removed {
+                        start,
+                        pages,
+                        value,
+                    }),
+                    None if fold => tree.fold_counted(core, node, 1),
+                    None => filled += 1,
                 }
-                Unit::Block { node, idx, .. } => {
-                    let n = nref(*node);
-                    let slot = &n.interior()[*idx];
-                    let w = slot.load(Ordering::Acquire);
-                    debug_assert!(w & LOCK_BIT != 0, "interior slot not locked");
-                    if slot_tag(w) == TAG_FOLDED {
-                        // SAFETY: lock held; FOLDED slot owns the box.
-                        // Swap in place, reusing the allocation; the slot
-                        // word (and the node's used-slot ref) is unchanged.
-                        let old = std::mem::replace(
-                            unsafe { &mut *(slot_ptr(w) as *mut V) },
-                            value.clone(),
-                        );
-                        out.push(Removed {
-                            start: n.base_vpn + *idx as u64 * n.slot_span(),
-                            pages: n.slot_span(),
-                            value: old,
-                        });
-                    } else {
-                        let boxed = Box::new(value.clone());
-                        slot.store(
-                            pack_slot(Box::into_raw(boxed) as usize, TAG_FOLDED) | LOCK_BIT,
-                            Ordering::Release,
-                        );
-                        stats.add(core, TreeCounts::folded_values, 1);
-                        cache.inc(core, *node);
-                    }
-                }
-                Unit::WholeNode { .. } => {}
+            }
+            if filled > 0 {
+                tree.cache.adjust(core, node, filled);
             }
         }
-        if out.spilled() {
-            stats.add(core, TreeCounts::guard_spills, 1);
-        }
-        out
+        tree.spill_counted(core, out)
     }
 
     /// Applies `f` to every present entry in the locked range with its
     /// location: `f(start_vpn, pages, value)` where `pages` is 1 for leaf
     /// pages and the block span for folded blocks. Used by fork-style
     /// duplication and mprotect.
-    pub fn for_each_entry_mut(&mut self, mut f: impl FnMut(Vpn, u64, &mut V)) {
-        for unit in self.units.iter() {
-            match unit {
-                Unit::LeafRange {
-                    node, first, end, ..
-                } => {
-                    let n = nref(*node);
-                    for idx in *first..*end {
-                        let slot = &n.leaf()[idx];
-                        if slot.status.load(Ordering::Acquire) & LEAF_PRESENT != 0 {
-                            // SAFETY: we hold the slot lock.
-                            if let Some(v) = unsafe { (*slot.value.get()).as_mut() } {
-                                f(n.base_vpn + idx as u64, 1, v);
-                            }
-                        }
-                    }
-                }
-                Unit::Block { node, idx, .. } => {
-                    let n = nref(*node);
-                    let slot = &n.interior()[*idx];
-                    let w = slot.load(Ordering::Acquire);
-                    if slot_tag(w) == TAG_FOLDED {
-                        let start = n.base_vpn + *idx as u64 * n.slot_span();
-                        // SAFETY: lock held; FOLDED slot owns the box.
-                        f(start, n.slot_span(), unsafe {
-                            &mut *(slot_ptr(w) as *mut V)
-                        });
-                    }
-                }
-                Unit::WholeNode { .. } => {}
-            }
-        }
+    pub fn for_each_entry_mut(&mut self, f: impl FnMut(Vpn, u64, &mut V)) {
+        self.for_each_held_mut(false, f);
     }
 
     /// For a single-page guard at leaf granularity, returns mutable access
@@ -1410,26 +1423,8 @@ impl<V: RadixValue> RangeGuard<'_, V> {
     /// The value's *presence* must not change through this reference; use
     /// [`RangeGuard::clear`]/[`RangeGuard::replace`] for that.
     pub fn page_value_mut(&mut self) -> Option<&mut V> {
-        for unit in self.units.iter() {
-            match unit {
-                Unit::LeafRange {
-                    node, first, end, ..
-                } => {
-                    debug_assert_eq!(*end - *first, 1, "page_value_mut on multi-page guard");
-                    let n = nref(*node);
-                    let slot = &n.leaf()[*first];
-                    if slot.status.load(Ordering::Acquire) & LEAF_PRESENT != 0 {
-                        // SAFETY: we hold the slot lock for the guard's
-                        // lifetime and hand out a borrow tied to it.
-                        return unsafe { (*slot.value.get()).as_mut() };
-                    }
-                    return None;
-                }
-                Unit::Block { .. } => return None,
-                Unit::WholeNode { .. } => {}
-            }
-        }
-        None
+        let page = self.held(false).next()?.1.next();
+        page.filter(|e| matches!(e, Held::Page { .. }))?.value_mut()
     }
 
     /// For a guard holding a locked *folded* block slot (the
@@ -1440,28 +1435,10 @@ impl<V: RadixValue> RangeGuard<'_, V> {
     ///
     /// The value's presence must not change through this reference.
     pub fn block_entry_mut(&mut self) -> Option<(Vpn, u64, &mut V)> {
-        for unit in self.units.iter() {
-            match unit {
-                Unit::Block { node, idx, .. } => {
-                    let n = nref(*node);
-                    let slot = &n.interior()[*idx];
-                    let w = slot.load(Ordering::Acquire);
-                    debug_assert!(w & LOCK_BIT != 0, "interior slot not locked");
-                    if slot_tag(w) == TAG_FOLDED {
-                        let start = n.base_vpn + *idx as u64 * n.slot_span();
-                        // SAFETY: we hold the slot lock for the guard's
-                        // lifetime and hand out a borrow tied to it.
-                        return Some((start, n.slot_span(), unsafe {
-                            &mut *(slot_ptr(w) as *mut V)
-                        }));
-                    }
-                    return None;
-                }
-                Unit::LeafRange { .. } => return None,
-                Unit::WholeNode { .. } => {}
-            }
-        }
-        None
+        let block = self.held(false).next()?.1.next();
+        let e = block.filter(|e| matches!(e, Held::Block { .. }))?;
+        let (start, pages) = e.span();
+        Some((start, pages, e.value_mut()?))
     }
 
     /// Applies `f(start_vpn, pages, value)` to every value this lock
@@ -1476,43 +1453,18 @@ impl<V: RadixValue> RangeGuard<'_, V> {
     /// clone-sensitive state (the superpage demotion protocol adopts
     /// block references here before any other core can observe the
     /// copies).
-    pub fn for_each_expanded_mut(&mut self, mut f: impl FnMut(Vpn, u64, &mut V)) {
-        for unit in self.units.iter() {
-            let Unit::WholeNode { node } = unit else {
-                continue;
-            };
-            let n = nref(*node);
-            match &n.slots {
-                Slots::Leaf(slots) => {
-                    for (idx, slot) in slots.iter().enumerate() {
-                        let st = slot.status.load(Ordering::Acquire);
-                        debug_assert!(st & LOCK_BIT != 0, "expanded slot not locked");
-                        if st & LEAF_PRESENT != 0 {
-                            // SAFETY: the slot lock is born held by this
-                            // guard's whole-node unit.
-                            if let Some(v) = unsafe { (*slot.value.get()).as_mut() } {
-                                f(n.base_vpn + idx as u64, 1, v);
-                            }
-                        }
-                    }
-                }
-                Slots::Interior(slots) => {
-                    let span = n.slot_span();
-                    for (idx, slot) in slots.iter().enumerate() {
-                        let w = slot.load(Ordering::Acquire);
-                        // In-range slots this same descent expanded
-                        // *further* are TAG_CHILD and already published-
-                        // and-unlocked (expand_slot's release store); only
-                        // the FOLDED clones are still born locked.
-                        if slot_tag(w) == TAG_FOLDED {
-                            debug_assert!(w & LOCK_BIT != 0, "expanded fold not locked");
-                            // SAFETY: the slot lock is born held by this
-                            // guard's whole-node unit.
-                            f(n.base_vpn + idx as u64 * span, span, unsafe {
-                                &mut *(slot_ptr(w) as *mut V)
-                            });
-                        }
-                    }
+    pub fn for_each_expanded_mut(&mut self, f: impl FnMut(Vpn, u64, &mut V)) {
+        self.for_each_held_mut(true, f);
+    }
+
+    /// [`RangeGuard::for_each_entry_mut`] or, with `expanded`,
+    /// [`RangeGuard::for_each_expanded_mut`].
+    fn for_each_held_mut(&mut self, expanded: bool, mut f: impl FnMut(Vpn, u64, &mut V)) {
+        for (_, entries) in self.held(expanded) {
+            for e in entries {
+                let (start, pages) = e.span();
+                if let Some(v) = e.value_mut() {
+                    f(start, pages, v);
                 }
             }
         }
@@ -1540,26 +1492,21 @@ impl<V: RadixValue> RangeGuard<'_, V> {
     /// publishes and releases before descending), and readers take
     /// interior slot locks only transiently with no leaf lock held.
     pub fn refold(&mut self, folded: V) -> Option<Vec<V>> {
-        let core = self.core;
-        let cache = &self.tree.cache;
-        let stats = &self.tree.shared.stats;
-        if self.units.len() != 1 {
-            return None;
-        }
-        let node = match self.units.iter().next() {
-            Some(Unit::LeafRange {
+        let (core, tree) = (self.core, self.tree);
+        let (cache, stats) = (&tree.cache, &tree.shared.stats);
+        let node = match self.units.as_slice() {
+            [Unit::LeafRange {
                 node,
                 first: 0,
-                end,
+                end: FANOUT,
                 born: false,
-            }) if *end == FANOUT => *node,
+            }] => *node,
             _ => return None,
         };
-        let n = nref(node);
-        let (parent, pidx) = n.parent?;
-        if n.leaf()
-            .iter()
-            .any(|s| s.status.load(Ordering::Acquire) & LEAF_PRESENT == 0)
+        let (parent, pidx) = nref(node).parent?;
+        if !self
+            .held(false)
+            .all(|(_, mut pages)| pages.all(|e| e.value_mut().is_some()))
         {
             return None;
         }
@@ -1575,18 +1522,24 @@ impl<V: RadixValue> RangeGuard<'_, V> {
         // Take the 512 values; the slots stay locked (and are unlocked,
         // on the now-severed node, at guard drop).
         let mut vals = Vec::with_capacity(FANOUT);
-        for slot in n.leaf().iter() {
-            // SAFETY: this guard holds every slot lock.
-            let v = unsafe { (*slot.value.get()).take() }.expect("present slot lost its value");
-            slot.status.store(LOCK_BIT, Ordering::Release);
-            vals.push(v);
-        }
+        vals.extend(
+            self.held(false)
+                .flat_map(|(_, pages)| pages)
+                .map(|e| match e {
+                    Held::Page { status, value, .. } => {
+                        let taken = value.take().expect("present slot lost its value");
+                        status.store(LOCK_BIT, Ordering::Release);
+                        taken
+                    }
+                    Held::Block { .. } => unreachable!("a leaf unit holds pages"),
+                }),
+        );
         // Surrender the used-slot references the values represented; the
         // node frees once the guard's pin (and any hint pins) drain.
         // No-collapse trees give nodes a permanent reference; a severed
         // leaf is unreachable from the tree, so surrender it too or the
         // node would never free.
-        let permanent = if self.tree.cfg.collapse { 0 } else { 1 };
+        let permanent = if tree.cfg.collapse { 0 } else { 1 };
         cache.adjust(core, node, -(FANOUT as i64 + permanent));
         // The severed leaf's `on_release` will surrender one used-slot
         // reference on the parent; pre-compensate so CHILD → FOLDED
@@ -1612,40 +1565,14 @@ impl<V: RadixValue> RangeGuard<'_, V> {
 impl<V: RadixValue> Drop for RangeGuard<'_, V> {
     fn drop(&mut self) {
         for unit in self.units.iter() {
-            match unit {
-                Unit::LeafRange {
-                    node,
-                    first,
-                    end,
-                    born,
-                } => {
-                    if !born {
-                        let n = nref(*node);
-                        for idx in *first..*end {
-                            unlock_leaf_slot(&n.leaf()[idx].status);
-                        }
-                    }
-                }
-                Unit::Block { node, idx, born } => {
-                    if !born {
-                        unlock_interior_slot(&nref(*node).interior()[*idx]);
-                    }
-                }
-                Unit::WholeNode { node } => {
-                    let n = nref(*node);
-                    match &n.slots {
-                        Slots::Interior(slots) => {
-                            for s in slots.iter() {
-                                s.fetch_and(!LOCK_BIT, Ordering::AcqRel);
-                            }
-                        }
-                        Slots::Leaf(slots) => {
-                            for s in slots.iter() {
-                                unlock_leaf_slot(&s.status);
-                            }
-                        }
-                    }
-                }
+            // A born lock is released with its node's `WholeNode` unit.
+            if let Unit::LeafRange { born: true, .. } | Unit::Block { born: true, .. } = unit {
+                continue;
+            }
+            let (node, slots) = unit.slots();
+            match &nref(node).slots {
+                Slots::Leaf(s) => s[slots].iter().for_each(|s| unlock_leaf_slot(&s.status)),
+                Slots::Interior(s) => s[slots].iter().for_each(unlock_interior_slot),
             }
         }
         for pin in self.pins.iter() {

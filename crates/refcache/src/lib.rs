@@ -109,6 +109,10 @@ const CACHE_SLOTS: usize = 4096;
 /// clean at zero is a true zero (module docs, DESIGN.md §8).
 const REVIEW_DELAY: u64 = 2;
 
+/// One started pass in [`Refcache`]'s `releasing` word: its high half
+/// counts passes started, its low half passes running.
+const PASS_STARTED: u64 = 1 << 32;
+
 /// One delta-cache way: an object pointer and its locally cached delta.
 #[derive(Clone, Copy)]
 struct Slot {
@@ -222,14 +226,18 @@ pub struct Refcache {
     /// simulator-instrumented, so the common no-hook case stays free).
     hook_count: AtomicU64,
     next_hook_id: AtomicU64,
-    /// [`Refcache::review`] passes running their frees with the core
-    /// unlocked, which [`Refcache::quiesce`] waits out: a pass another
-    /// thread runs for a core may hold frees the quiescer's own passes
-    /// never saw. A pass counts itself under the core lock, before it
-    /// unlocks, and its `Release` decrement after the frees pairs with
-    /// `quiesce`'s `Acquire` load, so a zero read means those frees are
-    /// done. Std atomic, like `hook_count`: not instrumented.
-    releasing: AtomicUsize,
+    /// [`Refcache::review`] passes that run their frees with the core
+    /// unlocked: the low half counts the passes running, the high half
+    /// (in units of [`PASS_STARTED`], wrapping) every pass ever started.
+    /// [`Refcache::quiesce`] reads both: a pass another thread runs for
+    /// a core may hold frees the quiescer's own passes never saw, and
+    /// those frees' releases may cache references after the quiescer's
+    /// last flush of that core. A pass counts itself under the core lock,
+    /// before it unlocks, and its `Release` decrement after the frees
+    /// pairs with `quiesce`'s `Acquire` loads, so a zero low half means
+    /// those frees are done. Std atomic, like `hook_count`: not
+    /// instrumented.
+    releasing: AtomicU64,
     stats: RefcacheCells,
 }
 
@@ -257,7 +265,7 @@ impl Refcache {
             hooks: RwLock::new(Vec::new()),
             hook_count: AtomicU64::new(0),
             next_hook_id: AtomicU64::new(1),
-            releasing: AtomicUsize::new(0),
+            releasing: AtomicU64::new(0),
             stats: RefcacheCells::new(ncores),
         }
     }
@@ -595,6 +603,12 @@ impl Refcache {
     /// the zero-count actions of the cells the core's flushes released
     /// at once as well.
     pub fn review(&self, core: usize) {
+        self.review_pass(core);
+    }
+
+    /// [`Refcache::review`]; answers whether it ran a release pass (had
+    /// anything to free).
+    fn review_pass(&self, core: usize) -> bool {
         let mut to_free = {
             let mut cc = self.cores[core].lock();
             let mut to_free = std::mem::take(&mut cc.to_free);
@@ -674,16 +688,17 @@ impl Refcache {
             if to_free.is_empty() {
                 // Nothing to free: the list goes straight back.
                 cc.to_free = to_free;
-                return;
+                return false;
             }
             // Counted before the core unlocks, so a quiesce that takes the
-            // lock after this pass did also sees it running.
-            self.releasing.fetch_add(1, Ordering::Relaxed);
+            // lock after this pass did also sees it started and running.
+            self.releasing
+                .fetch_add(PASS_STARTED + 1, Ordering::Relaxed);
             to_free
         };
         // Uncounted when the pass ends, also by a panicking action: a
         // count left behind would hang every later quiesce.
-        struct Running<'a>(&'a AtomicUsize);
+        struct Running<'a>(&'a AtomicU64);
         impl Drop for Running<'_> {
             fn drop(&mut self) {
                 self.0.fetch_sub(1, Ordering::Release);
@@ -708,6 +723,7 @@ impl Refcache {
         if cc.to_free.is_empty() {
             cc.to_free = to_free;
         }
+        true
     }
 
     /// Periodic per-core maintenance: flush then review. Call this
@@ -728,20 +744,42 @@ impl Refcache {
     }
 
     /// Runs enough maintenance rounds on all cores to flush every delta
-    /// and free every unreferenced object, and returns once the frees of
-    /// passes other threads run meanwhile are done too. Intended for
-    /// tests and orderly shutdown.
+    /// and free every unreferenced object, and returns once no release
+    /// pass another thread ran overlapped them. Intended for tests and
+    /// orderly shutdown.
+    ///
+    /// Such a pass may free an object whose release drops a reference
+    /// (a radix node's parent) into a core's cache after this thread's
+    /// last flush of that core; a caller that then frees the parent by
+    /// hand ([`Refcache::free_untracked`]) would leave that delta to a
+    /// later flush, which writes into freed memory. So the rounds run
+    /// again until one set of them ran with no other pass running at its
+    /// start and no pass but its own started during it; while other
+    /// threads keep freeing, it keeps sweeping.
     pub fn quiesce(&self) {
         // Each full sweep over all cores advances the epoch at least once;
         // run enough sweeps for queue→review→(dirty requeue)→review.
         let rounds = 4 * REVIEW_DELAY as usize + 4;
-        for _ in 0..rounds {
-            for c in 0..self.ncores {
-                self.maintain(c);
+        let running = PASS_STARTED - 1;
+        loop {
+            let before = self.releasing.load(Ordering::Acquire);
+            let mut own = 0;
+            for _ in 0..rounds {
+                for c in 0..self.ncores {
+                    self.flush(c);
+                    own += u64::from(self.review_pass(c));
+                }
             }
-        }
-        while self.releasing.load(Ordering::Acquire) != 0 {
-            std::thread::yield_now();
+            let after = loop {
+                let w = self.releasing.load(Ordering::Acquire);
+                if w & running == 0 {
+                    break w;
+                }
+                std::thread::yield_now();
+            };
+            if before & running == 0 && after.wrapping_sub(before) == own * PASS_STARTED {
+                return;
+            }
         }
     }
 
@@ -1015,29 +1053,50 @@ mod tests {
         assert_eq!(d2.load(Ordering::SeqCst), 1);
     }
 
+    /// A table cell that counts its zero actions.
+    struct Released(StdAtomicU64);
+
+    impl SlotManaged for Released {
+        fn on_zero(&self, _ctx: &ReleaseCtx<'_>) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
     /// The §3.1 space/conflict trade-off: on a 1024-object working set
     /// a small delta cache evicts constantly and a large one rarely.
+    ///
+    /// The objects are cells of one table, not boxes: conflicts hash
+    /// addresses, and the spacing of 1024 boxes is the heap's to choose
+    /// (tests running in parallel interleave their allocations), while a
+    /// table's is fixed — whatever its base, the counts come out within a
+    /// few per cent of one another.
     #[test]
     fn conflicts_fall_as_the_delta_cache_grows() {
         let conflicts: Vec<u64> = [64, 512, 4096]
             .into_iter()
             .map(|slots| {
                 let rc = Refcache::with_cache_slots(1, slots);
-                let objs: Vec<_> = (0..1024).map(|_| tracked(&rc, 1)).collect();
+                let table: Box<[CountSlot<Released>]> = (0..1024)
+                    .map(|_| CountSlot::new(Released(StdAtomicU64::new(0))))
+                    .collect();
+                let cells: Vec<_> = table.iter().map(CountSlot::handle).collect();
+                for &c in &cells {
+                    rc.activate(0, c, 1);
+                }
                 for _ in 0..4 {
-                    for (p, _, _) in &objs {
-                        rc.inc(0, *p);
-                        rc.dec(0, *p);
+                    for &c in &cells {
+                        rc.inc(0, c);
+                        rc.dec(0, c);
                     }
                     rc.maintain(0);
                 }
                 let conflicts = rc.stats().conflicts;
-                for (p, _, _) in &objs {
-                    rc.dec(0, *p);
+                for &c in &cells {
+                    rc.dec(0, c);
                 }
                 rc.quiesce();
-                assert!(objs.iter().all(|(_, d, _)| d.load(Ordering::SeqCst) == 1));
-                assert_eq!(rc.live_objects(), 0);
+                assert!(table.iter().all(|c| c.get().0.load(Ordering::SeqCst) == 1));
+                assert_eq!(rc.live_slots(), 0);
                 conflicts
             })
             .collect();
@@ -1045,6 +1104,74 @@ mod tests {
             conflicts[0] > conflicts[1] && conflicts[1] > conflicts[2],
             "conflicts at 64/512/4096 slots: {conflicts:?}"
         );
+    }
+
+    /// A node whose release drops its parent, as a radix node's does;
+    /// the release waits until the epoch reaches `until`.
+    struct HeldChild {
+        parent: RcPtr<Tracked>,
+        started: Arc<std::sync::atomic::AtomicBool>,
+        until: Arc<StdAtomicU64>,
+    }
+
+    impl Managed for HeldChild {
+        fn on_release(&mut self, ctx: &ReleaseCtx<'_>) {
+            self.started.store(true, Ordering::SeqCst);
+            while ctx.cache.epoch() < self.until.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            ctx.cache.dec(ctx.core, self.parent);
+        }
+    }
+
+    /// Another thread's review pass frees a child while this thread
+    /// quiesces, and the child's release drops its parent only after the
+    /// quiescer's last sweep. `quiesce` must not return with that
+    /// reference still cached: a caller then frees the parent by hand
+    /// (`free_untracked`, as a radix tree's teardown does) while a core
+    /// still holds a delta for it, and the next flush of that core writes
+    /// into freed memory.
+    #[test]
+    fn quiesce_sweeps_again_after_a_foreign_release_pass() {
+        use std::sync::atomic::AtomicBool;
+        let rc = Arc::new(Refcache::new(1));
+        let (parent, parent_drops, _) = tracked(&rc, 1);
+        let (started, until) = (
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(StdAtomicU64::new(u64::MAX)),
+        );
+        let child = rc.alloc(
+            1,
+            HeldChild {
+                parent,
+                started: started.clone(),
+                until: until.clone(),
+            },
+        );
+        rc.dec(0, child);
+        // Queue the child's zero, then age it a full review delay.
+        for _ in 0..=REVIEW_DELAY {
+            rc.flush(0);
+        }
+        let releaser = {
+            let rc = rc.clone();
+            std::thread::spawn(move || rc.review(0))
+        };
+        while !started.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        // The release proceeds once `quiesce` has run its sweeps: one
+        // flush, one epoch, per round on a one-core cache.
+        let sweeps = 4 * REVIEW_DELAY + 4;
+        until.store(rc.epoch() + sweeps, Ordering::SeqCst);
+        rc.quiesce();
+        assert_eq!(
+            parent_drops.load(Ordering::SeqCst),
+            1,
+            "quiesce returned with the parent's last reference cached"
+        );
+        releaser.join().unwrap();
+        assert_eq!(rc.live_objects(), 0);
     }
 
     #[test]

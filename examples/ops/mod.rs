@@ -7,8 +7,10 @@
 //! A stream ([`Ops::on`]) is one core of a machine ([`machine`]) the
 //! caller may share between streams, and every core of that machine needs
 //! a stream that runs: on a two-core machine whose second core never
-//! calls `maintain` the Refcache epoch never advances, no frame is ever
-//! freed, and the loop measures frame-pool growth (24 µs/op), not the op.
+//! calls `maintain` the Refcache epoch never advances. A frame only the
+//! ticking core added references to still comes back at its tick, but
+//! radix nodes and every frame another core added to are never freed,
+//! and the loop measures their growth, not the op.
 
 use std::sync::Arc;
 
