@@ -10,6 +10,13 @@
 //!   Every allocation and every free takes its core's lock once, on
 //!   every tier, and counts what it did under it: [`PoolStats`] costs
 //!   no locked instruction.
+//! * **Bounded per-core lists**: a core's free list has a high-water
+//!   mark (`FREE_HIGH`, Linux's per-CPU pageset `high`); the free that
+//!   reaches it moves the list's coldest batch to the node's
+//!   reservoir, where the next core whose list runs dry takes it before
+//!   anything grows. Frames one core frees thus reach the cores that
+//!   allocate, and the pool's footprint follows the working set rather
+//!   than which core happened to free what.
 //! * **Per-node reservoirs + home-node return**: every frame is homed on a
 //!   NUMA *node* (see [`PlacementPolicy`]); a frame freed on a core of a
 //!   different node is batched back to its home node's reservoir. The
@@ -263,6 +270,9 @@ sharded_stats! {
         /// Allocations satisfied by stealing from a remote node's reservoir
         /// under pressure (tier 5; priced at hop cost).
         remote_steals: Exclusive<CoreFrames>,
+        /// Batches a core's free list moved to its node's reservoir on
+        /// reaching its high mark.
+        spills: Exclusive<CoreFrames>,
     }
     /// The pool's cells (sum-on-read; DESIGN.md §6).
     struct PoolCells;
@@ -276,6 +286,12 @@ pub const MAGAZINE_SIZE: usize = 64;
 
 /// Fresh frames created per growth (the per-CPU pageset refill batch).
 const REFILL_BATCH: usize = 64;
+
+/// A core's free list never reaches this length: the on-node free that
+/// brings it here moves the first-freed [`REFILL_BATCH`] frames to the
+/// node's reservoir (Linux's per-CPU pageset `high`). Four batches, so a
+/// core that frees what it allocated over a few refills keeps it.
+const FREE_HIGH: usize = 4 * REFILL_BATCH;
 
 /// A free-list of contiguous blocks, as `(order, base)` pairs.
 type BlockList = Vec<(u8, Pfn)>;
@@ -317,6 +333,7 @@ pub struct FramePool {
     cores: Vec<CachePadded<SpinLock<CoreFrames>>>,
     /// Per-node frame reservoirs: the second allocation tier. A core with
     /// an empty free list pulls a batch from its own node's reservoir;
+    /// a core's list spills its coldest batch here at its high mark, and
     /// magazines flush cross-node frees here by home node. Any core may
     /// lock any node's reservoir (remote pulls under interleave, magazine
     /// flushes), which is exactly the traffic the simulator prices.
@@ -541,8 +558,9 @@ impl FramePool {
     ///
     /// Under first-touch (and replicate-read-only, which places frames
     /// identically) the allocation is node-local: the core's own free
-    /// list, then a batch pulled from its node's reservoir, then a fresh
-    /// batch created under the growth lock and homed on the core's node —
+    /// list, then a batch pulled from its node's reservoir (batches other
+    /// cores' lists spilled, or magazines returned), then a fresh batch
+    /// created under the growth lock and homed on the core's node —
     /// the per-CPU pageset refill pattern of real kernels, which keeps
     /// the growth lock off the steady-state fault path.
     ///
@@ -835,10 +853,12 @@ impl FramePool {
     /// translations become detectable.
     ///
     /// A frame homed on `core`'s node goes straight back to the core's
-    /// own list (core-local: it stays on its home node either way). A
-    /// frame homed on a *different node* parks in `core`'s outbound
-    /// magazine and returns to its home node's reservoir when the
-    /// magazine fills (or at [`FramePool::flush_magazines`]); the
+    /// own list (core-local: it stays on its home node either way); the
+    /// free that brings that list to its high mark also moves the list's
+    /// first-freed batch to the node's reservoir, for the next core that
+    /// runs dry. A frame homed on a *different node* parks in `core`'s
+    /// outbound magazine and returns to its home node's reservoir when
+    /// the magazine fills (or at [`FramePool::flush_magazines`]); the
     /// generation was already bumped and the caller has already completed
     /// any required TLB shootdown, so parking only delays *reuse*, never
     /// safety (DESIGN.md §6).
@@ -851,8 +871,11 @@ impl FramePool {
     /// `core`'s lock counts the pages and routes them — a block whole to
     /// its home node's block reservoir (already better batched than a
     /// magazine), a page homed on the core's node onto the core's own
-    /// list, any other page into the core's outbound magazine, which
-    /// flushes home once it holds [`MAGAZINE_SIZE`] frames.
+    /// list, which spills its first-freed [`REFILL_BATCH`] to the node's
+    /// reservoir once it holds `FREE_HIGH` frames (the core's lock, then
+    /// that one reservoir lock), any other page into the core's outbound
+    /// magazine, which flushes home once it holds [`MAGAZINE_SIZE`]
+    /// frames.
     fn take_back(&self, core: usize, base: Pfn, order: u8) {
         let pages = 1u64 << order;
         for pfn in base..base + pages as Pfn {
@@ -884,6 +907,14 @@ impl FramePool {
             self.block_reservoirs[home].lock().push((order, base));
         } else if on_node {
             frames.free.push(base);
+            if frames.free.len() >= FREE_HIGH {
+                // The coldest batch goes to the node's reservoir, where
+                // the next core whose list runs dry finds it (tier 2).
+                self.stats.add_held(core, PoolStats::spills, &frames, 1);
+                self.reservoirs[home]
+                    .lock()
+                    .extend(frames.free.drain(..REFILL_BATCH));
+            }
         } else {
             frames.magazine.push((home as u16, base));
             if frames.magazine.len() >= MAGAZINE_SIZE {
@@ -1088,7 +1119,7 @@ mod tests {
     use std::sync::Arc;
 
     /// Which word shares a line with which is simulator-visible (these
-    /// eleven span two lines, and the two a page-sized free bumps share
+    /// twelve span two lines, and the two a page-sized free bumps share
     /// the first): a field may be added at the end, and one that moves
     /// moves the records.
     #[test]
@@ -1106,6 +1137,7 @@ mod tests {
             ("cross_node_frees", S::cross_node_frees.index(), 8),
             ("reclaim_drains", S::reclaim_drains.index(), 9),
             ("remote_steals", S::remote_steals.index(), 10),
+            ("spills", S::spills.index(), 11),
         ];
         for (name, word, was) in pinned {
             assert_eq!(word, was, "{name}");
@@ -1707,6 +1739,83 @@ mod tests {
     #[should_panic(expected = "at least one NUMA node")]
     fn a_pool_without_nodes_panics() {
         FramePool::with_placement(2, PlacementPolicy::FirstTouch, 0);
+    }
+
+    /// Frames on `core`'s free list.
+    fn free_len(pool: &FramePool, core: usize) -> usize {
+        pool.cores[core].lock().free.len()
+    }
+
+    /// One round of the pattern the spill exists for: core 0 allocates
+    /// a frame and core 1, on the same node, frees it.
+    fn alloc_on_0_free_on_1(pool: &FramePool) -> Result<(), OutOfMemory> {
+        pool.free(1, pool.try_alloc(0)?);
+        Ok(())
+    }
+
+    #[test]
+    fn frames_one_core_frees_reach_a_capped_allocator() {
+        let pool = FramePool::new(2);
+        pool.set_frame_limit(6 * REFILL_BATCH as u64);
+        for round in 0..10_000 {
+            alloc_on_0_free_on_1(&pool).unwrap_or_else(|_| {
+                panic!(
+                    "round {round}: {} frames free on core 1",
+                    free_len(&pool, 1)
+                )
+            });
+        }
+        assert!(pool.stats().spills > 0);
+    }
+
+    #[test]
+    fn a_freeing_core_stays_below_its_high_mark() {
+        let pool = FramePool::new(2);
+        for _ in 0..10_000 {
+            alloc_on_0_free_on_1(&pool).unwrap();
+            assert!(free_len(&pool, 1) < FREE_HIGH);
+        }
+        let fresh = pool.stats().fresh;
+        assert!(
+            fresh <= (FREE_HIGH + REFILL_BATCH) as u64,
+            "{fresh} frames grown"
+        );
+    }
+
+    #[test]
+    fn three_batches_freed_in_a_row_stay_on_the_list() {
+        let pool = FramePool::new(2);
+        let held: Vec<Pfn> = (0..3 * REFILL_BATCH)
+            .map(|_| pool.try_alloc(0).unwrap())
+            .collect();
+        for f in held {
+            pool.free(1, f);
+        }
+        assert_eq!(free_len(&pool, 1), 3 * REFILL_BATCH);
+        assert_eq!(pool.stats().spills, 0);
+        assert_eq!(pool.reservoir_len(0), 0);
+    }
+
+    #[test]
+    fn a_spill_moves_the_first_freed_frames() {
+        let pool = FramePool::new(2);
+        let held: Vec<Pfn> = (0..FREE_HIGH).map(|_| pool.try_alloc(0).unwrap()).collect();
+        for &f in &held {
+            pool.free(1, f);
+        }
+        assert_eq!(pool.stats().spills, 1);
+        assert_eq!(pool.reservoir_len(0), REFILL_BATCH);
+        assert_eq!(free_len(&pool, 1), FREE_HIGH - REFILL_BATCH);
+        // Core 0's list is empty: its next batch is the spilled one.
+        let fresh = pool.stats().fresh;
+        let mut refilled: Vec<Pfn> = (0..REFILL_BATCH)
+            .map(|_| pool.try_alloc(0).unwrap())
+            .collect();
+        refilled.sort_unstable();
+        let mut first_freed = held[..REFILL_BATCH].to_vec();
+        first_freed.sort_unstable();
+        assert_eq!(refilled, first_freed);
+        assert_eq!(pool.stats().fresh, fresh, "no frame grown");
     }
 
     #[test]

@@ -6,8 +6,14 @@
 //! that need the concrete type (Refcache accounting) downcast via
 //! `VmSystem::as_any`.
 
+// Only `shared_remap`'s stream runs here.
+#[allow(dead_code)]
+#[path = "../examples/ops/mod.rs"]
+mod ops;
+
 use std::sync::Arc;
 
+use ops::{Kind, Ops};
 use radixvm::backend::{build, BackendKind};
 use radixvm::core_vm::RadixVm;
 use radixvm::hw::{Backing, Machine, MapFlags, Prot, VmError, BLOCK_PAGES, PAGE_SIZE};
@@ -766,4 +772,39 @@ fn overlapping_stress_all_backends() {
             vm.name()
         );
     }
+}
+
+/// Frames one core frees reach the core that allocates: two real-thread
+/// `shared_remap` streams (the repo benchmark's, `examples/ops/mod.rs`)
+/// on one two-core machine, where the frames core 0's remaps fault in
+/// come back on whichever core's tick releases them. Each core's free
+/// list spills its coldest batch to the node's reservoir at its high
+/// mark (256 frames, `rvm_mem`'s `FREE_HIGH`), so once both lists are
+/// warm the pool grows by at most two lists' worth per core, however
+/// long the streams run. A pool that kept every on-node free on the
+/// freeing core's list grew by thousands of frames here (2 880 in a
+/// release build).
+#[test]
+fn freed_frames_reach_the_allocating_core_under_real_threads() {
+    const FREE_HIGH: u64 = 256;
+    const WARM_OPS: u64 = 20_000;
+    const OPS: u64 = 100_000;
+    let (machine, vm) = ops::machine(2);
+    let mut streams: Vec<Ops> = (0..2)
+        .map(|core| Ops::on(machine.clone(), vm.clone(), core, Kind::SharedRemap))
+        .collect();
+    for _ in 0..WARM_OPS {
+        streams.iter_mut().for_each(Ops::op);
+    }
+    let fresh = machine.pool().stats().fresh;
+    std::thread::scope(|s| {
+        for mut o in streams {
+            s.spawn(move || (0..OPS).for_each(|_| o.op()));
+        }
+    });
+    let grown = machine.pool().stats().fresh - fresh;
+    assert!(
+        grown <= 2 * 2 * FREE_HIGH,
+        "the pool grew {grown} frames over {OPS} ops per thread"
+    );
 }
