@@ -566,10 +566,11 @@ impl VmSystem for RadixVm {
         if self.release_frames(core, &removed) {
             // The core has unmapped a superpage's worth since its last
             // flush: tick now, not at the caller's next tick. A frame
-            // only this core added references to comes back at this
-            // tick; the rest starts its two-epoch clock. After the guard,
-            // so no hint-riding guard of this op is alive (DESIGN.md §5,
-            // §8).
+            // only this core added references to already came back in
+            // `release_frames`; the rest — frames another core added
+            // to, the radix nodes this unmap emptied — starts its
+            // two-epoch clock here. After the guard, so no hint-riding
+            // guard of this op is alive (DESIGN.md §5, §8).
             self.cache.expedite(core);
         }
         Ok(())

@@ -35,7 +35,10 @@
 //!   ([`rvm_sync::asan_poison`]), so AddressSanitizer reports any access
 //!   to them, not only one through a stale TLB entry.
 //! * Frames hold real 4 KB buffers, so workloads store and verify real
-//!   data through the VM systems.
+//!   data through the VM systems. A frame's buffer is allocated, zeroed,
+//!   when the frame is first handed out, not when the table grows, so
+//!   the pool's payload memory follows the frames ever used (DESIGN.md
+//!   §10).
 //!
 //! The frame table is a chunked array reachable through atomic pointers:
 //! lookups are lock-free and read-mostly (they scale perfectly); only
@@ -130,6 +133,8 @@ pub struct FrameRc {
 }
 
 impl SlotManaged for FrameRc {
+    /// Returns the frame or block to the pool: this core's free-list
+    /// lock, then at most one reservoir, never the cache's own locks.
     fn on_zero(&self, ctx: &ReleaseCtx<'_>) {
         let pool = self.pool.load(Ordering::Acquire);
         debug_assert!(!pool.is_null(), "released a never-retained frame slot");
@@ -174,8 +179,13 @@ struct FrameSlot {
     /// Embedded Refcache count cell (DESIGN.md §8). Instrumented state:
     /// count traffic is real kernel-side sharing.
     rc: CountSlot<FrameRc>,
-    /// Heap storage for the frame's 4096 bytes.
-    data: Box<[u8; FRAME_SIZE]>,
+    /// Heap storage for the frame's 4096 bytes: null until the frame is
+    /// first handed out, which allocates it zeroed; the slot owns it from
+    /// then on, until the pool drops. Written once, `Release`, and read
+    /// `Acquire`, so whoever learns the frame number from its first
+    /// owner sees the buffer. Plain (uninstrumented) atomic: the payload
+    /// is memory, not kernel state.
+    data: AtomicPtr<u8>,
     /// NUMA node whose reservoir this frame returns to when freed on a
     /// core of a different node (plain bookkeeping, uninstrumented).
     home: AtomicU16,
@@ -205,10 +215,10 @@ impl FrameSlot {
         self.gen.store(gen.wrapping_add(1), Ordering::Release);
     }
 
-    /// Address of the frame's payload, for [`asan_poison`].
+    /// The frame's payload, or null if it was never handed out.
     #[inline]
-    fn payload(&self) -> usize {
-        self.data.as_ptr() as usize
+    fn payload(&self) -> *mut u8 {
+        self.data.load(Ordering::Acquire)
     }
 }
 
@@ -678,8 +688,9 @@ impl FramePool {
     /// The one way out, for a frame (`order` 0) or a block: counts the
     /// `1 << order` pages handed out on `core` under its lock, drops
     /// the lock, then per page charges the zeroing at the hop distance
-    /// to the frame's home, unpoisons the payload and, when recycled,
-    /// zeroes it. No `memset` ever runs under a lock.
+    /// to the frame's home and either allocates the payload zeroed (the
+    /// frame's first hand-out) or unpoisons and zeroes the one it had.
+    /// No `memset` or allocation ever runs under a lock.
     fn hand_out(
         &self,
         core: usize,
@@ -699,9 +710,16 @@ impl FramePool {
         for pfn in base..base + pages as Pfn {
             sim::charge_page_work_homed(home);
             let slot = self.slot(pfn);
-            asan_poison(slot.payload(), FRAME_SIZE, false);
-            if reused {
-                zero_frame(slot);
+            let data = slot.payload();
+            if data.is_null() {
+                let fresh = Box::<[u8; FRAME_SIZE]>::new_zeroed();
+                slot.data
+                    .store(Box::into_raw(fresh).cast(), Ordering::Release);
+            } else {
+                asan_poison(data as usize, FRAME_SIZE, false);
+                // SAFETY: the frame is being handed out (no mapping
+                // references it), so this is the only access.
+                unsafe { std::ptr::write_bytes(data, 0, FRAME_SIZE) };
             }
         }
         base
@@ -750,7 +768,7 @@ impl FramePool {
                                 order: AtomicU8::new(0),
                                 pool: AtomicPtr::new(std::ptr::null_mut()),
                             }),
-                            data: Box::new([0u8; FRAME_SIZE]),
+                            data: AtomicPtr::new(std::ptr::null_mut()),
                             home: AtomicU16::new(home as u16),
                             gen: AtomicU64::new(1),
                             pins: AtomicU32::new(0),
@@ -889,7 +907,7 @@ impl FramePool {
             while slot.pins.load(Ordering::Acquire) != 0 {
                 backoff.pause();
             }
-            asan_poison(slot.payload(), FRAME_SIZE, true);
+            asan_poison(slot.payload() as usize, FRAME_SIZE, true);
         }
         let home = self.home(base);
         let on_node = home == self.node_of(core);
@@ -1022,13 +1040,12 @@ impl FramePool {
     #[inline]
     pub fn write_u64(&self, pfn: Pfn, off: usize, val: u64) {
         assert!(off + 8 <= FRAME_SIZE);
-        let slot = self.slot(pfn);
         // SAFETY: in-bounds write to the frame payload. Concurrent access
         // to the same offset is a workload-level race (the VM permits
         // shared writable mappings); performed as a volatile word write,
         // as real memory would behave.
         unsafe {
-            let p = slot.data.as_ptr().add(off) as *mut u64;
+            let p = self.bytes(pfn).add(off) as *mut u64;
             std::ptr::write_volatile(p, val);
         }
     }
@@ -1037,10 +1054,9 @@ impl FramePool {
     #[inline]
     pub fn read_u64(&self, pfn: Pfn, off: usize) -> u64 {
         assert!(off + 8 <= FRAME_SIZE);
-        let slot = self.slot(pfn);
         // SAFETY: in-bounds read of the frame payload.
         unsafe {
-            let p = slot.data.as_ptr().add(off) as *const u64;
+            let p = self.bytes(pfn).add(off) as *const u64;
             std::ptr::read_volatile(p)
         }
     }
@@ -1051,12 +1067,9 @@ impl FramePool {
     #[inline]
     pub fn fill(&self, pfn: Pfn, byte: u8) {
         sim::charge_page_work_homed(self.home(pfn));
-        let slot = self.slot(pfn);
         // SAFETY: in-bounds write to the frame payload (workload-level
         // races permitted as in `write_u64`).
-        unsafe {
-            std::ptr::write_bytes(slot.data.as_ptr() as *mut u8, byte, FRAME_SIZE);
-        }
+        unsafe { std::ptr::write_bytes(self.bytes(pfn), byte, FRAME_SIZE) };
     }
 
     /// Returns a raw pointer to the frame payload for bulk access.
@@ -1066,7 +1079,16 @@ impl FramePool {
     /// The caller must keep accesses in-bounds and must not use the
     /// pointer after the frame is freed.
     pub unsafe fn frame_ptr(&self, pfn: Pfn) -> *mut u8 {
-        self.slot(pfn).data.as_ptr() as *mut u8
+        self.bytes(pfn)
+    }
+
+    /// The payload of `pfn`, which has been handed out (as every frame a
+    /// caller can name has).
+    #[inline]
+    fn bytes(&self, pfn: Pfn) -> *mut u8 {
+        let data = self.slot(pfn).payload();
+        debug_assert!(!data.is_null(), "frame {pfn} was never handed out");
+        data
     }
 }
 
@@ -1082,15 +1104,6 @@ impl Drop for FramePin<'_> {
     }
 }
 
-/// Re-zeroes a recycled frame's payload.
-fn zero_frame(slot: &FrameSlot) {
-    // SAFETY: the frame is being handed out (no mapping references it),
-    // so we have exclusive access to its payload.
-    unsafe {
-        std::ptr::write_bytes(slot.data.as_ptr() as *mut u8, 0, FRAME_SIZE);
-    }
-}
-
 impl Drop for FramePool {
     fn drop(&mut self) {
         let n = self.total_frames();
@@ -1103,10 +1116,15 @@ impl Drop for FramePool {
                 // exactly once.
                 let chunk =
                     unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(p, CHUNK_FRAMES)) };
-                // Free frames are poisoned: their payloads must be
-                // addressable again before they return to the allocator.
-                for slot in chunk.iter() {
-                    asan_poison(slot.payload(), FRAME_SIZE, false);
+                // Exactly the payloads hand-outs allocated. Free frames'
+                // are poisoned: addressable again before they go back.
+                for data in chunk.iter().map(FrameSlot::payload) {
+                    if !data.is_null() {
+                        asan_poison(data as usize, FRAME_SIZE, false);
+                        // SAFETY: allocated as this box in `hand_out`,
+                        // and freed once, here.
+                        drop(unsafe { Box::from_raw(data.cast::<[u8; FRAME_SIZE]>()) });
+                    }
                 }
             }
         }
@@ -1155,6 +1173,30 @@ mod tests {
         let f2 = pool.try_alloc(0).unwrap();
         assert_eq!(f2, f, "free list reuse");
         assert_eq!(pool.read_u64(f2, 8), 0, "reused frame re-zeroed");
+    }
+
+    /// Frames of `pool` that have payload memory.
+    fn payloads(pool: &FramePool) -> usize {
+        (0..pool.total_frames() as Pfn)
+            .filter(|&pfn| !pool.slot(pfn).payload().is_null())
+            .count()
+    }
+
+    #[test]
+    fn a_frame_gets_payload_memory_at_its_first_hand_out() {
+        let pool = FramePool::new(1);
+        let f = pool.try_alloc(0).unwrap();
+        assert_eq!(pool.total_frames(), REFILL_BATCH, "one batch grew");
+        assert_eq!(payloads(&pool), 1, "the growth allocated no payload");
+        let g = pool.try_alloc(0).unwrap();
+        assert_eq!(payloads(&pool), 2);
+        pool.free(0, f);
+        pool.free(0, g);
+        assert_eq!(pool.try_alloc(0).unwrap(), g);
+        assert_eq!(payloads(&pool), 2, "a recycled frame keeps its payload");
+        let b = pool.try_alloc_block(0, BLOCK_ORDER).unwrap();
+        assert_eq!(payloads(&pool), 2 + BLOCK_PAGES);
+        assert_eq!(pool.read_u64(b + BLOCK_PAGES as Pfn - 1, 4088), 0);
     }
 
     #[test]

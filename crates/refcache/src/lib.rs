@@ -12,8 +12,9 @@
 //! One zero skips the wait: a table-embedded cell's, applied by the only
 //! core that ever added to it, which no other core's cache can revive
 //! (the last point below) — biased reference counting (Choi et al.,
-//! PACT 2018) on the delta caches. A frame thus comes back at its own
-//! core's next tick, whether or not the other cores tick.
+//! PACT 2018) on the delta caches. [`Refcache::surrender`] decides it on
+//! the delta it has just cached, so a frame comes back inside the unmap
+//! that gave up its last reference, whether or not any core ticks.
 //!
 //! Space is proportional to objects **plus** cores, not objects **times**
 //! cores — the property that makes per-physical-page reference counting
@@ -70,8 +71,11 @@
 //!   new reference needs a live one and cells have no `tryget`, so
 //!   nothing revives the cell, and no cache keeps a non-zero delta for
 //!   an address that may be re-activated: `evict` releases the cell at
-//!   once. Any other zero — a boxed object's, a cell's with a foreign
-//!   adder, one already on review — takes the two-epoch path above.
+//!   once. [`Refcache::surrender`] applies the same test to `G` plus the
+//!   delta it has just cached, which is what that `evict` would apply,
+//!   and releases the cell under the core lock it holds. Any other zero
+//!   — a boxed object's, a cell's with a foreign adder, one already on
+//!   review — takes the two-epoch path above.
 //!
 //! Unit and stress tests exercise these races; see also the proptest
 //! model comparing against an exact counter.
@@ -124,16 +128,19 @@ const EMPTY_SLOT: Slot = Slot { obj: 0, delta: 0 };
 
 /// 4 KiB pages a core may surrender ([`Refcache::surrender`]) between two
 /// flushes of its delta cache before the answer asks its caller for a
-/// tick: **one superpage**. Surrendered memory is released, or starts
-/// its two-epoch clock, only at the core's next flush, so this is what a
-/// core can sit on with no clock running, whatever its caller's timer
-/// does. One superpage because that is the unit a single operation can
-/// give up: a workload that unmaps 2 MiB per op ticks once per op and
-/// has a block back at its own tick, while 4 KiB workloads (128 pages
-/// between their own ticks) never reach it and pay nothing. Larger costs
-/// the bound in proportion and buys no time back (DESIGN.md §8: two
-/// superpages read twice the benchmark's footprint, four read five
-/// times). A constant: no caller has a reason for another value.
+/// tick: **one superpage**. A frame only the core added to comes back
+/// inside the surrender; anything else it gave up — a frame another core
+/// added to, the radix nodes an unmap emptied — is released, or starts
+/// its two-epoch clock, only at the core's next flush, so this bounds
+/// what a core can sit on with no clock running, whatever its caller's
+/// timer does. The pages count either way: the count stays one add under
+/// the lock. One superpage because that is the unit a single operation
+/// can give up: a workload that unmaps 2 MiB per op ticks once per op,
+/// while 4 KiB workloads (128 pages between their own ticks) never reach
+/// it and pay nothing. Larger costs the bound in proportion and buys no
+/// time back (DESIGN.md §8: two superpages read twice the benchmark's
+/// footprint, four read five times). A constant: no caller has a reason
+/// for another value.
 pub const EXPEDITE_PAGES: u64 = 512;
 
 /// Per-core Refcache state: the delta cache and the review queue.
@@ -185,9 +192,9 @@ sharded_stats! {
         slot_activates: Shared,
         /// Table-embedded cells whose zero-count action ran (true-zero
         /// confirmed) — the slot-backed analogue of `frees`. Counted
-        /// where the release is decided (in `review`, or in the `evict`
-        /// of a cell's only adder), not where it runs after the lock
-        /// dropped.
+        /// where the release is decided (in `review`, in the `evict` of
+        /// a cell's only adder, or in the `surrender` that made its zero
+        /// final), not where it runs after the lock dropped.
         slot_releases: Exclusive<CoreCache>,
         /// Of `flushes`, those of a [`Refcache::expedite`] tick: run by a
         /// [`Refcache::surrender`] caller because of the memory its core
@@ -441,11 +448,59 @@ impl Refcache {
     /// it holds no lock a flush hook takes (DESIGN.md §5: never under a
     /// hint-riding guard). The answer stays true until a flush, so a
     /// caller that cannot tick leaves it to the next one that can.
+    ///
+    /// A slot-backed cell whose count this surrender makes a final zero
+    /// — its global count plus the core's cached delta is zero, it is not
+    /// on review, and its adders are none or `core` — is released before
+    /// the call returns: the delta is applied and the cell's
+    /// [`SlotManaged::on_zero`] runs under the core's lock, so a frame
+    /// comes back inside the unmap that gave it up. That is the zero a
+    /// flush of the core would find final the moment the lock dropped
+    /// (module docs), decided one flush earlier; every other zero waits
+    /// for a flush as an `adjust`'s does. The pages count either way.
     pub fn surrender<P: Counted>(&self, core: usize, obj: P, refs: i64, pages: u64) -> bool {
+        let key = obj.count_addr();
         let mut cc = self.cores[core].lock();
-        self.adjust_locked(&mut cc, core, obj.count_addr(), -refs);
+        self.adjust_locked(&mut cc, core, key, -refs);
+        if P::SLOT_BACKED && refs > 0 {
+            // SAFETY: the caller held the references it surrenders, so
+            // the cell's table is live and `key` is its header.
+            unsafe { self.release_if_final(&mut cc, core, key) };
+        }
         cc.surrendered += pages;
         cc.surrendered >= EXPEDITE_PAGES
+    }
+
+    /// Releases the slot-backed cell whose header is at `key` in place
+    /// when `core`'s cached delta brings its global count to a final
+    /// zero: the [`Refcache::evict`] of its only adder, run with the
+    /// action inside the core's lock instead of at the next review (lock
+    /// order: core → object, then the action's own locks). A
+    /// [`Refcache::quiesce`], which takes this lock, orders after the
+    /// action, so no release pass is counted for it.
+    ///
+    /// # Safety
+    ///
+    /// `key` must point to a live `CountSlot`'s header that `cc` holds a
+    /// way for (a [`Refcache::adjust_locked`] on it just ran).
+    unsafe fn release_if_final(&self, cc: &mut CoreCache, core: usize, key: usize) {
+        let idx = Self::hash_obj(key, cc.slots.len());
+        debug_assert_eq!(cc.slots[idx].obj, key);
+        let hdr = &*(key as *const Header);
+        let mut st = hdr.state.lock();
+        if st.on_review || !st.only_adder_is(core) || st.refcnt + cc.slots[idx].delta != 0 {
+            return;
+        }
+        st.refcnt = 0;
+        st.dirty = false;
+        drop(st);
+        // The way keeps its key at delta zero, which a flush skips: it
+        // stays where `occupied` lists it.
+        cc.slots[idx].delta = 0;
+        self.stats
+            .add_held(core, RefcacheStats::slot_releases, cc, 1);
+        let ctx = ReleaseCtx { cache: self, core };
+        (hdr.drop_fn)(key as *mut Header, &ctx);
     }
 
     /// Increments the reference count of `obj` on `core`.
@@ -515,7 +570,7 @@ impl Refcache {
         if st.refcnt == 0 {
             if !st.on_review {
                 st.dirty = false;
-                if hdr.slot_backed && (st.adders == 0 || st.adders == core as u16 + 1) {
+                if hdr.slot_backed && st.only_adder_is(core) {
                     // No other core ever added: a final zero (module
                     // docs). The cell is dormant from this hold on, as
                     // from review's; its action runs at the core's next

@@ -54,6 +54,12 @@ impl ObjState {
     /// [`ObjState::adders`] once two cores have added.
     pub(crate) const SEVERAL: u16 = u16::MAX;
 
+    /// Whether no core but `core` has added to the cell since its
+    /// activation: a zero it applies is final (module docs in [`crate`]).
+    pub(crate) fn only_adder_is(&self, core: usize) -> bool {
+        self.adders == 0 || self.adders == core as u16 + 1
+    }
+
     /// A state with count `refcnt`, off review, clean, with no adders.
     pub(crate) const fn new(refcnt: i64) -> Self {
         ObjState {

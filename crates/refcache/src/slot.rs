@@ -20,14 +20,15 @@
 //! * **Birth**: [`crate::Refcache::activate`] arms a dormant cell with
 //!   an initial count — no allocation, no `alloc_ns` charge.
 //! * **Death**: when the count is a true zero the cell resets to dormant
-//!   and its payload action ([`SlotManaged::on_zero`]) runs at the next
-//!   review — for a frame slot, the frame returns to the pool. A zero
-//!   applied by the cell's only adder (the only core that added
-//!   references to it since activation) is true at once, so a frame
-//!   comes back at its own core's next tick; any other zero is confirmed
-//!   by review two epochs later, as a boxed object's is. No memory is
-//!   freed; the same cell is re-activated when the table entry's
-//!   resource is reused.
+//!   and its payload action ([`SlotManaged::on_zero`]) runs — for a
+//!   frame slot, the frame returns to the pool. A zero applied by the
+//!   cell's only adder (the only core that added references to it since
+//!   activation) is true at once: inside the [`crate::Refcache::surrender`]
+//!   that gave up the last reference, so a frame comes back inside its
+//!   unmap, or at the next review when a flush applied it. Any other zero
+//!   is confirmed by review two epochs later, as a boxed object's is. No
+//!   memory is freed; the same cell is re-activated when the table
+//!   entry's resource is reused.
 //! * **No weak references**: table entries are revived by re-activation
 //!   (the resource allocator hands them out again), not `tryget`.
 //!
@@ -59,6 +60,12 @@ pub trait SlotManaged: Send + Sync + 'static {
     /// reset to dormant; the moment this function makes the underlying
     /// resource reallocatable, the cell may be re-activated (possibly
     /// concurrently, by whichever core re-acquires the resource).
+    ///
+    /// It never re-enters the [`crate::Refcache`] in `ctx`: a
+    /// [`crate::Refcache::surrender`] runs it holding `ctx.core`'s delta
+    /// cache lock, so the action's own locks come after that one in the
+    /// lock order (the frame table's: core's free list, then a
+    /// reservoir).
     fn on_zero(&self, ctx: &ReleaseCtx<'_>);
 }
 
@@ -176,7 +183,7 @@ impl<T: SlotManaged> Counted for SlotPtr<T> {
 /// Type-erased zero-count action for slot-backed cells: run the payload
 /// action. The cell was already reset to dormant, under the state lock
 /// its zero was confirmed with (by review, or by the only adder's
-/// evict) — *before* this runs,
+/// evict or surrender) — *before* this runs,
 /// so that the action (which typically returns a resource to an
 /// allocator) publishes a cell that is immediately re-activatable.
 ///
@@ -202,7 +209,7 @@ pub(crate) unsafe fn slot_drop_impl<T: SlotManaged>(h: *mut Header, ctx: &Releas
 mod tests {
     use super::*;
     use crate::Refcache;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
 
     struct Zeroed {
@@ -303,6 +310,91 @@ mod tests {
     }
 
     #[test]
+    fn a_sole_adders_surrender_releases_the_cell_before_it_returns() {
+        // Core 1 never ticks and nobody flushes: the surrender itself
+        // runs the action.
+        let rc = Refcache::new(2);
+        let (slot, hits) = cell();
+        rc.activate(0, slot.handle(), 1);
+        rc.inc(0, slot.handle());
+        assert!(!rc.surrender(0, slot.handle(), 1, 1));
+        assert_eq!(hits.load(Ordering::SeqCst), 0, "one reference left");
+        rc.surrender(0, slot.handle(), 1, 1);
+        assert_eq!(hits.load(Ordering::SeqCst), 1);
+        assert_eq!(rc.live_slots(), 0, "exact with no tick");
+        assert_eq!(rc.stats().flushes, 0);
+        // The way the release zeroed applies nothing at the next flush.
+        rc.maintain(0);
+        assert_eq!(rc.global_count(slot.handle()), 0);
+        // A cell nobody added to is released by whichever core's
+        // surrender brings it to zero.
+        rc.activate(0, slot.handle(), 1);
+        rc.surrender(1, slot.handle(), 1, 1);
+        assert_eq!(hits.load(Ordering::SeqCst), 2);
+        assert_eq!(rc.live_slots(), 0);
+    }
+
+    #[test]
+    fn a_foreign_adders_cell_still_waits_for_review_after_a_surrender() {
+        let rc = Refcache::new(2);
+        let (slot, hits) = cell();
+        rc.activate(0, slot.handle(), 1);
+        rc.inc(1, slot.handle());
+        rc.surrender(1, slot.handle(), 1, 1);
+        // Global 1 plus core 0's -1 is zero, but core 1 added.
+        rc.surrender(0, slot.handle(), 1, 1);
+        assert_eq!(hits.load(Ordering::SeqCst), 0);
+        assert_eq!(rc.live_slots(), 1);
+        rc.maintain(1);
+        let queued = rc.epoch();
+        rc.maintain(0); // global zero: on review from here
+        for _ in 0..4 {
+            rc.maintain(0);
+        }
+        assert_eq!(rc.epoch(), queued + 1, "core 1 has not flushed again");
+        assert_eq!(hits.load(Ordering::SeqCst), 0, "released before two epochs");
+        rc.maintain(1);
+        rc.maintain(0);
+        assert_eq!(hits.load(Ordering::SeqCst), 1);
+        assert_eq!(rc.live_slots(), 0);
+    }
+
+    #[test]
+    fn a_block_head_surrendering_part_of_its_references_releases_nothing() {
+        let rc = Refcache::new(1);
+        let (slot, hits) = cell();
+        rc.activate(0, slot.handle(), 512);
+        rc.surrender(0, slot.handle(), 16, 16);
+        assert_eq!(hits.load(Ordering::SeqCst), 0);
+        rc.quiesce();
+        assert_eq!(hits.load(Ordering::SeqCst), 0);
+        assert_eq!(rc.global_count(slot.handle()), 512 - 16);
+        rc.surrender(0, slot.handle(), 512 - 16, 512 - 16);
+        assert_eq!(hits.load(Ordering::SeqCst), 1);
+        assert_eq!(rc.live_slots(), 0);
+    }
+
+    #[test]
+    fn a_reference_added_on_one_core_is_not_released_by_anothers_surrender() {
+        let rc = Refcache::new(2);
+        let (slot, hits) = cell();
+        rc.activate(0, slot.handle(), 1);
+        // Cached on core 0: the true count is 2.
+        rc.inc(0, slot.handle());
+        // Core 1 gives that reference up: global 1 plus its -1 is zero,
+        // but core 0, not core 1, added.
+        rc.surrender(1, slot.handle(), 1, 1);
+        assert_eq!(hits.load(Ordering::SeqCst), 0, "released a live cell");
+        // Core 0's own surrender leaves core 1's -1 cached: no final zero.
+        rc.surrender(0, slot.handle(), 1, 1);
+        assert_eq!(hits.load(Ordering::SeqCst), 0);
+        assert_eq!(rc.live_slots(), 1);
+        rc.quiesce();
+        assert_eq!(hits.load(Ordering::SeqCst), 1);
+        assert_eq!(rc.live_slots(), 0);
+    }
+
+    #[test]
     fn a_foreign_adder_keeps_the_cell_on_review_for_two_epochs() {
         let rc = Refcache::new(2);
         let (slot, hits) = cell();
@@ -380,31 +472,50 @@ mod tests {
         assert_eq!(hits.load(Ordering::SeqCst), 2);
     }
 
-    /// A zero action that gives up the last reference to another cell
-    /// and flushes its core: a release queued while the review pass that
-    /// runs this action has its list out.
-    struct DropsAnother {
-        other: SlotPtr<Zeroed>,
+    /// A zero action that holds its review pass open until told to go
+    /// on, so that a flush can queue a release while the pass has its
+    /// list out (an action may not re-enter the cache to do it itself).
+    struct HoldsThePass {
+        started: Arc<AtomicBool>,
+        go: Arc<AtomicBool>,
     }
 
-    impl SlotManaged for DropsAnother {
-        fn on_zero(&self, ctx: &ReleaseCtx<'_>) {
-            ctx.cache.dec(ctx.core, self.other);
-            ctx.cache.flush(ctx.core);
+    impl SlotManaged for HoldsThePass {
+        fn on_zero(&self, _ctx: &ReleaseCtx<'_>) {
+            self.started.store(true, Ordering::SeqCst);
+            while !self.go.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
         }
     }
 
     #[test]
     fn a_release_queued_during_a_pass_outlives_the_pass() {
-        let rc = Refcache::new(1);
+        let rc = Arc::new(Refcache::new(1));
         let (other, hits) = cell();
-        let first = CountSlot::new(DropsAnother {
-            other: other.handle(),
+        let (started, go) = (
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let first = CountSlot::new(HoldsThePass {
+            started: started.clone(),
+            go: go.clone(),
         });
         rc.activate(0, first.handle(), 1);
         rc.activate(0, other.handle(), 1);
         rc.dec(0, first.handle());
-        rc.maintain(0); // runs `first`'s action, which queues `other`
+        rc.flush(0); // a final zero: `first` waits for the next review
+        let pass = {
+            let rc = rc.clone();
+            std::thread::spawn(move || rc.review(0))
+        };
+        while !started.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        rc.dec(0, other.handle());
+        rc.flush(0); // queues `other` while the pass runs `first`
+        go.store(true, Ordering::SeqCst);
+        pass.join().unwrap();
         assert_eq!(rc.live_slots(), 0);
         assert_eq!(hits.load(Ordering::SeqCst), 0, "not run in that pass");
         rc.review(0);

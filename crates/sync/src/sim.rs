@@ -46,7 +46,15 @@ use crate::CoreSet;
 const NO_OWNER: u32 = u32::MAX;
 
 /// State of one 64-byte cache line.
+///
+/// Packed to 8-byte alignment: `sharers` alone would align the entry to
+/// 16 bytes and pad a `lines` bucket to 64, where 48 hold it. A run's
+/// line map is its largest host allocation (8 MiB at 131 072 lines, the
+/// 16-core `superpage` run), and the table's doubling holds the old and
+/// new arrays at once, so the entry size sets the benchmark's peak
+/// resident set there. Fields are only read and written by value.
 #[derive(Clone, Copy)]
+#[repr(Rust, packed(8))]
 struct Line {
     /// Exclusive owner core, or [`NO_OWNER`] when the line is shared.
     owner: u32,

@@ -2,10 +2,10 @@
 //! fault handling performs **zero heap allocations** — the guard's unit
 //! and pin storage is inline, the leaf hint skips the descent, and
 //! nothing on the PTE/TLB refill path allocates. The same holds for a
-//! warm one-page `munmap`, an in-place re-`mmap`, and the Refcache tick
-//! that frees their frames. And a warm superpage demotion, which builds
-//! a radix leaf and later frees it, takes the leaf's slot array from the
-//! core's spare list, not from the allocator.
+//! warm one-page `munmap` (which frees its frame), an in-place
+//! re-`mmap`, and the Refcache tick after them. And a warm superpage
+//! demotion, which builds a radix leaf and later frees it, takes the
+//! leaf's slot array from the core's spare list, not from the allocator.
 //!
 //! Lives in its own integration-test binary because it installs a
 //! counting global allocator, and contains a single #[test] so no
@@ -202,38 +202,51 @@ fn warm_single_page_fault_path_is_allocation_free() {
         assert_eq!(last, 0, "{label}: every window allocated");
     }
 
-    // Phase 2c: a warm Refcache tick. After 128 map/touch/unmap ops,
-    // `maintain` flushes their deltas and frees the 128 frames queued two
-    // ticks earlier. Its review pass collects what it frees in a list the
-    // core keeps between ticks, so the tick allocates nothing either.
-    let tick = || -> (u64, u64) {
+    // Phase 2c: frames come back inside their munmaps, and the warm
+    // Refcache tick after them frees none. A frame only this core added
+    // references to returns within the `munmap` that surrenders its last
+    // one (`free_pages` +1 per munmap), so the tick after 128
+    // map/touch/unmap ops has no frame left to free. Both allocate
+    // nothing. (The review pass's list, which a tick that frees keeps
+    // between ticks, is exercised by Phase 2d's leaves.)
+    let tick = || -> u64 {
+        let mut allocs = 0;
         for i in 0..128u64 {
             let va = CHURN + (i % 8) * PAGE_SIZE;
             vm.mmap(0, va, PAGE_SIZE, Prot::RW, Backing::Anon).unwrap();
             machine.touch_page(0, &*vm, va, 1).unwrap();
+            let freed = machine.pool().stats().free_pages;
+            let before = ALLOCS.load(Ordering::Relaxed);
             vm.munmap(0, va, PAGE_SIZE).unwrap();
+            allocs += ALLOCS.load(Ordering::Relaxed) - before;
+            assert_eq!(
+                machine.pool().stats().free_pages - freed,
+                1,
+                "a munmap frees its frame"
+            );
         }
         let freed = machine.pool().stats().free_pages;
         let before = ALLOCS.load(Ordering::Relaxed);
         vm.maintain(0);
-        (
-            ALLOCS.load(Ordering::Relaxed) - before,
+        allocs += ALLOCS.load(Ordering::Relaxed) - before;
+        assert_eq!(
             machine.pool().stats().free_pages - freed,
-        )
+            0,
+            "the tick found a frame left to free"
+        );
+        allocs
     };
     for _ in 0..4 {
         tick(); // warm-up: the review queue and the free list have room
     }
     let mut last = u64::MAX;
     for _ in 0..5 {
-        let (allocs, freed) = tick();
-        assert_eq!(freed, 128, "a warm tick frees one tick's frames");
-        last = allocs;
+        last = tick();
         if last == 0 {
             break;
         }
     }
-    assert_eq!(last, 0, "Refcache tick: every window allocated");
+    assert_eq!(last, 0, "munmap and Refcache tick: every window allocated");
 
     // Phase 2d: a warm demotion cycle — hinted 2 MiB map, one write (a
     // block fault), a 16-page hole punched (the fold becomes a leaf),

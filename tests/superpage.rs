@@ -316,9 +316,10 @@ fn superpage_op(machine: &Machine, vm: &dyn VmSystem, core: usize, i: u64) -> u6
     populated
 }
 
-/// The footprint bound (DESIGN.md §8): a core that unmaps a superpage's
-/// worth of memory runs a Refcache tick itself, and a block only that
-/// core added references to comes back at that tick, so a loop that
+/// The footprint bound (DESIGN.md §8): a block only its own core added
+/// references to comes back inside the unmap that gives it up, and a
+/// core that unmaps a superpage's worth of memory runs a Refcache tick
+/// itself for the rest, so a loop that
 /// maps, touches and unmaps 2 MiB per op and **never calls `maintain`**
 /// runs for ever in a pool of two blocks — it has each block back before
 /// its next op. (With only the caller's timer to start the clock, this
@@ -346,9 +347,10 @@ fn unmapped_superpages_come_back_without_a_timer() {
 }
 
 /// Frames do not wait on an idle core: the epoch needs every core, but
-/// a block no other core added a reference to is back at its own core's
-/// tick (DESIGN.md §8). So while a second core never ticks, the first
-/// holds at most one block after each op, and nothing fails or leaks.
+/// a block no other core added a reference to is back inside the unmap
+/// that gave it up (DESIGN.md §8). So while a second core never ticks,
+/// the first holds at most one block after each op, and nothing fails or
+/// leaks.
 #[test]
 fn an_idle_core_holds_back_no_frames_and_loses_nothing() {
     const OPS: u64 = 12;
@@ -372,7 +374,7 @@ fn an_idle_core_holds_back_no_frames_and_loses_nothing() {
 /// references to — here core 1 punches a hole in core 0's superpage,
 /// which demotes it and adopts the clones on core 1 — waits the full two
 /// epochs, and those need core 1's ticks. Core 0's own blocks still come
-/// back at its ticks meanwhile.
+/// back inside its unmaps meanwhile.
 #[test]
 fn a_block_another_core_added_to_waits_for_that_cores_ticks() {
     let (machine, vm) = radix(2);
