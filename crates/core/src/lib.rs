@@ -912,4 +912,29 @@ mod tests {
         assert_eq!(m.pool().outstanding_frames(), 0);
         assert_eq!(m.stats().stale_detected, 0);
     }
+
+    /// A VM that holds the only handle on its machine drops the machine
+    /// last. The fork's share gives every frame a foreign adder, so the
+    /// frames wait for a review that only the drop of the last handle on
+    /// the cache runs, inside the machine's pool; with `machine` dropped
+    /// first, that drain is a use-after-free, which `scripts/sanitize.sh`
+    /// reports.
+    #[test]
+    fn a_vm_that_owns_its_machine_frees_shared_frames_before_it() {
+        let parent = RadixVm::new(Machine::new(2), RadixVmConfig::default());
+        let machine = Arc::downgrade(parent.machine());
+        parent.attach_core(0);
+        parent
+            .mmap(0, BASE, 8 * PAGE_SIZE, Prot::RW, Backing::Anon)
+            .unwrap();
+        for p in 0..8u64 {
+            parent
+                .machine()
+                .write_u64(0, &*parent, BASE + p * PAGE_SIZE, p)
+                .unwrap();
+        }
+        drop(parent.fork(1));
+        drop(parent);
+        assert!(machine.upgrade().is_none(), "the VM held the last handle");
+    }
 }

@@ -145,7 +145,6 @@ impl PromoteCounters {
 
 /// A RadixVM address space.
 pub struct RadixVm {
-    machine: Arc<Machine>,
     cache: Arc<Refcache>,
     tree: RadixTree<PageMeta>,
     mmu: Box<dyn Mmu>,
@@ -160,6 +159,9 @@ pub struct RadixVm {
     /// background thread. Padded: neighbouring cores' counters would
     /// otherwise share lines on every eligible 4 KiB fault.
     promote: Vec<CachePadded<Mutex<PromoteCounters>>>,
+    /// Dropped last: whoever drops the last handle on `cache` drains it,
+    /// which runs the frame cells' zero actions in the machine's pool.
+    machine: Arc<Machine>,
 }
 
 impl RadixVm {
@@ -1109,7 +1111,7 @@ impl RadixVm {
 impl Drop for RadixVm {
     fn drop(&mut self) {
         // Unmap everything so physical pages return to the pool, then let
-        // the tree tear itself down.
+        // the tree give up its nodes.
         let removed = {
             let mut guard = self
                 .tree
@@ -1119,6 +1121,5 @@ impl Drop for RadixVm {
         self.unmap_tables(0, 0, VPN_LIMIT, &removed);
         self.release_frames(0, &removed);
         self.machine.flush_asid(self.asid);
-        self.cache.quiesce();
     }
 }

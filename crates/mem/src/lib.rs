@@ -125,10 +125,12 @@ pub struct FrameRc {
     /// never counted individually. The zero-count action frees exactly
     /// the frames the retain covered.
     order: AtomicU8,
-    /// The owning pool, set at retain time. Sound to dereference at
-    /// release: the slot lives *inside* the pool's table, so the pool is
-    /// necessarily alive (and pinned — retain takes `&self` on its final
-    /// home) whenever Refcache runs the action.
+    /// The owning pool, set at retain time (`retain` takes `&self` on
+    /// its final home, so the address is stable). Sound to dereference
+    /// at release because the table behind a cell outlives every
+    /// Refcache counting it, as `Drop for Refcache` requires: that drop
+    /// runs the actions still due, so a pool must not go first (a
+    /// `RadixVm` drops its machine last).
     pool: AtomicPtr<FramePool>,
 }
 
@@ -138,7 +140,8 @@ impl SlotManaged for FrameRc {
     fn on_zero(&self, ctx: &ReleaseCtx<'_>) {
         let pool = self.pool.load(Ordering::Acquire);
         debug_assert!(!pool.is_null(), "released a never-retained frame slot");
-        // SAFETY: see the `pool` field docs.
+        // SAFETY: the pool outlives the cache running this action (see
+        // the `pool` field docs).
         let pool = unsafe { &*pool };
         pool.take_back(ctx.core, self.pfn, self.order.load(Ordering::Acquire));
     }

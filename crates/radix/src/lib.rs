@@ -36,6 +36,7 @@ pub use tree::{
 mod tests {
     use super::*;
     use rvm_refcache::Refcache;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     fn tree(ncores: usize) -> RadixTree<u64> {
@@ -660,6 +661,8 @@ mod tests {
             drop(g);
             // Leave values mapped; Drop must reclaim regardless.
         }
+        // The nodes collapse as Refcache reviews them.
+        cache.quiesce();
         assert_eq!(cache.live_objects(), 0, "tree teardown leaked nodes");
     }
 
@@ -720,11 +723,57 @@ mod tests {
             assert_eq!(t.spare_arrays(core).len(), SPARE_LEAVES, "core {core}");
         }
         // Dropping the tree with both lists full frees them and leaks
-        // nothing (the mapped leaves included).
+        // nothing (the mapped leaves included) once its nodes collapse.
         let shared = t.shared_weak();
         drop(t);
+        cache.quiesce();
         assert!(shared.upgrade().is_none(), "spare lists outlived the tree");
         assert_eq!(cache.live_objects(), 0);
+    }
+
+    /// A tree value that counts its copies (`[0]`, the first included)
+    /// and its drops (`[1]`).
+    struct Tally(Arc<[AtomicU64; 2]>);
+
+    impl Clone for Tally {
+        fn clone(&self) -> Self {
+            self.0[0].fetch_add(1, Ordering::Relaxed);
+            Tally(self.0.clone())
+        }
+    }
+
+    impl Drop for Tally {
+        fn drop(&mut self) {
+            self.0[1].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// A tree holding the last handle on its cache, dropped with pages,
+    /// a fold and hints on two cores still mapped: the cache's own drop
+    /// collapses every node, with or without collapse configured.
+    #[test]
+    fn dropping_the_last_cache_handle_frees_a_mapped_tree() {
+        for collapse in [true, false] {
+            let counts = Arc::new([AtomicU64::new(1), AtomicU64::new(0)]);
+            let v = Tally(counts.clone());
+            let cfg = RadixConfig {
+                collapse,
+                ..RadixConfig::default()
+            };
+            let t = RadixTree::new(Arc::new(Refcache::new(2)), cfg);
+            t.lock_range(0, 1000, 1010, LockMode::ExpandAll).replace(&v);
+            t.lock_range(1, 1 << 20, (1 << 20) + 512, LockMode::ExpandAll)
+                .replace(&v);
+            for core in 0..2 {
+                drop(t.lock_range(core, 1000, 1001, LockMode::ExpandFolded));
+            }
+            drop(v);
+            let shared = t.shared_weak();
+            drop(t);
+            assert!(shared.upgrade().is_none(), "a node outlived its cache");
+            let [made, dropped] = [0, 1].map(|i| counts[i].load(Ordering::Relaxed));
+            assert_eq!(made, dropped, "collapse {collapse}: values made vs dropped");
+        }
     }
 
     /// A tree with pages `1000..1010` mapped and core 0's hint warm on

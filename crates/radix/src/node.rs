@@ -96,7 +96,7 @@ sharded_stats! {
     /// A reading of a tree's [`TreeStats`].
     pub struct TreeCounts {
         /// Live interior nodes (root included). Node construction and
-        /// teardown have no core in scope; nor do the next two.
+        /// drop have no core in scope; nor do the next two.
         interior_nodes: Shared,
         /// Live leaf nodes.
         leaf_nodes: Shared,
@@ -141,7 +141,7 @@ pub struct LeafSlot<V> {
     /// `LOCK_BIT` | `LEAF_PRESENT`.
     pub status: Atomic64,
     /// Value storage; valid iff `LEAF_PRESENT` is set. Accessed only while
-    /// the slot lock is held (or during exclusive teardown).
+    /// the slot lock is held (or by the node's drop).
     pub value: UnsafeCell<Option<V>>,
 }
 
@@ -267,8 +267,8 @@ pub struct Node<V: Send + Sync + 'static> {
     pub slots: Slots<V>,
 }
 
-// SAFETY: leaf values are only accessed under the slot lock (or exclusive
-// teardown); everything else is atomics.
+// SAFETY: leaf values are only accessed under the slot lock (or by the
+// node's drop); everything else is atomics.
 unsafe impl<V: Send + Sync + 'static> Send for Node<V> {}
 // SAFETY: as above.
 unsafe impl<V: Send + Sync + 'static> Sync for Node<V> {}
@@ -434,9 +434,8 @@ impl<V: Send + Sync + 'static> Drop for Node<V> {
                         // have exclusive access in Drop.
                         unsafe { drop(Box::from_raw(slot_ptr(w) as *mut V)) };
                     }
-                    // CHILD slots must have been torn down by the tree
-                    // (Refcache collapse or explicit teardown) before the
-                    // node is dropped.
+                    // A child holds a used-slot reference on its node,
+                    // so every CHILD slot collapsed before the node did.
                     debug_assert_ne!(
                         slot_tag(w),
                         TAG_CHILD,

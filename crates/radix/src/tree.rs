@@ -1262,43 +1262,43 @@ impl<V: RadixValue> RadixTree<V> {
         out
     }
 
-    /// Tears down a subtree, freeing nodes directly (exclusive access).
-    fn teardown(&mut self, node_ptr: RcPtr<Node<V>>) {
-        let node = nref(node_ptr);
-        if let Slots::Interior(slots) = &node.slots {
-            for slot in slots.iter() {
-                let w = slot.load(Ordering::Acquire);
-                if slot_tag(w) == TAG_CHILD {
-                    // SAFETY: TAG_CHILD slots hold `Node<V>` pointers; we
-                    // have exclusive access during drop.
-                    let child = unsafe { RcPtr::<Node<V>>::from_raw_addr(slot_ptr(w)) };
-                    self.teardown(child);
-                    slot.store(0, Ordering::Release);
-                }
+    /// Surrenders the permanent reference a no-collapse tree gives every
+    /// node it creates, for each node below `node`, children first.
+    fn surrender_permanent(&self, node: RcPtr<Node<V>>) {
+        let Slots::Interior(slots) = &nref(node).slots else {
+            return;
+        };
+        for w in slots.iter().map(|s| s.load(Ordering::Acquire)) {
+            if slot_tag(w) == TAG_CHILD {
+                // SAFETY: TAG_CHILD slots hold `Node<V>` pointers, and a
+                // linked child keeps its permanent reference until here.
+                let child = unsafe { RcPtr::<Node<V>>::from_raw_addr(slot_ptr(w)) };
+                self.surrender_permanent(child);
+                self.cache.dec(0, child);
             }
         }
-        // SAFETY: after quiesce no cached deltas or review entries refer
-        // to this node, and children were freed above; `free_untracked`
-        // skips `on_release` (the parent is being torn down too).
-        unsafe { self.cache.free_untracked(node_ptr) };
     }
 }
 
 impl<V: RadixValue> Drop for RadixTree<V> {
     fn drop(&mut self) {
-        // Stop the flush hook first (it holds the hint table, not the
-        // tree, but after teardown its nodes would dangle), surrender
-        // every hint pin, then settle Refcache so no core caches deltas
-        // for our nodes and no review-queue entry survives, and free the
-        // remaining structure.
+        // Stop the flush hook and surrender every hint pin, then give up
+        // what the tree itself holds: its values, a no-collapse tree's
+        // permanent references and, last, the root's. The nodes then
+        // collapse bottom-up through `Node::on_release` as Refcache
+        // reviews them, at a later tick or when the cache drops.
         if self.cfg.leaf_hints {
             self.cache.unregister_flush_hook(self.hook_id);
             for core in 0..self.cache.ncores() {
                 self.hints.release(&self.cache, core);
             }
         }
-        self.cache.quiesce();
-        self.teardown(self.root);
+        self.lock_range(0, 0, VPN_LIMIT, LockMode::ExpandFolded)
+            .clear();
+        if !self.cfg.collapse {
+            self.surrender_permanent(self.root);
+        }
+        self.cache.dec(0, self.root);
     }
 }
 

@@ -31,6 +31,11 @@
 //! place, no allocation on either end — how the frame table owns page
 //! reference counts, DESIGN.md §8).
 //!
+//! Nothing is freed by hand. A structure that goes away gives up its
+//! references like any other holder, and its objects are freed as their
+//! counts reach zero — at a later tick, or in the cache's own `Drop`,
+//! which drains every core before the cache goes.
+//!
 //! # Freeing-safety argument
 //!
 //! A delta cached on some core refers to its object by raw pointer, so the
@@ -113,10 +118,6 @@ const CACHE_SLOTS: usize = 4096;
 /// clean at zero is a true zero (module docs, DESIGN.md §8).
 const REVIEW_DELAY: u64 = 2;
 
-/// One started pass in [`Refcache`]'s `releasing` word: its high half
-/// counts passes started, its low half passes running.
-const PASS_STARTED: u64 = 1 << 32;
-
 /// One delta-cache way: an object pointer and its locally cached delta.
 #[derive(Clone, Copy)]
 struct Slot {
@@ -174,8 +175,7 @@ sharded_stats! {
     pub struct RefcacheStats {
         /// Objects allocated. `alloc` has no core in scope.
         allocs: Shared,
-        /// Objects freed (true-zero confirmed). `free_untracked` has no
-        /// core in scope.
+        /// Objects freed (true-zero confirmed), in `review`.
         frees: Shared,
         /// Delta-cache conflict evictions (hash collisions), in `adjust`.
         conflicts: Exclusive<CoreCache>,
@@ -233,17 +233,13 @@ pub struct Refcache {
     /// simulator-instrumented, so the common no-hook case stays free).
     hook_count: AtomicU64,
     next_hook_id: AtomicU64,
-    /// [`Refcache::review`] passes that run their frees with the core
-    /// unlocked: the low half counts the passes running, the high half
-    /// (in units of [`PASS_STARTED`], wrapping) every pass ever started.
-    /// [`Refcache::quiesce`] reads both: a pass another thread runs for
-    /// a core may hold frees the quiescer's own passes never saw, and
-    /// those frees' releases may cache references after the quiescer's
-    /// last flush of that core. A pass counts itself under the core lock,
-    /// before it unlocks, and its `Release` decrement after the frees
-    /// pairs with `quiesce`'s `Acquire` loads, so a zero low half means
-    /// those frees are done. Std atomic, like `hook_count`: not
-    /// instrumented.
+    /// [`Refcache::review`] passes running their frees with the core
+    /// unlocked, which [`Refcache::quiesce`] waits out: such a pass, run
+    /// by another thread, may hold actions the quiescer's own passes
+    /// never saw. A pass counts itself under the core lock, before it
+    /// unlocks, and its `Release` decrement after the frees pairs with
+    /// `quiesce`'s `Acquire` load, so a zero means those frees are done.
+    /// Std atomic, like `hook_count`: not instrumented.
     releasing: AtomicU64,
     stats: RefcacheCells,
 }
@@ -658,12 +654,6 @@ impl Refcache {
     /// the zero-count actions of the cells the core's flushes released
     /// at once as well.
     pub fn review(&self, core: usize) {
-        self.review_pass(core);
-    }
-
-    /// [`Refcache::review`]; answers whether it ran a release pass (had
-    /// anything to free).
-    fn review_pass(&self, core: usize) -> bool {
         let mut to_free = {
             let mut cc = self.cores[core].lock();
             let mut to_free = std::mem::take(&mut cc.to_free);
@@ -743,12 +733,11 @@ impl Refcache {
             if to_free.is_empty() {
                 // Nothing to free: the list goes straight back.
                 cc.to_free = to_free;
-                return false;
+                return;
             }
             // Counted before the core unlocks, so a quiesce that takes the
-            // lock after this pass did also sees it started and running.
-            self.releasing
-                .fetch_add(PASS_STARTED + 1, Ordering::Relaxed);
+            // lock after this pass did also sees it running.
+            self.releasing.fetch_add(1, Ordering::Relaxed);
             to_free
         };
         // Uncounted when the pass ends, also by a panicking action: a
@@ -778,7 +767,6 @@ impl Refcache {
         if cc.to_free.is_empty() {
             cc.to_free = to_free;
         }
-        true
     }
 
     /// Periodic per-core maintenance: flush then review. Call this
@@ -799,42 +787,23 @@ impl Refcache {
     }
 
     /// Runs enough maintenance rounds on all cores to flush every delta
-    /// and free every unreferenced object, and returns once no release
-    /// pass another thread ran overlapped them. Intended for tests and
-    /// orderly shutdown.
-    ///
-    /// Such a pass may free an object whose release drops a reference
-    /// (a radix node's parent) into a core's cache after this thread's
-    /// last flush of that core; a caller that then frees the parent by
-    /// hand ([`Refcache::free_untracked`]) would leave that delta to a
-    /// later flush, which writes into freed memory. So the rounds run
-    /// again until one set of them ran with no other pass running at its
-    /// start and no pass but its own started during it; while other
-    /// threads keep freeing, it keeps sweeping.
+    /// and free every unreferenced object, then waits for the release
+    /// passes other threads are running, so that whatever those passes
+    /// took off a queue is released too when it returns. For tests, which
+    /// count what is left and may drop a cell's table right after; a
+    /// reference such a pass drops after this thread's last flush of its
+    /// core stays cached for the next flush, or the cache's drop.
     pub fn quiesce(&self) {
-        // Each full sweep over all cores advances the epoch at least once;
-        // run enough sweeps for queue→review→(dirty requeue)→review.
-        let rounds = 4 * REVIEW_DELAY as usize + 4;
-        let running = PASS_STARTED - 1;
-        loop {
-            let before = self.releasing.load(Ordering::Acquire);
-            let mut own = 0;
-            for _ in 0..rounds {
-                for c in 0..self.ncores {
-                    self.flush(c);
-                    own += u64::from(self.review_pass(c));
-                }
-            }
-            let after = loop {
-                let w = self.releasing.load(Ordering::Acquire);
-                if w & running == 0 {
-                    break w;
-                }
-                std::thread::yield_now();
-            };
-            if before & running == 0 && after.wrapping_sub(before) == own * PASS_STARTED {
-                return;
-            }
+        // Each sweep flushes every core, which turns the epoch, before it
+        // reviews any: a collapsing chain (a radix leaf, then its parent)
+        // frees one object per two sweeps, so these cover a four-level
+        // tree's with a dirty zero's requeue on the way.
+        for _ in 0..4 * REVIEW_DELAY + 4 {
+            (0..self.ncores).for_each(|c| self.flush(c));
+            (0..self.ncores).for_each(|c| self.review(c));
+        }
+        while self.releasing.load(Ordering::Acquire) != 0 {
+            std::thread::yield_now();
         }
     }
 
@@ -931,28 +900,35 @@ impl Refcache {
         Some(out)
     }
 
-    /// Immediately frees a managed object, bypassing the lazy protocol
-    /// and skipping [`Managed::on_release`]. Intended for exclusive
-    /// teardown of whole structures (e.g. dropping a radix tree).
-    ///
-    /// # Safety
-    ///
-    /// The caller must have exclusive access to the object: no logical
-    /// references, no cached deltas on any core (call
-    /// [`Refcache::quiesce`] first), no review-queue entries, and no weak
-    /// reference uses can occur afterwards.
-    pub unsafe fn free_untracked<T>(&self, obj: RcPtr<T>) {
-        debug_assert!(!(*(obj.addr() as *const Header)).slot_backed);
-        self.stats.add_here(RefcacheStats::frees, 1);
-        drop(Box::from_raw(obj.raw.as_ptr()));
-    }
-
     /// Reads an object's current *global* count (test/debug aid; the true
     /// count additionally includes cached deltas).
     pub fn global_count<P: Counted>(&self, obj: P) -> i64 {
         // SAFETY: caller holds a reference (boxed) or the cell's table is
         // live (slot-backed).
         unsafe { (*(obj.count_addr() as *const Header)).state.lock().refcnt }
+    }
+}
+
+impl Drop for Refcache {
+    /// Flushes and reviews every core until none holds a delta, a review
+    /// entry or a release, so every object whose count is zero is freed
+    /// (and every such cell's action run) before the cache goes: a radix
+    /// tree's nodes collapse here when nothing ticked since its drop.
+    /// `&mut self` means no other thread can hold a reference, run a
+    /// pass or flush for a core, so nothing is counted, unlike
+    /// [`Refcache::quiesce`].
+    ///
+    /// The tables behind slot-backed cells ([`slot`]) must outlive the
+    /// cache: the drain runs their zero actions.
+    fn drop(&mut self) {
+        while self.cores.iter_mut().any(|c| {
+            let cc = c.get_mut();
+            !(cc.occupied.is_empty() && cc.review.is_empty() && cc.to_free.is_empty())
+        }) {
+            for c in 0..self.ncores {
+                self.maintain(c);
+            }
+        }
     }
 }
 
@@ -1162,11 +1138,13 @@ mod tests {
     }
 
     /// A node whose release drops its parent, as a radix node's does;
-    /// the release waits until the epoch reaches `until`.
+    /// the release waits until the epoch reaches `until`, and says when
+    /// it is done.
     struct HeldChild {
         parent: RcPtr<Tracked>,
         started: Arc<std::sync::atomic::AtomicBool>,
         until: Arc<StdAtomicU64>,
+        done: Arc<std::sync::atomic::AtomicBool>,
     }
 
     impl Managed for HeldChild {
@@ -1176,24 +1154,25 @@ mod tests {
                 std::thread::yield_now();
             }
             ctx.cache.dec(ctx.core, self.parent);
+            self.done.store(true, Ordering::SeqCst);
         }
     }
 
     /// Another thread's review pass frees a child while this thread
     /// quiesces, and the child's release drops its parent only after the
-    /// quiescer's last sweep. `quiesce` must not return with that
-    /// reference still cached: a caller then frees the parent by hand
-    /// (`free_untracked`, as a radix tree's teardown does) while a core
-    /// still holds a delta for it, and the next flush of that core writes
-    /// into freed memory.
+    /// quiescer's last sweep. `quiesce` returns only once that release
+    /// has finished; the reference it dropped stays cached on the core
+    /// until the next flush, here the cache's drop, which frees the
+    /// parent.
     #[test]
-    fn quiesce_sweeps_again_after_a_foreign_release_pass() {
+    fn quiesce_returns_after_a_foreign_release_finishes() {
         use std::sync::atomic::AtomicBool;
         let rc = Arc::new(Refcache::new(1));
         let (parent, parent_drops, _) = tracked(&rc, 1);
-        let (started, until) = (
+        let (started, until, done) = (
             Arc::new(AtomicBool::new(false)),
             Arc::new(StdAtomicU64::new(u64::MAX)),
+            Arc::new(AtomicBool::new(false)),
         );
         let child = rc.alloc(
             1,
@@ -1201,6 +1180,7 @@ mod tests {
                 parent,
                 started: started.clone(),
                 until: until.clone(),
+                done: done.clone(),
             },
         );
         rc.dec(0, child);
@@ -1220,13 +1200,11 @@ mod tests {
         let sweeps = 4 * REVIEW_DELAY + 4;
         until.store(rc.epoch() + sweeps, Ordering::SeqCst);
         rc.quiesce();
-        assert_eq!(
-            parent_drops.load(Ordering::SeqCst),
-            1,
-            "quiesce returned with the parent's last reference cached"
-        );
+        assert!(done.load(Ordering::SeqCst), "quiesce returned mid-release");
+        assert_eq!(parent_drops.load(Ordering::SeqCst), 0, "no flush since");
         releaser.join().unwrap();
-        assert_eq!(rc.live_objects(), 0);
+        drop(rc);
+        assert_eq!(parent_drops.load(Ordering::SeqCst), 1, "the drop frees it");
     }
 
     #[test]

@@ -92,8 +92,8 @@ pub struct Header {
     /// Must only be called with the count confirmed true-zero, at most
     /// once per boxed allocation / per slot activation.
     pub(crate) drop_fn: unsafe fn(*mut Header, &ReleaseCtx<'_>),
-    /// True for table-embedded cells (stats attribution and teardown
-    /// assertions; the mechanism itself is storage-blind).
+    /// True for table-embedded cells (the sole-adder release and stats
+    /// attribution; the rest of the mechanism is storage-blind).
     pub(crate) slot_backed: bool,
 }
 

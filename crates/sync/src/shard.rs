@@ -140,7 +140,7 @@ impl<S, const K: usize> ShardedStats<S, K> {
 
     /// Adds `n` to `field` in the current simulated core's cell (stripe
     /// 0 outside the simulator). For call sites that have no core id in
-    /// scope — object allocation, node teardown — which are off the
+    /// scope — object allocation, a node's drop — which are off the
     /// steady-state hot path and hold no core's lock: [`Shared`] only.
     #[inline(always)]
     pub fn add_here(&self, field: Field<S, Shared>, n: u64) {

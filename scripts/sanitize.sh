@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # The AddressSanitizer tier: the workspace's unit tests and the
-# concurrency, superpage, fault-injection and oracle integration tests,
-# built with ASan on the nightly toolchain (no rust-src needed: the
-# standard library stays uninstrumented). LeakSanitizer runs with it, so
-# a test that leaks fails here too.
+# concurrency, superpage, fault-injection, oracle, backend-conformance
+# and VM-semantics integration tests, built with ASan on the nightly
+# toolchain (no rust-src needed: the standard library stays
+# uninstrumented). LeakSanitizer runs with it, so a test that leaks
+# fails here too; the last two suites drop every backend, the
+# no-collapse ablation included, so a tree whose drop leaves nodes
+# behind when its Refcache goes is reported there.
 #
 #   scripts/sanitize.sh [extra cargo test arguments]
 #
@@ -26,7 +29,8 @@ export ASAN_OPTIONS="${ASAN_OPTIONS:+$ASAN_OPTIONS:}log_path=$PWD/target/asan/re
 status=0
 cargo +nightly test --offline --target x86_64-unknown-linux-gnu \
     --workspace --lib --test concurrency --test superpage \
-    --test fault_injection --test proptest_oracle "$@" || status=$?
+    --test fault_injection --test proptest_oracle \
+    --test backend_conformance --test vm_semantics "$@" || status=$?
 shopt -s nullglob
 for report in target/asan/report.*; do
     echo "=== $report" >&2

@@ -11,18 +11,35 @@
 #[path = "../examples/ops/mod.rs"]
 mod ops;
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use ops::{Kind, Ops};
 use radixvm::backend::{build, BackendKind};
 use radixvm::core_vm::RadixVm;
-use radixvm::hw::{Backing, Machine, MapFlags, Prot, VmError, BLOCK_PAGES, PAGE_SIZE};
+use radixvm::hw::{Backing, Machine, MapFlags, Prot, VmError, VmSystem, BLOCK_PAGES, PAGE_SIZE};
 use radixvm::radix::{LockMode, RadixConfig, RadixTree};
 use radixvm::refcache::Refcache;
 use radixvm::sync::failpoint::{self, Trigger};
 use radixvm::sync::RangeLockKind;
 
 const BASE: u64 = 0x60_0000_0000;
+
+/// The Refcache of a VM built as [`BackendKind::Radix`].
+fn radix_cache(vm: &Arc<dyn VmSystem>) -> Arc<Refcache> {
+    let radix = vm.as_any().downcast_ref::<RadixVm>();
+    radix.expect("Radix backend is a RadixVm").cache().clone()
+}
+
+/// Sets the flag when dropped: a test's open-ended threads stop when its
+/// counted work is done, also when that panicked.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
 
 /// The paper's ordering invariant: after munmap returns, no access on any
 /// core reaches the old frame — even while other threads are racing
@@ -142,12 +159,7 @@ fn fork_cow_under_concurrency() {
             1000 + p
         );
     }
-    let cache = parent
-        .as_any()
-        .downcast_ref::<RadixVm>()
-        .expect("Radix backend is a RadixVm")
-        .cache()
-        .clone();
+    let cache = radix_cache(&parent);
     drop(parent);
     cache.quiesce();
     assert_eq!(cache.live_objects(), 0, "all pages and nodes reclaimed");
@@ -480,7 +492,7 @@ fn hint_riding_faults_survive_quiesce_and_refolds() {
 /// so the one the epoch waits for — dies or starves.)
 #[test]
 fn counters_stay_exact_when_foreign_threads_act_for_a_core() {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::atomic::AtomicU64;
     use std::sync::Barrier;
     const OWNER: usize = 0;
     const UNMAPPER: usize = 1;
@@ -513,9 +525,8 @@ fn counters_stay_exact_when_foreign_threads_act_for_a_core() {
     let f0 = radix.cache().stats().flushes;
     vm.quiesce();
     let flushes_per_quiesce = radix.cache().stats().flushes - f0;
-    // Every flush run, by whichever thread: a quiesce that another
-    // thread's release pass overlapped sweeps again, so how many flushes
-    // the sweeper issues is not known in advance.
+    // Every flush run, by whichever thread, to hold the ones the threads
+    // issued and the VM expedited against.
     let flushed = Arc::new(AtomicU64::new(0));
     let tally = flushed.clone();
     radix.cache().register_flush_hook(move |_, _| {
@@ -523,15 +534,6 @@ fn counters_stay_exact_when_foreign_threads_act_for_a_core() {
     });
     let (hw0, tree0, rc0) = (machine.stats(), radix.tree_stats(), radix.cache().stats());
     let lookups0 = tree0.hint_hits() + tree0.hint_misses();
-
-    /// Sets the flag when dropped: the open-ended threads stop when the
-    /// counted ones are done, also when one of those panicked.
-    struct StopOnDrop<'a>(&'a AtomicBool);
-    impl Drop for StopOnDrop<'_> {
-        fn drop(&mut self) {
-            self.0.store(true, Ordering::Relaxed);
-        }
-    }
     let stop = AtomicBool::new(false);
     // Everything the threads issued, to hold the counters against.
     let accesses = AtomicU64::new(0);
@@ -649,15 +651,16 @@ fn counters_stay_exact_when_foreign_threads_act_for_a_core() {
     // the unmapper never calls `maintain`, so whenever the sweeper leaves
     // its core alone for 64 of its 8-page unmaps, the 64th expedites —
     // also when the sweeper's flush gets in between that unmap's
-    // surrender and its tick. Each quiesce runs one or more whole sweeps.
+    // surrender and its tick. Each quiesce runs exactly one sweep set.
     let rc = radix.cache().stats();
     let ticked = rc.since(&rc0);
     let flushed = flushed.load(Ordering::Relaxed);
     assert_eq!(ticked.flushes, flushed, "Refcache flushes != flushes run");
     let swept = flushed - maintains.into_inner() - ticked.expedited;
-    assert!(
-        swept >= flushes_per_quiesce * quiesces && swept.is_multiple_of(flushes_per_quiesce),
-        "quiesce flushes {swept}: not whole sweeps of {flushes_per_quiesce}, {quiesces} calls"
+    assert_eq!(
+        swept,
+        flushes_per_quiesce * quiesces,
+        "quiesce flushes: {quiesces} calls of {flushes_per_quiesce}"
     );
     assert_eq!(rc.slot_activates, rc.slot_releases, "frame cells");
     let pool = machine.pool().stats();
@@ -667,6 +670,106 @@ fn counters_stay_exact_when_foreign_threads_act_for_a_core() {
     assert_eq!(pool.on_node_frees, pool.free_pages);
     // Every allocation that was not a reuse grew the pool by one batch.
     assert_eq!((pool.alloc_pages - pool.reused) * 64, pool.fresh);
+}
+
+/// A Radix VM on `machine` with `pages` pages at [`BASE`] written on
+/// core 0, page `p` holding `p`.
+fn written_parent(machine: &Arc<Machine>, pages: u64) -> Arc<dyn VmSystem> {
+    let vm = build(machine, BackendKind::Radix);
+    vm.attach_core(0);
+    vm.mmap(0, BASE, pages * PAGE_SIZE, Prot::RW, Backing::Anon)
+        .unwrap();
+    for p in 0..pages {
+        machine.write_u64(0, &*vm, BASE + p * PAGE_SIZE, p).unwrap();
+    }
+    vm
+}
+
+/// Two forked children dropped at once, on two threads, while a third
+/// thread ticks every core: release passes for the children's nodes and
+/// frames run beside both drops, and beside each other. Nothing in a
+/// drop frees by hand, so no schedule of theirs can free a node a core
+/// still caches a delta for; under `scripts/sanitize.sh` any that did
+/// would be a reported use-after-free.
+#[test]
+fn forked_children_drop_concurrently_while_a_third_core_ticks() {
+    const ROUNDS: u64 = 40;
+    const PAGES: u64 = 16;
+    let machine = Machine::new(3);
+    let parent = written_parent(&machine, PAGES);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let (machine, parent, stop) = (&machine, &parent, &stop);
+        let _stop = StopOnDrop(stop);
+        s.spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                (0..3).for_each(|core| parent.maintain(core));
+            }
+        });
+        for _ in 0..ROUNDS {
+            let children = [1, 2].map(|_| parent.fork(0).unwrap());
+            let droppers = children.into_iter().zip([1, 2]).map(|(child, core)| {
+                s.spawn(move || {
+                    child.attach_core(core);
+                    // Copy every other page on the child's own core.
+                    for p in (core as u64..PAGES).step_by(2) {
+                        let va = BASE + p * PAGE_SIZE;
+                        machine.write_u64(core, &*child, va, 100 + p).unwrap();
+                        assert_eq!(machine.read_u64(core, &*child, va), Ok(100 + p));
+                    }
+                    drop(child);
+                })
+            });
+            for d in droppers.collect::<Vec<_>>() {
+                d.join().expect("a dropper panicked");
+            }
+        }
+    });
+    for p in 0..PAGES {
+        assert_eq!(machine.read_u64(0, &*parent, BASE + p * PAGE_SIZE), Ok(p));
+    }
+    let cache = radix_cache(&parent);
+    drop(parent);
+    cache.quiesce();
+    assert_eq!(cache.live_objects(), 0, "nodes left behind");
+    assert_eq!(cache.live_slots(), 0, "frames left behind");
+}
+
+/// A thousand children forked from a 64-page parent and dropped on core
+/// 0, which ticks once per child, while cores 1-3 tick every 50 µs and
+/// nobody quiesces: each child's four radix nodes collapse through their
+/// counts as the epochs turn, so the live count stays bounded. A drop
+/// that left its tree behind would hold at least 4 000.
+#[test]
+fn dropped_children_collapse_on_ticking_cores_without_quiesce() {
+    const CHILDREN: u64 = 1_000;
+    const PAGES: u64 = 64;
+    let machine = Machine::new(4);
+    let parent = written_parent(&machine, PAGES);
+    let cache = radix_cache(&parent);
+    let stop = AtomicBool::new(false);
+    let peak = std::thread::scope(|s| {
+        let (parent, stop) = (&parent, &stop);
+        let _stop = StopOnDrop(stop);
+        for core in 1..4 {
+            s.spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    parent.maintain(core);
+                    std::thread::sleep(std::time::Duration::from_micros(50));
+                }
+            });
+        }
+        let live = (0..CHILDREN).map(|_| {
+            drop(parent.fork(0).unwrap());
+            parent.maintain(0);
+            cache.live_objects()
+        });
+        live.max().unwrap()
+    });
+    assert!(peak < 1_000, "{peak} live objects over {CHILDREN} children");
+    drop(parent);
+    cache.quiesce();
+    assert_eq!(cache.live_objects(), 0);
 }
 
 /// The list-based range lock's precision claim, on real threads: while
