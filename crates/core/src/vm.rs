@@ -294,8 +294,15 @@ impl RadixVm {
     /// still holds the guard), per the paper's ordering invariant: no
     /// thread may access the pages after munmap returns, and the physical
     /// pages are released ([`RadixVm::release_frames`]) only after every
-    /// stale translation is gone.
-    fn unmap_tables(&self, core: usize, lo: Vpn, n: u64, removed: &RemovedList<PageMeta>) {
+    /// stale translation is gone. Returns the cores whose tables it
+    /// cleared.
+    fn unmap_tables(
+        &self,
+        core: usize,
+        lo: Vpn,
+        n: u64,
+        removed: &RemovedList<PageMeta>,
+    ) -> CoreSet {
         let mut tracked = CoreSet::EMPTY;
         let mut runs = Runs::new();
         for r in removed {
@@ -310,6 +317,7 @@ impl RadixVm {
             }
         }
         self.revoke(core, lo, n, &runs, tracked);
+        tracked
     }
 
     /// Drops the frame references displaced metadata owned, after
@@ -563,7 +571,11 @@ impl VmSystem for RadixVm {
         // unmap keeps the fold and releases the block whole below.
         self.demote_expanded(core, &mut guard);
         let removed = guard.clear();
-        self.unmap_tables(core, lo, n, &removed);
+        let tracked = self.unmap_tables(core, lo, n, &removed);
+        // The table nodes the range emptied go back too, still under the
+        // guard. Only here: an `mmap` over a mapping keeps its nodes for
+        // the faults that repopulate it.
+        self.mmu.free_tables(lo, n, tracked);
         drop(guard);
         if self.release_frames(core, &removed) {
             // The core has unmapped a superpage's worth since its last

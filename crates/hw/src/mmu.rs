@@ -53,6 +53,13 @@ pub trait Mmu: Send + Sync {
     /// (`tracked` for per-core tables, `attached` for a shared one).
     fn demote(&self, base_vpn: Vpn, pages: u64, tracked: CoreSet, attached: CoreSet) -> CoreSet;
 
+    /// Frees the table nodes wholly inside `[start, start+n)`
+    /// ([`PageTable::free_range`]) in the tables of `tracked` (per-core)
+    /// or in the one shared table. The caller has cleared the range with
+    /// [`Mmu::unmap_range`] over the same `tracked` and still holds the
+    /// VA-range lock over it.
+    fn free_tables(&self, start: Vpn, n: u64, tracked: CoreSet);
+
     /// Total bytes of page-table memory currently allocated.
     fn table_bytes(&self) -> u64;
 }
@@ -105,6 +112,12 @@ impl Mmu for PerCoreMmu {
             self.tables[core].shatter_span(base_vpn, pages);
         }
         tracked
+    }
+
+    fn free_tables(&self, start: Vpn, n: u64, tracked: CoreSet) {
+        for core in tracked.iter() {
+            self.tables[core].free_range(start, n);
+        }
     }
 
     fn table_bytes(&self) -> u64 {
@@ -165,6 +178,10 @@ impl Mmu for SharedMmu {
         self.table.shatter_span(base_vpn, pages);
         // Every attached core may hold the span entry.
         attached
+    }
+
+    fn free_tables(&self, start: Vpn, n: u64, _tracked: CoreSet) {
+        self.table.free_range(start, n);
     }
 
     fn table_bytes(&self) -> u64 {
@@ -247,6 +264,28 @@ mod tests {
         // first when survivors matter).
         mmu.unmap_range(base + 10, 5, CoreSet::single(0), CoreSet::first_n(2));
         assert!(!mmu.walk(0, base).present());
+    }
+
+    #[test]
+    fn free_tables_frees_in_tracked_tables_or_the_shared_one() {
+        use crate::pagetable::BLOCK_PAGES;
+        let base = BLOCK_PAGES * 6;
+        let mmu = PerCoreMmu::new(2);
+        for core in 0..2 {
+            mmu.map(core, base + 3, Pte::new(1, true));
+        }
+        let both = CoreSet::first_n(2);
+        mmu.unmap_range(base, BLOCK_PAGES, both, both);
+        let nodes = |m: &PerCoreMmu| [0, 1].map(|c| m.table(c).node_count());
+        let before = nodes(&mmu);
+        mmu.free_tables(base, BLOCK_PAGES, CoreSet::single(1));
+        assert_eq!(nodes(&mmu), [before[0], before[1] - 1], "core 1's only");
+        let sh = SharedMmu::new();
+        sh.map(0, base + 3, Pte::new(1, true));
+        sh.unmap_range(base, BLOCK_PAGES, CoreSet::single(0), both);
+        let before = sh.table().node_count();
+        sh.free_tables(base, BLOCK_PAGES, CoreSet::single(0));
+        assert_eq!(sh.table().node_count(), before - 1);
     }
 
     #[test]

@@ -24,11 +24,24 @@
 //! Encoding: a superpage PTE is distinguished from a child pointer by
 //! [`Pte::BLOCK`] (bit 2), which is always clear in an aligned pointer
 //! tagged with `CHILD_TAG` (bit 0).
+//!
+//! # Node lifetime
+//!
+//! Clearing entries ([`PageTable::clear_range`], [`PageTable::clear`])
+//! never frees a node. A node is freed in three places: when the table
+//! drops, when [`PageTable::set_span`] displaces a cleared subtree, and
+//! in [`PageTable::free_range`], which `munmap` calls over the range it
+//! just cleared so that tables follow what is mapped rather than
+//! everything ever mapped. The last two need the VA-range lock over the
+//! nodes they free. A freed node waits zeroed on the table's spare list
+//! ([`SPARE_NODES`]), and the table's next node — a walk's missing
+//! interior node or a demotion's 512 entries — is taken from there
+//! before the allocator is asked.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rvm_mem::Pfn;
-use rvm_sync::Atomic64;
+use rvm_sync::{asan_poison, Atomic64, CachePadded, SpinLock};
 
 use crate::{Vpn, VPN_BITS};
 
@@ -184,21 +197,54 @@ impl PtNode {
     ///
     /// `v` must be such a word read from a live table: those always hold
     /// a child pointer published by `child_or_create`/`shatter_word`, and
-    /// children are only freed in `Drop` (which requires `&mut self`) or
-    /// under the VA-range lock contract of `set_span`.
+    /// children are only freed in three places: `Drop` (which requires
+    /// `&mut self`), and `set_span` and `free_range`, which unpublish the
+    /// child first and whose callers hold the VA-range lock over its whole
+    /// span, so no walk that could read the word runs meanwhile.
     #[inline]
     unsafe fn child<'a>(v: u64) -> &'a PtNode {
         debug_assert!(v & CHILD_TAG != 0 && !is_block_word(v));
         &*((v & !CHILD_TAG) as *const PtNode)
     }
+
+    /// [`asan_poison`] over the node's slots: poisoned while the node
+    /// waits on a spare list, so a stale pointer that reads it is a
+    /// reported use-after-free.
+    fn poison(&self, poisoned: bool) {
+        asan_poison(
+            self.slots.as_ptr() as usize,
+            std::mem::size_of_val(&*self.slots),
+            poisoned,
+        );
+    }
 }
+
+/// Freed nodes each table keeps for its own next node.
+///
+/// Measured on the repo benchmark's `superpage` op stream at 16 virtual
+/// cores (`tests/locked_instructions.rs`, `radix-leaf` + heap remote
+/// lines per op), whose demotions each build a leaf node that the
+/// `munmap` after it frees: with none kept, the freed node went to
+/// whichever core demoted next, 21.2 lines/op; one kept gives 4.29, and
+/// two, four or eight the same within 0.05 (4.40 before nodes were
+/// freed at all). Four, as `rvm_radix::SPARE_LEAVES`, also lets an
+/// 8 MiB `munmap`'s four leaves come back to the next map of that size,
+/// for at most 16 KiB per table.
+pub const SPARE_NODES: usize = 4;
 
 /// A four-level software page table for one (address space, core) pair —
 /// or a single shared one, depending on the MMU mode.
 pub struct PageTable {
     root: Box<PtNode>,
-    /// Number of nodes allocated (root included), for space accounting.
+    /// Number of nodes in the table (root included), for space
+    /// accounting; spare nodes are free memory and not counted.
     nodes: AtomicU64,
+    /// At most [`SPARE_NODES`] freed nodes, every slot zero. The lock is
+    /// innermost in the lock order: nothing is taken while it is held.
+    /// Padded, so the per-core tables of one MMU share no line. Boxed
+    /// as published, so a node taken back allocates nothing.
+    #[allow(clippy::vec_box)]
+    spare: CachePadded<SpinLock<Vec<Box<PtNode>>>>,
 }
 
 /// Interior slots store `Box<PtNode>` pointers tagged with bit 0.
@@ -210,6 +256,33 @@ impl PageTable {
         PageTable {
             root: PtNode::new(),
             nodes: AtomicU64::new(1),
+            spare: CachePadded::new(SpinLock::new(Vec::new())),
+        }
+    }
+
+    /// A node with every slot zero: the one this table freed last, or a
+    /// fresh one.
+    fn take_node(&self) -> Box<PtNode> {
+        // The guard drops at the `;`: nothing allocates under it.
+        let spare = self.spare.lock().pop();
+        match spare {
+            Some(node) => {
+                node.poison(false);
+                node
+            }
+            None => PtNode::new(),
+        }
+    }
+
+    /// Zeroes `node` and keeps it on the spare list, or frees it when the
+    /// list is full.
+    fn free_node(&self, mut node: Box<PtNode>) {
+        // The node is unpublished: plain stores, no instrumented access.
+        node.slots.iter_mut().for_each(|s| *s.get_mut() = 0);
+        let mut spare = self.spare.lock();
+        if spare.len() < SPARE_NODES {
+            node.poison(true);
+            spare.push(node);
         }
     }
 
@@ -234,7 +307,7 @@ impl PageTable {
                 // Lost the race; free ours.
                 // SAFETY: the pointer came from Box::into_raw just above
                 // and was never published.
-                unsafe { drop(Box::from_raw((ptr & !CHILD_TAG) as *mut PtNode)) };
+                self.free_node(unsafe { Box::from_raw((ptr & !CHILD_TAG) as *mut PtNode) });
                 Err(cur)
             }
         }
@@ -255,7 +328,7 @@ impl PageTable {
             }
             // Losing the install race means using the winner's node.
             v = self
-                .publish(slot, 0, PtNode::new())
+                .publish(slot, 0, self.take_node())
                 .unwrap_or_else(|theirs| theirs);
         }
         // SAFETY: a non-zero word in a slot the walk did not stop at.
@@ -297,7 +370,7 @@ impl PageTable {
         let member_span = level_span(level + 1);
         // Members differ only in their frame, `member_span` apart.
         let mut member = Pte::new_span(pte.pfn(), pte.writable(), member_span).0;
-        let node = PtNode::new();
+        let node = self.take_node();
         for s in node.slots.iter() {
             s.store(member, Ordering::Relaxed);
             member += member_span << 32;
@@ -376,6 +449,50 @@ impl PageTable {
             }
         }
         self.nodes.fetch_sub(1, Ordering::Relaxed);
+        self.free_node(boxed);
+    }
+
+    /// Frees every node whose whole span lies inside `[start, start + n)`
+    /// — a `munmap`'s range, so the table follows what is mapped. Nodes
+    /// the range covers only in part stay, as do the entries of nodes
+    /// above; a range that holds no whole leaf span ([`BLOCK_PAGES`])
+    /// returns before touching the table.
+    ///
+    /// Contract, as for [`PageTable::set_span`]'s displaced subtree: the
+    /// caller has cleared every entry of the range and holds the VA-range
+    /// lock over all of it, so no walk can be inside a node freed here.
+    pub fn free_range(&self, start: Vpn, n: u64) {
+        if start.next_multiple_of(BLOCK_PAGES) + BLOCK_PAGES > start + n {
+            return;
+        }
+        self.free_level(&self.root, 0, start, start + n);
+    }
+
+    /// [`PageTable::free_range`] over the part of `[lo, hi)` under
+    /// `node`, whose slots sit at `level` (above the leaves).
+    fn free_level(&self, node: &PtNode, level: usize, lo: Vpn, hi: Vpn) {
+        let span = level_span(level);
+        let mut vpn = lo;
+        while vpn < hi {
+            let base = vpn & !(span - 1);
+            let stop = (base + span).min(hi);
+            let slot = &node.slots[Self::index(vpn, level)];
+            let v = slot.load(Ordering::Acquire);
+            if v != 0 && !is_block_word(v) {
+                if lo <= base && base + span <= hi {
+                    // The child's whole span is inside: unpublish it.
+                    slot.store(0, Ordering::Release);
+                    // SAFETY: the word held a child pointer, now
+                    // unpublished; the caller's range lock excludes every
+                    // walk that could have read it.
+                    unsafe { self.free_subtree((v & !CHILD_TAG) as *mut PtNode, level + 1) };
+                } else if level + 2 < LEVELS {
+                    // SAFETY: a non-zero, non-superpage interior word.
+                    self.free_level(unsafe { PtNode::child(v) }, level + 1, vpn, stop);
+                }
+            }
+            vpn = stop;
+        }
     }
 
     /// Demotes the `pages`-page superpage PTE covering `vpn` one rung, in
@@ -518,6 +635,9 @@ impl Drop for PageTable {
                 // boxes; `&mut self` guarantees no concurrent walkers.
                 unsafe { self.free_subtree((v & !CHILD_TAG) as *mut PtNode, 1) };
             }
+        }
+        for node in self.spare.get_mut().iter() {
+            node.poison(false);
         }
     }
 }
@@ -735,6 +855,120 @@ mod tests {
         }
     }
 
+    /// Fills every page of `[start, start + n)` with a 4 KiB PTE.
+    fn fill(pt: &PageTable, start: Vpn, n: u64) {
+        for vpn in start..start + n {
+            pt.set(vpn, Pte::new(vpn as Pfn, true));
+        }
+    }
+
+    /// Clears `[start, start + n)` and frees what it emptied, as `munmap`
+    /// does; returns the nodes freed.
+    fn clear_and_free(pt: &PageTable, start: Vpn, n: u64) -> u64 {
+        pt.clear_range(start, n, |_, _, _| {});
+        let before = pt.node_count();
+        pt.free_range(start, n);
+        before - pt.node_count()
+    }
+
+    #[test]
+    fn free_range_frees_only_whole_nodes() {
+        // Three leaves side by side under one interior node; the range
+        // covers the middle one whole and the outer two in part.
+        let base: Vpn = GIANT_PAGES * 3 + BLOCK_PAGES * 8;
+        let pt = PageTable::new();
+        fill(&pt, base, 3 * BLOCK_PAGES);
+        assert_eq!(clear_and_free(&pt, base + 100, 2 * BLOCK_PAGES), 1);
+        // The partial leaves and their survivors stay.
+        assert_eq!(pt.get(base + 99).pfn(), (base + 99) as Pfn);
+        assert_eq!(
+            pt.get(base + 2 * BLOCK_PAGES + 100).pfn(),
+            (base + 2 * BLOCK_PAGES + 100) as Pfn
+        );
+        assert!(!pt.get(base + BLOCK_PAGES).present());
+        // Whole interior nodes go too, with every leaf under them, while
+        // a leaf the range starts inside of stays.
+        let giant: Vpn = GIANT_PAGES * 5;
+        pt.set(giant - 1, Pte::new(1, true));
+        for vpn in [giant, giant + 600, giant + GIANT_PAGES - 1] {
+            pt.set(vpn, Pte::new(2, true));
+        }
+        assert_eq!(clear_and_free(&pt, giant - 1, GIANT_PAGES + 1), 4);
+        let nodes = pt.node_count();
+        pt.set(giant - 2, Pte::new(3, true));
+        assert_eq!(pt.node_count(), nodes, "the leaf before the range stays");
+    }
+
+    #[test]
+    fn free_range_without_a_whole_leaf_touches_nothing() {
+        let _sim = rvm_sync::sim::install(1, rvm_sync::CostModel::default());
+        let base: Vpn = BLOCK_PAGES * 40;
+        let pt = PageTable::new();
+        fill(&pt, base, 2 * BLOCK_PAGES);
+        let nodes = pt.node_count();
+        let before = rvm_sync::sim::stats();
+        // Under a leaf span, and longer than one but straddling two.
+        for (start, n) in [
+            (base, 1),
+            (base + 100, 16),
+            (base, BLOCK_PAGES - 1),
+            (base + 1, BLOCK_PAGES),
+            (base + 100, BLOCK_PAGES + 300),
+        ] {
+            pt.free_range(start, n);
+        }
+        let after = rvm_sync::sim::stats();
+        assert_eq!(pt.node_count(), nodes);
+        assert_eq!(after.clocks, before.clocks, "no instrumented access");
+        assert_eq!(pt.get(base + 7).pfn(), (base + 7) as Pfn);
+    }
+
+    #[test]
+    fn a_block_set_cleared_and_freed_leaves_the_path_only() {
+        let base: Vpn = BLOCK_PAGES * 77;
+        let pt = PageTable::new();
+        pt.set_block(base, Pte::new_block(0, true));
+        pt.clear_range(base, BLOCK_PAGES, |_, _, _| {});
+        let path_only = pt.node_count();
+        // 4 KiB entries, and a demoted superpage: one leaf each, which
+        // the free gives back.
+        fill(&pt, base + 3, 20);
+        assert_eq!(clear_and_free(&pt, base, BLOCK_PAGES), 1);
+        assert_eq!(pt.node_count(), path_only);
+        pt.set_block(base, Pte::new_block(512, true));
+        assert!(pt.shatter_block(base));
+        assert_eq!(clear_and_free(&pt, base, BLOCK_PAGES), 1);
+        assert_eq!(pt.node_count(), path_only);
+    }
+
+    #[test]
+    fn the_next_shatter_reuses_the_freed_node() {
+        let spare = |pt: &PageTable| -> Vec<usize> {
+            let list = pt.spare.lock();
+            list.iter().map(|n| n.slots.as_ptr() as usize).collect()
+        };
+        let leaf = |pt: &PageTable, vpn: Vpn| -> usize {
+            let node = pt.walk(vpn, LEVELS - 1, false).expect("a leaf");
+            node.slots.as_ptr() as usize
+        };
+        let base: Vpn = BLOCK_PAGES * 90;
+        let pt = PageTable::new();
+        pt.set_block(base, Pte::new_block(0, true));
+        pt.shatter_block(base);
+        let freed = leaf(&pt, base);
+        clear_and_free(&pt, base, BLOCK_PAGES);
+        assert_eq!(spare(&pt), [freed]);
+        // Another block, elsewhere in the table: its demotion takes the
+        // freed node, zeroed, and fills it.
+        let other = base + 7 * BLOCK_PAGES;
+        pt.set_block(other, Pte::new_block(5000, false));
+        assert!(pt.shatter_block(other));
+        assert_eq!(leaf(&pt, other), freed);
+        assert!(spare(&pt).is_empty());
+        assert_eq!(pt.get(other + 9).pfn(), 5009);
+        assert!(!pt.get(base + 9).present());
+    }
+
     #[test]
     fn spans_freed_on_drop() {
         // Drop must not confuse superpage PTEs with child pointers, at
@@ -767,7 +1001,8 @@ mod tests {
     }
 
     /// Random `set` / `set_span` (either rung) / `shatter_span` / `clear`
-    /// / `clear_range` against a flat per-page model.
+    /// / `clear_range` / `clear_range` + `free_range` against a flat
+    /// per-page model.
     #[test]
     fn random_ops_match_flat_model() {
         type Model = BTreeMap<Vpn, (Pfn, bool)>;
@@ -856,9 +1091,15 @@ mod tests {
                         let old = pt.clear(vpn);
                         displace(&mut model, vpn, None, old);
                     }
+                    6 => {
+                        let n = (1 + rng.below(3 * BLOCK_PAGES)).min(HI - vpn);
+                        clear_range(&pt, &mut model, vpn, n);
+                    }
                     _ => {
-                        let n = 1 + rng.below(3 * BLOCK_PAGES);
-                        clear_range(&pt, &mut model, vpn, n.min(HI - vpn));
+                        // `munmap`: clear, then free what that emptied.
+                        let n = (1 + rng.below(3 * span)).min(HI - vpn);
+                        clear_range(&pt, &mut model, vpn, n);
+                        pt.free_range(vpn, n);
                     }
                 }
                 check(&pt, &model, vpn);

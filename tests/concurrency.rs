@@ -823,6 +823,70 @@ fn disjoint_subranges_progress_under_list_range_lock() {
     overlapper.join().unwrap();
 }
 
+/// Table nodes a `munmap` frees are under no walk: core 0 maps, faults,
+/// demotes and unmaps whole 2 MiB blocks while core 1 does the same in
+/// the neighbouring block, under the same interior table node, and also
+/// faults core 0's block — so core 0's munmaps free nodes in core 1's
+/// per-core table while core 1 walks it, as they do in a shared table.
+/// `PageTable::free_range` frees only nodes whose whole span the munmap
+/// covers; freeing the shared interior node too would have core 1 walk a
+/// freed node (reported by the sanitizer build, where spare nodes are
+/// poisoned) and lose its translations.
+#[test]
+fn whole_block_munmaps_race_faults_and_demotions_next_door() {
+    const OPS: u64 = 1000;
+    let blocks = [BASE, BASE + BLOCK_PAGES * PAGE_SIZE];
+    for kind in [BackendKind::Radix, BackendKind::RadixSharedPt] {
+        let machine = Machine::new(2);
+        let vm = build(&machine, kind);
+        for core in 0..2 {
+            vm.attach_core(core);
+        }
+        std::thread::scope(|s| {
+            for (core, addr) in blocks.into_iter().enumerate() {
+                let (machine, vm) = (&machine, &vm);
+                let next_door = blocks[1 - core];
+                s.spawn(move || {
+                    for i in 0..OPS {
+                        vm.mmap_flags(
+                            core,
+                            addr,
+                            BLOCK_PAGES * PAGE_SIZE,
+                            Prot::RW,
+                            Backing::Anon,
+                            MapFlags::HUGE,
+                        )
+                        .unwrap();
+                        let page = addr + (i % 64) * PAGE_SIZE;
+                        machine.write_u64(core, &**vm, page, i).unwrap();
+                        match machine.read_u64(core, &**vm, next_door) {
+                            Ok(_) | Err(VmError::NoMapping) => {}
+                            Err(e) => panic!("{}: reading next door saw {e}", vm.name()),
+                        }
+                        if i % 2 == 1 {
+                            // A demotion, then 4 KiB faults: table walks.
+                            let hole = addr + 100 * PAGE_SIZE;
+                            vm.munmap(core, hole, 16 * PAGE_SIZE).unwrap();
+                            for p in 200..232 {
+                                let va = addr + p * PAGE_SIZE;
+                                assert_eq!(machine.read_u64(core, &**vm, va), Ok(0));
+                            }
+                        }
+                        assert_eq!(machine.read_u64(core, &**vm, page), Ok(i), "{}", vm.name());
+                        vm.munmap(core, addr, BLOCK_PAGES * PAGE_SIZE).unwrap();
+                        if i % 8 == 0 {
+                            vm.maintain(core);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(machine.stats().stale_detected, 0, "{}", vm.name());
+        vm.quiesce();
+        assert_eq!(machine.pool().outstanding_frames(), 0, "{}", vm.name());
+    }
+}
+
 /// Mixed overlapping traffic on every backend survives and stays
 /// stale-free.
 #[test]

@@ -413,3 +413,40 @@ fn a_block_another_core_added_to_waits_for_that_cores_ticks() {
     vm.quiesce();
     assert_eq!(pool.outstanding_frames(), 0);
 }
+
+/// Page-table pages follow what is mapped: a `munmap` gives back the
+/// table nodes whose whole span it covers, so a stream of hinted 2 MiB
+/// maps at fresh addresses, each demoted by a 16-page hole (a leaf node
+/// in the table) and then unmapped, keeps its tables at the size the
+/// first cycle left — on per-core tables and on a shared one. (Tables
+/// that only ever emptied nodes grew by one 4 KiB leaf per cycle.)
+#[test]
+fn page_tables_come_back_at_munmap() {
+    const CYCLES: u64 = 512;
+    for kind in [BackendKind::Radix, BackendKind::RadixSharedPt] {
+        let machine = Machine::new(1);
+        let vm = build(&machine, kind);
+        vm.attach_core(0);
+        let mut first = None;
+        for i in 0..CYCLES {
+            let addr = BASE + i * BLOCK_BYTES;
+            vm.mmap_flags(
+                0,
+                addr,
+                BLOCK_BYTES,
+                Prot::RW,
+                Backing::Anon,
+                MapFlags::HUGE,
+            )
+            .unwrap();
+            machine.write_u64(0, &*vm, addr, i).unwrap();
+            vm.munmap(0, addr + 100 * PAGE_SIZE, 16 * PAGE_SIZE)
+                .unwrap();
+            vm.munmap(0, addr, BLOCK_BYTES).unwrap();
+            let bytes = vm.space_usage().pagetable_bytes;
+            let first = *first.get_or_insert(bytes);
+            assert_eq!(bytes, first, "{}: cycle {i}", vm.name());
+        }
+        assert_eq!(vm.op_stats().superpage_demotions, CYCLES, "{}", vm.name());
+    }
+}
