@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use crossbeam::epoch::{self, Atomic, Owned};
 use rvm_hw::{
-    vpn_of, AccessKind, Asid, Backing, Machine, OpStats, Prot, Pte, ShardedOpStats, SharedMmu,
+    vpn_of, AccessKind, Asid, Backing, Machine, OpStats, PageTable, Prot, Pte, ShardedOpStats,
     SpaceUsage, TlbEntry, Translation, Vaddr, VmError, VmResult, VmSystem, Vpn, VA_LIMIT,
 };
 use rvm_sync::atomic::AtomicCoreSet;
@@ -202,7 +202,7 @@ pub struct BonsaiVm {
     mutate: Mutex<()>,
     /// Sharded PTE locks (Linux page-table locks; short holds).
     ptl: Vec<CachePadded<SpinLock<()>>>,
-    mmu: SharedMmu,
+    table: PageTable,
     regions: AtomicU64,
     /// Sharded per-core op counters.
     stats: ShardedOpStats,
@@ -221,7 +221,7 @@ impl BonsaiVm {
             ptl: (0..PTL_SHARDS)
                 .map(|_| CachePadded::new(SpinLock::new(())))
                 .collect(),
-            mmu: SharedMmu::new(),
+            table: PageTable::new(),
             regions: AtomicU64::new(0),
         })
     }
@@ -266,7 +266,7 @@ impl BonsaiVm {
         for (start, end, _, _) in removed {
             for vpn in *start..*end {
                 let _ptl = self.ptl_for(vpn).lock();
-                let pte = self.mmu.table().clear(vpn);
+                let pte = self.table.clear(vpn);
                 if pte.present() {
                     freed.push(pte.pfn());
                 }
@@ -374,7 +374,7 @@ impl VmSystem for BonsaiVm {
         }
         let pool = self.machine.pool();
         let writable = prot.writable();
-        let table = self.mmu.table();
+        let table = &self.table;
         let pte = table.get(vpn);
         let pfn = if pte.present() {
             self.stats.add(core, OpStats::faults_fill, 1);
@@ -458,7 +458,7 @@ impl VmSystem for BonsaiVm {
         let node_bytes = std::mem::size_of::<RNode>() as u64 + 16; // + Arc header
         SpaceUsage {
             index_bytes: self.regions.load(StdOrdering::Relaxed) * node_bytes,
-            pagetable_bytes: self.mmu.table().bytes(),
+            pagetable_bytes: self.table.bytes(),
         }
     }
 }

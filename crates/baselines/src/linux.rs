@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use rvm_hw::{
-    vpn_of, AccessKind, Asid, Backing, Machine, OpStats, Prot, Pte, ShardedOpStats, SharedMmu,
+    vpn_of, AccessKind, Asid, Backing, Machine, OpStats, PageTable, Prot, Pte, ShardedOpStats,
     SpaceUsage, TlbEntry, Translation, Vaddr, VmError, VmResult, VmSystem, Vpn, VA_LIMIT,
 };
 use rvm_sync::atomic::AtomicCoreSet;
@@ -33,7 +33,7 @@ pub struct LinuxVm {
     /// The address-space lock and the VMA tree it protects (`mmap_sem`).
     state: RwLock<VmaMap>,
     /// Single shared page table.
-    mmu: SharedMmu,
+    table: PageTable,
     /// Sharded per-core op counters.
     stats: ShardedOpStats,
 }
@@ -47,7 +47,7 @@ impl LinuxVm {
             machine,
             attached: AtomicCoreSet::new(),
             state: RwLock::new(VmaMap::new()),
-            mmu: SharedMmu::new(),
+            table: PageTable::new(),
         })
     }
 
@@ -56,7 +56,7 @@ impl LinuxVm {
     fn unmap_pages(&self, core: usize, lo: Vpn, n: u64) {
         let pool = self.machine.pool();
         let mut freed = Vec::new();
-        self.mmu.table().clear_range(lo, n, |_vpn, pages, pte| {
+        self.table.clear_range(lo, n, |_vpn, pages, pte| {
             // This backend installs only 4 KiB PTEs; the span-reporting
             // callback keeps the frame release exact if that changes.
             debug_assert_eq!(pages, 1);
@@ -152,7 +152,7 @@ impl VmSystem for LinuxVm {
         }
         let pool = self.machine.pool();
         let writable = vma.prot.writable();
-        let table = self.mmu.table();
+        let table = &self.table;
         let pte = table.get(vpn);
         let pfn = if pte.present() {
             self.stats.add(core, OpStats::faults_fill, 1);
@@ -242,7 +242,7 @@ impl VmSystem for LinuxVm {
     fn space_usage(&self) -> SpaceUsage {
         SpaceUsage {
             index_bytes: self.state.read().model_bytes(),
-            pagetable_bytes: self.mmu.table().bytes(),
+            pagetable_bytes: self.table.bytes(),
         }
     }
 }

@@ -225,26 +225,33 @@ mod tests {
         );
     }
 
+    /// Whose TLBs a `munmap` shoots down is the address space's choice:
+    /// with per-core tables the cores that faulted the page, with a
+    /// shared table every attached core (but the sender), faulted or not.
     #[test]
-    fn shared_pagetable_broadcasts() {
-        let machine = Machine::new(4);
-        let vm = RadixVm::new(
-            machine.clone(),
-            RadixVmConfig {
-                mmu: MmuKind::Shared,
-                collapse: true,
+    fn munmap_targets_tracked_cores_or_every_attached_one() {
+        for (mmu, ipis) in [(MmuKind::PerCore, 1), (MmuKind::Shared, 2)] {
+            // Four cores, three attached: core 3 is never a target.
+            let machine = Machine::new(4);
+            let cfg = RadixVmConfig {
+                mmu,
                 ..Default::default()
-            },
-        );
-        for c in 0..4 {
-            vm.attach_core(c);
+            };
+            let vm = RadixVm::new(machine.clone(), cfg);
+            for c in 0..3 {
+                vm.attach_core(c);
+            }
+            vm.mmap(0, BASE, PAGE_SIZE, Prot::RW, Backing::Anon)
+                .unwrap();
+            machine.write_u64(0, &*vm, BASE, 1).unwrap();
+            if mmu == MmuKind::PerCore {
+                // Tracked: cores 0 and 2, so one IPI (to core 2).
+                machine.read_u64(2, &*vm, BASE).unwrap();
+            }
+            let before = machine.stats().shootdown_ipis;
+            vm.munmap(0, BASE, PAGE_SIZE).unwrap();
+            assert_eq!(machine.stats().shootdown_ipis - before, ipis, "{mmu:?}");
         }
-        vm.mmap(0, BASE, PAGE_SIZE, Prot::RW, Backing::Anon)
-            .unwrap();
-        machine.touch_page(0, &*vm, BASE, 1).unwrap();
-        vm.munmap(0, BASE, PAGE_SIZE).unwrap();
-        // Broadcast to all 4 attached cores minus the sender = 3 IPIs.
-        assert_eq!(machine.stats().shootdown_ipis, 3);
     }
 
     #[test]

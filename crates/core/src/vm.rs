@@ -27,9 +27,9 @@ use std::sync::Arc;
 use std::sync::Mutex;
 
 use rvm_hw::{
-    vpn_of, AccessKind, Asid, Backing, Machine, MapFlags, Mmu, MmuKind, OpStats, PerCoreMmu, Prot,
-    Pte, ShardedOpStats, SharedMmu, SpaceUsage, TlbEntry, Translation, Vaddr, VmError, VmResult,
-    VmSystem, Vpn, BLOCK_PAGES, SPAN_PAGES, VA_LIMIT,
+    vpn_of, AccessKind, Asid, Backing, Machine, MapFlags, Mmu, MmuKind, OpStats, Prot, Pte,
+    ShardedOpStats, SpaceUsage, TlbEntry, Translation, Vaddr, VmError, VmResult, VmSystem, Vpn,
+    BLOCK_PAGES, SPAN_PAGES, VA_LIMIT,
 };
 use rvm_mem::{FrameRef, Pfn};
 use rvm_radix::{LockMode, RadixConfig, RadixTree, RangeGuard, RemovedList, VPN_LIMIT};
@@ -147,7 +147,7 @@ impl PromoteCounters {
 pub struct RadixVm {
     cache: Arc<Refcache>,
     tree: RadixTree<PageMeta>,
-    mmu: Box<dyn Mmu>,
+    mmu: Mmu,
     asid: Asid,
     attached: AtomicCoreSet,
     cfg: RadixVmConfig,
@@ -178,10 +178,7 @@ impl RadixVm {
         cache: Arc<Refcache>,
         cfg: RadixVmConfig,
     ) -> Arc<RadixVm> {
-        let mmu: Box<dyn Mmu> = match cfg.mmu {
-            MmuKind::PerCore => Box::new(PerCoreMmu::new(machine.ncores())),
-            MmuKind::Shared => Box::new(SharedMmu::new()),
-        };
+        let mmu = Mmu::new(cfg.mmu, machine.ncores());
         let tree = RadixTree::new(
             cache.clone(),
             RadixConfig {
@@ -258,15 +255,15 @@ impl RadixVm {
         self.tree.stats()
     }
 
-    /// The attached set as [`Mmu::unmap_range`] and [`Mmu::demote`] want
-    /// it. Only the shared table looks at it (per-core tables shoot down
-    /// `tracked`), and the word is one every core's faults read, so the
-    /// per-core configuration does not load it.
-    fn attached_for_mmu(&self) -> CoreSet {
-        if self.mmu.kind() == MmuKind::Shared {
-            self.attached.load()
-        } else {
-            CoreSet::EMPTY
+    /// The cores whose TLBs may cache a translation the cores of
+    /// `tracked` installed: those cores with per-core tables, and every
+    /// attached core with a shared one, where any core may have filled
+    /// its TLB from another's entry. The per-core configuration does not
+    /// load `attached`, a word every core's faults read.
+    fn shootdown_set(&self, tracked: CoreSet) -> CoreSet {
+        match self.mmu.kind() {
+            MmuKind::PerCore => tracked,
+            MmuKind::Shared => self.attached.load(),
         }
     }
 
@@ -277,10 +274,9 @@ impl RadixVm {
         if runs.is_empty() {
             return;
         }
-        let attached = self.attached_for_mmu();
-        let mut targets = CoreSet::EMPTY;
+        let targets = self.shootdown_set(tracked);
         for (start, len) in runs {
-            targets = targets.union(self.mmu.unmap_range(*start, *len, tracked, attached));
+            self.mmu.unmap_range(*start, *len, tracked);
         }
         self.machine.shootdown(core, self.asid, lo, n, targets);
     }
@@ -294,15 +290,8 @@ impl RadixVm {
     /// still holds the guard), per the paper's ordering invariant: no
     /// thread may access the pages after munmap returns, and the physical
     /// pages are released ([`RadixVm::release_frames`]) only after every
-    /// stale translation is gone. Returns the cores whose tables it
-    /// cleared.
-    fn unmap_tables(
-        &self,
-        core: usize,
-        lo: Vpn,
-        n: u64,
-        removed: &RemovedList<PageMeta>,
-    ) -> CoreSet {
+    /// stale translation is gone.
+    fn unmap_tables(&self, core: usize, lo: Vpn, n: u64, removed: &RemovedList<PageMeta>) {
         let mut tracked = CoreSet::EMPTY;
         let mut runs = Runs::new();
         for r in removed {
@@ -317,7 +306,6 @@ impl RadixVm {
             }
         }
         self.revoke(core, lo, n, &runs, tracked);
-        tracked
     }
 
     /// Drops the frame references displaced metadata owned, after
@@ -431,9 +419,8 @@ impl RadixVm {
         let pool = self.machine.pool();
         for (base, pages, b, tracked) in demoted {
             pool.ref_adjust(&self.cache, core, b, fanout as i64 - 1);
-            let targets = self
-                .mmu
-                .demote(base, pages, tracked, self.attached_for_mmu());
+            let targets = self.shootdown_set(tracked);
+            self.mmu.demote(base, pages, tracked);
             self.machine
                 .shootdown(core, self.asid, base, pages, targets);
             self.stats.add(core, OpStats::superpage_demotions, 1);
@@ -571,11 +558,15 @@ impl VmSystem for RadixVm {
         // unmap keeps the fold and releases the block whole below.
         self.demote_expanded(core, &mut guard);
         let removed = guard.clear();
-        let tracked = self.unmap_tables(core, lo, n, &removed);
-        // The table nodes the range emptied go back too, still under the
-        // guard. Only here: an `mmap` over a mapping keeps its nodes for
-        // the faults that repopulate it.
-        self.mmu.free_tables(lo, n, tracked);
+        self.unmap_tables(core, lo, n, &removed);
+        // The table nodes the range emptied go back too, in every core's
+        // table — an earlier revoke may have cleared a core's entries
+        // and its tracking — still under the guard. Only when something
+        // was unmapped, and only here: an `mmap` over a mapping keeps its
+        // nodes for the faults that repopulate it.
+        if !removed.is_empty() {
+            self.mmu.free_tables(lo, n);
+        }
         drop(guard);
         if self.release_frames(core, &removed) {
             // The core has unmapped a superpage's worth since its last
@@ -596,7 +587,7 @@ impl VmSystem for RadixVm {
         }
         sim::charge_op_base();
         // Only the shared table ever reads `attached`
-        // (`attached_for_mmu`), and the word is one every core's faults
+        // (`shootdown_set`), and the word is one every core's faults
         // would load, so per-core tables leave it alone. Where it is
         // kept, tracking is read-before-write: `AtomicCoreSet::insert`
         // tests membership first, so a warm fault's attach check is a
@@ -617,7 +608,7 @@ impl VmSystem for RadixVm {
         // filled by hardware without kernel involvement; model that as a
         // cheap walk that bypasses the metadata entirely.
         if shared_table {
-            let pte = self.mmu.walk(core, vpn);
+            let pte = self.mmu.table(core).get(vpn);
             if pte.present() && (kind == AccessKind::Read || pte.writable()) {
                 self.stats.add(core, OpStats::faults_fill, 1);
                 // Fill whatever span the entry maps: when another core
@@ -676,9 +667,8 @@ impl VmSystem for RadixVm {
                 let tracked = meta.coreset;
                 meta.coreset = CoreSet::EMPTY;
                 if !tracked.is_empty() {
-                    let targets = self
-                        .mmu
-                        .unmap_range(vpn, 1, tracked, self.attached_for_mmu());
+                    let targets = self.shootdown_set(tracked);
+                    self.mmu.unmap_range(vpn, 1, tracked);
                     self.machine.shootdown(core, self.asid, vpn, 1, targets);
                 }
                 // Under the guard: the page is accounted, the tick is
@@ -895,11 +885,11 @@ impl RadixVm {
         pages: u64,
         writable: bool,
     ) -> Translation {
+        let table = self.mmu.table(core);
         if pages == 1 {
-            self.mmu.map(core, start, Pte::new(base, writable));
+            table.set(start, Pte::new(base, writable));
         } else {
-            let pte = Pte::new_span(base, writable, pages);
-            self.mmu.map_span(core, start, pte);
+            table.set_span(start, Pte::new_span(base, writable, pages));
         }
         self.fill(core, vpn, start, base, pages, writable)
     }
@@ -1104,9 +1094,8 @@ impl RadixVm {
         // do not change (demoted) or stay live until the decs drain
         // through Refcache (scattered), so a racing access through a
         // not-yet-shot-down entry still reads correct memory.
-        let targets = self
-            .mmu
-            .unmap_range(base, BLOCK_PAGES, tracked, self.attached_for_mmu());
+        let targets = self.shootdown_set(tracked);
+        self.mmu.unmap_range(base, BLOCK_PAGES, tracked);
         self.machine
             .shootdown(core, self.asid, base, BLOCK_PAGES, targets);
         // Demoted shape: 512 references on one block head, of which the

@@ -32,7 +32,7 @@ pub mod mmu;
 pub mod pagetable;
 pub mod tlb;
 
-pub use mmu::{Mmu, MmuKind, PerCoreMmu, SharedMmu};
+pub use mmu::{Mmu, MmuKind};
 pub use pagetable::{PageTable, Pte, BLOCK_PAGES, GIANT_PAGES, SPAN_PAGES};
 pub use rvm_mem::{OutOfMemory, PlacementPolicy};
 pub use tlb::{Tlb, TlbEntry};

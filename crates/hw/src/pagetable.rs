@@ -30,10 +30,15 @@
 //! Clearing entries ([`PageTable::clear_range`], [`PageTable::clear`])
 //! never frees a node. A node is freed in three places: when the table
 //! drops, when [`PageTable::set_span`] displaces a cleared subtree, and
-//! in [`PageTable::free_range`], which `munmap` calls over the range it
-//! just cleared so that tables follow what is mapped rather than
-//! everything ever mapped. The last two need the VA-range lock over the
-//! nodes they free. A freed node waits zeroed on the table's spare list
+//! in [`PageTable::free_range`], which a `munmap` that removed a mapping
+//! calls over its range in every table — tracked or not, since an
+//! earlier revoke may have cleared a table's entries and its tracking —
+//! so that tables follow what is mapped rather than everything ever
+//! mapped. Only nodes whose whole span a `munmap` covers come back: a
+//! leaf split between two `munmap`s, and the interior nodes above
+//! block-sized ones, stay until the table drops. The last two places
+//! need the VA-range lock over the nodes they free. A freed node waits
+//! zeroed on the table's spare list
 //! ([`SPARE_NODES`]), and the table's next node — a walk's missing
 //! interior node or a demotion's 512 entries — is taken from there
 //! before the allocator is asked.

@@ -450,3 +450,72 @@ fn page_tables_come_back_at_munmap() {
         assert_eq!(vm.op_stats().superpage_demotions, CYCLES, "{}", vm.name());
     }
 }
+
+/// An op before the `munmap` that clears a table's entries also clears
+/// the tracking that names the table, so the `munmap` must free nodes in
+/// every core's table, not only the tracked ones. Five shapes, each
+/// cycle at a fresh 2 MiB address on a two-core machine. In the first
+/// three, core 0 demotes a block it wrote (a 16-page hole leaves a leaf
+/// node in its table), then a whole-block `mprotect`, a plain `mmap`
+/// over the block or a dropped `fork` revokes it. In the last two, core
+/// 1 touches one page of a plain mapping, which that page's own
+/// `munmap` or `mprotect` then revokes; no one-page op covers a node,
+/// and core 0's final `munmap` tracks no core. Freeing only in the
+/// tracked tables leaves one 4 KiB node per cycle behind in each shape
+/// on per-core tables.
+#[test]
+fn page_tables_come_back_after_revokes() {
+    const CYCLES: u64 = 64;
+    #[derive(Clone, Copy, Debug)]
+    enum Revoke {
+        Mprotect,
+        MmapOver,
+        Fork,
+        UnmapTouched,
+        MprotectTouched,
+    }
+    use Revoke::*;
+    for kind in [BackendKind::Radix, BackendKind::RadixSharedPt] {
+        for shape in [Mprotect, MmapOver, Fork, UnmapTouched, MprotectTouched] {
+            let machine = Machine::new(2);
+            let vm = build(&machine, kind);
+            for core in 0..2 {
+                vm.attach_core(core);
+            }
+            let mut first = None;
+            for i in 0..CYCLES {
+                let addr = BASE + i * BLOCK_BYTES;
+                let page5 = addr + 5 * PAGE_SIZE;
+                match shape {
+                    Mprotect | MmapOver | Fork => {
+                        let huge = MapFlags::HUGE;
+                        vm.mmap_flags(0, addr, BLOCK_BYTES, Prot::RW, Backing::Anon, huge)
+                            .unwrap();
+                        machine.write_u64(0, &*vm, addr, i).unwrap();
+                        vm.munmap(0, addr + 100 * PAGE_SIZE, 16 * PAGE_SIZE)
+                            .unwrap();
+                    }
+                    UnmapTouched | MprotectTouched => {
+                        vm.mmap(0, addr, BLOCK_BYTES, Prot::RW, Backing::Anon)
+                            .unwrap();
+                        machine.write_u64(1, &*vm, page5, i).unwrap();
+                    }
+                }
+                match shape {
+                    Mprotect => vm.mprotect(0, addr, BLOCK_BYTES, Prot::READ).unwrap(),
+                    MmapOver => {
+                        vm.mmap(0, addr, BLOCK_BYTES, Prot::RW, Backing::Anon)
+                            .unwrap();
+                    }
+                    Fork => drop(vm.fork(0).unwrap()),
+                    UnmapTouched => vm.munmap(0, page5, PAGE_SIZE).unwrap(),
+                    MprotectTouched => vm.mprotect(0, page5, PAGE_SIZE, Prot::READ).unwrap(),
+                }
+                vm.munmap(0, addr, BLOCK_BYTES).unwrap();
+                let bytes = vm.space_usage().pagetable_bytes;
+                let first = *first.get_or_insert(bytes);
+                assert_eq!(bytes, first, "{} {shape:?}: cycle {i}", vm.name());
+            }
+        }
+    }
+}
