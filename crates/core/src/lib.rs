@@ -228,6 +228,9 @@ mod tests {
     /// Whose TLBs a `munmap` shoots down is the address space's choice:
     /// with per-core tables the cores that faulted the page, with a
     /// shared table every attached core (but the sender), faulted or not.
+    /// The same holds for the demotion a hole in a superpage takes first:
+    /// it keeps every translation, so only this count shows a span
+    /// shootdown that missed a core.
     #[test]
     fn munmap_targets_tracked_cores_or_every_attached_one() {
         for (mmu, ipis) in [(MmuKind::PerCore, 1), (MmuKind::Shared, 2)] {
@@ -241,16 +244,40 @@ mod tests {
             for c in 0..3 {
                 vm.attach_core(c);
             }
+            let block = BASE + BLOCK_BYTES;
             vm.mmap(0, BASE, PAGE_SIZE, Prot::RW, Backing::Anon)
                 .unwrap();
-            machine.write_u64(0, &*vm, BASE, 1).unwrap();
-            if mmu == MmuKind::PerCore {
-                // Tracked: cores 0 and 2, so one IPI (to core 2).
-                machine.read_u64(2, &*vm, BASE).unwrap();
+            huge_map(&vm, 0, block, 1);
+            for va in [BASE, block] {
+                machine.write_u64(0, &*vm, va, 1).unwrap();
+                if mmu == MmuKind::PerCore {
+                    // Tracked: cores 0 and 2, so one IPI (to core 2).
+                    machine.read_u64(2, &*vm, va).unwrap();
+                }
             }
-            let before = machine.stats().shootdown_ipis;
+            let before = machine.stats();
             vm.munmap(0, BASE, PAGE_SIZE).unwrap();
-            assert_eq!(machine.stats().shootdown_ipis - before, ipis, "{mmu:?}");
+            let after = machine.stats();
+            assert_eq!(
+                after.shootdown_ipis - before.shootdown_ipis,
+                ipis,
+                "{mmu:?}"
+            );
+            // A 16-page hole: one round for the demotion, one for the hole.
+            vm.munmap(0, block + 64 * PAGE_SIZE, 16 * PAGE_SIZE)
+                .unwrap();
+            let holed = machine.stats();
+            assert_eq!(vm.op_stats().superpage_demotions, 1, "{mmu:?}");
+            assert_eq!(
+                holed.shootdown_rounds - after.shootdown_rounds,
+                2,
+                "{mmu:?}"
+            );
+            assert_eq!(
+                holed.shootdown_ipis - after.shootdown_ipis,
+                2 * ipis,
+                "{mmu:?}"
+            );
         }
     }
 
