@@ -70,6 +70,7 @@ fn run(readers: usize, writers: usize, dur: u64) -> Point {
                     sim::charge(60);
                     ops += 1;
                     if ops.is_multiple_of(256) {
+                        tree.release_hints(c);
                         tree.cache().maintain(c);
                     }
                     assert!(tree.lookup_present(c, key));
@@ -81,6 +82,7 @@ fn run(readers: usize, writers: usize, dur: u64) -> Point {
                     sim::charge(60);
                     ops += 1;
                     if ops.is_multiple_of(256) {
+                        tree.release_hints(c);
                         tree.cache().maintain(c);
                     }
                     match holding.take() {

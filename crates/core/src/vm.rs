@@ -540,6 +540,7 @@ impl VmSystem for RadixVm {
             drop(guard);
             if self.release_frames(core, &displaced) {
                 // As at the tail of `munmap`: only after the guard.
+                self.tree.release_hints(core);
                 self.cache.expedite(core);
             }
         }
@@ -575,7 +576,9 @@ impl VmSystem for RadixVm {
             // `release_frames`; the rest — frames another core added
             // to, the radix nodes this unmap emptied — starts its
             // two-epoch clock here. After the guard, so no hint-riding
-            // guard of this op is alive (DESIGN.md §5, §8).
+            // guard of this op is alive to hold the core's hint slot
+            // (DESIGN.md §5, §8).
+            self.tree.release_hints(core);
             self.cache.expedite(core);
         }
         Ok(())
@@ -765,6 +768,8 @@ impl VmSystem for RadixVm {
     }
 
     fn maintain(&self, core: usize) {
+        // The tree's hint pins go first, so the flush applies them.
+        self.tree.release_hints(core);
         self.cache.maintain(core);
     }
 
@@ -777,6 +782,9 @@ impl VmSystem for RadixVm {
     }
 
     fn quiesce(&self) {
+        for core in 0..self.cache.ncores() {
+            self.tree.release_hints(core);
+        }
         self.cache.quiesce();
         // Refcache's epoch drain above released physical pages into the
         // frame pool's outbound magazines; return them home so frame

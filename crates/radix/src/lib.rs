@@ -43,6 +43,19 @@ mod tests {
         RadixTree::new(Arc::new(Refcache::new(ncores)), RadixConfig::default())
     }
 
+    /// A tick of `core` as the tree's owner runs it: the tree's hint pins
+    /// go first, then the cache flushes and reviews.
+    fn maintain(t: &RadixTree<u64>, core: usize) {
+        t.release_hints(core);
+        t.cache().maintain(core);
+    }
+
+    /// [`maintain`]'s `quiesce`: every core's hints, then the sweeps.
+    fn quiesce(t: &RadixTree<u64>) {
+        (0..t.cache().ncores()).for_each(|core| t.release_hints(core));
+        t.cache().quiesce();
+    }
+
     #[test]
     fn empty_tree_lookup() {
         let t = tree(1);
@@ -221,7 +234,7 @@ mod tests {
             assert_eq!(vals.len(), 512);
             assert!(vals.iter().all(|v| *v == 6));
         }
-        t.cache().quiesce();
+        quiesce(&t);
         assert_eq!(t.stats().leaf_nodes(), 0, "severed leaf collapsed");
         assert_eq!(t.stats().folded_values(), 1);
         for vpn in [start, start + 3, start + 511] {
@@ -299,7 +312,7 @@ mod tests {
             let mut g = t.lock_range(0, start, start + 512, LockMode::ExpandFolded);
             assert!(g.refold(4).is_some());
         }
-        t.cache().quiesce();
+        quiesce(&t);
         // The severed leaf is unreachable from the tree, so even the
         // no-collapse configuration must free it (its permanent
         // reference is surrendered by the refold).
@@ -490,7 +503,7 @@ mod tests {
             let mut g = t.lock_range(0, 100, 110, LockMode::ExpandFolded);
             g.clear();
         }
-        t.cache().quiesce();
+        quiesce(&t);
         // Only the root should remain.
         assert_eq!(t.cache().live_objects(), 1, "empty nodes collapsed");
         assert!(t.stats().nodes_collapsed() >= 3);
@@ -520,7 +533,7 @@ mod tests {
             let mut g = t.lock_range(0, 100, 110, LockMode::ExpandFolded);
             g.clear();
         }
-        t.cache().quiesce();
+        quiesce(&t);
         assert_eq!(t.cache().live_objects(), live, "no nodes freed");
     }
 
@@ -538,7 +551,7 @@ mod tests {
             g.clear();
         }
         // One flush marks the leaf dying (count reached zero)...
-        t.cache().maintain(0);
+        maintain(&t, 0);
         // ...but a new mmap revives it instead of re-allocating.
         let nodes_before = t.stats().leaf_nodes();
         {
@@ -547,7 +560,7 @@ mod tests {
         }
         let nodes_after = t.stats().leaf_nodes();
         assert_eq!(nodes_before, nodes_after, "node revived, not reallocated");
-        t.cache().quiesce();
+        quiesce(&t);
         assert_eq!(t.get(0, 101), Some(2));
     }
 
@@ -606,7 +619,7 @@ mod tests {
                         });
                     }
                     if i % 100 == 0 {
-                        t.cache().maintain(core);
+                        maintain(&t, core);
                     }
                 }
             }));
@@ -638,7 +651,7 @@ mod tests {
                         assert_eq!(removed.len(), 16);
                     }
                     if i % 64 == 0 {
-                        t.cache().maintain(core);
+                        maintain(&t, core);
                     }
                 }
             }));
@@ -647,7 +660,7 @@ mod tests {
             h.join().unwrap();
         }
         let t = Arc::try_unwrap(t).ok().expect("sole owner");
-        t.cache().quiesce();
+        quiesce(&t);
         assert_eq!(t.cache().live_objects(), 1, "everything collapsed");
     }
 
@@ -687,8 +700,8 @@ mod tests {
         // zero is queued, and the leaf reviewed, there.
         let settle = || {
             for _ in 0..8 {
-                cache.maintain(0);
-                cache.maintain(1);
+                maintain(&t, 0);
+                maintain(&t, 1);
             }
             for core in 0..2 {
                 assert!(t.spare_arrays(core).len() <= SPARE_LEAVES, "core {core}");
@@ -837,11 +850,25 @@ mod tests {
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "hint-riding RangeGuard")]
-    fn flush_under_a_hint_riding_guard_is_caught() {
+    fn releasing_hints_under_a_hint_riding_guard_is_caught() {
         let t = hinted_tree(1);
         let _riding = t.lock_range(0, 1001, 1002, LockMode::ExpandFolded);
-        // The flush hook surrenders core 0's hint: it needs the slot.
+        t.release_hints(0);
+    }
+
+    /// A Refcache flush takes no hint slot: under a hint-riding guard it
+    /// returns, and the hint and its pin stay for the next lock.
+    #[test]
+    fn a_flush_under_a_hint_riding_guard_leaves_the_hint() {
+        let t = hinted_tree(1);
+        let riding = t.lock_range(0, 1001, 1002, LockMode::ExpandFolded);
         t.cache().flush(0);
+        t.cache().maintain(0);
+        drop(riding);
+        assert_eq!(t.hinted_blocks(0), [512]);
+        let hits = t.stats().hint_hits();
+        assert_eq!(t.get(0, 1002), Some(1));
+        assert_eq!(t.stats().hint_hits(), hits + 1, "still served by the hint");
     }
 
     /// First VPN of test block `b`: leaf blocks far enough apart that no
@@ -911,19 +938,19 @@ mod tests {
         // Exactly one pin went with the way. One too few leaks the leaf
         // (it never collapses below); one too many frees it here, linked
         // and with its page mapped.
-        t.cache().quiesce();
+        quiesce(&t);
         assert_eq!(t.stats().leaf_nodes(), 9);
         for b in 0..9 {
             assert_eq!(t.get(0, block(b) + 7), Some(b), "block {b}");
             t.lock_range(0, block(b) + 7, block(b) + 9, LockMode::ExpandFolded)
                 .clear();
         }
-        t.cache().quiesce();
+        quiesce(&t);
         assert_eq!(t.cache().live_objects(), 1, "a hint pin leaked");
     }
 
     #[test]
-    fn flush_surrenders_every_occupied_way() {
+    fn release_hints_surrenders_every_occupied_way() {
         let t = blocks_tree(5);
         touch_blocks(&t, 5);
         assert_eq!(t.hinted_blocks(0).len(), 5);
@@ -933,11 +960,41 @@ mod tests {
             t.lock_range(0, block(b) + 7, block(b) + 9, LockMode::ExpandFolded)
                 .clear();
         }
-        t.cache().flush(0);
-        assert!(t.hinted_blocks(0).is_empty(), "the hook takes all ways");
+        t.release_hints(0);
+        assert!(t.hinted_blocks(0).is_empty(), "the release takes all ways");
         t.cache().quiesce();
         assert_eq!(t.cache().live_objects(), 1, "everything collapsed");
         assert_eq!(t.stats().leaf_nodes(), 0);
+    }
+
+    /// Two trees on one cache: each tree's hints are its own to release.
+    /// A cache flush takes neither tree's ways; `a.release_hints` takes
+    /// only `a`'s, so `a`'s emptied leaf collapses at the next quiesce
+    /// while `b`'s waits for `b`'s release.
+    #[test]
+    fn each_tree_releases_only_its_own_hints() {
+        let cache = Arc::new(Refcache::new(1));
+        let [a, b] = [(); 2].map(|_| RadixTree::<u64>::new(cache.clone(), RadixConfig::default()));
+        for t in [&a, &b] {
+            t.lock_range(0, 1000, 1010, LockMode::ExpandAll).replace(&1);
+            drop(t.lock_range(0, 1000, 1001, LockMode::ExpandFolded));
+            // Only the hint's pin keeps the leaf now.
+            t.lock_range(0, 1000, 1010, LockMode::ExpandFolded).clear();
+        }
+        cache.flush(0);
+        assert_eq!(
+            (a.hinted_blocks(0), b.hinted_blocks(0)),
+            (vec![512], vec![512])
+        );
+        a.release_hints(0);
+        assert!(a.hinted_blocks(0).is_empty());
+        assert_eq!(b.hinted_blocks(0), [512]);
+        cache.quiesce();
+        assert_eq!(a.stats().leaf_nodes(), 0, "a's leaf collapsed");
+        assert_eq!(b.stats().leaf_nodes(), 1, "b's leaf waits for b");
+        b.release_hints(0);
+        cache.quiesce();
+        assert_eq!(b.stats().leaf_nodes(), 0, "b's leaf collapsed");
     }
 
     #[test]
@@ -974,8 +1031,8 @@ mod tests {
             );
         }
         assert_eq!(t.stats().leaf_nodes(), 1, "the severed leaf, still queued");
-        // The eviction surrendered the last pin: the leaf frees without a
-        // flush hook's help (the set is already empty).
+        // The eviction surrendered the last pin: the leaf frees with no
+        // `release_hints` (the set is already empty).
         t.cache().quiesce();
         assert_eq!(t.cache().live_objects(), live - 1, "severed leaf freed");
         assert_eq!(t.stats().leaf_nodes(), 0);
@@ -1018,11 +1075,11 @@ mod tests {
                 drop(whole);
                 assert_eq!(reader.join().unwrap(), Some(round), "round {round}");
             });
-            t.cache().maintain(0);
-            t.cache().maintain(1);
+            maintain(&t, 0);
+            maintain(&t, 1);
         }
         assert!(t.hinted_blocks(0).is_empty(), "no leaf to cache");
-        t.cache().quiesce();
+        quiesce(&t);
         assert_eq!(t.stats().leaf_nodes(), 0, "every severed leaf freed");
     }
 
@@ -1057,7 +1114,7 @@ mod tests {
                         .refold(round)
                         .expect("refolds");
                     folded.store(round, Ordering::Release);
-                    t.cache().maintain(1);
+                    maintain(&t, 1);
                 }
                 folded.store(u64::MAX, Ordering::Release);
             });
@@ -1073,14 +1130,14 @@ mod tests {
                 if first != last {
                     mixed.store(true, Ordering::Release);
                 }
-                t.cache().maintain(0);
+                maintain(&t, 0);
             }
         });
         assert!(
             mixed.load(Ordering::Acquire),
             "no walk met a sever mid-leaf"
         );
-        t.cache().quiesce();
+        quiesce(&t);
         assert_eq!(t.stats().leaf_nodes(), 0, "every severed leaf freed");
     }
 

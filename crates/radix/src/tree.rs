@@ -57,8 +57,9 @@
 //!   can only be replaced or surrendered under that lock, so no Refcache
 //!   traffic pins the leaf a second time. Correctness never depends on
 //!   a hint: a stale or missing one falls back to the full descent, and
-//!   every hint's pin is surrendered at every Refcache flush so collapse
-//!   is delayed by at most one epoch. See DESIGN.md §5 for the
+//!   the tree's owner surrenders every hint's pin
+//!   ([`RadixTree::release_hints`]) before each Refcache tick it runs, so
+//!   collapse is delayed by at most one tick. See DESIGN.md §5 for the
 //!   invariants and the lock order.
 
 use std::sync::Arc;
@@ -388,7 +389,7 @@ struct LeafHint<V: Send + Sync + 'static> {
 /// between a handful of regions (two buffers, a stack and a heap), and
 /// with one way every change of region is a descent from the root. A
 /// constant, not a knob: more ways would only lengthen the scan and the
-/// flush hook's sweep.
+/// sweep of [`RadixTree::release_hints`] at every tick.
 const HINT_WAYS: usize = 8;
 
 /// Tag of an empty way: no block starts there ([`VPN_LIMIT`] is 2³⁶).
@@ -497,62 +498,6 @@ fn thread_token() -> usize {
     TOKEN.with(|t| t as *const u8 as usize)
 }
 
-/// Per-core leaf hint slots, shared between the tree and its Refcache
-/// flush hook (which surrenders the pins every epoch flush).
-struct HintTable<V: Send + Sync + 'static> {
-    slots: Box<[CachePadded<HintCell<V>>]>,
-}
-
-impl<V: Send + Sync + 'static> HintTable<V> {
-    fn new(ncores: usize) -> Self {
-        HintTable {
-            slots: (0..ncores)
-                .map(|_| {
-                    CachePadded::new(HintCell {
-                        hint: SpinLock::new(HintSet::EMPTY),
-                        #[cfg(debug_assertions)]
-                        holder: std::sync::atomic::AtomicUsize::new(0),
-                    })
-                })
-                .collect(),
-        }
-    }
-
-    /// Locks `core`'s hint slot, waiting for it.
-    ///
-    /// A thread must not wait for a slot it already holds through a
-    /// hint-riding [`RangeGuard`]: no second single-page `lock_range`,
-    /// `get` or `lookup_present` on the same tree and core, and no
-    /// `Refcache::flush(core)`, while such a guard is alive (debug builds
-    /// assert this; release builds would spin).
-    fn hold(&self, core: usize) -> HintHold<'_, V> {
-        let cell = &self.slots[core];
-        #[cfg(debug_assertions)]
-        assert_ne!(
-            cell.holder.load(Ordering::Relaxed),
-            thread_token(),
-            "core {core}'s hint slot is held by a hint-riding RangeGuard on this thread"
-        );
-        cell.held(cell.hint.lock())
-    }
-
-    /// Locks `core`'s hint slot if nobody holds it.
-    fn try_hold(&self, core: usize) -> Option<HintHold<'_, V>> {
-        let cell = &self.slots[core];
-        Some(cell.held(cell.hint.try_lock()?))
-    }
-
-    /// Takes every hint of `core` and surrenders their pins. Runs at
-    /// every Refcache flush so a hint delays node collapse by at most one
-    /// epoch — the property that keeps the freeing-safety argument intact.
-    fn release(&self, cache: &Refcache, core: usize) {
-        let taken = std::mem::replace(&mut *self.hold(core).hint, HintSet::EMPTY);
-        for h in taken.ways.into_iter().flatten() {
-            cache.dec(core, h.node);
-        }
-    }
-}
-
 /// The RadixVM radix tree.
 pub struct RadixTree<V: RadixValue> {
     cache: Arc<Refcache>,
@@ -560,9 +505,8 @@ pub struct RadixTree<V: RadixValue> {
     cfg: RadixConfig,
     /// Statistics and spare leaf arrays, shared with every node.
     shared: Arc<TreeShared<V>>,
-    hints: Arc<HintTable<V>>,
-    /// Flush-hook registration (0 when `leaf_hints` is off).
-    hook_id: u64,
+    /// Per-core leaf hint slots (untouched unless `cfg.leaf_hints`).
+    hints: Box<[CachePadded<HintCell<V>>]>,
     /// The list-based range lock fronting multi-page acquisitions
     /// (consulted only when `cfg.range_lock` is [`RangeLockKind::List`]).
     /// Overlapping range operations serialize on one descriptor here
@@ -584,22 +528,66 @@ impl<V: RadixValue> RadixTree<V> {
         // The root is pinned forever with its initial count of 1.
         let root = cache.alloc(1, Node::new_interior(0, 0, None, shared.clone(), |_| 0));
         nref(root).register_sim_lines(cfg.replicate_index);
-        let hints = Arc::new(HintTable::new(cache.ncores()));
-        let hook_id = if cfg.leaf_hints {
-            let table = hints.clone();
-            cache.register_flush_hook(move |c, core| table.release(c, core))
-        } else {
-            0
-        };
+        let hints = (0..cache.ncores())
+            .map(|_| {
+                CachePadded::new(HintCell {
+                    hint: SpinLock::new(HintSet::EMPTY),
+                    #[cfg(debug_assertions)]
+                    holder: std::sync::atomic::AtomicUsize::new(0),
+                })
+            })
+            .collect();
         RadixTree {
             cache,
             root,
             cfg,
             shared,
             hints,
-            hook_id,
             range_lock: RangeLock::new(),
         }
+    }
+
+    /// Takes every leaf hint of `core` and surrenders their pins. The
+    /// tree's owner calls it right before each Refcache tick it runs for
+    /// `core`, so a hint delays a node's collapse by at most one tick of
+    /// its core — the property that keeps the freeing-safety argument
+    /// intact (DESIGN.md §5).
+    ///
+    /// Waits for `core`'s hint slot: not while this thread holds a
+    /// hint-riding [`RangeGuard`] on `core` (debug builds assert this;
+    /// release builds would spin).
+    pub fn release_hints(&self, core: usize) {
+        if !self.cfg.leaf_hints {
+            return;
+        }
+        let taken = std::mem::replace(&mut *self.hold_hints(core).hint, HintSet::EMPTY);
+        for h in taken.ways.into_iter().flatten() {
+            self.cache.dec(core, h.node);
+        }
+    }
+
+    /// Locks `core`'s hint slot, waiting for it.
+    ///
+    /// A thread must not wait for a slot it already holds through a
+    /// hint-riding [`RangeGuard`]: no second single-page `lock_range`,
+    /// `get`, `lookup_present` or [`RadixTree::release_hints`] on the
+    /// same tree and core while such a guard is alive (debug builds
+    /// assert this; release builds would spin).
+    fn hold_hints(&self, core: usize) -> HintHold<'_, V> {
+        let cell = &self.hints[core];
+        #[cfg(debug_assertions)]
+        assert_ne!(
+            cell.holder.load(Ordering::Relaxed),
+            thread_token(),
+            "core {core}'s hint slot is held by a hint-riding RangeGuard on this thread"
+        );
+        cell.held(cell.hint.lock())
+    }
+
+    /// Locks `core`'s hint slot if nobody holds it.
+    fn try_hold_hints(&self, core: usize) -> Option<HintHold<'_, V>> {
+        let cell = &self.hints[core];
+        Some(cell.held(cell.hint.try_lock()?))
     }
 
     /// The tree's statistics block.
@@ -672,7 +660,7 @@ impl<V: RadixValue> RadixTree<V> {
             return None;
         }
         let block_base = vpn & !((FANOUT as u64) - 1);
-        let mut hold = self.hints.hold(core);
+        let mut hold = self.hold_hints(core);
         let mut stale = None;
         let hit = hold.hint.find(block_base).and_then(|way| {
             let leaf = hold.hint.ways[way].as_ref()?.node;
@@ -708,8 +696,8 @@ impl<V: RadixValue> RadixTree<V> {
     /// Remembers `node` as a leaf hint of `core`, taking one pinned
     /// reference for the hint and surrendering the pin of the hint it
     /// displaces (see [`HintSet::install`]). Skipped when the hint slot
-    /// is busy (the core's flush hook is running on another thread):
-    /// callers may hold slot locks, which come after the hint slot in the
+    /// is busy (another thread is releasing the core's hints, or looking
+    /// one up for the core): callers may hold slot locks, which come after the hint slot in the
     /// lock order, so they never wait for it — the hint is advisory.
     ///
     /// The caller must hold a live reference to `node` (a traversal pin
@@ -719,7 +707,7 @@ impl<V: RadixValue> RadixTree<V> {
             return;
         }
         debug_assert!(nref(node).is_leaf());
-        let Some(mut hold) = self.hints.try_hold(core) else {
+        let Some(mut hold) = self.try_hold_hints(core) else {
             return;
         };
         self.cache.inc(core, node);
@@ -733,7 +721,7 @@ impl<V: RadixValue> RadixTree<V> {
     /// The block bases `core`'s hint set caches, in way order.
     #[cfg(test)]
     pub(crate) fn hinted_blocks(&self, core: usize) -> Vec<Vpn> {
-        let hold = self.hints.hold(core);
+        let hold = self.hold_hints(core);
         let tags = hold.hint.tags.iter();
         tags.copied().filter(|&t| t != NO_BLOCK).collect()
     }
@@ -1071,7 +1059,7 @@ impl<V: RadixValue> RadixTree<V> {
     pub fn lookup_present(&self, core: usize, vpn: Vpn) -> bool {
         if self.cfg.leaf_hints {
             let block_base = vpn & !((FANOUT as u64) - 1);
-            let hold = self.hints.hold(core);
+            let hold = self.hold_hints(core);
             let hinted = hold.hint.find(block_base);
             if let Some(h) = hinted.and_then(|way| hold.hint.ways[way].as_ref()) {
                 if Self::hint_valid(h) {
@@ -1282,16 +1270,13 @@ impl<V: RadixValue> RadixTree<V> {
 
 impl<V: RadixValue> Drop for RadixTree<V> {
     fn drop(&mut self) {
-        // Stop the flush hook and surrender every hint pin, then give up
-        // what the tree itself holds: its values, a no-collapse tree's
-        // permanent references and, last, the root's. The nodes then
-        // collapse bottom-up through `Node::on_release` as Refcache
-        // reviews them, at a later tick or when the cache drops.
-        if self.cfg.leaf_hints {
-            self.cache.unregister_flush_hook(self.hook_id);
-            for core in 0..self.cache.ncores() {
-                self.hints.release(&self.cache, core);
-            }
+        // Surrender every hint pin, then give up what the tree itself
+        // holds: its values, a no-collapse tree's permanent references
+        // and, last, the root's. The nodes then collapse bottom-up
+        // through `Node::on_release` as Refcache reviews them, at a later
+        // tick or when the cache drops.
+        for core in 0..self.cache.ncores() {
+            self.release_hints(core);
         }
         self.lock_range(0, 0, VPN_LIMIT, LockMode::ExpandFolded)
             .clear();

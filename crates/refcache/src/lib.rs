@@ -34,7 +34,9 @@
 //! Nothing is freed by hand. A structure that goes away gives up its
 //! references like any other holder, and its objects are freed as their
 //! counts reach zero — at a later tick, or in the cache's own `Drop`,
-//! which drains every core before the cache goes.
+//! which drains every core before the cache goes. A structure that keeps
+//! references per core (the radix tree's leaf-hint pins) gives them up
+//! itself, before its owner ticks the core: a flush calls nobody back.
 //!
 //! # Freeing-safety argument
 //!
@@ -91,7 +93,7 @@ use std::collections::VecDeque;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use rvm_sync::{sharded_stats, sim, Atomic64, CachePadded, Mutex, RwLock, SpinLock};
+use rvm_sync::{sharded_stats, sim, Atomic64, CachePadded, Mutex, SpinLock};
 
 pub mod counters;
 pub mod obj;
@@ -209,37 +211,31 @@ sharded_stats! {
     struct RefcacheCells;
 }
 
-/// A callback invoked at the start of every [`Refcache::flush`], before
-/// any delta is applied. Data structures use flush hooks to surrender
-/// per-core cached references (for example, the radix tree's leaf-hint
-/// pins) so that the epoch barrier never advances past a core that still
-/// silently holds an object: a hook-held reference delays reclamation by
-/// at most one flush interval.
-pub type FlushHook = Box<dyn Fn(&Refcache, usize) + Send + Sync>;
+/// The epoch barrier's two words, on one line by construction (16 bytes
+/// aligned to 16 never straddle a 64-byte line): a flush reads the epoch
+/// and, as its core's first in the epoch, counts itself in `flushed_cores`
+/// in the same line, so a flush that takes the line once, exclusive, pays
+/// one transfer for both (DESIGN.md §8).
+#[repr(C, align(16))]
+struct EpochBarrier {
+    /// Global epoch counter; advances when all cores have flushed.
+    global_epoch: Atomic64,
+    /// Number of cores that have flushed in the current epoch.
+    flushed_cores: Atomic64,
+}
 
 /// The scalable reference-count cache (one per simulated machine).
 pub struct Refcache {
     ncores: usize,
     cores: Vec<CachePadded<Mutex<CoreCache>>>,
-    /// Global epoch counter; advances when all cores have flushed.
-    global_epoch: Atomic64,
-    /// Number of cores that have flushed in the current epoch.
-    flushed_cores: Atomic64,
-    /// Flush hooks, keyed by registration id. Read on every flush (cheap:
-    /// almost always shared), written only on register/unregister.
-    hooks: RwLock<Vec<(u64, FlushHook)>>,
-    /// Number of registered hooks; lets `flush` skip the hook lock
-    /// entirely when no data structure registered one (std atomic: not
-    /// simulator-instrumented, so the common no-hook case stays free).
-    hook_count: AtomicU64,
-    next_hook_id: AtomicU64,
+    barrier: EpochBarrier,
     /// [`Refcache::review`] passes running their frees with the core
     /// unlocked, which [`Refcache::quiesce`] waits out: such a pass, run
     /// by another thread, may hold actions the quiescer's own passes
     /// never saw. A pass counts itself under the core lock, before it
     /// unlocks, and its `Release` decrement after the frees pairs with
     /// `quiesce`'s `Acquire` load, so a zero means those frees are done.
-    /// Std atomic, like `hook_count`: not instrumented.
+    /// Std atomic: not instrumented.
     releasing: AtomicU64,
     stats: RefcacheCells,
 }
@@ -263,11 +259,10 @@ impl Refcache {
         Refcache {
             ncores,
             cores,
-            global_epoch: Atomic64::new(1),
-            flushed_cores: Atomic64::new(0),
-            hooks: RwLock::new(Vec::new()),
-            hook_count: AtomicU64::new(0),
-            next_hook_id: AtomicU64::new(1),
+            barrier: EpochBarrier {
+                global_epoch: Atomic64::new(1),
+                flushed_cores: Atomic64::new(0),
+            },
             releasing: AtomicU64::new(0),
             stats: RefcacheCells::new(ncores),
         }
@@ -295,7 +290,7 @@ impl Refcache {
 
     /// Current global epoch.
     pub fn epoch(&self) -> u64 {
-        self.global_epoch.load(Ordering::Acquire)
+        self.barrier.global_epoch.load(Ordering::Acquire)
     }
 
     /// Snapshot of the cache's counters.
@@ -320,26 +315,6 @@ impl Refcache {
         self.stats
             .slot_activates()
             .wrapping_sub(self.stats.slot_releases())
-    }
-
-    /// Registers a [`FlushHook`] invoked at the start of every flush.
-    /// Returns an id for [`Refcache::unregister_flush_hook`].
-    pub fn register_flush_hook(
-        &self,
-        hook: impl Fn(&Refcache, usize) + Send + Sync + 'static,
-    ) -> u64 {
-        let id = self.next_hook_id.fetch_add(1, Ordering::Relaxed);
-        let mut hooks = self.hooks.write();
-        hooks.push((id, Box::new(hook)));
-        self.hook_count.store(hooks.len() as u64, Ordering::Release);
-        id
-    }
-
-    /// Removes a previously registered flush hook.
-    pub fn unregister_flush_hook(&self, id: u64) {
-        let mut hooks = self.hooks.write();
-        hooks.retain(|(h, _)| *h != id);
-        self.hook_count.store(hooks.len() as u64, Ordering::Release);
     }
 
     /// Allocates a managed object with an initial reference count.
@@ -441,9 +416,10 @@ impl Refcache {
     /// is exact however many threads act for the core.
     ///
     /// A true answer asks the caller for one [`Refcache::expedite`] once
-    /// it holds no lock a flush hook takes (DESIGN.md §5: never under a
-    /// hint-riding guard). The answer stays true until a flush, so a
-    /// caller that cannot tick leaves it to the next one that can.
+    /// it can tick: a radix VM gives up its tree's hint pins first, so
+    /// never under a hint-riding guard (DESIGN.md §5). The answer stays
+    /// true until a flush, so a caller that cannot tick leaves it to the
+    /// next one that can.
     ///
     /// A slot-backed cell whose count this surrender makes a final zero
     /// — its global count plus the core's cached delta is zero, it is not
@@ -607,17 +583,11 @@ impl Refcache {
     /// [`Refcache::flush`]; `expedited` says whether to count it as an
     /// [`Refcache::expedite`] tick's.
     fn flush_as(&self, core: usize, expedited: bool) {
-        // Run hooks before taking the core lock: hooks surrender cached
-        // references (which re-enters `dec` and needs the core lock), and
-        // doing it first guarantees those decs are part of this flush.
-        if self.hook_count.load(Ordering::Acquire) != 0 {
-            let hooks = self.hooks.read();
-            for (_, hook) in hooks.iter() {
-                hook(self, core);
-            }
-        }
         let mut cc = self.cores[core].lock();
-        let epoch = self.epoch();
+        // Read with an RMW: the barrier below writes this line in the
+        // common case, so taking it exclusive here makes that write local
+        // and the flush pays one transfer of the line, not two.
+        let epoch = self.barrier.global_epoch.fetch_add(0, Ordering::AcqRel);
         self.stats.add_held(core, RefcacheStats::flushes, &cc, 1);
         if expedited {
             self.stats.add_held(core, RefcacheStats::expedited, &cc, 1);
@@ -640,10 +610,10 @@ impl Refcache {
         // Epoch barrier: the last core to flush in an epoch advances it.
         if cc.local_epoch < epoch {
             cc.local_epoch = epoch;
-            let f = self.flushed_cores.fetch_add(1, Ordering::SeqCst) + 1;
+            let f = self.barrier.flushed_cores.fetch_add(1, Ordering::SeqCst) + 1;
             if f as usize == self.ncores {
-                self.flushed_cores.store(0, Ordering::SeqCst);
-                self.global_epoch.store(epoch + 1, Ordering::SeqCst);
+                self.barrier.flushed_cores.store(0, Ordering::SeqCst);
+                self.barrier.global_epoch.store(epoch + 1, Ordering::SeqCst);
             }
         }
     }
@@ -1270,37 +1240,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_hooks_surrender_cached_references() {
-        // A hook-held reference (like the radix tree's leaf hints) delays
-        // freeing only until the core's next flush.
-        let rc = Arc::new(Refcache::new(2));
-        let (p, drops, _) = tracked(&rc, 1);
-        let held = Arc::new(std::sync::atomic::AtomicBool::new(true));
-        let calls = Arc::new(StdAtomicU64::new(0));
-        let id = {
-            let held = held.clone();
-            let calls = calls.clone();
-            rc.register_flush_hook(move |cache, core| {
-                calls.fetch_add(1, Ordering::SeqCst);
-                if core == 0 && held.swap(false, Ordering::SeqCst) {
-                    cache.dec(core, p);
-                }
-            })
-        };
-        // The hook still holds the only reference: nothing frees until a
-        // flush on core 0 runs the hook.
-        rc.flush(1);
-        assert!(drops.load(Ordering::SeqCst) == 0);
-        rc.quiesce();
-        assert_eq!(drops.load(Ordering::SeqCst), 1, "hook released the ref");
-        assert!(calls.load(Ordering::SeqCst) > 0);
-        rc.unregister_flush_hook(id);
-        let before = calls.load(Ordering::SeqCst);
-        rc.flush(0);
-        assert_eq!(calls.load(Ordering::SeqCst), before, "unregistered");
-    }
-
-    #[test]
     fn init_count_covers_multiple_slots() {
         let rc = Refcache::new(1);
         let (p, drops, _) = tracked(&rc, 512);
@@ -1444,6 +1383,31 @@ mod tests {
         assert_eq!(rc.epoch(), e0);
         rc.flush(2);
         assert_eq!(rc.epoch(), e0 + 1);
+    }
+
+    #[test]
+    fn a_flush_takes_the_epoch_line_once() {
+        // The barrier's two words share one line, and a flush reads the
+        // epoch with the RMW that takes that line for the count it then
+        // writes: two cores flushing in turn move the line once per
+        // flush, not once for the read and again for the write.
+        assert_eq!(std::mem::align_of::<EpochBarrier>(), 16);
+        assert_eq!(std::mem::size_of::<EpochBarrier>(), 16);
+        let guard = rvm_sync::sim::install(2, rvm_sync::CostModel::default());
+        let rc = Refcache::new(2);
+        for core in [0, 1] {
+            rvm_sync::sim::switch(core);
+            rc.flush(core);
+        }
+        let before = rvm_sync::sim::stats();
+        for i in 0..100 {
+            rvm_sync::sim::switch(i % 2);
+            rc.flush(i % 2);
+        }
+        let after = rvm_sync::sim::stats();
+        assert_eq!(after.total_remote() - before.total_remote(), 100);
+        assert_eq!(rc.epoch(), 52);
+        drop(guard);
     }
 
     #[test]

@@ -264,7 +264,7 @@ fn leaf_hint_never_serves_freed_or_stale_nodes() {
     // churned one — modeling a thread whose working set moved away, so
     // its hint pin stops protecting the churned leaf and the leaf can
     // actually die (a hint on an actively faulted block legitimately
-    // keeps its leaf alive until the next flush).
+    // keeps its leaf alive until its core's next tick).
     let quiet = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let faulter = {
         let tree = tree.clone();
@@ -288,6 +288,7 @@ fn leaf_hint_never_serves_freed_or_stale_nodes() {
                 }
                 drop(g);
                 if i.is_multiple_of(32) {
+                    tree.release_hints(1);
                     tree.cache().maintain(1);
                 }
             }
@@ -305,6 +306,7 @@ fn leaf_hint_never_serves_freed_or_stale_nodes() {
             quiet.store(true, rel);
             let before = tree.stats().nodes_collapsed();
             for _ in 0..500 {
+                tree.release_hints(0);
                 tree.cache().maintain(0);
                 if tree.stats().nodes_collapsed() > before {
                     break;
@@ -327,12 +329,15 @@ fn leaf_hint_never_serves_freed_or_stale_nodes() {
         tree.stats().nodes_collapsed() > 0,
         "no node ever died — the dangerous interleaving was not exercised"
     );
-    // Everything still collapses: hint pins are surrendered at flush.
+    // Everything still collapses once the hints give up their pins.
     tree.lock_range(0, block, block + 512, LockMode::ExpandFolded)
         .clear();
     tree.lock_range(0, stable, stable + 512, LockMode::ExpandFolded)
         .clear();
     let tree = Arc::try_unwrap(tree).ok().expect("sole owner");
+    for core in 0..2 {
+        tree.release_hints(core);
+    }
     tree.cache().quiesce();
     assert_eq!(tree.cache().live_objects(), 1, "only the root survives");
 }
@@ -342,8 +347,8 @@ fn leaf_hint_never_serves_freed_or_stale_nodes() {
 /// faults in a block as core 1, holding core 1's hint slot for each
 /// guard's lifetime, while another demotes and re-promotes that block
 /// (a refold severs the very leaf the hint points at) and calls
-/// `quiesce`, whose flush hook must take core 1's hint slot from a
-/// foreign thread. Nothing may deadlock, every read must see the
+/// `quiesce`, which must take core 1's hint slot from a foreign thread
+/// to release its hints before the sweeps. Nothing may deadlock, every read must see the
 /// oracle's value, and no frame may leak.
 #[test]
 fn hint_riding_faults_survive_quiesce_and_refolds() {
@@ -480,8 +485,8 @@ fn hint_riding_faults_survive_quiesce_and_refolds() {
 /// straight back) — one core, so that on a two-CPU host the two running
 /// threads are most often acting for the same one; the mappers move
 /// through nine leaf blocks, one more than the core's hint set has ways,
-/// so the sweeper's flush hook finds all eight live and every lap evicts;
-/// a sweeper loops
+/// so every lap evicts and the sweeper's `quiesce` releases all eight
+/// ways live; a sweeper loops
 /// `quiesce` + `flush_magazines` + `stats`, acting for *every* core; an
 /// unmapper on
 /// a core of its own keeps replacing a region the reader touches, so
@@ -525,13 +530,6 @@ fn counters_stay_exact_when_foreign_threads_act_for_a_core() {
     let f0 = radix.cache().stats().flushes;
     vm.quiesce();
     let flushes_per_quiesce = radix.cache().stats().flushes - f0;
-    // Every flush run, by whichever thread, to hold the ones the threads
-    // issued and the VM expedited against.
-    let flushed = Arc::new(AtomicU64::new(0));
-    let tally = flushed.clone();
-    radix.cache().register_flush_hook(move |_, _| {
-        tally.fetch_add(1, Ordering::Relaxed);
-    });
     let (hw0, tree0, rc0) = (machine.stats(), radix.tree_stats(), radix.cache().stats());
     let lookups0 = tree0.hint_hits() + tree0.hint_misses();
     let stop = AtomicBool::new(false);
@@ -654,13 +652,10 @@ fn counters_stay_exact_when_foreign_threads_act_for_a_core() {
     // surrender and its tick. Each quiesce runs exactly one sweep set.
     let rc = radix.cache().stats();
     let ticked = rc.since(&rc0);
-    let flushed = flushed.load(Ordering::Relaxed);
-    assert_eq!(ticked.flushes, flushed, "Refcache flushes != flushes run");
-    let swept = flushed - maintains.into_inner() - ticked.expedited;
     assert_eq!(
-        swept,
-        flushes_per_quiesce * quiesces,
-        "quiesce flushes: {quiesces} calls of {flushes_per_quiesce}"
+        ticked.flushes,
+        maintains.into_inner() + ticked.expedited + flushes_per_quiesce * quiesces,
+        "flushes != maintains + expedited + {quiesces} quiesces of {flushes_per_quiesce}"
     );
     assert_eq!(rc.slot_activates, rc.slot_releases, "frame cells");
     let pool = machine.pool().stats();
