@@ -696,9 +696,10 @@ impl<V: RadixValue> RadixTree<V> {
     /// Remembers `node` as a leaf hint of `core`, taking one pinned
     /// reference for the hint and surrendering the pin of the hint it
     /// displaces (see [`HintSet::install`]). Skipped when the hint slot
-    /// is busy (another thread is releasing the core's hints, or looking
-    /// one up for the core): callers may hold slot locks, which come after the hint slot in the
-    /// lock order, so they never wait for it — the hint is advisory.
+    /// is busy (another thread is releasing the core's hints, or riding
+    /// one): callers may hold slot locks, which come after the hint slot
+    /// in the lock order, so they never wait for it — the hint is
+    /// advisory.
     ///
     /// The caller must hold a live reference to `node` (a traversal pin
     /// or a guard pin) across the call.
