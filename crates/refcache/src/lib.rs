@@ -215,7 +215,7 @@ sharded_stats! {
 /// aligned to 16 never straddle a 64-byte line): a flush reads the epoch
 /// and, as its core's first in the epoch, counts itself in `flushed_cores`
 /// in the same line, so a flush that takes the line once, exclusive, pays
-/// one transfer for both (DESIGN.md §8).
+/// one transfer for both (DESIGN.md §6).
 #[repr(C, align(16))]
 struct EpochBarrier {
     /// Global epoch counter; advances when all cores have flushed.
