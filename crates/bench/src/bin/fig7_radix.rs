@@ -70,8 +70,7 @@ fn run(readers: usize, writers: usize, dur: u64) -> Point {
                     sim::charge(60);
                     ops += 1;
                     if ops.is_multiple_of(256) {
-                        tree.release_hints(c);
-                        tree.cache().maintain(c);
+                        tree.maintain(c);
                     }
                     assert!(tree.lookup_present(c, key));
                     1
@@ -82,8 +81,7 @@ fn run(readers: usize, writers: usize, dur: u64) -> Point {
                     sim::charge(60);
                     ops += 1;
                     if ops.is_multiple_of(256) {
-                        tree.release_hints(c);
-                        tree.cache().maintain(c);
+                        tree.maintain(c);
                     }
                     match holding.take() {
                         Some(k) => {

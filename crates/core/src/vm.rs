@@ -322,7 +322,7 @@ impl RadixVm {
     /// value, its own frame or a share of a demoted block alike, and a
     /// fold's whole span — and the answer is
     /// [`RadixVm::settle_refs`]'s: whether the caller, which holds no
-    /// guard by now, owes the core a [`Refcache::expedite`].
+    /// guard by now, owes the core a [`RadixTree::expedite`].
     fn release_frames(&self, core: usize, removed: &RemovedList<PageMeta>) -> bool {
         let frames = removed
             .into_iter()
@@ -540,8 +540,7 @@ impl VmSystem for RadixVm {
             drop(guard);
             if self.release_frames(core, &displaced) {
                 // As at the tail of `munmap`: only after the guard.
-                self.tree.release_hints(core);
-                self.cache.expedite(core);
+                self.tree.expedite(core);
             }
         }
         Ok(addr)
@@ -578,8 +577,7 @@ impl VmSystem for RadixVm {
             // two-epoch clock here. After the guard, so no hint-riding
             // guard of this op is alive to hold the core's hint slot
             // (DESIGN.md §5, §8).
-            self.tree.release_hints(core);
-            self.cache.expedite(core);
+            self.tree.expedite(core);
         }
         Ok(())
     }
@@ -768,9 +766,7 @@ impl VmSystem for RadixVm {
     }
 
     fn maintain(&self, core: usize) {
-        // The tree's hint pins go first, so the flush applies them.
-        self.tree.release_hints(core);
-        self.cache.maintain(core);
+        self.tree.maintain(core);
     }
 
     fn fork(&self, core: usize) -> VmResult<Arc<dyn VmSystem>> {
@@ -782,10 +778,7 @@ impl VmSystem for RadixVm {
     }
 
     fn quiesce(&self) {
-        for core in 0..self.cache.ncores() {
-            self.tree.release_hints(core);
-        }
-        self.cache.quiesce();
+        self.tree.quiesce();
         // Refcache's epoch drain above released physical pages into the
         // frame pool's outbound magazines; return them home so frame
         // accounting is exact after quiesce.

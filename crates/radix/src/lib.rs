@@ -43,19 +43,6 @@ mod tests {
         RadixTree::new(Arc::new(Refcache::new(ncores)), RadixConfig::default())
     }
 
-    /// A tick of `core` as the tree's owner runs it: the tree's hint pins
-    /// go first, then the cache flushes and reviews.
-    fn maintain(t: &RadixTree<u64>, core: usize) {
-        t.release_hints(core);
-        t.cache().maintain(core);
-    }
-
-    /// [`maintain`]'s `quiesce`: every core's hints, then the sweeps.
-    fn quiesce(t: &RadixTree<u64>) {
-        (0..t.cache().ncores()).for_each(|core| t.release_hints(core));
-        t.cache().quiesce();
-    }
-
     #[test]
     fn empty_tree_lookup() {
         let t = tree(1);
@@ -234,7 +221,7 @@ mod tests {
             assert_eq!(vals.len(), 512);
             assert!(vals.iter().all(|v| *v == 6));
         }
-        quiesce(&t);
+        t.quiesce();
         assert_eq!(t.stats().leaf_nodes(), 0, "severed leaf collapsed");
         assert_eq!(t.stats().folded_values(), 1);
         for vpn in [start, start + 3, start + 511] {
@@ -312,7 +299,7 @@ mod tests {
             let mut g = t.lock_range(0, start, start + 512, LockMode::ExpandFolded);
             assert!(g.refold(4).is_some());
         }
-        quiesce(&t);
+        t.quiesce();
         // The severed leaf is unreachable from the tree, so even the
         // no-collapse configuration must free it (its permanent
         // reference is surrendered by the refold).
@@ -503,7 +490,7 @@ mod tests {
             let mut g = t.lock_range(0, 100, 110, LockMode::ExpandFolded);
             g.clear();
         }
-        quiesce(&t);
+        t.quiesce();
         // Only the root should remain.
         assert_eq!(t.cache().live_objects(), 1, "empty nodes collapsed");
         assert!(t.stats().nodes_collapsed() >= 3);
@@ -533,7 +520,7 @@ mod tests {
             let mut g = t.lock_range(0, 100, 110, LockMode::ExpandFolded);
             g.clear();
         }
-        quiesce(&t);
+        t.quiesce();
         assert_eq!(t.cache().live_objects(), live, "no nodes freed");
     }
 
@@ -551,7 +538,7 @@ mod tests {
             g.clear();
         }
         // One flush marks the leaf dying (count reached zero)...
-        maintain(&t, 0);
+        t.maintain(0);
         // ...but a new mmap revives it instead of re-allocating.
         let nodes_before = t.stats().leaf_nodes();
         {
@@ -560,7 +547,7 @@ mod tests {
         }
         let nodes_after = t.stats().leaf_nodes();
         assert_eq!(nodes_before, nodes_after, "node revived, not reallocated");
-        quiesce(&t);
+        t.quiesce();
         assert_eq!(t.get(0, 101), Some(2));
     }
 
@@ -619,7 +606,7 @@ mod tests {
                         });
                     }
                     if i % 100 == 0 {
-                        maintain(&t, core);
+                        t.maintain(core);
                     }
                 }
             }));
@@ -651,7 +638,7 @@ mod tests {
                         assert_eq!(removed.len(), 16);
                     }
                     if i % 64 == 0 {
-                        maintain(&t, core);
+                        t.maintain(core);
                     }
                 }
             }));
@@ -660,7 +647,7 @@ mod tests {
             h.join().unwrap();
         }
         let t = Arc::try_unwrap(t).ok().expect("sole owner");
-        quiesce(&t);
+        t.quiesce();
         assert_eq!(t.cache().live_objects(), 1, "everything collapsed");
     }
 
@@ -700,8 +687,8 @@ mod tests {
         // zero is queued, and the leaf reviewed, there.
         let settle = || {
             for _ in 0..8 {
-                maintain(&t, 0);
-                maintain(&t, 1);
+                t.maintain(0);
+                t.maintain(1);
             }
             for core in 0..2 {
                 assert!(t.spare_arrays(core).len() <= SPARE_LEAVES, "core {core}");
@@ -853,7 +840,7 @@ mod tests {
     fn releasing_hints_under_a_hint_riding_guard_is_caught() {
         let t = hinted_tree(1);
         let _riding = t.lock_range(0, 1001, 1002, LockMode::ExpandFolded);
-        t.release_hints(0);
+        t.maintain(0);
     }
 
     /// A Refcache flush takes no hint slot: under a hint-riding guard it
@@ -938,14 +925,14 @@ mod tests {
         // Exactly one pin went with the way. One too few leaks the leaf
         // (it never collapses below); one too many frees it here, linked
         // and with its page mapped.
-        quiesce(&t);
+        t.quiesce();
         assert_eq!(t.stats().leaf_nodes(), 9);
         for b in 0..9 {
             assert_eq!(t.get(0, block(b) + 7), Some(b), "block {b}");
             t.lock_range(0, block(b) + 7, block(b) + 9, LockMode::ExpandFolded)
                 .clear();
         }
-        quiesce(&t);
+        t.quiesce();
         assert_eq!(t.cache().live_objects(), 1, "a hint pin leaked");
     }
 
@@ -968,9 +955,9 @@ mod tests {
     }
 
     /// Two trees on one cache: each tree's hints are its own to release.
-    /// A cache flush takes neither tree's ways; `a.release_hints` takes
-    /// only `a`'s, so `a`'s emptied leaf collapses at the next quiesce
-    /// while `b`'s waits for `b`'s release.
+    /// A cache flush takes neither tree's ways; `a.quiesce` takes only
+    /// `a`'s, so `a`'s emptied leaf collapses there while `b`'s waits for
+    /// `b`'s own tick.
     #[test]
     fn each_tree_releases_only_its_own_hints() {
         let cache = Arc::new(Refcache::new(1));
@@ -986,14 +973,12 @@ mod tests {
             (a.hinted_blocks(0), b.hinted_blocks(0)),
             (vec![512], vec![512])
         );
-        a.release_hints(0);
+        a.quiesce();
         assert!(a.hinted_blocks(0).is_empty());
         assert_eq!(b.hinted_blocks(0), [512]);
-        cache.quiesce();
         assert_eq!(a.stats().leaf_nodes(), 0, "a's leaf collapsed");
         assert_eq!(b.stats().leaf_nodes(), 1, "b's leaf waits for b");
-        b.release_hints(0);
-        cache.quiesce();
+        b.quiesce();
         assert_eq!(b.stats().leaf_nodes(), 0, "b's leaf collapsed");
     }
 
@@ -1075,11 +1060,11 @@ mod tests {
                 drop(whole);
                 assert_eq!(reader.join().unwrap(), Some(round), "round {round}");
             });
-            maintain(&t, 0);
-            maintain(&t, 1);
+            t.maintain(0);
+            t.maintain(1);
         }
         assert!(t.hinted_blocks(0).is_empty(), "no leaf to cache");
-        quiesce(&t);
+        t.quiesce();
         assert_eq!(t.stats().leaf_nodes(), 0, "every severed leaf freed");
     }
 
@@ -1114,7 +1099,7 @@ mod tests {
                         .refold(round)
                         .expect("refolds");
                     folded.store(round, Ordering::Release);
-                    maintain(&t, 1);
+                    t.maintain(1);
                 }
                 folded.store(u64::MAX, Ordering::Release);
             });
@@ -1130,14 +1115,14 @@ mod tests {
                 if first != last {
                     mixed.store(true, Ordering::Release);
                 }
-                maintain(&t, 0);
+                t.maintain(0);
             }
         });
         assert!(
             mixed.load(Ordering::Acquire),
             "no walk met a sever mid-leaf"
         );
-        quiesce(&t);
+        t.quiesce();
         assert_eq!(t.stats().leaf_nodes(), 0, "every severed leaf freed");
     }
 

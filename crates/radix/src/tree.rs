@@ -57,8 +57,8 @@
 //!   can only be replaced or surrendered under that lock, so no Refcache
 //!   traffic pins the leaf a second time. Correctness never depends on
 //!   a hint: a stale or missing one falls back to the full descent, and
-//!   the tree's owner surrenders every hint's pin
-//!   ([`RadixTree::release_hints`]) before each Refcache tick it runs, so
+//!   the tree's own ticks ([`RadixTree::maintain`], `expedite`,
+//!   `quiesce`) surrender a core's hint pins before the Refcache tick, so
 //!   collapse is delayed by at most one tick. See DESIGN.md §5 for the
 //!   invariants and the lock order.
 
@@ -389,7 +389,7 @@ struct LeafHint<V: Send + Sync + 'static> {
 /// between a handful of regions (two buffers, a stack and a heap), and
 /// with one way every change of region is a descent from the root. A
 /// constant, not a knob: more ways would only lengthen the scan and the
-/// sweep of [`RadixTree::release_hints`] at every tick.
+/// sweep that releases them at every [`RadixTree::maintain`].
 const HINT_WAYS: usize = 8;
 
 /// Tag of an empty way: no block starts there ([`VPN_LIMIT`] is 2³⁶).
@@ -547,16 +547,38 @@ impl<V: RadixValue> RadixTree<V> {
         }
     }
 
-    /// Takes every leaf hint of `core` and surrenders their pins. The
-    /// tree's owner calls it right before each Refcache tick it runs for
-    /// `core`, so a hint delays a node's collapse by at most one tick of
-    /// its core — the property that keeps the freeing-safety argument
-    /// intact (DESIGN.md §5).
+    /// One Refcache tick of `core` as the tree's owner runs it
+    /// ([`Refcache::maintain`]): `core`'s leaf hints surrender their pins
+    /// first, so the flush applies them and a hint delays a node's
+    /// collapse by at most one tick of its core — the property that
+    /// keeps the freeing-safety argument intact (DESIGN.md §5). A bare
+    /// `Refcache` tick releases no tree's hints.
     ///
     /// Waits for `core`'s hint slot: not while this thread holds a
     /// hint-riding [`RangeGuard`] on `core` (debug builds assert this;
     /// release builds would spin).
-    pub fn release_hints(&self, core: usize) {
+    pub fn maintain(&self, core: usize) {
+        self.release_hints(core);
+        self.cache.maintain(core);
+    }
+
+    /// [`RadixTree::maintain`] with [`Refcache::expedite`] as the tick.
+    pub fn expedite(&self, core: usize) {
+        self.release_hints(core);
+        self.cache.expedite(core);
+    }
+
+    /// [`RadixTree::maintain`] for [`Refcache::quiesce`]: every core's
+    /// hints, then the sweeps. Drains this tree; another tree on the same
+    /// cache keeps its hinted leaves until its own tick or drop.
+    pub fn quiesce(&self) {
+        (0..self.cache.ncores()).for_each(|core| self.release_hints(core));
+        self.cache.quiesce();
+    }
+
+    /// Takes every leaf hint of `core` and surrenders their pins: the
+    /// first half of each of the tree's ticks above, and of its drop.
+    pub(crate) fn release_hints(&self, core: usize) {
         if !self.cfg.leaf_hints {
             return;
         }
@@ -570,8 +592,8 @@ impl<V: RadixValue> RadixTree<V> {
     ///
     /// A thread must not wait for a slot it already holds through a
     /// hint-riding [`RangeGuard`]: no second single-page `lock_range`,
-    /// `get`, `lookup_present` or [`RadixTree::release_hints`] on the
-    /// same tree and core while such a guard is alive (debug builds
+    /// `get`, `lookup_present` or tick of the tree ([`RadixTree::maintain`]
+    /// and its kin) on the same core while such a guard is alive (debug builds
     /// assert this; release builds would spin).
     fn hold_hints(&self, core: usize) -> HintHold<'_, V> {
         let cell = &self.hints[core];

@@ -288,8 +288,7 @@ fn leaf_hint_never_serves_freed_or_stale_nodes() {
                 }
                 drop(g);
                 if i.is_multiple_of(32) {
-                    tree.release_hints(1);
-                    tree.cache().maintain(1);
+                    tree.maintain(1);
                 }
             }
         })
@@ -306,8 +305,7 @@ fn leaf_hint_never_serves_freed_or_stale_nodes() {
             quiet.store(true, rel);
             let before = tree.stats().nodes_collapsed();
             for _ in 0..500 {
-                tree.release_hints(0);
-                tree.cache().maintain(0);
+                tree.maintain(0);
                 if tree.stats().nodes_collapsed() > before {
                     break;
                 }
@@ -335,10 +333,7 @@ fn leaf_hint_never_serves_freed_or_stale_nodes() {
     tree.lock_range(0, stable, stable + 512, LockMode::ExpandFolded)
         .clear();
     let tree = Arc::try_unwrap(tree).ok().expect("sole owner");
-    for core in 0..2 {
-        tree.release_hints(core);
-    }
-    tree.cache().quiesce();
+    tree.quiesce();
     assert_eq!(tree.cache().live_objects(), 1, "only the root survives");
 }
 

@@ -579,7 +579,7 @@ proptest! {
             }
         }
         // Collapse everything, then sample every block at both edges.
-        cache.quiesce();
+        tree.quiesce();
         for b in 0..nblocks {
             let want = oracle.get(&b).copied();
             let lo = base + b * BLOCK_PAGES;
@@ -645,7 +645,7 @@ proptest! {
             }
         }
         // Collapse everything and verify the tree still agrees.
-        cache.quiesce();
+        tree.quiesce();
         for (&p, &v) in &oracle {
             prop_assert_eq!(tree.get(0, p), Some(v));
         }
@@ -695,14 +695,14 @@ proptest! {
             }
             if n % 7 == 0 {
                 // Surrender hint pins and advance epochs mid-run.
-                cache.maintain(0);
+                tree.maintain(0);
             }
         }
         // The single range walk agrees with the oracle wholesale.
         let walked = tree.collect_range(0, base, base + 2700);
         let expected: Vec<(u64, u64)> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
         prop_assert_eq!(walked, expected);
-        cache.quiesce();
+        tree.quiesce();
         for (&p, &v) in &oracle {
             prop_assert_eq!(tree.get(0, p), Some(v));
         }
@@ -910,7 +910,7 @@ proptest! {
                     }
                 }
             }
-            cache.quiesce();
+            tree.quiesce();
             contents.push(tree.collect_range(0, base, base + 2700));
         }
         prop_assert_eq!(&contents[0], &contents[1], "substrates diverged");
