@@ -10,13 +10,14 @@
 //!   Every allocation and every free takes its core's lock once, on
 //!   every tier, and counts what it did under it: [`PoolStats`] costs
 //!   no locked instruction.
-//! * **Bounded per-core lists**: a core's free list has a high-water
-//!   mark (`FREE_HIGH`, Linux's per-CPU pageset `high`); the free that
-//!   reaches it moves the list's coldest batch to the node's
-//!   reservoir, where the next core whose list runs dry takes it before
-//!   anything grows. Frames one core frees thus reach the cores that
-//!   allocate, and the pool's footprint follows the working set rather
-//!   than which core happened to free what.
+//! * **Bounded per-core lists**: a core's free list holds at most one
+//!   refill batch (Linux's per-CPU pageset `high`, set to its `batch`);
+//!   the free that would take it past one batch moves the list's
+//!   coldest batch to the node's reservoir, where the next core whose
+//!   list runs dry takes it before anything grows. Frames one core
+//!   frees thus reach the cores that allocate, and the pool's footprint
+//!   follows the working set rather than which core happened to free
+//!   what.
 //! * **Per-node reservoirs + home-node return**: every frame is homed on a
 //!   NUMA *node* (see [`PlacementPolicy`]); a frame freed on a core of a
 //!   different node is batched back to its home node's reservoir. The
@@ -283,8 +284,8 @@ sharded_stats! {
         /// Allocations satisfied by stealing from a remote node's reservoir
         /// under pressure (tier 5; priced at hop cost).
         remote_steals: Exclusive<CoreFrames>,
-        /// Batches a core's free list moved to its node's reservoir on
-        /// reaching its high mark.
+        /// Batches a core's free list moved to its node's reservoir
+        /// rather than grow past one batch.
         spills: Exclusive<CoreFrames>,
     }
     /// The pool's cells (sum-on-read; DESIGN.md §6).
@@ -297,14 +298,12 @@ sharded_stats! {
 /// parked frames are a negligible slice of the pool.
 pub const MAGAZINE_SIZE: usize = 64;
 
-/// Fresh frames created per growth (the per-CPU pageset refill batch).
+/// Fresh frames created per growth (the per-CPU pageset refill batch),
+/// and the most a core's free list ever holds: the on-node free that
+/// would make the list longer moves its first-freed batch to the node's
+/// reservoir, so a core keeps one batch and the surplus reaches the
+/// cores that allocate (DESIGN.md §10).
 const REFILL_BATCH: usize = 64;
-
-/// A core's free list never reaches this length: the on-node free that
-/// brings it here moves the first-freed [`REFILL_BATCH`] frames to the
-/// node's reservoir (Linux's per-CPU pageset `high`). Four batches, so a
-/// core that frees what it allocated over a few refills keeps it.
-const FREE_HIGH: usize = 4 * REFILL_BATCH;
 
 /// A free-list of contiguous blocks, as `(order, base)` pairs.
 type BlockList = Vec<(u8, Pfn)>;
@@ -346,7 +345,8 @@ pub struct FramePool {
     cores: Vec<CachePadded<SpinLock<CoreFrames>>>,
     /// Per-node frame reservoirs: the second allocation tier. A core with
     /// an empty free list pulls a batch from its own node's reservoir;
-    /// a core's list spills its coldest batch here at its high mark, and
+    /// a core's list spills its coldest batch here rather than hold more
+    /// than one, and
     /// magazines flush cross-node frees here by home node. Any core may
     /// lock any node's reservoir (remote pulls under interleave, magazine
     /// flushes), which is exactly the traffic the simulator prices.
@@ -875,9 +875,9 @@ impl FramePool {
     ///
     /// A frame homed on `core`'s node goes straight back to the core's
     /// own list (core-local: it stays on its home node either way); the
-    /// free that brings that list to its high mark also moves the list's
-    /// first-freed batch to the node's reservoir, for the next core that
-    /// runs dry. A frame homed on a *different node* parks in `core`'s
+    /// free that would take that list past one [`REFILL_BATCH`] also
+    /// moves the list's first-freed batch to the node's reservoir, for
+    /// the next core that runs dry. A frame homed on a *different node* parks in `core`'s
     /// outbound magazine and returns to its home node's reservoir when
     /// the magazine fills (or at [`FramePool::flush_magazines`]); the
     /// generation was already bumped and the caller has already completed
@@ -893,10 +893,10 @@ impl FramePool {
     /// its home node's block reservoir (already better batched than a
     /// magazine), a page homed on the core's node onto the core's own
     /// list, which spills its first-freed [`REFILL_BATCH`] to the node's
-    /// reservoir once it holds `FREE_HIGH` frames (the core's lock, then
-    /// that one reservoir lock), any other page into the core's outbound
-    /// magazine, which flushes home once it holds [`MAGAZINE_SIZE`]
-    /// frames.
+    /// reservoir when it would grow past one batch (the core's lock,
+    /// then that one reservoir lock), any other page into the core's
+    /// outbound magazine, which flushes home once it holds
+    /// [`MAGAZINE_SIZE`] frames.
     fn take_back(&self, core: usize, base: Pfn, order: u8) {
         let pages = 1u64 << order;
         for pfn in base..base + pages as Pfn {
@@ -928,7 +928,7 @@ impl FramePool {
             self.block_reservoirs[home].lock().push((order, base));
         } else if on_node {
             frames.free.push(base);
-            if frames.free.len() >= FREE_HIGH {
+            if frames.free.len() > REFILL_BATCH {
                 // The coldest batch goes to the node's reservoir, where
                 // the next core whose list runs dry finds it (tier 2).
                 self.stats.add_held(core, PoolStats::spills, &frames, 1);
@@ -936,6 +936,7 @@ impl FramePool {
                     .lock()
                     .extend(frames.free.drain(..REFILL_BATCH));
             }
+            debug_assert!(frames.free.len() <= REFILL_BATCH, "a list holds one batch");
         } else {
             frames.magazine.push((home as u16, base));
             if frames.magazine.len() >= MAGAZINE_SIZE {
@@ -1814,21 +1815,18 @@ mod tests {
     }
 
     #[test]
-    fn a_freeing_core_stays_below_its_high_mark() {
+    fn a_freeing_core_holds_at_most_one_batch() {
         let pool = FramePool::new(2);
         for _ in 0..10_000 {
             alloc_on_0_free_on_1(&pool).unwrap();
-            assert!(free_len(&pool, 1) < FREE_HIGH);
+            assert!(free_len(&pool, 1) <= REFILL_BATCH);
         }
         let fresh = pool.stats().fresh;
-        assert!(
-            fresh <= (FREE_HIGH + REFILL_BATCH) as u64,
-            "{fresh} frames grown"
-        );
+        assert!(fresh <= 2 * REFILL_BATCH as u64, "{fresh} frames grown");
     }
 
     #[test]
-    fn three_batches_freed_in_a_row_stay_on_the_list() {
+    fn three_batches_freed_in_a_row_keep_one_on_the_list() {
         let pool = FramePool::new(2);
         let held: Vec<Pfn> = (0..3 * REFILL_BATCH)
             .map(|_| pool.try_alloc(0).unwrap())
@@ -1836,22 +1834,36 @@ mod tests {
         for f in held {
             pool.free(1, f);
         }
-        assert_eq!(free_len(&pool, 1), 3 * REFILL_BATCH);
-        assert_eq!(pool.stats().spills, 0);
-        assert_eq!(pool.reservoir_len(0), 0);
+        assert!(free_len(&pool, 1) <= REFILL_BATCH);
+        assert_eq!(
+            free_len(&pool, 1) + pool.reservoir_len(0),
+            3 * REFILL_BATCH,
+            "the rest sit in the reservoir"
+        );
+        // Core 0 takes the reservoir, core 1 its own list: nothing grows.
+        let fresh = pool.stats().fresh;
+        let again: Vec<Pfn> = (0..pool.reservoir_len(0))
+            .map(|_| pool.try_alloc(0).unwrap())
+            .chain((0..free_len(&pool, 1)).map(|_| pool.try_alloc(1).unwrap()))
+            .collect();
+        assert_eq!(again.len(), 3 * REFILL_BATCH);
+        assert_eq!(pool.stats().fresh, fresh, "no frame grown");
     }
 
     #[test]
     fn a_spill_moves_the_first_freed_frames() {
         let pool = FramePool::new(2);
-        let held: Vec<Pfn> = (0..FREE_HIGH).map(|_| pool.try_alloc(0).unwrap()).collect();
+        let held: Vec<Pfn> = (0..2 * REFILL_BATCH)
+            .map(|_| pool.try_alloc(0).unwrap())
+            .collect();
         for &f in &held {
             pool.free(1, f);
         }
         assert_eq!(pool.stats().spills, 1);
         assert_eq!(pool.reservoir_len(0), REFILL_BATCH);
-        assert_eq!(free_len(&pool, 1), FREE_HIGH - REFILL_BATCH);
+        assert_eq!(free_len(&pool, 1), REFILL_BATCH);
         // Core 0's list is empty: its next batch is the spilled one.
+        assert_eq!(free_len(&pool, 0), 0);
         let fresh = pool.stats().fresh;
         let mut refilled: Vec<Pfn> = (0..REFILL_BATCH)
             .map(|_| pool.try_alloc(0).unwrap())
@@ -1861,6 +1873,39 @@ mod tests {
         first_freed.sort_unstable();
         assert_eq!(refilled, first_freed);
         assert_eq!(pool.stats().fresh, fresh, "no frame grown");
+    }
+
+    /// `shared_remap`'s pattern at the pool level: sixteen cores, one
+    /// of which frees the sixteen frames outstanding each round, while
+    /// the next sixteen allocations land on whichever cores fault next.
+    /// The freeing core is rarely the one that allocates, so a pool
+    /// whose lists hold more than one batch grows far past the live set.
+    #[test]
+    fn a_remap_stream_grows_the_pool_by_one_batch_per_core() {
+        const NCORES: usize = 16;
+        const HELD: usize = 16;
+        let pool = FramePool::new(NCORES);
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next_core = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % NCORES as u64) as usize
+        };
+        let mut held = Vec::with_capacity(HELD);
+        for _ in 0..2_000 {
+            let freer = next_core();
+            for f in held.drain(..) {
+                pool.free(freer, f);
+            }
+            held.extend((0..HELD).map(|_| pool.try_alloc(next_core()).unwrap()));
+        }
+        let bound = HELD + NCORES * REFILL_BATCH + REFILL_BATCH;
+        assert!(
+            pool.total_frames() <= bound,
+            "{} frames for {HELD} outstanding (bound {bound})",
+            pool.total_frames()
+        );
     }
 
     #[test]

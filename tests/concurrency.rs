@@ -942,15 +942,15 @@ fn overlapping_stress_all_backends() {
 /// `shared_remap` streams (the repo benchmark's, `examples/ops/mod.rs`)
 /// on one two-core machine, where the frames core 0's remaps fault in
 /// come back on whichever core's tick releases them. Each core's free
-/// list spills its coldest batch to the node's reservoir at its high
-/// mark (256 frames, `rvm_mem`'s `FREE_HIGH`), so once both lists are
-/// warm the pool grows by at most two lists' worth per core, however
-/// long the streams run. A pool that kept every on-node free on the
-/// freeing core's list grew by thousands of frames here (2 880 in a
-/// release build).
+/// list holds at most one batch (64 frames, `rvm_mem`'s refill batch)
+/// and spills its coldest batch to the node's reservoir rather than
+/// grow past it, so once both lists are warm the pool grows by at most
+/// two lists' worth per core, however long the streams run. A pool that
+/// kept every on-node free on the freeing core's list grew by thousands
+/// of frames here (2 880 in a release build).
 #[test]
 fn freed_frames_reach_the_allocating_core_under_real_threads() {
-    const FREE_HIGH: u64 = 256;
+    const LIST_MAX: u64 = 64;
     const WARM_OPS: u64 = 20_000;
     const OPS: u64 = 100_000;
     let (machine, vm) = ops::machine(2);
@@ -968,7 +968,7 @@ fn freed_frames_reach_the_allocating_core_under_real_threads() {
     });
     let grown = machine.pool().stats().fresh - fresh;
     assert!(
-        grown <= 2 * 2 * FREE_HIGH,
+        grown <= 2 * 2 * LIST_MAX,
         "the pool grew {grown} frames over {OPS} ops per thread"
     );
 }
