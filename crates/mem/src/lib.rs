@@ -887,25 +887,30 @@ impl FramePool {
         self.take_back(core, pfn, 0);
     }
 
-    /// The one way back, for a frame (`order` 0) or a block: bumps each
-    /// member frame's generation and poisons its payload, then under
-    /// `core`'s lock counts the pages and routes them — a block whole to
-    /// its home node's block reservoir (already better batched than a
-    /// magazine), a page homed on the core's node onto the core's own
-    /// list, which spills its first-freed [`REFILL_BATCH`] to the node's
-    /// reservoir when it would grow past one batch (the core's lock,
-    /// then that one reservoir lock), any other page into the core's
-    /// outbound magazine, which flushes home once it holds
-    /// [`MAGAZINE_SIZE`] frames.
+    /// The one way back, for a frame (`order` 0) or a block: bumps every
+    /// member frame's generation, fences once, then waits out each
+    /// member's pins and poisons its payload; then under `core`'s lock
+    /// counts the pages and routes them — a block whole to its home
+    /// node's block reservoir (already better batched than a magazine),
+    /// a page homed on the core's node onto the core's own list, which
+    /// spills its first-freed [`REFILL_BATCH`] to the node's reservoir
+    /// when it would grow past one batch (the core's lock, then that one
+    /// reservoir lock), any other page into the core's outbound
+    /// magazine, which flushes home once it holds [`MAGAZINE_SIZE`]
+    /// frames.
     fn take_back(&self, core: usize, base: Pfn, order: u8) {
         let pages = 1u64 << order;
-        for pfn in base..base + pages as Pfn {
+        let members = base..base + pages as Pfn;
+        for pfn in members.clone() {
+            self.slot(pfn).bump_generation();
+        }
+        // An access pinned under an old generation may still run: a
+        // payload is poisoned, and its frame reusable, only once it is
+        // done. Every bump precedes this one fence, so each frame keeps
+        // its pairing with `pin`'s SeqCst pin-then-load.
+        fence(Ordering::SeqCst);
+        for pfn in members {
             let slot = self.slot(pfn);
-            slot.bump_generation();
-            // An access pinned under the old generation may still run:
-            // the payload is poisoned, and the frame reusable, only once
-            // it is done.
-            fence(Ordering::SeqCst);
             let mut backoff = Backoff::new();
             while slot.pins.load(Ordering::Acquire) != 0 {
                 backoff.pause();
