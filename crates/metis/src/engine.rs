@@ -274,10 +274,15 @@ impl Metis {
                     }
                     return Step::Worked;
                 }
-                // Emit the partition's index into arena memory.
+                // Emit the partition's index into arena memory, in key
+                // order: the map's iteration order differs from run to
+                // run, and the arena's placement (so what the simulator
+                // prices) would follow it.
                 let words = rs.index.len() as u64;
                 let mut emitted = 0u64;
-                for (word, positions) in rs.index.drain() {
+                let mut drained: Vec<_> = rs.index.drain().collect();
+                drained.sort_unstable_by_key(|&(word, _)| word);
+                for (word, positions) in drained {
                     let rec = self.arena.alloc(core, 16 + positions.len() as u64 * 8);
                     self.arena.write_u64(core, rec, word);
                     self.arena.write_u64(core, rec + 8, positions.len() as u64);
