@@ -346,10 +346,10 @@ pub struct FramePool {
     /// Per-node frame reservoirs: the second allocation tier. A core with
     /// an empty free list pulls a batch from its own node's reservoir;
     /// a core's list spills its coldest batch here rather than hold more
-    /// than one, and
-    /// magazines flush cross-node frees here by home node. Any core may
-    /// lock any node's reservoir (remote pulls under interleave, magazine
-    /// flushes), which is exactly the traffic the simulator prices.
+    /// than one, and magazines flush cross-node frees here by home node.
+    /// Any core may lock any node's reservoir (remote pulls under
+    /// interleave, magazine flushes), which is exactly the traffic the
+    /// simulator prices.
     reservoirs: Vec<CachePadded<SpinLock<Vec<Pfn>>>>,
     /// Per-node reservoirs of contiguous blocks.
     block_reservoirs: Vec<CachePadded<SpinLock<BlockList>>>,
@@ -875,14 +875,14 @@ impl FramePool {
     ///
     /// A frame homed on `core`'s node goes straight back to the core's
     /// own list (core-local: it stays on its home node either way); the
-    /// free that would take that list past one [`REFILL_BATCH`] also
+    /// free that would take that list past one refill batch also
     /// moves the list's first-freed batch to the node's reservoir, for
-    /// the next core that runs dry. A frame homed on a *different node* parks in `core`'s
-    /// outbound magazine and returns to its home node's reservoir when
-    /// the magazine fills (or at [`FramePool::flush_magazines`]); the
-    /// generation was already bumped and the caller has already completed
-    /// any required TLB shootdown, so parking only delays *reuse*, never
-    /// safety (DESIGN.md §6).
+    /// the next core that runs dry. A frame homed on a *different node*
+    /// parks in `core`'s outbound magazine and returns to its home
+    /// node's reservoir when the magazine fills (or at
+    /// [`FramePool::flush_magazines`]); the generation was already bumped
+    /// and the caller has already completed any required TLB shootdown,
+    /// so parking only delays *reuse*, never safety (DESIGN.md §6).
     pub fn free(&self, core: usize, pfn: Pfn) {
         self.take_back(core, pfn, 0);
     }
