@@ -15,8 +15,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rvm_hw::{
-    vpn_of, AccessKind, Asid, Backing, Machine, OpStats, Prot, ShardedOpStats, SpaceUsage,
-    TlbEntry, Translation, Vaddr, VmError, VmResult, VmSystem, Vpn, VA_LIMIT,
+    vpn_of, AccessKind, Asid, Backing, Machine, OpStats, Prot, Pte, ShardedOpStats, SpaceUsage,
+    Translation, Vaddr, VmError, VmResult, VmSystem, Vpn, VA_LIMIT,
 };
 use rvm_mem::Pfn;
 use rvm_sync::atomic::AtomicCoreSet;
@@ -130,12 +130,7 @@ impl VmSystem for ToyVm {
         let vpn = vpn_of(va);
         let mut pages = self.pages.lock();
         let page = pages.get_mut(&vpn).ok_or(VmError::NoMapping)?;
-        match kind {
-            AccessKind::Read if !page.prot.readable() => return Err(VmError::ProtViolation),
-            AccessKind::Write if !page.prot.writable() => return Err(VmError::ProtViolation),
-            _ => {}
-        }
-        let pool = self.machine.pool();
+        page.prot.check(kind)?;
         let pfn = match page.pfn {
             Some(pfn) => {
                 self.stats.add(core, OpStats::faults_fill, 1);
@@ -144,38 +139,16 @@ impl VmSystem for ToyVm {
             None => {
                 // Fallible allocation: the early return drops the map
                 // lock with the page still unpopulated (exact unwind).
-                let pfn = match pool.try_alloc(core) {
-                    Ok(pfn) => pfn,
-                    Err(e) => {
-                        self.stats.add(core, OpStats::oom_faults, 1);
-                        return Err(e.into());
-                    }
-                };
+                let pfn = self.machine.fault_frame(core, &self.stats)?;
                 self.stats.add(core, OpStats::faults_alloc, 1);
                 page.pfn = Some(pfn);
                 pfn
             }
         };
-        let tr = Translation {
-            pfn,
-            gen: pool.generation(pfn),
-            writable: page.prot.writable(),
-        };
         // Fill while holding the map lock: serializes against munmap's
         // shootdown of the same page.
-        self.machine.tlb_fill(
-            core,
-            TlbEntry {
-                asid: self.asid,
-                vpn,
-                pfn: tr.pfn,
-                gen: tr.gen,
-                span: 1,
-                writable: tr.writable,
-                valid: true,
-            },
-        );
-        Ok(tr)
+        let pte = Pte::new(pfn, page.prot.writable());
+        Ok(self.machine.fill_tlb(core, self.asid, vpn, pte))
     }
 
     fn mprotect(&self, core: usize, addr: Vaddr, len: u64, prot: Prot) -> VmResult<()> {

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use crossbeam::epoch::{self, Atomic, Owned};
 use rvm_hw::{
     vpn_of, AccessKind, Asid, Backing, Machine, OpStats, PageTable, Prot, Pte, ShardedOpStats,
-    SpaceUsage, TlbEntry, Translation, Vaddr, VmError, VmResult, VmSystem, Vpn, VA_LIMIT,
+    SpaceUsage, Translation, Vaddr, VmError, VmResult, VmSystem, Vpn, VA_LIMIT,
 };
 use rvm_sync::atomic::AtomicCoreSet;
 use rvm_sync::{sim, CachePadded, Mutex, SpinLock};
@@ -261,7 +261,6 @@ impl BonsaiVm {
         if removed.is_empty() {
             return;
         }
-        let pool = self.machine.pool();
         let mut freed = Vec::new();
         for (start, end, _, _) in removed {
             for vpn in *start..*end {
@@ -272,16 +271,14 @@ impl BonsaiVm {
                 }
             }
         }
-        if freed.is_empty() {
-            return;
-        }
-        let targets = self.attached.load();
-        self.machine.shootdown(core, self.asid, lo, n, targets);
-        for pfn in freed {
-            if pool.dec_map(pfn) {
-                pool.free(core, pfn);
-            }
-        }
+        crate::release_unmapped(
+            &self.machine,
+            core,
+            self.asid,
+            (lo, n),
+            &self.attached,
+            freed,
+        );
     }
 }
 
@@ -309,13 +306,7 @@ impl VmSystem for BonsaiVm {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
         self.stats.add(core, OpStats::mmaps, 1);
-        let backing = match backing {
-            Backing::File { file, offset_pages } => Backing::File {
-                file,
-                offset_pages: offset_pages.wrapping_sub(lo),
-            },
-            b => b,
-        };
+        let backing = backing.anchored(lo);
         let _m = self.mutate.lock();
         let g = epoch::pin();
         let shared = self.root.load(std::sync::atomic::Ordering::Acquire, &g);
@@ -360,11 +351,7 @@ impl VmSystem for BonsaiVm {
         let vpn = vpn_of(va);
         // Lock-free index lookup: the Bonsai contribution.
         let (_s, _e, prot, _b) = self.lookup_region(vpn).ok_or(VmError::NoMapping)?;
-        match kind {
-            AccessKind::Read if !prot.readable() => return Err(VmError::ProtViolation),
-            AccessKind::Write if !prot.writable() => return Err(VmError::ProtViolation),
-            _ => {}
-        }
+        prot.check(kind)?;
         // PTE install under the sharded page-table lock; revalidate the
         // region under the lock so a concurrent munmap either sees our
         // PTE or already removed the region.
@@ -382,35 +369,15 @@ impl VmSystem for BonsaiVm {
         } else {
             // Fallible allocation: on OutOfMemory the early return drops
             // the page-table lock with nothing installed (exact unwind).
-            let pfn = match pool.try_alloc(core) {
-                Ok(pfn) => pfn,
-                Err(e) => {
-                    self.stats.add(core, OpStats::oom_faults, 1);
-                    return Err(e.into());
-                }
-            };
+            let pfn = self.machine.fault_frame(core, &self.stats)?;
             self.stats.add(core, OpStats::faults_alloc, 1);
             pool.inc_map(pfn);
             table.set(vpn, Pte::new(pfn, writable));
             pfn
         };
-        let tr = Translation {
-            pfn,
-            gen: pool.generation(pfn),
-            writable,
-        };
-        self.machine.tlb_fill(
-            core,
-            TlbEntry {
-                asid: self.asid,
-                vpn,
-                pfn: tr.pfn,
-                gen: tr.gen,
-                span: 1,
-                writable: tr.writable,
-                valid: true,
-            },
-        );
+        let tr = self
+            .machine
+            .fill_tlb(core, self.asid, vpn, Pte::new(pfn, writable));
         drop(ptl);
         Ok(tr)
     }

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use rvm_hw::{
     vpn_of, AccessKind, Asid, Backing, Machine, OpStats, PageTable, Prot, Pte, ShardedOpStats,
-    SpaceUsage, TlbEntry, Translation, Vaddr, VmError, VmResult, VmSystem, Vpn, VA_LIMIT,
+    SpaceUsage, Translation, Vaddr, VmError, VmResult, VmSystem, Vpn, VA_LIMIT,
 };
 use rvm_sync::atomic::AtomicCoreSet;
 use rvm_sync::{sim, RwLock};
@@ -54,7 +54,6 @@ impl LinuxVm {
     /// Clears `[lo, lo+n)` from the page table, broadcasts the shootdown,
     /// and releases the frames. Caller holds the write lock.
     fn unmap_pages(&self, core: usize, lo: Vpn, n: u64) {
-        let pool = self.machine.pool();
         let mut freed = Vec::new();
         self.table.clear_range(lo, n, |_vpn, pages, pte| {
             // This backend installs only 4 KiB PTEs; the span-reporting
@@ -62,18 +61,14 @@ impl LinuxVm {
             debug_assert_eq!(pages, 1);
             freed.push(pte.pfn());
         });
-        if freed.is_empty() {
-            return;
-        }
-        // Conservative broadcast: every attached core might cache any of
-        // these translations.
-        let targets = self.attached.load();
-        self.machine.shootdown(core, self.asid, lo, n, targets);
-        for pfn in freed {
-            if pool.dec_map(pfn) {
-                pool.free(core, pfn);
-            }
-        }
+        crate::release_unmapped(
+            &self.machine,
+            core,
+            self.asid,
+            (lo, n),
+            &self.attached,
+            freed,
+        );
     }
 }
 
@@ -101,13 +96,7 @@ impl VmSystem for LinuxVm {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
         self.stats.add(core, OpStats::mmaps, 1);
-        let backing = match backing {
-            Backing::File { file, offset_pages } => Backing::File {
-                file,
-                offset_pages: offset_pages.wrapping_sub(lo),
-            },
-            b => b,
-        };
+        let backing = backing.anchored(lo);
         let mut vmas = self.state.write();
         let removed = vmas.carve(lo, lo + n);
         for old in &removed {
@@ -145,11 +134,7 @@ impl VmSystem for LinuxVm {
         // read acquisition is the Linux scaling bottleneck.
         let vmas = self.state.read();
         let vma = vmas.lookup(vpn).ok_or(VmError::NoMapping)?;
-        match kind {
-            AccessKind::Read if !vma.prot.readable() => return Err(VmError::ProtViolation),
-            AccessKind::Write if !vma.prot.writable() => return Err(VmError::ProtViolation),
-            _ => {}
-        }
+        vma.prot.check(kind)?;
         let pool = self.machine.pool();
         let writable = vma.prot.writable();
         let table = &self.table;
@@ -161,13 +146,7 @@ impl VmSystem for LinuxVm {
             // Fallible allocation: nothing is installed before the frame
             // exists, so OutOfMemory propagates with no unwind needed
             // (the read lock drops with the early return).
-            let pfn = match pool.try_alloc(core) {
-                Ok(pfn) => pfn,
-                Err(e) => {
-                    self.stats.add(core, OpStats::oom_faults, 1);
-                    return Err(e.into());
-                }
-            };
+            let pfn = self.machine.fault_frame(core, &self.stats)?;
             pool.inc_map(pfn);
             match table.set_if(vpn, Pte::EMPTY, Pte::new(pfn, writable)) {
                 Ok(()) => {
@@ -183,26 +162,11 @@ impl VmSystem for LinuxVm {
                 }
             }
         };
-        let tr = Translation {
-            pfn,
-            gen: pool.generation(pfn),
-            writable,
-        };
         // Fill while still holding the read lock: a munmap (write lock)
         // cannot start its shootdown before we finish.
-        self.machine.tlb_fill(
-            core,
-            TlbEntry {
-                asid: self.asid,
-                vpn,
-                pfn: tr.pfn,
-                gen: tr.gen,
-                span: 1,
-                writable: tr.writable,
-                valid: true,
-            },
-        );
-        Ok(tr)
+        Ok(self
+            .machine
+            .fill_tlb(core, self.asid, vpn, Pte::new(pfn, writable)))
     }
 
     fn mprotect(&self, core: usize, addr: Vaddr, len: u64, prot: Prot) -> VmResult<()> {

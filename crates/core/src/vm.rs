@@ -28,8 +28,8 @@ use std::sync::Mutex;
 
 use rvm_hw::{
     vpn_of, AccessKind, Asid, Backing, Machine, MapFlags, Mmu, MmuKind, OpStats, Prot, Pte,
-    ShardedOpStats, SpaceUsage, TlbEntry, Translation, Vaddr, VmError, VmResult, VmSystem, Vpn,
-    BLOCK_PAGES, SPAN_PAGES, VA_LIMIT,
+    ShardedOpStats, SpaceUsage, Translation, Vaddr, VmError, VmResult, VmSystem, Vpn, BLOCK_PAGES,
+    SPAN_PAGES, VA_LIMIT,
 };
 use rvm_mem::{FrameRef, Pfn};
 use rvm_radix::{LockMode, RadixConfig, RadixTree, RangeGuard, RemovedList, VPN_LIMIT};
@@ -234,16 +234,6 @@ impl RadixVm {
         }
     }
 
-    /// One zeroed frame for a 4 KiB fault on `core`. Exhaustion is
-    /// counted and becomes the fault's error; the caller has installed
-    /// nothing yet, so it unwinds exactly (DESIGN.md §11).
-    fn fault_frame(&self, core: usize) -> VmResult<Pfn> {
-        self.machine.pool().try_alloc(core).map_err(|e| {
-            self.stats.add(core, OpStats::oom_faults, 1);
-            e.into()
-        })
-    }
-
     /// A clone of the metadata governing `vpn`, for white-box tests.
     #[cfg(test)]
     pub(crate) fn meta_at(&self, core: usize, vpn: Vpn) -> Option<PageMeta> {
@@ -270,7 +260,7 @@ impl RadixVm {
     /// Clears the page tables over `runs` in every core of `tracked` and
     /// shoots down `lo..lo+n` in the TLBs that cached any of it: one
     /// shootdown round for the whole operation, however many runs.
-    fn revoke(&self, core: usize, lo: Vpn, n: u64, runs: &Runs, tracked: CoreSet) {
+    fn revoke(&self, core: usize, lo: Vpn, n: u64, runs: &[(Vpn, u64)], tracked: CoreSet) {
         if runs.is_empty() {
             return;
         }
@@ -520,14 +510,7 @@ impl VmSystem for RadixVm {
         self.stats.add(core, OpStats::mmaps, 1);
         // Anchor file offsets to the VPN so every page's metadata is
         // identical and the mapping folds (§3.2).
-        let backing = match backing {
-            Backing::File { file, offset_pages } => Backing::File {
-                file,
-                offset_pages: offset_pages.wrapping_sub(lo),
-            },
-            b => b,
-        };
-        let mut template = PageMeta::new(backing, prot);
+        let mut template = PageMeta::new(backing.anchored(lo), prot);
         // The huge hint is template state: it folds with the mapping and
         // makes aligned folded blocks superpage-eligible at fault time.
         template.huge = flags.huge();
@@ -616,9 +599,9 @@ impl VmSystem for RadixVm {
                 // populated a superpage, the whole of it, so this core
                 // stops faulting on it.
                 let span = pte.span();
-                let start = vpn & !(span - 1);
-                let base = pte.pfn() - (vpn - start) as Pfn;
-                return Ok(self.fill(core, vpn, start, base, span, pte.writable()));
+                let base = pte.pfn() - (vpn & (span - 1)) as Pfn;
+                let pte = Pte::new_span(base, pte.writable(), span);
+                return Ok(self.machine.fill_tlb(core, self.asid, vpn, pte));
             }
         }
         match self.block_fault(core, vpn, kind, &mut guard) {
@@ -636,7 +619,7 @@ impl VmSystem for RadixVm {
             BlockPath::Leaf => {}
         }
         let meta = guard.page_value_mut().ok_or(VmError::NoMapping)?;
-        check_access(meta.prot, kind)?;
+        meta.prot.check(kind)?;
         // Copy-on-write resolution for write faults. The shared source
         // is whatever the page's one handle references — its own frame
         // or its member of a (demoted) superpage block; either way the
@@ -647,7 +630,7 @@ impl VmSystem for RadixVm {
             // reference: on OutOfMemory the metadata still owns its
             // frame, so the fault unwinds exactly — nothing installed,
             // nothing leaked, and the guard drop releases every lock.
-            let new_pfn = self.fault_frame(core)?;
+            let new_pfn = self.machine.fault_frame(core, &self.stats)?;
             self.stats.add(core, OpStats::faults_cow, 1);
             self.count_fault_placement(core, new_pfn, 1);
             if let Some(shared) = meta.frame.take() {
@@ -668,9 +651,7 @@ impl VmSystem for RadixVm {
                 let tracked = meta.coreset;
                 meta.coreset = CoreSet::EMPTY;
                 if !tracked.is_empty() {
-                    let targets = self.shootdown_set(tracked);
-                    self.mmu.unmap_range(vpn, 1, tracked);
-                    self.machine.shootdown(core, self.asid, vpn, 1, targets);
+                    self.revoke(core, vpn, 1, &[(vpn, 1)], tracked);
                 }
                 // Under the guard: the page is accounted, the tick is
                 // left to the core's next `mmap`/`munmap` tail.
@@ -692,7 +673,7 @@ impl VmSystem for RadixVm {
                 // installed yet, so the error propagates with the
                 // metadata untouched (exact unwind, DESIGN.md §11).
                 let pool = self.machine.pool();
-                let pfn = self.fault_frame(core)?;
+                let pfn = self.machine.fault_frame(core, &self.stats)?;
                 self.stats.add(core, OpStats::faults_alloc, 1);
                 self.count_fault_placement(core, pfn, 1);
                 meta.frame = Some(pool.retain(&self.cache, core, pfn, 0, 1));
@@ -715,7 +696,7 @@ impl VmSystem for RadixVm {
         let promote_candidate = meta.backing == Backing::Anon
             && meta.kind == PageKind::Plain
             && (meta.huge || meta.frame.is_some_and(|f| f.order > 0));
-        let tr = self.install(core, vpn, vpn, pfn, 1, writable);
+        let tr = self.install(core, vpn, pfn, 1, writable);
         if promote_candidate {
             let base = vpn & !(BLOCK_PAGES - 1);
             if self.promote[core].lock().unwrap().tick(base) {
@@ -812,20 +793,6 @@ fn fold_handle_covers(m: &PageMeta, pages: u64) -> bool {
     pages == 1 || m.frame.is_none_or(|f| 1u64 << f.order >= pages)
 }
 
-/// Whether a mapping with protection `prot` permits an access of `kind`
-/// (checked the same way whatever granularity the fault resolves at).
-fn check_access(prot: Prot, kind: AccessKind) -> VmResult<()> {
-    let permitted = match kind {
-        AccessKind::Read => prot.readable(),
-        AccessKind::Write => prot.writable(),
-    };
-    if permitted {
-        Ok(())
-    } else {
-        Err(VmError::ProtViolation)
-    }
-}
-
 /// Outcome of the block-granularity stage of a page fault.
 enum BlockPath {
     /// The fault completed (or errored) at block granularity.
@@ -837,62 +804,23 @@ enum BlockPath {
 }
 
 impl RadixVm {
-    /// Installs a TLB entry for this address space translating the
-    /// `pages` pages (1, or one of [`SPAN_PAGES`]) from `start` to the
-    /// frames from `base`; returns the translation of `vpn`, one of them.
-    fn fill(
-        &self,
-        core: usize,
-        vpn: Vpn,
-        start: Vpn,
-        base: Pfn,
-        pages: u64,
-        writable: bool,
-    ) -> Translation {
-        let pool = self.machine.pool();
-        self.machine.tlb_fill(
-            core,
-            TlbEntry {
-                asid: self.asid,
-                vpn: start,
-                pfn: base,
-                gen: pool.generation(base),
-                span: pages,
-                writable,
-                valid: true,
-            },
-        );
-        let pfn = base + (vpn - start) as Pfn;
-        Translation {
-            pfn,
-            gen: pool.generation(pfn),
-            writable,
-        }
-    }
-
-    /// The last step of a fault at any granularity: installs the
-    /// `pages`-page translation `start` → `base` in `core`'s page table
-    /// and TLB and returns the translation of the faulting `vpn`.
+    /// The last step of a fault at any granularity: installs one PTE
+    /// translating the `pages` pages (1, or one of [`SPAN_PAGES`])
+    /// around `vpn` to the frames from `base` in `core`'s page table and
+    /// TLB, and returns the translation of the faulting `vpn`.
     ///
     /// Must run before the slot lock is released (guard drop): a munmap
     /// racing on the range cannot start its shootdown until we are
     /// done, so the TLB entry cannot be stale.
-    fn install(
-        &self,
-        core: usize,
-        vpn: Vpn,
-        start: Vpn,
-        base: Pfn,
-        pages: u64,
-        writable: bool,
-    ) -> Translation {
+    fn install(&self, core: usize, vpn: Vpn, base: Pfn, pages: u64, writable: bool) -> Translation {
+        let pte = Pte::new_span(base, writable, pages);
         let table = self.mmu.table(core);
-        if pages == 1 {
-            table.set(start, Pte::new(base, writable));
+        if pte.block() {
+            table.set_span(vpn, pte);
         } else {
-            table.set_span(start, Pte::new_span(base, writable, pages));
+            table.set(vpn, pte);
         }
-        self.fill(core, vpn, start, base, pages, writable)
+        self.machine.fill_tlb(core, self.asid, vpn, pte)
     }
 
     /// The fold-aware stage of [`RadixVm::pagefault`]: when `guard`
@@ -915,7 +843,7 @@ impl RadixVm {
         let Some((start, pages, meta)) = guard.block_entry_mut() else {
             return BlockPath::Leaf;
         };
-        if let Err(e) = check_access(meta.prot, kind) {
+        if let Err(e) = meta.prot.check(kind) {
             return BlockPath::Resolved(Err(e));
         }
         debug_assert!(fold_handle_covers(meta, pages));
@@ -966,7 +894,7 @@ impl RadixVm {
             meta.coreset.insert(core);
             self.stats.add(core, OpStats::superpage_installs, 1);
         }
-        BlockPath::Resolved(Ok(self.install(core, vpn, start, base, pages, writable)))
+        BlockPath::Resolved(Ok(self.install(core, vpn, base, pages, writable)))
     }
 
     /// Opportunistic superpage promotion — §7's inverse (DESIGN.md §12).
@@ -1095,16 +1023,13 @@ impl RadixVm {
         // do not change (demoted) or stay live until the decs drain
         // through Refcache (scattered), so a racing access through a
         // not-yet-shot-down entry still reads correct memory.
-        let targets = self.shootdown_set(tracked);
-        self.mmu.unmap_range(base, BLOCK_PAGES, tracked);
-        self.machine
-            .shootdown(core, self.asid, base, BLOCK_PAGES, targets);
+        self.revoke(core, base, BLOCK_PAGES, &[(base, BLOCK_PAGES)], tracked);
         // Demoted shape: 512 references on one block head, of which the
         // folded value's handle adopts the first; scattered: 512 frames.
         let adopted = usize::from(demoted.is_some());
         let old = displaced.iter().filter_map(|m| m.frame).skip(adopted);
         self.settle_refs(core, old.map(|f| (f, 1)), -1);
-        let tr = self.install(core, vpn, base, pte_base, BLOCK_PAGES, writable);
+        let tr = self.install(core, vpn, pte_base, BLOCK_PAGES, writable);
         self.stats.add(core, OpStats::superpage_promotions, 1);
         Some(tr)
     }

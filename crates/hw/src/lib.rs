@@ -25,7 +25,7 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use rvm_mem::{FramePool, Pfn, FRAME_SIZE};
+use rvm_mem::{FramePool, FRAME_SIZE};
 use rvm_sync::{failpoint, sharded_stats, sim, CachePadded, CoreSet, SpinLock};
 
 pub mod mmu;
@@ -34,7 +34,7 @@ pub mod tlb;
 
 pub use mmu::{Mmu, MmuKind};
 pub use pagetable::{PageTable, Pte, BLOCK_PAGES, GIANT_PAGES, SPAN_PAGES};
-pub use rvm_mem::{OutOfMemory, PlacementPolicy};
+pub use rvm_mem::{OutOfMemory, Pfn, PlacementPolicy};
 pub use tlb::{Tlb, TlbEntry};
 
 /// Virtual address.
@@ -100,6 +100,23 @@ impl Prot {
     pub fn writable(self) -> bool {
         self.0 & 2 != 0
     }
+
+    /// Whether this protection permits an access of `kind`, as the
+    /// fault's error: [`VmError::ProtViolation`] when it does not. Every
+    /// backend checks a fault this way, at whatever granularity the
+    /// fault resolves.
+    #[inline]
+    pub fn check(self, kind: AccessKind) -> VmResult<()> {
+        let permitted = match kind {
+            AccessKind::Read => self.readable(),
+            AccessKind::Write => self.writable(),
+        };
+        if permitted {
+            Ok(())
+        } else {
+            Err(VmError::ProtViolation)
+        }
+    }
 }
 
 /// Mapping flags: advisory hints a [`VmSystem::mmap_flags`] caller may
@@ -135,6 +152,24 @@ pub enum Backing {
         /// Page offset of the mapping's start within the file.
         offset_pages: u64,
     },
+}
+
+impl Backing {
+    /// This backing as the metadata of a mapping whose first page is
+    /// `lo` keeps it: a file offset re-anchored to VPN 0, so that page
+    /// `vpn` reads file page `offset_pages + vpn` (wrapping) and every
+    /// page of the mapping carries identical metadata, which is what
+    /// lets a mapping fold (§3.2). `Anon` is returned unchanged.
+    #[inline]
+    pub fn anchored(self, lo: Vpn) -> Backing {
+        match self {
+            Backing::File { file, offset_pages } => Backing::File {
+                file,
+                offset_pages: offset_pages.wrapping_sub(lo),
+            },
+            b => b,
+        }
+    }
 }
 
 /// The kind of memory access being performed.
@@ -478,15 +513,52 @@ impl Machine {
         self.stats.snapshot()
     }
 
-    /// Fills `core`'s TLB with `entry`.
+    /// Fills `core`'s TLB with the page-table entry `pte` of address
+    /// space `asid`, as the fault at `vpn` found or installed it: one
+    /// entry translating the [`Pte::span`] pages aligned around `vpn` to
+    /// the frames from `pte.pfn()`, tagged with the base frame's
+    /// generation. Returns the translation of `vpn` itself: its member
+    /// frame and that frame's generation.
     ///
     /// Page-fault handlers must call this *before releasing the lock that
     /// serializes the fault against munmap of the same page*; otherwise a
     /// completed shootdown could be followed by a stale fill. (Real MMUs
     /// make the fill atomic with the faulting access; this is the software
     /// model's equivalent ordering obligation.)
-    pub fn tlb_fill(&self, core: usize, entry: TlbEntry) {
+    #[inline]
+    pub fn fill_tlb(&self, core: usize, asid: Asid, vpn: Vpn, pte: Pte) -> Translation {
+        let span = pte.span();
+        let start = vpn & !(span - 1);
+        let base = pte.pfn();
+        let writable = pte.writable();
+        let entry = TlbEntry {
+            asid,
+            vpn: start,
+            pfn: base,
+            gen: self.pool.generation(base),
+            span,
+            writable,
+            valid: true,
+        };
         self.tlbs[core].lock().insert(entry);
+        let pfn = base + (vpn - start) as Pfn;
+        Translation {
+            pfn,
+            gen: self.pool.generation(pfn),
+            writable,
+        }
+    }
+
+    /// One zeroed frame for a fault on `core`. Exhaustion is counted in
+    /// `stats` as an [`OpStats::oom_faults`] and becomes the fault's
+    /// error; a caller that has installed nothing yet unwinds exactly
+    /// (DESIGN.md §11).
+    #[inline]
+    pub fn fault_frame(&self, core: usize, stats: &ShardedOpStats) -> VmResult<Pfn> {
+        self.pool.try_alloc(core).map_err(|e| {
+            stats.add(core, OpStats::oom_faults, 1);
+            e.into()
+        })
     }
 
     /// Performs a user memory access at `va`: translates through `core`'s
@@ -748,25 +820,10 @@ mod tests {
             let pfn = *frames
                 .entry(vpn)
                 .or_insert_with(|| pool.try_alloc(core).unwrap());
-            let tr = Translation {
-                pfn,
-                gen: pool.generation(pfn),
-                writable: true,
-            };
             // Fill while holding the frames lock (serializes vs. unmap).
-            self.machine.tlb_fill(
-                core,
-                TlbEntry {
-                    asid: self.asid,
-                    vpn,
-                    pfn: tr.pfn,
-                    gen: tr.gen,
-                    span: 1,
-                    writable: tr.writable,
-                    valid: true,
-                },
-            );
-            Ok(tr)
+            Ok(self
+                .machine
+                .fill_tlb(core, self.asid, vpn, Pte::new(pfn, true)))
         }
 
         fn as_any(&self) -> &dyn std::any::Any {
