@@ -972,4 +972,98 @@ mod tests {
         m.read_u64(1, &vm, 0x2000).unwrap();
         assert_eq!(m.stats().tlb_misses, miss0 + 2);
     }
+
+    /// `fill_tlb` at every granularity: a 4 KiB PTE and a PTE of each
+    /// superpage span. The translation it returns is the faulting page's
+    /// member frame with that frame's own generation (the member here is
+    /// recycled, so it differs from the base's), and the entry it leaves
+    /// serves another page of the same span with no fault: the address
+    /// space below faults on nothing.
+    #[test]
+    fn fill_tlb_translates_every_page_of_its_span() {
+        let m = Machine::new(1);
+        let pool = m.pool();
+        let base = pool.try_alloc(0).unwrap();
+        let frames: Vec<Pfn> = (0..2).map(|_| pool.try_alloc(0).unwrap()).collect();
+        assert_eq!(frames, [base + 1, base + 2], "one fresh batch, ascending");
+        pool.free(0, base + 1);
+        assert_eq!(pool.try_alloc(0).unwrap(), base + 1);
+        assert_ne!(pool.generation(base + 1), pool.generation(base));
+        for (off, marker) in [(1, 0xB1), (2, 0xB2)] {
+            pool.write_u64(base + off, 0, marker);
+        }
+        let vm = ToyVm::new(&m, 0);
+        // (PTE, faulting page, its frame, another page the entry covers,
+        // that page's frame).
+        let mut rows = vec![(Pte::new(base + 1, false), 7, base + 1, 7, base + 1)];
+        for pages in SPAN_PAGES {
+            let start = 5 * pages;
+            let pte = Pte::new_span(base, false, pages);
+            rows.push((pte, start + 1, base + 1, start + 2, base + 2));
+        }
+        for (pte, vpn, member, other, other_frame) in rows {
+            m.flush_asid(vm.asid());
+            let tr = m.fill_tlb(0, vm.asid(), vpn, pte);
+            let span = pte.span();
+            assert_eq!(tr.pfn, member, "span {span}");
+            assert_eq!(tr.gen, pool.generation(member), "span {span}");
+            assert!(!tr.writable, "span {span}");
+            let before = m.stats();
+            let read = m.read_u64(0, &vm, other << PAGE_SHIFT);
+            assert_eq!(read, Ok(pool.read_u64(other_frame, 0)), "span {span}");
+            assert_eq!(m.stats().tlb_misses, before.tlb_misses, "span {span}");
+            assert_eq!(m.stats().tlb_hits, before.tlb_hits + 1, "span {span}");
+            // The entry is read-only: a write faults into the VM.
+            let write = m.write_u64(0, &vm, other << PAGE_SHIFT, 0);
+            assert_eq!(write, Err(VmError::NoMapping), "span {span}");
+        }
+    }
+
+    #[test]
+    fn prot_check_permits_exactly_the_protection_bits() {
+        use AccessKind::{Read, Write};
+        let (ok, denied) = (Ok(()), Err(VmError::ProtViolation));
+        let table = [
+            (Prot::NONE, Read, denied),
+            (Prot::NONE, Write, denied),
+            (Prot::READ, Read, ok),
+            (Prot::READ, Write, denied),
+            (Prot::RW, Read, ok),
+            (Prot::RW, Write, ok),
+        ];
+        for (prot, kind, want) in table {
+            assert_eq!(prot.check(kind), want, "{prot:?} {kind:?}");
+        }
+    }
+
+    /// Anchored at the mapping's first page `lo`, a file backing gives
+    /// page `lo + i` file page `offset + i` (wrapping, as an offset near
+    /// the top of the range does), and leaves `Anon` alone.
+    #[test]
+    fn anchored_backing_gives_each_page_its_own_file_page() {
+        let rows: [(Vpn, u64); 4] = [(0, 0), (16, 3), (1 << 30, 7), (5, u64::MAX - 2)];
+        for (lo, offset) in rows {
+            let file = Backing::File {
+                file: 9,
+                offset_pages: offset,
+            };
+            let Backing::File {
+                file: id,
+                offset_pages: anchor,
+            } = file.anchored(lo)
+            else {
+                panic!("a file backing stays a file backing");
+            };
+            assert_eq!(id, 9);
+            for i in 0..8 {
+                let page = anchor.wrapping_add(lo + i);
+                assert_eq!(
+                    page,
+                    offset.wrapping_add(i),
+                    "lo {lo} offset {offset} page {i}"
+                );
+            }
+            assert_eq!(Backing::Anon.anchored(lo), Backing::Anon);
+        }
+    }
 }
