@@ -583,15 +583,15 @@ impl FramePool {
     /// rest locally — adopted remote frames would drift the pool back to
     /// first-touch steady state and hide the placement difference.
     ///
-    /// Only when a full-batch grow *fails* (frame limit reached, table
-    /// full, or an armed `chunk-grow` failpoint) do the pressure tiers
-    /// engage (DESIGN.md §11): drain the core's own outbound magazine,
-    /// steal from other nodes' reservoirs in ascending hop distance,
-    /// grow whatever headroom remains, and finally fail. The drain and
-    /// steal tiers never run unpressured because they hand out frames
-    /// homed elsewhere, which would silently violate the placement
-    /// policy; [`PoolStats`] counts them as `reclaim_drains` and
-    /// `remote_steals`.
+    /// Growth takes whatever the frame limit leaves of a batch. Only when
+    /// not one frame can grow (frame limit reached, table full, or an
+    /// armed `chunk-grow` failpoint) do the pressure tiers engage
+    /// (DESIGN.md §11): drain the core's own outbound magazine, steal
+    /// from other nodes' reservoirs in ascending hop distance, and
+    /// finally fail. The drain and steal tiers never run while the pool
+    /// can grow because they hand out frames homed elsewhere, which
+    /// would silently violate the placement policy; [`PoolStats`] counts
+    /// them as `reclaim_drains` and `remote_steals`.
     ///
     /// Charges the simulator for zeroing, priced by the hop distance to
     /// the frame's home node.
@@ -635,11 +635,12 @@ impl FramePool {
                 return Some((pfn, true));
             }
         }
-        // Tier 3: a fresh batch homed on the target.
-        if let Some(pfn) = self.grow(core, frames, target, REFILL_BATCH) {
+        // Tier 3: a fresh batch homed on the target, or whatever the
+        // frame limit leaves of one.
+        if let Some(pfn) = self.grow(core, frames, target) {
             return Some((pfn, false));
         }
-        // Full-batch growth failed: the pool is under pressure. Tier 4:
+        // Not one frame could grow: the pool is under pressure. Tier 4:
         // the magazine holds cross-node frees parked for batching; take
         // one back and flush the rest home so other cores' steal tier
         // can see them.
@@ -659,25 +660,17 @@ impl FramePool {
                 return Some((pfn, true));
             }
         }
-        // Tier 6: grow less than a full batch if any headroom remains.
-        let room = self
-            .frame_limit
-            .load(Ordering::Acquire)
-            .saturating_sub(self.nframes.load(Ordering::Acquire));
-        let count = room.min(REFILL_BATCH as u64) as usize;
-        if count == 0 {
-            return None;
-        }
-        self.grow(core, frames, target, count)
-            .map(|pfn| (pfn, false))
+        None
     }
 
-    /// Creates `count` fresh frames homed on `node` and returns the
-    /// first. The rest go on `core`'s own list when `node` is the core's
-    /// node, and into `node`'s reservoir otherwise: a remote target
-    /// adopts nothing.
-    fn grow(&self, core: usize, frames: &mut CoreFrames, node: usize, count: usize) -> Option<Pfn> {
-        let first = self.try_grow_contiguous(core, frames, node, count).ok()?;
+    /// Creates up to [`REFILL_BATCH`] fresh frames homed on `node`, as
+    /// many as the frame limit leaves, and returns the first. The rest
+    /// go on `core`'s own list when `node` is the core's node, and into
+    /// `node`'s reservoir otherwise: a remote target adopts nothing.
+    fn grow(&self, core: usize, frames: &mut CoreFrames, node: usize) -> Option<Pfn> {
+        let (first, count) = self
+            .try_grow_contiguous(core, frames, node, 1..=REFILL_BATCH)
+            .ok()?;
         // Last first, so the list hands them out in ascending order.
         let rest = (1..count).rev().map(|i| first + i as Pfn);
         if node == self.node_of(core) {
@@ -736,27 +729,31 @@ impl FramePool {
         nodes
     }
 
-    /// Creates `count` fresh, physically contiguous frames homed on node
-    /// `home`, returning the first PFN, and counts them under `core`'s
-    /// held lock. Serialized by the growth lock. Fails when the growth
-    /// would exceed the frame limit or the table's hard chunk capacity,
-    /// or when the `chunk-grow` failpoint is armed.
+    /// Creates fresh, physically contiguous frames homed on node `home`
+    /// — as many of `want` as the frame limit and the table's hard chunk
+    /// capacity leave, decided under the growth lock that serializes
+    /// growth — and counts them under `core`'s held lock. Returns the
+    /// first PFN and the count. Fails when fewer than `want.start()`
+    /// fit, or when the `chunk-grow` failpoint is armed.
     fn try_grow_contiguous(
         &self,
         core: usize,
         frames: &CoreFrames,
         home: usize,
-        count: usize,
-    ) -> Result<Pfn, OutOfMemory> {
+        want: std::ops::RangeInclusive<usize>,
+    ) -> Result<(Pfn, usize), OutOfMemory> {
         if failpoint::should_fail(failpoint::CHUNK_GROW, core) {
             return Err(OutOfMemory);
         }
         let first;
+        let count;
         {
             let _g = self.grow_lock.lock();
             let n = self.nframes.load(Ordering::Acquire) as usize;
             let limit = self.frame_limit.load(Ordering::Acquire).min(TABLE_CAPACITY);
-            if (n + count) as u64 > limit {
+            let room = limit.saturating_sub(n as u64);
+            count = (*want.end()).min(room as usize);
+            if count < *want.start() {
                 return Err(OutOfMemory);
             }
             for i in 0..count {
@@ -800,7 +797,7 @@ impl FramePool {
                 .home
                 .store(home as u16, Ordering::Relaxed);
         }
-        Ok(first)
+        Ok((first, count))
     }
 
     /// Allocates a zeroed, physically contiguous block of `1 << order`
@@ -829,14 +826,16 @@ impl FramePool {
         let recycled = take_block(&mut self.block_reservoirs[target].lock(), order);
         let (base, reused) = match recycled {
             Some(base) => (base, true),
-            None => match self.try_grow_contiguous(core, &frames, target, 1 << order) {
-                Ok(base) => (base, false),
-                Err(_) => (
-                    self.steal_remote_block(core, &frames, target, order)
-                        .ok_or(OutOfMemory)?,
-                    true,
-                ),
-            },
+            None => {
+                match self.try_grow_contiguous(core, &frames, target, 1 << order..=1 << order) {
+                    Ok((base, _)) => (base, false),
+                    Err(_) => (
+                        self.steal_remote_block(core, &frames, target, order)
+                            .ok_or(OutOfMemory)?,
+                        true,
+                    ),
+                }
+            }
         };
         self.stats
             .add_held(core, PoolStats::block_allocs, &frames, 1);
@@ -1404,7 +1403,7 @@ mod tests {
         ));
         pool.set_frame_limit(pool.total_frames() as u64 + 3);
         seen.push((
-            "tier 6: growth",
+            "partial growth",
             rmws(1, &mut || f = pool.try_alloc(1).unwrap()),
         ));
         pool.try_alloc(1).unwrap();
@@ -1437,7 +1436,7 @@ mod tests {
             ("remote draw", 2),
             ("tier 4: drain", 3),
             ("tier 5: steal", 4),
-            ("tier 6: growth", 5),
+            ("partial growth", 3),
             ("out of memory", 4),
             ("fresh block", 3),
             ("on-node block free", 2),
@@ -1975,6 +1974,24 @@ mod tests {
         let st = pool.stats();
         assert_eq!((st.reclaim_drains, st.remote_steals), (0, 1));
         pool.free(1, got);
+    }
+
+    /// Headroom below a batch is still growth: the core gets a fresh
+    /// frame homed on its own node, and the cross-node frame parked in
+    /// its magazine stays parked rather than being drained out of turn.
+    #[test]
+    fn partial_growth_comes_before_any_remote_homed_frame() {
+        let pool = numa_pool(2, 2);
+        let f = pool.try_alloc(0).unwrap(); // homed node 0
+        pool.free(1, f); // parks in core 1's magazine
+        let total = pool.total_frames();
+        pool.set_frame_limit(total as u64 + 3);
+        let got = pool.try_alloc(1).expect("three frames of headroom");
+        assert_eq!(pool.home(got), 1, "homed on core 1's node");
+        assert_eq!(pool.total_frames(), total + 3);
+        assert_eq!(pool.magazine_len(1), 1, "the parked frame stays parked");
+        let st = pool.stats();
+        assert_eq!((st.reclaim_drains, st.remote_steals), (0, 0));
     }
 
     #[test]
