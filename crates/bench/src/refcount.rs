@@ -66,6 +66,44 @@ pub struct RefcountReport {
 /// Measures the single-core zero-allocation lifecycle and the
 /// multicore attribution run.
 pub fn run_refcount(attribution_cores: usize, attribution_ns: u64) -> RefcountReport {
+    // --- Measurement 2: remote-line attribution on disjoint ops. ---
+    // Run first: which heap lines a label attributes follows where the
+    // heap stands, so what measurement 1 allocates must not come before
+    // it. The machine is built at the first core's closure, inside the
+    // simulator context, so the tree's nodes are labelled from birth.
+    let (_, by_label) = {
+        let mut radix = None;
+        run_sim_collect(
+            attribution_cores,
+            attribution_ns,
+            CostModel::default(),
+            |core| {
+                let (machine, vm) = radix.get_or_insert_with(|| {
+                    let machine = Machine::new(attribution_cores);
+                    let vm = build(&machine, BackendKind::Radix);
+                    (machine, vm)
+                });
+                crate::workloads::local(machine.clone(), vm.clone(), core)
+            },
+            sim::remote_transfers_by_label,
+        )
+    };
+    let remote_by_label: Vec<(String, u64)> = by_label
+        .into_iter()
+        .map(|(l, t)| (l.to_string(), t))
+        .collect();
+    let total: u64 = remote_by_label.iter().map(|(_, t)| t).sum();
+    let table: u64 = remote_by_label
+        .iter()
+        .filter(|(l, _)| l == "frame-table")
+        .map(|(_, t)| t)
+        .sum();
+    let frame_table_share = if total == 0 {
+        0.0
+    } else {
+        table as f64 / total as f64
+    };
+
     // --- Measurement 1: the allocation-free fault lifecycle. ---
     let guard = sim::install(1, CostModel::default());
     let machine = Machine::new(1);
@@ -119,40 +157,6 @@ pub fn run_refcount(attribution_cores: usize, attribution_ns: u64) -> RefcountRe
     let (slot_activates, slot_releases) = (st.slot_activates, st.slot_releases);
     drop(vm);
     drop(guard);
-
-    // --- Measurement 2: remote-line attribution on disjoint ops. ---
-    // The machine is built at the first core's closure, inside the
-    // simulator context, so the tree's nodes are labelled from birth.
-    let mut radix = None;
-    let (_, by_label) = run_sim_collect(
-        attribution_cores,
-        attribution_ns,
-        CostModel::default(),
-        |core| {
-            let (machine, vm) = radix.get_or_insert_with(|| {
-                let machine = Machine::new(attribution_cores);
-                let vm = build(&machine, BackendKind::Radix);
-                (machine, vm)
-            });
-            crate::workloads::local(machine.clone(), vm.clone(), core)
-        },
-        sim::remote_transfers_by_label,
-    );
-    let remote_by_label: Vec<(String, u64)> = by_label
-        .into_iter()
-        .map(|(l, t)| (l.to_string(), t))
-        .collect();
-    let total: u64 = remote_by_label.iter().map(|(_, t)| t).sum();
-    let table: u64 = remote_by_label
-        .iter()
-        .filter(|(l, _)| l == "frame-table")
-        .map(|(_, t)| t)
-        .sum();
-    let frame_table_share = if total == 0 {
-        0.0
-    } else {
-        table as f64 / total as f64
-    };
 
     RefcountReport {
         cold_faults,
