@@ -271,14 +271,7 @@ impl BonsaiVm {
                 }
             }
         }
-        crate::release_unmapped(
-            &self.machine,
-            core,
-            self.asid,
-            (lo, n),
-            &self.attached,
-            freed,
-        );
+        crate::release_unmapped(&self.machine, core, self.asid, lo, n, &self.attached, freed);
     }
 }
 
@@ -375,9 +368,8 @@ impl VmSystem for BonsaiVm {
             table.set(vpn, Pte::new(pfn, writable));
             pfn
         };
-        let tr = self
-            .machine
-            .fill_tlb(core, self.asid, vpn, Pte::new(pfn, writable));
+        let pte = Pte::new(pfn, writable);
+        let tr = self.machine.fill_tlb(core, self.asid, vpn, pte);
         drop(ptl);
         Ok(tr)
     }

@@ -33,7 +33,8 @@ pub(crate) fn release_unmapped(
     machine: &Machine,
     core: usize,
     asid: Asid,
-    (lo, n): (Vpn, u64),
+    lo: Vpn,
+    n: u64,
     attached: &AtomicCoreSet,
     freed: Vec<Pfn>,
 ) {

@@ -61,14 +61,7 @@ impl LinuxVm {
             debug_assert_eq!(pages, 1);
             freed.push(pte.pfn());
         });
-        crate::release_unmapped(
-            &self.machine,
-            core,
-            self.asid,
-            (lo, n),
-            &self.attached,
-            freed,
-        );
+        crate::release_unmapped(&self.machine, core, self.asid, lo, n, &self.attached, freed);
     }
 }
 
@@ -164,9 +157,8 @@ impl VmSystem for LinuxVm {
         };
         // Fill while still holding the read lock: a munmap (write lock)
         // cannot start its shootdown before we finish.
-        Ok(self
-            .machine
-            .fill_tlb(core, self.asid, vpn, Pte::new(pfn, writable)))
+        let pte = Pte::new(pfn, writable);
+        Ok(self.machine.fill_tlb(core, self.asid, vpn, pte))
     }
 
     fn mprotect(&self, core: usize, addr: Vaddr, len: u64, prot: Prot) -> VmResult<()> {

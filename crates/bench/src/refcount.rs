@@ -71,23 +71,21 @@ pub fn run_refcount(attribution_cores: usize, attribution_ns: u64) -> RefcountRe
     // heap stands, so what measurement 1 allocates must not come before
     // it. The machine is built at the first core's closure, inside the
     // simulator context, so the tree's nodes are labelled from birth.
-    let (_, by_label) = {
-        let mut radix = None;
-        run_sim_collect(
-            attribution_cores,
-            attribution_ns,
-            CostModel::default(),
-            |core| {
-                let (machine, vm) = radix.get_or_insert_with(|| {
-                    let machine = Machine::new(attribution_cores);
-                    let vm = build(&machine, BackendKind::Radix);
-                    (machine, vm)
-                });
-                crate::workloads::local(machine.clone(), vm.clone(), core)
-            },
-            sim::remote_transfers_by_label,
-        )
-    };
+    let mut radix = None;
+    let (_, by_label) = run_sim_collect(
+        attribution_cores,
+        attribution_ns,
+        CostModel::default(),
+        |core| {
+            let (machine, vm) = radix.get_or_insert_with(|| {
+                let machine = Machine::new(attribution_cores);
+                let vm = build(&machine, BackendKind::Radix);
+                (machine, vm)
+            });
+            crate::workloads::local(machine.clone(), vm.clone(), core)
+        },
+        sim::remote_transfers_by_label,
+    );
     let remote_by_label: Vec<(String, u64)> = by_label
         .into_iter()
         .map(|(l, t)| (l.to_string(), t))

@@ -111,11 +111,7 @@ impl Prot {
             AccessKind::Read => self.readable(),
             AccessKind::Write => self.writable(),
         };
-        if permitted {
-            Ok(())
-        } else {
-            Err(VmError::ProtViolation)
-        }
+        permitted.then_some(()).ok_or(VmError::ProtViolation)
     }
 }
 
