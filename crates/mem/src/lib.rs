@@ -824,18 +824,17 @@ impl FramePool {
         // The guard drops with its statement: a reservoir is never held
         // while another is locked.
         let recycled = take_block(&mut self.block_reservoirs[target].lock(), order);
+        let pages = 1 << order;
         let (base, reused) = match recycled {
             Some(base) => (base, true),
-            None => {
-                match self.try_grow_contiguous(core, &frames, target, 1 << order..=1 << order) {
-                    Ok((base, _)) => (base, false),
-                    Err(_) => (
-                        self.steal_remote_block(core, &frames, target, order)
-                            .ok_or(OutOfMemory)?,
-                        true,
-                    ),
-                }
-            }
+            None => match self.try_grow_contiguous(core, &frames, target, pages..=pages) {
+                Ok((base, _)) => (base, false),
+                Err(_) => (
+                    self.steal_remote_block(core, &frames, target, order)
+                        .ok_or(OutOfMemory)?,
+                    true,
+                ),
+            },
         };
         self.stats
             .add_held(core, PoolStats::block_allocs, &frames, 1);
