@@ -101,10 +101,9 @@ impl Prot {
         self.0 & 2 != 0
     }
 
-    /// Whether this protection permits an access of `kind`, as the
-    /// fault's error: [`VmError::ProtViolation`] when it does not. Every
-    /// backend checks a fault this way, at whatever granularity the
-    /// fault resolves.
+    /// Whether this protection permits an access of `kind`: `Ok`, or
+    /// [`VmError::ProtViolation`] as the fault's error. Every backend
+    /// checks a fault this way, at whatever granularity it resolves.
     #[inline]
     pub fn check(self, kind: AccessKind) -> VmResult<()> {
         let permitted = match kind {
@@ -151,11 +150,11 @@ pub enum Backing {
 }
 
 impl Backing {
-    /// This backing as the metadata of a mapping whose first page is
-    /// `lo` keeps it: a file offset re-anchored to VPN 0, so that page
-    /// `vpn` reads file page `offset_pages + vpn` (wrapping) and every
-    /// page of the mapping carries identical metadata, which is what
-    /// lets a mapping fold (§3.2). `Anon` is returned unchanged.
+    /// The backing a mapping whose first page is `lo` records: a file
+    /// offset re-anchored to VPN 0, so page `vpn` reads file page
+    /// `offset_pages + vpn` (wrapping) and every page of the mapping
+    /// carries identical metadata, which lets it fold (§3.2). `Anon` is
+    /// returned unchanged.
     #[inline]
     pub fn anchored(self, lo: Vpn) -> Backing {
         match self {
