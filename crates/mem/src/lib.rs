@@ -10,14 +10,16 @@
 //!   Every allocation and every free takes its core's lock once, on
 //!   every tier, and counts what it did under it: [`PoolStats`] costs
 //!   no locked instruction.
-//! * **Bounded per-core lists**: a core's free list holds at most one
-//!   refill batch (Linux's per-CPU pageset `high`, set to its `batch`);
-//!   the free that would take it past one batch moves the list's
-//!   coldest batch to the node's reservoir, where the next core whose
-//!   list runs dry takes it before anything grows. Frames one core
-//!   frees thus reach the cores that allocate, and the pool's footprint
-//!   follows the working set rather than which core happened to free
-//!   what.
+//! * **Bounded per-core lists**: a free leaves at most one refill batch
+//!   of 16 frames on its core's list (Linux's per-CPU pageset `high`,
+//!   set to its `batch`); the free that would leave more moves every
+//!   frame but the one it freed to the node's reservoir, where the next
+//!   core whose list runs dry takes a batch before anything grows.
+//!   Growth is sized apart, 64 fresh frames per trip to the growth
+//!   lock, and the growing core keeps the ones it does not hand out
+//!   until its next free. Frames one core frees thus reach the cores
+//!   that allocate, and the pool's footprint follows the working set
+//!   rather than which core happened to free what.
 //! * **Per-node reservoirs + home-node return**: every frame is homed on a
 //!   NUMA *node* (see [`PlacementPolicy`]); a frame freed on a core of a
 //!   different node is batched back to its home node's reservoir. The
@@ -284,8 +286,9 @@ sharded_stats! {
         /// Allocations satisfied by stealing from a remote node's reservoir
         /// under pressure (tier 5; priced at hop cost).
         remote_steals: Exclusive<CoreFrames>,
-        /// Batches a core's free list moved to its node's reservoir
-        /// rather than grow past one batch.
+        /// Frees that moved all but the freed frame from the core's
+        /// list to its node's reservoir rather than leave the list
+        /// longer than one refill batch.
         spills: Exclusive<CoreFrames>,
     }
     /// The pool's cells (sum-on-read; DESIGN.md §6).
@@ -298,12 +301,18 @@ sharded_stats! {
 /// parked frames are a negligible slice of the pool.
 pub const MAGAZINE_SIZE: usize = 64;
 
-/// Fresh frames created per growth (the per-CPU pageset refill batch),
-/// and the most a core's free list ever holds: the on-node free that
-/// would make the list longer moves its first-freed batch to the node's
-/// reservoir, so a core keeps one batch and the surplus reaches the
-/// cores that allocate (DESIGN.md §10).
-const REFILL_BATCH: usize = 64;
+/// Fresh frames one growth asks for: one trip to the global growth
+/// lock per batch. The growing core keeps the frames it does not hand
+/// out on its own list, until its next free spills them.
+const GROW_BATCH: usize = 64;
+
+/// The most freed frames a free leaves on a core's list (Linux's
+/// per-CPU pageset `high`), and what a dry list takes from its node's
+/// reservoir (its `batch`): the on-node free that leaves the list
+/// longer moves every frame but the one just freed to the reservoir,
+/// so the surplus reaches the cores that allocate (DESIGN.md §10).
+/// Smaller than [`GROW_BATCH`] because a freed frame keeps its payload.
+const REFILL_BATCH: usize = 16;
 
 /// A free-list of contiguous blocks, as `(order, base)` pairs.
 type BlockList = Vec<(u8, Pfn)>;
@@ -344,9 +353,10 @@ pub struct FramePool {
     /// lock, and nothing takes a core's lock while holding one of those.
     cores: Vec<CachePadded<SpinLock<CoreFrames>>>,
     /// Per-node frame reservoirs: the second allocation tier. A core with
-    /// an empty free list pulls a batch from its own node's reservoir;
-    /// a core's list spills its coldest batch here rather than hold more
-    /// than one, and magazines flush cross-node frees here by home node.
+    /// an empty free list pulls a refill batch from its own node's
+    /// reservoir; a core's list spills all but its hottest frame here
+    /// rather than keep more than one batch after a free, and magazines
+    /// flush cross-node frees here by home node.
     /// Any core may lock any node's reservoir (remote pulls under
     /// interleave, magazine flushes), which is exactly the traffic the
     /// simulator prices.
@@ -635,8 +645,8 @@ impl FramePool {
                 return Some((pfn, true));
             }
         }
-        // Tier 3: a fresh batch homed on the target, or whatever the
-        // frame limit leaves of one.
+        // Tier 3: a fresh growth batch homed on the target, or whatever
+        // the frame limit leaves of one.
         if let Some(pfn) = self.grow(core, frames, target) {
             return Some((pfn, false));
         }
@@ -663,13 +673,14 @@ impl FramePool {
         None
     }
 
-    /// Creates up to [`REFILL_BATCH`] fresh frames homed on `node`, as
+    /// Creates up to [`GROW_BATCH`] fresh frames homed on `node`, as
     /// many as the frame limit leaves, and returns the first. The rest
-    /// go on `core`'s own list when `node` is the core's node, and into
-    /// `node`'s reservoir otherwise: a remote target adopts nothing.
+    /// go on `core`'s own list when `node` is the core's node (the
+    /// core's next free spills what is left of them), and into `node`'s
+    /// reservoir otherwise: a remote target adopts nothing.
     fn grow(&self, core: usize, frames: &mut CoreFrames, node: usize) -> Option<Pfn> {
         let (first, count) = self
-            .try_grow_contiguous(core, frames, node, 1..=REFILL_BATCH)
+            .try_grow_contiguous(core, frames, node, 1..=GROW_BATCH)
             .ok()?;
         // Last first, so the list hands them out in ascending order.
         let rest = (1..count).rev().map(|i| first + i as Pfn);
@@ -873,8 +884,8 @@ impl FramePool {
     ///
     /// A frame homed on `core`'s node goes straight back to the core's
     /// own list (core-local: it stays on its home node either way); the
-    /// free that would take that list past one refill batch also
-    /// moves the list's first-freed batch to the node's reservoir, for
+    /// free that would leave that list longer than one refill batch
+    /// also moves every frame but `pfn` to the node's reservoir, for
     /// the next core that runs dry. A frame homed on a *different node*
     /// parks in `core`'s outbound magazine and returns to its home
     /// node's reservoir when the magazine fills (or at
@@ -891,8 +902,8 @@ impl FramePool {
     /// counts the pages and routes them — a block whole to its home
     /// node's block reservoir (already better batched than a magazine),
     /// a page homed on the core's node onto the core's own list, which
-    /// spills its first-freed [`REFILL_BATCH`] to the node's reservoir
-    /// when it would grow past one batch (the core's lock, then that one
+    /// spills all but that page to the node's reservoir when it would
+    /// hold more than [`REFILL_BATCH`] (the core's lock, then that one
     /// reservoir lock), any other page into the core's outbound
     /// magazine, which flushes home once it holds [`MAGAZINE_SIZE`]
     /// frames.
@@ -932,14 +943,17 @@ impl FramePool {
         } else if on_node {
             frames.free.push(base);
             if frames.free.len() > REFILL_BATCH {
-                // The coldest batch goes to the node's reservoir, where
-                // the next core whose list runs dry finds it (tier 2).
+                // All but the frame just freed go to the node's
+                // reservoir, where the next core whose list runs dry
+                // finds them (tier 2): a full list, or a growth's
+                // leftovers.
                 self.stats.add_held(core, PoolStats::spills, &frames, 1);
+                let cold = frames.free.len() - 1;
                 self.reservoirs[home]
                     .lock()
-                    .extend(frames.free.drain(..REFILL_BATCH));
+                    .extend(frames.free.drain(..cold));
             }
-            debug_assert!(frames.free.len() <= REFILL_BATCH, "a list holds one batch");
+            debug_assert!(frames.free.len() <= REFILL_BATCH, "a free leaves one batch");
         } else {
             frames.magazine.push((home as u16, base));
             if frames.magazine.len() >= MAGAZINE_SIZE {
@@ -1193,7 +1207,7 @@ mod tests {
     fn a_frame_gets_payload_memory_at_its_first_hand_out() {
         let pool = FramePool::new(1);
         let f = pool.try_alloc(0).unwrap();
-        assert_eq!(pool.total_frames(), REFILL_BATCH, "one batch grew");
+        assert_eq!(pool.total_frames(), GROW_BATCH, "one batch grew");
         assert_eq!(payloads(&pool), 1, "the growth allocated no payload");
         let g = pool.try_alloc(0).unwrap();
         assert_eq!(payloads(&pool), 2);
@@ -1266,7 +1280,7 @@ mod tests {
             }
             drained += 1;
             assert!(
-                drained <= 2 * REFILL_BATCH,
+                drained <= GROW_BATCH,
                 "home node never reused the frame after flush"
             );
         }
@@ -1320,7 +1334,7 @@ mod tests {
             // The home core reaches the frame once its adopted fresh
             // batch drains through its own free list.
             let mut got = false;
-            for _ in 0..4 * REFILL_BATCH {
+            for _ in 0..GROW_BATCH {
                 if pool.try_alloc(core).unwrap() == f {
                     got = true;
                     break;
@@ -1353,23 +1367,30 @@ mod tests {
             rmws(0, &mut || f = pool.try_alloc(0).unwrap()),
         ));
         seen.push(("own list", rmws(0, &mut || g = pool.try_alloc(0).unwrap())));
-        seen.push(("on-node free", rmws(0, &mut || pool.free(0, g))));
-        // Empty core 0's list; f and these 63 are homed on node 0.
-        let batch: Vec<Pfn> = (1..REFILL_BATCH)
-            .map(|_| pool.try_alloc(0).unwrap())
-            .collect();
-        seen.push(("cross-node free", rmws(1, &mut || pool.free(1, f))));
-        for &b in &batch[..MAGAZINE_SIZE - 2] {
-            pool.free(1, b);
-        }
-        let last = batch[MAGAZINE_SIZE - 2];
-        seen.push((
-            "cross-node free + flush",
-            rmws(1, &mut || pool.free(1, last)),
-        ));
+        // The growth's other GROW_BATCH - 2 frames are more than a free
+        // leaves on a list: freeing g spills them.
+        seen.push(("on-node free + spill", rmws(0, &mut || pool.free(0, g))));
+        assert_eq!(pool.reservoir_len(0), GROW_BATCH - 2);
+        seen.push(("on-node free", rmws(0, &mut || pool.free(0, f))));
+        // Empty core 0's list (g, f) so the next allocation refills.
+        pool.try_alloc(0).unwrap();
+        pool.try_alloc(0).unwrap();
         seen.push((
             "reservoir refill",
             rmws(0, &mut || f = pool.try_alloc(0).unwrap()),
+        ));
+        // f and these fill core 1's magazine; all are homed on node 0.
+        let batch: Vec<Pfn> = (1..MAGAZINE_SIZE)
+            .map(|_| pool.try_alloc(0).unwrap())
+            .collect();
+        seen.push(("cross-node free", rmws(1, &mut || pool.free(1, f))));
+        let (&last, rest) = batch.split_last().unwrap();
+        for &b in rest {
+            pool.free(1, b);
+        }
+        seen.push((
+            "cross-node free + flush",
+            rmws(1, &mut || pool.free(1, last)),
         ));
 
         // Core 0's stride visits node 0, then node 1, then again.
@@ -1427,10 +1448,11 @@ mod tests {
         let pinned = [
             ("fresh growth", 3),
             ("own list", 1),
+            ("on-node free + spill", 2),
             ("on-node free", 1),
+            ("reservoir refill", 2),
             ("cross-node free", 1),
             ("cross-node free + flush", 2),
-            ("reservoir refill", 2),
             ("remote draw, growth", 4),
             ("remote draw", 2),
             ("tier 4: drain", 3),
@@ -1499,9 +1521,9 @@ mod tests {
         for (i, &f) in frames.iter().enumerate() {
             assert_eq!(pool.read_u64(f, 0), i as u64);
         }
-        // Batched refill rounds the table size up to whole batches.
+        // Batched growth rounds the table size up to whole batches.
         assert!(pool.total_frames() >= CHUNK_FRAMES + 10);
-        assert!(pool.total_frames() < CHUNK_FRAMES + 10 + 64);
+        assert!(pool.total_frames() < CHUNK_FRAMES + 10 + GROW_BATCH);
     }
 
     #[test]
@@ -1781,7 +1803,7 @@ mod tests {
         assert_eq!(pool.reservoir_len(1), 0);
         // Growth may have happened for node-0 targets, but the node-1
         // draw itself must not have grown anything beyond one batch.
-        assert!(pool.stats().fresh <= fresh_before + REFILL_BATCH as u64);
+        assert!(pool.stats().fresh <= fresh_before + GROW_BATCH as u64);
     }
 
     #[test]
@@ -1825,7 +1847,8 @@ mod tests {
             assert!(free_len(&pool, 1) <= REFILL_BATCH);
         }
         let fresh = pool.stats().fresh;
-        assert!(fresh <= 2 * REFILL_BATCH as u64, "{fresh} frames grown");
+        let bound = (GROW_BATCH + REFILL_BATCH) as u64;
+        assert!(fresh <= bound, "{fresh} frames grown");
     }
 
     #[test]
@@ -1834,6 +1857,10 @@ mod tests {
         let held: Vec<Pfn> = (0..3 * REFILL_BATCH)
             .map(|_| pool.try_alloc(0).unwrap())
             .collect();
+        // Empty core 0's list: the growth's other frames stay allocated.
+        while free_len(&pool, 0) > 0 {
+            pool.try_alloc(0).unwrap();
+        }
         for f in held {
             pool.free(1, f);
         }
@@ -1859,6 +1886,10 @@ mod tests {
         let held: Vec<Pfn> = (0..2 * REFILL_BATCH)
             .map(|_| pool.try_alloc(0).unwrap())
             .collect();
+        // Empty core 0's list: the growth's other frames stay allocated.
+        while free_len(&pool, 0) > 0 {
+            pool.try_alloc(0).unwrap();
+        }
         for &f in &held {
             pool.free(1, f);
         }
@@ -1903,29 +1934,38 @@ mod tests {
             }
             held.extend((0..HELD).map(|_| pool.try_alloc(next_core()).unwrap()));
         }
-        let bound = HELD + NCORES * REFILL_BATCH + REFILL_BATCH;
+        let bound = HELD + NCORES * GROW_BATCH + GROW_BATCH;
         assert!(
             pool.total_frames() <= bound,
             "{} frames for {HELD} outstanding (bound {bound})",
             pool.total_frames()
+        );
+        // A frame keeps its payload once handed out, so the free ones
+        // that have one are footprint: at most a refill batch on each
+        // list, and the bound allows as many again in the reservoir.
+        let bound = HELD + 2 * NCORES * REFILL_BATCH;
+        assert!(
+            payloads(&pool) <= bound,
+            "{} frames hold payload for {HELD} outstanding (bound {bound})",
+            payloads(&pool)
         );
     }
 
     #[test]
     fn frame_limit_exhaustion_and_recovery() {
         let pool = FramePool::new(1);
-        let f = pool.try_alloc(0).unwrap(); // grows one REFILL_BATCH
+        let f = pool.try_alloc(0).unwrap(); // grows one GROW_BATCH
         pool.set_frame_limit(pool.total_frames() as u64);
         // Drain the adopted batch; every allocation still succeeds.
         let mut held = vec![f];
-        for _ in 1..REFILL_BATCH {
+        for _ in 1..GROW_BATCH {
             held.push(pool.try_alloc(0).expect("batch frames still free"));
         }
         // Now every tier is empty: typed failure, not an abort.
         assert_eq!(pool.try_alloc(0), Err(OutOfMemory));
         assert_eq!(
             pool.outstanding_frames(),
-            REFILL_BATCH as u64,
+            GROW_BATCH as u64,
             "failed allocation must not count as handed out"
         );
         // Relief: freeing one frame makes the next allocation succeed.
@@ -1997,10 +2037,10 @@ mod tests {
     fn pressure_partial_growth_uses_remaining_headroom() {
         let pool = FramePool::new(1);
         let f = pool.try_alloc(0).unwrap();
-        // Leave headroom for 3 more frames: less than a refill batch.
+        // Leave headroom for 3 more frames: less than a growth batch.
         pool.set_frame_limit(pool.total_frames() as u64 + 3);
         let mut held = vec![f];
-        for _ in 1..REFILL_BATCH {
+        for _ in 1..GROW_BATCH {
             held.push(pool.try_alloc(0).expect("batch frames"));
         }
         for _ in 0..3 {

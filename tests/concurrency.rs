@@ -942,14 +942,15 @@ fn overlapping_stress_all_backends() {
 /// `shared_remap` streams (the repo benchmark's, `examples/ops/mod.rs`)
 /// on one two-core machine, where the frames core 0's remaps fault in
 /// come back on whichever core's tick releases them. Each core's free
-/// list holds at most one batch (64 frames, `rvm_mem`'s refill batch)
-/// and spills its coldest batch to the node's reservoir rather than
-/// grow past it, so over the whole run, warm-up included, the pool
-/// holds the live set plus one batch per core and one in the reservoir,
-/// however long the streams run. One-batch lists read 128 frames here;
-/// lists that spilled only past four batches read 320 (release builds),
-/// and a pool that kept every on-node free on the freeing core's list
-/// grew by thousands.
+/// list holds at most one growth batch (64 frames, `rvm_mem`'s
+/// `GROW_BATCH`), and a free that would leave more than a refill batch
+/// (16) on it spills the rest to the node's reservoir, so over the
+/// whole run, warm-up included, the pool holds the live set plus one
+/// batch per core and one in the reservoir, however long the streams
+/// run. The pool reads 128 frames here, one growth per core; lists
+/// that spilled only past four 64-frame batches read 320 (release
+/// builds), and a pool that kept every on-node free on the freeing
+/// core's list grew by thousands.
 #[test]
 fn freed_frames_reach_the_allocating_core_under_real_threads() {
     const NCORES: u64 = 2;
