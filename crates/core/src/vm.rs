@@ -634,17 +634,10 @@ impl VmSystem for RadixVm {
             self.stats.add(core, OpStats::faults_cow, 1);
             self.count_fault_placement(core, new_pfn, 1);
             if let Some(shared) = meta.frame.take() {
-                // Copy the old contents into the private page.
-                // SAFETY: both frames are live (the taken reference is
-                // not yet surrendered; new was just allocated) and
-                // FRAME_SIZE-bounded.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(
-                        pool.frame_ptr(block_member(shared, vpn)),
-                        pool.frame_ptr(new_pfn),
-                        rvm_mem::FRAME_SIZE,
-                    );
-                }
+                // Copy the old contents into the private page: both
+                // frames are live (the taken reference is not yet
+                // surrendered; new was just allocated).
+                pool.copy_frame(block_member(shared, vpn), new_pfn);
                 sim::charge_page_work();
                 // Revoke stale translations to the shared page, then drop
                 // our reference to it.
@@ -984,17 +977,10 @@ impl RadixVm {
                 // Copy before any reference is surrendered, under the
                 // guard's slot locks: no fault can observe a half-
                 // migrated page, and an unwind leaks nothing.
+                // Old frames are live (their references are still
+                // held), and the new block was just allocated.
                 for (i, p) in scattered.iter().enumerate() {
-                    // SAFETY: old frames are live (their references are
-                    // still held), the new block was just allocated, and
-                    // both copies are FRAME_SIZE-bounded.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            pool.frame_ptr(p.pfn),
-                            pool.frame_ptr(newbase + i as Pfn),
-                            rvm_mem::FRAME_SIZE,
-                        );
-                    }
+                    pool.copy_frame(p.pfn, newbase + i as Pfn);
                     sim::charge_page_work();
                 }
                 (pool.retain(&self.cache, core, newbase, order, 1), newbase)

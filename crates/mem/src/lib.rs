@@ -27,8 +27,9 @@
 //!   "synchronization to return freed pages to their home nodes" (§5.3).
 //!   Reservoir invariants and the lock order are in DESIGN.md §10.
 //! * **One way out, one way back**: pages and blocks leave through one
-//!   function (count, charge, unpoison, zero) and return through one
-//!   (bump generations, poison, count, route) — DESIGN.md §11.
+//!   function (count, charge, unpoison, zero if written) and return
+//!   through one (bump generations, poison, count, route) — DESIGN.md
+//!   §11.
 //! * **Generation tags**: every frame carries a generation counter bumped
 //!   on each free. A translation caches the generation it observed; a
 //!   later access through a stale (not shot down) TLB entry detects the
@@ -41,7 +42,11 @@
 //!   data through the VM systems. A frame's buffer is allocated, zeroed,
 //!   when the frame is first handed out, not when the table grows, so
 //!   the pool's payload memory follows the frames ever used (DESIGN.md
-//!   §10).
+//!   §10). A recycled frame's buffer is cleared again only if it was
+//!   written since its last hand-out: [`FramePool::write_u64`],
+//!   [`FramePool::fill`] and [`FramePool::copy_frame`] mark the frame,
+//!   and the hand-out clears the mark with the bytes. The simulator
+//!   charges the zeroing of every page either way (DESIGN.md §11).
 //!
 //! The frame table is a chunked array reachable through atomic pointers:
 //! lookups are lock-free and read-mostly (they scale perfectly); only
@@ -63,7 +68,9 @@
 //! whole contiguous block. Baseline VM systems that count eagerly keep
 //! using the separate `mapcount` word.
 
-use std::sync::atomic::{fence, AtomicPtr, AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{
+    fence, AtomicBool, AtomicPtr, AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering,
+};
 
 use rvm_refcache::{CountSlot, Refcache, ReleaseCtx, SlotManaged, SlotPtr};
 use rvm_sync::{
@@ -195,6 +202,13 @@ struct FrameSlot {
     /// NUMA node whose reservoir this frame returns to when freed on a
     /// core of a different node (plain bookkeeping, uninstrumented).
     home: AtomicU16,
+    /// Set by every write to the payload, cleared when a hand-out
+    /// re-zeroes it: a payload whose flag is clear is all zero, and a
+    /// hand-out leaves it as it is. `Relaxed`, plain (uninstrumented)
+    /// atomic, like `gen`: the locks a frame travels through on its
+    /// way from a write to the next hand-out order the two
+    /// (DESIGN.md §11).
+    written: AtomicBool,
     /// Bumped on every free; stale translations detect the change.
     /// Plain (uninstrumented) atomic: generation checks model the MMU
     /// hardware's view of memory, not kernel cache traffic.
@@ -208,6 +222,10 @@ struct FrameSlot {
     /// kernel-side shared state.
     mapcount: rvm_sync::Atomic64,
 }
+
+// Two cache lines: a third would cost a frame-heavy run 64 bytes a
+// frame and move the frame table's simulator-visible layout.
+const _: () = assert!(std::mem::size_of::<FrameSlot>() == 128);
 
 impl FrameSlot {
     /// Advances the generation of a frame being freed. The freeing
@@ -225,6 +243,15 @@ impl FrameSlot {
     #[inline]
     fn payload(&self) -> *mut u8 {
         self.data.load(Ordering::Acquire)
+    }
+
+    /// Records that the payload may hold a nonzero byte. A load first,
+    /// so a frame written again only reads the flag.
+    #[inline]
+    fn mark_written(&self) {
+        if !self.written.load(Ordering::Relaxed) {
+            self.written.store(true, Ordering::Relaxed);
+        }
     }
 }
 
@@ -696,8 +723,11 @@ impl FramePool {
     /// `1 << order` pages handed out on `core` under its lock, drops
     /// the lock, then per page charges the zeroing at the hop distance
     /// to the frame's home and either allocates the payload zeroed (the
-    /// frame's first hand-out) or unpoisons and zeroes the one it had.
-    /// No `memset` or allocation ever runs under a lock.
+    /// frame's first hand-out) or unpoisons the one it had and zeroes
+    /// it if it was written since. The simulator is charged for every
+    /// page alike; the host clears only written bytes, so a 2 MiB block
+    /// of which one page was touched costs one `memset`, not 512. No
+    /// `memset` or allocation ever runs under a lock.
     fn hand_out(
         &self,
         core: usize,
@@ -724,9 +754,17 @@ impl FramePool {
                     .store(Box::into_raw(fresh).cast(), Ordering::Release);
             } else {
                 asan_poison(data as usize, FRAME_SIZE, false);
-                // SAFETY: the frame is being handed out (no mapping
-                // references it), so this is the only access.
-                unsafe { std::ptr::write_bytes(data, 0, FRAME_SIZE) };
+                if slot.written.load(Ordering::Relaxed) {
+                    // SAFETY: the frame is being handed out (no mapping
+                    // references it), so this is the only access.
+                    unsafe { std::ptr::write_bytes(data, 0, FRAME_SIZE) };
+                    slot.written.store(false, Ordering::Relaxed);
+                }
+                debug_assert!(
+                    // SAFETY: as above; the payload is FRAME_SIZE bytes.
+                    unsafe { std::slice::from_raw_parts(data, FRAME_SIZE) } == [0; FRAME_SIZE],
+                    "frame {pfn} was written with no mark"
+                );
             }
         }
         base
@@ -781,6 +819,7 @@ impl FramePool {
                             }),
                             data: AtomicPtr::new(std::ptr::null_mut()),
                             home: AtomicU16::new(home as u16),
+                            written: AtomicBool::new(false),
                             gen: AtomicU64::new(1),
                             pins: AtomicU32::new(0),
                             mapcount: rvm_sync::Atomic64::new(0),
@@ -1066,7 +1105,7 @@ impl FramePool {
         // shared writable mappings); performed as a volatile word write,
         // as real memory would behave.
         unsafe {
-            let p = self.bytes(pfn).add(off) as *mut u64;
+            let p = self.bytes_to_write(pfn).add(off) as *mut u64;
             std::ptr::write_volatile(p, val);
         }
     }
@@ -1090,17 +1129,24 @@ impl FramePool {
         sim::charge_page_work_homed(self.home(pfn));
         // SAFETY: in-bounds write to the frame payload (workload-level
         // races permitted as in `write_u64`).
-        unsafe { std::ptr::write_bytes(self.bytes(pfn), byte, FRAME_SIZE) };
+        unsafe { std::ptr::write_bytes(self.bytes_to_write(pfn), byte, FRAME_SIZE) };
     }
 
-    /// Returns a raw pointer to the frame payload for bulk access.
+    /// Copies frame `src`'s whole payload over frame `dst`'s (a
+    /// copy-on-write break, a promotion's migration). Charges nothing:
+    /// the caller prices the copy.
     ///
-    /// # Safety
+    /// # Panics
     ///
-    /// The caller must keep accesses in-bounds and must not use the
-    /// pointer after the frame is freed.
-    pub unsafe fn frame_ptr(&self, pfn: Pfn) -> *mut u8 {
-        self.bytes(pfn)
+    /// Panics if `src == dst`.
+    pub fn copy_frame(&self, src: Pfn, dst: Pfn) {
+        assert_ne!(src, dst, "a frame copied onto itself");
+        // SAFETY: two distinct frames' payloads, FRAME_SIZE bytes each,
+        // so the ranges do not overlap (workload-level races permitted
+        // as in `write_u64`).
+        unsafe {
+            std::ptr::copy_nonoverlapping(self.bytes(src), self.bytes_to_write(dst), FRAME_SIZE)
+        };
     }
 
     /// The payload of `pfn`, which has been handed out (as every frame a
@@ -1108,6 +1154,17 @@ impl FramePool {
     #[inline]
     fn bytes(&self, pfn: Pfn) -> *mut u8 {
         let data = self.slot(pfn).payload();
+        debug_assert!(!data.is_null(), "frame {pfn} was never handed out");
+        data
+    }
+
+    /// The payload of `pfn` for a write: [`FramePool::bytes`], with the
+    /// frame marked written so its next hand-out re-zeroes it.
+    #[inline]
+    fn bytes_to_write(&self, pfn: Pfn) -> *mut u8 {
+        let slot = self.slot(pfn);
+        slot.mark_written();
+        let data = slot.payload();
         debug_assert!(!data.is_null(), "frame {pfn} was never handed out");
         data
     }
@@ -1194,6 +1251,54 @@ mod tests {
         let f2 = pool.try_alloc(0).unwrap();
         assert_eq!(f2, f, "free list reuse");
         assert_eq!(pool.read_u64(f2, 8), 0, "reused frame re-zeroed");
+    }
+
+    /// The first, a middle and the last word of `pfn` are all zero.
+    fn reads_zero(pool: &FramePool, pfn: Pfn) -> bool {
+        [0, FRAME_SIZE / 2, FRAME_SIZE - 8]
+            .iter()
+            .all(|&off| pool.read_u64(pfn, off) == 0)
+    }
+
+    #[test]
+    fn a_page_written_by_fill_reads_zero_when_handed_out_again() {
+        let pool = FramePool::new(1);
+        let f = pool.try_alloc(0).unwrap();
+        pool.fill(f, 0xA5);
+        assert!(!reads_zero(&pool, f));
+        pool.free(0, f);
+        let again = pool.try_alloc(0).unwrap();
+        assert_eq!(again, f, "free list reuse");
+        assert!(reads_zero(&pool, again), "a filled frame re-zeroed");
+    }
+
+    #[test]
+    fn a_page_written_by_copy_frame_reads_zero_when_handed_out_again() {
+        let pool = FramePool::new(1);
+        let src = pool.try_alloc(0).unwrap();
+        let dst = pool.try_alloc(0).unwrap();
+        pool.fill(src, 0x5A);
+        pool.copy_frame(src, dst);
+        assert_eq!(pool.read_u64(dst, FRAME_SIZE - 8), 0x5A5A_5A5A_5A5A_5A5A);
+        pool.free(0, dst);
+        let again = pool.try_alloc(0).unwrap();
+        assert_eq!(again, dst, "free list reuse");
+        assert!(reads_zero(&pool, again), "a copied-into frame re-zeroed");
+        assert!(!reads_zero(&pool, src), "the source keeps its bytes");
+    }
+
+    #[test]
+    fn a_block_with_two_written_members_reads_zero_in_all_members_when_reused() {
+        let pool = FramePool::new(1);
+        let base = pool.try_alloc_block(0, BLOCK_ORDER).unwrap();
+        pool.write_u64(base + 3, FRAME_SIZE / 2, 7);
+        pool.fill(base + BLOCK_PAGES as Pfn - 1, 0xFF);
+        pool.free_block(0, base, BLOCK_ORDER);
+        let again = pool.try_alloc_block(0, BLOCK_ORDER).unwrap();
+        assert_eq!(again, base, "the freed block reused whole");
+        for i in 0..BLOCK_PAGES as Pfn {
+            assert!(reads_zero(&pool, again + i), "member {i} re-zeroed");
+        }
     }
 
     /// Frames of `pool` that have payload memory.
