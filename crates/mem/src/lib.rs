@@ -17,9 +17,11 @@
 //!   core whose list runs dry takes a batch before anything grows.
 //!   Growth is sized apart, 64 fresh frames per trip to the growth
 //!   lock, and the growing core keeps the ones it does not hand out
-//!   until its next free. Frames one core frees thus reach the cores
-//!   that allocate, and the pool's footprint follows the working set
-//!   rather than which core happened to free what.
+//!   until its next free, which spills them below the reservoir's
+//!   freed frames, so a refill reuses a payload before it makes one.
+//!   Frames one core frees thus reach the cores that allocate, and the
+//!   pool's footprint follows the working set rather than which core
+//!   happened to free what.
 //! * **Per-node reservoirs + home-node return**: every frame is homed on a
 //!   NUMA *node* (see [`PlacementPolicy`]); a frame freed on a core of a
 //!   different node is batched back to its home node's reservoir. The
@@ -943,7 +945,8 @@ impl FramePool {
     /// a page homed on the core's node onto the core's own list, which
     /// spills all but that page to the node's reservoir when it would
     /// hold more than [`REFILL_BATCH`] (the core's lock, then that one
-    /// reservoir lock), any other page into the core's outbound
+    /// reservoir lock; bare frames below the ones with a payload), any
+    /// other page into the core's outbound
     /// magazine, which flushes home once it holds [`MAGAZINE_SIZE`]
     /// frames.
     fn take_back(&self, core: usize, base: Pfn, order: u8) {
@@ -988,9 +991,17 @@ impl FramePool {
                 // leftovers.
                 self.stats.add_held(core, PoolStats::spills, &frames, 1);
                 let cold = frames.free.len() - 1;
-                self.reservoirs[home]
-                    .lock()
-                    .extend(frames.free.drain(..cold));
+                let bare = self.bare_first(&mut frames.free[..cold]);
+                let mut res = self.reservoirs[home].lock();
+                let old = res.len();
+                res.extend(frames.free.drain(..cold));
+                if bare > 0 {
+                    // The bare frames go below every one with a payload,
+                    // so a refill, which takes from the top, reuses
+                    // payloads before it makes new ones.
+                    let below = old - self.payloads_on_top(&res[..old]);
+                    res[below..old + bare].rotate_right(bare);
+                }
             }
             debug_assert!(frames.free.len() <= REFILL_BATCH, "a free leaves one batch");
         } else {
@@ -999,6 +1010,31 @@ impl FramePool {
                 self.flush_mag(core, &mut frames);
             }
         }
+    }
+
+    /// Reorders `list` in place so its frames without payload memory
+    /// ("bare": a growth's leftovers, never handed out) come first, and
+    /// returns how many there are.
+    fn bare_first(&self, list: &mut [Pfn]) -> usize {
+        let mut bare = 0;
+        for i in 0..list.len() {
+            if self.slot(list[i]).payload().is_null() {
+                list.swap(bare, i);
+                bare += 1;
+            }
+        }
+        bare
+    }
+
+    /// How many frames at the top of `reservoir` have payload memory:
+    /// since spills put bare frames below the others, the bare ones
+    /// begin where this run ends.
+    fn payloads_on_top(&self, reservoir: &[Pfn]) -> usize {
+        reservoir
+            .iter()
+            .rev()
+            .take_while(|&&pfn| !self.slot(pfn).payload().is_null())
+            .count()
     }
 
     /// Drains `core`'s held magazine to the home nodes' reservoirs: one
@@ -2046,9 +2082,11 @@ mod tests {
             pool.total_frames()
         );
         // A frame keeps its payload once handed out, so the free ones
-        // that have one are footprint: at most a refill batch on each
-        // list, and the bound allows as many again in the reservoir.
-        let bound = HELD + 2 * NCORES * REFILL_BATCH;
+        // that have one are footprint. A refill takes those before any
+        // bare frame, so a payload is made only when the reservoir
+        // holds none: the free ones are then on the lists, at most a
+        // refill batch each.
+        let bound = HELD + NCORES * REFILL_BATCH;
         assert!(
             payloads(&pool) <= bound,
             "{} frames hold payload for {HELD} outstanding (bound {bound})",
