@@ -10,7 +10,8 @@
 //! Refcache that moved, per op, and
 //! the footprint: the frames the pool still has handed out when the
 //! streams stop (mapped, or unmapped and waiting out their Refcache
-//! epochs) and the process's peak resident set.
+//! epochs), the address space's index and page-table bytes
+//! (`VmSystem::space_usage`) and the process's peak resident set.
 //!
 //! Run with: `cargo run --release --example hot_loop -- <disjoint|refault|shared|superpage|metis> <seconds> [threads]`
 
@@ -99,7 +100,7 @@ fn counters(
 /// Runs `threads` streams of `kind`, one pinned host thread each, until
 /// `budget` has passed; returns the ops done and the seconds they took,
 /// and prints every counter that moved, per op, and what the pool has
-/// outstanding at the end.
+/// outstanding and the address space occupies at the end.
 fn spin(kind: Kind, budget: Duration, threads: usize) -> (u64, f64) {
     let (machine, vm) = ops::machine(threads);
     let mut streams: Vec<Ops> = (0..threads)
@@ -143,6 +144,7 @@ fn spin(kind: Kind, budget: Duration, threads: usize) -> (u64, f64) {
             .sum();
         (ops, t0.elapsed().as_secs_f64())
     });
+    let space = vm.space_usage();
     let (hw, vm, pool, rc) = counters(&machine, &*vm);
     println!("per op:");
     let per_op = |layer: &'static str| {
@@ -158,8 +160,11 @@ fn spin(kind: Kind, budget: Duration, threads: usize) -> (u64, f64) {
     rc.since(&rc0).visit(per_op("refcache"));
     let outstanding = machine.pool().outstanding_frames();
     println!(
-        "at exit: {outstanding} frames outstanding in the pool ({:.1} MiB)",
-        outstanding as f64 * 4096.0 / (1 << 20) as f64
+        "at exit: {outstanding} frames outstanding in the pool ({:.1} MiB), \
+         {} B of index, {} B of page tables",
+        outstanding as f64 * 4096.0 / (1 << 20) as f64,
+        space.index_bytes,
+        space.pagetable_bytes
     );
     (ops, dt)
 }
