@@ -102,7 +102,8 @@ impl VmSystem for ToyVm {
     ) -> VmResult<Vaddr> {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
-        self.stats.add(core, OpStats::mmaps, 1);
+        self.stats
+            .add_core(&self.machine.locks().lock(core), OpStats::mmaps, 1);
         let _ = backing; // all backings are demand-zero in the simulation
         let mut pages = self.pages.lock();
         self.remove_range(core, &mut pages, lo, n);
@@ -115,7 +116,8 @@ impl VmSystem for ToyVm {
     fn munmap(&self, core: usize, addr: Vaddr, len: u64) -> VmResult<()> {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
-        self.stats.add(core, OpStats::munmaps, 1);
+        self.stats
+            .add_core(&self.machine.locks().lock(core), OpStats::munmaps, 1);
         let mut pages = self.pages.lock();
         self.remove_range(core, &mut pages, lo, n);
         Ok(())
@@ -133,14 +135,18 @@ impl VmSystem for ToyVm {
         page.prot.check(kind)?;
         let pfn = match page.pfn {
             Some(pfn) => {
-                self.stats.add(core, OpStats::faults_fill, 1);
+                self.stats
+                    .add_core(&self.machine.locks().lock(core), OpStats::faults_fill, 1);
                 pfn
             }
             None => {
                 // Fallible allocation: the early return drops the map
                 // lock with the page still unpopulated (exact unwind).
-                let pfn = self.machine.fault_frame(core, &self.stats)?;
-                self.stats.add(core, OpStats::faults_alloc, 1);
+                let pfn = self
+                    .machine
+                    .fault_frame(&mut self.machine.locks().lock(core), &self.stats)?;
+                self.stats
+                    .add_core(&self.machine.locks().lock(core), OpStats::faults_alloc, 1);
                 page.pfn = Some(pfn);
                 pfn
             }

@@ -298,7 +298,8 @@ impl VmSystem for BonsaiVm {
     ) -> VmResult<Vaddr> {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
-        self.stats.add(core, OpStats::mmaps, 1);
+        self.stats
+            .add_core(&self.machine.locks().lock(core), OpStats::mmaps, 1);
         let backing = backing.anchored(lo);
         let _m = self.mutate.lock();
         let g = epoch::pin();
@@ -319,7 +320,8 @@ impl VmSystem for BonsaiVm {
     fn munmap(&self, core: usize, addr: Vaddr, len: u64) -> VmResult<()> {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
-        self.stats.add(core, OpStats::munmaps, 1);
+        self.stats
+            .add_core(&self.machine.locks().lock(core), OpStats::munmaps, 1);
         let _m = self.mutate.lock();
         let g = epoch::pin();
         let shared = self.root.load(std::sync::atomic::Ordering::Acquire, &g);
@@ -357,13 +359,17 @@ impl VmSystem for BonsaiVm {
         let table = &self.table;
         let pte = table.get(vpn);
         let pfn = if pte.present() {
-            self.stats.add(core, OpStats::faults_fill, 1);
+            self.stats
+                .add_core(&self.machine.locks().lock(core), OpStats::faults_fill, 1);
             pte.pfn()
         } else {
             // Fallible allocation: on OutOfMemory the early return drops
             // the page-table lock with nothing installed (exact unwind).
-            let pfn = self.machine.fault_frame(core, &self.stats)?;
-            self.stats.add(core, OpStats::faults_alloc, 1);
+            let pfn = self
+                .machine
+                .fault_frame(&mut self.machine.locks().lock(core), &self.stats)?;
+            self.stats
+                .add_core(&self.machine.locks().lock(core), OpStats::faults_alloc, 1);
             pool.inc_map(pfn);
             table.set(vpn, Pte::new(pfn, writable));
             pfn

@@ -88,7 +88,8 @@ impl VmSystem for LinuxVm {
     ) -> VmResult<Vaddr> {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
-        self.stats.add(core, OpStats::mmaps, 1);
+        self.stats
+            .add_core(&self.machine.locks().lock(core), OpStats::mmaps, 1);
         let backing = backing.anchored(lo);
         let mut vmas = self.state.write();
         let removed = vmas.carve(lo, lo + n);
@@ -107,7 +108,8 @@ impl VmSystem for LinuxVm {
     fn munmap(&self, core: usize, addr: Vaddr, len: u64) -> VmResult<()> {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
-        self.stats.add(core, OpStats::munmaps, 1);
+        self.stats
+            .add_core(&self.machine.locks().lock(core), OpStats::munmaps, 1);
         let mut vmas = self.state.write();
         let removed = vmas.carve(lo, lo + n);
         for old in &removed {
@@ -133,22 +135,27 @@ impl VmSystem for LinuxVm {
         let table = &self.table;
         let pte = table.get(vpn);
         let pfn = if pte.present() {
-            self.stats.add(core, OpStats::faults_fill, 1);
+            self.stats
+                .add_core(&self.machine.locks().lock(core), OpStats::faults_fill, 1);
             pte.pfn()
         } else {
             // Fallible allocation: nothing is installed before the frame
             // exists, so OutOfMemory propagates with no unwind needed
             // (the read lock drops with the early return).
-            let pfn = self.machine.fault_frame(core, &self.stats)?;
+            let pfn = self
+                .machine
+                .fault_frame(&mut self.machine.locks().lock(core), &self.stats)?;
             pool.inc_map(pfn);
             match table.set_if(vpn, Pte::EMPTY, Pte::new(pfn, writable)) {
                 Ok(()) => {
-                    self.stats.add(core, OpStats::faults_alloc, 1);
+                    self.stats
+                        .add_core(&self.machine.locks().lock(core), OpStats::faults_alloc, 1);
                     pfn
                 }
                 Err(winner) => {
                     // Another core's fault won the install race.
-                    self.stats.add(core, OpStats::faults_fill, 1);
+                    self.stats
+                        .add_core(&self.machine.locks().lock(core), OpStats::faults_fill, 1);
                     pool.dec_map(pfn);
                     pool.free(core, pfn);
                     winner.pfn()

@@ -24,8 +24,6 @@
 
 use std::sync::Arc;
 
-use std::sync::Mutex;
-
 use rvm_hw::{
     vpn_of, AccessKind, Asid, Backing, Machine, MapFlags, Mmu, MmuKind, OpStats, Prot, Pte,
     ShardedOpStats, SpaceUsage, Translation, Vaddr, VmError, VmResult, VmSystem, Vpn, BLOCK_PAGES,
@@ -35,7 +33,7 @@ use rvm_mem::{FrameRef, Pfn};
 use rvm_radix::{LockMode, RadixConfig, RadixTree, RangeGuard, RemovedList, VPN_LIMIT};
 use rvm_refcache::Refcache;
 use rvm_sync::atomic::AtomicCoreSet;
-use rvm_sync::{failpoint, sim, CachePadded, CoreSet, InlineVec, RangeLockKind};
+use rvm_sync::{failpoint, sim, CoreHeld, CoreSet, InlineVec, PerCore, RangeLockKind};
 
 use crate::meta::{block_member, PageKind, PageMeta};
 
@@ -109,8 +107,8 @@ const PROMOTE_THRESHOLD: u32 = 64;
 
 /// Per-core promotion trigger state: a small direct-mapped table of
 /// `(block base, eligible-fault count)` pairs. Fixed storage — ticking a
-/// counter never allocates — and per-core, so the fault path never
-/// contends on it (the Mutex is only ever taken by its owning core).
+/// counter never allocates — and per-core, in the core's `CoreLock`
+/// cell, so the fault path never contends on it.
 struct PromoteCounters {
     slots: [(Vpn, u32); PROMOTE_WAYS],
 }
@@ -156,28 +154,36 @@ pub struct RadixVm {
     stats: ShardedOpStats,
     /// Per-core promotion fill counters (DESIGN.md §12): opportunistic
     /// superpage promotion is triggered from the fault path, not a
-    /// background thread. Padded: neighbouring cores' counters would
-    /// otherwise share lines on every eligible 4 KiB fault.
-    promote: Vec<CachePadded<Mutex<PromoteCounters>>>,
+    /// background thread.
+    promote: PerCore<PromoteCounters>,
     /// Dropped last: whoever drops the last handle on `cache` drains it,
     /// which runs the frame cells' zero actions in the machine's pool.
     machine: Arc<Machine>,
 }
 
 impl RadixVm {
-    /// Creates an address space with its own Refcache.
+    /// Creates an address space with its own Refcache, under the
+    /// machine's `CoreLock`s: each VM call takes its core's once.
     pub fn new(machine: Arc<Machine>, cfg: RadixVmConfig) -> Arc<RadixVm> {
-        let cache = Arc::new(Refcache::new(machine.ncores()));
+        let cache = Arc::new(Refcache::with_locks(machine.locks().clone()));
         Self::with_cache(machine, cache, cfg)
     }
 
     /// Creates an address space sharing an existing Refcache (as all
     /// address spaces in one kernel would).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cache` sits under the machine's `CoreLock`s.
     pub fn with_cache(
         machine: Arc<Machine>,
         cache: Arc<Refcache>,
         cfg: RadixVmConfig,
     ) -> Arc<RadixVm> {
+        assert!(
+            Arc::ptr_eq(cache.locks(), machine.locks()),
+            "the Refcache must share the machine's CoreLocks"
+        );
         let mmu = Mmu::new(cfg.mmu, machine.ncores());
         let tree = RadixTree::new(
             cache.clone(),
@@ -194,9 +200,7 @@ impl RadixVm {
         Arc::new(RadixVm {
             asid: machine.alloc_asid(),
             stats: ShardedOpStats::new(machine.ncores()),
-            promote: (0..machine.ncores())
-                .map(|_| CachePadded::new(Mutex::new(PromoteCounters::new())))
-                .collect(),
+            promote: PerCore::new(machine.locks().clone(), |_| PromoteCounters::new()),
             machine,
             cache,
             tree,
@@ -224,14 +228,13 @@ impl RadixVm {
     /// Counts `frames` fault-installed frames starting at `pfn` as
     /// on-node or cross-node, by the frame's home node vs. the faulting
     /// core's node.
-    fn count_fault_placement(&self, core: usize, pfn: Pfn, frames: u64) {
+    fn count_fault_placement(&self, held: &CoreHeld<'_>, pfn: Pfn, frames: u64) {
         let pool = self.machine.pool();
-        if pool.home(pfn) == pool.node_of(core) {
-            self.stats.add(core, OpStats::fault_frames_on_node, frames);
-        } else {
-            self.stats
-                .add(core, OpStats::fault_frames_cross_node, frames);
-        }
+        let field = match pool.home(pfn) == pool.node_of(held.core()) {
+            true => OpStats::fault_frames_on_node,
+            false => OpStats::fault_frames_cross_node,
+        };
+        self.stats.add_core(held, field, frames);
     }
 
     /// A clone of the metadata governing `vpn`, for white-box tests.
@@ -313,11 +316,11 @@ impl RadixVm {
     /// fold's whole span — and the answer is
     /// [`RadixVm::settle_refs`]'s: whether the caller, which holds no
     /// guard by now, owes the core a [`RadixTree::expedite`].
-    fn release_frames(&self, core: usize, removed: &RemovedList<PageMeta>) -> bool {
+    fn release_frames(&self, held: &mut CoreHeld<'_>, removed: &RemovedList<PageMeta>) -> bool {
         let frames = removed
             .into_iter()
             .filter_map(|r| r.value.frame.map(|f| (f, r.pages)));
-        self.settle_refs(core, frames, -1)
+        self.settle_refs(held, frames, -1)
     }
 
     /// Applies `each` (one reference taken, or one surrendered) for every
@@ -333,7 +336,7 @@ impl RadixVm {
     /// for the tails of `mmap_flags`/`munmap` to act on.
     fn settle_refs(
         &self,
-        core: usize,
+        held: &mut CoreHeld<'_>,
         frames: impl IntoIterator<Item = (FrameRef, u64)>,
         each: i64,
     ) -> bool {
@@ -341,9 +344,9 @@ impl RadixVm {
         let mut due = false;
         let mut settle = |(r, k, pages): (FrameRef, i64, u64)| {
             if k < 0 {
-                due |= pool.ref_surrender(&self.cache, core, r, -k, pages);
+                due |= pool.ref_surrender(&self.cache, held, r, -k, pages);
             } else {
-                pool.ref_adjust(&self.cache, core, r, k);
+                pool.ref_adjust(&self.cache, held, r, k);
             }
         };
         let mut run: Option<(FrameRef, i64, u64)> = None;
@@ -381,7 +384,7 @@ impl RadixVm {
     /// handle however deep the cascade went. The superpage PTE is then
     /// shattered one rung in every tracked table and the span TLB
     /// entries are shot down, all under the same guard.
-    fn demote_expanded(&self, core: usize, guard: &mut RangeGuard<'_, PageMeta>) {
+    fn demote_expanded(&self, guard: &mut RangeGuard<'_, PageMeta>) {
         // One entry per expanded superpage `(base, pages)`, keyed by its
         // *virtual* span, not by handle: every chunk of one demoted
         // 1 GiB block carries the same head handle, and merging two
@@ -407,13 +410,15 @@ impl RadixVm {
         // become 4 KiB PTEs.
         demoted.sort_by_key(|e| std::cmp::Reverse(e.1));
         let pool = self.machine.pool();
+        let held = guard.token();
+        let core = held.core();
         for (base, pages, b, tracked) in demoted {
-            pool.ref_adjust(&self.cache, core, b, fanout as i64 - 1);
+            pool.ref_adjust(&self.cache, held, b, fanout as i64 - 1);
             let targets = self.shootdown_set(tracked);
             self.mmu.demote(base, pages, tracked);
             self.machine
                 .shootdown(core, self.asid, base, pages, targets);
-            self.stats.add(core, OpStats::superpage_demotions, 1);
+            self.stats.add_core(held, OpStats::superpage_demotions, 1);
         }
     }
 
@@ -426,10 +431,11 @@ impl RadixVm {
         let mut entries: Vec<(Vpn, u64, PageMeta)> = Vec::new();
         let mut revoke_runs = Runs::new();
         let mut revoke_set = CoreSet::EMPTY;
+        let mut held = self.machine.locks().lock(core);
         {
             let mut g = self
                 .tree
-                .lock_range(core, 0, VPN_LIMIT, LockMode::ExpandFolded);
+                .lock_range_held(&mut held, 0, VPN_LIMIT, LockMode::ExpandFolded);
             g.for_each_entry_mut(|vpn, pages, m| {
                 if m.frame.is_some() && m.prot.writable() {
                     m.kind = PageKind::Cow;
@@ -450,16 +456,17 @@ impl RadixVm {
             // page).
             // Taken under the guard, while the parent's own references
             // cannot go away.
-            let held = entries
+            let frames = entries
                 .iter()
                 .filter_map(|(_, pages, m)| m.frame.map(|f| (f, *pages)));
-            self.settle_refs(core, held, 1);
+            self.settle_refs(g.token(), frames, 1);
             self.revoke(core, 0, VPN_LIMIT, &revoke_runs, revoke_set);
         }
         for (vpn, pages, meta) in entries {
-            let mut g = child
-                .tree
-                .lock_range(core, vpn, vpn + pages, LockMode::ExpandAll);
+            let mut g =
+                child
+                    .tree
+                    .lock_range_held(&mut held, vpn, vpn + pages, LockMode::ExpandAll);
             let displaced = g.replace(&meta);
             debug_assert!(displaced.is_empty());
         }
@@ -507,23 +514,26 @@ impl VmSystem for RadixVm {
     ) -> VmResult<Vaddr> {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
-        self.stats.add(core, OpStats::mmaps, 1);
+        let mut held = self.machine.locks().lock(core);
+        self.stats.add_core(&held, OpStats::mmaps, 1);
         // Anchor file offsets to the VPN so every page's metadata is
         // identical and the mapping folds (§3.2).
         let mut template = PageMeta::new(backing.anchored(lo), prot);
         // The huge hint is template state: it folds with the mapping and
         // makes aligned folded blocks superpage-eligible at fault time.
         template.huge = flags.huge();
-        let mut guard = self.tree.lock_range(core, lo, lo + n, LockMode::ExpandAll);
+        let mut guard = self
+            .tree
+            .lock_range_held(&mut held, lo, lo + n, LockMode::ExpandAll);
         // Mapping over part of an existing superpage demotes it first.
-        self.demote_expanded(core, &mut guard);
+        self.demote_expanded(&mut guard);
         let displaced = guard.replace(&template);
         if !displaced.is_empty() {
             self.unmap_tables(core, lo, n, &displaced);
             drop(guard);
-            if self.release_frames(core, &displaced) {
+            if self.release_frames(&mut held, &displaced) {
                 // As at the tail of `munmap`: only after the guard.
-                self.tree.expedite(core);
+                self.tree.expedite(&mut held);
             }
         }
         Ok(addr)
@@ -532,14 +542,15 @@ impl VmSystem for RadixVm {
     fn munmap(&self, core: usize, addr: Vaddr, len: u64) -> VmResult<()> {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
-        self.stats.add(core, OpStats::munmaps, 1);
+        let mut held = self.machine.locks().lock(core);
+        self.stats.add_core(&held, OpStats::munmaps, 1);
         let mut guard = self
             .tree
-            .lock_range(core, lo, lo + n, LockMode::ExpandFolded);
+            .lock_range_held(&mut held, lo, lo + n, LockMode::ExpandFolded);
         // Partial unmap of a superpage demotes it (shatter + span
         // shootdown) before the per-page removal below; a full-block
         // unmap keeps the fold and releases the block whole below.
-        self.demote_expanded(core, &mut guard);
+        self.demote_expanded(&mut guard);
         let removed = guard.clear();
         self.unmap_tables(core, lo, n, &removed);
         // The table nodes the range emptied go back too, in every core's
@@ -551,16 +562,15 @@ impl VmSystem for RadixVm {
             self.mmu.free_tables(lo, n);
         }
         drop(guard);
-        if self.release_frames(core, &removed) {
+        if self.release_frames(&mut held, &removed) {
             // The core has unmapped a superpage's worth since its last
             // flush: tick now, not at the caller's next tick. A frame
             // only this core added references to already came back in
             // `release_frames`; the rest — frames another core added
             // to, the radix nodes this unmap emptied — starts its
-            // two-epoch clock here. After the guard, so no hint-riding
-            // guard of this op is alive to hold the core's hint slot
-            // (DESIGN.md §5, §8).
-            self.tree.expedite(core);
+            // two-epoch clock here. After the guard, which borrowed the
+            // token a tick takes (DESIGN.md §5, §8).
+            self.tree.expedite(&mut held);
         }
         Ok(())
     }
@@ -581,20 +591,21 @@ impl VmSystem for RadixVm {
             self.attached.insert(core);
         }
         let vpn = vpn_of(va);
+        let mut held = self.machine.locks().lock(core);
         // Fold-preserving lock: if the page lives under an intact folded
         // block, the block's single slot is locked instead of expanding
         // it — the superpage fault path (DESIGN.md §7). Leaf-resolved
         // pages behave exactly as in ExpandFolded mode.
         let mut guard = self
             .tree
-            .lock_range(core, vpn, vpn + 1, LockMode::ExpandToBlock);
+            .lock_range_held(&mut held, vpn, vpn + 1, LockMode::ExpandToBlock);
         // Shared-table configuration: a PTE installed by another core is
         // filled by hardware without kernel involvement; model that as a
         // cheap walk that bypasses the metadata entirely.
         if shared_table {
             let pte = self.mmu.table(core).get(vpn);
             if pte.present() && (kind == AccessKind::Read || pte.writable()) {
-                self.stats.add(core, OpStats::faults_fill, 1);
+                self.stats.add_core(guard.token(), OpStats::faults_fill, 1);
                 // Fill whatever span the entry maps: when another core
                 // populated a superpage, the whole of it, so this core
                 // stops faulting on it.
@@ -604,7 +615,7 @@ impl VmSystem for RadixVm {
                 return Ok(self.machine.fill_tlb(core, self.asid, vpn, pte));
             }
         }
-        match self.block_fault(core, vpn, kind, &mut guard) {
+        match self.block_fault(vpn, kind, &mut guard) {
             BlockPath::Resolved(r) => return r,
             BlockPath::Demote => {
                 // The fold needs per-page state (not superpage-eligible,
@@ -613,12 +624,12 @@ impl VmSystem for RadixVm {
                 drop(guard);
                 guard = self
                     .tree
-                    .lock_range(core, vpn, vpn + 1, LockMode::ExpandFolded);
-                self.demote_expanded(core, &mut guard);
+                    .lock_range_held(&mut held, vpn, vpn + 1, LockMode::ExpandFolded);
+                self.demote_expanded(&mut guard);
             }
             BlockPath::Leaf => {}
         }
-        let meta = guard.page_value_mut().ok_or(VmError::NoMapping)?;
+        let (meta, token) = guard.page_and_token().ok_or(VmError::NoMapping)?;
         meta.prot.check(kind)?;
         // Copy-on-write resolution for write faults. The shared source
         // is whatever the page's one handle references — its own frame
@@ -630,9 +641,9 @@ impl VmSystem for RadixVm {
             // reference: on OutOfMemory the metadata still owns its
             // frame, so the fault unwinds exactly — nothing installed,
             // nothing leaked, and the guard drop releases every lock.
-            let new_pfn = self.machine.fault_frame(core, &self.stats)?;
-            self.stats.add(core, OpStats::faults_cow, 1);
-            self.count_fault_placement(core, new_pfn, 1);
+            let new_pfn = self.machine.fault_frame(token, &self.stats)?;
+            self.stats.add_core(token, OpStats::faults_cow, 1);
+            self.count_fault_placement(token, new_pfn, 1);
             if let Some(shared) = meta.frame.take() {
                 // Copy the old contents into the private page: both
                 // frames are live (the taken reference is not yet
@@ -648,14 +659,14 @@ impl VmSystem for RadixVm {
                 }
                 // Under the guard: the page is accounted, the tick is
                 // left to the core's next `mmap`/`munmap` tail.
-                pool.ref_surrender(&self.cache, core, shared, 1, 1);
+                pool.ref_surrender(&self.cache, token, shared, 1, 1);
             }
-            meta.frame = Some(pool.retain(&self.cache, core, new_pfn, 0, 1));
+            meta.frame = Some(pool.retain(&self.cache, token, new_pfn, 0, 1));
             meta.kind = PageKind::Plain;
         }
         let pfn = match meta.frame_for(vpn) {
             Some(pfn) => {
-                self.stats.add(core, OpStats::faults_fill, 1);
+                self.stats.add_core(token, OpStats::faults_fill, 1);
                 pfn
             }
             None => {
@@ -666,10 +677,10 @@ impl VmSystem for RadixVm {
                 // installed yet, so the error propagates with the
                 // metadata untouched (exact unwind, DESIGN.md §11).
                 let pool = self.machine.pool();
-                let pfn = self.machine.fault_frame(core, &self.stats)?;
-                self.stats.add(core, OpStats::faults_alloc, 1);
-                self.count_fault_placement(core, pfn, 1);
-                meta.frame = Some(pool.retain(&self.cache, core, pfn, 0, 1));
+                let pfn = self.machine.fault_frame(token, &self.stats)?;
+                self.stats.add_core(token, OpStats::faults_alloc, 1);
+                self.count_fault_placement(token, pfn, 1);
+                meta.frame = Some(pool.retain(&self.cache, token, pfn, 0, 1));
                 pfn
             }
         };
@@ -692,14 +703,14 @@ impl VmSystem for RadixVm {
         let tr = self.install(core, vpn, pfn, 1, writable);
         if promote_candidate {
             let base = vpn & !(BLOCK_PAGES - 1);
-            if self.promote[core].lock().unwrap().tick(base) {
+            if self.promote.get(token).tick(base) {
                 // Opportunistic promotion, outside the fault's critical
                 // section (the full-block lock must not nest inside this
                 // page's slot lock). On success the returned translation
                 // reflects the promoted mapping — required when the
                 // pages migrated into a fresh block.
                 drop(guard);
-                if let Some(promoted) = self.try_promote(core, vpn, base) {
+                if let Some(promoted) = self.try_promote(&mut held, vpn, base) {
                     return Ok(promoted);
                 }
             }
@@ -710,13 +721,14 @@ impl VmSystem for RadixVm {
     fn mprotect(&self, core: usize, addr: Vaddr, len: u64, prot: Prot) -> VmResult<()> {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
+        let mut held = self.machine.locks().lock(core);
         let mut guard = self
             .tree
-            .lock_range(core, lo, lo + n, LockMode::ExpandFolded);
+            .lock_range_held(&mut held, lo, lo + n, LockMode::ExpandFolded);
         // Partial mprotect of a superpage demotes it; a whole-block
         // mprotect keeps the fold (the revoke below clears the block PTE
         // and the next fault re-installs it with the new protection).
-        self.demote_expanded(core, &mut guard);
+        self.demote_expanded(&mut guard);
         let mut tracked = CoreSet::EMPTY;
         let mut runs = Runs::new();
         let mut mapped_pages = 0u64;
@@ -740,7 +752,8 @@ impl VmSystem for RadixVm {
     }
 
     fn maintain(&self, core: usize) {
-        self.tree.maintain(core);
+        self.tree
+            .maintain_held(&mut self.machine.locks().lock(core));
     }
 
     fn fork(&self, core: usize) -> VmResult<Arc<dyn VmSystem>> {
@@ -828,14 +841,14 @@ impl RadixVm {
     /// write. Ineligible folds demote ([`BlockPath::Demote`]).
     fn block_fault(
         &self,
-        core: usize,
         vpn: Vpn,
         kind: AccessKind,
         guard: &mut RangeGuard<'_, PageMeta>,
     ) -> BlockPath {
-        let Some((start, pages, meta)) = guard.block_entry_mut() else {
+        let Some((start, pages, meta, held)) = guard.block_entry_mut() else {
             return BlockPath::Leaf;
         };
+        let core = held.core();
         if let Err(e) = meta.prot.check(kind) {
             return BlockPath::Resolved(Err(e));
         }
@@ -850,7 +863,7 @@ impl RadixVm {
         let pool = self.machine.pool();
         let base = match meta.frame {
             Some(b) => {
-                self.stats.add(core, OpStats::faults_fill, 1);
+                self.stats.add_core(held, OpStats::faults_fill, 1);
                 // The handle's pfn is its slot's block head; a chunk
                 // demoted out of a larger block keeps that block's head
                 // handle, so resolve the chunk base by the virtual
@@ -867,16 +880,16 @@ impl RadixVm {
                 // failing the access — a failed 1 GiB populate retries
                 // at 2 MiB, a failed 2 MiB populate at 4 KiB.
                 let order = block_order(pages);
-                let base = match pool.try_alloc_block(core, order) {
+                let base = match pool.try_alloc_block_held(held, order) {
                     Ok(base) => base,
                     Err(_) => {
-                        self.stats.add(core, OpStats::block_fallbacks, 1);
+                        self.stats.add_core(held, OpStats::block_fallbacks, 1);
                         return BlockPath::Demote;
                     }
                 };
-                self.stats.add(core, OpStats::faults_alloc, 1);
-                self.count_fault_placement(core, base, pages);
-                meta.frame = Some(pool.retain(&self.cache, core, base, order, 1));
+                self.stats.add_core(held, OpStats::faults_alloc, 1);
+                self.count_fault_placement(held, base, pages);
+                meta.frame = Some(pool.retain(&self.cache, held, base, order, 1));
                 base
             }
         };
@@ -885,7 +898,7 @@ impl RadixVm {
         let writable = meta.prot.writable() && meta.kind != PageKind::Cow;
         if !meta.coreset.contains(core) {
             meta.coreset.insert(core);
-            self.stats.add(core, OpStats::superpage_installs, 1);
+            self.stats.add_core(held, OpStats::superpage_installs, 1);
         }
         BlockPath::Resolved(Ok(self.install(core, vpn, base, pages, writable)))
     }
@@ -913,19 +926,20 @@ impl RadixVm {
     /// mutation, non-converged metadata — leaves the mapping valid at
     /// 4 KiB and returns `None`; promotion is never a user-visible
     /// error. Returns the promoted translation for `vpn` on success.
-    fn try_promote(&self, core: usize, vpn: Vpn, base: Vpn) -> Option<Translation> {
+    fn try_promote(&self, held: &mut CoreHeld<'_>, vpn: Vpn, base: Vpn) -> Option<Translation> {
+        let core = held.core();
         if failpoint::should_fail(failpoint::PROMOTE, core) {
             return None;
         }
         let mut guard =
             self.tree
-                .lock_range(core, base, base + BLOCK_PAGES, LockMode::ExpandFolded);
+                .lock_range_held(held, base, base + BLOCK_PAGES, LockMode::ExpandFolded);
         // If this lock itself expanded a populated fold (a racing
         // promotion or giant mapping landed between the tick and the
         // lock), the expansion must run the demotion protocol before the
         // born-held locks release — reference adoption is only legal
         // here. The refold below then bails on the born units.
-        self.demote_expanded(core, &mut guard);
+        self.demote_expanded(&mut guard);
         let mut pages = 0u64;
         let mut tracked = CoreSet::EMPTY;
         let mut tmpl: Option<(Backing, Prot, bool)> = None;
@@ -973,7 +987,7 @@ impl RadixVm {
                 // Allocation failure is the graceful-degradation path —
                 // stay at 4 KiB, retry after the next accumulation.
                 let order = block_order(BLOCK_PAGES);
-                let newbase = pool.try_alloc_block(core, order).ok()?;
+                let newbase = pool.try_alloc_block_held(guard.token(), order).ok()?;
                 // Copy before any reference is surrendered, under the
                 // guard's slot locks: no fault can observe a half-
                 // migrated page, and an unwind leaks nothing.
@@ -983,7 +997,10 @@ impl RadixVm {
                     pool.copy_frame(p.pfn, newbase + i as Pfn);
                     sim::charge_page_work();
                 }
-                (pool.retain(&self.cache, core, newbase, order, 1), newbase)
+                (
+                    pool.retain(&self.cache, guard.token(), newbase, order, 1),
+                    newbase,
+                )
             }
         };
         let folded = PageMeta {
@@ -999,7 +1016,7 @@ impl RadixVm {
             None => {
                 if demoted.is_none() {
                     // Unwind the migration: the fresh block frees whole.
-                    pool.ref_surrender(&self.cache, core, block, 1, BLOCK_PAGES);
+                    pool.ref_surrender(&self.cache, guard.token(), block, 1, BLOCK_PAGES);
                 }
                 return None;
             }
@@ -1014,9 +1031,10 @@ impl RadixVm {
         // folded value's handle adopts the first; scattered: 512 frames.
         let adopted = usize::from(demoted.is_some());
         let old = displaced.iter().filter_map(|m| m.frame).skip(adopted);
-        self.settle_refs(core, old.map(|f| (f, 1)), -1);
+        self.settle_refs(guard.token(), old.map(|f| (f, 1)), -1);
         let tr = self.install(core, vpn, pte_base, BLOCK_PAGES, writable);
-        self.stats.add(core, OpStats::superpage_promotions, 1);
+        self.stats
+            .add_core(guard.token(), OpStats::superpage_promotions, 1);
         Some(tr)
     }
 }
@@ -1025,14 +1043,13 @@ impl Drop for RadixVm {
     fn drop(&mut self) {
         // Unmap everything so physical pages return to the pool, then let
         // the tree give up its nodes.
-        let removed = {
-            let mut guard = self
-                .tree
-                .lock_range(0, 0, VPN_LIMIT, LockMode::ExpandFolded);
-            guard.clear()
-        };
+        let mut held = self.machine.locks().lock(0);
+        let removed = self
+            .tree
+            .lock_range_held(&mut held, 0, VPN_LIMIT, LockMode::ExpandFolded)
+            .clear();
         self.unmap_tables(0, 0, VPN_LIMIT, &removed);
-        self.release_frames(0, &removed);
+        self.release_frames(&mut held, &removed);
         self.machine.flush_asid(self.asid);
     }
 }

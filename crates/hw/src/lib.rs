@@ -26,7 +26,9 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use rvm_mem::{FramePool, FRAME_SIZE};
-use rvm_sync::{failpoint, sharded_stats, sim, CachePadded, CoreSet, SpinLock};
+use rvm_sync::{
+    failpoint, sharded_stats, sim, CachePadded, CoreHeld, CoreLock, CoreLocks, CoreSet, SpinLock,
+};
 
 pub mod mmu;
 pub mod pagetable;
@@ -255,43 +257,44 @@ sharded_stats! {
     /// numbers). Backends that do not track a counter leave it zero.
     pub struct OpStats {
         /// mmap invocations.
-        mmaps: Shared,
+        mmaps: Exclusive<CoreLock>,
         /// munmap invocations.
-        munmaps: Shared,
+        munmaps: Exclusive<CoreLock>,
         /// Faults that allocated a new physical page.
-        faults_alloc: Shared,
+        faults_alloc: Exclusive<CoreLock>,
         /// Faults that only filled a translation (page already present).
-        faults_fill: Shared,
+        faults_fill: Exclusive<CoreLock>,
         /// Copy-on-write resolutions.
-        faults_cow: Shared,
+        faults_cow: Exclusive<CoreLock>,
         /// Superpage (block) PTE installs — faults that populated or filled
         /// a whole block with one entry.
-        superpage_installs: Shared,
+        superpage_installs: Exclusive<CoreLock>,
         /// Superpage demotions (block PTE shattered into 4 KiB PTEs).
-        superpage_demotions: Shared,
+        superpage_demotions: Exclusive<CoreLock>,
         /// Frames installed by faults that were homed on the faulting core's
         /// NUMA node (placement hit).
-        fault_frames_on_node: Shared,
+        fault_frames_on_node: Exclusive<CoreLock>,
         /// Frames installed by faults homed on a different node (the access
         /// stream pays cross-node traffic for the page's lifetime).
-        fault_frames_cross_node: Shared,
+        fault_frames_cross_node: Exclusive<CoreLock>,
         /// Operations that failed with [`VmError::OutOfMemory`] after the
         /// full pressure protocol came up empty.
-        oom_faults: Shared,
+        oom_faults: Exclusive<CoreLock>,
         /// Superpage populates that degraded to scattered 4 KiB pages
         /// because no contiguous block was available.
-        block_fallbacks: Shared,
+        block_fallbacks: Exclusive<CoreLock>,
         /// Superpage promotions — demoted (or never-folded) 4 KiB runs
         /// opportunistically re-folded into one block PTE (§7's inverse).
-        superpage_promotions: Shared,
+        superpage_promotions: Exclusive<CoreLock>,
     }
     /// Per-core sharded operation counters for [`VmSystem::op_stats`].
     ///
-    /// Every backend embeds one and bumps it on each operation with the
-    /// operating core's id (`ops.add(core, OpStats::mmaps, 1)`): the bump
-    /// lands in that core's cache-line-padded cell, so counting costs no
-    /// cross-core traffic even when every core runs the op loop flat out
-    /// (sum-on-read; DESIGN.md §6). Totals are exact once the address
+    /// Every backend embeds one and bumps it on each operation under the
+    /// operating core's `CoreLock` (`ops.add_core(&held, OpStats::mmaps,
+    /// 1)`): the bump lands in that core's cache-line-padded cell as a
+    /// plain load and store, so counting costs no cross-core traffic and
+    /// no locked instruction even when every core runs the op loop flat
+    /// out (sum-on-read; DESIGN.md §6). Totals are exact once the address
     /// space is idle — the conformance suite asserts no count is ever
     /// lost.
     pub struct ShardedOpStats;
@@ -466,8 +469,8 @@ impl Machine {
     /// Creates a machine with the given configuration.
     pub fn with_config(cfg: MachineConfig) -> Arc<Machine> {
         assert!(cfg.ncores >= 1 && cfg.ncores <= rvm_sync::MAX_CORES);
-        let pool = Arc::new(FramePool::with_placement(
-            cfg.ncores,
+        let pool = Arc::new(FramePool::with_locks(
+            CoreLocks::new(cfg.ncores),
             cfg.placement,
             cfg.nnodes,
         ));
@@ -491,6 +494,12 @@ impl Machine {
     /// The machine's physical frame pool.
     pub fn pool(&self) -> &Arc<FramePool> {
         &self.pool
+    }
+
+    /// The machine's per-core locks, which its pool's per-core state
+    /// sits under and every VM on the machine shares (`rvm_sync::corelock`).
+    pub fn locks(&self) -> &Arc<CoreLocks> {
+        self.pool.locks()
     }
 
     /// The machine's frame-placement policy.
@@ -544,14 +553,14 @@ impl Machine {
         }
     }
 
-    /// One zeroed frame for a fault on `core`. Exhaustion is counted in
-    /// `stats` as an [`OpStats::oom_faults`] and becomes the fault's
-    /// error; a caller that has installed nothing yet unwinds exactly
-    /// (DESIGN.md §11).
+    /// One zeroed frame for a fault on the held core. Exhaustion is
+    /// counted in `stats` as an [`OpStats::oom_faults`] and becomes the
+    /// fault's error; a caller that has installed nothing yet unwinds
+    /// exactly (DESIGN.md §11).
     #[inline]
-    pub fn fault_frame(&self, core: usize, stats: &ShardedOpStats) -> VmResult<Pfn> {
-        self.pool.try_alloc(core).map_err(|e| {
-            stats.add(core, OpStats::oom_faults, 1);
+    pub fn fault_frame(&self, held: &mut CoreHeld<'_>, stats: &ShardedOpStats) -> VmResult<Pfn> {
+        self.pool.try_alloc_held(held).map_err(|e| {
+            stats.add_core(held, OpStats::oom_faults, 1);
             e.into()
         })
     }

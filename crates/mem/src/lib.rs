@@ -73,11 +73,12 @@
 use std::sync::atomic::{
     fence, AtomicBool, AtomicPtr, AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering,
 };
+use std::sync::Arc;
 
 use rvm_refcache::{CountSlot, Refcache, ReleaseCtx, SlotManaged, SlotPtr};
 use rvm_sync::{
-    asan_poison, failpoint, model, sharded_stats, sim, Backoff, CachePadded, SpinLock,
-    SpinLockGuard,
+    asan_poison, failpoint, model, sharded_stats, sim, Backoff, CachePadded, CoreHeld, CoreLocks,
+    PerCore, SpinLock,
 };
 
 /// Physical memory is exhausted: every tier of the pressure protocol
@@ -147,15 +148,21 @@ pub struct FrameRc {
 }
 
 impl SlotManaged for FrameRc {
-    /// Returns the frame or block to the pool: this core's free-list
-    /// lock, then at most one reservoir, never the cache's own locks.
+    /// Returns the frame or block to the pool under the core lock the
+    /// release runs under — the pool's own set's lock of that core when
+    /// the pool and the cache do not share a set — then at most one
+    /// reservoir.
     fn on_zero(&self, ctx: &ReleaseCtx<'_>) {
         let pool = self.pool.load(Ordering::Acquire);
         debug_assert!(!pool.is_null(), "released a never-retained frame slot");
         // SAFETY: the pool outlives the cache running this action (see
         // the `pool` field docs).
         let pool = unsafe { &*pool };
-        pool.take_back(ctx.core, self.pfn, self.order.load(Ordering::Acquire));
+        let order = self.order.load(Ordering::Acquire);
+        ctx.with_held(|held| match held.is_of(pool.locks()) {
+            true => pool.take_back(held, self.pfn, order),
+            false => pool.take_back(&mut pool.cores.lock(held.core()), self.pfn, order),
+        });
     }
 }
 
@@ -377,10 +384,10 @@ pub struct FramePool {
     /// Number of NUMA nodes (≥ 1); cores stripe across them
     /// ([`model::node_of`]).
     nnodes: usize,
-    /// Per-core frame state, one lock each. Lock order: a core's lock
-    /// comes before a node reservoir, a block reservoir or the growth
-    /// lock, and nothing takes a core's lock while holding one of those.
-    cores: Vec<CachePadded<SpinLock<CoreFrames>>>,
+    /// Per-core frame state, under each core's `CoreLock` (the
+    /// machine's, or the pool's own): before a node reservoir, a block
+    /// reservoir or the growth lock in the lock order (`rvm_sync::corelock`).
+    cores: PerCore<CoreFrames>,
     /// Per-node frame reservoirs: the second allocation tier. A core with
     /// an empty free list pulls a refill batch from its own node's
     /// reservoir; a core's list spills all but its hottest frame here
@@ -422,8 +429,16 @@ impl FramePool {
     /// Creates a pool serving `ncores` cores striped across `nnodes`
     /// NUMA nodes, with the given placement policy.
     pub fn with_placement(ncores: usize, policy: PlacementPolicy, nnodes: usize) -> Self {
-        assert!((1..=rvm_sync::MAX_CORES).contains(&ncores));
+        Self::with_locks(CoreLocks::new(ncores), policy, nnodes)
+    }
+
+    /// [`FramePool::with_placement`] for the cores of `locks`, whose
+    /// `CoreLock`s guard the pool's per-core state: a machine shares its
+    /// set, so a VM call holding its core's lock allocates and frees
+    /// with no lock of the pool's own ([`FramePool::try_alloc_held`]).
+    pub fn with_locks(locks: Arc<CoreLocks>, policy: PlacementPolicy, nnodes: usize) -> Self {
         assert!(nnodes >= 1, "FramePool needs at least one NUMA node");
+        let ncores = locks.ncores();
         let chunk_ptrs = (0..MAX_CHUNKS)
             .map(|_| AtomicPtr::new(std::ptr::null_mut()))
             .collect::<Vec<_>>()
@@ -432,18 +447,14 @@ impl FramePool {
             ncores,
             policy,
             nnodes,
-            cores: (0..ncores)
-                .map(|core| {
-                    CachePadded::new(SpinLock::new(CoreFrames {
-                        free: Vec::new(),
-                        magazine: Vec::with_capacity(MAGAZINE_SIZE),
-                        // Each core's stride starts at its own index, so
-                        // concurrent interleaved allocators begin on
-                        // different nodes.
-                        stride: core,
-                    }))
-                })
-                .collect(),
+            cores: PerCore::new(locks, |core| CoreFrames {
+                free: Vec::new(),
+                magazine: Vec::with_capacity(MAGAZINE_SIZE),
+                // Each core's stride starts at its own index, so
+                // concurrent interleaved allocators begin on different
+                // nodes.
+                stride: core,
+            }),
             reservoirs: (0..nnodes)
                 .map(|_| CachePadded::new(SpinLock::new(Vec::new())))
                 .collect(),
@@ -476,6 +487,11 @@ impl FramePool {
     /// Number of cores this pool serves.
     pub fn ncores(&self) -> usize {
         self.ncores
+    }
+
+    /// The `CoreLock`s guarding the pool's per-core state.
+    pub fn locks(&self) -> &Arc<CoreLocks> {
+        self.cores.locks()
     }
 
     /// NUMA node of `core`.
@@ -548,7 +564,7 @@ impl FramePool {
     pub fn retain(
         &self,
         cache: &Refcache,
-        core: usize,
+        held: &CoreHeld<'_>,
         base: Pfn,
         order: u8,
         init_count: i64,
@@ -562,7 +578,7 @@ impl FramePool {
             self as *const FramePool as *mut FramePool,
             Ordering::Release,
         );
-        cache.activate(core, slot.rc.handle(), init_count);
+        cache.activate(held, slot.rc.handle(), init_count);
         FrameRef {
             pfn: base,
             gen: slot.gen.load(Ordering::Acquire),
@@ -581,9 +597,9 @@ impl FramePool {
     /// is confirmed zero the frame (or whole block, per the order the
     /// cell was armed with) returns to the pool.
     #[inline]
-    pub fn ref_adjust(&self, cache: &Refcache, core: usize, r: FrameRef, delta: i64) {
+    pub fn ref_adjust(&self, cache: &Refcache, held: &mut CoreHeld<'_>, r: FrameRef, delta: i64) {
         debug_assert_eq!(self.generation(r.pfn), r.gen, "stale frame handle");
-        cache.adjust(core, self.cell(r.pfn), delta);
+        cache.adjust_held(held, self.cell(r.pfn), delta);
     }
 
     /// Surrenders `refs` references on the slot behind `r` —
@@ -596,13 +612,13 @@ impl FramePool {
     pub fn ref_surrender(
         &self,
         cache: &Refcache,
-        core: usize,
+        held: &mut CoreHeld<'_>,
         r: FrameRef,
         refs: i64,
         pages: u64,
     ) -> bool {
         debug_assert_eq!(self.generation(r.pfn), r.gen, "stale frame handle");
-        cache.surrender(core, self.cell(r.pfn), refs, pages)
+        cache.surrender(held, self.cell(r.pfn), refs, pages)
     }
 
     /// Allocates a zeroed frame on `core`, or returns [`OutOfMemory`]
@@ -635,14 +651,19 @@ impl FramePool {
     /// Charges the simulator for zeroing, priced by the hop distance to
     /// the frame's home node.
     pub fn try_alloc(&self, core: usize) -> Result<Pfn, OutOfMemory> {
+        self.try_alloc_held(&mut self.cores.lock(core))
+    }
+
+    /// [`FramePool::try_alloc`] on the core whose lock `held` is (the
+    /// pool's set's): for a caller that holds it already.
+    pub fn try_alloc_held(&self, held: &mut CoreHeld<'_>) -> Result<Pfn, OutOfMemory> {
+        let core = held.core();
         if failpoint::should_fail(failpoint::FRAME_ALLOC, core) {
             return Err(OutOfMemory);
         }
-        let mut frames = self.cores[core].lock();
-        let target = self.target_node(core, &mut frames);
-        let (pfn, reused) = self
-            .take_frame(core, &mut frames, target)
-            .ok_or(OutOfMemory)?;
+        let frames = self.cores.get(held);
+        let target = self.target_node(core, frames);
+        let (pfn, reused) = self.take_frame(core, frames, target).ok_or(OutOfMemory)?;
         Ok(self.hand_out(core, frames, pfn, 0, reused))
     }
 
@@ -722,29 +743,28 @@ impl FramePool {
     }
 
     /// The one way out, for a frame (`order` 0) or a block: counts the
-    /// `1 << order` pages handed out on `core` under its lock, drops
-    /// the lock, then per page charges the zeroing at the hop distance
-    /// to the frame's home and either allocates the payload zeroed (the
-    /// frame's first hand-out) or unpoisons the one it had and zeroes
-    /// it if it was written since. The simulator is charged for every
-    /// page alike; the host clears only written bytes, so a 2 MiB block
-    /// of which one page was touched costs one `memset`, not 512. No
-    /// `memset` or allocation ever runs under a lock.
+    /// `1 << order` pages handed out on `core`, then per page charges
+    /// the zeroing at the hop distance to the frame's home and either
+    /// allocates the payload zeroed (the frame's first hand-out) or
+    /// unpoisons the one it had and zeroes it if it was written since.
+    /// The simulator is charged for every page alike; the host clears
+    /// only written bytes, so a 2 MiB block of which one page was
+    /// touched costs one `memset`, not 512. No `memset` or allocation
+    /// runs under a lock another core takes: only the core's own.
     fn hand_out(
         &self,
         core: usize,
-        frames: SpinLockGuard<'_, CoreFrames>,
+        frames: &CoreFrames,
         base: Pfn,
         order: u8,
         reused: bool,
     ) -> Pfn {
         let pages = 1u64 << order;
         self.stats
-            .add_held(core, PoolStats::alloc_pages, &frames, pages);
+            .add_held(core, PoolStats::alloc_pages, frames, pages);
         if reused {
-            self.stats.add_held(core, PoolStats::reused, &frames, pages);
+            self.stats.add_held(core, PoolStats::reused, frames, pages);
         }
-        drop(frames);
         let home = self.home(base);
         for pfn in base..base + pages as Pfn {
             sim::charge_page_work_homed(home);
@@ -867,29 +887,39 @@ impl FramePool {
     /// scattered 4 KiB pages. Charges the simulator for zeroing the
     /// block, priced by hop distance to the block's home node.
     pub fn try_alloc_block(&self, core: usize, order: u8) -> Result<Pfn, OutOfMemory> {
+        self.try_alloc_block_held(&mut self.cores.lock(core), order)
+    }
+
+    /// [`FramePool::try_alloc_block`] on the core whose lock `held` is.
+    pub fn try_alloc_block_held(
+        &self,
+        held: &mut CoreHeld<'_>,
+        order: u8,
+    ) -> Result<Pfn, OutOfMemory> {
         assert!(order <= GIANT_ORDER, "unsupported block order {order}");
+        let core = held.core();
         if failpoint::should_fail(failpoint::BLOCK_ALLOC, core) {
             return Err(OutOfMemory);
         }
-        let mut frames = self.cores[core].lock();
-        let target = self.target_node(core, &mut frames);
+        let frames = self.cores.get(held);
+        let target = self.target_node(core, frames);
         // The guard drops with its statement: a reservoir is never held
         // while another is locked.
         let recycled = take_block(&mut self.block_reservoirs[target].lock(), order);
         let pages = 1 << order;
         let (base, reused) = match recycled {
             Some(base) => (base, true),
-            None => match self.try_grow_contiguous(core, &frames, target, pages..=pages) {
+            None => match self.try_grow_contiguous(core, frames, target, pages..=pages) {
                 Ok((base, _)) => (base, false),
                 Err(_) => (
-                    self.steal_remote_block(core, &frames, target, order)
+                    self.steal_remote_block(core, frames, target, order)
                         .ok_or(OutOfMemory)?,
                     true,
                 ),
             },
         };
         self.stats
-            .add_held(core, PoolStats::block_allocs, &frames, 1);
+            .add_held(core, PoolStats::block_allocs, frames, 1);
         Ok(self.hand_out(core, frames, base, order, reused))
     }
 
@@ -917,7 +947,7 @@ impl FramePool {
     /// `order`) from `core`: every member frame's generation is bumped,
     /// and the block returns whole to its home node's block reservoir.
     pub fn free_block(&self, core: usize, base: Pfn, order: u8) {
-        self.take_back(core, base, order);
+        self.take_back(&mut self.cores.lock(core), base, order);
     }
 
     /// Frees `pfn` from `core`, bumping its generation so stale
@@ -934,13 +964,13 @@ impl FramePool {
     /// and the caller has already completed any required TLB shootdown,
     /// so parking only delays *reuse*, never safety (DESIGN.md §6).
     pub fn free(&self, core: usize, pfn: Pfn) {
-        self.take_back(core, pfn, 0);
+        self.take_back(&mut self.cores.lock(core), pfn, 0);
     }
 
     /// The one way back, for a frame (`order` 0) or a block: bumps every
     /// member frame's generation, fences once, then waits out each
-    /// member's pins and poisons its payload; then under `core`'s lock
-    /// counts the pages and routes them — a block whole to its home
+    /// member's pins and poisons its payload; then, under the held
+    /// core's lock, counts the pages and routes them — a block whole to its home
     /// node's block reservoir (already better batched than a magazine),
     /// a page homed on the core's node onto the core's own list, which
     /// spills all but that page to the node's reservoir when it would
@@ -949,7 +979,8 @@ impl FramePool {
     /// other page into the core's outbound
     /// magazine, which flushes home once it holds [`MAGAZINE_SIZE`]
     /// frames.
-    fn take_back(&self, core: usize, base: Pfn, order: u8) {
+    fn take_back(&self, held: &mut CoreHeld<'_>, base: Pfn, order: u8) {
+        let core = held.core();
         let pages = 1u64 << order;
         let members = base..base + pages as Pfn;
         for pfn in members.clone() {
@@ -970,17 +1001,16 @@ impl FramePool {
         }
         let home = self.home(base);
         let on_node = home == self.node_of(core);
-        let mut frames = self.cores[core].lock();
+        let frames = self.cores.get(held);
         self.stats
-            .add_held(core, PoolStats::free_pages, &frames, pages);
+            .add_held(core, PoolStats::free_pages, frames, pages);
         let placement = match on_node {
             true => PoolStats::on_node_frees,
             false => PoolStats::cross_node_frees,
         };
-        self.stats.add_held(core, placement, &frames, pages);
+        self.stats.add_held(core, placement, frames, pages);
         if order > 0 {
-            self.stats
-                .add_held(core, PoolStats::block_frees, &frames, 1);
+            self.stats.add_held(core, PoolStats::block_frees, frames, 1);
             self.block_reservoirs[home].lock().push((order, base));
         } else if on_node {
             frames.free.push(base);
@@ -989,7 +1019,7 @@ impl FramePool {
                 // reservoir, where the next core whose list runs dry
                 // finds them (tier 2): a full list, or a growth's
                 // leftovers.
-                self.stats.add_held(core, PoolStats::spills, &frames, 1);
+                self.stats.add_held(core, PoolStats::spills, frames, 1);
                 let cold = frames.free.len() - 1;
                 let bare = self.bare_first(&mut frames.free[..cold]);
                 let mut res = self.reservoirs[home].lock();
@@ -1007,7 +1037,7 @@ impl FramePool {
         } else {
             frames.magazine.push((home as u16, base));
             if frames.magazine.len() >= MAGAZINE_SIZE {
-                self.flush_mag(core, &mut frames);
+                self.flush_mag(core, frames);
             }
         }
     }
@@ -1070,13 +1100,13 @@ impl FramePool {
     /// parked cross-node frees allocatable on their home nodes.
     pub fn flush_magazines(&self) {
         for core in 0..self.ncores {
-            self.flush_mag(core, &mut self.cores[core].lock());
+            self.flush_mag(core, self.cores.get(&mut self.cores.lock(core)));
         }
     }
 
     /// Frames currently parked in `core`'s outbound magazine (tests).
     pub fn magazine_len(&self, core: usize) -> usize {
-        self.cores[core].lock().magazine.len()
+        self.cores.get(&mut self.cores.lock(core)).magazine.len()
     }
 
     /// Pins `pfn` for one access if its generation is still `gen`, or
@@ -1248,7 +1278,6 @@ impl Drop for FramePool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     /// Which word shares a line with which is simulator-visible (these
     /// twelve span two lines, and the two a page-sized free bumps share
@@ -1788,20 +1817,20 @@ mod tests {
             let base = alloc(0);
             let table = pool.total_frames();
             assert_eq!(pool.outstanding_frames(), pages, "order {order}");
-            let r = pool.retain(&cache, 0, base, order, 1);
+            let r = pool.retain(&cache, &cache.lock(0), base, order, 1);
             assert_eq!((r.pfn, r.order), (base, order));
             // The demotion lifecycle, handed around two cores: one
             // reference for the fold, 511 adopted in one adjustment on
             // core 1, a hole punch's 16 and an unmap's 495 surrendered
             // as two runs on core 0.
             let k = BLOCK_PAGES as i64 - 1;
-            pool.ref_adjust(&cache, 1, r, k);
-            pool.ref_surrender(&cache, 0, r, 16, 16);
-            pool.ref_surrender(&cache, 0, r, k - 16, k as u64 - 16);
+            pool.ref_adjust(&cache, &mut cache.lock(1), r, k);
+            pool.ref_surrender(&cache, &mut cache.lock(0), r, 16, 16);
+            pool.ref_surrender(&cache, &mut cache.lock(0), r, k - 16, k as u64 - 16);
             cache.quiesce();
             assert_eq!(freed(), 0, "order {order}: the last reference holds it");
             assert_eq!(pool.outstanding_frames(), pages);
-            pool.ref_surrender(&cache, 0, r, 1, 1);
+            pool.ref_surrender(&cache, &mut cache.lock(0), r, 1, 1);
             cache.quiesce();
             pool.flush_magazines();
             assert_eq!(pool.outstanding_frames(), 0, "order {order}: freed whole");
@@ -1816,9 +1845,9 @@ mod tests {
             // cell re-arms under a newer generation.
             assert_eq!(alloc(0), base, "order {order}");
             assert_eq!(pool.total_frames(), table, "order {order}: recycled");
-            let r2 = pool.retain(&cache, 0, base, order, 1);
+            let r2 = pool.retain(&cache, &cache.lock(0), base, order, 1);
             assert!(r2.gen > r.gen, "new incarnation has a newer generation");
-            pool.ref_adjust(&cache, 0, r2, -1);
+            pool.ref_adjust(&cache, &mut cache.lock(0), r2, -1);
             cache.quiesce();
             assert_eq!(pool.outstanding_frames(), 0);
         }
@@ -1955,7 +1984,7 @@ mod tests {
 
     /// Frames on `core`'s free list.
     fn free_len(pool: &FramePool, core: usize) -> usize {
-        pool.cores[core].lock().free.len()
+        pool.cores.get(&mut pool.cores.lock(core)).free.len()
     }
 
     /// One round of the pattern the spill exists for: core 0 allocates

@@ -143,7 +143,7 @@ mod tests {
         // slot whole instead of expanding it.
         {
             let mut g = t.lock_range(0, start + 37, start + 38, LockMode::ExpandToBlock);
-            let (lo, pages, v) = g.block_entry_mut().expect("fold preserved");
+            let (lo, pages, v, _) = g.block_entry_mut().expect("fold preserved");
             assert_eq!((lo, pages), (start, 512));
             assert_eq!(*v, 8);
             *v = 9; // fault-time state lands in the single block value
@@ -176,7 +176,7 @@ mod tests {
         let expansions = t.stats().expansions();
         {
             let mut g = t.lock_range(0, 700, 701, LockMode::ExpandToBlock);
-            let (lo, pages, v) = g.block_entry_mut().expect("giant fold");
+            let (lo, pages, v, _) = g.block_entry_mut().expect("giant fold");
             assert_eq!((lo, pages), (0, span));
             assert_eq!(*v, 3);
         }
@@ -190,7 +190,7 @@ mod tests {
         }
         {
             let mut g = t.lock_range(0, 700, 701, LockMode::ExpandToBlock);
-            let (lo, pages, v) = g.block_entry_mut().expect("bottom fold");
+            let (lo, pages, v, _) = g.block_entry_mut().expect("bottom fold");
             assert_eq!((lo, pages), (512, 512));
             assert_eq!(*v, 3);
         }
@@ -263,7 +263,7 @@ mod tests {
             g.refold(6).expect("refolds");
             s.spawn(|| {
                 let mut fault = t.lock_range(1, start + 7, start + 8, LockMode::ExpandToBlock);
-                assert_eq!(fault.block_entry_mut().map(|(_, _, v)| *v), Some(6));
+                assert_eq!(fault.block_entry_mut().map(|(_, _, v, _)| *v), Some(6));
                 locked.store(true, Ordering::SeqCst);
             });
             std::thread::sleep(std::time::Duration::from_millis(20));
@@ -564,16 +564,21 @@ mod tests {
 
     #[test]
     fn disjoint_ranges_lock_disjoint_slots() {
-        // Two guards on disjoint ranges can be held simultaneously —
-        // the non-overlap concurrency contract.
+        // Two guards on disjoint ranges can be held simultaneously, by
+        // two threads acting for two cores — the non-overlap concurrency
+        // contract.
         let t = tree(2);
         {
             let mut g1 = t.lock_range(0, 0, 512 * 513, LockMode::ExpandAll);
-            // Range 2 is in a different level-0 subtree.
-            let far = 1 << 30;
-            let mut g2 = t.lock_range(1, far, far + 10, LockMode::ExpandAll);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    // Range 2 is in a different level-0 subtree.
+                    let far = 1 << 30;
+                    let mut g2 = t.lock_range(1, far, far + 10, LockMode::ExpandAll);
+                    g2.replace(&2);
+                });
+            });
             g1.replace(&1);
-            g2.replace(&2);
         }
         assert_eq!(t.get(0, 512), Some(1));
         assert_eq!(t.get(0, (1 << 30) + 5), Some(2));
@@ -787,17 +792,20 @@ mod tests {
     }
 
     #[test]
-    fn hint_riding_guard_coexists_with_other_cores_and_multi_page_locks() {
+    fn hint_riding_guard_coexists_with_other_cores() {
         let t = hinted_tree(2);
         let hits = t.stats().hint_hits();
         let mut riding = t.lock_range(0, 1001, 1002, LockMode::ExpandFolded);
         assert_eq!(t.stats().hint_hits(), hits + 1, "served by the hint");
         assert_eq!(riding.page_value_mut(), Some(&mut 1));
-        // Another core's single-page lock uses its own hint slot, and a
-        // multi-page lock on this core never touches the hints.
-        assert_eq!(t.get(1, 1002), Some(1));
-        drop(t.lock_range(1, 1003, 1004, LockMode::ExpandFolded));
-        t.lock_range(0, 5000, 5010, LockMode::ExpandAll).replace(&2);
+        // Another core's locks use its own lock and hints.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert_eq!(t.get(1, 1002), Some(1));
+                drop(t.lock_range(1, 1003, 1004, LockMode::ExpandFolded));
+                t.lock_range(1, 5000, 5010, LockMode::ExpandAll).replace(&2);
+            });
+        });
         // The guard itself may empty the leaf slot it holds: the hint's
         // pin, not a used-slot reference, keeps the node alive.
         assert_eq!(
@@ -813,12 +821,16 @@ mod tests {
         assert_eq!(t.get(0, 5005), Some(2));
     }
 
-    // A thread that waits for a hint slot it already holds through a
-    // hint-riding guard would spin forever; debug builds report it.
+    // A thread that waits for its core's lock, which its own guard
+    // holds, would spin forever; debug builds report it (a guard on a
+    // token the caller lent it does not compile instead: the
+    // `lock_range_held` doctest).
 
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "hint-riding RangeGuard")]
+    #[should_panic(
+        expected = "blocking acquire of core 0's CoreLock while this thread holds core 0's"
+    )]
     fn second_single_page_lock_under_a_hint_riding_guard_is_caught() {
         let t = hinted_tree(1);
         let _riding = t.lock_range(0, 1001, 1002, LockMode::ExpandFolded);
@@ -827,7 +839,9 @@ mod tests {
 
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "hint-riding RangeGuard")]
+    #[should_panic(
+        expected = "blocking acquire of core 0's CoreLock while this thread holds core 0's"
+    )]
     fn lookup_under_a_hint_riding_guard_is_caught() {
         let t = hinted_tree(1);
         let _riding = t.lock_range(0, 1001, 1002, LockMode::ExpandFolded);
@@ -836,21 +850,22 @@ mod tests {
 
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "hint-riding RangeGuard")]
+    #[should_panic(
+        expected = "blocking acquire of core 0's CoreLock while this thread holds core 0's"
+    )]
     fn releasing_hints_under_a_hint_riding_guard_is_caught() {
         let t = hinted_tree(1);
         let _riding = t.lock_range(0, 1001, 1002, LockMode::ExpandFolded);
         t.maintain(0);
     }
 
-    /// A Refcache flush takes no hint slot: under a hint-riding guard it
-    /// returns, and the hint and its pin stay for the next lock.
+    /// A Refcache tick through the guard's token releases no hint: the
+    /// hint and its pin stay for the next lock.
     #[test]
     fn a_flush_under_a_hint_riding_guard_leaves_the_hint() {
         let t = hinted_tree(1);
-        let riding = t.lock_range(0, 1001, 1002, LockMode::ExpandFolded);
-        t.cache().flush(0);
-        t.cache().maintain(0);
+        let mut riding = t.lock_range(0, 1001, 1002, LockMode::ExpandFolded);
+        t.cache().maintain_held(riding.token());
         drop(riding);
         assert_eq!(t.hinted_blocks(0), [512]);
         let hits = t.stats().hint_hits();
@@ -947,7 +962,7 @@ mod tests {
             t.lock_range(0, block(b) + 7, block(b) + 9, LockMode::ExpandFolded)
                 .clear();
         }
-        t.release_hints(0);
+        t.release_hints(&mut t.cache().lock(0));
         assert!(t.hinted_blocks(0).is_empty(), "the release takes all ways");
         t.cache().quiesce();
         assert_eq!(t.cache().live_objects(), 1, "everything collapsed");
@@ -1011,7 +1026,7 @@ mod tests {
         {
             let mut g = t.lock_range(0, start + 9, start + 10, LockMode::ExpandToBlock);
             assert_eq!(
-                g.block_entry_mut().map(|(lo, n, v)| (lo, n, *v)),
+                g.block_entry_mut().map(|(lo, n, v, _)| (lo, n, *v)),
                 Some((start, 512, 6))
             );
         }

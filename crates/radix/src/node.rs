@@ -405,7 +405,7 @@ impl<V: Send + Sync + 'static> Managed for Node<V> {
             .stats
             .add(ctx.core, TreeCounts::nodes_collapsed, 1);
         if let Some((parent, _idx)) = self.parent {
-            ctx.cache.dec(ctx.core, parent);
+            ctx.with_held(|held| ctx.cache.adjust_held(held, parent, -1));
         }
         if let Slots::Leaf(slots) = &mut self.slots {
             self.shared.keep_spare(ctx.core, slots);

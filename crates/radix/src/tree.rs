@@ -53,23 +53,21 @@
 //!   reached (a small associative set searched by block base, one pinned
 //!   reference per way). A repeat fault in any of those 512-page blocks
 //!   skips the descent entirely, and the guard it gets *rides the hint's
-//!   pin*: it keeps the core's hint-slot lock until it drops, and hints
-//!   can only be replaced or surrendered under that lock, so no Refcache
-//!   traffic pins the leaf a second time. Correctness never depends on
+//!   pin*: it keeps the core's `CoreLock` token until it drops, and hints
+//!   can only be replaced or surrendered through that token, so no
+//!   Refcache traffic pins the leaf a second time. Correctness never depends on
 //!   a hint: a stale or missing one falls back to the full descent, and
 //!   the tree's own ticks ([`RadixTree::maintain`], `expedite`,
 //!   `quiesce`) surrender a core's hint pins before the Refcache tick, so
 //!   collapse is delayed by at most one tick. See DESIGN.md §5 for the
-//!   invariants and the lock order.
+//!   invariants, and `rvm_sync::corelock` for the lock order.
 
 use std::sync::Arc;
 
 use rvm_refcache::weak::LOCK_BIT;
 use rvm_refcache::{RcPtr, Refcache};
 use rvm_sync::atomic::Ordering;
-use rvm_sync::{
-    Atomic64, CachePadded, InlineVec, RangeLock, RangeLockKind, RangeToken, SpinLock, SpinLockGuard,
-};
+use rvm_sync::{Atomic64, CoreHeld, InlineVec, PerCore, RangeLock, RangeLockKind, RangeToken};
 
 use crate::node::{
     index_at_level, lock_interior_slot, lock_leaf_slot, pack_slot, slot_ptr, slot_tag,
@@ -224,8 +222,8 @@ impl<V: Send + Sync + 'static> Unit<V> {
 /// reference in a parent that is itself pinned, (d) a pinned *descendant*
 /// (a linked child holds a used-slot reference on its parent, surrendered
 /// only in `on_release`), or (e) one of a core's leaf hints' pinned
-/// reference, for as long as that core's hint slot stays locked
-/// ([`HintHold`]).
+/// reference, for as long as that core's `CoreLock` stays held (only
+/// its holder replaces or surrenders a hint).
 /// See module docs and DESIGN.md §5.
 fn nref<'a, V: Send + Sync + 'static>(p: RcPtr<Node<V>>) -> &'a Node<V> {
     // SAFETY: see the contract above; all call sites hold one of the
@@ -395,13 +393,13 @@ const HINT_WAYS: usize = 8;
 /// Tag of an empty way: no block starts there ([`VPN_LIMIT`] is 2³⁶).
 const NO_BLOCK: Vpn = Vpn::MAX;
 
-/// The block tags of one core's hint set: the part of what the core's
-/// hint-slot lock guards that does not depend on the tree's value type,
-/// so the hint counters of [`TreeStats`] can name it as their lock.
+/// The block tags of one core's hint set: the part of the core's hint
+/// cell that does not depend on the tree's value type, so the hint
+/// counters of [`TreeStats`] can name it as their lock.
 pub(crate) type HintTags = [Vpn; HINT_WAYS];
 
 /// One core's cached leaves: a small fully associative set searched by
-/// block base, all of it under the core's one hint-slot lock.
+/// block base, in the core's [`PerCore`] cell.
 struct HintSet<V: Send + Sync + 'static> {
     /// First VPN of each way's 512-page block, [`NO_BLOCK`] when the way
     /// is empty: the one line a lookup scans.
@@ -447,57 +445,6 @@ impl<V: Send + Sync + 'static> HintSet<V> {
     }
 }
 
-/// One core's hint slot: line-padded so neighbouring cores never share.
-struct HintCell<V: Send + Sync + 'static> {
-    hint: SpinLock<HintSet<V>>,
-    /// Debug builds: token of the thread holding `hint` (0 when free), so
-    /// re-entry on the holding thread — which would spin forever — is
-    /// reported instead.
-    #[cfg(debug_assertions)]
-    holder: std::sync::atomic::AtomicUsize,
-}
-
-impl<V: Send + Sync + 'static> HintCell<V> {
-    /// Wraps the just-acquired lock on this cell's hint set.
-    fn held<'t>(&'t self, hint: SpinLockGuard<'t, HintSet<V>>) -> HintHold<'t, V> {
-        #[cfg(debug_assertions)]
-        self.holder.store(thread_token(), Ordering::Relaxed);
-        HintHold {
-            hint,
-            #[cfg(debug_assertions)]
-            holder: &self.holder,
-        }
-    }
-}
-
-/// A locked hint slot. While it is held none of the slot's hints can be
-/// replaced or surrendered, so every hinted leaf stays pinned: a
-/// single-page [`RangeGuard`] served by a hint keeps this for its whole
-/// lifetime instead of taking a pin of its own.
-///
-/// Lock order: hint slot → leaf slot → core delta cache → object. Code
-/// that already holds slot locks may only *try* for the hint slot
-/// ([`RadixTree::install_hint`]).
-struct HintHold<'t, V: Send + Sync + 'static> {
-    hint: SpinLockGuard<'t, HintSet<V>>,
-    #[cfg(debug_assertions)]
-    holder: &'t std::sync::atomic::AtomicUsize,
-}
-
-#[cfg(debug_assertions)]
-impl<V: Send + Sync + 'static> Drop for HintHold<'_, V> {
-    fn drop(&mut self) {
-        self.holder.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A per-thread non-zero token (the address of a thread-local).
-#[cfg(debug_assertions)]
-fn thread_token() -> usize {
-    thread_local!(static TOKEN: u8 = const { 0 });
-    TOKEN.with(|t| t as *const u8 as usize)
-}
-
 /// The RadixVM radix tree.
 pub struct RadixTree<V: RadixValue> {
     cache: Arc<Refcache>,
@@ -505,8 +452,9 @@ pub struct RadixTree<V: RadixValue> {
     cfg: RadixConfig,
     /// Statistics and spare leaf arrays, shared with every node.
     shared: Arc<TreeShared<V>>,
-    /// Per-core leaf hint slots (untouched unless `cfg.leaf_hints`).
-    hints: Box<[CachePadded<HintCell<V>>]>,
+    /// Per-core leaf hint sets, under the cache's `CoreLock`s (untouched
+    /// unless `cfg.leaf_hints`).
+    hints: PerCore<HintSet<V>>,
     /// The list-based range lock fronting multi-page acquisitions
     /// (consulted only when `cfg.range_lock` is [`RangeLockKind::List`]).
     /// Overlapping range operations serialize on one descriptor here
@@ -528,15 +476,7 @@ impl<V: RadixValue> RadixTree<V> {
         // The root is pinned forever with its initial count of 1.
         let root = cache.alloc(1, Node::new_interior(0, 0, None, shared.clone(), |_| 0));
         nref(root).register_sim_lines(cfg.replicate_index);
-        let hints = (0..cache.ncores())
-            .map(|_| {
-                CachePadded::new(HintCell {
-                    hint: SpinLock::new(HintSet::EMPTY),
-                    #[cfg(debug_assertions)]
-                    holder: std::sync::atomic::AtomicUsize::new(0),
-                })
-            })
-            .collect();
+        let hints = PerCore::new(cache.locks().clone(), |_| HintSet::EMPTY);
         RadixTree {
             cache,
             root,
@@ -554,62 +494,45 @@ impl<V: RadixValue> RadixTree<V> {
     /// keeps the freeing-safety argument intact (DESIGN.md §5). A bare
     /// `Refcache` tick releases no tree's hints.
     ///
-    /// Waits for `core`'s hint slot: not while this thread holds a
-    /// hint-riding [`RangeGuard`] on `core` (debug builds assert this;
-    /// release builds would spin).
+    /// Takes `core`'s lock: not on a thread that holds a guard of this
+    /// tree on `core` (debug builds panic; release builds would spin).
     pub fn maintain(&self, core: usize) {
-        self.release_hints(core);
-        self.cache.maintain(core);
+        self.maintain_held(&mut self.cache.lock(core));
     }
 
-    /// [`RadixTree::maintain`] with [`Refcache::expedite`] as the tick.
-    pub fn expedite(&self, core: usize) {
-        self.release_hints(core);
-        self.cache.expedite(core);
+    /// [`RadixTree::maintain`] of the held core, in the caller's hold.
+    pub fn maintain_held(&self, held: &mut CoreHeld<'_>) {
+        self.release_hints(held);
+        self.cache.maintain_held(held);
+    }
+
+    /// [`RadixTree::maintain_held`] with [`Refcache::expedite`] as the
+    /// tick.
+    pub fn expedite(&self, held: &mut CoreHeld<'_>) {
+        self.release_hints(held);
+        self.cache.expedite(held);
     }
 
     /// [`RadixTree::maintain`] for [`Refcache::quiesce`]: every core's
     /// hints, then the sweeps. Drains this tree; another tree on the same
     /// cache keeps its hinted leaves until its own tick or drop.
     pub fn quiesce(&self) {
-        (0..self.cache.ncores()).for_each(|core| self.release_hints(core));
+        for core in 0..self.cache.ncores() {
+            self.release_hints(&mut self.cache.lock(core));
+        }
         self.cache.quiesce();
     }
 
-    /// Takes every leaf hint of `core` and surrenders their pins: the
-    /// first half of each of the tree's ticks above, and of its drop.
-    pub(crate) fn release_hints(&self, core: usize) {
+    /// Takes every leaf hint of the held core and surrenders their pins:
+    /// the first half of each of the tree's ticks above, and of its drop.
+    pub(crate) fn release_hints(&self, held: &mut CoreHeld<'_>) {
         if !self.cfg.leaf_hints {
             return;
         }
-        let taken = std::mem::replace(&mut *self.hold_hints(core).hint, HintSet::EMPTY);
+        let taken = std::mem::replace(self.hints.get(held), HintSet::EMPTY);
         for h in taken.ways.into_iter().flatten() {
-            self.cache.dec(core, h.node);
+            self.cache.adjust_held(held, h.node, -1);
         }
-    }
-
-    /// Locks `core`'s hint slot, waiting for it.
-    ///
-    /// A thread must not wait for a slot it already holds through a
-    /// hint-riding [`RangeGuard`]: no second single-page `lock_range`,
-    /// `get`, `lookup_present` or tick of the tree ([`RadixTree::maintain`]
-    /// and its kin) on the same core while such a guard is alive (debug builds
-    /// assert this; release builds would spin).
-    fn hold_hints(&self, core: usize) -> HintHold<'_, V> {
-        let cell = &self.hints[core];
-        #[cfg(debug_assertions)]
-        assert_ne!(
-            cell.holder.load(Ordering::Relaxed),
-            thread_token(),
-            "core {core}'s hint slot is held by a hint-riding RangeGuard on this thread"
-        );
-        cell.held(cell.hint.lock())
-    }
-
-    /// Locks `core`'s hint slot if nobody holds it.
-    fn try_hold_hints(&self, core: usize) -> Option<HintHold<'_, V>> {
-        let cell = &self.hints[core];
-        Some(cell.held(cell.hint.try_lock()?))
     }
 
     /// The tree's statistics block.
@@ -664,11 +587,11 @@ impl<V: RadixValue> RadixTree<V> {
         nref(h.node).parent.is_some() && Self::leaf_linked(h.node)
     }
 
-    /// Fault fast path: finds `core`'s hinted leaf for `vpn`'s block and
-    /// locks `vpn`'s slot in it. Returns the leaf, **with that slot
-    /// locked**, and the held hint slot that keeps it pinned — or `None`
-    /// on a miss, with nothing held. Hit/miss counts land in
-    /// [`TreeStats`], one bump per lookup.
+    /// Fault fast path: finds the held core's hinted leaf for `vpn`'s
+    /// block and locks `vpn`'s slot in it. Returns the leaf, **with that
+    /// slot locked** — pinned by the hint for as long as the caller keeps
+    /// the token — or `None` on a miss, with no slot held. Hit/miss counts
+    /// land in [`TreeStats`], one bump per lookup.
     ///
     /// The way is picked by block base alone. Whether the leaf is still
     /// linked is read once, under the slot lock, where the answer is
@@ -677,76 +600,63 @@ impl<V: RadixValue> RadixTree<V> {
     /// severed (refolded) is pinned and harmless, but it will never be
     /// linked again, so its way is evicted on the spot and the lookup is
     /// a miss.
-    fn hint_lookup(&self, core: usize, vpn: Vpn) -> Option<(RcPtr<Node<V>>, HintHold<'_, V>)> {
+    fn hint_lookup(&self, held: &mut CoreHeld<'_>, vpn: Vpn) -> Option<RcPtr<Node<V>>> {
         if !self.cfg.leaf_hints {
             return None;
         }
+        let core = held.core();
         let block_base = vpn & !((FANOUT as u64) - 1);
-        let mut hold = self.hold_hints(core);
+        let set = self.hints.get(held);
         let mut stale = None;
-        let hit = hold.hint.find(block_base).and_then(|way| {
-            let leaf = hold.hint.ways[way].as_ref()?.node;
+        let hit = set.find(block_base).and_then(|way| {
+            let leaf = set.ways[way].as_ref()?.node;
             let status = &nref(leaf).leaf()[(vpn - block_base) as usize].status;
             lock_leaf_slot(core, status, &self.shared.stats);
             if Self::leaf_linked(leaf) {
                 return Some(leaf);
             }
             unlock_leaf_slot(status);
-            stale = hold.hint.evict(way);
+            stale = set.evict(way);
             None
         });
-        // Counted before the hint slot drops: the slot is what makes this
-        // thread the cell's only mutator.
         let field = if hit.is_some() {
             TreeCounts::hint_hits
         } else {
             TreeCounts::hint_misses
         };
-        self.shared.stats.add_held(core, field, &hold.hint.tags, 1);
-        match hit {
-            Some(leaf) => Some((leaf, hold)),
-            None => {
-                drop(hold);
-                if let Some(h) = stale {
-                    self.cache.dec(core, h.node);
-                }
-                None
-            }
+        self.shared.stats.add_held(core, field, &set.tags, 1);
+        if let Some(h) = stale {
+            self.cache.adjust_held(held, h.node, -1);
         }
+        hit
     }
 
-    /// Remembers `node` as a leaf hint of `core`, taking one pinned
-    /// reference for the hint and surrendering the pin of the hint it
-    /// displaces (see [`HintSet::install`]). Skipped when the hint slot
-    /// is busy (another thread is releasing the core's hints, or riding
-    /// one): callers may hold slot locks, which come after the hint slot
-    /// in the lock order, so they never wait for it — the hint is
-    /// advisory.
+    /// Remembers `node` as a leaf hint of the held core, taking one
+    /// pinned reference for the hint and surrendering the pin of the
+    /// hint it displaces (see [`HintSet::install`]).
     ///
     /// The caller must hold a live reference to `node` (a traversal pin
     /// or a guard pin) across the call.
-    fn install_hint(&self, core: usize, node: RcPtr<Node<V>>) {
+    fn install_hint(&self, held: &mut CoreHeld<'_>, node: RcPtr<Node<V>>) {
         if !self.cfg.leaf_hints {
             return;
         }
         debug_assert!(nref(node).is_leaf());
-        let Some(mut hold) = self.try_hold_hints(core) else {
-            return;
-        };
-        self.cache.inc(core, node);
-        let prev = hold.hint.install(nref(node).base_vpn, LeafHint { node });
-        drop(hold);
+        self.cache.adjust_held(held, node, 1);
+        let prev = self
+            .hints
+            .get(held)
+            .install(nref(node).base_vpn, LeafHint { node });
         if let Some(h) = prev {
-            self.cache.dec(core, h.node);
+            self.cache.adjust_held(held, h.node, -1);
         }
     }
 
     /// The block bases `core`'s hint set caches, in way order.
     #[cfg(test)]
     pub(crate) fn hinted_blocks(&self, core: usize) -> Vec<Vpn> {
-        let hold = self.hold_hints(core);
-        let tags = hold.hint.tags.iter();
-        tags.copied().filter(|&t| t != NO_BLOCK).collect()
+        let tags = self.hints.get(&mut self.cache.lock(core)).tags;
+        tags.into_iter().filter(|&t| t != NO_BLOCK).collect()
     }
 
     /// Addresses of the leaf arrays on `core`'s spare list.
@@ -779,31 +689,70 @@ impl<V: RadixValue> RadixTree<V> {
         Arc::downgrade(&self.shared)
     }
 
-    /// Locks `[lo, hi)` left-to-right and returns the guard.
+    /// Locks `[lo, hi)` left-to-right and returns the guard, which holds
+    /// `core`'s lock of the tree's set until it drops: no other call on
+    /// this tree and core from this thread while it lives (debug builds
+    /// panic; release builds would spin).
     ///
     /// # Panics
     ///
     /// Panics if the range is empty or exceeds [`VPN_LIMIT`].
     pub fn lock_range(&self, core: usize, lo: Vpn, hi: Vpn, mode: LockMode) -> RangeGuard<'_, V> {
+        self.lock_range_in(self.cache.lock(core), lo, hi, mode)
+    }
+
+    /// [`RadixTree::lock_range`] on the held core, for a caller that holds
+    /// its lock already. The guard borrows the token until it drops, so
+    /// while it lives the caller can make no other call that needs the
+    /// token — a second `lock_range` or a tick on the same core would
+    /// wait for its own lock, and does not compile:
+    ///
+    /// ```compile_fail,E0499
+    /// # use std::sync::Arc;
+    /// # use rvm_radix::{LockMode, RadixConfig, RadixTree};
+    /// # use rvm_refcache::Refcache;
+    /// let tree = RadixTree::<u64>::new(Arc::new(Refcache::new(1)), RadixConfig::default());
+    /// let mut held = tree.cache().lock(0);
+    /// let page = tree.lock_range_held(&mut held, 7, 8, LockMode::ExpandAll);
+    /// let other = tree.lock_range_held(&mut held, 9, 10, LockMode::ExpandAll);
+    /// drop(page);
+    /// ```
+    pub fn lock_range_held<'t>(
+        &'t self,
+        held: &'t mut CoreHeld<'_>,
+        lo: Vpn,
+        hi: Vpn,
+        mode: LockMode,
+    ) -> RangeGuard<'t, V> {
+        self.lock_range_in(held.reborrow(), lo, hi, mode)
+    }
+
+    fn lock_range_in<'t>(
+        &'t self,
+        held: CoreHeld<'t>,
+        lo: Vpn,
+        hi: Vpn,
+        mode: LockMode,
+    ) -> RangeGuard<'t, V> {
         assert!(lo < hi && hi <= VPN_LIMIT, "bad range {lo}..{hi}");
+        let core = held.core();
         let mut guard = RangeGuard {
             tree: self,
-            core,
+            held,
             units: InlineVec::new(),
             pins: InlineVec::new(),
             range_token: None,
-            hint: None,
         };
         // Fault fast path: a single-page lock served by the leaf hint
         // skips the descent entirely (both modes behave identically once
-        // a leaf exists) and takes no pin: the guard keeps the hint slot
-        // locked, so the hint's own pin cannot go away under it. Single-
+        // a leaf exists) and takes no pin: the guard keeps the core's
+        // token, so the hint's own pin cannot go away under it. Single-
         // page locks never enqueue in the range lock either — the leaf
         // slot lock alone excludes them from everything, including
         // list-fronted multi-page holders (which still take every slot
         // lock in their range during descent).
         if hi == lo + 1 {
-            if let Some((leaf, hold)) = self.hint_lookup(core, lo) {
+            if let Some(leaf) = self.hint_lookup(&mut guard.held, lo) {
                 let first = (lo - nref(leaf).base_vpn) as usize;
                 guard.units.push(Unit::LeafRange {
                     node: leaf,
@@ -811,7 +760,6 @@ impl<V: RadixValue> RadixTree<V> {
                     end: first + 1,
                     born: false,
                 });
-                guard.hint = Some(hold);
                 return guard;
             }
         }
@@ -824,13 +772,13 @@ impl<V: RadixValue> RadixTree<V> {
         if hi > lo + 1 && self.cfg.range_lock == RangeLockKind::List {
             guard.range_token = Some(self.range_lock.acquire(core, lo, hi));
         }
-        self.descend(core, self.root, lo, hi, mode, false, &mut guard);
+        self.descend(self.root, lo, hi, mode, false, &mut guard);
         // Refresh the hint when the descent ended at a single leaf slot,
         // so the next fault in this block takes the fast path. The leaf
         // is pinned by the guard, satisfying `install_hint`'s contract.
         if hi == lo + 1 && self.cfg.leaf_hints {
-            if let Some(Unit::LeafRange { node, .. }) = guard.units.iter().last() {
-                self.install_hint(core, *node);
+            if let Some(&Unit::LeafRange { node, .. }) = guard.units.iter().last() {
+                self.install_hint(&mut guard.held, node);
             }
         }
         guard
@@ -853,7 +801,6 @@ impl<V: RadixValue> RadixTree<V> {
     #[allow(clippy::too_many_arguments)]
     fn descend(
         &self,
-        core: usize,
         node_ptr: RcPtr<Node<V>>,
         lo: Vpn,
         hi: Vpn,
@@ -861,6 +808,7 @@ impl<V: RadixValue> RadixTree<V> {
         born_locked: bool,
         g: &mut RangeGuard<'_, V>,
     ) -> Option<bool> {
+        let core = g.held.core();
         let node = nref(node_ptr);
         if node.is_leaf() {
             let first = (lo - node.base_vpn) as usize;
@@ -906,17 +854,17 @@ impl<V: RadixValue> RadixTree<V> {
                     // (no lock required).
                     // SAFETY: TAG_CHILD slots of this tree always hold
                     // `Node<V>` pointers registered with this cache.
-                    match unsafe { self.cache.tryget::<Node<V>>(core, slot, TAG_CHILD) } {
+                    match unsafe { self.cache.tryget::<Node<V>>(&mut g.held, slot, TAG_CHILD) } {
                         Some(child) => {
-                            match self.descend(core, child, sub_lo, sub_hi, mode, false, g) {
+                            match self.descend(child, sub_lo, sub_hi, mode, false, g) {
                                 Some(true) => g.pins.push(child),
                                 // Pin elision: the child's subtree holds
                                 // pinned units that keep it alive.
-                                Some(false) => self.cache.dec(core, child),
+                                Some(false) => self.cache.adjust_held(&mut g.held, child, -1),
                                 None => {
                                     // Refolded under us: re-read the slot
                                     // (it now holds the folded value).
-                                    self.cache.dec(core, child);
+                                    self.cache.adjust_held(&mut g.held, child, -1);
                                     continue;
                                 }
                             }
@@ -964,12 +912,12 @@ impl<V: RadixValue> RadixTree<V> {
                     break;
                 }
                 // Expand under the held slot lock.
-                let child = self.expand_slot(core, node_ptr, idx, v, block_lo);
+                let child = self.expand_slot(&mut g.held, node_ptr, idx, v, block_lo);
                 g.pins.push(child);
                 g.units.push(Unit::WholeNode { node: child });
                 // The child is already pinned above; the recursion's
                 // retain verdict is irrelevant.
-                let _ = self.descend(core, child, sub_lo, sub_hi, mode, true, g);
+                let _ = self.descend(child, sub_lo, sub_hi, mode, true, g);
                 break;
             }
         }
@@ -982,12 +930,13 @@ impl<V: RadixValue> RadixTree<V> {
     /// (paper §3.4). Returns the child, pinned for the caller.
     fn expand_slot(
         &self,
-        core: usize,
+        held: &mut CoreHeld<'_>,
         parent: RcPtr<Node<V>>,
         idx: usize,
         locked_word: u64,
         block_lo: Vpn,
     ) -> RcPtr<Node<V>> {
+        let core = held.core();
         let parent_node = nref(parent);
         let slot = &parent_node.interior()[idx];
         let child_level = parent_node.level as usize + 1;
@@ -1040,7 +989,7 @@ impl<V: RadixValue> RadixTree<V> {
         };
         if !was_folded {
             // EMPTY → CHILD: the parent gains a used slot.
-            self.cache.inc(core, parent);
+            self.cache.adjust_held(held, parent, 1);
         }
         nref(child).register_sim_lines(self.cfg.replicate_index);
         self.cache.register_weak(child, slot);
@@ -1052,12 +1001,13 @@ impl<V: RadixValue> RadixTree<V> {
     /// Reads (clones) the value governing `vpn`, if any.
     ///
     /// Allocation-free. A leaf-hint hit reads the page under its slot
-    /// lock with no pin at all (the hint slot stays locked across the
+    /// lock with no pin at all (the core's lock stays held across the
     /// read instead); a miss takes the pinned range walk that
     /// [`RadixTree::collect_range`] takes too, holding one pin per level,
     /// and caches the leaf it reaches as `core`'s hint.
     pub fn get(&self, core: usize, vpn: Vpn) -> Option<V> {
-        if let Some((leaf, _hold)) = self.hint_lookup(core, vpn) {
+        let held = &mut self.cache.lock(core);
+        if let Some(leaf) = self.hint_lookup(held, vpn) {
             // The lookup returned with the slot locked, on a leaf it saw
             // linked under that lock: the read is authoritative.
             let idx = (vpn - nref(leaf).base_vpn) as usize;
@@ -1066,7 +1016,7 @@ impl<V: RadixValue> RadixTree<V> {
             return out;
         }
         let mut out = None;
-        self.walk(core, self.root, vpn, vpn + 1, &mut |_, _, v| {
+        self.walk(held, self.root, vpn, vpn + 1, &mut |_, _, v| {
             out = Some(v.clone())
         });
         out
@@ -1077,14 +1027,15 @@ impl<V: RadixValue> RadixTree<V> {
     /// words — the Figure 7 lookup operation). May race with concurrent
     /// mutations; the answer is a linearizable snapshot of the slot word.
     ///
-    /// On a leaf-hint hit this is pin-free: two loads under the per-core
-    /// hint lock.
+    /// On a leaf-hint hit this is pin-free: two loads under the core's
+    /// lock.
     pub fn lookup_present(&self, core: usize, vpn: Vpn) -> bool {
+        let held = &mut self.cache.lock(core);
         if self.cfg.leaf_hints {
             let block_base = vpn & !((FANOUT as u64) - 1);
-            let hold = self.hold_hints(core);
-            let hinted = hold.hint.find(block_base);
-            if let Some(h) = hinted.and_then(|way| hold.hint.ways[way].as_ref()) {
+            let set = self.hints.get(held);
+            let hinted = set.find(block_base);
+            if let Some(h) = hinted.and_then(|way| set.ways[way].as_ref()) {
                 if Self::hint_valid(h) {
                     let st = nref(h.node).leaf()[(vpn - block_base) as usize]
                         .status
@@ -1098,15 +1049,14 @@ impl<V: RadixValue> RadixTree<V> {
                     if st & LEAF_PRESENT != 0 || Self::hint_valid(h) {
                         self.shared
                             .stats
-                            .add_held(core, TreeCounts::hint_hits, &hold.hint.tags, 1);
+                            .add_held(core, TreeCounts::hint_hits, &set.tags, 1);
                         return st & LEAF_PRESENT != 0;
                     }
                 }
             }
             self.shared
                 .stats
-                .add_held(core, TreeCounts::hint_misses, &hold.hint.tags, 1);
-            drop(hold);
+                .add_held(core, TreeCounts::hint_misses, &set.tags, 1);
         }
         let mut node_ptr = self.root;
         let mut pin: Option<RcPtr<Node<V>>> = None;
@@ -1118,12 +1068,12 @@ impl<V: RadixValue> RadixTree<V> {
                 if st & LEAF_PRESENT == 0 && !Self::leaf_linked(node_ptr) {
                     // Refolded under us: restart from the root.
                     if let Some(prev) = pin.take() {
-                        self.cache.dec(core, prev);
+                        self.cache.adjust_held(held, prev, -1);
                     }
                     node_ptr = self.root;
                     continue;
                 }
-                self.install_hint(core, node_ptr);
+                self.install_hint(held, node_ptr);
                 break st & LEAF_PRESENT != 0;
             }
             let idx = index_at_level(vpn, node.level as usize);
@@ -1132,10 +1082,10 @@ impl<V: RadixValue> RadixTree<V> {
             match slot_tag(peek) {
                 TAG_CHILD => {
                     // SAFETY: TAG_CHILD slots hold `Node<V>` pointers.
-                    match unsafe { self.cache.tryget::<Node<V>>(core, slot, TAG_CHILD) } {
+                    match unsafe { self.cache.tryget::<Node<V>>(held, slot, TAG_CHILD) } {
                         Some(child) => {
                             if let Some(prev) = pin.replace(child) {
-                                self.cache.dec(core, prev);
+                                self.cache.adjust_held(held, prev, -1);
                             }
                             node_ptr = child;
                         }
@@ -1147,7 +1097,7 @@ impl<V: RadixValue> RadixTree<V> {
             }
         };
         if let Some(p) = pin {
-            self.cache.dec(core, p);
+            self.cache.adjust_held(held, p, -1);
         }
         result
     }
@@ -1162,9 +1112,15 @@ impl<V: RadixValue> RadixTree<V> {
         assert!(hi <= VPN_LIMIT, "bad range {lo}..{hi}");
         let mut out = Vec::new();
         if lo < hi {
-            self.walk(core, self.root, lo, hi, &mut |start, pages, v| {
-                out.extend((start..start + pages).map(|vpn| (vpn, v.clone())))
-            });
+            self.walk(
+                &mut self.cache.lock(core),
+                self.root,
+                lo,
+                hi,
+                &mut |start, pages, v| {
+                    out.extend((start..start + pages).map(|vpn| (vpn, v.clone())))
+                },
+            );
         }
         out
     }
@@ -1174,7 +1130,7 @@ impl<V: RadixValue> RadixTree<V> {
     /// each present page and each fold in `[lo, hi)` below `node_ptr`, in
     /// VPN order, a fold clipped to the range, each call under the slot's
     /// lock. Takes no lock on a node; holds one pin per level
-    /// ([`Refcache::with_pin`]) and allocates nothing.
+    /// ([`Refcache::tryget`]) and allocates nothing.
     ///
     /// A leaf is read page by page, and each page's linkage is read under
     /// its slot lock, where it is authoritative
@@ -1186,12 +1142,13 @@ impl<V: RadixValue> RadixTree<V> {
     /// hint, as a single-page [`RadixTree::lock_range`] does.
     fn walk(
         &self,
-        core: usize,
+        held: &mut CoreHeld<'_>,
         node_ptr: RcPtr<Node<V>>,
         lo: Vpn,
         hi: Vpn,
         f: &mut impl FnMut(Vpn, u64, &V),
     ) -> Option<Vpn> {
+        let core = held.core();
         let node = nref(node_ptr);
         let stats = &self.shared.stats;
         if node.is_leaf() {
@@ -1209,7 +1166,7 @@ impl<V: RadixValue> RadixTree<V> {
                 }
             }
             if hi == lo + 1 {
-                self.install_hint(core, node_ptr);
+                self.install_hint(held, node_ptr);
             }
             return None;
         }
@@ -1223,12 +1180,14 @@ impl<V: RadixValue> RadixTree<V> {
                 match slot_tag(slot.load(Ordering::Acquire)) {
                     TAG_CHILD => {
                         // SAFETY: TAG_CHILD slots hold `Node<V>` pointers.
-                        let walked = unsafe {
-                            self.cache
-                                .with_pin::<Node<V>, _>(core, slot, TAG_CHILD, |child| {
-                                    self.walk(core, child, at, end, f)
-                                })
-                        };
+                        // SAFETY: as above; the pin is surrendered with the
+                        // same token after the closure.
+                        let child = unsafe { self.cache.tryget::<Node<V>>(held, slot, TAG_CHILD) };
+                        let walked = child.map(|child| {
+                            let out = self.walk(held, child, at, end, f);
+                            self.cache.adjust_held(held, child, -1);
+                            out
+                        });
                         match walked {
                             Some(None) => break,
                             // Refolded under us: the rest is in the fold.
@@ -1256,12 +1215,18 @@ impl<V: RadixValue> RadixTree<V> {
     /// Books a fold that appeared (`delta` = 1) or went (-1) in an
     /// interior slot of `node`: the fold count, and the used-slot
     /// reference the fold holds on `node`.
-    fn fold_counted(&self, core: usize, node: RcPtr<Node<V>>, delta: i64) {
+    fn fold_counted(&self, held: &mut CoreHeld<'_>, node: RcPtr<Node<V>>, delta: i64) {
         match delta {
-            1 => self.shared.stats.add(core, TreeCounts::folded_values, 1),
-            _ => self.shared.stats.sub(core, TreeCounts::folded_values, 1),
+            1 => self
+                .shared
+                .stats
+                .add(held.core(), TreeCounts::folded_values, 1),
+            _ => self
+                .shared
+                .stats
+                .sub(held.core(), TreeCounts::folded_values, 1),
         }
-        self.cache.adjust(core, node, delta);
+        self.cache.adjust_held(held, node, delta);
     }
 
     /// Returns `out`, counting it in [`TreeStats::guard_spills`] if it
@@ -1299,7 +1264,7 @@ impl<V: RadixValue> Drop for RadixTree<V> {
         // through `Node::on_release` as Refcache reviews them, at a later
         // tick or when the cache drops.
         for core in 0..self.cache.ncores() {
-            self.release_hints(core);
+            self.release_hints(&mut self.cache.lock(core));
         }
         self.lock_range(0, 0, VPN_LIMIT, LockMode::ExpandFolded)
             .clear();
@@ -1319,7 +1284,6 @@ impl<V: RadixValue> Drop for RadixTree<V> {
 /// single-block guards never allocate.
 pub struct RangeGuard<'t, V: RadixValue> {
     tree: &'t RadixTree<V>,
-    core: usize,
     units: InlineVec<Unit<V>, UNITS_INLINE>,
     pins: InlineVec<RcPtr<Node<V>>, PINS_INLINE>,
     /// Held list-lock descriptor when this is a multi-page acquisition
@@ -1327,29 +1291,46 @@ pub struct RangeGuard<'t, V: RadixValue> {
     /// descriptor's hold window covers the whole slot-locked critical
     /// section.
     range_token: Option<RangeToken>,
-    /// The core's held hint slot, when the leaf hint served this guard:
-    /// the hint's pin stands in for the guard's own, so `pins` is empty.
-    /// Released last (a field, dropped after `Drop::drop` unlocked the
-    /// leaf slot).
-    hint: Option<HintHold<'t, V>>,
+    /// The core's lock: owned (a bare [`RadixTree::lock_range`]) or lent
+    /// ([`RadixTree::lock_range_held`]). When the leaf hint served this
+    /// guard, the hint's pin stands in for the guard's own (`pins` is
+    /// empty) for as long as this is held. Released last (a field,
+    /// dropped after `Drop::drop` unlocked the slots).
+    held: CoreHeld<'t>,
 }
 
-impl<V: RadixValue> RangeGuard<'_, V> {
-    /// The slots this guard holds locked, unit by unit in the order it
-    /// locked them: each unit's node and an entry per slot. These are the
-    /// pages and blocks it locked or, with `expanded`, every slot of the
-    /// nodes its expansions created (born locked; an interior slot that
-    /// was expanded further is a published child and yields no value).
+/// The slots a guard holds locked, unit by unit in the order it locked
+/// them: each unit's node and an entry per slot. These are the pages
+/// and blocks it locked or, with `expanded`, every slot of the nodes its
+/// expansions created (born locked; an interior slot that was expanded
+/// further is a published child and yields no value). The entries
+/// borrow the guard's units mutably, and the guard unlocks only when it
+/// drops ([`Held`]).
+fn held_slots<V: RadixValue>(
+    units: &mut InlineVec<Unit<V>, UNITS_INLINE>,
+    expanded: bool,
+) -> impl Iterator<Item = (RcPtr<Node<V>>, impl Iterator<Item = Held<'_, V>>)> {
+    let units = units.iter();
+    let wanted = units.filter(move |u| matches!(u, Unit::WholeNode { .. }) == expanded);
+    wanted.map(|unit| {
+        let (node, slots) = unit.slots();
+        (node, slots.map(move |idx| Held::at(node, idx)))
+    })
+}
+
+impl<'t, V: RadixValue> RangeGuard<'t, V> {
+    /// The held lock of the guard's core, for what the caller does under
+    /// the guard on that core's other state (its frames, its counters).
+    pub fn token(&mut self) -> &mut CoreHeld<'t> {
+        &mut self.held
+    }
+
+    /// [`RangeGuard::held_slots`] of this guard's units.
     fn held(
         &mut self,
         expanded: bool,
     ) -> impl Iterator<Item = (RcPtr<Node<V>>, impl Iterator<Item = Held<'_, V>>)> {
-        let units = self.units.iter();
-        let wanted = units.filter(move |u| matches!(u, Unit::WholeNode { .. }) == expanded);
-        wanted.map(|unit| {
-            let (node, slots) = unit.slots();
-            (node, slots.map(move |idx| Held::at(node, idx)))
-        })
+        held_slots(&mut self.units, expanded)
     }
 
     /// Removes every value in the locked range, returning the displaced
@@ -1359,15 +1340,15 @@ impl<V: RadixValue> RangeGuard<'_, V> {
     /// locked, so `LEAF_PRESENT` flips with plain stores, and the used-
     /// slot references settle once per leaf, not once per page.
     pub fn clear(&mut self) -> RemovedList<V> {
-        let (core, tree) = (self.core, self.tree);
+        let (tree, held) = (self.tree, &mut self.held);
         let mut out = RemovedList::new();
-        for (node, entries) in self.held(false) {
+        for (node, entries) in held_slots(&mut self.units, false) {
             let mut emptied = 0;
             for e in entries {
                 let ((start, pages), fold) = (e.span(), matches!(e, Held::Block { .. }));
                 let Some(value) = e.take() else { continue };
                 if fold {
-                    tree.fold_counted(core, node, -1);
+                    tree.fold_counted(held, node, -1);
                 } else {
                     emptied += 1;
                 }
@@ -1378,10 +1359,10 @@ impl<V: RadixValue> RangeGuard<'_, V> {
                 });
             }
             if emptied > 0 {
-                tree.cache.adjust(core, node, -emptied);
+                tree.cache.adjust_held(held, node, -emptied);
             }
         }
-        tree.spill_counted(core, out)
+        tree.spill_counted(held.core(), out)
     }
 
     /// Sets every page (or whole block) in the locked range to a clone of
@@ -1393,9 +1374,9 @@ impl<V: RadixValue> RangeGuard<'_, V> {
     /// box allocation); only previously empty slots pay the install cost,
     /// settled once per leaf like [`RangeGuard::clear`]'s.
     pub fn replace(&mut self, value: &V) -> RemovedList<V> {
-        let (core, tree) = (self.core, self.tree);
+        let (tree, held) = (self.tree, &mut self.held);
         let mut out = RemovedList::new();
-        for (node, entries) in self.held(false) {
+        for (node, entries) in held_slots(&mut self.units, false) {
             let mut filled = 0;
             for e in entries {
                 let ((start, pages), fold) = (e.span(), matches!(e, Held::Block { .. }));
@@ -1405,15 +1386,15 @@ impl<V: RadixValue> RangeGuard<'_, V> {
                         pages,
                         value,
                     }),
-                    None if fold => tree.fold_counted(core, node, 1),
+                    None if fold => tree.fold_counted(held, node, 1),
                     None => filled += 1,
                 }
             }
             if filled > 0 {
-                tree.cache.adjust(core, node, filled);
+                tree.cache.adjust_held(held, node, filled);
             }
         }
-        tree.spill_counted(core, out)
+        tree.spill_counted(held.core(), out)
     }
 
     /// Applies `f` to every present entry in the locked range with its
@@ -1431,22 +1412,31 @@ impl<V: RadixValue> RangeGuard<'_, V> {
     /// The value's *presence* must not change through this reference; use
     /// [`RangeGuard::clear`]/[`RangeGuard::replace`] for that.
     pub fn page_value_mut(&mut self) -> Option<&mut V> {
-        let page = self.held(false).next()?.1.next();
-        page.filter(|e| matches!(e, Held::Page { .. }))?.value_mut()
+        self.page_and_token().map(|(v, _)| v)
+    }
+
+    /// [`RangeGuard::page_value_mut`], with the guard's
+    /// [`RangeGuard::token`] beside it.
+    pub fn page_and_token(&mut self) -> Option<(&mut V, &mut CoreHeld<'t>)> {
+        let page = held_slots(&mut self.units, false).next()?.1.next();
+        let value = page
+            .filter(|e| matches!(e, Held::Page { .. }))?
+            .value_mut()?;
+        Some((value, &mut self.held))
     }
 
     /// For a guard holding a locked *folded* block slot (the
     /// [`LockMode::ExpandToBlock`] fault path), returns the block's
     /// first VPN, page span, and mutable access to its single governing
-    /// value. Returns `None` when the range resolved to leaves or an
-    /// empty block instead.
+    /// value, with the guard's [`RangeGuard::token`]. Returns `None`
+    /// when the range resolved to leaves or an empty block instead.
     ///
     /// The value's presence must not change through this reference.
-    pub fn block_entry_mut(&mut self) -> Option<(Vpn, u64, &mut V)> {
-        let block = self.held(false).next()?.1.next();
+    pub fn block_entry_mut(&mut self) -> Option<(Vpn, u64, &mut V, &mut CoreHeld<'t>)> {
+        let block = held_slots(&mut self.units, false).next()?.1.next();
         let e = block.filter(|e| matches!(e, Held::Block { .. }))?;
         let (start, pages) = e.span();
-        Some((start, pages, e.value_mut()?))
+        Some((start, pages, e.value_mut()?, &mut self.held))
     }
 
     /// Applies `f(start_vpn, pages, value)` to every value this lock
@@ -1500,7 +1490,7 @@ impl<V: RadixValue> RangeGuard<'_, V> {
     /// publishes and releases before descending), and readers take
     /// interior slot locks only transiently with no leaf lock held.
     pub fn refold(&mut self, folded: V) -> Option<Vec<V>> {
-        let (core, tree) = (self.core, self.tree);
+        let (core, tree) = (self.held.core(), self.tree);
         let (cache, stats) = (&tree.cache, &tree.shared.stats);
         let node = match self.units.as_slice() {
             [Unit::LeafRange {
@@ -1548,11 +1538,11 @@ impl<V: RadixValue> RangeGuard<'_, V> {
         // leaf is unreachable from the tree, so surrender it too or the
         // node would never free.
         let permanent = if tree.cfg.collapse { 0 } else { 1 };
-        cache.adjust(core, node, -(FANOUT as i64 + permanent));
+        cache.adjust_held(&mut self.held, node, -(FANOUT as i64 + permanent));
         // The severed leaf's `on_release` will surrender one used-slot
         // reference on the parent; pre-compensate so CHILD → FOLDED
         // keeps the parent's count balanced at one per occupied slot.
-        cache.inc(core, parent);
+        cache.adjust_held(&mut self.held, parent, 1);
         // Sever the weak reference *before* republishing the slot, so a
         // later true-zero review of the leaf cannot CAS the folded word.
         cache.unregister_weak(node);
@@ -1584,18 +1574,19 @@ impl<V: RadixValue> Drop for RangeGuard<'_, V> {
             }
         }
         for pin in self.pins.iter() {
-            self.tree.cache.dec(self.core, *pin);
+            self.tree.cache.adjust_held(&mut self.held, *pin, -1);
         }
+        let core = self.held.core();
         if self.units.spilled() || self.pins.spilled() {
             self.tree
                 .shared
                 .stats
-                .add(self.core, TreeCounts::guard_spills, 1);
+                .add(core, TreeCounts::guard_spills, 1);
         }
         // Release the list descriptor after every slot lock is down so
         // overlapping waiters observe a fully unlocked range.
         if let Some(token) = self.range_token.take() {
-            self.tree.range_lock.release(self.core, token);
+            self.tree.range_lock.release(core, token);
         }
     }
 }

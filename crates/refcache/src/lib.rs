@@ -89,11 +89,13 @@
 //!
 //! [Clements et al., EuroSys 2013]: https://pdos.csail.mit.edu/papers/radixvm:eurosys13.pdf
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-use rvm_sync::{sharded_stats, sim, Atomic64, CachePadded, Mutex, SpinLock};
+use rvm_sync::{sharded_stats, sim, Atomic64, CoreHeld, CoreLock, CoreLocks, PerCore, SpinLock};
 
 pub mod counters;
 pub mod obj;
@@ -160,9 +162,8 @@ struct CoreCache {
     /// The objects the next [`Refcache::review`] pass frees (header
     /// addresses, like `review`'s): the cells `evict` released at once,
     /// then what the pass itself confirms. Taken out for the pass (the
-    /// frees run with the core unlocked) and put back empty unless a
-    /// flush queued more meanwhile, so a tick that frees a hundred frames
-    /// grows no fresh list.
+    /// frees re-enter the core's cell) and put back empty, so a tick
+    /// that frees a hundred frames grows no fresh list.
     to_free: Vec<usize>,
     local_epoch: u64,
     /// 4 KiB pages of memory behind the references this core has
@@ -190,8 +191,8 @@ sharded_stats! {
         revivals: Exclusive<CoreCache>,
         /// Table-embedded cells activated ([`Refcache::activate`]) — the
         /// slot-backed analogue of `allocs`, with no heap allocation
-        /// behind it. `activate` takes the object's lock, not the core's.
-        slot_activates: Shared,
+        /// behind it.
+        slot_activates: Exclusive<CoreLock>,
         /// Table-embedded cells whose zero-count action ran (true-zero
         /// confirmed) — the slot-backed analogue of `frees`. Counted
         /// where the release is decided (in `review`, in the `evict` of
@@ -207,7 +208,7 @@ sharded_stats! {
     }
     /// The cells: `alloc`/`dec`-rate events bump only the operating
     /// core's padded cell (sum-on-read; DESIGN.md §6), most of them under
-    /// that core's delta-cache lock and so without a locked instruction.
+    /// that core's lock and so without a locked instruction.
     struct RefcacheCells;
 }
 
@@ -227,45 +228,55 @@ struct EpochBarrier {
 /// The scalable reference-count cache (one per simulated machine).
 pub struct Refcache {
     ncores: usize,
-    cores: Vec<CachePadded<Mutex<CoreCache>>>,
+    /// Per-core state, under each core's `CoreLock`. Every operation on
+    /// a core, the zero-count actions a review or surrender runs
+    /// included, holds that core's lock throughout, so a
+    /// [`Refcache::quiesce`] that takes the lock after a pass began
+    /// orders after its actions.
+    cores: PerCore<CoreCache>,
     barrier: EpochBarrier,
-    /// [`Refcache::review`] passes running their frees with the core
-    /// unlocked, which [`Refcache::quiesce`] waits out: such a pass, run
-    /// by another thread, may hold actions the quiescer's own passes
-    /// never saw. A pass counts itself under the core lock, before it
-    /// unlocks, and its `Release` decrement after the frees pairs with
-    /// `quiesce`'s `Acquire` load, so a zero means those frees are done.
-    /// Std atomic: not instrumented.
-    releasing: AtomicU64,
     stats: RefcacheCells,
 }
 
 impl Refcache {
-    /// Creates a cache for `ncores` cores.
+    /// Creates a cache for `ncores` cores, with a `CoreLock` set of its
+    /// own.
     pub fn new(ncores: usize) -> Self {
-        assert!((1..=rvm_sync::MAX_CORES).contains(&ncores));
-        let cores = (0..ncores)
-            .map(|_| {
-                CachePadded::new(Mutex::new(CoreCache {
-                    slots: vec![EMPTY_SLOT; CACHE_SLOTS].into_boxed_slice(),
-                    occupied: Vec::with_capacity(CACHE_SLOTS),
-                    review: VecDeque::new(),
-                    to_free: Vec::new(),
-                    local_epoch: 0,
-                    surrendered: 0,
-                }))
-            })
-            .collect();
+        Self::with_locks(CoreLocks::new(ncores))
+    }
+
+    /// Creates a cache for the cores of `locks`, whose locks guard its
+    /// per-core state: a VM shares its machine's set, so one acquire per
+    /// call covers the cache, the tree's hints and the frame pool.
+    pub fn with_locks(locks: Arc<CoreLocks>) -> Self {
+        let ncores = locks.ncores();
         Refcache {
             ncores,
-            cores,
+            cores: PerCore::new(locks, |_| CoreCache {
+                slots: vec![EMPTY_SLOT; CACHE_SLOTS].into_boxed_slice(),
+                occupied: Vec::with_capacity(CACHE_SLOTS),
+                review: VecDeque::new(),
+                to_free: Vec::new(),
+                local_epoch: 0,
+                surrendered: 0,
+            }),
             barrier: EpochBarrier {
                 global_epoch: Atomic64::new(1),
                 flushed_cores: Atomic64::new(0),
             },
-            releasing: AtomicU64::new(0),
             stats: RefcacheCells::new(ncores),
         }
+    }
+
+    /// The `CoreLock`s guarding the cache's per-core state.
+    pub fn locks(&self) -> &Arc<CoreLocks> {
+        self.cores.locks()
+    }
+
+    /// Takes `core`'s lock: the token the `_held` operations take.
+    #[inline]
+    pub fn lock(&self, core: usize) -> CoreHeld<'_> {
+        self.cores.lock(core)
     }
 
     /// [`Refcache::new`] with `slots` delta-cache slots per core instead
@@ -274,9 +285,8 @@ impl Refcache {
     #[cfg(test)]
     fn with_cache_slots(ncores: usize, slots: usize) -> Self {
         assert!(slots.is_power_of_two());
-        let rc = Self::new(ncores);
-        for core in &rc.cores {
-            let mut cc = core.lock();
+        let mut rc = Self::new(ncores);
+        for cc in rc.cores.iter_mut() {
             cc.slots = vec![EMPTY_SLOT; slots].into_boxed_slice();
             cc.occupied = Vec::with_capacity(slots);
         }
@@ -361,6 +371,13 @@ impl Refcache {
     /// to `obj` already (or to have just obtained the pointer via
     /// [`Refcache::tryget`]); a negative one surrenders that many.
     pub fn adjust<P: Counted>(&self, core: usize, obj: P, delta: i64) {
+        self.adjust_held(&mut self.lock(core), obj, delta);
+    }
+
+    /// [`Refcache::adjust`] on the core whose lock `held` is.
+    #[inline]
+    pub fn adjust_held<P: Counted>(&self, held: &mut CoreHeld<'_>, obj: P, delta: i64) {
+        let core = held.core();
         if P::SLOT_BACKED && delta > 0 {
             // Recorded before the delta enters the cache, so an evict
             // that finds no adder but its own core knows no other cache
@@ -378,8 +395,7 @@ impl Refcache {
                 };
             }
         }
-        let mut cc = self.cores[core].lock();
-        self.adjust_locked(&mut cc, core, obj.count_addr(), delta);
+        self.adjust_locked(self.cores.get(held), core, obj.count_addr(), delta);
     }
 
     /// [`Refcache::adjust`] on the object whose header is at `key`, with
@@ -405,7 +421,7 @@ impl Refcache {
         cc.slots[idx] = Slot { obj: key, delta };
     }
 
-    /// Surrenders `refs` references to `obj` on `core` —
+    /// Surrenders `refs` references to `obj` on the held core —
     /// [`Refcache::adjust`] by `-refs` — that stood for `pages` 4 KiB
     /// pages of memory, and answers whether the core has now surrendered
     /// at least [`EXPEDITE_PAGES`] since its delta cache was last
@@ -425,22 +441,29 @@ impl Refcache {
     /// — its global count plus the core's cached delta is zero, it is not
     /// on review, and its adders are none or `core` — is released before
     /// the call returns: the delta is applied and the cell's
-    /// [`SlotManaged::on_zero`] runs under the core's lock, so a frame
+    /// [`SlotManaged::on_zero`] runs under `held`, so a frame
     /// comes back inside the unmap that gave it up. That is the zero a
     /// flush of the core would find final the moment the lock dropped
     /// (module docs), decided one flush earlier; every other zero waits
     /// for a flush as an `adjust`'s does. The pages count either way.
-    pub fn surrender<P: Counted>(&self, core: usize, obj: P, refs: i64, pages: u64) -> bool {
-        let key = obj.count_addr();
-        let mut cc = self.cores[core].lock();
-        self.adjust_locked(&mut cc, core, key, -refs);
+    pub fn surrender<P: Counted>(
+        &self,
+        held: &mut CoreHeld<'_>,
+        obj: P,
+        refs: i64,
+        pages: u64,
+    ) -> bool {
+        let (core, key) = (held.core(), obj.count_addr());
+        let cc = self.cores.get(held);
+        self.adjust_locked(cc, core, key, -refs);
+        cc.surrendered += pages;
+        let due = cc.surrendered >= EXPEDITE_PAGES;
         if P::SLOT_BACKED && refs > 0 {
             // SAFETY: the caller held the references it surrenders, so
             // the cell's table is live and `key` is its header.
-            unsafe { self.release_if_final(&mut cc, core, key) };
+            unsafe { self.release_if_final(held, key) };
         }
-        cc.surrendered += pages;
-        cc.surrendered >= EXPEDITE_PAGES
+        due
     }
 
     /// Releases the slot-backed cell whose header is at `key` in place
@@ -453,9 +476,12 @@ impl Refcache {
     ///
     /// # Safety
     ///
-    /// `key` must point to a live `CountSlot`'s header that `cc` holds a
-    /// way for (a [`Refcache::adjust_locked`] on it just ran).
-    unsafe fn release_if_final(&self, cc: &mut CoreCache, core: usize, key: usize) {
+    /// `key` must point to a live `CountSlot`'s header that the held
+    /// core's cache holds a way for (a [`Refcache::adjust_locked`] on it
+    /// just ran).
+    unsafe fn release_if_final(&self, held: &mut CoreHeld<'_>, key: usize) {
+        let core = held.core();
+        let cc = self.cores.get(held);
         let idx = Self::hash_obj(key, cc.slots.len());
         debug_assert_eq!(cc.slots[idx].obj, key);
         let hdr = &*(key as *const Header);
@@ -471,8 +497,16 @@ impl Refcache {
         cc.slots[idx].delta = 0;
         self.stats
             .add_held(core, RefcacheStats::slot_releases, cc, 1);
-        let ctx = ReleaseCtx { cache: self, core };
-        (hdr.drop_fn)(key as *mut Header, &ctx);
+        (hdr.drop_fn)(key as *mut Header, &self.release_ctx(held));
+    }
+
+    /// The context a zero-count action on the held core runs with.
+    fn release_ctx<'a>(&'a self, held: &'a mut CoreHeld<'_>) -> ReleaseCtx<'a> {
+        ReleaseCtx {
+            cache: self,
+            core: held.core(),
+            held: RefCell::new(held.reborrow()),
+        }
     }
 
     /// Increments the reference count of `obj` on `core`.
@@ -503,8 +537,11 @@ impl Refcache {
     /// (e.g. have just allocated the frame), which guarantees the cell
     /// is dormant: its previous activation, if any, completed the full
     /// review protocol before the resource became reallocatable.
-    pub fn activate<T: SlotManaged>(&self, core: usize, cell: SlotPtr<T>, init_count: i64) {
-        self.stats.add(core, RefcacheStats::slot_activates, 1);
+    ///
+    /// `held` is the activating core's lock of the cache's set.
+    pub fn activate<T: SlotManaged>(&self, held: &CoreHeld<'_>, cell: SlotPtr<T>, init_count: i64) {
+        assert!(held.is_of(self.locks()), "a CoreHeld of another lock set");
+        self.stats.add_core(held, RefcacheStats::slot_activates, 1);
         // SAFETY: the cell's table is live (the caller holds its
         // resource) and `count_addr` points at its header.
         let hdr = unsafe { &*(cell.count_addr() as *const Header) };
@@ -577,20 +614,21 @@ impl Refcache {
     /// Flushes `core`'s delta cache and advances the epoch barrier (the
     /// paper's `flush`).
     pub fn flush(&self, core: usize) {
-        self.flush_as(core, false);
+        self.flush_as(&mut self.lock(core), false);
     }
 
-    /// [`Refcache::flush`]; `expedited` says whether to count it as an
-    /// [`Refcache::expedite`] tick's.
-    fn flush_as(&self, core: usize, expedited: bool) {
-        let mut cc = self.cores[core].lock();
+    /// [`Refcache::flush`] of the held core; `expedited` says whether to
+    /// count it as an [`Refcache::expedite`] tick's.
+    fn flush_as(&self, held: &mut CoreHeld<'_>, expedited: bool) {
+        let core = held.core();
+        let cc = self.cores.get(held);
         // Read with an RMW: the barrier below writes this line in the
         // common case, so taking it exclusive here makes that write local
         // and the flush pays one transfer of the line, not two.
         let epoch = self.barrier.global_epoch.fetch_add(0, Ordering::AcqRel);
-        self.stats.add_held(core, RefcacheStats::flushes, &cc, 1);
+        self.stats.add_held(core, RefcacheStats::flushes, cc, 1);
         if expedited {
-            self.stats.add_held(core, RefcacheStats::expedited, &cc, 1);
+            self.stats.add_held(core, RefcacheStats::expedited, cc, 1);
         }
         // What the core surrendered is on its way to review from here.
         cc.surrendered = 0;
@@ -602,7 +640,7 @@ impl Refcache {
             let slot = std::mem::replace(&mut cc.slots[i as usize], EMPTY_SLOT);
             if slot.delta != 0 {
                 // SAFETY: cached deltas imply liveness (module docs).
-                unsafe { self.evict(&mut cc, core, slot.obj, slot.delta, epoch) };
+                unsafe { self.evict(cc, core, slot.obj, slot.delta, epoch) };
             }
         }
         occupied.clear();
@@ -624,8 +662,15 @@ impl Refcache {
     /// the zero-count actions of the cells the core's flushes released
     /// at once as well.
     pub fn review(&self, core: usize) {
+        self.review_held(&mut self.lock(core));
+    }
+
+    /// [`Refcache::review`] of the held core. The zero-count actions run
+    /// under the same hold, with the core's cell lent to them.
+    fn review_held(&self, held: &mut CoreHeld<'_>) {
+        let core = held.core();
         let mut to_free = {
-            let mut cc = self.cores[core].lock();
+            let cc = self.cores.get(held);
             let mut to_free = std::mem::take(&mut cc.to_free);
             let epoch = self.epoch();
             let mut remaining = cc.review.len();
@@ -645,7 +690,7 @@ impl Refcache {
                 let mut st = hdr.state.lock();
                 if st.refcnt != 0 {
                     // Came back to life; clear review state and dying.
-                    self.stats.add_held(core, RefcacheStats::revivals, &cc, 1);
+                    self.stats.add_held(core, RefcacheStats::revivals, cc, 1);
                     st.on_review = false;
                     st.dirty = false;
                     let weak = hdr.weak.load(Ordering::Acquire);
@@ -669,8 +714,8 @@ impl Refcache {
                 if clean {
                     // The freeing CAS succeeded (or no weak exists): no
                     // new reference can appear. Defer the actual free
-                    // until locks are dropped; count it here, under the
-                    // core lock.
+                    // until the object's lock and the core's cell are
+                    // let go; count it here.
                     if hdr.slot_backed {
                         // A cell goes back to dormant under the hold that
                         // confirmed its zero, not under a second one in
@@ -680,7 +725,7 @@ impl Refcache {
                         // action runs).
                         st.on_review = false;
                         self.stats
-                            .add_held(core, RefcacheStats::slot_releases, &cc, 1);
+                            .add_held(core, RefcacheStats::slot_releases, cc, 1);
                     } else {
                         self.stats.add(core, RefcacheStats::frees, 1);
                     }
@@ -689,8 +734,7 @@ impl Refcache {
                 } else {
                     // Dirty zero or lost the race with a revive/lock:
                     // examine again two epochs from now.
-                    self.stats
-                        .add_held(core, RefcacheStats::dirty_zeros, &cc, 1);
+                    self.stats.add_held(core, RefcacheStats::dirty_zeros, cc, 1);
                     st.dirty = false;
                     if weak != 0 {
                         // SAFETY: weak word outlives the object.
@@ -705,23 +749,11 @@ impl Refcache {
                 cc.to_free = to_free;
                 return;
             }
-            // Counted before the core unlocks, so a quiesce that takes the
-            // lock after this pass did also sees it running.
-            self.releasing.fetch_add(1, Ordering::Relaxed);
             to_free
         };
-        // Uncounted when the pass ends, also by a panicking action: a
-        // count left behind would hang every later quiesce.
-        struct Running<'a>(&'a AtomicU64);
-        impl Drop for Running<'_> {
-            fn drop(&mut self) {
-                self.0.fetch_sub(1, Ordering::Release);
-            }
-        }
-        let _running = Running(&self.releasing);
-        // Perform frees outside the per-core lock: `on_release` may
-        // re-enter the cache (e.g. dec of a parent node).
-        let ctx = ReleaseCtx { cache: self, core };
+        // The frees run with the cell let go: `on_release` may re-enter
+        // the cache through the lent lock (e.g. dec of a parent node).
+        let ctx = self.release_ctx(held);
         for obj_addr in to_free.drain(..) {
             let hdr = obj_addr as *mut Header;
             // SAFETY: a live header (objects on a review queue or this
@@ -731,9 +763,10 @@ impl Refcache {
             // matches the storage's payload type by construction.
             unsafe { ((*hdr).drop_fn)(hdr, &ctx) };
         }
-        // Give the (empty) list back for the next pass, unless a flush
-        // for this core queued releases in the meantime: those stay.
-        let mut cc = self.cores[core].lock();
+        drop(ctx);
+        // Give the (empty) list back for the next pass, unless an action's
+        // conflict eviction queued a release meanwhile: that one stays.
+        let cc = self.cores.get(held);
         if cc.to_free.is_empty() {
             cc.to_free = to_free;
         }
@@ -743,23 +776,29 @@ impl Refcache {
     /// regularly from each core (the kernel uses a 10 ms timer tick; the
     /// benchmarks call it every few hundred operations).
     pub fn maintain(&self, core: usize) {
-        self.flush(core);
-        self.review(core);
+        self.maintain_held(&mut self.lock(core));
+    }
+
+    /// [`Refcache::maintain`] of the held core, in one hold.
+    pub fn maintain_held(&self, held: &mut CoreHeld<'_>) {
+        self.flush_as(held, false);
+        self.review_held(held);
     }
 
     /// The [`Refcache::maintain`] a true answer from
     /// [`Refcache::surrender`] asks of its caller: the same flush and
-    /// review, counted in [`RefcacheStats`]' `expedited` as well, so that
-    /// `flushes - expedited` stays what callers' timers issued.
-    pub fn expedite(&self, core: usize) {
-        self.flush_as(core, true);
-        self.review(core);
+    /// review of the held core, counted in [`RefcacheStats`]' `expedited`
+    /// as well, so that `flushes - expedited` stays what callers' timers
+    /// issued.
+    pub fn expedite(&self, held: &mut CoreHeld<'_>) {
+        self.flush_as(held, true);
+        self.review_held(held);
     }
 
     /// Runs enough maintenance rounds on all cores to flush every delta
-    /// and free every unreferenced object, then waits for the release
-    /// passes other threads are running, so that whatever those passes
-    /// took off a queue is released too when it returns. For tests, which
+    /// and free every unreferenced object. A release pass another thread
+    /// runs holds its core's lock with its actions, so whatever it took
+    /// off a queue is released too when this returns. For tests, which
     /// count what is left and may drop a cell's table right after; a
     /// reference such a pass drops after this thread's last flush of its
     /// core stays cached for the next flush, or the cache's drop.
@@ -771,9 +810,6 @@ impl Refcache {
         for _ in 0..4 * REVIEW_DELAY + 4 {
             (0..self.ncores).for_each(|c| self.flush(c));
             (0..self.ncores).for_each(|c| self.review(c));
-        }
-        while self.releasing.load(Ordering::Acquire) != 0 {
-            std::thread::yield_now();
         }
     }
 
@@ -818,56 +854,34 @@ impl Refcache {
 
     /// Attempts to obtain a reference to the object behind a weak word.
     ///
-    /// On success the object's count has been incremented on `core` and a
-    /// typed pointer is returned; `None` means the object was deleted (or
-    /// the slot does not currently hold tag `tag`).
+    /// On success the object's count has been incremented on the held
+    /// core and a typed pointer is returned; `None` means the object was
+    /// deleted (or the slot does not currently hold tag `tag`).
     ///
     /// # Safety
     ///
     /// If `slot` currently holds a pointer under tag `tag`, it must point
     /// to an `RcBox<T>` registered with [`Refcache::register_weak`].
-    pub unsafe fn tryget<T>(&self, core: usize, slot: &Atomic64, tag: u8) -> Option<RcPtr<T>> {
+    pub unsafe fn tryget<T>(
+        &self,
+        held: &mut CoreHeld<'_>,
+        slot: &Atomic64,
+        tag: u8,
+    ) -> Option<RcPtr<T>> {
         // Read the word (reviving a dying object) and cache the increment
-        // in one critical section of the core's delta cache: no flush of
-        // this core, by whichever thread, may fall between the two (see
-        // the module-level freeing-safety argument).
-        let mut cc = self.cores[core].lock();
+        // in one critical section of the core's lock: no flush of this
+        // core, by whichever thread, may fall between the two (see the
+        // module-level freeing-safety argument).
+        let core = held.core();
         match weak::tryget_raw(slot, tag) {
             weak::TrygetOutcome::Absent => None,
             weak::TrygetOutcome::Got(addr) => {
-                self.adjust_locked(&mut cc, core, addr, 1);
+                self.adjust_locked(self.cores.get(held), core, addr, 1);
                 Some(RcPtr::<T>::from_header(NonNull::new_unchecked(
                     addr as *mut Header,
                 )))
             }
         }
-    }
-
-    /// Runs `f` with a pinned reference to the object behind a weak word,
-    /// releasing the pin when `f` returns (the scoped companion of
-    /// [`Refcache::tryget`]). Returns `None` — without calling `f` — when
-    /// the object is gone or the slot holds a different tag.
-    ///
-    /// Using this instead of manual `tryget`/`dec` pairs guarantees a
-    /// traversal holds exactly one pin per nesting level and cannot leak
-    /// one on an early return.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`Refcache::tryget`]: if `slot` currently holds a
-    /// pointer under tag `tag`, it must point to an `RcBox<T>` registered
-    /// with [`Refcache::register_weak`].
-    pub unsafe fn with_pin<T, R>(
-        &self,
-        core: usize,
-        slot: &Atomic64,
-        tag: u8,
-        f: impl FnOnce(RcPtr<T>) -> R,
-    ) -> Option<R> {
-        let obj = self.tryget::<T>(core, slot, tag)?;
-        let out = f(obj);
-        self.dec(core, obj);
-        Some(out)
     }
 
     /// Reads an object's current *global* count (test/debug aid; the true
@@ -891,10 +905,11 @@ impl Drop for Refcache {
     /// The tables behind slot-backed cells ([`slot`]) must outlive the
     /// cache: the drain runs their zero actions.
     fn drop(&mut self) {
-        while self.cores.iter_mut().any(|c| {
-            let cc = c.get_mut();
-            !(cc.occupied.is_empty() && cc.review.is_empty() && cc.to_free.is_empty())
-        }) {
+        while self
+            .cores
+            .iter_mut()
+            .any(|cc| !(cc.occupied.is_empty() && cc.review.is_empty() && cc.to_free.is_empty()))
+        {
             for c in 0..self.ncores {
                 self.maintain(c);
             }
@@ -1082,7 +1097,7 @@ mod tests {
                     .collect();
                 let cells: Vec<_> = table.iter().map(CountSlot::handle).collect();
                 for &c in &cells {
-                    rc.activate(0, c, 1);
+                    rc.activate(&rc.lock(0), c, 1);
                 }
                 for _ in 0..4 {
                     for &c in &cells {
@@ -1108,48 +1123,41 @@ mod tests {
     }
 
     /// A node whose release drops its parent, as a radix node's does;
-    /// the release waits until the epoch reaches `until`, and says when
-    /// it is done.
+    /// the release waits until `go` is set, and says when it is done.
     struct HeldChild {
         parent: RcPtr<Tracked>,
         started: Arc<std::sync::atomic::AtomicBool>,
-        until: Arc<StdAtomicU64>,
+        go: Arc<std::sync::atomic::AtomicBool>,
         done: Arc<std::sync::atomic::AtomicBool>,
     }
 
     impl Managed for HeldChild {
         fn on_release(&mut self, ctx: &ReleaseCtx<'_>) {
             self.started.store(true, Ordering::SeqCst);
-            while ctx.cache.epoch() < self.until.load(Ordering::SeqCst) {
+            while !self.go.load(Ordering::SeqCst) {
                 std::thread::yield_now();
             }
-            ctx.cache.dec(ctx.core, self.parent);
+            ctx.with_held(|held| ctx.cache.adjust_held(held, self.parent, -1));
             self.done.store(true, Ordering::SeqCst);
         }
     }
 
     /// Another thread's review pass frees a child while this thread
-    /// quiesces, and the child's release drops its parent only after the
-    /// quiescer's last sweep. `quiesce` returns only once that release
-    /// has finished; the reference it dropped stays cached on the core
-    /// until the next flush, here the cache's drop, which frees the
-    /// parent.
+    /// quiesces. The pass holds the core's lock with its actions, so
+    /// `quiesce` waits for the release to finish, and its sweeps then
+    /// apply the reference the release dropped: the parent goes too.
     #[test]
     fn quiesce_returns_after_a_foreign_release_finishes() {
         use std::sync::atomic::AtomicBool;
         let rc = Arc::new(Refcache::new(1));
         let (parent, parent_drops, _) = tracked(&rc, 1);
-        let (started, until, done) = (
-            Arc::new(AtomicBool::new(false)),
-            Arc::new(StdAtomicU64::new(u64::MAX)),
-            Arc::new(AtomicBool::new(false)),
-        );
+        let [started, go, done, quiesced] = [(); 4].map(|_| Arc::new(AtomicBool::new(false)));
         let child = rc.alloc(
             1,
             HeldChild {
                 parent,
                 started: started.clone(),
-                until: until.clone(),
+                go: go.clone(),
                 done: done.clone(),
             },
         );
@@ -1165,16 +1173,23 @@ mod tests {
         while !started.load(Ordering::SeqCst) {
             std::thread::yield_now();
         }
-        // The release proceeds once `quiesce` has run its sweeps: one
-        // flush, one epoch, per round on a one-core cache.
-        let sweeps = 4 * REVIEW_DELAY + 4;
-        until.store(rc.epoch() + sweeps, Ordering::SeqCst);
-        rc.quiesce();
-        assert!(done.load(Ordering::SeqCst), "quiesce returned mid-release");
-        assert_eq!(parent_drops.load(Ordering::SeqCst), 0, "no flush since");
+        let quiescer = {
+            let (rc, done, quiesced) = (rc.clone(), done.clone(), quiesced.clone());
+            std::thread::spawn(move || {
+                rc.quiesce();
+                assert!(done.load(Ordering::SeqCst), "quiesce returned mid-release");
+                quiesced.store(true, Ordering::SeqCst);
+            })
+        };
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(
+            !quiesced.load(Ordering::SeqCst),
+            "quiesce ran past the held core"
+        );
+        go.store(true, Ordering::SeqCst);
         releaser.join().unwrap();
-        drop(rc);
-        assert_eq!(parent_drops.load(Ordering::SeqCst), 1, "the drop frees it");
+        quiescer.join().unwrap();
+        assert_eq!(parent_drops.load(Ordering::SeqCst), 1, "the sweeps free it");
     }
 
     #[test]
@@ -1188,7 +1203,7 @@ mod tests {
         assert!(weak::is_dying(slot.load(Ordering::Acquire)));
         // Revive through the weak reference before review frees it.
         // SAFETY: slot holds `p` under tag 1.
-        let got = unsafe { rc.tryget::<Tracked>(0, &slot, 1) };
+        let got = unsafe { rc.tryget::<Tracked>(&mut rc.lock(0), &slot, 1) };
         assert!(got.is_some());
         rc.quiesce();
         assert_eq!(drops.load(Ordering::SeqCst), 0, "revived object freed");
@@ -1199,7 +1214,7 @@ mod tests {
         assert_eq!(slot.load(Ordering::Acquire), 0, "free clears the slot");
         // tryget after free reports deletion.
         // SAFETY: slot is empty; tryget handles that case.
-        assert!(unsafe { rc.tryget::<Tracked>(0, &slot, 1) }.is_none());
+        assert!(unsafe { rc.tryget::<Tracked>(&mut rc.lock(0), &slot, 1) }.is_none());
     }
 
     #[test]
@@ -1217,26 +1232,6 @@ mod tests {
         slot.fetch_and(!weak::LOCK_BIT, Ordering::AcqRel);
         rc.quiesce();
         assert_eq!(drops.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn with_pin_scopes_the_reference() {
-        let rc = Refcache::new(1);
-        let (p, drops, _) = tracked(&rc, 1);
-        let slot = Atomic64::new(weak::pack(p.addr(), 1));
-        rc.register_weak(p, &slot);
-        // SAFETY: slot holds `p` under tag 1.
-        let seen = unsafe { rc.with_pin::<Tracked, _>(0, &slot, 1, |q| q.addr()) };
-        assert_eq!(seen, Some(p.addr()));
-        // The pin was released inside with_pin: dropping the base
-        // reference frees the object.
-        rc.dec(0, p);
-        rc.quiesce();
-        assert_eq!(drops.load(Ordering::SeqCst), 1);
-        // Gone now: the closure must not run.
-        // SAFETY: slot is empty; tryget handles that case.
-        let ran = unsafe { rc.with_pin::<Tracked, _>(0, &slot, 1, |_| ()) };
-        assert!(ran.is_none());
     }
 
     #[test]
@@ -1275,16 +1270,16 @@ mod tests {
         let rc = Refcache::new(2);
         let (p, drops, _) = tracked(&rc, 600);
         // Below the threshold: false, however the pages arrive.
-        assert!(!rc.surrender(0, p, 1, EXPEDITE_PAGES - 2));
-        assert!(!rc.surrender(0, p, 1, 1));
+        assert!(!rc.surrender(&mut rc.lock(0), p, 1, EXPEDITE_PAGES - 2));
+        assert!(!rc.surrender(&mut rc.lock(0), p, 1, 1));
         // At it, and after it, until the core is flushed.
-        assert!(rc.surrender(0, p, 1, 1));
-        assert!(rc.surrender(0, p, 1, 0));
+        assert!(rc.surrender(&mut rc.lock(0), p, 1, 1));
+        assert!(rc.surrender(&mut rc.lock(0), p, 1, 0));
         // Per core: core 1 has surrendered nothing yet.
-        assert!(!rc.surrender(1, p, 1, 1));
+        assert!(!rc.surrender(&mut rc.lock(1), p, 1, 1));
         rc.flush(0);
-        assert!(!rc.surrender(0, p, 1, EXPEDITE_PAGES - 1));
-        assert!(rc.surrender(0, p, 1, 1));
+        assert!(!rc.surrender(&mut rc.lock(0), p, 1, EXPEDITE_PAGES - 1));
+        assert!(rc.surrender(&mut rc.lock(0), p, 1, 1));
         // The references went where `adjust` would have put them.
         rc.quiesce();
         assert_eq!(rc.global_count(p), 600 - 7);
@@ -1297,16 +1292,16 @@ mod tests {
     fn a_flush_for_the_core_by_another_thread_restarts_the_count() {
         let rc = Arc::new(Refcache::new(1));
         let (p, _, _) = tracked(&rc, 8);
-        assert!(rc.surrender(0, p, 1, EXPEDITE_PAGES));
+        assert!(rc.surrender(&mut rc.lock(0), p, 1, EXPEDITE_PAGES));
         let sweeper = rc.clone();
         std::thread::spawn(move || sweeper.flush(0)).join().unwrap();
-        assert!(!rc.surrender(0, p, 1, EXPEDITE_PAGES - 1));
-        assert!(rc.surrender(0, p, 1, 1));
+        assert!(!rc.surrender(&mut rc.lock(0), p, 1, EXPEDITE_PAGES - 1));
+        assert!(rc.surrender(&mut rc.lock(0), p, 1, 1));
         let sweeper = rc.clone();
         std::thread::spawn(move || sweeper.quiesce())
             .join()
             .unwrap();
-        assert!(!rc.surrender(0, p, 1, 1));
+        assert!(!rc.surrender(&mut rc.lock(0), p, 1, 1));
         rc.adjust(0, p, -4);
         rc.quiesce();
         assert_eq!(rc.live_objects(), 0);
@@ -1316,7 +1311,7 @@ mod tests {
     fn adjust_inc_and_dec_surrender_no_pages() {
         let rc = Refcache::new(1);
         let (p, _, _) = tracked(&rc, 1);
-        assert!(!rc.surrender(0, p, 0, EXPEDITE_PAGES - 1));
+        assert!(!rc.surrender(&mut rc.lock(0), p, 0, EXPEDITE_PAGES - 1));
         for _ in 0..2 * EXPEDITE_PAGES {
             rc.inc(0, p);
             rc.dec(0, p);
@@ -1324,8 +1319,8 @@ mod tests {
         rc.adjust(0, p, 4096);
         rc.adjust(0, p, -4096);
         // Still one page short.
-        assert!(!rc.surrender(0, p, 0, 0));
-        assert!(rc.surrender(0, p, 0, 1));
+        assert!(!rc.surrender(&mut rc.lock(0), p, 0, 0));
+        assert!(rc.surrender(&mut rc.lock(0), p, 0, 1));
         rc.dec(0, p);
         rc.quiesce();
         assert_eq!(rc.live_objects(), 0);
@@ -1335,13 +1330,16 @@ mod tests {
     fn expedite_is_maintain_counted_as_expedited() {
         let rc = Refcache::new(1);
         let (p, drops, _) = tracked(&rc, 1);
-        assert!(rc.surrender(0, p, 1, EXPEDITE_PAGES));
-        rc.expedite(0);
-        assert!(!rc.surrender(0, p, 0, 0), "an expedited tick flushes");
+        assert!(rc.surrender(&mut rc.lock(0), p, 1, EXPEDITE_PAGES));
+        rc.expedite(&mut rc.lock(0));
+        assert!(
+            !rc.surrender(&mut rc.lock(0), p, 0, 0),
+            "an expedited tick flushes"
+        );
         assert_eq!(drops.load(Ordering::SeqCst), 0);
         // And reviews: the second tick frees, as a second `maintain`
         // would (`free_waits_full_epoch`).
-        rc.expedite(0);
+        rc.expedite(&mut rc.lock(0));
         assert_eq!(drops.load(Ordering::SeqCst), 1);
         rc.maintain(0);
         rc.flush(0);

@@ -7,10 +7,11 @@
 //! object's (single, optional) weak-reference word, and a type-erased drop
 //! function so the cache can free objects of any payload type.
 
+use std::cell::RefCell;
 use std::ptr::NonNull;
 use std::sync::atomic::AtomicUsize;
 
-use rvm_sync::SpinLock;
+use rvm_sync::{CoreHeld, SpinLock};
 
 use crate::Refcache;
 
@@ -24,12 +25,23 @@ pub trait Managed: Send + Sync + 'static {
     fn on_release(&mut self, ctx: &ReleaseCtx<'_>);
 }
 
-/// Context passed to [`Managed::on_release`].
+/// Context passed to [`Managed::on_release`]: a release runs under the
+/// lock of the core it runs for, and lends it on here.
 pub struct ReleaseCtx<'a> {
     /// The cache that is freeing the object.
     pub cache: &'a Refcache,
     /// The core on which the release is executing.
     pub core: usize,
+    pub(crate) held: RefCell<CoreHeld<'a>>,
+}
+
+impl ReleaseCtx<'_> {
+    /// Runs `f` with the held lock of the release's core (the cache's
+    /// set's): what a further Refcache operation, or a frame's return to
+    /// a pool sharing the set, needs.
+    pub fn with_held<R>(&self, f: impl FnOnce(&mut CoreHeld<'_>) -> R) -> R {
+        f(&mut self.held.borrow_mut())
+    }
 }
 
 /// Mutable reference-count state, protected by the per-object lock.

@@ -209,7 +209,7 @@ pub(crate) unsafe fn slot_drop_impl<T: SlotManaged>(h: *mut Header, ctx: &Releas
 mod tests {
     use super::*;
     use crate::Refcache;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     struct Zeroed {
@@ -234,7 +234,7 @@ mod tests {
     fn activate_dec_runs_zero_action_lazily() {
         let rc = Refcache::new(1);
         let (slot, hits) = cell();
-        rc.activate(0, slot.handle(), 1);
+        rc.activate(&rc.lock(0), slot.handle(), 1);
         rc.dec(0, slot.handle());
         assert_eq!(hits.load(Ordering::SeqCst), 0, "action must be lazy");
         rc.quiesce();
@@ -251,7 +251,7 @@ mod tests {
         let rc = Refcache::new(2);
         let (slot, hits) = cell();
         for round in 1..=5u64 {
-            rc.activate(0, slot.handle(), 1);
+            rc.activate(&rc.lock(0), slot.handle(), 1);
             rc.inc(1, slot.handle());
             rc.dec(0, slot.handle());
             rc.quiesce();
@@ -271,7 +271,7 @@ mod tests {
         // matching inc, producing a transient global zero.
         let rc = Refcache::new(2);
         let (slot, hits) = cell();
-        rc.activate(0, slot.handle(), 1);
+        rc.activate(&rc.lock(0), slot.handle(), 1);
         rc.inc(0, slot.handle());
         rc.dec(1, slot.handle());
         rc.flush(1); // global 1 - 1 = 0 → queued (false zero)
@@ -291,7 +291,7 @@ mod tests {
         // rule can release the cell.
         let rc = Refcache::new(2);
         let (slot, hits) = cell();
-        rc.activate(0, slot.handle(), 1);
+        rc.activate(&rc.lock(0), slot.handle(), 1);
         rc.inc(0, slot.handle());
         rc.adjust(0, slot.handle(), -2);
         assert_eq!(rc.live_slots(), 1, "nothing before the tick");
@@ -302,7 +302,7 @@ mod tests {
         assert_eq!(hits.load(Ordering::SeqCst), 1);
         // A cell nobody added to is released by whichever core applies
         // its zero.
-        rc.activate(0, slot.handle(), 1);
+        rc.activate(&rc.lock(0), slot.handle(), 1);
         rc.dec(1, slot.handle());
         rc.maintain(1);
         assert_eq!(hits.load(Ordering::SeqCst), 2);
@@ -315,11 +315,11 @@ mod tests {
         // runs the action.
         let rc = Refcache::new(2);
         let (slot, hits) = cell();
-        rc.activate(0, slot.handle(), 1);
+        rc.activate(&rc.lock(0), slot.handle(), 1);
         rc.inc(0, slot.handle());
-        assert!(!rc.surrender(0, slot.handle(), 1, 1));
+        assert!(!rc.surrender(&mut rc.lock(0), slot.handle(), 1, 1));
         assert_eq!(hits.load(Ordering::SeqCst), 0, "one reference left");
-        rc.surrender(0, slot.handle(), 1, 1);
+        rc.surrender(&mut rc.lock(0), slot.handle(), 1, 1);
         assert_eq!(hits.load(Ordering::SeqCst), 1);
         assert_eq!(rc.live_slots(), 0, "exact with no tick");
         assert_eq!(rc.stats().flushes, 0);
@@ -328,8 +328,8 @@ mod tests {
         assert_eq!(rc.global_count(slot.handle()), 0);
         // A cell nobody added to is released by whichever core's
         // surrender brings it to zero.
-        rc.activate(0, slot.handle(), 1);
-        rc.surrender(1, slot.handle(), 1, 1);
+        rc.activate(&rc.lock(0), slot.handle(), 1);
+        rc.surrender(&mut rc.lock(1), slot.handle(), 1, 1);
         assert_eq!(hits.load(Ordering::SeqCst), 2);
         assert_eq!(rc.live_slots(), 0);
     }
@@ -338,11 +338,11 @@ mod tests {
     fn a_foreign_adders_cell_still_waits_for_review_after_a_surrender() {
         let rc = Refcache::new(2);
         let (slot, hits) = cell();
-        rc.activate(0, slot.handle(), 1);
+        rc.activate(&rc.lock(0), slot.handle(), 1);
         rc.inc(1, slot.handle());
-        rc.surrender(1, slot.handle(), 1, 1);
+        rc.surrender(&mut rc.lock(1), slot.handle(), 1, 1);
         // Global 1 plus core 0's -1 is zero, but core 1 added.
-        rc.surrender(0, slot.handle(), 1, 1);
+        rc.surrender(&mut rc.lock(0), slot.handle(), 1, 1);
         assert_eq!(hits.load(Ordering::SeqCst), 0);
         assert_eq!(rc.live_slots(), 1);
         rc.maintain(1);
@@ -363,13 +363,13 @@ mod tests {
     fn a_block_head_surrendering_part_of_its_references_releases_nothing() {
         let rc = Refcache::new(1);
         let (slot, hits) = cell();
-        rc.activate(0, slot.handle(), 512);
-        rc.surrender(0, slot.handle(), 16, 16);
+        rc.activate(&rc.lock(0), slot.handle(), 512);
+        rc.surrender(&mut rc.lock(0), slot.handle(), 16, 16);
         assert_eq!(hits.load(Ordering::SeqCst), 0);
         rc.quiesce();
         assert_eq!(hits.load(Ordering::SeqCst), 0);
         assert_eq!(rc.global_count(slot.handle()), 512 - 16);
-        rc.surrender(0, slot.handle(), 512 - 16, 512 - 16);
+        rc.surrender(&mut rc.lock(0), slot.handle(), 512 - 16, 512 - 16);
         assert_eq!(hits.load(Ordering::SeqCst), 1);
         assert_eq!(rc.live_slots(), 0);
     }
@@ -378,15 +378,15 @@ mod tests {
     fn a_reference_added_on_one_core_is_not_released_by_anothers_surrender() {
         let rc = Refcache::new(2);
         let (slot, hits) = cell();
-        rc.activate(0, slot.handle(), 1);
+        rc.activate(&rc.lock(0), slot.handle(), 1);
         // Cached on core 0: the true count is 2.
         rc.inc(0, slot.handle());
         // Core 1 gives that reference up: global 1 plus its -1 is zero,
         // but core 0, not core 1, added.
-        rc.surrender(1, slot.handle(), 1, 1);
+        rc.surrender(&mut rc.lock(1), slot.handle(), 1, 1);
         assert_eq!(hits.load(Ordering::SeqCst), 0, "released a live cell");
         // Core 0's own surrender leaves core 1's -1 cached: no final zero.
-        rc.surrender(0, slot.handle(), 1, 1);
+        rc.surrender(&mut rc.lock(0), slot.handle(), 1, 1);
         assert_eq!(hits.load(Ordering::SeqCst), 0);
         assert_eq!(rc.live_slots(), 1);
         rc.quiesce();
@@ -398,7 +398,7 @@ mod tests {
     fn a_foreign_adder_keeps_the_cell_on_review_for_two_epochs() {
         let rc = Refcache::new(2);
         let (slot, hits) = cell();
-        rc.activate(0, slot.handle(), 1);
+        rc.activate(&rc.lock(0), slot.handle(), 1);
         rc.inc(1, slot.handle());
         rc.dec(1, slot.handle());
         rc.dec(0, slot.handle());
@@ -421,7 +421,7 @@ mod tests {
     fn a_sweeper_flushing_for_the_adder_releases_the_cell() {
         let rc = Arc::new(Refcache::new(2));
         let (slot, hits) = cell();
-        rc.activate(0, slot.handle(), 1);
+        rc.activate(&rc.lock(0), slot.handle(), 1);
         rc.inc(0, slot.handle());
         rc.adjust(0, slot.handle(), -2);
         let sweeper = rc.clone();
@@ -440,8 +440,8 @@ mod tests {
         let rc = Refcache::with_cache_slots(1, 1);
         let (a, a_hits) = cell();
         let (b, _) = cell();
-        rc.activate(0, a.handle(), 1);
-        rc.activate(0, b.handle(), 1);
+        rc.activate(&rc.lock(0), a.handle(), 1);
+        rc.activate(&rc.lock(0), b.handle(), 1);
         rc.dec(0, a.handle());
         rc.inc(0, b.handle()); // evicts a's delta: a true zero
         assert_eq!(rc.live_slots(), 1);
@@ -456,7 +456,7 @@ mod tests {
     fn adders_reset_at_reactivation() {
         let rc = Refcache::new(2);
         let (slot, hits) = cell();
-        rc.activate(0, slot.handle(), 1);
+        rc.activate(&rc.lock(0), slot.handle(), 1);
         rc.inc(1, slot.handle());
         rc.dec(1, slot.handle());
         rc.dec(0, slot.handle());
@@ -466,67 +466,56 @@ mod tests {
         assert_eq!(hits.load(Ordering::SeqCst), 1);
         // The next activation starts with no adders: core 0's tick
         // releases it although core 1 added to the last one.
-        rc.activate(0, slot.handle(), 1);
+        rc.activate(&rc.lock(0), slot.handle(), 1);
         rc.dec(0, slot.handle());
         rc.maintain(0);
         assert_eq!(hits.load(Ordering::SeqCst), 2);
     }
 
-    /// A zero action that holds its review pass open until told to go
-    /// on, so that a flush can queue a release while the pass has its
-    /// list out (an action may not re-enter the cache to do it itself).
-    struct HoldsThePass {
-        started: Arc<AtomicBool>,
-        go: Arc<AtomicBool>,
+    /// A zero action that takes a reference on another cell through the
+    /// lent lock, as a radix node's release adjusts its parent: in a
+    /// one-way delta cache that evicts whatever the way held.
+    struct TakesAnother {
+        another: SlotPtr<Zeroed>,
     }
 
-    impl SlotManaged for HoldsThePass {
-        fn on_zero(&self, _ctx: &ReleaseCtx<'_>) {
-            self.started.store(true, Ordering::SeqCst);
-            while !self.go.load(Ordering::SeqCst) {
-                std::thread::yield_now();
-            }
+    impl SlotManaged for TakesAnother {
+        fn on_zero(&self, ctx: &ReleaseCtx<'_>) {
+            ctx.with_held(|held| ctx.cache.adjust_held(held, self.another, 1));
         }
     }
 
     #[test]
     fn a_release_queued_during_a_pass_outlives_the_pass() {
-        let rc = Arc::new(Refcache::new(1));
+        let rc = Refcache::with_cache_slots(1, 1);
         let (other, hits) = cell();
-        let (started, go) = (
-            Arc::new(AtomicBool::new(false)),
-            Arc::new(AtomicBool::new(false)),
-        );
-        let first = CountSlot::new(HoldsThePass {
-            started: started.clone(),
-            go: go.clone(),
+        let (another, _) = cell();
+        let first = CountSlot::new(TakesAnother {
+            another: another.handle(),
         });
-        rc.activate(0, first.handle(), 1);
-        rc.activate(0, other.handle(), 1);
+        rc.activate(&rc.lock(0), first.handle(), 1);
+        rc.activate(&rc.lock(0), other.handle(), 1);
+        rc.activate(&rc.lock(0), another.handle(), 1);
         rc.dec(0, first.handle());
         rc.flush(0); // a final zero: `first` waits for the next review
-        let pass = {
-            let rc = rc.clone();
-            std::thread::spawn(move || rc.review(0))
-        };
-        while !started.load(Ordering::SeqCst) {
-            std::thread::yield_now();
-        }
-        rc.dec(0, other.handle());
-        rc.flush(0); // queues `other` while the pass runs `first`
-        go.store(true, Ordering::SeqCst);
-        pass.join().unwrap();
-        assert_eq!(rc.live_slots(), 0);
+        rc.dec(0, other.handle()); // cached in the one way
+                                   // The pass runs `first`, whose adjust evicts `other` to its
+                                   // final zero: queued while the pass has its list out.
+        rc.review(0);
+        assert_eq!(rc.live_slots(), 1, "only `another` is live");
         assert_eq!(hits.load(Ordering::SeqCst), 0, "not run in that pass");
         rc.review(0);
         assert_eq!(hits.load(Ordering::SeqCst), 1, "the release was lost");
+        rc.dec(0, another.handle());
+        rc.dec(0, another.handle());
+        rc.quiesce();
     }
 
     #[test]
     fn init_count_covers_many_references() {
         let rc = Refcache::new(1);
         let (slot, hits) = cell();
-        rc.activate(0, slot.handle(), 512);
+        rc.activate(&rc.lock(0), slot.handle(), 512);
         for _ in 0..511 {
             rc.dec(0, slot.handle());
         }
@@ -565,7 +554,7 @@ mod tests {
         let shared = Arc::new(CountSlot::new(Zeroed {
             hits: shared_hits.clone(),
         }));
-        rc.activate(0, shared.handle(), 1);
+        rc.activate(&rc.lock(0), shared.handle(), 1);
         let total_hits = Arc::new(AtomicU64::new(0));
         let total_activations = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::new();
@@ -591,7 +580,7 @@ mod tests {
                     // zero action recycled it (the activate contract).
                     let id = free.lock().unwrap().pop();
                     if let Some(id) = id {
-                        rc.activate(core, cells[id].handle(), 1);
+                        rc.activate(&rc.lock(core), cells[id].handle(), 1);
                         activations += 1;
                         rc.inc(core, cells[id].handle());
                         rc.dec(core, cells[id].handle());

@@ -31,6 +31,7 @@
 
 pub mod atomic;
 pub mod backoff;
+pub mod corelock;
 pub mod failpoint;
 pub mod inline_vec;
 pub mod lock;
@@ -42,6 +43,7 @@ pub mod sim;
 
 pub use atomic::{Atomic64, AtomicPtr64};
 pub use backoff::Backoff;
+pub use corelock::{CoreHeld, CoreLock, CoreLocks, PerCore};
 pub use inline_vec::InlineVec;
 pub use lock::{
     Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, SpinLock, SpinLockGuard,

@@ -23,7 +23,9 @@
 //!   holder the cell's only mutator: [`ShardedStats::add_held`] takes a
 //!   borrow of the locked `T` and is a plain load and store, no locked
 //!   instruction. Such a field has no other writer — an atomic add
-//!   landing between that load and store would be lost.
+//!   landing between that load and store would be lost. With `T` the
+//!   core's [`CoreLock`] itself, [`ShardedStats::add_core`] takes the
+//!   held token instead.
 //! * `Gauge` — not a cell: a value the owner reads at snapshot time (an
 //!   epoch, a queue length), declared in the same list so the snapshot
 //!   struct has one definition.
@@ -45,6 +47,7 @@
 use std::marker::PhantomData;
 
 use crate::atomic::{Atomic64, Ordering};
+use crate::corelock::{CoreHeld, CoreLock};
 use crate::pad::CachePadded;
 use crate::sim;
 
@@ -170,6 +173,16 @@ impl<S, const K: usize> ShardedStats<S, K> {
         _held: &T,
         n: u64,
     ) {
+        debug_assert!(core < self.shards(), "core {core} shares a stripe");
+        self.cells[core & self.mask][field.index].add_exclusive(n);
+    }
+
+    /// [`ShardedStats::add_held`] for a field all of whose bumps hold
+    /// their core's [`CoreLock`]: the stripe is the held core's, so the
+    /// token picks it and no core id can disagree with the lock.
+    #[inline(always)]
+    pub fn add_core(&self, held: &CoreHeld<'_>, field: Field<S, Exclusive<CoreLock>>, n: u64) {
+        let core = held.core();
         debug_assert!(core < self.shards(), "core {core} shares a stripe");
         self.cells[core & self.mask][field.index].add_exclusive(n);
     }

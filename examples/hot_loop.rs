@@ -13,7 +13,12 @@
 //! epochs), the address space's index and page-table bytes
 //! (`VmSystem::space_usage`) and the process's peak resident set.
 //!
-//! Run with: `cargo run --release --example hot_loop -- <disjoint|refault|shared|superpage|metis> <seconds> [threads]`
+//! Run with: `cargo run --release --example hot_loop -- <disjoint|refault|shared|superpage|metis> <seconds | Nops> [threads]`
+//!
+//! The budget is a time (`3`, seconds) or a fixed amount of work
+//! (`300000ops`: ops over all streams, or words for `metis`). A fixed
+//! count makes what the run leaves behind — page tables, the peak
+//! resident set — the same on a fast host as on a slow one.
 
 mod ops;
 
@@ -81,6 +86,28 @@ fn peak_rss_mib() -> Option<f64> {
     Some(kib / 1024.0)
 }
 
+/// How long a run goes on: for a time, or for a number of ops (words,
+/// for `metis`).
+#[derive(Clone, Copy)]
+enum Budget {
+    Time(Duration),
+    Ops(u64),
+}
+
+impl Budget {
+    /// `3`, `0.5` (seconds) or `300000ops`.
+    fn parse(arg: &str) -> Option<Budget> {
+        match arg.strip_suffix("ops") {
+            Some(n) => n.parse().ok().filter(|&n| n > 0).map(Budget::Ops),
+            None => arg
+                .parse()
+                .ok()
+                .map(Duration::from_secs_f64)
+                .map(Budget::Time),
+        }
+    }
+}
+
 /// Every counter of the stack at once: machine, address space, frame
 /// pool, Refcache.
 fn counters(
@@ -98,10 +125,15 @@ fn counters(
 }
 
 /// Runs `threads` streams of `kind`, one pinned host thread each, until
-/// `budget` has passed; returns the ops done and the seconds they took,
-/// and prints every counter that moved, per op, and what the pool has
-/// outstanding and the address space occupies at the end.
-fn spin(kind: Kind, budget: Duration, threads: usize) -> (u64, f64) {
+/// `budget` has passed or, for a count, each stream has done its share
+/// of it (in whole batches of 256); returns the ops done and the seconds
+/// they took, and prints every counter that moved, per op, and what the
+/// pool has outstanding and the address space occupies at the end.
+fn spin(kind: Kind, budget: Budget, threads: usize) -> (u64, f64) {
+    let share = match budget {
+        Budget::Ops(n) => n.div_ceil(threads as u64),
+        Budget::Time(_) => u64::MAX,
+    };
     let (machine, vm) = ops::machine(threads);
     let mut streams: Vec<Ops> = (0..threads)
         .map(|core| Ops::on(machine.clone(), vm.clone(), core, kind))
@@ -124,7 +156,7 @@ fn spin(kind: Kind, budget: Duration, threads: usize) -> (u64, f64) {
                     pin_to_cpu(core);
                     start.wait();
                     let mut n = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
+                    while n < share && !stop.load(Ordering::Relaxed) {
                         for _ in 0..256 {
                             o.op();
                         }
@@ -136,8 +168,10 @@ fn spin(kind: Kind, budget: Duration, threads: usize) -> (u64, f64) {
             .collect();
         start.wait();
         let t0 = Instant::now();
-        std::thread::sleep(budget);
-        stop.store(true, Ordering::Relaxed);
+        if let Budget::Time(t) = budget {
+            std::thread::sleep(t);
+            stop.store(true, Ordering::Relaxed);
+        }
         let ops: u64 = running
             .into_iter()
             .map(|t| t.join().expect("a stream panicked"))
@@ -170,13 +204,17 @@ fn spin(kind: Kind, budget: Duration, threads: usize) -> (u64, f64) {
 }
 
 /// One-worker word-index jobs, 64 KiB allocation unit, each on a fresh
-/// machine (the arena never frees); returns the words indexed and the
-/// seconds they took.
-fn metis(budget: Duration) -> (u64, f64) {
+/// machine (the arena never frees), until `budget` has passed or that
+/// many words are indexed; returns the words indexed and the seconds
+/// they took.
+fn metis(budget: Budget) -> (u64, f64) {
     const WORDS: u64 = 1_000_000;
     let t0 = Instant::now();
     let mut words = 0;
-    while t0.elapsed() < budget {
+    while match budget {
+        Budget::Time(t) => t0.elapsed() < t,
+        Budget::Ops(n) => words < n,
+    } {
         let (m, vm) = ops::machine(1);
         let arena = Arc::new(VmArena::new(m, vm, 16));
         let cfg = MetisConfig {
@@ -190,15 +228,14 @@ fn metis(budget: Duration) -> (u64, f64) {
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let usage =
-        "usage: hot_loop <disjoint|refault|shared|superpage|metis> <seconds> [threads, not metis]";
+    let usage = "usage: hot_loop <disjoint|refault|shared|superpage|metis> <seconds | Nops> \
+                 [threads, not metis]";
     let workload = args.next().expect(usage);
-    let seconds: f64 = args.next().and_then(|s| s.parse().ok()).expect(usage);
+    let budget = args.next().as_deref().and_then(Budget::parse).expect(usage);
     let threads: usize = match args.next() {
         Some(t) => t.parse().ok().filter(|&t| t >= 1).expect(usage),
         None => 1,
     };
-    let budget = Duration::from_secs_f64(seconds);
     let (ops, dt) = match workload.as_str() {
         "disjoint" => spin(Kind::Disjoint, budget, threads),
         "refault" => spin(Kind::Refault, budget, threads),

@@ -62,7 +62,7 @@ fn tlb_hit_is_one_locked_instruction() {
 }
 
 #[test]
-fn refault_op_is_seven_when_the_leaf_hint_serves_it() {
+fn refault_op_is_six_when_the_leaf_hint_serves_it() {
     let _sim = one_core_sim();
     const OPS: u64 = 1024;
     let mut o = one_core_ops(Kind::Refault);
@@ -78,15 +78,16 @@ fn refault_op_is_seven_when_the_leaf_hint_serves_it() {
     // the core's hint set holds all eight: no op descends from the root
     // (16 when it does).
     let mean = per_op.iter().sum::<u64>() as f64 / OPS as f64;
-    assert!(mean <= 7.01, "refault op: {mean:.2} locked instructions");
+    assert!(mean <= 6.01, "refault op: {mean:.2} locked instructions");
 }
 
 #[test]
 fn hinted_refault_op_line_events_are_pinned() {
     // Every instrumented access of the op, locked or not: the TLB lock
     // for the invalidation, again for the lookup that misses, and the
-    // miss counter under it (3); the hinted slot lock and unlock (5,
-    // pinned in `rvm_radix`) and the present bit read under it (1); the
+    // miss counter under it (3); the core's lock, which the hint rides,
+    // and the hinted slot's lock and unlock (5, pinned in `rvm_radix`)
+    // and the present bit read under it (1); the
     // fill counter (1); the page-table walk loading each interior word
     // once (3) and swapping the PTE (1); the TLB lock for the fill (1).
     // A word read twice shows up here, not in `rmws` — as did the attach
@@ -108,7 +109,7 @@ fn hinted_refault_op_line_events_are_pinned() {
 }
 
 #[test]
-fn disjoint_op_with_its_share_of_maintain_stays_within_twenty_three_point_two() {
+fn disjoint_op_with_its_share_of_maintain_stays_within_thirteen_point_one() {
     let _sim = one_core_sim();
     // Whole ticks, so each op carries its 1/128 share of `maintain`.
     const OPS: u64 = 8 * MAINTAIN_EVERY;
@@ -121,17 +122,17 @@ fn disjoint_op_with_its_share_of_maintain_stays_within_twenty_three_point_two() 
         fresh,
         "warm: no pool growth"
     );
-    assert!(n <= 23.2, "disjoint op: {n:.2} locked instructions");
+    assert!(n <= 13.1, "disjoint op: {n:.2} locked instructions");
 }
 
 #[test]
-fn one_core_shared_remap_op_stays_within_eighteen_point_nine() {
+fn one_core_shared_remap_op_stays_within_twelve_point_five() {
     let _sim = one_core_sim();
     const OPS: u64 = 8 * MAINTAIN_EVERY;
     let mut o = one_core_ops(Kind::SharedRemap);
     rmws_per_op(&mut o, OPS); // warm up
     let n = rmws_per_op(&mut o, OPS);
-    assert!(n <= 18.9, "shared_remap op: {n:.2} locked instructions");
+    assert!(n <= 12.5, "shared_remap op: {n:.2} locked instructions");
 }
 
 #[test]
