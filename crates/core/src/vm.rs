@@ -431,7 +431,7 @@ impl RadixVm {
         let mut entries: Vec<(Vpn, u64, PageMeta)> = Vec::new();
         let mut revoke_runs = Runs::new();
         let mut revoke_set = CoreSet::EMPTY;
-        let mut held = self.machine.locks().lock(core);
+        let mut held = self.cache.lock(core);
         {
             let mut g = self
                 .tree
@@ -514,7 +514,7 @@ impl VmSystem for RadixVm {
     ) -> VmResult<Vaddr> {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
-        let mut held = self.machine.locks().lock(core);
+        let mut held = self.cache.lock(core);
         self.stats.add_core(&held, OpStats::mmaps, 1);
         // Anchor file offsets to the VPN so every page's metadata is
         // identical and the mapping folds (§3.2).
@@ -542,7 +542,7 @@ impl VmSystem for RadixVm {
     fn munmap(&self, core: usize, addr: Vaddr, len: u64) -> VmResult<()> {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
-        let mut held = self.machine.locks().lock(core);
+        let mut held = self.cache.lock(core);
         self.stats.add_core(&held, OpStats::munmaps, 1);
         let mut guard = self
             .tree
@@ -591,7 +591,7 @@ impl VmSystem for RadixVm {
             self.attached.insert(core);
         }
         let vpn = vpn_of(va);
-        let mut held = self.machine.locks().lock(core);
+        let mut held = self.cache.lock(core);
         // Fold-preserving lock: if the page lives under an intact folded
         // block, the block's single slot is locked instead of expanding
         // it — the superpage fault path (DESIGN.md §7). Leaf-resolved
@@ -721,7 +721,7 @@ impl VmSystem for RadixVm {
     fn mprotect(&self, core: usize, addr: Vaddr, len: u64, prot: Prot) -> VmResult<()> {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
-        let mut held = self.machine.locks().lock(core);
+        let mut held = self.cache.lock(core);
         let mut guard = self
             .tree
             .lock_range_held(&mut held, lo, lo + n, LockMode::ExpandFolded);
@@ -752,8 +752,7 @@ impl VmSystem for RadixVm {
     }
 
     fn maintain(&self, core: usize) {
-        self.tree
-            .maintain_held(&mut self.machine.locks().lock(core));
+        self.tree.maintain_held(&mut self.cache.lock(core));
     }
 
     fn fork(&self, core: usize) -> VmResult<Arc<dyn VmSystem>> {
@@ -1043,7 +1042,7 @@ impl Drop for RadixVm {
     fn drop(&mut self) {
         // Unmap everything so physical pages return to the pool, then let
         // the tree give up its nodes.
-        let mut held = self.machine.locks().lock(0);
+        let mut held = self.cache.lock(0);
         let removed = self
             .tree
             .lock_range_held(&mut held, 0, VPN_LIMIT, LockMode::ExpandFolded)
@@ -1051,5 +1050,16 @@ impl Drop for RadixVm {
         self.unmap_tables(0, 0, VPN_LIMIT, &removed);
         self.release_frames(&mut held, &removed);
         self.machine.flush_asid(self.asid);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A core's promotion cell ([`PerCore`]) is two lines.
+    #[test]
+    fn promote_counters_size_is_pinned() {
+        assert_eq!(std::mem::size_of::<PromoteCounters>(), 128);
     }
 }

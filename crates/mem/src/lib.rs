@@ -27,7 +27,8 @@
 //!   different node is batched back to its home node's reservoir. The
 //!   pipeline microbenchmark's cross-socket traffic includes exactly this
 //!   "synchronization to return freed pages to their home nodes" (§5.3).
-//!   Reservoir invariants and the lock order are in DESIGN.md §10.
+//!   Reservoir invariants are in DESIGN.md §10, the lock order in
+//!   `rvm_sync::corelock`.
 //! * **One way out, one way back**: pages and blocks leave through one
 //!   function (count, charge, unpoison, zero if written) and return
 //!   through one (bump generations, poison, count, route) — DESIGN.md
@@ -1278,6 +1279,12 @@ impl Drop for FramePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A core's cell of the pool ([`PerCore`]) is one line.
+    #[test]
+    fn core_frames_size_is_pinned() {
+        assert_eq!(std::mem::size_of::<CoreFrames>(), 56);
+    }
 
     /// Which word shares a line with which is simulator-visible (these
     /// twelve span two lines, and the two a page-sized free bumps share

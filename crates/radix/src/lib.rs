@@ -39,6 +39,13 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
+    /// A core's hint cell ([`rvm_sync::PerCore`]) is three lines: the
+    /// tags a lookup scans, the ways, the victim.
+    #[test]
+    fn hint_set_size_is_pinned() {
+        assert_eq!(std::mem::size_of::<tree::HintSet<u64>>(), 136);
+    }
+
     fn tree(ncores: usize) -> RadixTree<u64> {
         RadixTree::new(Arc::new(Refcache::new(ncores)), RadixConfig::default())
     }
@@ -1144,12 +1151,12 @@ mod tests {
     #[test]
     fn warm_hinted_lock_unlock_line_events_are_pinned() {
         // The hinted single-page lock/unlock touches five instrumented
-        // lines, all core-local: the hint slot lock (1 write), the leaf
+        // lines, all core-local: the core's lock (1 write), the leaf
         // slot lock (1 `fetch_or`), the parent slot that must still
         // publish the leaf, read once under it (1 read), the hit counter
         // (1 write) and the unlock (1 write). A Refcache pin/unpin pair
-        // would add four more (the core delta cache lock and the epoch,
-        // twice) — the round-trip the hint's pin replaces — and a
+        // would add more (the delta cache way and the epoch, twice) —
+        // the round-trip the hint's pin replaces — and a
         // linkage check ahead of the slot lock one.
         let guard = rvm_sync::sim::install(1, rvm_sync::CostModel::default());
         rvm_sync::sim::switch(0);

@@ -33,7 +33,7 @@ use std::sync::Arc;
 use rvm_refcache::weak::{DYING_BIT, LOCK_BIT, PTR_MASK, TAG_SHIFT};
 use rvm_refcache::{Managed, RcPtr, ReleaseCtx};
 use rvm_sync::atomic::Ordering;
-use rvm_sync::{asan_poison, sharded_stats, sim, Atomic64, Backoff, CachePadded, SpinLock};
+use rvm_sync::{asan_poison, sharded_stats, sim, Atomic64, Backoff, CoreHeld, CoreLocks, PerCore};
 
 use crate::tree::HintTags;
 
@@ -108,7 +108,7 @@ sharded_stats! {
         nodes_collapsed: Shared,
         /// Single-page operations served by the per-core leaf hint cache
         /// (the fault fast path: no descent, no per-level pins). Bumped
-        /// before the core's hint slot drops.
+        /// under the core's hint cell.
         hint_hits: Exclusive<HintTags>,
         /// Single-page operations that fell back to a full descent because
         /// the hint was absent, stale, or covered a different block.
@@ -148,9 +148,6 @@ pub struct LeafSlot<V> {
 /// A leaf's slot array.
 type LeafSlots<V> = Box<[LeafSlot<V>]>;
 
-/// One core's spare leaf arrays.
-type SpareList<V> = SpinLock<Vec<LeafSlots<V>>>;
-
 /// Slot storage of a node.
 pub enum Slots<V> {
     /// Interior: packed child / folded words.
@@ -173,8 +170,9 @@ pub const SPARE_LEAVES: usize = 4;
 /// What a tree shares with every one of its nodes, behind the one `Arc`
 /// each node holds: the statistics, and per core the spare leaf arrays.
 ///
-/// A leaf collapses on the core that reviews it ([`ReleaseCtx::core`]),
-/// which keeps the emptied array here instead of freeing it, and
+/// A leaf collapses on the core that reviews it, under that core's
+/// `CoreLock` ([`ReleaseCtx::with_held`]), which keeps the emptied array
+/// in its cell here instead of freeing it, and
 /// [`Node::new_leaf`] on that core takes it back before it allocates.
 /// Freed to the shared allocator instead, the array's lines go to
 /// whichever core allocates next, and every line of it is then a remote
@@ -184,26 +182,23 @@ pub struct TreeShared<V> {
     /// Live-object statistics.
     pub stats: TreeStats,
     /// Per core, at most [`SPARE_LEAVES`] arrays whose values are all
-    /// `None`. The lock is innermost in the lock order: nothing is taken
-    /// while it is held.
-    spare: Box<[CachePadded<SpareList<V>>]>,
+    /// `None`, in the core's cell of the tree's `CoreLock`s.
+    spare: PerCore<Vec<LeafSlots<V>>>,
 }
 
 impl<V> TreeShared<V> {
-    /// Shared state for a tree serving `ncores` cores.
-    pub fn new(ncores: usize) -> Self {
+    /// Shared state for a tree serving the cores of `locks`.
+    pub fn new(locks: Arc<CoreLocks>) -> Self {
         TreeShared {
-            stats: TreeStats::new(ncores),
-            spare: (0..ncores)
-                .map(|_| CachePadded::new(SpinLock::new(Vec::with_capacity(SPARE_LEAVES))))
-                .collect(),
+            stats: TreeStats::new(locks.ncores()),
+            spare: PerCore::new(locks, |_| Vec::with_capacity(SPARE_LEAVES)),
         }
     }
 
-    /// Keeps the emptied leaf array `slots` on `core`'s spare list,
-    /// leaving an empty array in its place, unless the list is full.
-    fn keep_spare(&self, core: usize, slots: &mut LeafSlots<V>) {
-        let mut spare = self.spare[core].lock();
+    /// Keeps the emptied leaf array `slots` on the held core's spare
+    /// list, leaving an empty array in its place, unless the list is full.
+    fn keep_spare(&self, held: &mut CoreHeld<'_>, slots: &mut LeafSlots<V>) {
+        let spare = self.spare.get(held);
         if spare.len() == SPARE_LEAVES {
             return;
         }
@@ -217,9 +212,9 @@ impl<V> TreeShared<V> {
         spare.push(std::mem::take(slots));
     }
 
-    /// The array `core` emptied last, if it kept one.
-    fn take_spare(&self, core: usize) -> Option<LeafSlots<V>> {
-        let slots = self.spare[core].lock().pop()?;
+    /// The array the held core emptied last, if it kept one.
+    fn take_spare(&self, held: &mut CoreHeld<'_>) -> Option<LeafSlots<V>> {
+        let slots = self.spare.get(held).pop()?;
         poison(&slots, false);
         Some(slots)
     }
@@ -227,7 +222,8 @@ impl<V> TreeShared<V> {
     /// Addresses of the arrays on `core`'s spare list, oldest first.
     #[cfg(test)]
     pub(crate) fn spare_arrays(&self, core: usize) -> Vec<usize> {
-        let spare = self.spare[core].lock();
+        let held = &mut self.spare.lock(core);
+        let spare = self.spare.get(held);
         spare.iter().map(|s| s.as_ptr() as usize).collect()
     }
 }
@@ -235,10 +231,7 @@ impl<V> TreeShared<V> {
 impl<V> Drop for TreeShared<V> {
     fn drop(&mut self) {
         for spare in self.spare.iter_mut() {
-            spare
-                .get_mut()
-                .iter()
-                .for_each(|slots| poison(slots, false));
+            spare.iter().for_each(|slots| poison(slots, false));
         }
     }
 }
@@ -292,12 +285,12 @@ impl<V: Send + Sync + 'static> Node<V> {
         }
     }
 
-    /// Creates a leaf node on `core` whose slots are produced by `init`
-    /// (status word, value), in the array `core` emptied last if it kept
-    /// one ([`TreeShared`]), else in a fresh one. Every slot of a reused
-    /// array is built exactly as a fresh array's is.
+    /// Creates a leaf node on the held core whose slots are produced by
+    /// `init` (status word, value), in the array that core emptied last
+    /// if it kept one ([`TreeShared`]), else in a fresh one. Every slot
+    /// of a reused array is built exactly as a fresh array's is.
     pub fn new_leaf(
-        core: usize,
+        held: &mut CoreHeld<'_>,
         base_vpn: u64,
         parent: Option<(RcPtr<Node<V>>, u16)>,
         shared: Arc<TreeShared<V>>,
@@ -311,7 +304,7 @@ impl<V: Send + Sync + 'static> Node<V> {
                 value: UnsafeCell::new(value),
             }
         };
-        let slots = match shared.take_spare(core) {
+        let slots = match shared.take_spare(held) {
             Some(mut slots) => {
                 for (i, s) in slots.iter_mut().enumerate() {
                     *s = slot(i);
@@ -404,12 +397,14 @@ impl<V: Send + Sync + 'static> Managed for Node<V> {
         self.shared
             .stats
             .add(ctx.core, TreeCounts::nodes_collapsed, 1);
-        if let Some((parent, _idx)) = self.parent {
-            ctx.with_held(|held| ctx.cache.adjust_held(held, parent, -1));
-        }
-        if let Slots::Leaf(slots) = &mut self.slots {
-            self.shared.keep_spare(ctx.core, slots);
-        }
+        ctx.with_held(|held| {
+            if let Some((parent, _idx)) = self.parent {
+                ctx.cache.adjust_held(held, parent, -1);
+            }
+            if let Slots::Leaf(slots) = &mut self.slots {
+                self.shared.keep_spare(held, slots);
+            }
+        });
     }
 }
 

@@ -53,10 +53,11 @@
 //!   reached (a small associative set searched by block base, one pinned
 //!   reference per way). A repeat fault in any of those 512-page blocks
 //!   skips the descent entirely, and the guard it gets *rides the hint's
-//!   pin*: it keeps the core's `CoreLock` token until it drops, and hints
-//!   can only be replaced or surrendered through that token, so no
-//!   Refcache traffic pins the leaf a second time. Correctness never depends on
-//!   a hint: a stale or missing one falls back to the full descent, and
+//!   pin*: it keeps the core's `CoreLock` token until it drops, and
+//!   hints can only be replaced or surrendered through that token, so no
+//!   Refcache traffic pins the leaf a second time. Correctness never
+//!   depends on a hint: a stale or missing one falls back to the full
+//!   descent, and
 //!   the tree's own ticks ([`RadixTree::maintain`], `expedite`,
 //!   `quiesce`) surrender a core's hint pins before the Refcache tick, so
 //!   collapse is delayed by at most one tick. See DESIGN.md §5 for the
@@ -400,7 +401,7 @@ pub(crate) type HintTags = [Vpn; HINT_WAYS];
 
 /// One core's cached leaves: a small fully associative set searched by
 /// block base, in the core's [`PerCore`] cell.
-struct HintSet<V: Send + Sync + 'static> {
+pub(crate) struct HintSet<V: Send + Sync + 'static> {
     /// First VPN of each way's 512-page block, [`NO_BLOCK`] when the way
     /// is empty: the one line a lookup scans.
     tags: HintTags,
@@ -472,7 +473,7 @@ unsafe impl<V: RadixValue> Sync for RadixTree<V> {}
 impl<V: RadixValue> RadixTree<V> {
     /// Creates an empty tree whose node lifetimes are managed by `cache`.
     pub fn new(cache: Arc<Refcache>, cfg: RadixConfig) -> Self {
-        let shared = Arc::new(TreeShared::new(cache.ncores()));
+        let shared = Arc::new(TreeShared::new(cache.locks().clone()));
         // The root is pinned forever with its initial count of 1.
         let root = cache.alloc(1, Node::new_interior(0, 0, None, shared.clone(), |_| 0));
         nref(root).register_sim_lines(cfg.replicate_index);
@@ -600,6 +601,7 @@ impl<V: RadixValue> RadixTree<V> {
     /// severed (refolded) is pinned and harmless, but it will never be
     /// linked again, so its way is evicted on the spot and the lookup is
     /// a miss.
+    #[inline]
     fn hint_lookup(&self, held: &mut CoreHeld<'_>, vpn: Vpn) -> Option<RcPtr<Node<V>>> {
         if !self.cfg.leaf_hints {
             return None;
@@ -717,6 +719,7 @@ impl<V: RadixValue> RadixTree<V> {
     /// let other = tree.lock_range_held(&mut held, 9, 10, LockMode::ExpandAll);
     /// drop(page);
     /// ```
+    #[inline]
     pub fn lock_range_held<'t>(
         &'t self,
         held: &'t mut CoreHeld<'_>,
@@ -954,7 +957,7 @@ impl<V: RadixValue> RadixTree<V> {
         let permanent = if self.cfg.collapse { 0 } else { 1 };
         let child = if child_level == LEVELS - 1 {
             let node = Node::new_leaf(
-                core,
+                held,
                 block_lo,
                 Some((parent, idx as u16)),
                 self.shared.clone(),
@@ -1321,6 +1324,7 @@ fn held_slots<V: RadixValue>(
 impl<'t, V: RadixValue> RangeGuard<'t, V> {
     /// The held lock of the guard's core, for what the caller does under
     /// the guard on that core's other state (its frames, its counters).
+    #[inline]
     pub fn token(&mut self) -> &mut CoreHeld<'t> {
         &mut self.held
     }
@@ -1417,6 +1421,7 @@ impl<'t, V: RadixValue> RangeGuard<'t, V> {
 
     /// [`RangeGuard::page_value_mut`], with the guard's
     /// [`RangeGuard::token`] beside it.
+    #[inline]
     pub fn page_and_token(&mut self) -> Option<(&mut V, &mut CoreHeld<'t>)> {
         let page = held_slots(&mut self.units, false).next()?.1.next();
         let value = page
@@ -1432,6 +1437,7 @@ impl<'t, V: RadixValue> RangeGuard<'t, V> {
     /// when the range resolved to leaves or an empty block instead.
     ///
     /// The value's presence must not change through this reference.
+    #[inline]
     pub fn block_entry_mut(&mut self) -> Option<(Vpn, u64, &mut V, &mut CoreHeld<'t>)> {
         let block = held_slots(&mut self.units, false).next()?.1.next();
         let e = block.filter(|e| matches!(e, Held::Block { .. }))?;

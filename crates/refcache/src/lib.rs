@@ -467,12 +467,11 @@ impl Refcache {
     }
 
     /// Releases the slot-backed cell whose header is at `key` in place
-    /// when `core`'s cached delta brings its global count to a final
-    /// zero: the [`Refcache::evict`] of its only adder, run with the
-    /// action inside the core's lock instead of at the next review (lock
-    /// order: core → object, then the action's own locks). A
-    /// [`Refcache::quiesce`], which takes this lock, orders after the
-    /// action, so no release pass is counted for it.
+    /// when the held core's cached delta brings its global count to a
+    /// final zero: the [`Refcache::evict`] of its only adder, run with
+    /// the action inside the core's lock instead of at the next review
+    /// (lock order: `rvm_sync::corelock`). A [`Refcache::quiesce`],
+    /// which takes this lock, orders after the action.
     ///
     /// # Safety
     ///
@@ -560,7 +559,7 @@ impl Refcache {
     /// [`Refcache::review`]: that zero is final (module docs).
     ///
     /// Called with the core lock held; takes the object lock (lock order:
-    /// core → object).
+    /// `rvm_sync::corelock`).
     ///
     /// # Safety
     ///
@@ -922,6 +921,12 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64 as StdAtomicU64;
     use std::sync::Arc;
+
+    /// A core's cell of the cache ([`PerCore`]) is two lines.
+    #[test]
+    fn core_cache_size_is_pinned() {
+        assert_eq!(std::mem::size_of::<CoreCache>(), 112);
+    }
 
     /// The word each counter had as a hand-numbered `F_*` constant up to
     /// PR 20, copied here once. Which word shares a line with which is

@@ -61,11 +61,9 @@ pub trait SlotManaged: Send + Sync + 'static {
     /// resource reallocatable, the cell may be re-activated (possibly
     /// concurrently, by whichever core re-acquires the resource).
     ///
-    /// It never re-enters the [`crate::Refcache`] in `ctx`: a
-    /// [`crate::Refcache::surrender`] runs it holding `ctx.core`'s delta
-    /// cache lock, so the action's own locks come after that one in the
-    /// lock order (the frame table's: core's free list, then a
-    /// reservoir).
+    /// It runs holding `ctx.core`'s `CoreLock`, which it reaches the
+    /// core's cells through ([`ReleaseCtx::with_held`]); its own locks
+    /// come after that one in the lock order (`rvm_sync::corelock`).
     fn on_zero(&self, ctx: &ReleaseCtx<'_>);
 }
 

@@ -89,7 +89,7 @@ pub(crate) enum TrygetOutcome {
 
 /// Attempts to obtain the pointer from a weak word, reviving a dying
 /// object if necessary. Does **not** increment; the caller does that
-/// right after, with its core's delta cache locked across both (see the
+/// right after, with its core's lock held across both (see the
 /// module docs for why the inc may follow the load on the fast path, and
 /// the crate docs for why no flush of the core may come between).
 pub(crate) fn tryget_raw(word: &Atomic64, tag: u8) -> TrygetOutcome {

@@ -2,35 +2,27 @@
 //!
 //! A VM call on core `c` works on `c`'s private state in several layers:
 //! the radix tree's leaf hints, Refcache's delta cache, the frame pool's
-//! free list and magazine, the statistics stripes. Each layer used to
-//! lock its own share, so one warm op paid a handful of uncontended
-//! lock round-trips on lines no other core touches. Here the machine
-//! keeps **one** [`CoreLock`] per core ([`CoreLocks`], shared by `Arc`
-//! with every layer), a VM entry point takes its core's once, and the
+//! free list and magazine, the statistics stripes. The machine keeps one
+//! [`CoreLock`] per core ([`CoreLocks`], shared by `Arc` with every
+//! layer); a VM entry point takes its core's once, and foreign actors (a
+//! `quiesce`, a sweeper flushing for a core) take the same lock. The
 //! layers' per-core state sits in [`PerCore`] cells that only the
-//! holder's token, [`CoreHeld`], opens. Nested layers take nothing: a
-//! Refcache flush that frees a frame hands the token on to the pool.
+//! holder's [`CoreHeld`] token opens, and a counter all of whose bumps
+//! hold it needs no locked instruction ([`crate::ShardedStats::add_core`]).
 //!
-//! Holding the lock is a type. A cell access borrows the token mutably,
-//! so two borrows of per-core state cannot overlap; a call that needs
-//! the lock takes `&mut CoreHeld`, so a caller that lent the token to a
-//! guard (the radix tree's hint-riding `RangeGuard`) cannot make a
-//! second such call while the guard lives — it does not compile.
+//! Holding the lock is a type: a cell access borrows the token mutably,
+//! so two borrows of per-core state cannot overlap, and a caller that
+//! lent its token to a guard (the radix tree's hint-riding `RangeGuard`)
+//! cannot make a second call that needs it while the guard lives.
 //!
-//! Foreign actors (a `quiesce`, a sweeper flushing for a core) take the
-//! same lock, so whoever acts for a core is the only mutator of its
-//! cells, and a counter all of whose bumps hold the lock needs no locked
-//! instruction ([`crate::ShardedStats::add_core`]).
+//! **Lock order** (the one statement of it; DESIGN.md §5 argues it):
+//! `CoreLock` → leaf slot → object state → {TLB lock, reservoir, grow
+//! lock}. A thread holds at most one core's lock of a set: debug builds
+//! panic on a blocking acquire of a second one, naming both cores
+//! (`try_lock` is exempt: it adds no wait edge).
 //!
-//! Lock order (the one statement of it; DESIGN.md §5 argues it):
-//! **`CoreLock` → leaf slot → object state → {TLB lock, reservoir, grow
-//! lock}**. A thread holds at most one core's lock of a set: debug
-//! builds panic on a blocking acquire of a second one, naming both
-//! cores (`try_lock` is exempt: it adds no wait edge).
-//!
-//! In the simulator an acquire is one exclusive line event on the
-//! core's lock word, like a [`crate::SpinLock`]'s: a per-core lock held
-//! by its own core has no waiters to serialize.
+//! In the simulator an acquire is one exclusive line event on the core's
+//! lock word, like a [`crate::SpinLock`]'s.
 
 use std::cell::UnsafeCell;
 use std::sync::Arc;

@@ -2,15 +2,15 @@
 //!
 //! [`Mutex`] and [`SpinLock`] sit on `HostLock`, a one-RMW host lock:
 //! an uncontended acquire is one CAS, a release is one store. An op on
-//! the single-page VM path (mmap, fault, munmap) takes 15 of these locks
-//! and almost never contends on one (DESIGN.md §5), so the uncontended
-//! round-trip *is* the cost; a futex mutex pays two RMWs and a waiter
-//! check for it. What a held lock makes single-mutator — a statistics
-//! cell all of whose writers hold the same per-core lock — is then
-//! updated with no locked instruction at all
-//! ([`crate::Atomic64::add_exclusive`]), which took the same op from 22
-//! atomic read-modify-writes beside those 15 acquisitions to 10; the
-//! simulator counts both kinds (`sim::CoreStats::rmws`).
+//! the single-page VM path (mmap, fault, munmap) takes a handful of
+//! these locks — its core's `CoreLock` once per call, slot and object
+//! locks, TLB locks — and almost never contends on one (DESIGN.md §5), so
+//! the uncontended round-trip *is* the cost; a futex mutex pays two RMWs
+//! and a waiter check for it. What a held lock makes single-mutator — a
+//! statistics cell all of whose writers hold the same per-core lock — is
+//! then updated with no locked instruction at all
+//! ([`crate::Atomic64::add_exclusive`]); the simulator counts both kinds
+//! (`sim::CoreStats::rmws`).
 //! [`RwLock`] wraps `std::sync::RwLock`, ignoring poison (only baselines
 //! and cold registries use it). All three report acquisition and release to
 //! the simulator so lock hold times serialize virtual clocks. In sim
