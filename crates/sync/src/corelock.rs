@@ -24,7 +24,8 @@
 //! In the simulator an acquire is one exclusive line event on the core's
 //! lock word, like a [`crate::SpinLock`]'s.
 
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::lock::{SpinLock, SpinLockGuard};
@@ -85,6 +86,7 @@ impl CoreLocks {
         CoreHeld {
             locks: self,
             core,
+            _this_thread: PhantomData,
             _guard: Some(guard),
             #[cfg(debug_assertions)]
             recorded: debug::record(self, core),
@@ -93,11 +95,13 @@ impl CoreLocks {
 }
 
 /// Proof that this thread holds one core's [`CoreLock`]: the key to that
-/// core's [`PerCore`] cells. Dropping it unlocks; `!Send`, like a lock
-/// guard.
+/// core's [`PerCore`] cells. Dropping it unlocks. Neither `Send` nor
+/// `Sync`: a token shared with another thread would let two threads
+/// bump one [`crate::ShardedStats::add_core`] cell at once.
 pub struct CoreHeld<'a> {
     locks: &'a CoreLocks,
     core: usize,
+    _this_thread: PhantomData<Cell<()>>,
     /// The lock itself; `None` in a [`CoreHeld::reborrow`], which lends
     /// the parent's for a while.
     _guard: Option<SpinLockGuard<'a, ()>>,
@@ -128,6 +132,7 @@ impl CoreHeld<'_> {
         CoreHeld {
             locks: self.locks,
             core: self.core,
+            _this_thread: PhantomData,
             _guard: None,
             #[cfg(debug_assertions)]
             recorded: false,
