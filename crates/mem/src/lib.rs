@@ -162,7 +162,7 @@ impl SlotManaged for FrameRc {
         let order = self.order.load(Ordering::Acquire);
         ctx.with_held(|held| match held.is_of(pool.locks()) {
             true => pool.take_back(held, self.pfn, order),
-            false => pool.take_back(&mut pool.cores.lock(held.core()), self.pfn, order),
+            false => pool.take_back(&mut pool.cores.locks().lock(held.core()), self.pfn, order),
         });
     }
 }
@@ -652,7 +652,7 @@ impl FramePool {
     /// Charges the simulator for zeroing, priced by the hop distance to
     /// the frame's home node.
     pub fn try_alloc(&self, core: usize) -> Result<Pfn, OutOfMemory> {
-        self.try_alloc_held(&mut self.cores.lock(core))
+        self.try_alloc_held(&mut self.cores.locks().lock(core))
     }
 
     /// [`FramePool::try_alloc`] on the core whose lock `held` is (the
@@ -888,7 +888,7 @@ impl FramePool {
     /// scattered 4 KiB pages. Charges the simulator for zeroing the
     /// block, priced by hop distance to the block's home node.
     pub fn try_alloc_block(&self, core: usize, order: u8) -> Result<Pfn, OutOfMemory> {
-        self.try_alloc_block_held(&mut self.cores.lock(core), order)
+        self.try_alloc_block_held(&mut self.cores.locks().lock(core), order)
     }
 
     /// [`FramePool::try_alloc_block`] on the core whose lock `held` is.
@@ -948,7 +948,7 @@ impl FramePool {
     /// `order`) from `core`: every member frame's generation is bumped,
     /// and the block returns whole to its home node's block reservoir.
     pub fn free_block(&self, core: usize, base: Pfn, order: u8) {
-        self.take_back(&mut self.cores.lock(core), base, order);
+        self.take_back(&mut self.cores.locks().lock(core), base, order);
     }
 
     /// Frees `pfn` from `core`, bumping its generation so stale
@@ -965,7 +965,7 @@ impl FramePool {
     /// and the caller has already completed any required TLB shootdown,
     /// so parking only delays *reuse*, never safety (DESIGN.md §6).
     pub fn free(&self, core: usize, pfn: Pfn) {
-        self.take_back(&mut self.cores.lock(core), pfn, 0);
+        self.take_back(&mut self.cores.locks().lock(core), pfn, 0);
     }
 
     /// The one way back, for a frame (`order` 0) or a block: bumps every
@@ -1101,13 +1101,16 @@ impl FramePool {
     /// parked cross-node frees allocatable on their home nodes.
     pub fn flush_magazines(&self) {
         for core in 0..self.ncores {
-            self.flush_mag(core, self.cores.get(&mut self.cores.lock(core)));
+            self.flush_mag(core, self.cores.get(&mut self.cores.locks().lock(core)));
         }
     }
 
     /// Frames currently parked in `core`'s outbound magazine (tests).
     pub fn magazine_len(&self, core: usize) -> usize {
-        self.cores.get(&mut self.cores.lock(core)).magazine.len()
+        self.cores
+            .get(&mut self.cores.locks().lock(core))
+            .magazine
+            .len()
     }
 
     /// Pins `pfn` for one access if its generation is still `gen`, or
@@ -1991,7 +1994,10 @@ mod tests {
 
     /// Frames on `core`'s free list.
     fn free_len(pool: &FramePool, core: usize) -> usize {
-        pool.cores.get(&mut pool.cores.lock(core)).free.len()
+        pool.cores
+            .get(&mut pool.cores.locks().lock(core))
+            .free
+            .len()
     }
 
     /// One round of the pattern the spill exists for: core 0 allocates

@@ -222,7 +222,7 @@ impl<V> TreeShared<V> {
     /// Addresses of the arrays on `core`'s spare list, oldest first.
     #[cfg(test)]
     pub(crate) fn spare_arrays(&self, core: usize) -> Vec<usize> {
-        let held = &mut self.spare.lock(core);
+        let held = &mut self.spare.locks().lock(core);
         let spare = self.spare.get(held);
         spare.iter().map(|s| s.as_ptr() as usize).collect()
     }

@@ -276,7 +276,7 @@ impl Refcache {
     /// Takes `core`'s lock: the token the `_held` operations take.
     #[inline]
     pub fn lock(&self, core: usize) -> CoreHeld<'_> {
-        self.cores.lock(core)
+        self.cores.locks().lock(core)
     }
 
     /// [`Refcache::new`] with `slots` delta-cache slots per core instead

@@ -221,12 +221,6 @@ impl<T> PerCore<T> {
         &self.locks
     }
 
-    /// Takes `core`'s lock of the cells' set ([`CoreLocks::lock`]).
-    #[inline]
-    pub fn lock(&self, core: usize) -> CoreHeld<'_> {
-        self.locks.lock(core)
-    }
-
     /// The held core's cell, for as long as the token stays lent.
     ///
     /// # Panics
@@ -274,11 +268,11 @@ mod tests {
         let locks = CoreLocks::new(2);
         let cells = Arc::new(PerCore::new(locks.clone(), |c| c as u64));
         let released = Arc::new(AtomicBool::new(false));
-        let mut held = cells.lock(1);
+        let mut held = cells.locks().lock(1);
         let foreign = {
             let (cells, released) = (cells.clone(), released.clone());
             std::thread::spawn(move || {
-                let mut held = cells.lock(1);
+                let mut held = cells.locks().lock(1);
                 assert!(released.load(Ordering::Acquire), "entered while held");
                 *cells.get(&mut held) += 10;
             })
@@ -288,14 +282,14 @@ mod tests {
         released.store(true, Ordering::Release);
         drop(held);
         foreign.join().unwrap();
-        assert_eq!(*cells.get(&mut cells.lock(1)), 12);
+        assert_eq!(*cells.get(&mut cells.locks().lock(1)), 12);
         assert!(locks.try_lock(1).is_some(), "the foreign holder unlocked");
     }
 
     #[test]
     fn a_reborrow_opens_the_cells_and_keeps_the_lock() {
         let cells = PerCore::new(CoreLocks::new(2), |_| 0u8);
-        let mut held = cells.lock(0);
+        let mut held = cells.locks().lock(0);
         {
             let mut lent = held.reborrow();
             *cells.get(&mut lent) = 7;
