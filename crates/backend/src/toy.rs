@@ -103,7 +103,7 @@ impl VmSystem for ToyVm {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
         self.stats
-            .add_core(&self.machine.locks().lock(core), OpStats::mmaps, 1);
+            .add_core(&self.machine.locks().lock(core).cells(), OpStats::mmaps, 1);
         let _ = backing; // all backings are demand-zero in the simulation
         let mut pages = self.pages.lock();
         self.remove_range(core, &mut pages, lo, n);
@@ -116,8 +116,11 @@ impl VmSystem for ToyVm {
     fn munmap(&self, core: usize, addr: Vaddr, len: u64) -> VmResult<()> {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
-        self.stats
-            .add_core(&self.machine.locks().lock(core), OpStats::munmaps, 1);
+        self.stats.add_core(
+            &self.machine.locks().lock(core).cells(),
+            OpStats::munmaps,
+            1,
+        );
         let mut pages = self.pages.lock();
         self.remove_range(core, &mut pages, lo, n);
         Ok(())
@@ -133,20 +136,18 @@ impl VmSystem for ToyVm {
         let mut pages = self.pages.lock();
         let page = pages.get_mut(&vpn).ok_or(VmError::NoMapping)?;
         page.prot.check(kind)?;
+        let mut held = self.machine.locks().lock(core);
+        let cells = &mut held.cells();
         let pfn = match page.pfn {
             Some(pfn) => {
-                self.stats
-                    .add_core(&self.machine.locks().lock(core), OpStats::faults_fill, 1);
+                self.stats.add_core(cells, OpStats::faults_fill, 1);
                 pfn
             }
             None => {
                 // Fallible allocation: the early return drops the map
                 // lock with the page still unpopulated (exact unwind).
-                let pfn = self
-                    .machine
-                    .fault_frame(&mut self.machine.locks().lock(core), &self.stats)?;
-                self.stats
-                    .add_core(&self.machine.locks().lock(core), OpStats::faults_alloc, 1);
+                let pfn = self.machine.fault_frame(cells, &self.stats)?;
+                self.stats.add_core(cells, OpStats::faults_alloc, 1);
                 page.pfn = Some(pfn);
                 pfn
             }

@@ -299,7 +299,7 @@ impl VmSystem for BonsaiVm {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
         self.stats
-            .add_core(&self.machine.locks().lock(core), OpStats::mmaps, 1);
+            .add_core(&self.machine.locks().lock(core).cells(), OpStats::mmaps, 1);
         let backing = backing.anchored(lo);
         let _m = self.mutate.lock();
         let g = epoch::pin();
@@ -320,8 +320,11 @@ impl VmSystem for BonsaiVm {
     fn munmap(&self, core: usize, addr: Vaddr, len: u64) -> VmResult<()> {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
-        self.stats
-            .add_core(&self.machine.locks().lock(core), OpStats::munmaps, 1);
+        self.stats.add_core(
+            &self.machine.locks().lock(core).cells(),
+            OpStats::munmaps,
+            1,
+        );
         let _m = self.mutate.lock();
         let g = epoch::pin();
         let shared = self.root.load(std::sync::atomic::Ordering::Acquire, &g);
@@ -358,18 +361,16 @@ impl VmSystem for BonsaiVm {
         let writable = prot.writable();
         let table = &self.table;
         let pte = table.get(vpn);
+        let mut held = self.machine.locks().lock(core);
+        let cells = &mut held.cells();
         let pfn = if pte.present() {
-            self.stats
-                .add_core(&self.machine.locks().lock(core), OpStats::faults_fill, 1);
+            self.stats.add_core(cells, OpStats::faults_fill, 1);
             pte.pfn()
         } else {
             // Fallible allocation: on OutOfMemory the early return drops
             // the page-table lock with nothing installed (exact unwind).
-            let pfn = self
-                .machine
-                .fault_frame(&mut self.machine.locks().lock(core), &self.stats)?;
-            self.stats
-                .add_core(&self.machine.locks().lock(core), OpStats::faults_alloc, 1);
+            let pfn = self.machine.fault_frame(cells, &self.stats)?;
+            self.stats.add_core(cells, OpStats::faults_alloc, 1);
             pool.inc_map(pfn);
             table.set(vpn, Pte::new(pfn, writable));
             pfn

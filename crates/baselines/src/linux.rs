@@ -89,7 +89,7 @@ impl VmSystem for LinuxVm {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
         self.stats
-            .add_core(&self.machine.locks().lock(core), OpStats::mmaps, 1);
+            .add_core(&self.machine.locks().lock(core).cells(), OpStats::mmaps, 1);
         let backing = backing.anchored(lo);
         let mut vmas = self.state.write();
         let removed = vmas.carve(lo, lo + n);
@@ -108,8 +108,11 @@ impl VmSystem for LinuxVm {
     fn munmap(&self, core: usize, addr: Vaddr, len: u64) -> VmResult<()> {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
-        self.stats
-            .add_core(&self.machine.locks().lock(core), OpStats::munmaps, 1);
+        self.stats.add_core(
+            &self.machine.locks().lock(core).cells(),
+            OpStats::munmaps,
+            1,
+        );
         let mut vmas = self.state.write();
         let removed = vmas.carve(lo, lo + n);
         for old in &removed {
@@ -134,34 +137,37 @@ impl VmSystem for LinuxVm {
         let writable = vma.prot.writable();
         let table = &self.table;
         let pte = table.get(vpn);
-        let pfn = if pte.present() {
-            self.stats
-                .add_core(&self.machine.locks().lock(core), OpStats::faults_fill, 1);
-            pte.pfn()
-        } else {
-            // Fallible allocation: nothing is installed before the frame
-            // exists, so OutOfMemory propagates with no unwind needed
-            // (the read lock drops with the early return).
-            let pfn = self
-                .machine
-                .fault_frame(&mut self.machine.locks().lock(core), &self.stats)?;
-            pool.inc_map(pfn);
-            match table.set_if(vpn, Pte::EMPTY, Pte::new(pfn, writable)) {
-                Ok(()) => {
-                    self.stats
-                        .add_core(&self.machine.locks().lock(core), OpStats::faults_alloc, 1);
-                    pfn
-                }
-                Err(winner) => {
-                    // Another core's fault won the install race.
-                    self.stats
-                        .add_core(&self.machine.locks().lock(core), OpStats::faults_fill, 1);
-                    pool.dec_map(pfn);
-                    pool.free(core, pfn);
-                    winner.pfn()
+        // One hold of the core's lock for the frame and the counts; a
+        // frame that lost the install race is freed after it.
+        let (pfn, lost) = {
+            let mut held = self.machine.locks().lock(core);
+            let cells = &mut held.cells();
+            if pte.present() {
+                self.stats.add_core(cells, OpStats::faults_fill, 1);
+                (pte.pfn(), None)
+            } else {
+                // Fallible allocation: nothing is installed before the
+                // frame exists, so OutOfMemory propagates with no unwind
+                // needed (the read lock drops with the early return).
+                let pfn = self.machine.fault_frame(cells, &self.stats)?;
+                pool.inc_map(pfn);
+                match table.set_if(vpn, Pte::EMPTY, Pte::new(pfn, writable)) {
+                    Ok(()) => {
+                        self.stats.add_core(cells, OpStats::faults_alloc, 1);
+                        (pfn, None)
+                    }
+                    Err(winner) => {
+                        // Another core's fault won the install race.
+                        self.stats.add_core(cells, OpStats::faults_fill, 1);
+                        (winner.pfn(), Some(pfn))
+                    }
                 }
             }
         };
+        if let Some(pfn) = lost {
+            pool.dec_map(pfn);
+            pool.free(core, pfn);
+        }
         // Fill while still holding the read lock: a munmap (write lock)
         // cannot start its shootdown before we finish.
         let pte = Pte::new(pfn, writable);

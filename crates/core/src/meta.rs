@@ -117,8 +117,8 @@ mod tests {
         let pool = FramePool::new(1);
         let cache = Refcache::new(1);
         let pfn = pool.try_alloc(0).unwrap();
-        let r = pool.retain(&cache, &cache.lock(0), pfn, 0, 1);
-        pool.ref_adjust(&cache, &mut cache.lock(0), r, -1);
+        let r = pool.retain(&cache, &cache.lock(0).cells(), pfn, 0, 1);
+        pool.ref_adjust(&cache, &mut cache.lock(0).cells(), r, -1);
         cache.quiesce();
         // The frame is back on core 0's free list.
         let again = pool.try_alloc(0).unwrap();
@@ -154,11 +154,16 @@ mod tests {
         let cache = Refcache::new(1);
         let base = pool.try_alloc_block(0, BLOCK_ORDER).unwrap();
         let mut m = PageMeta::new(Backing::Anon, Prot::RW);
-        m.frame = Some(pool.retain(&cache, &cache.lock(0), base, BLOCK_ORDER, 1));
+        m.frame = Some(pool.retain(&cache, &cache.lock(0).cells(), base, BLOCK_ORDER, 1));
         let vpn_base = 7 * BLOCK_PAGES as u64; // virtually aligned
         assert_eq!(m.frame_for(vpn_base), Some(base));
         assert_eq!(m.frame_for(vpn_base + 17), Some(base + 17));
-        pool.ref_adjust(&cache, &mut cache.lock(0), m.frame.take().unwrap(), -1);
+        pool.ref_adjust(
+            &cache,
+            &mut cache.lock(0).cells(),
+            m.frame.take().unwrap(),
+            -1,
+        );
         cache.quiesce();
         assert_eq!(pool.outstanding_frames(), 0);
     }

@@ -33,7 +33,7 @@ use rvm_mem::{FrameRef, Pfn};
 use rvm_radix::{LockMode, RadixConfig, RadixTree, RangeGuard, RemovedList, VPN_LIMIT};
 use rvm_refcache::Refcache;
 use rvm_sync::atomic::AtomicCoreSet;
-use rvm_sync::{failpoint, sim, CoreHeld, CoreSet, InlineVec, PerCore, RangeLockKind};
+use rvm_sync::{failpoint, sim, CoreCells, CoreHeld, CoreSet, InlineVec, PerCore, RangeLockKind};
 
 use crate::meta::{block_member, PageKind, PageMeta};
 
@@ -228,7 +228,7 @@ impl RadixVm {
     /// Counts `frames` fault-installed frames starting at `pfn` as
     /// on-node or cross-node, by the frame's home node vs. the faulting
     /// core's node.
-    fn count_fault_placement(&self, held: &CoreHeld<'_>, pfn: Pfn, frames: u64) {
+    fn count_fault_placement(&self, held: &CoreCells<'_>, pfn: Pfn, frames: u64) {
         let pool = self.machine.pool();
         let field = match pool.home(pfn) == pool.node_of(held.core()) {
             true => OpStats::fault_frames_on_node,
@@ -316,7 +316,7 @@ impl RadixVm {
     /// fold's whole span — and the answer is
     /// [`RadixVm::settle_refs`]'s: whether the caller, which holds no
     /// guard by now, owes the core a [`RadixTree::expedite`].
-    fn release_frames(&self, held: &mut CoreHeld<'_>, removed: &RemovedList<PageMeta>) -> bool {
+    fn release_frames(&self, held: &mut CoreCells<'_>, removed: &RemovedList<PageMeta>) -> bool {
         let frames = removed
             .into_iter()
             .filter_map(|r| r.value.frame.map(|f| (f, r.pages)));
@@ -336,7 +336,7 @@ impl RadixVm {
     /// for the tails of `mmap_flags`/`munmap` to act on.
     fn settle_refs(
         &self,
-        held: &mut CoreHeld<'_>,
+        held: &mut CoreCells<'_>,
         frames: impl IntoIterator<Item = (FrameRef, u64)>,
         each: i64,
     ) -> bool {
@@ -410,7 +410,7 @@ impl RadixVm {
         // become 4 KiB PTEs.
         demoted.sort_by_key(|e| std::cmp::Reverse(e.1));
         let pool = self.machine.pool();
-        let held = guard.token();
+        let held = &mut guard.token();
         let core = held.core();
         for (base, pages, b, tracked) in demoted {
             pool.ref_adjust(&self.cache, held, b, fanout as i64 - 1);
@@ -433,9 +433,9 @@ impl RadixVm {
         let mut revoke_set = CoreSet::EMPTY;
         let mut held = self.cache.lock(core);
         {
-            let mut g = self
-                .tree
-                .lock_range_held(&mut held, 0, VPN_LIMIT, LockMode::ExpandFolded);
+            let mut g =
+                self.tree
+                    .lock_range_held(held.reborrow(), 0, VPN_LIMIT, LockMode::ExpandFolded);
             g.for_each_entry_mut(|vpn, pages, m| {
                 if m.frame.is_some() && m.prot.writable() {
                     m.kind = PageKind::Cow;
@@ -459,14 +459,14 @@ impl RadixVm {
             let frames = entries
                 .iter()
                 .filter_map(|(_, pages, m)| m.frame.map(|f| (f, *pages)));
-            self.settle_refs(g.token(), frames, 1);
+            self.settle_refs(&mut g.token(), frames, 1);
             self.revoke(core, 0, VPN_LIMIT, &revoke_runs, revoke_set);
         }
         for (vpn, pages, meta) in entries {
             let mut g =
                 child
                     .tree
-                    .lock_range_held(&mut held, vpn, vpn + pages, LockMode::ExpandAll);
+                    .lock_range_held(held.reborrow(), vpn, vpn + pages, LockMode::ExpandAll);
             let displaced = g.replace(&meta);
             debug_assert!(displaced.is_empty());
         }
@@ -515,7 +515,7 @@ impl VmSystem for RadixVm {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
         let mut held = self.cache.lock(core);
-        self.stats.add_core(&held, OpStats::mmaps, 1);
+        self.stats.add_core(&held.cells(), OpStats::mmaps, 1);
         // Anchor file offsets to the VPN so every page's metadata is
         // identical and the mapping folds (§3.2).
         let mut template = PageMeta::new(backing.anchored(lo), prot);
@@ -524,14 +524,14 @@ impl VmSystem for RadixVm {
         template.huge = flags.huge();
         let mut guard = self
             .tree
-            .lock_range_held(&mut held, lo, lo + n, LockMode::ExpandAll);
+            .lock_range_held(held.reborrow(), lo, lo + n, LockMode::ExpandAll);
         // Mapping over part of an existing superpage demotes it first.
         self.demote_expanded(&mut guard);
         let displaced = guard.replace(&template);
         if !displaced.is_empty() {
             self.unmap_tables(core, lo, n, &displaced);
             drop(guard);
-            if self.release_frames(&mut held, &displaced) {
+            if self.release_frames(&mut held.cells(), &displaced) {
                 // As at the tail of `munmap`: only after the guard.
                 self.tree.expedite(&mut held);
             }
@@ -543,10 +543,10 @@ impl VmSystem for RadixVm {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
         let mut held = self.cache.lock(core);
-        self.stats.add_core(&held, OpStats::munmaps, 1);
-        let mut guard = self
-            .tree
-            .lock_range_held(&mut held, lo, lo + n, LockMode::ExpandFolded);
+        self.stats.add_core(&held.cells(), OpStats::munmaps, 1);
+        let mut guard =
+            self.tree
+                .lock_range_held(held.reborrow(), lo, lo + n, LockMode::ExpandFolded);
         // Partial unmap of a superpage demotes it (shatter + span
         // shootdown) before the per-page removal below; a full-block
         // unmap keeps the fold and releases the block whole below.
@@ -562,7 +562,7 @@ impl VmSystem for RadixVm {
             self.mmu.free_tables(lo, n);
         }
         drop(guard);
-        if self.release_frames(&mut held, &removed) {
+        if self.release_frames(&mut held.cells(), &removed) {
             // The core has unmapped a superpage's worth since its last
             // flush: tick now, not at the caller's next tick. A frame
             // only this core added references to already came back in
@@ -596,16 +596,17 @@ impl VmSystem for RadixVm {
         // block, the block's single slot is locked instead of expanding
         // it — the superpage fault path (DESIGN.md §7). Leaf-resolved
         // pages behave exactly as in ExpandFolded mode.
-        let mut guard = self
-            .tree
-            .lock_range_held(&mut held, vpn, vpn + 1, LockMode::ExpandToBlock);
+        let mut guard =
+            self.tree
+                .lock_range_held(held.reborrow(), vpn, vpn + 1, LockMode::ExpandToBlock);
         // Shared-table configuration: a PTE installed by another core is
         // filled by hardware without kernel involvement; model that as a
         // cheap walk that bypasses the metadata entirely.
         if shared_table {
             let pte = self.mmu.table(core).get(vpn);
             if pte.present() && (kind == AccessKind::Read || pte.writable()) {
-                self.stats.add_core(guard.token(), OpStats::faults_fill, 1);
+                self.stats
+                    .add_core(&mut guard.token(), OpStats::faults_fill, 1);
                 // Fill whatever span the entry maps: when another core
                 // populated a superpage, the whole of it, so this core
                 // stops faulting on it.
@@ -622,14 +623,18 @@ impl VmSystem for RadixVm {
                 // or a copy-on-write write): expand it and run the
                 // demotion protocol, then fault at 4 KiB granularity.
                 drop(guard);
-                guard = self
-                    .tree
-                    .lock_range_held(&mut held, vpn, vpn + 1, LockMode::ExpandFolded);
+                guard = self.tree.lock_range_held(
+                    held.reborrow(),
+                    vpn,
+                    vpn + 1,
+                    LockMode::ExpandFolded,
+                );
                 self.demote_expanded(&mut guard);
             }
             BlockPath::Leaf => {}
         }
-        let (meta, token) = guard.page_and_token().ok_or(VmError::NoMapping)?;
+        let (meta, mut cells) = guard.page_and_token().ok_or(VmError::NoMapping)?;
+        let token = &mut cells;
         meta.prot.check(kind)?;
         // Copy-on-write resolution for write faults. The shared source
         // is whatever the page's one handle references — its own frame
@@ -722,9 +727,9 @@ impl VmSystem for RadixVm {
         sim::charge_op_base();
         let (lo, n) = rvm_hw::check_range(addr, len)?;
         let mut held = self.cache.lock(core);
-        let mut guard = self
-            .tree
-            .lock_range_held(&mut held, lo, lo + n, LockMode::ExpandFolded);
+        let mut guard =
+            self.tree
+                .lock_range_held(held.reborrow(), lo, lo + n, LockMode::ExpandFolded);
         // Partial mprotect of a superpage demotes it; a whole-block
         // mprotect keeps the fold (the revoke below clears the block PTE
         // and the next fault re-installs it with the new protection).
@@ -752,7 +757,7 @@ impl VmSystem for RadixVm {
     }
 
     fn maintain(&self, core: usize) {
-        self.tree.maintain_held(&mut self.cache.lock(core));
+        self.tree.maintain(core);
     }
 
     fn fork(&self, core: usize) -> VmResult<Arc<dyn VmSystem>> {
@@ -844,9 +849,10 @@ impl RadixVm {
         kind: AccessKind,
         guard: &mut RangeGuard<'_, PageMeta>,
     ) -> BlockPath {
-        let Some((start, pages, meta, held)) = guard.block_entry_mut() else {
+        let Some((start, pages, meta, mut cells)) = guard.block_entry_mut() else {
             return BlockPath::Leaf;
         };
+        let held = &mut cells;
         let core = held.core();
         if let Err(e) = meta.prot.check(kind) {
             return BlockPath::Resolved(Err(e));
@@ -930,9 +936,12 @@ impl RadixVm {
         if failpoint::should_fail(failpoint::PROMOTE, core) {
             return None;
         }
-        let mut guard =
-            self.tree
-                .lock_range_held(held, base, base + BLOCK_PAGES, LockMode::ExpandFolded);
+        let mut guard = self.tree.lock_range_held(
+            held.reborrow(),
+            base,
+            base + BLOCK_PAGES,
+            LockMode::ExpandFolded,
+        );
         // If this lock itself expanded a populated fold (a racing
         // promotion or giant mapping landed between the tick and the
         // lock), the expansion must run the demotion protocol before the
@@ -986,7 +995,7 @@ impl RadixVm {
                 // Allocation failure is the graceful-degradation path —
                 // stay at 4 KiB, retry after the next accumulation.
                 let order = block_order(BLOCK_PAGES);
-                let newbase = pool.try_alloc_block_held(guard.token(), order).ok()?;
+                let newbase = pool.try_alloc_block_held(&mut guard.token(), order).ok()?;
                 // Copy before any reference is surrendered, under the
                 // guard's slot locks: no fault can observe a half-
                 // migrated page, and an unwind leaks nothing.
@@ -997,7 +1006,7 @@ impl RadixVm {
                     sim::charge_page_work();
                 }
                 (
-                    pool.retain(&self.cache, guard.token(), newbase, order, 1),
+                    pool.retain(&self.cache, &mut guard.token(), newbase, order, 1),
                     newbase,
                 )
             }
@@ -1015,7 +1024,7 @@ impl RadixVm {
             None => {
                 if demoted.is_none() {
                     // Unwind the migration: the fresh block frees whole.
-                    pool.ref_surrender(&self.cache, guard.token(), block, 1, BLOCK_PAGES);
+                    pool.ref_surrender(&self.cache, &mut guard.token(), block, 1, BLOCK_PAGES);
                 }
                 return None;
             }
@@ -1030,10 +1039,10 @@ impl RadixVm {
         // folded value's handle adopts the first; scattered: 512 frames.
         let adopted = usize::from(demoted.is_some());
         let old = displaced.iter().filter_map(|m| m.frame).skip(adopted);
-        self.settle_refs(guard.token(), old.map(|f| (f, 1)), -1);
+        self.settle_refs(&mut guard.token(), old.map(|f| (f, 1)), -1);
         let tr = self.install(core, vpn, pte_base, BLOCK_PAGES, writable);
         self.stats
-            .add_core(guard.token(), OpStats::superpage_promotions, 1);
+            .add_core(&mut guard.token(), OpStats::superpage_promotions, 1);
         Some(tr)
     }
 }
@@ -1045,10 +1054,10 @@ impl Drop for RadixVm {
         let mut held = self.cache.lock(0);
         let removed = self
             .tree
-            .lock_range_held(&mut held, 0, VPN_LIMIT, LockMode::ExpandFolded)
+            .lock_range_held(held.reborrow(), 0, VPN_LIMIT, LockMode::ExpandFolded)
             .clear();
         self.unmap_tables(0, 0, VPN_LIMIT, &removed);
-        self.release_frames(&mut held, &removed);
+        self.release_frames(&mut held.cells(), &removed);
         self.machine.flush_asid(self.asid);
     }
 }

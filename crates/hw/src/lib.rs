@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use rvm_mem::{FramePool, FRAME_SIZE};
 use rvm_sync::{
-    failpoint, sharded_stats, sim, CachePadded, CoreHeld, CoreLock, CoreLocks, CoreSet, SpinLock,
+    failpoint, sharded_stats, sim, CachePadded, CoreCells, CoreLock, CoreLocks, CoreSet, SpinLock,
 };
 
 pub mod mmu;
@@ -558,7 +558,7 @@ impl Machine {
     /// fault's error; a caller that has installed nothing yet unwinds
     /// exactly (DESIGN.md §11).
     #[inline]
-    pub fn fault_frame(&self, held: &mut CoreHeld<'_>, stats: &ShardedOpStats) -> VmResult<Pfn> {
+    pub fn fault_frame(&self, held: &mut CoreCells<'_>, stats: &ShardedOpStats) -> VmResult<Pfn> {
         self.pool.try_alloc_held(held).map_err(|e| {
             stats.add_core(held, OpStats::oom_faults, 1);
             e.into()

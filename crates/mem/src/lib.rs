@@ -78,7 +78,7 @@ use std::sync::Arc;
 
 use rvm_refcache::{CountSlot, Refcache, ReleaseCtx, SlotManaged, SlotPtr};
 use rvm_sync::{
-    asan_poison, failpoint, model, sharded_stats, sim, Backoff, CachePadded, CoreHeld, CoreLocks,
+    asan_poison, failpoint, model, sharded_stats, sim, Backoff, CachePadded, CoreCells, CoreLocks,
     PerCore, SpinLock,
 };
 
@@ -162,7 +162,11 @@ impl SlotManaged for FrameRc {
         let order = self.order.load(Ordering::Acquire);
         ctx.with_held(|held| match held.is_of(pool.locks()) {
             true => pool.take_back(held, self.pfn, order),
-            false => pool.take_back(&mut pool.cores.locks().lock(held.core()), self.pfn, order),
+            false => pool.take_back(
+                &mut pool.cores.locks().lock(held.core()).cells(),
+                self.pfn,
+                order,
+            ),
         });
     }
 }
@@ -565,7 +569,7 @@ impl FramePool {
     pub fn retain(
         &self,
         cache: &Refcache,
-        held: &CoreHeld<'_>,
+        held: &CoreCells<'_>,
         base: Pfn,
         order: u8,
         init_count: i64,
@@ -598,7 +602,7 @@ impl FramePool {
     /// is confirmed zero the frame (or whole block, per the order the
     /// cell was armed with) returns to the pool.
     #[inline]
-    pub fn ref_adjust(&self, cache: &Refcache, held: &mut CoreHeld<'_>, r: FrameRef, delta: i64) {
+    pub fn ref_adjust(&self, cache: &Refcache, held: &mut CoreCells<'_>, r: FrameRef, delta: i64) {
         debug_assert_eq!(self.generation(r.pfn), r.gen, "stale frame handle");
         cache.adjust_held(held, self.cell(r.pfn), delta);
     }
@@ -613,7 +617,7 @@ impl FramePool {
     pub fn ref_surrender(
         &self,
         cache: &Refcache,
-        held: &mut CoreHeld<'_>,
+        held: &mut CoreCells<'_>,
         r: FrameRef,
         refs: i64,
         pages: u64,
@@ -652,12 +656,12 @@ impl FramePool {
     /// Charges the simulator for zeroing, priced by the hop distance to
     /// the frame's home node.
     pub fn try_alloc(&self, core: usize) -> Result<Pfn, OutOfMemory> {
-        self.try_alloc_held(&mut self.cores.locks().lock(core))
+        self.try_alloc_held(&mut self.cores.locks().lock(core).cells())
     }
 
     /// [`FramePool::try_alloc`] on the core whose lock `held` is (the
     /// pool's set's): for a caller that holds it already.
-    pub fn try_alloc_held(&self, held: &mut CoreHeld<'_>) -> Result<Pfn, OutOfMemory> {
+    pub fn try_alloc_held(&self, held: &mut CoreCells<'_>) -> Result<Pfn, OutOfMemory> {
         let core = held.core();
         if failpoint::should_fail(failpoint::FRAME_ALLOC, core) {
             return Err(OutOfMemory);
@@ -888,13 +892,13 @@ impl FramePool {
     /// scattered 4 KiB pages. Charges the simulator for zeroing the
     /// block, priced by hop distance to the block's home node.
     pub fn try_alloc_block(&self, core: usize, order: u8) -> Result<Pfn, OutOfMemory> {
-        self.try_alloc_block_held(&mut self.cores.locks().lock(core), order)
+        self.try_alloc_block_held(&mut self.cores.locks().lock(core).cells(), order)
     }
 
     /// [`FramePool::try_alloc_block`] on the core whose lock `held` is.
     pub fn try_alloc_block_held(
         &self,
-        held: &mut CoreHeld<'_>,
+        held: &mut CoreCells<'_>,
         order: u8,
     ) -> Result<Pfn, OutOfMemory> {
         assert!(order <= GIANT_ORDER, "unsupported block order {order}");
@@ -948,7 +952,7 @@ impl FramePool {
     /// `order`) from `core`: every member frame's generation is bumped,
     /// and the block returns whole to its home node's block reservoir.
     pub fn free_block(&self, core: usize, base: Pfn, order: u8) {
-        self.take_back(&mut self.cores.locks().lock(core), base, order);
+        self.take_back(&mut self.cores.locks().lock(core).cells(), base, order);
     }
 
     /// Frees `pfn` from `core`, bumping its generation so stale
@@ -965,7 +969,7 @@ impl FramePool {
     /// and the caller has already completed any required TLB shootdown,
     /// so parking only delays *reuse*, never safety (DESIGN.md §6).
     pub fn free(&self, core: usize, pfn: Pfn) {
-        self.take_back(&mut self.cores.locks().lock(core), pfn, 0);
+        self.take_back(&mut self.cores.locks().lock(core).cells(), pfn, 0);
     }
 
     /// The one way back, for a frame (`order` 0) or a block: bumps every
@@ -980,7 +984,7 @@ impl FramePool {
     /// other page into the core's outbound
     /// magazine, which flushes home once it holds [`MAGAZINE_SIZE`]
     /// frames.
-    fn take_back(&self, held: &mut CoreHeld<'_>, base: Pfn, order: u8) {
+    fn take_back(&self, held: &mut CoreCells<'_>, base: Pfn, order: u8) {
         let core = held.core();
         let pages = 1u64 << order;
         let members = base..base + pages as Pfn;
@@ -1101,14 +1105,17 @@ impl FramePool {
     /// parked cross-node frees allocatable on their home nodes.
     pub fn flush_magazines(&self) {
         for core in 0..self.ncores {
-            self.flush_mag(core, self.cores.get(&mut self.cores.locks().lock(core)));
+            self.flush_mag(
+                core,
+                self.cores.get(&mut self.cores.locks().lock(core).cells()),
+            );
         }
     }
 
     /// Frames currently parked in `core`'s outbound magazine (tests).
     pub fn magazine_len(&self, core: usize) -> usize {
         self.cores
-            .get(&mut self.cores.locks().lock(core))
+            .get(&mut self.cores.locks().lock(core).cells())
             .magazine
             .len()
     }
@@ -1827,20 +1834,20 @@ mod tests {
             let base = alloc(0);
             let table = pool.total_frames();
             assert_eq!(pool.outstanding_frames(), pages, "order {order}");
-            let r = pool.retain(&cache, &cache.lock(0), base, order, 1);
+            let r = pool.retain(&cache, &cache.lock(0).cells(), base, order, 1);
             assert_eq!((r.pfn, r.order), (base, order));
             // The demotion lifecycle, handed around two cores: one
             // reference for the fold, 511 adopted in one adjustment on
             // core 1, a hole punch's 16 and an unmap's 495 surrendered
             // as two runs on core 0.
             let k = BLOCK_PAGES as i64 - 1;
-            pool.ref_adjust(&cache, &mut cache.lock(1), r, k);
-            pool.ref_surrender(&cache, &mut cache.lock(0), r, 16, 16);
-            pool.ref_surrender(&cache, &mut cache.lock(0), r, k - 16, k as u64 - 16);
+            pool.ref_adjust(&cache, &mut cache.lock(1).cells(), r, k);
+            pool.ref_surrender(&cache, &mut cache.lock(0).cells(), r, 16, 16);
+            pool.ref_surrender(&cache, &mut cache.lock(0).cells(), r, k - 16, k as u64 - 16);
             cache.quiesce();
             assert_eq!(freed(), 0, "order {order}: the last reference holds it");
             assert_eq!(pool.outstanding_frames(), pages);
-            pool.ref_surrender(&cache, &mut cache.lock(0), r, 1, 1);
+            pool.ref_surrender(&cache, &mut cache.lock(0).cells(), r, 1, 1);
             cache.quiesce();
             pool.flush_magazines();
             assert_eq!(pool.outstanding_frames(), 0, "order {order}: freed whole");
@@ -1855,9 +1862,9 @@ mod tests {
             // cell re-arms under a newer generation.
             assert_eq!(alloc(0), base, "order {order}");
             assert_eq!(pool.total_frames(), table, "order {order}: recycled");
-            let r2 = pool.retain(&cache, &cache.lock(0), base, order, 1);
+            let r2 = pool.retain(&cache, &cache.lock(0).cells(), base, order, 1);
             assert!(r2.gen > r.gen, "new incarnation has a newer generation");
-            pool.ref_adjust(&cache, &mut cache.lock(0), r2, -1);
+            pool.ref_adjust(&cache, &mut cache.lock(0).cells(), r2, -1);
             cache.quiesce();
             assert_eq!(pool.outstanding_frames(), 0);
         }
@@ -1995,7 +2002,7 @@ mod tests {
     /// Frames on `core`'s free list.
     fn free_len(pool: &FramePool, core: usize) -> usize {
         pool.cores
-            .get(&mut pool.cores.locks().lock(core))
+            .get(&mut pool.cores.locks().lock(core).cells())
             .free
             .len()
     }

@@ -872,7 +872,7 @@ mod tests {
     fn a_flush_under_a_hint_riding_guard_leaves_the_hint() {
         let t = hinted_tree(1);
         let mut riding = t.lock_range(0, 1001, 1002, LockMode::ExpandFolded);
-        t.cache().maintain_held(riding.token());
+        t.cache().maintain_held(&mut riding.token());
         drop(riding);
         assert_eq!(t.hinted_blocks(0), [512]);
         let hits = t.stats().hint_hits();

@@ -33,7 +33,9 @@ use std::sync::Arc;
 use rvm_refcache::weak::{DYING_BIT, LOCK_BIT, PTR_MASK, TAG_SHIFT};
 use rvm_refcache::{Managed, RcPtr, ReleaseCtx};
 use rvm_sync::atomic::Ordering;
-use rvm_sync::{asan_poison, sharded_stats, sim, Atomic64, Backoff, CoreHeld, CoreLocks, PerCore};
+use rvm_sync::{
+    asan_poison, sharded_stats, sim, Atomic64, Backoff, CoreCells, CoreLock, CoreLocks, PerCore,
+};
 
 use crate::tree::HintTags;
 
@@ -103,9 +105,9 @@ sharded_stats! {
         /// Live folded values.
         folded_values: Shared,
         /// Expansions performed (folded or empty slot → child node).
-        expansions: Shared,
+        expansions: Exclusive<CoreLock>,
         /// Nodes freed by Refcache collapse.
-        nodes_collapsed: Shared,
+        nodes_collapsed: Exclusive<CoreLock>,
         /// Single-page operations served by the per-core leaf hint cache
         /// (the fault fast path: no descent, no per-level pins). Bumped
         /// under the core's hint cell.
@@ -116,7 +118,7 @@ sharded_stats! {
         /// Range guards whose unit/pin storage, and `clear`/`replace` calls
         /// whose list of displaced values, spilled from inline capacity to
         /// the heap (only multi-page operations should).
-        guard_spills: Shared,
+        guard_spills: Exclusive<CoreLock>,
         /// Spin iterations burned waiting for contended slot locks
         /// (interior or leaf): a contended acquirer holds nothing yet.
         /// Zero under the simulator — virtual cores run ops to completion,
@@ -197,7 +199,7 @@ impl<V> TreeShared<V> {
 
     /// Keeps the emptied leaf array `slots` on the held core's spare
     /// list, leaving an empty array in its place, unless the list is full.
-    fn keep_spare(&self, held: &mut CoreHeld<'_>, slots: &mut LeafSlots<V>) {
+    fn keep_spare(&self, held: &mut CoreCells<'_>, slots: &mut LeafSlots<V>) {
         let spare = self.spare.get(held);
         if spare.len() == SPARE_LEAVES {
             return;
@@ -213,7 +215,7 @@ impl<V> TreeShared<V> {
     }
 
     /// The array the held core emptied last, if it kept one.
-    fn take_spare(&self, held: &mut CoreHeld<'_>) -> Option<LeafSlots<V>> {
+    fn take_spare(&self, held: &mut CoreCells<'_>) -> Option<LeafSlots<V>> {
         let slots = self.spare.get(held).pop()?;
         poison(&slots, false);
         Some(slots)
@@ -222,8 +224,9 @@ impl<V> TreeShared<V> {
     /// Addresses of the arrays on `core`'s spare list, oldest first.
     #[cfg(test)]
     pub(crate) fn spare_arrays(&self, core: usize) -> Vec<usize> {
-        let held = &mut self.spare.locks().lock(core);
-        let spare = self.spare.get(held);
+        let mut held = self.spare.locks().lock(core);
+        let mut cells = held.cells();
+        let spare = self.spare.get(&mut cells);
         spare.iter().map(|s| s.as_ptr() as usize).collect()
     }
 }
@@ -290,7 +293,7 @@ impl<V: Send + Sync + 'static> Node<V> {
     /// if it kept one ([`TreeShared`]), else in a fresh one. Every slot
     /// of a reused array is built exactly as a fresh array's is.
     pub fn new_leaf(
-        held: &mut CoreHeld<'_>,
+        held: &mut CoreCells<'_>,
         base_vpn: u64,
         parent: Option<(RcPtr<Node<V>>, u16)>,
         shared: Arc<TreeShared<V>>,
@@ -394,10 +397,10 @@ impl<V: Send + Sync + 'static> Managed for Node<V> {
         // Freed by Refcache: all slots are empty and no traversals pin us.
         // The freeing CAS already emptied our parent's slot; surrender the
         // used-slot reference it represented.
-        self.shared
-            .stats
-            .add(ctx.core, TreeCounts::nodes_collapsed, 1);
         ctx.with_held(|held| {
+            self.shared
+                .stats
+                .add_core(held, TreeCounts::nodes_collapsed, 1);
             if let Some((parent, _idx)) = self.parent {
                 ctx.cache.adjust_held(held, parent, -1);
             }

@@ -68,7 +68,9 @@ use std::sync::Arc;
 use rvm_refcache::weak::LOCK_BIT;
 use rvm_refcache::{RcPtr, Refcache};
 use rvm_sync::atomic::Ordering;
-use rvm_sync::{Atomic64, CoreHeld, InlineVec, PerCore, RangeLock, RangeLockKind, RangeToken};
+use rvm_sync::{
+    Atomic64, CoreCells, CoreHeld, InlineVec, PerCore, RangeLock, RangeLockKind, RangeToken,
+};
 
 use crate::node::{
     index_at_level, lock_interior_slot, lock_leaf_slot, pack_slot, slot_ptr, slot_tag,
@@ -498,20 +500,16 @@ impl<V: RadixValue> RadixTree<V> {
     /// Takes `core`'s lock: not on a thread that holds a guard of this
     /// tree on `core` (debug builds panic; release builds would spin).
     pub fn maintain(&self, core: usize) {
-        self.maintain_held(&mut self.cache.lock(core));
+        let mut held = self.cache.lock(core);
+        self.release_hints(&mut held);
+        self.cache.maintain_held(&mut held.cells());
     }
 
-    /// [`RadixTree::maintain`] of the held core, in the caller's hold.
-    pub fn maintain_held(&self, held: &mut CoreHeld<'_>) {
-        self.release_hints(held);
-        self.cache.maintain_held(held);
-    }
-
-    /// [`RadixTree::maintain_held`] with [`Refcache::expedite`] as the
-    /// tick.
+    /// [`RadixTree::maintain`] of the held core with
+    /// [`Refcache::expedite`] as the tick.
     pub fn expedite(&self, held: &mut CoreHeld<'_>) {
         self.release_hints(held);
-        self.cache.expedite(held);
+        self.cache.expedite(&mut held.cells());
     }
 
     /// [`RadixTree::maintain`] for [`Refcache::quiesce`]: every core's
@@ -530,9 +528,10 @@ impl<V: RadixValue> RadixTree<V> {
         if !self.cfg.leaf_hints {
             return;
         }
-        let taken = std::mem::replace(self.hints.get(held), HintSet::EMPTY);
+        let mut cells = held.cells();
+        let taken = std::mem::replace(self.hints.get(&mut cells), HintSet::EMPTY);
         for h in taken.ways.into_iter().flatten() {
-            self.cache.adjust_held(held, h.node, -1);
+            self.cache.adjust_held(&mut cells, h.node, -1);
         }
     }
 
@@ -608,7 +607,8 @@ impl<V: RadixValue> RadixTree<V> {
         }
         let core = held.core();
         let block_base = vpn & !((FANOUT as u64) - 1);
-        let set = self.hints.get(held);
+        let mut cells = held.cells();
+        let set = self.hints.get(&mut cells);
         let mut stale = None;
         let hit = set.find(block_base).and_then(|way| {
             let leaf = set.ways[way].as_ref()?.node;
@@ -628,7 +628,7 @@ impl<V: RadixValue> RadixTree<V> {
         };
         self.shared.stats.add_held(core, field, &set.tags, 1);
         if let Some(h) = stale {
-            self.cache.adjust_held(held, h.node, -1);
+            self.cache.adjust_held(&mut cells, h.node, -1);
         }
         hit
     }
@@ -644,20 +644,21 @@ impl<V: RadixValue> RadixTree<V> {
             return;
         }
         debug_assert!(nref(node).is_leaf());
-        self.cache.adjust_held(held, node, 1);
+        let mut cells = held.cells();
+        self.cache.adjust_held(&mut cells, node, 1);
         let prev = self
             .hints
-            .get(held)
+            .get(&mut cells)
             .install(nref(node).base_vpn, LeafHint { node });
         if let Some(h) = prev {
-            self.cache.adjust_held(held, h.node, -1);
+            self.cache.adjust_held(&mut cells, h.node, -1);
         }
     }
 
     /// The block bases `core`'s hint set caches, in way order.
     #[cfg(test)]
     pub(crate) fn hinted_blocks(&self, core: usize) -> Vec<Vpn> {
-        let tags = self.hints.get(&mut self.cache.lock(core)).tags;
+        let tags = self.hints.get(&mut self.cache.lock(core).cells()).tags;
         tags.into_iter().filter(|&t| t != NO_BLOCK).collect()
     }
 
@@ -700,14 +701,15 @@ impl<V: RadixValue> RadixTree<V> {
     ///
     /// Panics if the range is empty or exceeds [`VPN_LIMIT`].
     pub fn lock_range(&self, core: usize, lo: Vpn, hi: Vpn, mode: LockMode) -> RangeGuard<'_, V> {
-        self.lock_range_in(self.cache.lock(core), lo, hi, mode)
+        self.lock_range_held(self.cache.lock(core), lo, hi, mode)
     }
 
-    /// [`RadixTree::lock_range`] on the held core, for a caller that holds
-    /// its lock already. The guard borrows the token until it drops, so
-    /// while it lives the caller can make no other call that needs the
-    /// token — a second `lock_range` or a tick on the same core would
-    /// wait for its own lock, and does not compile:
+    /// [`RadixTree::lock_range`] on the core `held` is, for a caller that
+    /// holds its lock already and lends it (`held.reborrow()`). The guard
+    /// keeps the token until it drops, so while it lives the caller can
+    /// make no other call that needs the token — a second `lock_range` or
+    /// a tick on the same core would wait for its own lock, and does not
+    /// compile:
     ///
     /// ```compile_fail,E0499
     /// # use std::sync::Arc;
@@ -715,22 +717,25 @@ impl<V: RadixValue> RadixTree<V> {
     /// # use rvm_refcache::Refcache;
     /// let tree = RadixTree::<u64>::new(Arc::new(Refcache::new(1)), RadixConfig::default());
     /// let mut held = tree.cache().lock(0);
-    /// let page = tree.lock_range_held(&mut held, 7, 8, LockMode::ExpandAll);
-    /// let other = tree.lock_range_held(&mut held, 9, 10, LockMode::ExpandAll);
+    /// let page = tree.lock_range_held(held.reborrow(), 7, 8, LockMode::ExpandAll);
+    /// let other = tree.lock_range_held(held.reborrow(), 9, 10, LockMode::ExpandAll);
     /// drop(page);
     /// ```
-    #[inline]
+    ///
+    /// Nor through the guard: [`RangeGuard::token`] lends the core's cells
+    /// (a `CoreCells`), which a tick, a range lock and the leaf hints do
+    /// not take, so a guard riding a hint cannot have that hint's pin
+    /// surrendered under it:
+    ///
+    /// ```compile_fail,E0308
+    /// # use std::sync::Arc;
+    /// # use rvm_radix::{LockMode, RadixConfig, RadixTree};
+    /// # use rvm_refcache::Refcache;
+    /// let tree = RadixTree::<u64>::new(Arc::new(Refcache::new(1)), RadixConfig::default());
+    /// let mut page = tree.lock_range(0, 7, 8, LockMode::ExpandAll);
+    /// tree.expedite(&mut page.token());
+    /// ```
     pub fn lock_range_held<'t>(
-        &'t self,
-        held: &'t mut CoreHeld<'_>,
-        lo: Vpn,
-        hi: Vpn,
-        mode: LockMode,
-    ) -> RangeGuard<'t, V> {
-        self.lock_range_in(held.reborrow(), lo, hi, mode)
-    }
-
-    fn lock_range_in<'t>(
         &'t self,
         held: CoreHeld<'t>,
         lo: Vpn,
@@ -857,17 +862,22 @@ impl<V: RadixValue> RadixTree<V> {
                     // (no lock required).
                     // SAFETY: TAG_CHILD slots of this tree always hold
                     // `Node<V>` pointers registered with this cache.
-                    match unsafe { self.cache.tryget::<Node<V>>(&mut g.held, slot, TAG_CHILD) } {
+                    match unsafe {
+                        self.cache
+                            .tryget::<Node<V>>(&mut g.held.cells(), slot, TAG_CHILD)
+                    } {
                         Some(child) => {
                             match self.descend(child, sub_lo, sub_hi, mode, false, g) {
                                 Some(true) => g.pins.push(child),
                                 // Pin elision: the child's subtree holds
                                 // pinned units that keep it alive.
-                                Some(false) => self.cache.adjust_held(&mut g.held, child, -1),
+                                Some(false) => {
+                                    self.cache.adjust_held(&mut g.held.cells(), child, -1)
+                                }
                                 None => {
                                     // Refolded under us: re-read the slot
                                     // (it now holds the folded value).
-                                    self.cache.adjust_held(&mut g.held, child, -1);
+                                    self.cache.adjust_held(&mut g.held.cells(), child, -1);
                                     continue;
                                 }
                             }
@@ -915,7 +925,7 @@ impl<V: RadixValue> RadixTree<V> {
                     break;
                 }
                 // Expand under the held slot lock.
-                let child = self.expand_slot(&mut g.held, node_ptr, idx, v, block_lo);
+                let child = self.expand_slot(&mut g.held.cells(), node_ptr, idx, v, block_lo);
                 g.pins.push(child);
                 g.units.push(Unit::WholeNode { node: child });
                 // The child is already pinned above; the recursion's
@@ -933,7 +943,7 @@ impl<V: RadixValue> RadixTree<V> {
     /// (paper §3.4). Returns the child, pinned for the caller.
     fn expand_slot(
         &self,
-        held: &mut CoreHeld<'_>,
+        held: &mut CoreCells<'_>,
         parent: RcPtr<Node<V>>,
         idx: usize,
         locked_word: u64,
@@ -953,7 +963,7 @@ impl<V: RadixValue> RadixTree<V> {
         } else {
             None
         };
-        self.shared.stats.add(core, TreeCounts::expansions, 1);
+        self.shared.stats.add_core(held, TreeCounts::expansions, 1);
         let permanent = if self.cfg.collapse { 0 } else { 1 };
         let child = if child_level == LEVELS - 1 {
             let node = Node::new_leaf(
@@ -1026,17 +1036,21 @@ impl<V: RadixValue> RadixTree<V> {
     }
 
     /// Read-only presence check: returns true if `vpn` has a value,
-    /// without taking any slot lock (pure traversal over atomic slot
-    /// words — the Figure 7 lookup operation). May race with concurrent
+    /// without taking any slot lock (a traversal over atomic slot words
+    /// — the Figure 7 lookup operation). May race with concurrent
     /// mutations; the answer is a linearizable snapshot of the slot word.
     ///
-    /// On a leaf-hint hit this is pin-free: two loads under the core's
-    /// lock.
+    /// Takes `core`'s lock for the whole call, hints or not: the descent
+    /// pins nodes through the core's delta cache. So not on a thread
+    /// that holds a lock of the tree's set (debug builds panic; release
+    /// builds would spin). On a leaf-hint hit it is pin-free: two loads
+    /// under that lock.
     pub fn lookup_present(&self, core: usize, vpn: Vpn) -> bool {
         let held = &mut self.cache.lock(core);
         if self.cfg.leaf_hints {
             let block_base = vpn & !((FANOUT as u64) - 1);
-            let set = self.hints.get(held);
+            let mut cells = held.cells();
+            let set = self.hints.get(&mut cells);
             let hinted = set.find(block_base);
             if let Some(h) = hinted.and_then(|way| set.ways[way].as_ref()) {
                 if Self::hint_valid(h) {
@@ -1071,7 +1085,7 @@ impl<V: RadixValue> RadixTree<V> {
                 if st & LEAF_PRESENT == 0 && !Self::leaf_linked(node_ptr) {
                     // Refolded under us: restart from the root.
                     if let Some(prev) = pin.take() {
-                        self.cache.adjust_held(held, prev, -1);
+                        self.cache.adjust_held(&mut held.cells(), prev, -1);
                     }
                     node_ptr = self.root;
                     continue;
@@ -1085,10 +1099,13 @@ impl<V: RadixValue> RadixTree<V> {
             match slot_tag(peek) {
                 TAG_CHILD => {
                     // SAFETY: TAG_CHILD slots hold `Node<V>` pointers.
-                    match unsafe { self.cache.tryget::<Node<V>>(held, slot, TAG_CHILD) } {
+                    match unsafe {
+                        self.cache
+                            .tryget::<Node<V>>(&mut held.cells(), slot, TAG_CHILD)
+                    } {
                         Some(child) => {
                             if let Some(prev) = pin.replace(child) {
-                                self.cache.adjust_held(held, prev, -1);
+                                self.cache.adjust_held(&mut held.cells(), prev, -1);
                             }
                             node_ptr = child;
                         }
@@ -1100,7 +1117,7 @@ impl<V: RadixValue> RadixTree<V> {
             }
         };
         if let Some(p) = pin {
-            self.cache.adjust_held(held, p, -1);
+            self.cache.adjust_held(&mut held.cells(), p, -1);
         }
         result
     }
@@ -1185,10 +1202,13 @@ impl<V: RadixValue> RadixTree<V> {
                         // SAFETY: TAG_CHILD slots hold `Node<V>` pointers.
                         // SAFETY: as above; the pin is surrendered with the
                         // same token after the closure.
-                        let child = unsafe { self.cache.tryget::<Node<V>>(held, slot, TAG_CHILD) };
+                        let child = unsafe {
+                            self.cache
+                                .tryget::<Node<V>>(&mut held.cells(), slot, TAG_CHILD)
+                        };
                         let walked = child.map(|child| {
                             let out = self.walk(held, child, at, end, f);
-                            self.cache.adjust_held(held, child, -1);
+                            self.cache.adjust_held(&mut held.cells(), child, -1);
                             out
                         });
                         match walked {
@@ -1218,7 +1238,7 @@ impl<V: RadixValue> RadixTree<V> {
     /// Books a fold that appeared (`delta` = 1) or went (-1) in an
     /// interior slot of `node`: the fold count, and the used-slot
     /// reference the fold holds on `node`.
-    fn fold_counted(&self, held: &mut CoreHeld<'_>, node: RcPtr<Node<V>>, delta: i64) {
+    fn fold_counted(&self, held: &mut CoreCells<'_>, node: RcPtr<Node<V>>, delta: i64) {
         match delta {
             1 => self
                 .shared
@@ -1234,9 +1254,11 @@ impl<V: RadixValue> RadixTree<V> {
 
     /// Returns `out`, counting it in [`TreeStats::guard_spills`] if it
     /// spilled to the heap.
-    fn spill_counted(&self, core: usize, out: RemovedList<V>) -> RemovedList<V> {
+    fn spill_counted(&self, held: &CoreCells<'_>, out: RemovedList<V>) -> RemovedList<V> {
         if out.spilled() {
-            self.shared.stats.add(core, TreeCounts::guard_spills, 1);
+            self.shared
+                .stats
+                .add_core(held, TreeCounts::guard_spills, 1);
         }
         out
     }
@@ -1322,11 +1344,13 @@ fn held_slots<V: RadixValue>(
 }
 
 impl<'t, V: RadixValue> RangeGuard<'t, V> {
-    /// The held lock of the guard's core, for what the caller does under
-    /// the guard on that core's other state (its frames, its counters).
+    /// The cells of the guard's core, for what the caller does under the
+    /// guard on that core's other state (its frames, its counters). Not
+    /// the guard's `CoreHeld`: a hint-riding guard relies on nobody
+    /// ticking its core or touching its hints until it drops.
     #[inline]
-    pub fn token(&mut self) -> &mut CoreHeld<'t> {
-        &mut self.held
+    pub fn token(&mut self) -> CoreCells<'_> {
+        self.held.cells()
     }
 
     /// [`RangeGuard::held_slots`] of this guard's units.
@@ -1344,7 +1368,7 @@ impl<'t, V: RadixValue> RangeGuard<'t, V> {
     /// locked, so `LEAF_PRESENT` flips with plain stores, and the used-
     /// slot references settle once per leaf, not once per page.
     pub fn clear(&mut self) -> RemovedList<V> {
-        let (tree, held) = (self.tree, &mut self.held);
+        let (tree, held) = (self.tree, &mut self.held.cells());
         let mut out = RemovedList::new();
         for (node, entries) in held_slots(&mut self.units, false) {
             let mut emptied = 0;
@@ -1366,7 +1390,7 @@ impl<'t, V: RadixValue> RangeGuard<'t, V> {
                 tree.cache.adjust_held(held, node, -emptied);
             }
         }
-        tree.spill_counted(held.core(), out)
+        tree.spill_counted(held, out)
     }
 
     /// Sets every page (or whole block) in the locked range to a clone of
@@ -1378,7 +1402,7 @@ impl<'t, V: RadixValue> RangeGuard<'t, V> {
     /// box allocation); only previously empty slots pay the install cost,
     /// settled once per leaf like [`RangeGuard::clear`]'s.
     pub fn replace(&mut self, value: &V) -> RemovedList<V> {
-        let (tree, held) = (self.tree, &mut self.held);
+        let (tree, held) = (self.tree, &mut self.held.cells());
         let mut out = RemovedList::new();
         for (node, entries) in held_slots(&mut self.units, false) {
             let mut filled = 0;
@@ -1398,7 +1422,7 @@ impl<'t, V: RadixValue> RangeGuard<'t, V> {
                 tree.cache.adjust_held(held, node, filled);
             }
         }
-        tree.spill_counted(held.core(), out)
+        tree.spill_counted(held, out)
     }
 
     /// Applies `f` to every present entry in the locked range with its
@@ -1422,12 +1446,12 @@ impl<'t, V: RadixValue> RangeGuard<'t, V> {
     /// [`RangeGuard::page_value_mut`], with the guard's
     /// [`RangeGuard::token`] beside it.
     #[inline]
-    pub fn page_and_token(&mut self) -> Option<(&mut V, &mut CoreHeld<'t>)> {
+    pub fn page_and_token(&mut self) -> Option<(&mut V, CoreCells<'_>)> {
         let page = held_slots(&mut self.units, false).next()?.1.next();
         let value = page
             .filter(|e| matches!(e, Held::Page { .. }))?
             .value_mut()?;
-        Some((value, &mut self.held))
+        Some((value, self.held.cells()))
     }
 
     /// For a guard holding a locked *folded* block slot (the
@@ -1438,11 +1462,11 @@ impl<'t, V: RadixValue> RangeGuard<'t, V> {
     ///
     /// The value's presence must not change through this reference.
     #[inline]
-    pub fn block_entry_mut(&mut self) -> Option<(Vpn, u64, &mut V, &mut CoreHeld<'t>)> {
+    pub fn block_entry_mut(&mut self) -> Option<(Vpn, u64, &mut V, CoreCells<'_>)> {
         let block = held_slots(&mut self.units, false).next()?.1.next();
         let e = block.filter(|e| matches!(e, Held::Block { .. }))?;
         let (start, pages) = e.span();
-        Some((start, pages, e.value_mut()?, &mut self.held))
+        Some((start, pages, e.value_mut()?, self.held.cells()))
     }
 
     /// Applies `f(start_vpn, pages, value)` to every value this lock
@@ -1544,11 +1568,11 @@ impl<'t, V: RadixValue> RangeGuard<'t, V> {
         // leaf is unreachable from the tree, so surrender it too or the
         // node would never free.
         let permanent = if tree.cfg.collapse { 0 } else { 1 };
-        cache.adjust_held(&mut self.held, node, -(FANOUT as i64 + permanent));
+        cache.adjust_held(&mut self.held.cells(), node, -(FANOUT as i64 + permanent));
         // The severed leaf's `on_release` will surrender one used-slot
         // reference on the parent; pre-compensate so CHILD → FOLDED
         // keeps the parent's count balanced at one per occupied slot.
-        cache.adjust_held(&mut self.held, parent, 1);
+        cache.adjust_held(&mut self.held.cells(), parent, 1);
         // Sever the weak reference *before* republishing the slot, so a
         // later true-zero review of the leaf cannot CAS the folded word.
         cache.unregister_weak(node);
@@ -1580,15 +1604,15 @@ impl<V: RadixValue> Drop for RangeGuard<'_, V> {
             }
         }
         for pin in self.pins.iter() {
-            self.tree.cache.adjust_held(&mut self.held, *pin, -1);
+            self.tree
+                .cache
+                .adjust_held(&mut self.held.cells(), *pin, -1);
+        }
+        if self.units.spilled() || self.pins.spilled() {
+            let stats = &self.tree.shared.stats;
+            stats.add_core(&self.held.cells(), TreeCounts::guard_spills, 1);
         }
         let core = self.held.core();
-        if self.units.spilled() || self.pins.spilled() {
-            self.tree
-                .shared
-                .stats
-                .add(core, TreeCounts::guard_spills, 1);
-        }
         // Release the list descriptor after every slot lock is down so
         // overlapping waiters observe a fully unlocked range.
         if let Some(token) = self.range_token.take() {

@@ -95,7 +95,9 @@ use std::ptr::NonNull;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use rvm_sync::{sharded_stats, sim, Atomic64, CoreHeld, CoreLock, CoreLocks, PerCore, SpinLock};
+use rvm_sync::{
+    sharded_stats, sim, Atomic64, CoreCells, CoreHeld, CoreLock, CoreLocks, PerCore, SpinLock,
+};
 
 pub mod counters;
 pub mod obj;
@@ -371,12 +373,12 @@ impl Refcache {
     /// to `obj` already (or to have just obtained the pointer via
     /// [`Refcache::tryget`]); a negative one surrenders that many.
     pub fn adjust<P: Counted>(&self, core: usize, obj: P, delta: i64) {
-        self.adjust_held(&mut self.lock(core), obj, delta);
+        self.adjust_held(&mut self.lock(core).cells(), obj, delta);
     }
 
     /// [`Refcache::adjust`] on the core whose lock `held` is.
     #[inline]
-    pub fn adjust_held<P: Counted>(&self, held: &mut CoreHeld<'_>, obj: P, delta: i64) {
+    pub fn adjust_held<P: Counted>(&self, held: &mut CoreCells<'_>, obj: P, delta: i64) {
         let core = held.core();
         if P::SLOT_BACKED && delta > 0 {
             // Recorded before the delta enters the cache, so an evict
@@ -448,7 +450,7 @@ impl Refcache {
     /// for a flush as an `adjust`'s does. The pages count either way.
     pub fn surrender<P: Counted>(
         &self,
-        held: &mut CoreHeld<'_>,
+        held: &mut CoreCells<'_>,
         obj: P,
         refs: i64,
         pages: u64,
@@ -478,7 +480,7 @@ impl Refcache {
     /// `key` must point to a live `CountSlot`'s header that the held
     /// core's cache holds a way for (a [`Refcache::adjust_locked`] on it
     /// just ran).
-    unsafe fn release_if_final(&self, held: &mut CoreHeld<'_>, key: usize) {
+    unsafe fn release_if_final(&self, held: &mut CoreCells<'_>, key: usize) {
         let core = held.core();
         let cc = self.cores.get(held);
         let idx = Self::hash_obj(key, cc.slots.len());
@@ -500,7 +502,7 @@ impl Refcache {
     }
 
     /// The context a zero-count action on the held core runs with.
-    fn release_ctx<'a>(&'a self, held: &'a mut CoreHeld<'_>) -> ReleaseCtx<'a> {
+    fn release_ctx<'a>(&'a self, held: &'a mut CoreCells<'_>) -> ReleaseCtx<'a> {
         ReleaseCtx {
             cache: self,
             core: held.core(),
@@ -538,7 +540,12 @@ impl Refcache {
     /// review protocol before the resource became reallocatable.
     ///
     /// `held` is the activating core's lock of the cache's set.
-    pub fn activate<T: SlotManaged>(&self, held: &CoreHeld<'_>, cell: SlotPtr<T>, init_count: i64) {
+    pub fn activate<T: SlotManaged>(
+        &self,
+        held: &CoreCells<'_>,
+        cell: SlotPtr<T>,
+        init_count: i64,
+    ) {
         assert!(held.is_of(self.locks()), "a CoreHeld of another lock set");
         self.stats.add_core(held, RefcacheStats::slot_activates, 1);
         // SAFETY: the cell's table is live (the caller holds its
@@ -613,12 +620,12 @@ impl Refcache {
     /// Flushes `core`'s delta cache and advances the epoch barrier (the
     /// paper's `flush`).
     pub fn flush(&self, core: usize) {
-        self.flush_as(&mut self.lock(core), false);
+        self.flush_as(&mut self.lock(core).cells(), false);
     }
 
     /// [`Refcache::flush`] of the held core; `expedited` says whether to
     /// count it as an [`Refcache::expedite`] tick's.
-    fn flush_as(&self, held: &mut CoreHeld<'_>, expedited: bool) {
+    fn flush_as(&self, held: &mut CoreCells<'_>, expedited: bool) {
         let core = held.core();
         let cc = self.cores.get(held);
         // Read with an RMW: the barrier below writes this line in the
@@ -661,12 +668,12 @@ impl Refcache {
     /// the zero-count actions of the cells the core's flushes released
     /// at once as well.
     pub fn review(&self, core: usize) {
-        self.review_held(&mut self.lock(core));
+        self.review_held(&mut self.lock(core).cells());
     }
 
     /// [`Refcache::review`] of the held core. The zero-count actions run
     /// under the same hold, with the core's cell lent to them.
-    fn review_held(&self, held: &mut CoreHeld<'_>) {
+    fn review_held(&self, held: &mut CoreCells<'_>) {
         let core = held.core();
         let mut to_free = {
             let cc = self.cores.get(held);
@@ -775,11 +782,11 @@ impl Refcache {
     /// regularly from each core (the kernel uses a 10 ms timer tick; the
     /// benchmarks call it every few hundred operations).
     pub fn maintain(&self, core: usize) {
-        self.maintain_held(&mut self.lock(core));
+        self.maintain_held(&mut self.lock(core).cells());
     }
 
     /// [`Refcache::maintain`] of the held core, in one hold.
-    pub fn maintain_held(&self, held: &mut CoreHeld<'_>) {
+    pub fn maintain_held(&self, held: &mut CoreCells<'_>) {
         self.flush_as(held, false);
         self.review_held(held);
     }
@@ -789,7 +796,7 @@ impl Refcache {
     /// review of the held core, counted in [`RefcacheStats`]' `expedited`
     /// as well, so that `flushes - expedited` stays what callers' timers
     /// issued.
-    pub fn expedite(&self, held: &mut CoreHeld<'_>) {
+    pub fn expedite(&self, held: &mut CoreCells<'_>) {
         self.flush_as(held, true);
         self.review_held(held);
     }
@@ -863,7 +870,7 @@ impl Refcache {
     /// to an `RcBox<T>` registered with [`Refcache::register_weak`].
     pub unsafe fn tryget<T>(
         &self,
-        held: &mut CoreHeld<'_>,
+        held: &mut CoreCells<'_>,
         slot: &Atomic64,
         tag: u8,
     ) -> Option<RcPtr<T>> {
@@ -1102,7 +1109,7 @@ mod tests {
                     .collect();
                 let cells: Vec<_> = table.iter().map(CountSlot::handle).collect();
                 for &c in &cells {
-                    rc.activate(&rc.lock(0), c, 1);
+                    rc.activate(&rc.lock(0).cells(), c, 1);
                 }
                 for _ in 0..4 {
                     for &c in &cells {
@@ -1208,7 +1215,7 @@ mod tests {
         assert!(weak::is_dying(slot.load(Ordering::Acquire)));
         // Revive through the weak reference before review frees it.
         // SAFETY: slot holds `p` under tag 1.
-        let got = unsafe { rc.tryget::<Tracked>(&mut rc.lock(0), &slot, 1) };
+        let got = unsafe { rc.tryget::<Tracked>(&mut rc.lock(0).cells(), &slot, 1) };
         assert!(got.is_some());
         rc.quiesce();
         assert_eq!(drops.load(Ordering::SeqCst), 0, "revived object freed");
@@ -1219,7 +1226,7 @@ mod tests {
         assert_eq!(slot.load(Ordering::Acquire), 0, "free clears the slot");
         // tryget after free reports deletion.
         // SAFETY: slot is empty; tryget handles that case.
-        assert!(unsafe { rc.tryget::<Tracked>(&mut rc.lock(0), &slot, 1) }.is_none());
+        assert!(unsafe { rc.tryget::<Tracked>(&mut rc.lock(0).cells(), &slot, 1) }.is_none());
     }
 
     #[test]
@@ -1275,16 +1282,16 @@ mod tests {
         let rc = Refcache::new(2);
         let (p, drops, _) = tracked(&rc, 600);
         // Below the threshold: false, however the pages arrive.
-        assert!(!rc.surrender(&mut rc.lock(0), p, 1, EXPEDITE_PAGES - 2));
-        assert!(!rc.surrender(&mut rc.lock(0), p, 1, 1));
+        assert!(!rc.surrender(&mut rc.lock(0).cells(), p, 1, EXPEDITE_PAGES - 2));
+        assert!(!rc.surrender(&mut rc.lock(0).cells(), p, 1, 1));
         // At it, and after it, until the core is flushed.
-        assert!(rc.surrender(&mut rc.lock(0), p, 1, 1));
-        assert!(rc.surrender(&mut rc.lock(0), p, 1, 0));
+        assert!(rc.surrender(&mut rc.lock(0).cells(), p, 1, 1));
+        assert!(rc.surrender(&mut rc.lock(0).cells(), p, 1, 0));
         // Per core: core 1 has surrendered nothing yet.
-        assert!(!rc.surrender(&mut rc.lock(1), p, 1, 1));
+        assert!(!rc.surrender(&mut rc.lock(1).cells(), p, 1, 1));
         rc.flush(0);
-        assert!(!rc.surrender(&mut rc.lock(0), p, 1, EXPEDITE_PAGES - 1));
-        assert!(rc.surrender(&mut rc.lock(0), p, 1, 1));
+        assert!(!rc.surrender(&mut rc.lock(0).cells(), p, 1, EXPEDITE_PAGES - 1));
+        assert!(rc.surrender(&mut rc.lock(0).cells(), p, 1, 1));
         // The references went where `adjust` would have put them.
         rc.quiesce();
         assert_eq!(rc.global_count(p), 600 - 7);
@@ -1297,16 +1304,16 @@ mod tests {
     fn a_flush_for_the_core_by_another_thread_restarts_the_count() {
         let rc = Arc::new(Refcache::new(1));
         let (p, _, _) = tracked(&rc, 8);
-        assert!(rc.surrender(&mut rc.lock(0), p, 1, EXPEDITE_PAGES));
+        assert!(rc.surrender(&mut rc.lock(0).cells(), p, 1, EXPEDITE_PAGES));
         let sweeper = rc.clone();
         std::thread::spawn(move || sweeper.flush(0)).join().unwrap();
-        assert!(!rc.surrender(&mut rc.lock(0), p, 1, EXPEDITE_PAGES - 1));
-        assert!(rc.surrender(&mut rc.lock(0), p, 1, 1));
+        assert!(!rc.surrender(&mut rc.lock(0).cells(), p, 1, EXPEDITE_PAGES - 1));
+        assert!(rc.surrender(&mut rc.lock(0).cells(), p, 1, 1));
         let sweeper = rc.clone();
         std::thread::spawn(move || sweeper.quiesce())
             .join()
             .unwrap();
-        assert!(!rc.surrender(&mut rc.lock(0), p, 1, 1));
+        assert!(!rc.surrender(&mut rc.lock(0).cells(), p, 1, 1));
         rc.adjust(0, p, -4);
         rc.quiesce();
         assert_eq!(rc.live_objects(), 0);
@@ -1316,7 +1323,7 @@ mod tests {
     fn adjust_inc_and_dec_surrender_no_pages() {
         let rc = Refcache::new(1);
         let (p, _, _) = tracked(&rc, 1);
-        assert!(!rc.surrender(&mut rc.lock(0), p, 0, EXPEDITE_PAGES - 1));
+        assert!(!rc.surrender(&mut rc.lock(0).cells(), p, 0, EXPEDITE_PAGES - 1));
         for _ in 0..2 * EXPEDITE_PAGES {
             rc.inc(0, p);
             rc.dec(0, p);
@@ -1324,8 +1331,8 @@ mod tests {
         rc.adjust(0, p, 4096);
         rc.adjust(0, p, -4096);
         // Still one page short.
-        assert!(!rc.surrender(&mut rc.lock(0), p, 0, 0));
-        assert!(rc.surrender(&mut rc.lock(0), p, 0, 1));
+        assert!(!rc.surrender(&mut rc.lock(0).cells(), p, 0, 0));
+        assert!(rc.surrender(&mut rc.lock(0).cells(), p, 0, 1));
         rc.dec(0, p);
         rc.quiesce();
         assert_eq!(rc.live_objects(), 0);
@@ -1335,16 +1342,16 @@ mod tests {
     fn expedite_is_maintain_counted_as_expedited() {
         let rc = Refcache::new(1);
         let (p, drops, _) = tracked(&rc, 1);
-        assert!(rc.surrender(&mut rc.lock(0), p, 1, EXPEDITE_PAGES));
-        rc.expedite(&mut rc.lock(0));
+        assert!(rc.surrender(&mut rc.lock(0).cells(), p, 1, EXPEDITE_PAGES));
+        rc.expedite(&mut rc.lock(0).cells());
         assert!(
-            !rc.surrender(&mut rc.lock(0), p, 0, 0),
+            !rc.surrender(&mut rc.lock(0).cells(), p, 0, 0),
             "an expedited tick flushes"
         );
         assert_eq!(drops.load(Ordering::SeqCst), 0);
         // And reviews: the second tick frees, as a second `maintain`
         // would (`free_waits_full_epoch`).
-        rc.expedite(&mut rc.lock(0));
+        rc.expedite(&mut rc.lock(0).cells());
         assert_eq!(drops.load(Ordering::SeqCst), 1);
         rc.maintain(0);
         rc.flush(0);

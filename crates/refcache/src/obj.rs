@@ -11,7 +11,7 @@ use std::cell::RefCell;
 use std::ptr::NonNull;
 use std::sync::atomic::AtomicUsize;
 
-use rvm_sync::{CoreHeld, SpinLock};
+use rvm_sync::{CoreCells, SpinLock};
 
 use crate::Refcache;
 
@@ -32,14 +32,14 @@ pub struct ReleaseCtx<'a> {
     pub cache: &'a Refcache,
     /// The core on which the release is executing.
     pub core: usize,
-    pub(crate) held: RefCell<CoreHeld<'a>>,
+    pub(crate) held: RefCell<CoreCells<'a>>,
 }
 
 impl ReleaseCtx<'_> {
     /// Runs `f` with the held lock of the release's core (the cache's
     /// set's): what a further Refcache operation, or a frame's return to
     /// a pool sharing the set, needs.
-    pub fn with_held<R>(&self, f: impl FnOnce(&mut CoreHeld<'_>) -> R) -> R {
+    pub fn with_held<R>(&self, f: impl FnOnce(&mut CoreCells<'_>) -> R) -> R {
         f(&mut self.held.borrow_mut())
     }
 }

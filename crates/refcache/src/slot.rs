@@ -232,7 +232,7 @@ mod tests {
     fn activate_dec_runs_zero_action_lazily() {
         let rc = Refcache::new(1);
         let (slot, hits) = cell();
-        rc.activate(&rc.lock(0), slot.handle(), 1);
+        rc.activate(&rc.lock(0).cells(), slot.handle(), 1);
         rc.dec(0, slot.handle());
         assert_eq!(hits.load(Ordering::SeqCst), 0, "action must be lazy");
         rc.quiesce();
@@ -249,7 +249,7 @@ mod tests {
         let rc = Refcache::new(2);
         let (slot, hits) = cell();
         for round in 1..=5u64 {
-            rc.activate(&rc.lock(0), slot.handle(), 1);
+            rc.activate(&rc.lock(0).cells(), slot.handle(), 1);
             rc.inc(1, slot.handle());
             rc.dec(0, slot.handle());
             rc.quiesce();
@@ -269,7 +269,7 @@ mod tests {
         // matching inc, producing a transient global zero.
         let rc = Refcache::new(2);
         let (slot, hits) = cell();
-        rc.activate(&rc.lock(0), slot.handle(), 1);
+        rc.activate(&rc.lock(0).cells(), slot.handle(), 1);
         rc.inc(0, slot.handle());
         rc.dec(1, slot.handle());
         rc.flush(1); // global 1 - 1 = 0 → queued (false zero)
@@ -289,7 +289,7 @@ mod tests {
         // rule can release the cell.
         let rc = Refcache::new(2);
         let (slot, hits) = cell();
-        rc.activate(&rc.lock(0), slot.handle(), 1);
+        rc.activate(&rc.lock(0).cells(), slot.handle(), 1);
         rc.inc(0, slot.handle());
         rc.adjust(0, slot.handle(), -2);
         assert_eq!(rc.live_slots(), 1, "nothing before the tick");
@@ -300,7 +300,7 @@ mod tests {
         assert_eq!(hits.load(Ordering::SeqCst), 1);
         // A cell nobody added to is released by whichever core applies
         // its zero.
-        rc.activate(&rc.lock(0), slot.handle(), 1);
+        rc.activate(&rc.lock(0).cells(), slot.handle(), 1);
         rc.dec(1, slot.handle());
         rc.maintain(1);
         assert_eq!(hits.load(Ordering::SeqCst), 2);
@@ -313,11 +313,11 @@ mod tests {
         // runs the action.
         let rc = Refcache::new(2);
         let (slot, hits) = cell();
-        rc.activate(&rc.lock(0), slot.handle(), 1);
+        rc.activate(&rc.lock(0).cells(), slot.handle(), 1);
         rc.inc(0, slot.handle());
-        assert!(!rc.surrender(&mut rc.lock(0), slot.handle(), 1, 1));
+        assert!(!rc.surrender(&mut rc.lock(0).cells(), slot.handle(), 1, 1));
         assert_eq!(hits.load(Ordering::SeqCst), 0, "one reference left");
-        rc.surrender(&mut rc.lock(0), slot.handle(), 1, 1);
+        rc.surrender(&mut rc.lock(0).cells(), slot.handle(), 1, 1);
         assert_eq!(hits.load(Ordering::SeqCst), 1);
         assert_eq!(rc.live_slots(), 0, "exact with no tick");
         assert_eq!(rc.stats().flushes, 0);
@@ -326,8 +326,8 @@ mod tests {
         assert_eq!(rc.global_count(slot.handle()), 0);
         // A cell nobody added to is released by whichever core's
         // surrender brings it to zero.
-        rc.activate(&rc.lock(0), slot.handle(), 1);
-        rc.surrender(&mut rc.lock(1), slot.handle(), 1, 1);
+        rc.activate(&rc.lock(0).cells(), slot.handle(), 1);
+        rc.surrender(&mut rc.lock(1).cells(), slot.handle(), 1, 1);
         assert_eq!(hits.load(Ordering::SeqCst), 2);
         assert_eq!(rc.live_slots(), 0);
     }
@@ -336,11 +336,11 @@ mod tests {
     fn a_foreign_adders_cell_still_waits_for_review_after_a_surrender() {
         let rc = Refcache::new(2);
         let (slot, hits) = cell();
-        rc.activate(&rc.lock(0), slot.handle(), 1);
+        rc.activate(&rc.lock(0).cells(), slot.handle(), 1);
         rc.inc(1, slot.handle());
-        rc.surrender(&mut rc.lock(1), slot.handle(), 1, 1);
+        rc.surrender(&mut rc.lock(1).cells(), slot.handle(), 1, 1);
         // Global 1 plus core 0's -1 is zero, but core 1 added.
-        rc.surrender(&mut rc.lock(0), slot.handle(), 1, 1);
+        rc.surrender(&mut rc.lock(0).cells(), slot.handle(), 1, 1);
         assert_eq!(hits.load(Ordering::SeqCst), 0);
         assert_eq!(rc.live_slots(), 1);
         rc.maintain(1);
@@ -361,13 +361,13 @@ mod tests {
     fn a_block_head_surrendering_part_of_its_references_releases_nothing() {
         let rc = Refcache::new(1);
         let (slot, hits) = cell();
-        rc.activate(&rc.lock(0), slot.handle(), 512);
-        rc.surrender(&mut rc.lock(0), slot.handle(), 16, 16);
+        rc.activate(&rc.lock(0).cells(), slot.handle(), 512);
+        rc.surrender(&mut rc.lock(0).cells(), slot.handle(), 16, 16);
         assert_eq!(hits.load(Ordering::SeqCst), 0);
         rc.quiesce();
         assert_eq!(hits.load(Ordering::SeqCst), 0);
         assert_eq!(rc.global_count(slot.handle()), 512 - 16);
-        rc.surrender(&mut rc.lock(0), slot.handle(), 512 - 16, 512 - 16);
+        rc.surrender(&mut rc.lock(0).cells(), slot.handle(), 512 - 16, 512 - 16);
         assert_eq!(hits.load(Ordering::SeqCst), 1);
         assert_eq!(rc.live_slots(), 0);
     }
@@ -376,15 +376,15 @@ mod tests {
     fn a_reference_added_on_one_core_is_not_released_by_anothers_surrender() {
         let rc = Refcache::new(2);
         let (slot, hits) = cell();
-        rc.activate(&rc.lock(0), slot.handle(), 1);
+        rc.activate(&rc.lock(0).cells(), slot.handle(), 1);
         // Cached on core 0: the true count is 2.
         rc.inc(0, slot.handle());
         // Core 1 gives that reference up: global 1 plus its -1 is zero,
         // but core 0, not core 1, added.
-        rc.surrender(&mut rc.lock(1), slot.handle(), 1, 1);
+        rc.surrender(&mut rc.lock(1).cells(), slot.handle(), 1, 1);
         assert_eq!(hits.load(Ordering::SeqCst), 0, "released a live cell");
         // Core 0's own surrender leaves core 1's -1 cached: no final zero.
-        rc.surrender(&mut rc.lock(0), slot.handle(), 1, 1);
+        rc.surrender(&mut rc.lock(0).cells(), slot.handle(), 1, 1);
         assert_eq!(hits.load(Ordering::SeqCst), 0);
         assert_eq!(rc.live_slots(), 1);
         rc.quiesce();
@@ -396,7 +396,7 @@ mod tests {
     fn a_foreign_adder_keeps_the_cell_on_review_for_two_epochs() {
         let rc = Refcache::new(2);
         let (slot, hits) = cell();
-        rc.activate(&rc.lock(0), slot.handle(), 1);
+        rc.activate(&rc.lock(0).cells(), slot.handle(), 1);
         rc.inc(1, slot.handle());
         rc.dec(1, slot.handle());
         rc.dec(0, slot.handle());
@@ -419,7 +419,7 @@ mod tests {
     fn a_sweeper_flushing_for_the_adder_releases_the_cell() {
         let rc = Arc::new(Refcache::new(2));
         let (slot, hits) = cell();
-        rc.activate(&rc.lock(0), slot.handle(), 1);
+        rc.activate(&rc.lock(0).cells(), slot.handle(), 1);
         rc.inc(0, slot.handle());
         rc.adjust(0, slot.handle(), -2);
         let sweeper = rc.clone();
@@ -438,8 +438,8 @@ mod tests {
         let rc = Refcache::with_cache_slots(1, 1);
         let (a, a_hits) = cell();
         let (b, _) = cell();
-        rc.activate(&rc.lock(0), a.handle(), 1);
-        rc.activate(&rc.lock(0), b.handle(), 1);
+        rc.activate(&rc.lock(0).cells(), a.handle(), 1);
+        rc.activate(&rc.lock(0).cells(), b.handle(), 1);
         rc.dec(0, a.handle());
         rc.inc(0, b.handle()); // evicts a's delta: a true zero
         assert_eq!(rc.live_slots(), 1);
@@ -454,7 +454,7 @@ mod tests {
     fn adders_reset_at_reactivation() {
         let rc = Refcache::new(2);
         let (slot, hits) = cell();
-        rc.activate(&rc.lock(0), slot.handle(), 1);
+        rc.activate(&rc.lock(0).cells(), slot.handle(), 1);
         rc.inc(1, slot.handle());
         rc.dec(1, slot.handle());
         rc.dec(0, slot.handle());
@@ -464,7 +464,7 @@ mod tests {
         assert_eq!(hits.load(Ordering::SeqCst), 1);
         // The next activation starts with no adders: core 0's tick
         // releases it although core 1 added to the last one.
-        rc.activate(&rc.lock(0), slot.handle(), 1);
+        rc.activate(&rc.lock(0).cells(), slot.handle(), 1);
         rc.dec(0, slot.handle());
         rc.maintain(0);
         assert_eq!(hits.load(Ordering::SeqCst), 2);
@@ -491,14 +491,15 @@ mod tests {
         let first = CountSlot::new(TakesAnother {
             another: another.handle(),
         });
-        rc.activate(&rc.lock(0), first.handle(), 1);
-        rc.activate(&rc.lock(0), other.handle(), 1);
-        rc.activate(&rc.lock(0), another.handle(), 1);
+        rc.activate(&rc.lock(0).cells(), first.handle(), 1);
+        rc.activate(&rc.lock(0).cells(), other.handle(), 1);
+        rc.activate(&rc.lock(0).cells(), another.handle(), 1);
         rc.dec(0, first.handle());
         rc.flush(0); // a final zero: `first` waits for the next review
         rc.dec(0, other.handle()); // cached in the one way
-                                   // The pass runs `first`, whose adjust evicts `other` to its
-                                   // final zero: queued while the pass has its list out.
+
+        // The pass runs `first`, whose adjust evicts `other` to its final
+        // zero: queued while the pass has its list out.
         rc.review(0);
         assert_eq!(rc.live_slots(), 1, "only `another` is live");
         assert_eq!(hits.load(Ordering::SeqCst), 0, "not run in that pass");
@@ -513,7 +514,7 @@ mod tests {
     fn init_count_covers_many_references() {
         let rc = Refcache::new(1);
         let (slot, hits) = cell();
-        rc.activate(&rc.lock(0), slot.handle(), 512);
+        rc.activate(&rc.lock(0).cells(), slot.handle(), 512);
         for _ in 0..511 {
             rc.dec(0, slot.handle());
         }
@@ -552,7 +553,7 @@ mod tests {
         let shared = Arc::new(CountSlot::new(Zeroed {
             hits: shared_hits.clone(),
         }));
-        rc.activate(&rc.lock(0), shared.handle(), 1);
+        rc.activate(&rc.lock(0).cells(), shared.handle(), 1);
         let total_hits = Arc::new(AtomicU64::new(0));
         let total_activations = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::new();
@@ -578,7 +579,7 @@ mod tests {
                     // zero action recycled it (the activate contract).
                     let id = free.lock().unwrap().pop();
                     if let Some(id) = id {
-                        rc.activate(&rc.lock(core), cells[id].handle(), 1);
+                        rc.activate(&rc.lock(core).cells(), cells[id].handle(), 1);
                         activations += 1;
                         rc.inc(core, cells[id].handle());
                         rc.dec(core, cells[id].handle());

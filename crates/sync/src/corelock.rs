@@ -7,13 +7,16 @@
 //! layer); a VM entry point takes its core's once, and foreign actors (a
 //! `quiesce`, a sweeper flushing for a core) take the same lock. The
 //! layers' per-core state sits in [`PerCore`] cells that only the
-//! holder's [`CoreHeld`] token opens, and a counter all of whose bumps
-//! hold it needs no locked instruction ([`crate::ShardedStats::add_core`]).
+//! holder's [`CoreCells`] loan opens (a [`CoreHeld`] lends one), and a
+//! counter all of whose bumps hold it needs no locked instruction
+//! ([`crate::ShardedStats::add_core`]).
 //!
-//! Holding the lock is a type: a cell access borrows the token mutably,
+//! Holding the lock is a type: a cell access borrows the loan mutably,
 //! so two borrows of per-core state cannot overlap, and a caller that
 //! lent its token to a guard (the radix tree's hint-riding `RangeGuard`)
-//! cannot make a second call that needs it while the guard lives.
+//! cannot make a second call that needs it while the guard lives. What
+//! works on the core as a whole takes the [`CoreHeld`] itself, which
+//! such a guard keeps and never lends.
 //!
 //! **Lock order** (the one statement of it; DESIGN.md §5 argues it):
 //! `CoreLock` → leaf slot → object state → {TLB lock, reservoir, grow
@@ -24,7 +27,7 @@
 //! In the simulator an acquire is one exclusive line event on the core's
 //! lock word, like a [`crate::SpinLock`]'s.
 
-use std::cell::{Cell, UnsafeCell};
+use std::cell::UnsafeCell;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -84,9 +87,7 @@ impl CoreLocks {
     #[inline]
     fn held<'a>(&'a self, core: usize, guard: SpinLockGuard<'a, ()>) -> CoreHeld<'a> {
         CoreHeld {
-            locks: self,
-            core,
-            _this_thread: PhantomData,
+            cells: CoreCells::of(self, core),
             _guard: Some(guard),
             #[cfg(debug_assertions)]
             recorded: debug::record(self, core),
@@ -94,14 +95,17 @@ impl CoreLocks {
     }
 }
 
-/// Proof that this thread holds one core's [`CoreLock`]: the key to that
-/// core's [`PerCore`] cells. Dropping it unlocks. Neither `Send` nor
-/// `Sync`: a token shared with another thread would let two threads
-/// bump one [`crate::ShardedStats::add_core`] cell at once.
+/// Proof that this thread holds one core's [`CoreLock`]: what a call that
+/// works on the core as a whole (a radix tree's tick, range lock or leaf
+/// hints) takes. Dropping it unlocks. It lends its [`CoreCells`], the
+/// key to the core's [`PerCore`] cells, to everything else.
+///
+/// A structure that keeps a `CoreHeld` (a hint-riding range guard) hands
+/// out only `CoreCells` by value, never `&mut CoreHeld`: two such
+/// references could be swapped, and a guard would then keep its slot
+/// locks under another core's token while its own lock went free.
 pub struct CoreHeld<'a> {
-    locks: &'a CoreLocks,
-    core: usize,
-    _this_thread: PhantomData<Cell<()>>,
+    cells: CoreCells<'a>,
     /// The lock itself; `None` in a [`CoreHeld::reborrow`], which lends
     /// the parent's for a while.
     _guard: Option<SpinLockGuard<'a, ()>>,
@@ -114,29 +118,67 @@ impl CoreHeld<'_> {
     /// The core whose lock this is.
     #[inline]
     pub fn core(&self) -> usize {
+        self.cells.core
+    }
+
+    /// Lends this token for as long as the result lives: the lock stays
+    /// with `self`, and `self` is unusable meanwhile. What a range guard
+    /// made under a caller's hold keeps.
+    #[inline]
+    pub fn reborrow(&mut self) -> CoreHeld<'_> {
+        CoreHeld {
+            cells: self.cells.reborrow(),
+            _guard: None,
+            #[cfg(debug_assertions)]
+            recorded: false,
+        }
+    }
+
+    /// Lends the core's cells for as long as the result lives.
+    #[inline]
+    pub fn cells(&mut self) -> CoreCells<'_> {
+        self.cells.reborrow()
+    }
+}
+
+/// A loan of one held core's [`PerCore`] cells: its delta cache, its
+/// frames, its statistics stripes. Opens nothing that works on the core
+/// as a whole ([`CoreHeld`]), so a guard that lends it keeps what it
+/// relies on. Neither `Send` nor `Sync`: a loan shared with another
+/// thread would let two threads bump one
+/// [`crate::ShardedStats::add_core`] cell at once.
+pub struct CoreCells<'a> {
+    locks: &'a CoreLocks,
+    core: usize,
+    _this_thread: PhantomData<*const ()>,
+}
+
+impl CoreCells<'_> {
+    fn of(locks: &CoreLocks, core: usize) -> CoreCells<'_> {
+        CoreCells {
+            locks,
+            core,
+            _this_thread: PhantomData,
+        }
+    }
+
+    /// The core whose cells these are.
+    #[inline]
+    pub fn core(&self) -> usize {
         self.core
     }
 
-    /// True when this is a lock of `locks`.
+    /// True when these are cells of a lock of `locks`.
     #[inline]
     pub fn is_of(&self, locks: &CoreLocks) -> bool {
         std::ptr::eq(self.locks, locks)
     }
 
-    /// Lends this token for as long as the result lives: the same core's
-    /// cells open through it, the lock stays with `self`, and `self`
-    /// is unusable meanwhile. What a structure that keeps the token (a
-    /// range guard, a release context) stores.
+    /// Lends the loan on for as long as the result lives (what a release
+    /// context keeps).
     #[inline]
-    pub fn reborrow(&mut self) -> CoreHeld<'_> {
-        CoreHeld {
-            locks: self.locks,
-            core: self.core,
-            _this_thread: PhantomData,
-            _guard: None,
-            #[cfg(debug_assertions)]
-            recorded: false,
-        }
+    pub fn reborrow(&mut self) -> CoreCells<'_> {
+        CoreCells::of(self.locks, self.core)
     }
 }
 
@@ -221,13 +263,13 @@ impl<T> PerCore<T> {
         &self.locks
     }
 
-    /// The held core's cell, for as long as the token stays lent.
+    /// The held core's cell, for as long as the loan stays lent.
     ///
     /// # Panics
     ///
     /// Panics if `held` is a lock of another set.
     #[inline]
-    pub fn get<'a>(&'a self, held: &'a mut CoreHeld<'_>) -> &'a mut T {
+    pub fn get<'a>(&'a self, held: &'a mut CoreCells<'_>) -> &'a mut T {
         assert!(held.is_of(&self.locks), "a CoreHeld of another lock set");
         // SAFETY: `held` proves this thread holds the core's lock of the
         // cells' set, and the `&mut` borrow of it lasts as long as the
@@ -274,15 +316,15 @@ mod tests {
             std::thread::spawn(move || {
                 let mut held = cells.locks().lock(1);
                 assert!(released.load(Ordering::Acquire), "entered while held");
-                *cells.get(&mut held) += 10;
+                *cells.get(&mut held.cells()) += 10;
             })
         };
         std::thread::sleep(std::time::Duration::from_millis(20));
-        *cells.get(&mut held) += 1;
+        *cells.get(&mut held.cells()) += 1;
         released.store(true, Ordering::Release);
         drop(held);
         foreign.join().unwrap();
-        assert_eq!(*cells.get(&mut cells.locks().lock(1)), 12);
+        assert_eq!(*cells.get(&mut cells.locks().lock(1).cells()), 12);
         assert!(locks.try_lock(1).is_some(), "the foreign holder unlocked");
     }
 
@@ -292,10 +334,10 @@ mod tests {
         let mut held = cells.locks().lock(0);
         {
             let mut lent = held.reborrow();
-            *cells.get(&mut lent) = 7;
+            *cells.get(&mut lent.cells()) = 7;
         }
         assert!(cells.locks().try_lock(0).is_none(), "still held");
-        assert_eq!(*cells.get(&mut held), 7);
+        assert_eq!(*cells.get(&mut held.cells()), 7);
         drop(held);
         assert!(cells.locks().try_lock(0).is_some());
     }
@@ -305,7 +347,7 @@ mod tests {
     fn a_token_of_another_set_opens_nothing() {
         let cells = PerCore::new(CoreLocks::new(1), |_| 0u8);
         let other = CoreLocks::new(1);
-        cells.get(&mut other.lock(0));
+        cells.get(&mut other.lock(0).cells());
     }
 
     #[test]
@@ -337,5 +379,6 @@ mod tests {
         assert_eq!(size_of::<CoreLock>(), 1);
         assert_eq!(size_of::<CachePadded<CoreLock>>(), 64);
         assert_eq!(size_of::<CachePadded<UnsafeCell<u64>>>(), 64);
+        assert_eq!(size_of::<CoreCells<'_>>(), 16);
     }
 }

@@ -43,7 +43,7 @@ pub mod sim;
 
 pub use atomic::{Atomic64, AtomicPtr64};
 pub use backoff::Backoff;
-pub use corelock::{CoreHeld, CoreLock, CoreLocks, PerCore};
+pub use corelock::{CoreCells, CoreHeld, CoreLock, CoreLocks, PerCore};
 pub use inline_vec::InlineVec;
 pub use lock::{
     Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, SpinLock, SpinLockGuard,

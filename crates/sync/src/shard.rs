@@ -47,7 +47,7 @@
 use std::marker::PhantomData;
 
 use crate::atomic::{Atomic64, Ordering};
-use crate::corelock::{CoreHeld, CoreLock};
+use crate::corelock::{CoreCells, CoreLock};
 use crate::pad::CachePadded;
 use crate::sim;
 
@@ -181,7 +181,7 @@ impl<S, const K: usize> ShardedStats<S, K> {
     /// their core's [`CoreLock`]: the stripe is the held core's, so the
     /// token picks it and no core id can disagree with the lock.
     #[inline(always)]
-    pub fn add_core(&self, held: &CoreHeld<'_>, field: Field<S, Exclusive<CoreLock>>, n: u64) {
+    pub fn add_core(&self, held: &CoreCells<'_>, field: Field<S, Exclusive<CoreLock>>, n: u64) {
         let core = held.core();
         debug_assert!(core < self.shards(), "core {core} shares a stripe");
         self.cells[core & self.mask][field.index].add_exclusive(n);

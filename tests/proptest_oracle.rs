@@ -772,7 +772,7 @@ proptest! {
             match what {
                 0 => { rc.flush(core); pages[core] = 0; }
                 1 => { rc.maintain(core); pages[core] = 0; }
-                2 => { rc.expedite(&mut rc.lock(core)); pages[core] = 0; }
+                2 => { rc.expedite(&mut rc.lock(core).cells()); pages[core] = 0; }
                 3 => { rc.quiesce(); pages = [0; 3]; }
                 4 => { rc.inc(core, obj); rc.dec(core, obj); }
                 5 => { rc.adjust(core, obj, n as i64); rc.adjust(core, obj, -(n as i64)); }
@@ -781,7 +781,7 @@ proptest! {
                     pages[core] += n;
                     given_up += refs;
                     prop_assert_eq!(
-                        rc.surrender(&mut rc.lock(core), obj, refs, n),
+                        rc.surrender(&mut rc.lock(core).cells(), obj, refs, n),
                         pages[core] >= EXPEDITE_PAGES
                     );
                 }
